@@ -12,7 +12,7 @@ import csv
 import io
 import json
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 from . import bench as bench_mod
 from .candidates import top_m_filter
@@ -162,18 +162,7 @@ def cmd_bench(args) -> int:
             )
         )
     if args.format == "json":
-        payload = [
-            {
-                "instance": r.instance,
-                "method": r.method,
-                "length": r.length,
-                "gap_percent": r.gap_percent,
-                "heatmap_seconds": r.heatmap_seconds,
-                "search_seconds": r.search_seconds,
-                "seed": r.seed,
-            }
-            for r in rows
-        ]
+        payload = [asdict(r) for r in rows]
         _write_out(json.dumps(payload, indent=2) + "\n", args.out)
     else:
         _write_out(bench_mod.bench_results_csv(rows), args.out)

@@ -17,9 +17,9 @@ import numpy as np
 from .heatmap import (
     LossBreakdown,
     NumericError,
+    _loss_and_gradient,
     column_softmax,
     indicator_to_heatmap,
-    loss_gradient,
     surrogate_loss,
 )
 from .instances import Instance, distance_matrix
@@ -97,32 +97,51 @@ def optimize_heatmap(inst: Instance, cfg: TrainConfig = TrainConfig()):
     """Fit logits to one instance; returns (heat_map, soft_indicator, trace).
 
     Runs the configured number of Adam updates on the logits using the
-    analytic loss gradient. Deterministic for a fixed (instance, config).
-    Raises NumericError naming the step if the loss or gradient goes
+    analytic loss gradient; each step costs one n x n matrix product,
+    M = (d + lambda2*I) @ t, which yields both the step's loss breakdown and
+    its gradient. The two-form surrogate_loss check runs on the returned
+    parameters. Deterministic for a fixed (instance, config). Raises
+    NumericError naming the step if the loss, gradient or logits go
     non-finite.
     """
     n = inst.n
     d = distance_matrix(inst)
     steps = cfg.resolved_steps(n)
     lam1, lam2 = cfg.lambda1, cfg.lambda2
+    b1, b2 = cfg.beta1, cfg.beta2
+    a = d + lam2 * np.eye(n)
     logits = init_logits(n, cfg)
     m = np.zeros_like(logits)
     v = np.zeros_like(logits)
+    # scratch for the in-place Adam update; the operations and their order
+    # are those of the textbook expression, so the result is bit-identical
+    step_buf = np.empty_like(logits)
+    denom = np.empty_like(logits)
     per_step: list[LossBreakdown] = []
     t0 = time.perf_counter()
     for k in range(1, steps + 1):
-        t = column_softmax(logits)
-        h = indicator_to_heatmap(t)
-        breakdown = surrogate_loss(t, h, d, lam1, lam2)
+        breakdown, g = _loss_and_gradient(column_softmax(logits), a, lam1, lam2)
         if not math.isfinite(breakdown.total):
             raise NumericError(f"non-finite loss at step {k}")
+        if not np.isfinite(g).all():
+            raise NumericError(f"non-finite gradient at step {k}")
         per_step.append(breakdown)
-        g = loss_gradient(logits, d, lam1, lam2)
-        m = cfg.beta1 * m + (1.0 - cfg.beta1) * g
-        v = cfg.beta2 * v + (1.0 - cfg.beta2) * (g * g)
-        m_hat = m / (1.0 - cfg.beta1**k)
-        v_hat = v / (1.0 - cfg.beta2**k)
-        logits -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.epsilon)
+        # m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*(g*g)
+        m *= b1
+        np.multiply(1.0 - b1, g, out=step_buf)
+        m += step_buf
+        v *= b2
+        np.multiply(g, g, out=step_buf)
+        step_buf *= 1.0 - b2
+        v += step_buf
+        # logits -= lr * m_hat / (sqrt(v_hat) + eps)
+        np.divide(v, 1.0 - b2**k, out=denom)
+        np.sqrt(denom, out=denom)
+        denom += cfg.epsilon
+        np.divide(m, 1.0 - b1**k, out=step_buf)
+        step_buf *= cfg.learning_rate
+        step_buf /= denom
+        logits -= step_buf
         if not np.isfinite(logits).all():
             raise NumericError(f"non-finite logits after step {k}")
     t = column_softmax(logits)

@@ -130,30 +130,58 @@ def loss_total(logits: np.ndarray, d: np.ndarray, lambda1: float, lambda2: float
     return float(lambda1 * row_penalty + ((d + lambda2 * np.eye(n)) * h).sum())
 
 
+def _loss_and_gradient(
+    t: np.ndarray, a: np.ndarray, lambda1: float, lambda2: float
+) -> tuple[LossBreakdown, np.ndarray]:
+    """Loss breakdown and logit gradient at t = column_softmax(logits), from
+    one matrix product.
+
+    a = d + lambda2*I must be symmetric. With M = a @ t and V the cyclic
+    shift, trace(t V t.T) = <t, t_next> and the bilinear term
+    <a, t V t.T> = <t_next, M>, where t_next = roll(t, -1) holds column k+1
+    of t in column k. The bilinear t-gradient a t V.T + a.T t V equals
+    roll(M, -1) + roll(M, +1), since a column roll commutes with the left
+    product. The row penalty contributes 2*lambda1*(row_sum - 1) broadcast
+    over each row, and the column-wise softmax Jacobian maps the t-gradient
+    back to logit space. Returns (LossBreakdown, gradient).
+    """
+    m = a @ t
+    t_next = np.roll(t, -1, axis=1)
+    row_err = t.sum(axis=1) - 1.0
+    row_penalty = float(row_err @ row_err)
+    self_loop = float(np.vdot(t, t_next))
+    bilinear = float(np.vdot(t_next, m))
+    breakdown = LossBreakdown(
+        row_penalty=row_penalty,
+        self_loop=self_loop,
+        expected_length=bilinear - lambda2 * self_loop,
+        total=lambda1 * row_penalty + bilinear,
+    )
+    g_t = np.roll(m, -1, axis=1)
+    g_t += np.roll(m, 1, axis=1)
+    g_t += (2.0 * lambda1) * row_err[:, None]
+    # softmax backward, one column at a time (vectorized across columns)
+    g_t -= np.einsum("ij,ij->j", g_t, t)
+    g_t *= t
+    return breakdown, g_t
+
+
 def loss_gradient(
     logits: np.ndarray, d: np.ndarray, lambda1: float, lambda2: float
 ) -> np.ndarray:
     """Exact gradient of total surrogate loss with respect to each logit.
 
-    Chain: (a) for the bilinear term, d<A, t V t.T>/dt = A t V.T + A.T t V
-    with A = d + lambda2*I and V the cyclic shift (column rolls implement the
-    V products); (b) the row penalty contributes 2*lambda1*(row_sum - 1)
-    broadcast over each row; (c) the column-wise softmax Jacobian maps the
-    t-gradient back to logit space.
+    d must be symmetric, as every distance matrix here is; the shared
+    one-product kernel relies on it.
     """
     s = np.asarray(logits, dtype=np.float64)
     d = np.asarray(d, dtype=np.float64)
     n = s.shape[0]
     if d.shape != (n, n):
         raise ValueError(f"dimension mismatch: logits {s.shape}, d {d.shape}")
-    t = column_softmax(s)
-    a = d + lambda2 * np.eye(n)
-    # t @ V.T rolls columns left; t @ V rolls columns right
-    g_t = a @ np.roll(t, -1, axis=1) + a.T @ np.roll(t, 1, axis=1)
-    g_t += 2.0 * lambda1 * (t.sum(axis=1) - 1.0)[:, None]
-    # softmax backward, one column at a time (vectorized across columns)
-    dots = (g_t * t).sum(axis=0)
-    grad = t * (g_t - dots[None, :])
+    if not np.array_equal(d, d.T):
+        raise ValueError("d must be symmetric")
+    _, grad = _loss_and_gradient(column_softmax(s), d + lambda2 * np.eye(n), lambda1, lambda2)
     if not np.isfinite(grad).all():
         raise NumericError("gradient evaluation produced non-finite values")
     return grad
@@ -245,4 +273,8 @@ def parse_heatmap(text: str) -> np.ndarray:
     h = np.array([[float(v) for v in ln.split()] for ln in lines[2:]])
     if h.shape != (n, n):
         raise ValueError(f"expected an {n}x{n} matrix, got {h.shape}")
+    if not np.isfinite(h).all():
+        raise ValueError("heat-map entries must be finite")
+    if (h < 0).any():
+        raise ValueError("heat-map entries must be >= 0")
     return h

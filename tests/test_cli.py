@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from tspheat.cli import main
-from tspheat.heatmap import parse_heatmap
+from tspheat.heatmap import format_heatmap, parse_heatmap
 from tspheat.instances import format_instance, generate_random, parse_instance
 from tspheat.search import parse_tour
 
@@ -63,6 +63,20 @@ class TestSearchCommand:
         tour, length = parse_tour(tour_path.read_text())
         assert sorted(tour.order.tolist()) == list(range(10))
         assert length > 0
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -0.25])
+    def test_rejects_bad_heatmap_entry(self, instance_file, tmp_path, capsys, bad):
+        heat = np.full((10, 10), 0.1)
+        heat[2, 7] = bad
+        heat_path = tmp_path / "heat.txt"
+        heat_path.write_text(format_heatmap(heat))
+        code = main([
+            "search", "--instance", instance_file, "--heatmap", str(heat_path),
+            "--preset", "tsp20", "--rounds", "2", "--seed", "3",
+            "--out", str(tmp_path / "t.txt"),
+        ])
+        assert code == 2
+        assert "heat-map entries" in capsys.readouterr().err
 
     def test_requires_budget(self, instance_file, tmp_path, capsys):
         heat_path = tmp_path / "heat.txt"
@@ -139,6 +153,10 @@ class TestBenchCommand:
         assert code == 0
         rows = json.loads(out.read_text())
         assert len(rows) == 4  # pipeline + baseline per instance
+        assert list(rows[0]) == [
+            "instance", "method", "length", "gap_percent",
+            "heatmap_seconds", "search_seconds", "seed",
+        ]
         methods = {r["method"] for r in rows}
         assert methods == {"pipeline", "nn+2opt"}
         for r in rows:

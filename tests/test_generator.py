@@ -2,8 +2,14 @@ import numpy as np
 import pytest
 
 from tspheat.generator import TrainConfig, default_steps, init_logits, optimize_heatmap
-from tspheat.heatmap import column_softmax
-from tspheat.instances import generate_random
+from tspheat.heatmap import column_softmax, indicator_to_heatmap, loss_gradient, surrogate_loss
+from tspheat.instances import distance_matrix, generate_random
+
+
+def _assert_breakdowns_match(got, want):
+    tol = 1e-12 * max(1.0, abs(want.total))
+    for field in ("row_penalty", "self_loop", "expected_length", "total"):
+        assert abs(getattr(got, field) - getattr(want, field)) <= tol, field
 
 
 class TestTrainConfig:
@@ -83,3 +89,37 @@ class TestOptimizeHeatmap:
             _, _, short = optimize_heatmap(inst, TrainConfig(steps=150, seed=seed))
             _, _, long = optimize_heatmap(inst, TrainConfig(steps=1500, seed=seed))
             assert long.final.total <= short.final.total + 1e-9
+
+    @pytest.mark.parametrize("n", [5, 12, 30])
+    def test_per_step_breakdown_matches_surrogate_loss(self, n):
+        # per_step[K] is evaluated before update K+1, at the parameters a
+        # K-step run returns and checks with the two-form surrogate_loss
+        for seed in range(3):
+            inst = generate_random(n, seed)
+            d = distance_matrix(inst)
+            cfg = TrainConfig(steps=1, seed=seed)
+            t = column_softmax(init_logits(n, cfg))
+            want = surrogate_loss(t, indicator_to_heatmap(t), d, cfg.lambda1, cfg.lambda2)
+            _, _, trace = optimize_heatmap(inst, cfg)
+            _assert_breakdowns_match(trace.per_step[0], want)
+            for k in (1, 7, 40):
+                _, _, longer = optimize_heatmap(inst, TrainConfig(steps=k + 1, seed=seed))
+                _, _, exact = optimize_heatmap(inst, TrainConfig(steps=k, seed=seed))
+                _assert_breakdowns_match(longer.per_step[k], exact.final)
+
+    def test_matches_textbook_adam(self):
+        inst = generate_random(9, 5)
+        cfg = TrainConfig(steps=40, seed=5)
+        d = distance_matrix(inst)
+        logits = init_logits(inst.n, cfg)
+        m = np.zeros_like(logits)
+        v = np.zeros_like(logits)
+        for k in range(1, cfg.steps + 1):
+            g = loss_gradient(logits, d, cfg.lambda1, cfg.lambda2)
+            m = cfg.beta1 * m + (1.0 - cfg.beta1) * g
+            v = cfg.beta2 * v + (1.0 - cfg.beta2) * (g * g)
+            m_hat = m / (1.0 - cfg.beta1**k)
+            v_hat = v / (1.0 - cfg.beta2**k)
+            logits -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.epsilon)
+        _, t, _ = optimize_heatmap(inst, cfg)
+        assert np.array_equal(t, column_softmax(logits))

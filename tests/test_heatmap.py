@@ -206,6 +206,12 @@ class TestLossGradient:
             rel = np.abs(grad - fd) / np.maximum(np.abs(fd), 1e-8)
             assert rel.max() < 1e-4
 
+    def test_rejects_asymmetric_distances(self):
+        d = distance_matrix(generate_random(5, 0))
+        d[0, 1] += 0.5
+        with pytest.raises(ValueError):
+            loss_gradient(np.zeros((5, 5)), d, 2.0, 1.0)
+
     def test_zero_for_constant_loss(self):
         s = np.random.default_rng(0).normal(size=(5, 5))
         grad = loss_gradient(s, np.zeros((5, 5)), 0.0, 0.0)
