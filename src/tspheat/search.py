@@ -17,7 +17,9 @@ from __future__ import annotations
 
 import math
 import time
+from bisect import bisect_right
 from dataclasses import dataclass, field, replace
+from itertools import islice
 from typing import Optional
 
 import numpy as np
@@ -194,6 +196,23 @@ def exploration_bonus(alpha: float, total_expansions: float, edge_count: float) 
     return alpha * math.sqrt(math.log(total_expansions + 1.0) / (edge_count + 1.0))
 
 
+def _weight(heat: float, key: tuple, alpha: float, total_expansions: int,
+            counts: dict) -> float:
+    """Sampling weight of an edge: max(heat + exploration bonus, floor)."""
+    if alpha > 0.0:
+        heat += exploration_bonus(alpha, total_expansions, counts.get(key, 0))
+    return WEIGHT_FLOOR if heat < WEIGHT_FLOOR else heat
+
+
+def _draw(cums: list, rand) -> int:
+    """Index of the drawn entry, given the running weight sums cums: the
+    first i with cums[i] > r, r uniform on [0, total), so each entry is drawn
+    with probability proportional to its weight. Round-off that puts r at or
+    past the total falls back to the last entry."""
+    i = bisect_right(cums, rand() * cums[-1])
+    return i if i < len(cums) else len(cums) - 1
+
+
 def select_next_city(
     u: int,
     cand: CandidateLists,
@@ -213,48 +232,43 @@ def select_next_city(
     """
     row = pruned[u]
     feas = []
-    weights = []
+    cums = []
     total = 0.0
-    counts = stats.edge_use_counts
-    for c in cand[u]:
-        c = int(c)
+    for c in cand[u].tolist():
         if c in exclude:
             continue
-        w = float(row[c])
-        if alpha > 0.0:
-            n_uv = counts.get(_ekey(u, c), 0)
-            w += exploration_bonus(alpha, stats.total_expansions, n_uv)
-        if w < WEIGHT_FLOOR:
-            w = WEIGHT_FLOOR
+        total += _weight(float(row[c]), _ekey(u, c), alpha, stats.total_expansions,
+                         stats.edge_use_counts)
         feas.append(c)
-        weights.append(w)
-        total += w
+        cums.append(total)
     if not feas:
         return None
-    r = rng.random() * total
-    acc = 0.0
-    for c, w in zip(feas, weights):
-        acc += w
-        if r < acc:
-            return c
-    return feas[-1]  # guard against float round-off at the boundary
+    return feas[_draw(cums, rng.random)]
 
 
 # ---------------------------------------------------------------------------
 # k-opt construction
 # ---------------------------------------------------------------------------
 
-def _candidate_rows(cand: CandidateLists) -> tuple:
-    """Candidate lists as plain int tuples (faster to iterate than arrays)."""
-    return tuple(tuple(int(c) for c in cl) for cl in cand.lists)
+def _candidate_table(cand: CandidateLists, d: np.ndarray, pruned: np.ndarray) -> tuple:
+    """Per city u, a tuple of (v, edge key, pruned[u, v], d[u, v]) for each
+    candidate v, as plain Python values. O(n * m); it goes stale when the
+    pruned heat changes, so it is rebuilt for every expansion."""
+    lens = [len(cl) for cl in cand.lists]
+    src = np.repeat(np.arange(len(lens)), lens)
+    dst = np.concatenate(cand.lists)
+    entries = iter([
+        (v, (u, v) if u < v else (v, u), h, w)
+        for u, v, h, w in zip(src.tolist(), dst.tolist(),
+                              pruned[src, dst].tolist(), d[src, dst].tolist())
+    ])
+    return tuple(tuple(islice(entries, k)) for k in lens)
 
 
 def _construct(
     d: np.ndarray,
-    order: np.ndarray,
-    pos: np.ndarray,
-    cand_rows: tuple,
-    pruned: np.ndarray,
+    order: list,
+    table: tuple,
     stats: SearchStats,
     alpha: float,
     k_cap: int,
@@ -263,114 +277,82 @@ def _construct(
     """One sequential construction attempt; returns an improving action or
     None (discard).
 
-    The state is a Hamiltonian path stored in `path` with fixed endpoint
-    path[0] = u_1 and moving endpoint path[-1]. Adding an edge from the
-    moving endpoint to an interior city forces removal of that city's edge
-    toward the moving side (the only choice that keeps a Hamiltonian path),
-    implemented as a suffix reversal. The candidate weighting below inlines
-    the select_next_city rule: max(heat + exploration bonus, floor), with
-    infeasible cities (closing anchor, current path neighbour, re-adds of
-    removed edges, forced removal of added edges) skipped.
+    The state is a Hamiltonian path, a list with fixed endpoint path[0] = u_1
+    and moving endpoint path[-1]. Adding an edge from the moving endpoint to
+    an interior city forces removal of that city's edge toward the moving
+    side (the only choice that keeps a Hamiltonian path), implemented as a
+    suffix reversal. Candidates are weighted by _weight and drawn by _draw,
+    the rule select_next_city uses; infeasible cities (closing anchor,
+    current path neighbour, re-adds of removed edges, forced removal of
+    added edges) are skipped. Only an endpoint of an added edge can have an
+    added edge toward its path successor, so only those candidates pay for a
+    position lookup.
     """
-    n = order.shape[0]
-    u1 = int(rng.integers(n))
-    i1 = int(pos[u1])
+    u1 = int(rng.integers(len(order)))
+    i1 = order.index(u1)
     # path = u1 followed by the rest of the cycle walked backward, so the
     # moving endpoint starts at u1's tour successor
-    path = np.empty(n, dtype=np.int64)
-    path[0] = u1
-    if i1 > 0:
-        path[1:i1 + 1] = order[i1 - 1::-1]
-    if i1 < n - 1:
-        path[i1 + 1:] = order[:i1:-1]
-    indices = np.arange(n)
-    ppos = np.empty(n, dtype=np.int64)
-    ppos[path] = indices
+    path = order[i1::-1] + order[:i1:-1]
 
     d_at = d.item
-    hp_at = pruned.item
-    path_at = path.item
-    ppos_at = ppos.item
     rand = rng.random
-    log = math.log
-    sqrt = math.sqrt
-
-    v1 = int(path_at(n - 1))
-    removed = [(u1, v1)]
-    removed_set = {(u1, v1) if u1 < v1 else (v1, u1)}
-    added = []
-    added_set = set()
-    seq = [u1, v1]
-    gain = d_at(u1, v1)  # running sum(removed) - sum(added)
     counts = stats.edge_use_counts
+    expansions = stats.total_expansions
+
+    v1 = path[-1]
+    seq = [u1, v1]
+    removed_set = {(u1, v1) if u1 < v1 else (v1, u1)}
+    added_set = set()
+    added_ends = set()
+    gain = d_at(u1, v1)  # running sum(removed) - sum(added)
     k = 1
     while True:
-        vi = path_at(n - 1)
+        vi = path[-1]
         close_gain = gain - d_at(vi, u1)
         # a closure that would re-add the anchor edge (only possible when the
         # moving endpoint returns to v_1) is degenerate: the same rewiring is
         # a shorter chain anchored elsewhere, so it is not accepted here
         if close_gain > MIN_GAIN and vi != v1:
-            added.append((vi, u1) if vi < u1 else (u1, vi))
             seq.append(u1)
             return KOptAction(
                 sequence=tuple(seq),
-                removed=tuple((a, b) if a < b else (b, a) for a, b in removed),
-                added=tuple(added),
+                removed=tuple(_ekey(a, b) for a, b in zip(seq[0::2], seq[1::2])),
+                added=tuple(_ekey(a, b) for a, b in zip(seq[1::2], seq[2::2])),
                 gain=close_gain,
-                new_order=path.copy(),
+                new_order=np.array(path, dtype=np.int64),
             )
         if k >= k_cap:
             return None
-        neighbor = path_at(n - 2)
+        neighbor = path[-2]
         feas = []
-        weights = []
+        cums = []
         total = 0.0
-        if alpha > 0.0:
-            bonus_num = log(stats.total_expansions + 1.0)
-        for c in cand_rows[vi]:
-            if c == u1 or c == neighbor:
+        for entry in table[vi]:
+            c, key, heat, _ = entry
+            if c == u1 or c == neighbor or key in removed_set:
                 continue
-            ekey = (vi, c) if vi < c else (c, vi)
-            if ekey in removed_set:
-                continue
-            j = ppos_at(c)
-            nxt = path_at(j + 1)
-            if ((c, nxt) if c < nxt else (nxt, c)) in added_set:
-                continue
-            w = hp_at(vi, c)
-            if alpha > 0.0:
-                w += alpha * sqrt(bonus_num / (counts.get(ekey, 0) + 1.0))
-            if w < WEIGHT_FLOOR:
-                w = WEIGHT_FLOOR
-            feas.append(c)
-            weights.append(w)
-            total += w
+            if c in added_ends:
+                nxt = path[path.index(c) + 1]
+                if ((c, nxt) if c < nxt else (nxt, c)) in added_set:
+                    continue
+            total += _weight(heat, key, alpha, expansions, counts)
+            feas.append(entry)
+            cums.append(total)
         if not feas:
             return None
-        r = rand() * total
-        acc = 0.0
-        idx = len(feas) - 1
-        for i, w in enumerate(weights):
-            acc += w
-            if r < acc:
-                idx = i
-                break
-        u_next = feas[idx]
-        key = (vi, u_next) if vi < u_next else (u_next, vi)
+        u_next, key, _, added_len = feas[_draw(cums, rand)]
         counts[key] = counts.get(key, 0) + 1
-        j = ppos_at(u_next)
-        v_next = path_at(j + 1)
-        added.append(key)
+        j = path.index(u_next)
+        v_next = path[j + 1]
         added_set.add(key)
-        removed.append((u_next, v_next))
+        added_ends.add(vi)
+        added_ends.add(u_next)
         removed_set.add((u_next, v_next) if u_next < v_next else (v_next, u_next))
-        gain += d_at(u_next, v_next) - d_at(vi, u_next)
+        gain += d_at(u_next, v_next) - added_len
         seq.append(u_next)
         seq.append(v_next)
         # rewire: reverse the suffix after u_next
-        path[j + 1:] = path[j + 1:][::-1]
-        ppos[path[j + 1:]] = indices[j + 1:]
+        path[j + 1:] = path[:j:-1]
         k += 1
 
 
@@ -394,15 +376,14 @@ def construct_kopt_action(
     """
     if k_cap is None:
         k_cap = int(rng.integers(params.k_range[0], params.k_range[1]))
-    return _construct(d, tour.order, tour.position, _candidate_rows(cand),
-                      pruned, stats, params.alpha, k_cap, rng)
+    return _construct(d, tour.order.tolist(), _candidate_table(cand, d, pruned),
+                      stats, params.alpha, k_cap, rng)
 
 
 def _expand(
     d: np.ndarray,
     order: np.ndarray,
-    pos: np.ndarray,
-    cand_rows: tuple,
+    cand: CandidateLists,
     pruned: np.ndarray,
     stats: SearchStats,
     params: SearchParams,
@@ -411,13 +392,14 @@ def _expand(
     deadline: Optional[float],
 ) -> Optional[KOptAction]:
     """Try up to expand_budget constructions, keep the largest-gain action."""
+    base = order.tolist()
+    table = _candidate_table(cand, d, pruned)
     best: Optional[KOptAction] = None
     for _ in range(params.expand_budget):
         if deadline is not None and time.perf_counter() >= deadline:
             break
         stats.total_expansions += 1
-        action = _construct(d, order, pos, cand_rows, pruned, stats,
-                            params.alpha, k_cap, rng)
+        action = _construct(d, base, table, stats, params.alpha, k_cap, rng)
         if action is not None and (best is None or action.gain > best.gain):
             best = action
     return best
@@ -441,8 +423,7 @@ def expand_node(
     """
     if k_cap is None:
         k_cap = int(rng.integers(params.k_range[0], params.k_range[1]))
-    best = _expand(d, tour.order, tour.position, _candidate_rows(cand), pruned,
-                   stats, params, k_cap, rng, deadline=None)
+    best = _expand(d, tour.order, cand, pruned, stats, params, k_cap, rng, deadline=None)
     if best is None:
         return None
     return Tour.from_order(best.new_order), best
@@ -509,11 +490,9 @@ def run_search(
         mode = HEAT_MODE if rng.integers(2) == 0 else DISTANCE_MODE
         source = hp if mode == HEAT_MODE else d
         m_eff = min(params.m, n - 1)  # presets can exceed tiny instances
-        cand_rows = _candidate_rows(candidate_lists(source, m_eff, mode))
+        cand = candidate_lists(source, m_eff, mode)
         order = rng.permutation(n).astype(np.int64)
         _two_opt_order(d, order)
-        pos = np.empty(n, dtype=np.int64)
-        pos[order] = np.arange(n)
         cur_len = order_length(d, order)
         if cur_len < best_len:
             best_len = cur_len
@@ -521,14 +500,12 @@ def run_search(
         while True:
             if deadline is not None and time.perf_counter() >= deadline:
                 break
-            action = _expand(d, order, pos, cand_rows, hp, stats, params, k_cap,
-                             rng, deadline)
+            action = _expand(d, order, cand, hp, stats, params, k_cap, rng, deadline)
             if action is None:
                 break
             new_len = cur_len - action.gain
             update_heatmap(hp, action, cur_len, new_len, params.beta)
             order = action.new_order
-            pos[order] = np.arange(n)
             cur_len = new_len
             if cur_len < best_len:
                 best_order = order.copy()

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -5,10 +6,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tspheat.candidates import DISTANCE_MODE, candidate_lists, top_m_filter
+from tspheat.candidates import (
+    DISTANCE_MODE,
+    HEAT_MODE,
+    CandidateLists,
+    candidate_lists,
+    top_m_filter,
+)
 from tspheat.instances import (
     Instance,
     Tour,
+    adjacency_weights,
     distance_matrix,
     generate_random,
     order_length,
@@ -173,6 +181,20 @@ class TestSelectNextCity:
         seen = {select_next_city(0, cand, pruned, stats, 0.0, rng) for _ in range(400)}
         assert seen == set(cand[0].tolist())
 
+    @pytest.mark.parametrize("u, expect", [(0.0, 1), (0.25, 2), (1.0, 3)])
+    def test_draw_boundaries(self, u, expect):
+        # heat [1, 2, 1] gives running sums [1, 3, 4]; r = u * 4 picks the
+        # first city whose running sum exceeds r (strictly), and u = 1.0 puts
+        # r on the total, which falls back to the last feasible city
+        class FixedRng:
+            def random(self):
+                return u
+
+        pruned = np.zeros((4, 4))
+        pruned[0, 1:] = [1.0, 2.0, 1.0]
+        cand = CandidateLists(lists=(np.array([1, 2, 3]),) * 4, mode=HEAT_MODE, m=3)
+        assert select_next_city(0, cand, pruned, SearchStats(), 0.0, FixedRng()) == expect
+
 
 class TestConstructAction:
     def test_uncrosses_square_via_two_exchange(self):
@@ -258,8 +280,6 @@ class TestExpandNode:
         new_tour, action = out
         # replay the same attempts and verify nothing beat the chosen gain
         stats2 = SearchStats()
-        rng2 = np.random.default_rng(99)
-        rng2.integers(5, 6)  # k_cap draw consumed by expand_node above? no: k_cap given
         best = 0.0
         rng3 = np.random.default_rng(99)
         for _ in range(120):
@@ -406,6 +426,57 @@ class TestRunSearch:
         assert stats.total_expansions >= 3 * 1
         assert all(v >= 0 for v in stats.edge_use_counts.values())
         assert all(a < b for a, b in stats.edge_use_counts)
+
+
+# Pinned round-capped searches: a change that alters any RNG draw, sampled
+# city or float of the search fails here. Changing a value needs a reason.
+GOLDEN_SEARCHES = {
+    "tsp20-n16": dict(
+        n=16, instance_seed=3, seed=5,
+        params=PRESETS["tsp20"].with_budget(max_rounds=12),
+        order=[8, 10, 14, 2, 0, 11, 15, 3, 4, 9, 1, 12, 7, 13, 6, 5],
+        best_length="3.7710487245594857", expansions=1320, rounds=12,
+        counts_sha256="308ab63e66569ee44a40ef4e8eb2641c405edd10200b9d66acf73730a03649ec",
+    ),
+    "tsp100-n100": dict(
+        n=100, instance_seed=4, seed=6,
+        params=PRESETS["tsp100"].with_budget(max_rounds=2),
+        order=[5, 4, 57, 36, 80, 62, 52, 47, 2, 19, 64, 46, 93, 22, 14, 35, 50, 54, 44,
+               58, 45, 33, 21, 55, 82, 28, 83, 37, 71, 9, 87, 40, 38, 88, 94, 68, 69, 23,
+               70, 17, 75, 32, 79, 42, 60, 41, 12, 48, 63, 15, 43, 99, 39, 18, 53, 74, 6,
+               59, 30, 13, 98, 85, 67, 20, 73, 84, 10, 72, 65, 34, 8, 56, 78, 86, 49, 16,
+               26, 0, 89, 29, 7, 31, 81, 24, 66, 61, 92, 27, 3, 97, 91, 1, 90, 77, 25, 95,
+               11, 96, 51, 76],
+        best_length="7.902849786018551", expansions=1500, rounds=2,
+        counts_sha256="561f3aa84d9fd493992544dad2138e49be14ea32973e9fdc9de442024ccea720",
+    ),
+    # no preset sets alpha > 0: this case alone guards the exploration bonus
+    "alpha-n30": dict(
+        n=30, instance_seed=8, seed=9,
+        params=SearchParams(alpha=0.5, beta=10.0, m=6, k_range=(4, 9),
+                            expand_budget=60, max_rounds=6),
+        order=[15, 19, 21, 10, 23, 7, 2, 20, 9, 26, 18, 0, 1, 27, 8, 28, 4, 17, 16, 12,
+               6, 5, 11, 29, 24, 3, 13, 22, 25, 14],
+        best_length="4.6426066301079345", expansions=780, rounds=6,
+        counts_sha256="639087f3f36d5dab692e0e5f4616771e158ffcbd2e606cc8279fbfb4391d20ea",
+    ),
+}
+
+
+class TestGoldenSearch:
+    @pytest.mark.parametrize("name", sorted(GOLDEN_SEARCHES))
+    def test_run_search_matches_recording(self, name):
+        g = GOLDEN_SEARCHES[name]
+        inst = generate_random(g["n"], g["instance_seed"])
+        # SoftDist heat keeps the fixture independent of the training kernel
+        _, pruned = top_m_filter(adjacency_weights(distance_matrix(inst)), g["params"].m)
+        tour, stats = run_search(inst, pruned, g["params"], g["seed"])
+        counts = repr(sorted(stats.edge_use_counts.items())).encode()
+        assert tour.order.tolist() == g["order"]
+        assert repr(stats.best_length) == g["best_length"]
+        assert stats.total_expansions == g["expansions"]
+        assert stats.rounds == g["rounds"]
+        assert hashlib.sha256(counts).hexdigest() == g["counts_sha256"]
 
 
 class TestPresets:
