@@ -5,9 +5,10 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import time
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -38,7 +39,13 @@ class BenchResult:
 
 
 def gap_percent(length: float, ref_length: float) -> float:
-    """Percentage excess over a reference length."""
+    """Percentage excess over a reference length.
+
+    Exactly 0.0 when the lengths agree to within round-off (relative 1e-12):
+    an optimal tour and the optimum sum the same edges in different orders.
+    """
+    if math.isclose(length, ref_length, rel_tol=1e-12):
+        return 0.0
     return 100.0 * (length - ref_length) / ref_length
 
 
@@ -172,33 +179,35 @@ class CoverageRow:
 def coverage_report(
     instances: list[tuple[Instance, int]],
     train_cfg: TrainConfig,
-    m: int,
+    m_values: Sequence[int],
 ) -> list[CoverageRow]:
     """Edge-coverage analytics for oracle-solvable instances.
 
-    For each (instance, seed): fit a heat map, prune to the top-m prediction
-    edge set, and measure what fraction of the exact optimal tour's edges it
-    covers.
+    For each (instance, seed): fit a heat map and solve the instance exactly
+    once, then for every distinct m in m_values prune to the top-m
+    prediction edge set and measure what fraction of the optimal tour's
+    edges it covers. Rows are ordered by m (in the order given), then by
+    instance.
     """
-    rows = []
+    rows: dict[int, list[CoverageRow]] = {m: [] for m in m_values}
     for inst, seed in instances:
         heat, _, _ = optimize_heatmap(inst, replace(train_cfg, seed=seed))
-        _, pruned = top_m_filter(heat, m)
-        pred = edge_set(pruned)
         opt_tour, _ = held_karp_exact(inst)
         truth = tour_edges(opt_tour)
-        eta = overlap_coefficient(pred, truth)
-        rows.append(
-            CoverageRow(
-                instance=inst.name or f"n{inst.n}",
-                seed=seed,
-                m=m,
-                eta=eta,
-                pi_size=len(pred),
-                fully_covered=truth <= pred,
+        for m, m_rows in rows.items():
+            _, pruned = top_m_filter(heat, m)
+            pred = edge_set(pruned)
+            m_rows.append(
+                CoverageRow(
+                    instance=inst.name or f"n{inst.n}",
+                    seed=seed,
+                    m=m,
+                    eta=overlap_coefficient(pred, truth),
+                    pi_size=len(pred),
+                    fully_covered=truth <= pred,
+                )
             )
-        )
-    return rows
+    return [row for m_rows in rows.values() for row in m_rows]
 
 
 def coverage_csv(rows: list[CoverageRow]) -> str:

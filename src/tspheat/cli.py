@@ -11,6 +11,7 @@ import argparse
 import csv
 import io
 import json
+import statistics
 import sys
 from dataclasses import asdict, replace
 
@@ -134,6 +135,16 @@ def cmd_coverage(args) -> int:
     cfg = _train_config(args, args.seed)
     rows = bench_mod.coverage_report(instances, cfg, args.m)
     _write_out(bench_mod.coverage_csv(rows), args.out)
+    # one summary line per M on stderr; the CSV holds every row
+    for m in dict.fromkeys(args.m):
+        sel = [r for r in rows if r.m == m]
+        if sel:
+            sys.stderr.write(
+                f"M={m} mean_eta={statistics.mean(r.eta for r in sel):.4f} "
+                f"min_eta={min(r.eta for r in sel):.4f} "
+                f"fully_covered={sum(r.fully_covered for r in sel)}/{len(sel)} "
+                f"mean_pi_size={statistics.mean(r.pi_size for r in sel):.1f}\n"
+            )
     return EXIT_OK
 
 
@@ -227,7 +238,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("coverage", help="optimal-edge coverage report (CSV)")
     p.add_argument("--n", type=int, default=12)
     p.add_argument("--count", type=int, default=20)
-    p.add_argument("--m", type=int, default=5)
+    p.add_argument("--m", type=int, nargs="+", default=[5],
+                   help="one or more candidate-list sizes M")
     _add_common(p, train=True)
     p.set_defaults(func=cmd_coverage)
 

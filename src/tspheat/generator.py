@@ -18,7 +18,8 @@ from .heatmap import (
     LossBreakdown,
     NumericError,
     _loss_and_gradient,
-    column_softmax,
+    _softmax_into,
+    _Workspace,
     indicator_to_heatmap,
     surrogate_loss,
 )
@@ -54,6 +55,10 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("learning_rate", "lambda1", "lambda2", "beta1", "beta2",
+                     "epsilon", "init_scale"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.steps is not None and self.steps < 1:
             raise ValueError(f"steps must be >= 1, got {self.steps}")
         if self.learning_rate <= 0:
@@ -99,9 +104,11 @@ def optimize_heatmap(inst: Instance, cfg: TrainConfig = TrainConfig()):
     Runs the configured number of Adam updates on the logits using the
     analytic loss gradient; each step costs one n x n matrix product,
     M = (d + lambda2*I) @ t, which yields both the step's loss breakdown and
-    its gradient. The two-form surrogate_loss check runs on the returned
-    parameters. Deterministic for a fixed (instance, config). Raises
-    NumericError naming the step if the loss, gradient or logits go
+    its gradient. Every step runs in buffers allocated once per fit: the
+    kernel's workspace and the Adam moments and scratch. The two-form
+    surrogate_loss check runs on the returned parameters. Deterministic for
+    a fixed (instance, config). Raises NumericError if the initial logits
+    are non-finite, or naming the step if the loss, gradient or logits go
     non-finite.
     """
     n = inst.n
@@ -110,7 +117,11 @@ def optimize_heatmap(inst: Instance, cfg: TrainConfig = TrainConfig()):
     lam1, lam2 = cfg.lambda1, cfg.lambda2
     b1, b2 = cfg.beta1, cfg.beta2
     a = d + lam2 * np.eye(n)
+    ws = _Workspace(n)
     logits = init_logits(n, cfg)
+    # checked once here; the loop re-checks the logits after every update
+    if not ws.all_finite(logits):
+        raise NumericError("non-finite initial logits")
     m = np.zeros_like(logits)
     v = np.zeros_like(logits)
     # scratch for the in-place Adam update; the operations and their order
@@ -120,10 +131,10 @@ def optimize_heatmap(inst: Instance, cfg: TrainConfig = TrainConfig()):
     per_step: list[LossBreakdown] = []
     t0 = time.perf_counter()
     for k in range(1, steps + 1):
-        breakdown, g = _loss_and_gradient(column_softmax(logits), a, lam1, lam2)
+        breakdown, g = _loss_and_gradient(logits, a, lam1, lam2, ws)
         if not math.isfinite(breakdown.total):
             raise NumericError(f"non-finite loss at step {k}")
-        if not np.isfinite(g).all():
+        if not ws.all_finite(g):
             raise NumericError(f"non-finite gradient at step {k}")
         per_step.append(breakdown)
         # m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*(g*g)
@@ -142,9 +153,10 @@ def optimize_heatmap(inst: Instance, cfg: TrainConfig = TrainConfig()):
         step_buf *= cfg.learning_rate
         step_buf /= denom
         logits -= step_buf
-        if not np.isfinite(logits).all():
+        if not ws.all_finite(logits):
             raise NumericError(f"non-finite logits after step {k}")
-    t = column_softmax(logits)
+    t = _softmax_into(logits, ws)
+    del ws, g  # free the other kernel buffers before the final products
     h = indicator_to_heatmap(t)
     final = surrogate_loss(t, h, d, lam1, lam2)
     trace = TrainTrace(per_step=per_step, final=final, seconds=time.perf_counter() - t0)

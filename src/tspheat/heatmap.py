@@ -31,14 +31,62 @@ def column_softmax(logits: np.ndarray) -> np.ndarray:
 
     Every output entry is strictly positive and every column sums to 1.
     """
+    s = _as_logits(logits)
+    ws = _Workspace(s.shape[0])
+    _softmax_into(s, ws)
+    return ws.t
+
+
+def _as_logits(logits) -> np.ndarray:
+    """logits as a float64 array, checked to be square and finite."""
     s = np.asarray(logits, dtype=np.float64)
     if s.ndim != 2 or s.shape[0] != s.shape[1]:
         raise ValueError(f"logits must be square, got shape {s.shape}")
     if not np.isfinite(s).all():
         raise ValueError("logits must be finite")
-    z = s - s.max(axis=0, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=0, keepdims=True)
+    return s
+
+
+class _Workspace:
+    """Preallocated buffers for the softmax and the loss/gradient kernel at
+    one size n, so that a training step allocates no n x n array.
+
+    n x n: t (the soft indicator), t_next (its columns rolled by -1), m
+    (= a @ t), g (the logit gradient) and a boolean finiteness mask;
+    length n: column max and sum (softmax), row error and column dot
+    (gradient). np.empty does not write the buffers, so a caller that needs
+    only the softmax touches t alone.
+    """
+
+    __slots__ = ("t", "t_next", "m", "g", "finite", "col_max", "col_sum",
+                 "row_err", "col_dot")
+
+    def __init__(self, n: int):
+        self.t = np.empty((n, n))
+        self.t_next = np.empty((n, n))
+        self.m = np.empty((n, n))
+        self.g = np.empty((n, n))
+        self.finite = np.empty((n, n), dtype=bool)
+        self.col_max = np.empty(n)
+        self.col_sum = np.empty(n)
+        self.row_err = np.empty(n)
+        self.col_dot = np.empty(n)
+
+    def all_finite(self, x: np.ndarray) -> bool:
+        """np.isfinite(x).all() for an n x n x, without allocating."""
+        return bool(np.isfinite(x, out=self.finite).all())
+
+
+def _softmax_into(logits: np.ndarray, ws: _Workspace) -> np.ndarray:
+    """Column softmax of finite n x n float64 logits, written into ws.t
+    (max, subtract, exp, sum, divide); returns ws.t."""
+    t = ws.t
+    np.max(logits, axis=0, out=ws.col_max)
+    np.subtract(logits, ws.col_max, out=t)
+    np.exp(t, out=t)
+    np.sum(t, axis=0, out=ws.col_sum)
+    t /= ws.col_sum
+    return t
 
 
 def shift_matrix(n: int) -> np.ndarray:
@@ -131,10 +179,10 @@ def loss_total(logits: np.ndarray, d: np.ndarray, lambda1: float, lambda2: float
 
 
 def _loss_and_gradient(
-    t: np.ndarray, a: np.ndarray, lambda1: float, lambda2: float
+    logits: np.ndarray, a: np.ndarray, lambda1: float, lambda2: float, ws: _Workspace
 ) -> tuple[LossBreakdown, np.ndarray]:
     """Loss breakdown and logit gradient at t = column_softmax(logits), from
-    one matrix product.
+    one matrix product, computed in the buffers of ws.
 
     a = d + lambda2*I must be symmetric. With M = a @ t and V the cyclic
     shift, trace(t V t.T) = <t, t_next> and the bilinear term
@@ -143,11 +191,19 @@ def _loss_and_gradient(
     roll(M, -1) + roll(M, +1), since a column roll commutes with the left
     product. The row penalty contributes 2*lambda1*(row_sum - 1) broadcast
     over each row, and the column-wise softmax Jacobian maps the t-gradient
-    back to logit space. Returns (LossBreakdown, gradient).
+    back to logit space. The rolls are slice copies into the workspace,
+    which yield the same values as np.roll. Returns (LossBreakdown, ws.g);
+    the gradient is overwritten by the next call with the same workspace.
     """
-    m = a @ t
-    t_next = np.roll(t, -1, axis=1)
-    row_err = t.sum(axis=1) - 1.0
+    t = _softmax_into(logits, ws)
+    t_next, m, g, row_err = ws.t_next, ws.m, ws.g, ws.row_err
+    np.matmul(a, t, out=m)
+    # t_next[i, j] = t[i, j + 1]: a shift of the flat buffer, whose last
+    # column (which read the next row) is then overwritten with column 0
+    t_next.ravel()[:-1] = t.ravel()[1:]
+    t_next[:, -1] = t[:, 0]
+    np.sum(t, axis=1, out=row_err)
+    row_err -= 1.0
     row_penalty = float(row_err @ row_err)
     self_loop = float(np.vdot(t, t_next))
     bilinear = float(np.vdot(t_next, m))
@@ -157,13 +213,20 @@ def _loss_and_gradient(
         expected_length=bilinear - lambda2 * self_loop,
         total=lambda1 * row_penalty + bilinear,
     )
-    g_t = np.roll(m, -1, axis=1)
-    g_t += np.roll(m, 1, axis=1)
-    g_t += (2.0 * lambda1) * row_err[:, None]
+    # g[i, j] = m[i, j + 1] + m[i, j - 1] (column indices mod n), the same
+    # sums as roll(m, -1) + roll(m, +1): one pass over the flat buffers,
+    # then the two wrapped columns
+    mf = m.ravel()
+    np.add(mf[2:], mf[:-2], out=g.ravel()[1:-1])
+    np.add(m[:, 1], m[:, -1], out=g[:, 0])
+    np.add(m[:, 0], m[:, -2], out=g[:, -1])
+    row_err *= 2.0 * lambda1
+    g += row_err[:, None]
     # softmax backward, one column at a time (vectorized across columns)
-    g_t -= np.einsum("ij,ij->j", g_t, t)
-    g_t *= t
-    return breakdown, g_t
+    np.einsum("ij,ij->j", g, t, out=ws.col_dot)
+    g -= ws.col_dot
+    g *= t
+    return breakdown, g
 
 
 def loss_gradient(
@@ -174,15 +237,18 @@ def loss_gradient(
     d must be symmetric, as every distance matrix here is; the shared
     one-product kernel relies on it.
     """
-    s = np.asarray(logits, dtype=np.float64)
+    s = _as_logits(logits)
     d = np.asarray(d, dtype=np.float64)
     n = s.shape[0]
+    if n < 2:
+        raise ValueError(f"a cycle needs at least 2 positions, got n={n}")
     if d.shape != (n, n):
         raise ValueError(f"dimension mismatch: logits {s.shape}, d {d.shape}")
     if not np.array_equal(d, d.T):
         raise ValueError("d must be symmetric")
-    _, grad = _loss_and_gradient(column_softmax(s), d + lambda2 * np.eye(n), lambda1, lambda2)
-    if not np.isfinite(grad).all():
+    ws = _Workspace(n)
+    _, grad = _loss_and_gradient(s, d + lambda2 * np.eye(n), lambda1, lambda2, ws)
+    if not ws.all_finite(grad):
         raise NumericError("gradient evaluation produced non-finite values")
     return grad
 

@@ -507,9 +507,12 @@ def run_search(
             update_heatmap(hp, action, cur_len, new_len, params.beta)
             order = action.new_order
             cur_len = new_len
-            if cur_len < best_len:
+            # the best is kept by exact length: the incremental cur_len can
+            # sit an ulp below a tour that is not shorter
+            length = order_length(d, order)
+            if length < best_len:
                 best_order = order.copy()
-                best_len = order_length(d, best_order)  # exact, not incremental
+                best_len = length
         stats.round_best_lengths.append(best_len)
     stats.rounds = rounds
     stats.best_length = best_len

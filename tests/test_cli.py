@@ -47,6 +47,17 @@ class TestTrainHeatmap:
         assert lines[0] == "step,total,row_penalty,self_loop,expected_length"
         assert len(lines) == 41
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--lr", "nan"), ("--lambda1", "inf"), ("--lambda2", "nan"), ("--init-scale", "inf"),
+    ])
+    def test_rejects_non_finite_setting(self, instance_file, tmp_path, capsys, flag, value):
+        code = main([
+            "train-heatmap", "--instance", instance_file, "--steps", "5",
+            flag, value, "--out", str(tmp_path / "heat.txt"),
+        ])
+        assert code == 2
+        assert "must be finite" in capsys.readouterr().err
+
 
 class TestSearchCommand:
     def test_search_from_heatmap_file(self, instance_file, tmp_path):
@@ -141,6 +152,20 @@ class TestCoverageCommand:
         assert lines[0] == "instance,seed,M,eta,pi_size,fully_covered"
         assert len(lines) == 4
 
+    def test_several_m_match_single_runs(self, tmp_path, capsys):
+        def run(*m_values):
+            out = tmp_path / "cov.csv"
+            code = main([
+                "coverage", "--n", "9", "--count", "3", "--m", *m_values,
+                "--steps", "40", "--seed", "2", "--out", str(out),
+            ])
+            assert code == 0
+            return out.read_text().strip().splitlines()
+
+        both = run("3", "4")
+        assert capsys.readouterr().err.splitlines()[1].startswith("M=4 ")
+        assert both == run("3") + run("4")[1:]
+
 
 class TestBenchCommand:
     def test_json_output(self, tmp_path):
@@ -161,6 +186,17 @@ class TestBenchCommand:
         assert methods == {"pipeline", "nn+2opt"}
         for r in rows:
             assert r["gap_percent"] is not None and r["gap_percent"] >= -1e-9
+
+    def test_optimal_tours_report_zero_gap(self, tmp_path):
+        # these optima and the tours found for them sum the same edges in
+        # different orders, so their lengths differ in the last digits
+        out = tmp_path / "bench.json"
+        code = main([
+            "bench", "--n", "10", "--count", "2", "--preset", "tsp20",
+            "--rounds", "12", "--format", "json", "--out", str(out),
+        ])
+        assert code == 0
+        assert [r["gap_percent"] for r in json.loads(out.read_text())] == [0.0] * 4
 
     def test_csv_default(self, tmp_path):
         out = tmp_path / "bench.csv"

@@ -1,8 +1,10 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from tspheat import generator
 from tspheat.generator import TrainConfig, default_steps, init_logits, optimize_heatmap
 from tspheat.heatmap import column_softmax, indicator_to_heatmap, loss_gradient, surrogate_loss
 from tspheat.instances import distance_matrix, generate_random
@@ -22,6 +24,15 @@ class TestTrainConfig:
     def test_rejects_bad_betas(self):
         with pytest.raises(ValueError):
             TrainConfig(beta1=1.0)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize(
+        "field",
+        ["learning_rate", "lambda1", "lambda2", "beta1", "beta2", "epsilon", "init_scale"],
+    )
+    def test_rejects_non_finite(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            TrainConfig(**{field: value})
 
     def test_default_step_schedule(self):
         assert default_steps(10) == 300
@@ -108,6 +119,29 @@ class TestOptimizeHeatmap:
                 _, _, longer = optimize_heatmap(inst, TrainConfig(steps=k + 1, seed=seed))
                 _, _, exact = optimize_heatmap(inst, TrainConfig(steps=k, seed=seed))
                 _assert_breakdowns_match(longer.per_step[k], exact.final)
+
+    def test_step_loop_allocates_no_square_array(self, monkeypatch):
+        # numpy reports its buffers to tracemalloc; between two kernel calls
+        # (the Adam update, the checks and one kernel call) nothing of n x n
+        # float64 size may be allocated, even if freed again
+        n = 160
+        kernel = generator._loss_and_gradient
+        peaks = []
+
+        def spy(*args):
+            current, peak = tracemalloc.get_traced_memory()
+            peaks.append(peak - current)
+            tracemalloc.reset_peak()
+            return kernel(*args)
+
+        monkeypatch.setattr(generator, "_loss_and_gradient", spy)
+        tracemalloc.start()
+        try:
+            _, _, trace = optimize_heatmap(generate_random(n, 1), TrainConfig(steps=6, seed=1))
+        finally:
+            tracemalloc.stop()
+        assert trace.steps == len(peaks) == 6
+        assert max(peaks[1:]) < n * n * 8
 
     def test_matches_textbook_adam(self):
         inst = generate_random(9, 5)

@@ -212,6 +212,10 @@ class TestLossGradient:
         with pytest.raises(ValueError):
             loss_gradient(np.zeros((5, 5)), d, 2.0, 1.0)
 
+    def test_rejects_single_position(self):
+        with pytest.raises(ValueError):
+            loss_gradient(np.zeros((1, 1)), np.zeros((1, 1)), 2.0, 1.0)
+
     def test_zero_for_constant_loss(self):
         s = np.random.default_rng(0).normal(size=(5, 5))
         grad = loss_gradient(s, np.zeros((5, 5)), 0.0, 0.0)
