@@ -34,6 +34,38 @@ def brute_force_top_m(h, m):
     return kept, kept + kept.T
 
 
+def per_row_candidate_lists(matrix, m, mode):
+    """Reference: one row copy and one stable argsort per city."""
+    lists = []
+    for i in range(matrix.shape[0]):
+        row = matrix[i].copy()
+        if mode == HEAT_MODE:
+            row[i] = -np.inf
+            idx = np.argsort(-row, kind="stable")
+            idx = idx[row[idx] > 0][:m]
+        else:
+            row[i] = np.inf
+            idx = np.argsort(row, kind="stable")[:m]
+        lists.append(idx)
+    return lists
+
+
+def candidate_matrix(n, seed, kind):
+    """Random floats, small integers (many ties), integers with some zero
+    rows, all zeros, or entries of both signs."""
+    rng = np.random.default_rng(seed)
+    if kind == "float":
+        return rng.random((n, n))
+    if kind == "zeros":
+        return np.zeros((n, n))
+    if kind == "signed":
+        return rng.normal(size=(n, n))
+    a = rng.integers(0, 3, size=(n, n)).astype(np.float64)
+    if kind == "zero-rows":
+        a[rng.random(n) < 0.4] = 0.0
+    return a
+
+
 class TestTopMFilter:
     def test_m_equals_n_minus_one_keeps_everything(self):
         h = random_heat(3, 0)
@@ -176,6 +208,21 @@ class TestCandidateLists:
         cand = candidate_lists(d, 4, DISTANCE_MODE)
         for i in range(9):
             assert i not in cand[i].tolist()
+
+    @given(st.integers(2, 12), st.integers(0, 10_000), st.data(),
+           st.sampled_from(["float", "ints", "zero-rows", "zeros", "signed"]),
+           st.sampled_from([HEAT_MODE, DISTANCE_MODE]))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_per_row_reference(self, n, seed, data, kind, mode):
+        m = data.draw(st.integers(1, n - 1))
+        matrix = candidate_matrix(n, seed, kind)
+        cand = candidate_lists(matrix, m, mode)
+        for i, ref in enumerate(per_row_candidate_lists(matrix, m, mode)):
+            assert cand[i].dtype == np.int64
+            assert not cand[i].flags.writeable
+            assert cand[i].tolist() == ref.tolist()
+        with pytest.raises(IndexError):
+            cand[n]
 
     def test_rejects_unknown_mode(self):
         with pytest.raises(ValueError):
