@@ -7,7 +7,6 @@ back the verification story.
 """
 
 from .candidates import (
-    CandidateLists,
     candidate_lists,
     edge_set,
     overlap_coefficient,
@@ -53,7 +52,6 @@ from .search import (
     expand_node,
     random_tour,
     run_search,
-    select_next_city,
     two_opt_improve,
     update_heatmap,
 )

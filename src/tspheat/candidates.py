@@ -3,8 +3,6 @@ top-M entries per row, symmetrize, and derive per-city candidate sets."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 HEAT_MODE = "heat"
@@ -48,24 +46,10 @@ def overlap_coefficient(pred: set[tuple[int, int]], truth: set[tuple[int, int]])
     return len(pred & truth) / len(truth)
 
 
-@dataclass(frozen=True)
-class CandidateLists:
-    """Per-city shortlists restricting which edges the search may add."""
-
-    lists: tuple
-    mode: str
-    m: int
-
-    def __getitem__(self, city: int) -> np.ndarray:
-        return self.lists[city]
-
-    @property
-    def n(self) -> int:
-        return len(self.lists)
-
-
-def candidate_lists(matrix: np.ndarray, m: int, mode: str) -> CandidateLists:
-    """Build candidate lists from a pruned heat map or a distance matrix.
+def candidate_lists(matrix: np.ndarray, m: int, mode: str) -> tuple:
+    """Build per-city candidate lists from a pruned heat map or a distance
+    matrix: a tuple of n read-only int64 arrays, entry i holding city i's
+    shortlist of cities the search may add an edge to.
 
     Heat mode ranks a city's neighbours by descending pruned-heat value and
     keeps only strictly positive entries (lists may then be shorter than m);
@@ -76,19 +60,22 @@ def candidate_lists(matrix: np.ndarray, m: int, mode: str) -> CandidateLists:
     n = matrix.shape[0]
     if not 1 <= m <= n - 1:
         raise ValueError(f"m must be in [1, {n - 1}], got {m}")
-    lists = []
-    for i in range(n):
-        row = matrix[i].copy()
-        if mode == HEAT_MODE:
-            row[i] = -np.inf
-            idx = np.argsort(-row, kind="stable")
-            idx = idx[row[idx] > 0][:m]
-        elif mode == DISTANCE_MODE:
-            row[i] = np.inf
-            idx = np.argsort(row, kind="stable")[:m]
-        else:
-            raise ValueError(f"unknown candidate mode {mode!r}")
-        arr = np.ascontiguousarray(idx, dtype=np.int64)
+    if mode == HEAT_MODE:
+        key = -matrix
+    elif mode == DISTANCE_MODE:
+        key = matrix.copy()
+    else:
+        raise ValueError(f"unknown candidate mode {mode!r}")
+    # the diagonal sorts after every finite entry, and the stable sort
+    # breaks ties toward the smaller index
+    np.fill_diagonal(key, np.inf)
+    ranks = np.argsort(key, axis=1, kind="stable")[:, :m].astype(np.int64)
+    if mode == HEAT_MODE:
+        # positive heat is a negative key (never the diagonal's); heat
+        # descends along each row, so this keeps its positive prefix
+        lists = [idx[key[i, idx] < 0] for i, idx in enumerate(ranks)]
+    else:
+        lists = list(ranks)
+    for arr in lists:
         arr.setflags(write=False)
-        lists.append(arr)
-    return CandidateLists(lists=tuple(lists), mode=mode, m=m)
+    return tuple(lists)

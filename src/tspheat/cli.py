@@ -13,7 +13,7 @@ import io
 import json
 import statistics
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict
 
 from . import bench as bench_mod
 from .candidates import top_m_filter
@@ -36,10 +36,9 @@ def _write_out(text: str, out: str | None) -> None:
 
 
 def _search_params(args) -> SearchParams:
-    params = PRESETS[args.preset]
     if args.time_budget is None and args.rounds is None:
         raise ValueError("set --time-budget and/or --rounds")
-    return replace(params, time_budget=args.time_budget, max_rounds=args.rounds)
+    return PRESETS[args.preset].with_budget(args.time_budget, args.rounds)
 
 
 def _train_config(args, seed: int) -> TrainConfig:
@@ -185,7 +184,9 @@ def _add_common(p: argparse.ArgumentParser, budget: bool = False, train: bool = 
     p.add_argument("--out", default=None, help="output path (default: stdout)")
     if budget:
         p.add_argument("--preset", choices=sorted(PRESETS), default="tsp100")
-        p.add_argument("--time-budget", type=float, default=None, metavar="SECONDS")
+        p.add_argument("--time-budget", type=float, default=None, metavar="SECONDS",
+                       help="wall-clock cap on the search only, not on training; "
+                            "round 1's 2-opt tour is always returned")
         p.add_argument("--rounds", type=int, default=None, metavar="N")
     if train:
         p.add_argument("--steps", type=int, default=None)
@@ -258,7 +259,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, FileNotFoundError) as exc:
+    except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
     except (NumericError, ArithmeticError, RuntimeError) as exc:

@@ -16,6 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .instances import _native_body
+
 HEATMAP_HEADER = "UTSP-HEATMAP v1"
 
 # agreement required between the two algebraic forms of the loss
@@ -330,13 +332,10 @@ def format_heatmap(h: np.ndarray) -> str:
 
 
 def parse_heatmap(text: str) -> np.ndarray:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0].strip() != HEATMAP_HEADER:
-        raise ValueError(f"not a {HEATMAP_HEADER} document")
-    n = int(lines[1])
-    if len(lines) != 2 + n:
-        raise ValueError(f"expected {n} matrix rows, found {len(lines) - 2}")
-    h = np.array([[float(v) for v in ln.split()] for ln in lines[2:]])
+    n, rows = _native_body(text, HEATMAP_HEADER)
+    if len(rows) != n:
+        raise ValueError(f"expected {n} matrix rows, found {len(rows)}")
+    h = np.array([[float(v) for v in ln.split()] for ln in rows])
     if h.shape != (n, n):
         raise ValueError(f"expected an {n}x{n} matrix, got {h.shape}")
     if not np.isfinite(h).all():

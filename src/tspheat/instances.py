@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -50,10 +50,9 @@ class Instance:
 
 @dataclass(frozen=True)
 class Tour:
-    """A cyclic visiting order plus its inverse (city -> index) lookup."""
+    """A cyclic visiting order: a read-only permutation of 0..n-1."""
 
     order: np.ndarray
-    position: np.ndarray = field(repr=False)
 
     @classmethod
     def from_order(cls, order) -> "Tour":
@@ -61,14 +60,11 @@ class Tour:
         n = order.shape[0]
         if order.ndim != 1 or n < 3:
             raise ValueError("tour order must be a 1-d sequence of at least 3 cities")
-        position = np.empty(n, dtype=np.int64)
         if np.any(np.sort(order) != np.arange(n)):
             raise ValueError("tour order must be a permutation of 0..n-1")
-        position[order] = np.arange(n)
         order = order.copy()
         order.setflags(write=False)
-        position.setflags(write=False)
-        return cls(order=order, position=position)
+        return cls(order=order)
 
     @property
     def n(self) -> int:
@@ -88,21 +84,14 @@ def generate_random(n: int, seed: int) -> Instance:
     return Instance(coords=coords, name=f"random-n{n}-s{seed}")
 
 
-def distance_matrix(inst: Instance, tsplib_rounding: bool = False) -> np.ndarray:
-    """Full symmetric Euclidean distance matrix.
-
-    With tsplib_rounding, entries are rounded to the nearest integer for
-    comparability with published TSPLIB tour values; evaluation elsewhere in
-    this package always uses exact distances.
-    """
+def distance_matrix(inst: Instance) -> np.ndarray:
+    """Full symmetric Euclidean distance matrix."""
     c = inst.coords
     diff = c[:, None, :] - c[None, :, :]
     d = np.sqrt((diff * diff).sum(axis=2))
     # enforce exact symmetry and zero diagonal regardless of float noise
     d = (d + d.T) / 2.0
     np.fill_diagonal(d, 0.0)
-    if tsplib_rounding:
-        d = np.rint(d)
     return d
 
 
@@ -215,14 +204,23 @@ def format_instance(inst: Instance) -> str:
     return "\n".join(rows) + "\n"
 
 
-def parse_instance(text: str) -> Instance:
+def _native_body(text: str, header: str) -> tuple[int, list[str]]:
+    """Check the header line of a native document (instance, heat map or
+    tour) and read its count line; returns (count, the non-blank lines after
+    them)."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0].strip() != INSTANCE_HEADER:
-        raise ValueError(f"not a {INSTANCE_HEADER} document")
-    n = int(lines[1])
-    if len(lines) != 2 + n:
-        raise ValueError(f"expected {n} coordinate rows, found {len(lines) - 2}")
-    coords = np.array([[float(v) for v in ln.split()] for ln in lines[2:]])
+    if not lines or lines[0].strip() != header:
+        raise ValueError(f"not a {header} document")
+    if len(lines) < 2:
+        raise ValueError(f"{header} document has no count line")
+    return int(lines[1]), lines[2:]
+
+
+def parse_instance(text: str) -> Instance:
+    n, rows = _native_body(text, INSTANCE_HEADER)
+    if len(rows) != n:
+        raise ValueError(f"expected {n} coordinate rows, found {len(rows)}")
+    coords = np.array([[float(v) for v in ln.split()] for ln in rows])
     return Instance(coords=coords)
 
 

@@ -24,8 +24,8 @@ from typing import Optional
 
 import numpy as np
 
-from .candidates import DISTANCE_MODE, HEAT_MODE, CandidateLists, candidate_lists
-from .instances import Instance, Tour, distance_matrix, order_length
+from .candidates import DISTANCE_MODE, HEAT_MODE, candidate_lists
+from .instances import Instance, Tour, _native_body, distance_matrix, order_length
 
 TOUR_HEADER = "UTSP-TOUR v1"
 
@@ -102,7 +102,6 @@ class SearchStats:
     total_expansions: int = 0
     rounds: int = 0
     best_length: float = math.inf
-    best_tour: Optional[Tour] = None
     round_best_lengths: list = field(default_factory=list)
 
 
@@ -213,50 +212,17 @@ def _draw(cums: list, rand) -> int:
     return i if i < len(cums) else len(cums) - 1
 
 
-def select_next_city(
-    u: int,
-    cand: CandidateLists,
-    pruned: np.ndarray,
-    stats: SearchStats,
-    alpha: float,
-    rng: np.random.Generator,
-    exclude=frozenset(),
-) -> Optional[int]:
-    """Sample the next city from u's candidate list.
-
-    Weight of candidate v is max(pruned[u, v] + bonus, floor) where the bonus
-    is the exploration term (zero when alpha == 0). Candidates in `exclude`
-    are skipped. Returns None when no candidate is feasible (a dead end: the
-    caller abandons the construction attempt). Count bookkeeping stays with
-    the caller.
-    """
-    row = pruned[u]
-    feas = []
-    cums = []
-    total = 0.0
-    for c in cand[u].tolist():
-        if c in exclude:
-            continue
-        total += _weight(float(row[c]), _ekey(u, c), alpha, stats.total_expansions,
-                         stats.edge_use_counts)
-        feas.append(c)
-        cums.append(total)
-    if not feas:
-        return None
-    return feas[_draw(cums, rng.random)]
-
-
 # ---------------------------------------------------------------------------
 # k-opt construction
 # ---------------------------------------------------------------------------
 
-def _candidate_table(cand: CandidateLists, d: np.ndarray, pruned: np.ndarray) -> tuple:
+def _candidate_table(cand: tuple, d: np.ndarray, pruned: np.ndarray) -> tuple:
     """Per city u, a tuple of (v, edge key, pruned[u, v], d[u, v]) for each
     candidate v, as plain Python values. O(n * m); it goes stale when the
     pruned heat changes, so it is rebuilt for every expansion."""
-    lens = [len(cl) for cl in cand.lists]
+    lens = [len(cl) for cl in cand]
     src = np.repeat(np.arange(len(lens)), lens)
-    dst = np.concatenate(cand.lists)
+    dst = np.concatenate(cand)
     entries = iter([
         (v, (u, v) if u < v else (v, u), h, w)
         for u, v, h, w in zip(src.tolist(), dst.tolist(),
@@ -281,12 +247,11 @@ def _construct(
     and moving endpoint path[-1]. Adding an edge from the moving endpoint to
     an interior city forces removal of that city's edge toward the moving
     side (the only choice that keeps a Hamiltonian path), implemented as a
-    suffix reversal. Candidates are weighted by _weight and drawn by _draw,
-    the rule select_next_city uses; infeasible cities (closing anchor,
-    current path neighbour, re-adds of removed edges, forced removal of
-    added edges) are skipped. Only an endpoint of an added edge can have an
-    added edge toward its path successor, so only those candidates pay for a
-    position lookup.
+    suffix reversal. Feasible candidates are weighted by _weight and drawn
+    by _draw; infeasible cities (closing anchor, current path neighbour,
+    re-adds of removed edges, forced removal of added edges) are skipped.
+    Only an endpoint of an added edge can have an added edge toward its path
+    successor, so only those candidates pay for a position lookup.
     """
     u1 = int(rng.integers(len(order)))
     i1 = order.index(u1)
@@ -359,7 +324,7 @@ def _construct(
 def construct_kopt_action(
     d: np.ndarray,
     tour: Tour,
-    cand: CandidateLists,
+    cand: tuple,
     pruned: np.ndarray,
     stats: SearchStats,
     params: SearchParams,
@@ -383,7 +348,7 @@ def construct_kopt_action(
 def _expand(
     d: np.ndarray,
     order: np.ndarray,
-    cand: CandidateLists,
+    cand: tuple,
     pruned: np.ndarray,
     stats: SearchStats,
     params: SearchParams,
@@ -408,7 +373,7 @@ def _expand(
 def expand_node(
     d: np.ndarray,
     tour: Tour,
-    cand: CandidateLists,
+    cand: tuple,
     pruned: np.ndarray,
     stats: SearchStats,
     params: SearchParams,
@@ -456,14 +421,16 @@ def run_search(
     pruned: np.ndarray,
     params: SearchParams,
     seed: int,
-):
+) -> tuple[Tour, SearchStats]:
     """Full multi-round search; returns (best Tour, SearchStats).
 
     Each round draws a fresh removed-edge cap from k_range and a candidate
     construction mode (updated pruned heat vs raw distance), builds a random
     tour, 2-opts it, then expands best-first until a whole expansion yields no
     improvement. Heat updates survive into later rounds. The run stops at the
-    wall-clock deadline or after max_rounds, whichever comes first.
+    wall-clock deadline or after max_rounds, whichever comes first. Round 1's
+    random tour and 2-opt always run, so even a deadline that has already
+    passed returns a tour; its expansions stop at the deadline.
     """
     if params.time_budget is None and params.max_rounds is None:
         raise ValueError("a budget is required: set time_budget and/or max_rounds")
@@ -483,7 +450,7 @@ def run_search(
     while True:
         if params.max_rounds is not None and rounds >= params.max_rounds:
             break
-        if deadline is not None and time.perf_counter() >= deadline:
+        if rounds and deadline is not None and time.perf_counter() >= deadline:
             break
         rounds += 1
         k_cap = int(rng.integers(params.k_range[0], params.k_range[1]))
@@ -516,8 +483,7 @@ def run_search(
         stats.round_best_lengths.append(best_len)
     stats.rounds = rounds
     stats.best_length = best_len
-    stats.best_tour = Tour.from_order(best_order) if best_order is not None else None
-    return stats.best_tour, stats
+    return Tour.from_order(best_order), stats
 
 
 # ---------------------------------------------------------------------------
@@ -535,12 +501,13 @@ def format_tour(tour: Tour, length: float) -> str:
 
 
 def parse_tour(text: str):
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0].strip() != TOUR_HEADER:
-        raise ValueError(f"not a {TOUR_HEADER} document")
-    n = int(lines[1])
-    order = np.array([int(v) for v in lines[2].split()], dtype=np.int64)
+    n, rows = _native_body(text, TOUR_HEADER)
+    if not rows:
+        raise ValueError(f"{TOUR_HEADER} document has no order line")
+    if len(rows) < 2:
+        raise ValueError(f"{TOUR_HEADER} document has no length line")
+    order = np.array([int(v) for v in rows[0].split()], dtype=np.int64)
     if order.shape[0] != n:
         raise ValueError(f"expected {n} cities in the order line, got {order.shape[0]}")
-    length = float(lines[3])
+    length = float(rows[1])
     return Tour.from_order(order), length

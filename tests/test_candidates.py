@@ -224,6 +224,11 @@ class TestCandidateLists:
         with pytest.raises(IndexError):
             cand[n]
 
+    def test_rejects_bad_m(self):
+        for m in (0, 4):
+            with pytest.raises(ValueError):
+                candidate_lists(np.ones((4, 4)), m, DISTANCE_MODE)
+
     def test_rejects_unknown_mode(self):
         with pytest.raises(ValueError):
             candidate_lists(np.ones((4, 4)), 2, "sideways")

@@ -89,6 +89,40 @@ class TestSearchCommand:
         assert code == 2
         assert "heat-map entries" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["search", "solve"])
+    def test_expired_budget_still_writes_tour(self, instance_file, tmp_path, command):
+        heat_path = tmp_path / "heat.txt"
+        heat_path.write_text(format_heatmap(np.full((10, 10), 0.1)))
+        heat_args = ["--heatmap", str(heat_path)] if command == "search" else []
+        tour_path = tmp_path / "tour.txt"
+        code = main([
+            command, "--instance", instance_file, *heat_args, "--preset", "tsp20",
+            "--time-budget", "1e-12", "--seed", "3", "--out", str(tour_path),
+        ])
+        assert code == 0
+        tour, length = parse_tour(tour_path.read_text())
+        assert sorted(tour.order.tolist()) == list(range(10))
+        assert np.isfinite(length) and length > 0
+
+    @pytest.mark.parametrize("command, cut", [
+        ("search", "heatmap"), ("search", "instance"), ("solve", "instance"),
+    ])
+    def test_truncated_native_file(self, instance_file, tmp_path, capsys, command, cut):
+        heat_path = tmp_path / "heat.txt"
+        heat_path.write_text(format_heatmap(np.full((10, 10), 0.1)))
+        files = {"instance": instance_file, "heatmap": str(heat_path)}
+        cut_path = tmp_path / "cut.txt"
+        header = {"instance": "UTSP-INSTANCE v1", "heatmap": "UTSP-HEATMAP v1"}[cut]
+        cut_path.write_text(header + "\n")
+        files[cut] = str(cut_path)
+        heat_args = ["--heatmap", files["heatmap"]] if command == "search" else []
+        code = main([
+            command, "--instance", files["instance"], *heat_args, "--preset", "tsp20",
+            "--rounds", "1", "--out", str(tmp_path / "t.txt"),
+        ])
+        assert code == 2
+        assert "no count line" in capsys.readouterr().err
+
     def test_requires_budget(self, instance_file, tmp_path, capsys):
         heat_path = tmp_path / "heat.txt"
         main(["train-heatmap", "--instance", instance_file, "--steps", "10",
@@ -138,6 +172,16 @@ class TestOracleAndBaseline:
 
     def test_missing_file(self, tmp_path):
         assert main(["oracle", "--instance", str(tmp_path / "nope.txt")]) == 2
+
+    def test_instance_is_directory(self, tmp_path, capsys):
+        code = main(["solve", "--instance", str(tmp_path), "--rounds", "1"])
+        assert code == 2
+        assert "error" in capsys.readouterr().err
+
+    def test_out_is_directory(self, instance_file, tmp_path, capsys):
+        code = main(["oracle", "--instance", instance_file, "--out", str(tmp_path)])
+        assert code == 2
+        assert "error" in capsys.readouterr().err
 
 
 class TestCoverageCommand:

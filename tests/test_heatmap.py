@@ -297,6 +297,12 @@ class TestHeatmapFormat:
         with pytest.raises(ValueError):
             parse_heatmap(f"{HEATMAP_HEADER}\n3\n0 1 0\n1 0 0\n")
 
+    def test_truncated_after_header(self):
+        from tspheat.heatmap import HEATMAP_HEADER, parse_heatmap
+
+        with pytest.raises(ValueError, match="no count line"):
+            parse_heatmap(f"{HEATMAP_HEADER}\n")
+
 
 class TestVerifyHamiltonian:
     @given(st.integers(min_value=3, max_value=64), st.integers(0, 10_000))

@@ -90,12 +90,6 @@ class TestDistanceMatrix:
         assert np.array_equal(d, d.T)
         assert np.all(np.diag(d) == 0.0)
 
-    def test_tsplib_rounding_flag(self):
-        inst = Instance(coords=np.array([[0.0, 0.0], [0.0, 2.6], [3.4, 0.0]]))
-        d = distance_matrix(inst, tsplib_rounding=True)
-        assert d[0, 1] == 3.0
-        assert d[0, 2] == 3.0
-
 
 class TestAdjacencyWeights:
     def test_zero_distance_gives_one(self):
@@ -154,10 +148,6 @@ class TestTourLength:
 
 
 class TestTour:
-    def test_position_is_inverse(self):
-        t = Tour.from_order([2, 0, 3, 1])
-        assert np.array_equal(t.position[t.order], np.arange(4))
-
     def test_rejects_non_permutation(self):
         with pytest.raises(ValueError):
             Tour.from_order([0, 1, 1, 2])
@@ -213,3 +203,7 @@ class TestNativeFormat:
     def test_header_checked(self):
         with pytest.raises(ValueError):
             parse_instance("BOGUS v9\n3\n0 0\n1 1\n2 2\n")
+
+    def test_truncated_after_header(self):
+        with pytest.raises(ValueError, match="no count line"):
+            parse_instance("UTSP-INSTANCE v1\n")

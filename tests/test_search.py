@@ -1,5 +1,7 @@
 import hashlib
+import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -8,8 +10,6 @@ from hypothesis import strategies as st
 
 from tspheat.candidates import (
     DISTANCE_MODE,
-    HEAT_MODE,
-    CandidateLists,
     candidate_lists,
     top_m_filter,
 )
@@ -24,6 +24,7 @@ from tspheat.instances import (
 )
 from tspheat.search import (
     PRESETS,
+    WEIGHT_FLOOR,
     KOptAction,
     SearchParams,
     SearchStats,
@@ -34,9 +35,10 @@ from tspheat.search import (
     parse_tour,
     random_tour,
     run_search,
-    select_next_city,
     two_opt_improve,
     update_heatmap,
+    _draw,
+    _weight,
 )
 
 SQUARE = Instance(coords=np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]))
@@ -130,7 +132,16 @@ class TestExplorationBonus:
         assert exploration_bonus(1.0, math.e - 1.0, 0) == pytest.approx(1.0, abs=1e-12)
 
 
+def draw_many(weights, rng, trials):
+    """Draw `trials` indices with _draw from the running sums of weights."""
+    cums = list(itertools.accumulate(weights))
+    return Counter(_draw(cums, rng.random) for _ in range(trials))
+
+
 class TestSelectNextCity:
+    """The next-city rule of a construction: each feasible candidate is
+    weighted by _weight and one is drawn by _draw."""
+
     def _setup(self, n=8, seed=0, m=4):
         inst = generate_random(n, seed)
         d = distance_matrix(inst)
@@ -144,56 +155,50 @@ class TestSelectNextCity:
 
     def test_alpha_zero_weights_proportional_to_heat(self):
         d, pruned, cand = self._setup()
-        stats = SearchStats()
-        rng = np.random.default_rng(1)
-        counts = {c: 0 for c in cand[0].tolist()}
+        row = cand[0].tolist()
+        weights = [_weight(float(pruned[0, c]), (0, c), 0.0, 0, {}) for c in row]
+        assert weights == [max(pruned[0, c], WEIGHT_FLOOR) for c in row]
         trials = 20_000
-        for _ in range(trials):
-            c = select_next_city(0, cand, pruned, stats, 0.0, rng)
-            counts[c] += 1
-        weights = np.array([max(pruned[0, c], 1e-12) for c in counts])
+        counts = draw_many(weights, np.random.default_rng(1), trials)
+        weights = np.array(weights)
         expect = weights / weights.sum() * trials
-        observed = np.array([counts[c] for c in counts])
+        observed = np.array([counts[i] for i in range(len(row))])
         sigma = np.sqrt(expect * (1 - weights / weights.sum()))
         assert np.all(np.abs(observed - expect) < 5 * np.maximum(sigma, 1.0))
 
-    def test_respects_exclusions(self):
-        d, pruned, cand = self._setup()
-        stats = SearchStats()
-        rng = np.random.default_rng(2)
-        banned = set(cand[0].tolist()[:-1])
-        for _ in range(50):
-            c = select_next_city(0, cand, pruned, stats, 0.0, rng, exclude=banned)
-            assert c == cand[0].tolist()[-1]
-
     def test_dead_end_returns_none(self):
-        d, pruned, cand = self._setup()
+        # each corner's one candidate is the anchor or the moving endpoint's
+        # path neighbour, so every attempt ends before its first draw
+        d = distance_matrix(SQUARE)
+        tour = Tour.from_order([0, 1, 2, 3])
+        cand = candidate_lists(d, 1, DISTANCE_MODE)
+        pruned = np.ones((4, 4))
         stats = SearchStats()
+        params = dist_params(k_range=(2, 5))
         rng = np.random.default_rng(3)
-        everything = set(range(8))
-        assert select_next_city(0, cand, pruned, stats, 0.0, rng, everything) is None
+        for _ in range(50):
+            assert construct_kopt_action(d, tour, cand, pruned, stats, params, rng) is None
+        assert stats.edge_use_counts == {}
 
     def test_zero_heat_row_samples_uniformly(self):
-        d, pruned, cand = self._setup()
-        pruned[:] = 0.0
-        stats = SearchStats()
-        rng = np.random.default_rng(4)
-        seen = {select_next_city(0, cand, pruned, stats, 0.0, rng) for _ in range(400)}
-        assert seen == set(cand[0].tolist())
+        _, _, cand = self._setup()
+        row = cand[0].tolist()
+        weights = [_weight(0.0, (0, c), 0.0, 0, {}) for c in row]
+        assert weights == [WEIGHT_FLOOR] * len(row)
+        counts = draw_many(weights, np.random.default_rng(4), 400)
+        assert set(counts) == set(range(len(row)))
 
     @pytest.mark.parametrize("u, expect", [(0.0, 1), (0.25, 2), (1.0, 3)])
     def test_draw_boundaries(self, u, expect):
-        # heat [1, 2, 1] gives running sums [1, 3, 4]; r = u * 4 picks the
-        # first city whose running sum exceeds r (strictly), and u = 1.0 puts
-        # r on the total, which falls back to the last feasible city
-        class FixedRng:
-            def random(self):
-                return u
-
-        pruned = np.zeros((4, 4))
-        pruned[0, 1:] = [1.0, 2.0, 1.0]
-        cand = CandidateLists(lists=(np.array([1, 2, 3]),) * 4, mode=HEAT_MODE, m=3)
-        assert select_next_city(0, cand, pruned, SearchStats(), 0.0, FixedRng()) == expect
+        # candidates [1, 2, 3] with heat [1, 2, 1] give running sums
+        # [1, 3, 4]; r = u * 4 picks the first city whose running sum exceeds
+        # r (strictly), and u = 1.0 puts r on the total, which falls back to
+        # the last feasible city
+        cities = [1, 2, 3]
+        weights = [_weight(h, (0, c), 0.0, 0, {}) for h, c in zip([1.0, 2.0, 1.0], cities)]
+        cums = list(itertools.accumulate(weights))
+        assert cums == [1.0, 3.0, 4.0]
+        assert cities[_draw(cums, lambda: u)] == expect
 
 
 class TestConstructAction:
@@ -421,6 +426,22 @@ class TestRunSearch:
         tour, stats = run_search(inst, pruned, params, 21)
         assert stats.best_length <= tour_length(d, first) + 1e-12
 
+    def test_expired_budget_returns_first_round_two_opt(self):
+        inst = generate_random(15, 8)
+        d = distance_matrix(inst)
+        _, pruned = top_m_filter(np.exp(-d), 6)
+        params = dist_params(time_budget=1e-12)
+        rng = np.random.default_rng(21)
+        rng.integers(*params.k_range)
+        rng.integers(2)
+        first = two_opt_improve(d, Tour.from_order(rng.permutation(15)))
+        tour, stats = run_search(inst, pruned, params, 21)
+        assert stats.rounds == 1
+        assert stats.total_expansions == 0
+        assert np.array_equal(tour.order, first.order)
+        assert math.isfinite(stats.best_length)
+        assert stats.best_length == tour_length(d, tour)
+
     def test_best_length_matches_best_tour(self):
         inst = generate_random(12, 3)
         d = distance_matrix(inst)
@@ -537,3 +558,9 @@ class TestTourFormat:
     def test_header_checked(self):
         with pytest.raises(ValueError):
             parse_tour("WRONG\n3\n0 1 2\n1.0\n")
+
+    @pytest.mark.parametrize("keep, missing", [(1, "count"), (2, "order"), (3, "length")])
+    def test_truncated(self, keep, missing):
+        lines = ["UTSP-TOUR v1", "3", "0 1 2", "1.0"][:keep]
+        with pytest.raises(ValueError, match=f"no {missing} line"):
+            parse_tour("\n".join(lines) + "\n")
