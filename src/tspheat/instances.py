@@ -85,10 +85,17 @@ def generate_random(n: int, seed: int) -> Instance:
 
 
 def distance_matrix(inst: Instance) -> np.ndarray:
-    """Full symmetric Euclidean distance matrix."""
+    """Full symmetric Euclidean distance matrix.
+
+    Raises ValueError when a distance overflows to a non-finite value
+    (coordinates of magnitude near 1e154 and above).
+    """
     c = inst.coords
-    diff = c[:, None, :] - c[None, :, :]
-    d = np.sqrt((diff * diff).sum(axis=2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        diff = c[:, None, :] - c[None, :, :]
+        d = np.sqrt((diff * diff).sum(axis=2))
+    if not np.isfinite(d).all():
+        raise ValueError("a distance between cities overflows; rescale the coordinates")
     # enforce exact symmetry and zero diagonal regardless of float noise
     d = (d + d.T) / 2.0
     np.fill_diagonal(d, 0.0)

@@ -5,7 +5,7 @@ import pytest
 
 from tspheat.cli import main
 from tspheat.heatmap import format_heatmap, parse_heatmap
-from tspheat.instances import format_instance, generate_random, parse_instance
+from tspheat.instances import Instance, format_instance, generate_random, parse_instance
 from tspheat.search import parse_tour
 
 
@@ -122,6 +122,21 @@ class TestSearchCommand:
         ])
         assert code == 2
         assert "no count line" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["search", "solve"])
+    def test_overflowing_distances_exit_2(self, tmp_path, capsys, command):
+        inst = generate_random(8, 0)
+        inst_path = tmp_path / "huge.txt"
+        inst_path.write_text(format_instance(Instance(coords=inst.coords * 1e200)))
+        heat_path = tmp_path / "heat.txt"
+        heat_path.write_text(format_heatmap(np.full((8, 8), 0.1)))
+        heat_args = ["--heatmap", str(heat_path)] if command == "search" else []
+        code = main([
+            command, "--instance", str(inst_path), *heat_args, "--preset", "tsp20",
+            "--rounds", "2", "--out", str(tmp_path / "t.txt"),
+        ])
+        assert code == 2
+        assert "overflows" in capsys.readouterr().err
 
     def test_requires_budget(self, instance_file, tmp_path, capsys):
         heat_path = tmp_path / "heat.txt"

@@ -83,6 +83,17 @@ class TestDistanceMatrix:
                 )
                 assert d[i, j] == pytest.approx(expect, abs=1e-12)
 
+    def test_rejects_overflowing_distances(self):
+        inst = Instance(coords=generate_random(8, 0).coords * 1e200)
+        with pytest.raises(ValueError, match="overflows"):
+            distance_matrix(inst)
+
+    def test_large_finite_coordinates_accepted(self):
+        inst = Instance(coords=generate_random(8, 0).coords * 1e150)
+        d = distance_matrix(inst)
+        assert np.isfinite(d).all()
+        assert d[0, 1] == pytest.approx(1e150 * distance_matrix(generate_random(8, 0))[0, 1])
+
     @given(st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=25, deadline=None)
     def test_symmetric_zero_diagonal(self, seed):
