@@ -6,8 +6,11 @@ sequential k-opt constructions and moves to the shortest improving result.
 Constructions grow a Hamiltonian path with one fixed endpoint; the next city
 is sampled from the moving endpoint's candidate list with probability
 proportional to its pruned-heat value plus an optional visit-count
-exploration bonus. Edges of applied improving actions get their heat raised,
-and the raised heat persists across rounds.
+exploration bonus. A candidate is feasible only while the move keeps a
+positive running gain (the gain criterion of Lin & Kernighan 1973), so most
+attempts end early at a dead end rather than at the removed-edge cap. Edges
+of applied improving actions get their heat raised, and the raised heat
+persists across rounds.
 
 Everything here is single-threaded per run: a run owns its mutable copy of
 the pruned heat map and its statistics. Parallelism belongs across runs.
@@ -95,11 +98,15 @@ class SearchStats:
 
     edge_use_counts maps canonical (i, j) pairs, i < j, to how many times the
     edge was stochastically selected; total_expansions counts every
-    construction attempt, completed or discarded.
+    construction attempt, completed or discarded. An attempt that does not
+    return an improving action ends either at a dead end (no feasible
+    candidate; dead_ends) or at the removed-edge cap (cap_hits).
     """
 
     edge_use_counts: dict = field(default_factory=dict)
     total_expansions: int = 0
+    dead_ends: int = 0
+    cap_hits: int = 0
     rounds: int = 0
     best_length: float = math.inf
     round_best_lengths: list = field(default_factory=list)
@@ -248,10 +255,16 @@ def _construct(
     an interior city forces removal of that city's edge toward the moving
     side (the only choice that keeps a Hamiltonian path), implemented as a
     suffix reversal. Feasible candidates are weighted by _weight and drawn
-    by _draw; infeasible cities (closing anchor, current path neighbour,
-    re-adds of removed edges, forced removal of added edges) are skipped.
-    Only an endpoint of an added edge can have an added edge toward its path
-    successor, so only those candidates pay for a position lookup.
+    by _draw. A candidate c of the moving endpoint v_i is feasible only when
+    the running gain stays positive, gain - d(v_i, c) > MIN_GAIN (the
+    Lin-Kernighan gain criterion); the test comes first, so a rejected
+    candidate costs no lookup. Other infeasible cities (closing anchor,
+    current path neighbour, re-adds of removed edges, forced removal of
+    added edges) are skipped too. Only an endpoint of an added edge can have
+    an added edge toward its path successor, so only those candidates pay
+    for a position lookup. Under the gain rule most attempts end at a dead
+    end (no feasible candidate) long before the removed-edge cap k_cap;
+    each unsuccessful attempt adds one to stats.dead_ends or stats.cap_hits.
     """
     u1 = int(rng.integers(len(order)))
     i1 = order.index(u1)
@@ -287,13 +300,16 @@ def _construct(
                 new_order=np.array(path, dtype=np.int64),
             )
         if k >= k_cap:
+            stats.cap_hits += 1
             return None
         neighbor = path[-2]
         feas = []
         cums = []
         total = 0.0
         for entry in table[vi]:
-            c, key, heat, _ = entry
+            c, key, heat, added_len = entry
+            if gain - added_len <= MIN_GAIN:
+                continue
             if c == u1 or c == neighbor or key in removed_set:
                 continue
             if c in added_ends:
@@ -304,6 +320,7 @@ def _construct(
             feas.append(entry)
             cums.append(total)
         if not feas:
+            stats.dead_ends += 1
             return None
         u_next, key, _, added_len = feas[_draw(cums, rand)]
         counts[key] = counts.get(key, 0) + 1
@@ -335,6 +352,7 @@ def construct_kopt_action(
 
     The anchor city is drawn uniformly; its tour successor seeds the path.
     Returns the completed improving action, or None when the attempt dead-ends
+    (no candidate keeps the running gain positive or is otherwise feasible)
     or hits the removed-edge cap (k_cap; sampled from params.k_range when not
     given). Edge-use counts in stats are updated for every stochastic
     selection, including attempts that end up discarded.

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from tspheat.candidates import (
     DISTANCE_MODE,
+    HEAT_MODE,
     candidate_lists,
     top_m_filter,
 )
@@ -23,6 +24,7 @@ from tspheat.instances import (
     tour_length,
 )
 from tspheat.search import (
+    MIN_GAIN,
     PRESETS,
     WEIGHT_FLOOR,
     KOptAction,
@@ -267,6 +269,57 @@ class TestConstructAction:
                 start_len - action.gain, abs=1e-9
             )
 
+    @given(st.integers(10, 60), st.integers(0, 10_000),
+           st.sampled_from([HEAT_MODE, DISTANCE_MODE]))
+    @settings(max_examples=40, deadline=None)
+    def test_partial_gains_stay_positive(self, n, seed, mode):
+        # the gain rule: after each added edge, closing one included, the
+        # running sum(removed) - sum(added) exceeds MIN_GAIN; the replay
+        # repeats _construct's float arithmetic step by step
+        inst = generate_random(n, seed)
+        d = distance_matrix(inst)
+        tour = random_tour(n, seed)
+        _, pruned = top_m_filter(adjacency_weights(d), 6)
+        cand = candidate_lists(pruned if mode == HEAT_MODE else d, 6, mode)
+        stats = SearchStats()
+        params = dist_params(k_range=(2, 12))
+        rng = np.random.default_rng(seed)
+        found = 0
+        for _ in range(40):
+            action = construct_kopt_action(d, tour, cand, pruned, stats, params, rng)
+            if action is None:
+                continue
+            found += 1
+            seq = [int(c) for c in action.sequence]
+            gain = d.item(seq[0], seq[1])
+            for i in range(1, 2 * action.k, 2):
+                added = d.item(seq[i], seq[i + 1])
+                assert gain - added > MIN_GAIN
+                if i + 2 < len(seq):
+                    gain += d.item(seq[i + 1], seq[i + 2]) - added
+            assert gain - d.item(seq[-2], seq[-1]) == action.gain
+        assert found > 0
+
+    def test_no_move_when_every_candidate_is_longer_than_the_anchor_edge(self):
+        # regular octagon walked along its perimeter: each city's candidates
+        # are its chords, all longer than every tour edge, so the first
+        # candidate would already make the running gain negative
+        n = 8
+        angles = 2 * math.pi * np.arange(n) / n
+        inst = Instance(coords=np.column_stack([np.cos(angles), np.sin(angles)]))
+        d = distance_matrix(inst)
+        tour = Tour.from_order(np.arange(n))
+        cand = tuple(np.array([(u + s) % n for s in (2, 3, 4, 5, 6)]) for u in range(n))
+        assert min(d[u, c] for u in range(n) for c in cand[u]) > d[0, 1] * 1.5
+        pruned = np.ones((n, n))
+        stats = SearchStats()
+        params = dist_params(k_range=(2, 10))
+        rng = np.random.default_rng(0)
+        for _ in range(50):
+            assert construct_kopt_action(d, tour, cand, pruned, stats, params, rng) is None
+        assert stats.edge_use_counts == {}
+        assert (stats.dead_ends, stats.cap_hits) == (50, 0)
+
 
 class TestExpandNode:
     def test_returns_best_gain_action(self):
@@ -310,6 +363,28 @@ class TestExpandNode:
         rng = np.random.default_rng(3)
         assert expand_node(d, opt_tour, cand, pruned, stats, params, rng, k_cap=3) is None
         assert stats.total_expansions == 200
+
+    def test_every_attempt_ends_once(self):
+        # each attempt ends exactly once: improving, dead end or cap hit
+        inst = generate_random(40, 5)
+        d = distance_matrix(inst)
+        tour = random_tour(40, 5)
+        cand = candidate_lists(d, 6, DISTANCE_MODE)
+        _, pruned = top_m_filter(np.exp(-d), 6)
+        params = dist_params(expand_budget=200)
+        stats = SearchStats()
+        expand_node(d, tour, cand, pruned, stats, params, np.random.default_rng(5), k_cap=3)
+        replay = SearchStats()
+        rng = np.random.default_rng(5)
+        improving = sum(
+            construct_kopt_action(d, tour, cand, pruned, replay, params, rng, k_cap=3)
+            is not None
+            for _ in range(200)
+        )
+        assert stats.total_expansions == 200
+        assert stats.dead_ends > 0 and stats.cap_hits > 0 and improving > 0
+        assert stats.dead_ends + stats.cap_hits + improving == stats.total_expansions
+        assert (replay.dead_ends, replay.cap_hits) == (stats.dead_ends, stats.cap_hits)
 
     def test_counts_every_attempt(self):
         inst = generate_random(10, 7)
