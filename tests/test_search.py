@@ -546,30 +546,30 @@ GOLDEN_SEARCHES = {
         # exact length, an incremental length an ulp lower replaced it with
         # the same cycle written from another start and direction
         order=[7, 12, 1, 9, 4, 3, 15, 11, 0, 2, 14, 10, 8, 5, 6, 13],
-        best_length="3.7710487245594857", expansions=1320, rounds=12,
-        counts_sha256="308ab63e66569ee44a40ef4e8eb2641c405edd10200b9d66acf73730a03649ec",
+        best_length="3.7710487245594857", expansions=1080, rounds=12, ends=(1037, 0),
+        counts_sha256="fa644e49b01655a9d1b8d1919b584700bb44640cef07087d596ad1f7c5942780",
     ),
     "tsp100-n100": dict(
         n=100, instance_seed=4, seed=6,
         params=PRESETS["tsp100"].with_budget(max_rounds=2),
-        order=[5, 4, 57, 36, 80, 62, 52, 47, 2, 19, 64, 46, 93, 22, 14, 35, 50, 54, 44,
-               58, 45, 33, 21, 55, 82, 28, 83, 37, 71, 9, 87, 40, 38, 88, 94, 68, 69, 23,
-               70, 17, 75, 32, 79, 42, 60, 41, 12, 48, 63, 15, 43, 99, 39, 18, 53, 74, 6,
-               59, 30, 13, 98, 85, 67, 20, 73, 84, 10, 72, 65, 34, 8, 56, 78, 86, 49, 16,
-               26, 0, 89, 29, 7, 31, 81, 24, 66, 61, 92, 27, 3, 97, 91, 1, 90, 77, 25, 95,
-               11, 96, 51, 76],
-        best_length="7.902849786018551", expansions=1500, rounds=2,
-        counts_sha256="561f3aa84d9fd493992544dad2138e49be14ea32973e9fdc9de442024ccea720",
+        order=[79, 42, 60, 41, 48, 63, 15, 18, 39, 99, 43, 12, 28, 82, 55, 83, 54, 35, 50,
+               44, 58, 45, 33, 21, 37, 71, 9, 87, 40, 38, 88, 94, 68, 69, 23, 70, 17, 75,
+               13, 30, 59, 98, 73, 84, 10, 72, 65, 34, 8, 56, 78, 86, 49, 16, 26, 4, 5, 0,
+               89, 29, 7, 81, 31, 24, 66, 61, 92, 27, 3, 97, 91, 1, 90, 77, 25, 95, 11, 64,
+               46, 93, 22, 14, 19, 96, 2, 51, 76, 47, 52, 62, 80, 36, 57, 20, 67, 85, 6, 74,
+               53, 32],
+        best_length="8.106321906660726", expansions=3900, rounds=2, ends=(3772, 1),
+        counts_sha256="73523162ce523ab94e876463c9962219730d1f667b6a50c2099fa4e5a4a074e8",
     ),
     # no preset sets alpha > 0: this case alone guards the exploration bonus
     "alpha-n30": dict(
         n=30, instance_seed=8, seed=9,
         params=SearchParams(alpha=0.5, beta=10.0, m=6, k_range=(4, 9),
                             expand_budget=60, max_rounds=6),
-        order=[15, 19, 21, 10, 23, 7, 2, 20, 9, 26, 18, 0, 1, 27, 8, 28, 4, 17, 16, 12,
-               6, 5, 11, 29, 24, 3, 13, 22, 25, 14],
-        best_length="4.6426066301079345", expansions=780, rounds=6,
-        counts_sha256="639087f3f36d5dab692e0e5f4616771e158ffcbd2e606cc8279fbfb4391d20ea",
+        order=[28, 4, 17, 16, 12, 6, 5, 11, 29, 24, 3, 13, 22, 25, 14, 15, 19, 21, 10, 23,
+               7, 2, 20, 9, 26, 18, 0, 1, 27, 8],
+        best_length="4.642606630107935", expansions=1320, rounds=6, ends=(1181, 83),
+        counts_sha256="ad43037b2b897cb33331aae8a439755217dda36a8b52c64f85732362d427699b",
     ),
 }
 
@@ -587,6 +587,7 @@ class TestGoldenSearch:
         assert repr(stats.best_length) == g["best_length"]
         assert stats.total_expansions == g["expansions"]
         assert stats.rounds == g["rounds"]
+        assert (stats.dead_ends, stats.cap_hits) == g["ends"]
         assert hashlib.sha256(counts).hexdigest() == g["counts_sha256"]
 
 
