@@ -571,6 +571,16 @@ GOLDEN_SEARCHES = {
         best_length="4.642606630107935", expansions=1320, rounds=6, ends=(1181, 83),
         counts_sha256="ad43037b2b897cb33331aae8a439755217dda36a8b52c64f85732362d427699b",
     ),
+    # the alpha-n30 case with the bonus off; it pins a non-preset m and k_range
+    "custom-n30": dict(
+        n=30, instance_seed=8, seed=9,
+        params=SearchParams(alpha=0.0, beta=10.0, m=6, k_range=(4, 9),
+                            expand_budget=60, max_rounds=6),
+        order=[25, 22, 13, 3, 24, 29, 11, 5, 6, 12, 16, 17, 4, 28, 8, 27, 1, 0, 18, 26,
+               9, 20, 7, 2, 10, 21, 19, 15, 23, 14],
+        best_length="4.644416896317511", expansions=1140, rounds=6, ends=(975, 107),
+        counts_sha256="43d8e28d2b73bede5f00ec0bc844ca4b859254dd6d822f52cf565a2fca5fdec7",
+    ),
 }
 
 
