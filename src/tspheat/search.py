@@ -5,12 +5,12 @@ best-first node expansion where each expansion tries a bounded number of
 sequential k-opt constructions and moves to the shortest improving result.
 Constructions grow a Hamiltonian path with one fixed endpoint; the next city
 is sampled from the moving endpoint's candidate list with probability
-proportional to its pruned-heat value plus an optional visit-count
-exploration bonus. A candidate is feasible only while the move keeps a
-positive running gain (the gain criterion of Lin & Kernighan 1973), so most
-attempts end early at a dead end rather than at the removed-edge cap. Edges
-of applied improving actions get their heat raised, and the raised heat
-persists across rounds.
+proportional to its pruned-heat value, floored so that zero-heat candidates
+stay reachable. A candidate is feasible only while the move keeps a positive
+running gain (the gain criterion of Lin & Kernighan 1973), so most attempts
+end early at a dead end rather than at the removed-edge cap. Edges of applied
+improving actions get their heat raised, and the raised heat persists across
+rounds.
 
 Everything here is single-threaded per run: a run owns its mutable copy of
 the pruned heat map and its statistics. Parallelism belongs across runs.
@@ -51,7 +51,6 @@ class SearchParams:
     give bit-reproducible runs, wall-clock budgets do not.
     """
 
-    alpha: float = 0.0
     beta: float = 10.0
     m: int = 8
     k_range: tuple[int, int] = (10, 11)
@@ -60,8 +59,8 @@ class SearchParams:
     max_rounds: Optional[int] = None
 
     def __post_init__(self):
-        if self.alpha < 0 or self.beta < 0:
-            raise ValueError("alpha and beta must be >= 0")
+        if self.beta < 0:
+            raise ValueError("beta must be >= 0")
         if self.m < 1:
             raise ValueError("candidate list size m must be >= 1")
         k_lo, k_hi = self.k_range
@@ -83,12 +82,12 @@ class SearchParams:
 # Named parameter sets by instance-size tier (candidate-list size, heat
 # update scale, removed-edge cap interval and per-node attempt budget).
 PRESETS: dict[str, SearchParams] = {
-    "tsp20": SearchParams(alpha=0.0, beta=10.0, m=8, k_range=(10, 11), expand_budget=60),
-    "tsp50": SearchParams(alpha=0.0, beta=10.0, m=8, k_range=(5, 15), expand_budget=150),
-    "tsp100": SearchParams(alpha=0.0, beta=10.0, m=8, k_range=(5, 35), expand_budget=300),
-    "tsp200": SearchParams(alpha=0.0, beta=10.0, m=8, k_range=(10, 90), expand_budget=600),
-    "tsp500": SearchParams(alpha=0.0, beta=50.0, m=5, k_range=(30, 130), expand_budget=1000),
-    "tsp1000": SearchParams(alpha=0.0, beta=50.0, m=5, k_range=(10, 110), expand_budget=2000),
+    "tsp20": SearchParams(beta=10.0, m=8, k_range=(10, 11), expand_budget=60),
+    "tsp50": SearchParams(beta=10.0, m=8, k_range=(5, 15), expand_budget=150),
+    "tsp100": SearchParams(beta=10.0, m=8, k_range=(5, 35), expand_budget=300),
+    "tsp200": SearchParams(beta=10.0, m=8, k_range=(10, 90), expand_budget=600),
+    "tsp500": SearchParams(beta=50.0, m=5, k_range=(30, 130), expand_budget=1000),
+    "tsp1000": SearchParams(beta=50.0, m=5, k_range=(10, 110), expand_budget=2000),
 }
 
 
@@ -96,14 +95,12 @@ PRESETS: dict[str, SearchParams] = {
 class SearchStats:
     """Counters accumulated over a run.
 
-    edge_use_counts maps canonical (i, j) pairs, i < j, to how many times the
-    edge was stochastically selected; total_expansions counts every
-    construction attempt, completed or discarded. An attempt that does not
-    return an improving action ends either at a dead end (no feasible
-    candidate; dead_ends) or at the removed-edge cap (cap_hits).
+    total_expansions counts every construction attempt, completed or
+    discarded. An attempt that does not return an improving action ends
+    either at a dead end (no feasible candidate; dead_ends) or at the
+    removed-edge cap (cap_hits).
     """
 
-    edge_use_counts: dict = field(default_factory=dict)
     total_expansions: int = 0
     dead_ends: int = 0
     cap_hits: int = 0
@@ -196,20 +193,6 @@ def two_opt_improve(d: np.ndarray, tour: Tour) -> Tour:
 # Edge selection
 # ---------------------------------------------------------------------------
 
-def exploration_bonus(alpha: float, total_expansions: float, edge_count: float) -> float:
-    """Visit-count bonus alpha * sqrt(log(S + 1) / (N + 1)); the S and N
-    arguments accept floats so closed-form values are testable directly."""
-    return alpha * math.sqrt(math.log(total_expansions + 1.0) / (edge_count + 1.0))
-
-
-def _weight(heat: float, key: tuple, alpha: float, total_expansions: int,
-            counts: dict) -> float:
-    """Sampling weight of an edge: max(heat + exploration bonus, floor)."""
-    if alpha > 0.0:
-        heat += exploration_bonus(alpha, total_expansions, counts.get(key, 0))
-    return WEIGHT_FLOOR if heat < WEIGHT_FLOOR else heat
-
-
 def _draw(cums: list, rand) -> int:
     """Index of the drawn entry, given the running weight sums cums: the
     first i with cums[i] > r, r uniform on [0, total), so each entry is drawn
@@ -243,7 +226,6 @@ def _construct(
     order: list,
     table: tuple,
     stats: SearchStats,
-    alpha: float,
     k_cap: int,
     rng: np.random.Generator,
 ) -> Optional[KOptAction]:
@@ -254,17 +236,18 @@ def _construct(
     and moving endpoint path[-1]. Adding an edge from the moving endpoint to
     an interior city forces removal of that city's edge toward the moving
     side (the only choice that keeps a Hamiltonian path), implemented as a
-    suffix reversal. Feasible candidates are weighted by _weight and drawn
-    by _draw. A candidate c of the moving endpoint v_i is feasible only when
-    the running gain stays positive, gain - d(v_i, c) > MIN_GAIN (the
-    Lin-Kernighan gain criterion); the test comes first, so a rejected
+    suffix reversal. A candidate c of the moving endpoint v_i is feasible
+    only when the running gain stays positive, gain - d(v_i, c) > MIN_GAIN
+    (the Lin-Kernighan gain criterion); the test comes first, so a rejected
     candidate costs no lookup. Other infeasible cities (closing anchor,
     current path neighbour, re-adds of removed edges, forced removal of
     added edges) are skipped too. Only an endpoint of an added edge can have
     an added edge toward its path successor, so only those candidates pay
-    for a position lookup. Under the gain rule most attempts end at a dead
-    end (no feasible candidate) long before the removed-edge cap k_cap;
-    each unsuccessful attempt adds one to stats.dead_ends or stats.cap_hits.
+    for a position lookup. A feasible candidate is weighted by its pruned
+    heat, floored at WEIGHT_FLOOR, and one is drawn by _draw. Under the gain
+    rule most attempts end at a dead end (no feasible candidate) long before
+    the removed-edge cap k_cap; each unsuccessful attempt adds one to
+    stats.dead_ends or stats.cap_hits.
     """
     u1 = int(rng.integers(len(order)))
     i1 = order.index(u1)
@@ -274,8 +257,6 @@ def _construct(
 
     d_at = d.item
     rand = rng.random
-    counts = stats.edge_use_counts
-    expansions = stats.total_expansions
 
     v1 = path[-1]
     seq = [u1, v1]
@@ -316,14 +297,13 @@ def _construct(
                 nxt = path[path.index(c) + 1]
                 if ((c, nxt) if c < nxt else (nxt, c)) in added_set:
                     continue
-            total += _weight(heat, key, alpha, expansions, counts)
+            total += WEIGHT_FLOOR if heat < WEIGHT_FLOOR else heat
             feas.append(entry)
             cums.append(total)
         if not feas:
             stats.dead_ends += 1
             return None
         u_next, key, _, added_len = feas[_draw(cums, rand)]
-        counts[key] = counts.get(key, 0) + 1
         j = path.index(u_next)
         v_next = path[j + 1]
         added_set.add(key)
@@ -354,13 +334,13 @@ def construct_kopt_action(
     Returns the completed improving action, or None when the attempt dead-ends
     (no candidate keeps the running gain positive or is otherwise feasible)
     or hits the removed-edge cap (k_cap; sampled from params.k_range when not
-    given). Edge-use counts in stats are updated for every stochastic
-    selection, including attempts that end up discarded.
+    given). An unsuccessful attempt adds one to stats.dead_ends or
+    stats.cap_hits.
     """
     if k_cap is None:
         k_cap = int(rng.integers(params.k_range[0], params.k_range[1]))
     return _construct(d, tour.order.tolist(), _candidate_table(cand, d, pruned),
-                      stats, params.alpha, k_cap, rng)
+                      stats, k_cap, rng)
 
 
 def _expand(
@@ -382,7 +362,7 @@ def _expand(
         if deadline is not None and time.perf_counter() >= deadline:
             break
         stats.total_expansions += 1
-        action = _construct(d, base, table, stats, params.alpha, k_cap, rng)
+        action = _construct(d, base, table, stats, k_cap, rng)
         if action is not None and (best is None or action.gain > best.gain):
             best = action
     return best
