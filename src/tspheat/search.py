@@ -59,8 +59,8 @@ class SearchParams:
     max_rounds: Optional[int] = None
 
     def __post_init__(self):
-        if self.beta < 0:
-            raise ValueError("beta must be >= 0")
+        if not 0 <= self.beta < math.inf:
+            raise ValueError(f"beta must be finite and >= 0, got {self.beta!r}")
         if self.m < 1:
             raise ValueError("candidate list size m must be >= 1")
         k_lo, k_hi = self.k_range
@@ -70,8 +70,9 @@ class SearchParams:
             raise ValueError(f"k_range must be a nonempty interval, got {self.k_range}")
         if self.expand_budget < 1:
             raise ValueError("expand_budget must be >= 1")
-        if self.time_budget is not None and self.time_budget <= 0:
-            raise ValueError("time_budget must be > 0 when set")
+        if self.time_budget is not None and not 0 < self.time_budget < math.inf:
+            raise ValueError(
+                f"time_budget must be finite and > 0 when set, got {self.time_budget!r}")
         if self.max_rounds is not None and self.max_rounds < 1:
             raise ValueError("max_rounds must be >= 1 when set")
 

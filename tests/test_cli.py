@@ -138,6 +138,15 @@ class TestSearchCommand:
         assert code == 2
         assert "overflows" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("budget", ["nan", "inf"])
+    def test_non_finite_time_budget_exits_2(self, instance_file, tmp_path, capsys, budget):
+        code = main([
+            "solve", "--instance", instance_file, "--preset", "tsp20",
+            "--time-budget", budget, "--out", str(tmp_path / "t.txt"),
+        ])
+        assert code == 2
+        assert "time_budget must be finite" in capsys.readouterr().err
+
     def test_requires_budget(self, instance_file, tmp_path, capsys):
         heat_path = tmp_path / "heat.txt"
         main(["train-heatmap", "--instance", instance_file, "--steps", "10",

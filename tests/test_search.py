@@ -187,7 +187,8 @@ class TestSelectNextCity:
         rng = np.random.default_rng(0)
         moves = defaultdict(set)
         for _ in range(300):
-            action = construct_kopt_action(d, tour, cand, pruned, stats, params, rng, k_cap=4)
+            action = construct_kopt_action(d, tour, cand, pruned, stats, params, rng,
+                                           k_cap=4)
             if action is not None:
                 moves[action.sequence[0]].add(action.sequence)
         assert max(len(seqs) for seqs in moves.values()) > 1
@@ -616,6 +617,15 @@ class TestSearchParams:
     def test_rejects_zero_budget(self):
         with pytest.raises(ValueError):
             SearchParams(time_budget=0.0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("beta", math.nan), ("beta", math.inf),
+        ("time_budget", math.nan), ("time_budget", math.inf),
+    ])
+    def test_rejects_non_finite(self, field, value):
+        # a NaN or infinite time budget never expires, so a run would not end
+        with pytest.raises(ValueError, match="must be finite"):
+            SearchParams(**{field: value})
 
 
 class TestTourFormat:
