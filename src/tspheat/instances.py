@@ -111,14 +111,14 @@ def adjacency_weights(d: np.ndarray, tau: float = DEFAULT_TAU) -> np.ndarray:
 
 def tour_length(d: np.ndarray, tour: Tour) -> float:
     """Total cycle length of the tour under distance matrix d."""
-    order = tour.order
-    if order.shape[0] != d.shape[0]:
-        raise ValueError(f"tour has {order.shape[0]} cities, matrix has {d.shape[0]}")
-    return float(d[order, np.roll(order, -1)].sum())
+    if tour.n != d.shape[0]:
+        raise ValueError(f"tour has {tour.n} cities, matrix has {d.shape[0]}")
+    return order_length(d, tour.order)
 
 
 def order_length(d: np.ndarray, order: np.ndarray) -> float:
-    """tour_length for a raw order array (used by the search internals)."""
+    """Cycle length of a raw order array, unchecked (used by the search
+    internals)."""
     return float(d[order, np.roll(order, -1)].sum())
 
 
