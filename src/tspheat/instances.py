@@ -117,8 +117,7 @@ def tour_length(d: np.ndarray, tour: Tour) -> float:
 
 
 def order_length(d: np.ndarray, order: np.ndarray) -> float:
-    """Cycle length of a raw order array, unchecked (used by the search
-    internals)."""
+    """tour_length without the size check, for a raw order array."""
     return float(d[order, np.roll(order, -1)].sum())
 
 

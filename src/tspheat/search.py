@@ -71,8 +71,7 @@ class SearchParams:
         if self.expand_budget < 1:
             raise ValueError("expand_budget must be >= 1")
         if self.time_budget is not None and not 0 < self.time_budget < math.inf:
-            raise ValueError(
-                f"time_budget must be finite and > 0 when set, got {self.time_budget!r}")
+            raise ValueError(f"time_budget must be finite and > 0, got {self.time_budget!r}")
         if self.max_rounds is not None and self.max_rounds < 1:
             raise ValueError("max_rounds must be >= 1 when set")
 
@@ -191,7 +190,7 @@ def two_opt_improve(d: np.ndarray, tour: Tour) -> Tour:
 
 
 # ---------------------------------------------------------------------------
-# Edge selection
+# k-opt construction
 # ---------------------------------------------------------------------------
 
 def _draw(cums: list, rand) -> int:
@@ -202,10 +201,6 @@ def _draw(cums: list, rand) -> int:
     i = bisect_right(cums, rand() * cums[-1])
     return i if i < len(cums) else len(cums) - 1
 
-
-# ---------------------------------------------------------------------------
-# k-opt construction
-# ---------------------------------------------------------------------------
 
 def _candidate_table(cand: tuple, d: np.ndarray, pruned: np.ndarray) -> tuple:
     """Per city u, a tuple of (v, edge key, pruned[u, v], d[u, v]) for each
@@ -244,8 +239,8 @@ def _construct(
     current path neighbour, re-adds of removed edges, forced removal of
     added edges) are skipped too. Only an endpoint of an added edge can have
     an added edge toward its path successor, so only those candidates pay
-    for a position lookup. A feasible candidate is weighted by its pruned
-    heat, floored at WEIGHT_FLOOR, and one is drawn by _draw. Under the gain
+    for a position lookup. Feasible candidates are weighted by
+    max(pruned heat, WEIGHT_FLOOR) and one is drawn by _draw. Under the gain
     rule most attempts end at a dead end (no feasible candidate) long before
     the removed-edge cap k_cap; each unsuccessful attempt adds one to
     stats.dead_ends or stats.cap_hits.
