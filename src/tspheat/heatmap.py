@@ -83,10 +83,11 @@ def _softmax_into(logits: np.ndarray, ws: _Workspace) -> np.ndarray:
     """Column softmax of finite n x n float64 logits, written into ws.t
     (max, subtract, exp, sum, divide); returns ws.t."""
     t = ws.t
-    np.max(logits, axis=0, out=ws.col_max)
+    # the ufunc reductions np.max and np.sum call, without their wrappers
+    np.maximum.reduce(logits, 0, out=ws.col_max)
     np.subtract(logits, ws.col_max, out=t)
     np.exp(t, out=t)
-    np.sum(t, axis=0, out=ws.col_sum)
+    np.add.reduce(t, 0, out=ws.col_sum)
     t /= ws.col_sum
     return t
 
@@ -204,7 +205,7 @@ def _loss_and_gradient(
     # column (which read the next row) is then overwritten with column 0
     t_next.ravel()[:-1] = t.ravel()[1:]
     t_next[:, -1] = t[:, 0]
-    np.sum(t, axis=1, out=row_err)
+    np.add.reduce(t, 1, out=row_err)
     row_err -= 1.0
     row_penalty = float(row_err @ row_err)
     self_loop = float(np.vdot(t, t_next))
