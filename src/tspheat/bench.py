@@ -146,6 +146,18 @@ def solve_pipeline(
 
     The same seed drives both the logit initialization and the search run.
     """
+    result, tour, _ = _solve_pipeline(inst, train_cfg, search_params, seed, ref_length)
+    return result, tour
+
+
+def _solve_pipeline(
+    inst: Instance,
+    train_cfg: TrainConfig,
+    search_params: SearchParams,
+    seed: int,
+    ref_length: Optional[float],
+):
+    """solve_pipeline, also returning the run's SearchStats."""
     t0 = time.perf_counter()
     heat, _, _ = optimize_heatmap(inst, train_cfg)
     t_heat = time.perf_counter() - t0
@@ -163,7 +175,7 @@ def solve_pipeline(
         search_seconds=t_search,
         seed=seed,
     )
-    return result, tour
+    return result, tour, stats
 
 
 @dataclass(frozen=True)

@@ -101,13 +101,13 @@ def cmd_solve(args) -> int:
     inst = read_instance_file(args.instance)
     cfg = _train_config(args, args.seed)
     params = _search_params(args)
-    result, tour = bench_mod.solve_pipeline(inst, cfg, params, args.seed)
+    result, tour, stats = bench_mod._solve_pipeline(inst, cfg, params, args.seed, None)
     _write_out(format_tour(tour, result.length), args.out)
     if args.svg:
         bench_mod.emit_tour_svg(inst, tour, args.svg)
     sys.stderr.write(
         f"length={result.length!r} heatmap_s={result.heatmap_seconds:.3f} "
-        f"search_s={result.search_seconds:.3f}\n"
+        f"search_s={result.search_seconds:.3f} two_opt_s={stats.two_opt_seconds:.3f}\n"
     )
     return EXIT_OK
 

@@ -175,6 +175,16 @@ class TestSolve:
         assert length == pytest.approx(opt, abs=1e-9)
         assert svg_path.read_text().count("<circle") == 10
 
+    def test_reports_stage_seconds(self, instance_file, tmp_path, capsys):
+        code = main([
+            "solve", "--instance", instance_file, "--preset", "tsp20",
+            "--rounds", "3", "--seed", "3", "--out", str(tmp_path / "tour.txt"),
+        ])
+        assert code == 0
+        fields = dict(f.split("=") for f in capsys.readouterr().err.split())
+        assert list(fields) == ["length", "heatmap_s", "search_s", "two_opt_s"]
+        assert 0.0 <= float(fields["two_opt_s"]) <= float(fields["search_s"])
+
 
 class TestOracleAndBaseline:
     def test_oracle(self, instance_file, tmp_path):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 from collections import Counter, defaultdict
 
 import numpy as np
@@ -25,6 +26,9 @@ from tspheat.instances import (
 from tspheat.search import (
     MIN_GAIN,
     PRESETS,
+    SCALAR_ROW,
+    SCALAR_SPAN,
+    TWO_OPT_EPS,
     WEIGHT_FLOOR,
     KOptAction,
     SearchParams,
@@ -56,6 +60,52 @@ def brute_force_two_opt_scan(d, order):
             delta = d[a, c] + d[b, e] - d[a, b] - d[c, e]
             best = min(best, delta)
     return best
+
+
+def reference_two_opt_order(d, order, moves=None):
+    """Test-only oracle: first-improvement 2-opt with every row evaluated as
+    one numpy expression, the kernel the scalar-first scan replaced. Mutates
+    order; appends (partner offset j - (i + 2), partners in the row) for each
+    applied move to moves when given."""
+    n = order.shape[0]
+    succ = np.empty(n, dtype=order.dtype)
+
+    def rebuild_succ():
+        succ[:-1] = order[1:]
+        succ[-1] = order[0]
+
+    rebuild_succ()
+    improved = True
+    while improved:
+        improved = False
+        i = 0
+        while i < n - 1:
+            a = order[i]
+            b = order[i + 1]
+            hi = n if i > 0 else n - 1
+            if i + 2 >= hi:
+                i += 1
+                continue
+            c = order[i + 2:hi]
+            e = succ[i + 2:hi]
+            delta = d[a, c] + d[b, e] - d[a, b] - d[c, e]
+            hit = np.flatnonzero(delta < -TWO_OPT_EPS)
+            if hit.size:
+                j = i + 2 + int(hit[0])
+                if moves is not None:
+                    moves.append((int(hit[0]), hi - i - 2))
+                order[i + 1:j + 1] = order[i + 1:j + 1][::-1]
+                rebuild_succ()
+                improved = True
+            else:
+                i += 1
+    return order
+
+
+def assert_matches_reference(d, start):
+    out = two_opt_improve(d, Tour.from_order(start))
+    ref = reference_two_opt_order(d, np.array(start, dtype=np.int64))
+    assert out.order.tolist() == ref.tolist()
 
 
 def dist_params(**kw):
@@ -116,6 +166,62 @@ class TestTwoOpt:
             out = two_opt_improve(d, start)
             _, opt = held_karp_exact(inst)
             assert opt - 1e-9 <= tour_length(d, out) <= tour_length(d, start) + 1e-12
+
+    @pytest.mark.parametrize("shape", [(6, 7), (6, 5), (7, 7)])
+    def test_rejects_matrix_of_wrong_shape(self, shape):
+        with pytest.raises(ValueError, match="does not match"):
+            two_opt_improve(np.ones(shape), random_tour(6, 0))
+
+
+class TestTwoOptMatchesReference:
+    """The scalar-first kernel applies the same moves as the vectorised
+    reference, so it returns the same order, ties included."""
+
+    @given(st.integers(3, 120), st.integers(0, 10_000), st.integers(0, 10_000))
+    @settings(max_examples=60, deadline=None)
+    def test_random_instances(self, n, inst_seed, start_seed):
+        d = distance_matrix(generate_random(n, inst_seed))
+        assert_matches_reference(d, random_tour(n, start_seed).order)
+
+    @pytest.mark.parametrize("start_seed", range(4))
+    def test_duplicate_cities(self, start_seed):
+        # every city appears twice: many moves have a delta of exactly 0
+        coords = generate_random(50, 1).coords
+        d = distance_matrix(Instance(coords=np.concatenate([coords, coords])))
+        assert_matches_reference(d, random_tour(100, start_seed).order)
+
+    @pytest.mark.parametrize("start_seed", range(4))
+    def test_collinear_cities(self, start_seed):
+        # integer points on a line: every distance is an exact integer, so
+        # many deltas are exactly 0 and many improving deltas tie
+        x = np.arange(100, dtype=np.float64)
+        d = distance_matrix(Instance(coords=np.stack([x, np.zeros(100)], axis=1)))
+        assert_matches_reference(d, random_tour(100, start_seed).order)
+
+    @pytest.mark.parametrize("j", [3, 3 + SCALAR_SPAN + 5])
+    @pytest.mark.parametrize("gain, applied", [(0.5 * TWO_OPT_EPS, False),
+                                               (2.0 * TWO_OPT_EPS, True)])
+    def test_threshold_in_scalar_and_numpy_parts(self, j, gain, applied):
+        # row 0's only improving partner sits at position j: within the
+        # scalar span for j = 3, in the numpy part otherwise. A move that
+        # gains less than TWO_OPT_EPS is not applied.
+        n = SCALAR_ROW + 8
+        d = np.ones((n, n))
+        np.fill_diagonal(d, 0.0)
+        d[0, j] = d[j, 0] = 1.0 - gain
+        start = np.arange(n)
+        out = two_opt_improve(d, Tour.from_order(start))
+        assert (out.order.tolist() != start.tolist()) == applied
+        assert_matches_reference(d, start)
+
+    def test_improving_partner_beyond_scalar_span(self):
+        # moves the scalar part never tries: only the numpy part finds them
+        d = distance_matrix(generate_random(120, 0))
+        start = random_tour(120, 0).order
+        moves = []
+        reference_two_opt_order(d, start.copy(), moves)
+        assert any(off >= SCALAR_SPAN and row > SCALAR_ROW for off, row in moves)
+        assert_matches_reference(d, start)
 
 
 def draw_many(weights, rng, trials):
@@ -536,6 +642,14 @@ class TestRunSearch:
         assert stats.rounds == 3
         assert stats.total_expansions >= 3 * 1
         assert stats.dead_ends + stats.cap_hits <= stats.total_expansions
+
+    def test_two_opt_seconds_within_wall_time(self):
+        inst = generate_random(30, 6)
+        _, pruned = top_m_filter(adjacency_weights(distance_matrix(inst)), 5)
+        t0 = time.perf_counter()
+        _, stats = run_search(inst, pruned, dist_params(max_rounds=3), 1)
+        wall = time.perf_counter() - t0
+        assert 0.0 < stats.two_opt_seconds <= wall
 
 
 # Pinned round-capped searches: a change that alters any RNG draw, sampled
