@@ -44,8 +44,8 @@ TWO_OPT_EPS = 1e-10
 # fixed call overhead against about 0.1 us per pair in Python (2-core VM), and
 # a row's first improving partner is usually among its first few (about 6
 # pairs per row are evaluated at n=16, 32 at n=100). Timed at n = 16 to 1000,
-# a span of 16 beat 8, 24 and 32, and a row limit of 80 gave the best times
-# over n = 100 to 1000 taken together of 48, 64, 80, 112 and 144.
+# a span of 16 beat 8, 24 and 32; of row limits 16, 48, 64, 80, 112 and 144,
+# 80 gave the best times over n = 100 to 1000 taken together.
 SCALAR_SPAN = 16
 SCALAR_ROW = 80
 
