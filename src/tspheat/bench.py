@@ -130,7 +130,7 @@ def nn_two_opt_baseline(inst: Instance, seed: int):
         cur = int(np.argmin(row))
         order[k] = cur
         visited[cur] = True
-    _two_opt_order(d, order)
+    _two_opt_order(d, d.tolist(), order)
     tour = Tour.from_order(order)
     return tour, tour_length(d, tour)
 

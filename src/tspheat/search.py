@@ -160,8 +160,11 @@ def random_tour(n: int, seed) -> Tour:
 # 2-opt
 # ---------------------------------------------------------------------------
 
-def _two_opt_order(d: np.ndarray, order: np.ndarray) -> np.ndarray:
+def _two_opt_order(d: np.ndarray, rows: list, order: np.ndarray) -> np.ndarray:
     """First-improvement 2-opt sweeps until no move improves; mutates order.
+
+    rows is d.tolist(), converted once by the caller so that a search run
+    pays for it once, not in every round.
 
     Row i pairs edge (order[i], order[i+1]) with each later edge (order[j],
     order[j+1]) in turn and applies the first pair whose delta
@@ -175,7 +178,6 @@ def _two_opt_order(d: np.ndarray, order: np.ndarray) -> np.ndarray:
     never moves position 0, so the copy stays valid.
     """
     n = order.shape[0]
-    rows = d.tolist()
     tour = order.tolist()
     tour.append(tour[0])
     # index mirror of tour for the numpy part, kept only when some row is
@@ -230,7 +232,7 @@ def two_opt_improve(d: np.ndarray, tour: Tour) -> Tour:
         raise ValueError(
             f"distance matrix shape {d.shape} does not match a tour of {tour.n} cities"
         )
-    return Tour.from_order(_two_opt_order(d, tour.order.copy()))
+    return Tour.from_order(_two_opt_order(d, d.tolist(), tour.order.copy()))
 
 
 # ---------------------------------------------------------------------------
@@ -463,12 +465,14 @@ def run_search(
     """Full multi-round search; returns (best Tour, SearchStats).
 
     Each round draws a fresh removed-edge cap from k_range and a candidate
-    construction mode (updated pruned heat vs raw distance), builds a random
-    tour, 2-opts it, then expands best-first until a whole expansion yields no
-    improvement. Heat updates survive into later rounds. The run stops at the
-    wall-clock deadline or after max_rounds, whichever comes first. Round 1's
-    random tour and 2-opt always run, so even a deadline that has already
-    passed returns a tour; its expansions stop at the deadline.
+    construction mode (updated pruned heat vs raw distance; the distance
+    lists never change, so they are built once, on the first distance
+    round), builds a random tour, 2-opts it, then expands best-first until a
+    whole expansion yields no improvement. Heat updates survive into later
+    rounds. The run stops at the wall-clock deadline or after max_rounds,
+    whichever comes first. Round 1's random tour and 2-opt always run, so
+    even a deadline that has already passed returns a tour; its expansions
+    stop at the deadline.
     """
     if params.time_budget is None and params.max_rounds is None:
         raise ValueError("a budget is required: set time_budget and/or max_rounds")
@@ -477,6 +481,9 @@ def run_search(
     if pruned.shape != (n, n):
         raise ValueError(f"pruned heat map shape {pruned.shape} does not match n={n}")
     hp = np.array(pruned, dtype=np.float64, copy=True)
+    rows = d.tolist()
+    m_eff = min(params.m, n - 1)  # presets can exceed tiny instances
+    dist_cand = None
     rng = np.random.default_rng(seed)
     stats = SearchStats()
     deadline = None
@@ -492,13 +499,15 @@ def run_search(
             break
         rounds += 1
         k_cap = int(rng.integers(params.k_range[0], params.k_range[1]))
-        mode = HEAT_MODE if rng.integers(2) == 0 else DISTANCE_MODE
-        source = hp if mode == HEAT_MODE else d
-        m_eff = min(params.m, n - 1)  # presets can exceed tiny instances
-        cand = candidate_lists(source, m_eff, mode)
+        if rng.integers(2) == 0:
+            cand = candidate_lists(hp, m_eff, HEAT_MODE)
+        else:
+            if dist_cand is None:
+                dist_cand = candidate_lists(d, m_eff, DISTANCE_MODE)
+            cand = dist_cand
         order = rng.permutation(n).astype(np.int64)
         t0 = time.perf_counter()
-        _two_opt_order(d, order)
+        _two_opt_order(d, rows, order)
         stats.two_opt_seconds += time.perf_counter() - t0
         cur_len = order_length(d, order)
         if cur_len < best_len:

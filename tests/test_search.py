@@ -651,6 +651,28 @@ class TestRunSearch:
         wall = time.perf_counter() - t0
         assert 0.0 < stats.two_opt_seconds <= wall
 
+    def test_distance_lists_built_once(self, monkeypatch):
+        # heat lists change with the heat updates and are built every heat
+        # round; distance lists are the same in every round
+        import tspheat.search as search_mod
+
+        inst = generate_random(20, 3)
+        _, pruned = top_m_filter(adjacency_weights(distance_matrix(inst)), 6)
+        params = dist_params(max_rounds=12)
+        want, want_stats = run_search(inst, pruned, params, 5)
+        modes = []
+
+        def counted(matrix, m, mode):
+            modes.append(mode)
+            return candidate_lists(matrix, m, mode)
+
+        monkeypatch.setattr(search_mod, "candidate_lists", counted)
+        tour, stats = run_search(inst, pruned, params, 5)
+        assert modes.count(DISTANCE_MODE) == 1
+        assert modes.count(HEAT_MODE) >= 1
+        assert tour.order.tolist() == want.order.tolist()
+        assert stats.best_length == want_stats.best_length
+
 
 # Pinned round-capped searches: a change that alters any RNG draw, sampled
 # city or float of the search fails here. Changing a value needs a reason.
