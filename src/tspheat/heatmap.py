@@ -34,14 +34,17 @@ def column_softmax(logits: np.ndarray) -> np.ndarray:
     Every output entry is strictly positive and every column sums to 1.
     """
     s = _as_logits(logits)
-    ws = _Workspace(s.shape[0])
+    ws = _Workspace(s.shape[0], s.dtype)
     _softmax_into(s, ws)
     return ws.t
 
 
 def _as_logits(logits) -> np.ndarray:
-    """logits as a float64 array, checked to be square and finite."""
-    s = np.asarray(logits, dtype=np.float64)
+    """logits as a float32 array if given one, else as a float64 array,
+    checked to be square and finite."""
+    s = np.asarray(logits)
+    if s.dtype != np.float32:
+        s = s.astype(np.float64, copy=False)
     if s.ndim != 2 or s.shape[0] != s.shape[1]:
         raise ValueError(f"logits must be square, got shape {s.shape}")
     if not np.isfinite(s).all():
@@ -51,7 +54,8 @@ def _as_logits(logits) -> np.ndarray:
 
 class _Workspace:
     """Preallocated buffers for the softmax and the loss/gradient kernel at
-    one size n, so that a training step allocates no n x n array.
+    one size n and one float dtype (that of the logits the kernel is given),
+    so that a training step allocates no n x n array.
 
     n x n: t (the soft indicator), t_next (its columns rolled by -1), m
     (= a @ t), g (the logit gradient) and a boolean finiteness mask;
@@ -63,16 +67,16 @@ class _Workspace:
     __slots__ = ("t", "t_next", "m", "g", "finite", "col_max", "col_sum",
                  "row_err", "col_dot")
 
-    def __init__(self, n: int):
-        self.t = np.empty((n, n))
-        self.t_next = np.empty((n, n))
-        self.m = np.empty((n, n))
-        self.g = np.empty((n, n))
+    def __init__(self, n: int, dtype=np.float64):
+        self.t = np.empty((n, n), dtype)
+        self.t_next = np.empty((n, n), dtype)
+        self.m = np.empty((n, n), dtype)
+        self.g = np.empty((n, n), dtype)
         self.finite = np.empty((n, n), dtype=bool)
-        self.col_max = np.empty(n)
-        self.col_sum = np.empty(n)
-        self.row_err = np.empty(n)
-        self.col_dot = np.empty(n)
+        self.col_max = np.empty(n, dtype)
+        self.col_sum = np.empty(n, dtype)
+        self.row_err = np.empty(n, dtype)
+        self.col_dot = np.empty(n, dtype)
 
     def all_finite(self, x: np.ndarray) -> bool:
         """np.isfinite(x).all() for an n x n x, without allocating."""
@@ -80,8 +84,8 @@ class _Workspace:
 
 
 def _softmax_into(logits: np.ndarray, ws: _Workspace) -> np.ndarray:
-    """Column softmax of finite n x n float64 logits, written into ws.t
-    (max, subtract, exp, sum, divide); returns ws.t."""
+    """Column softmax of finite n x n logits of ws's dtype, written into
+    ws.t (max, subtract, exp, sum, divide); returns ws.t."""
     t = ws.t
     # the ufunc reductions np.max and np.sum call, without their wrappers
     np.maximum.reduce(logits, 0, out=ws.col_max)
@@ -187,6 +191,7 @@ def _loss_and_gradient(
     """Loss breakdown and logit gradient at t = column_softmax(logits), from
     one matrix product, computed in the buffers of ws.
 
+    logits, a and ws share one dtype, in which every step is computed.
     a = d + lambda2*I must be symmetric. With M = a @ t and V the cyclic
     shift, trace(t V t.T) = <t, t_next> and the bilinear term
     <a, t V t.T> = <t_next, M>, where t_next = roll(t, -1) holds column k+1
@@ -237,8 +242,9 @@ def loss_gradient(
 ) -> np.ndarray:
     """Exact gradient of total surrogate loss with respect to each logit.
 
-    d must be symmetric, as every distance matrix here is; the shared
-    one-product kernel relies on it.
+    Computed in float32 for float32 logits and in float64 for any other
+    input; the gradient has that dtype. d must be symmetric, as every
+    distance matrix here is; the shared one-product kernel relies on it.
     """
     s = _as_logits(logits)
     d = np.asarray(d, dtype=np.float64)
@@ -249,8 +255,9 @@ def loss_gradient(
         raise ValueError(f"dimension mismatch: logits {s.shape}, d {d.shape}")
     if not np.array_equal(d, d.T):
         raise ValueError("d must be symmetric")
-    ws = _Workspace(n)
-    _, grad = _loss_and_gradient(s, d + lambda2 * np.eye(n), lambda1, lambda2, ws)
+    ws = _Workspace(n, s.dtype)
+    a = (d + lambda2 * np.eye(n)).astype(s.dtype, copy=False)
+    _, grad = _loss_and_gradient(s, a, lambda1, lambda2, ws)
     if not ws.all_finite(grad):
         raise NumericError("gradient evaluation produced non-finite values")
     return grad

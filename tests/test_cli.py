@@ -175,6 +175,22 @@ class TestSolve:
         assert length == pytest.approx(opt, abs=1e-9)
         assert svg_path.read_text().count("<circle") == 10
 
+    def test_huge_coordinates_solve(self, tmp_path):
+        # distances near 1e100 overflow float32; the fit trains on them
+        # scaled by a power of two
+        inst = Instance(coords=generate_random(30, 4).coords * 1e100)
+        inst_path = tmp_path / "huge.txt"
+        inst_path.write_text(format_instance(inst))
+        tour_path = tmp_path / "tour.txt"
+        code = main([
+            "solve", "--instance", str(inst_path), "--preset", "tsp20",
+            "--rounds", "2", "--seed", "4", "--out", str(tour_path),
+        ])
+        assert code == 0
+        tour, length = parse_tour(tour_path.read_text())
+        assert sorted(tour.order.tolist()) == list(range(30))
+        assert np.isfinite(length) and length > 0
+
     def test_reports_stage_seconds(self, instance_file, tmp_path, capsys):
         code = main([
             "solve", "--instance", instance_file, "--preset", "tsp20",

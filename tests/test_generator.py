@@ -7,11 +7,18 @@ import pytest
 from tspheat import generator
 from tspheat.generator import TrainConfig, default_steps, init_logits, optimize_heatmap
 from tspheat.heatmap import column_softmax, indicator_to_heatmap, loss_gradient, surrogate_loss
-from tspheat.instances import distance_matrix, generate_random
+from tspheat.instances import Instance, distance_matrix, generate_random
+
+
+EPS32 = float(np.finfo(np.float32).eps)
 
 
 def _assert_breakdowns_match(got, want):
-    tol = 1e-12 * max(1.0, abs(want.total))
+    # per_step holds float32 breakdowns and want is the float64 loss of
+    # (nearly) the same parameters; each term is a float32 sum of entries
+    # in [0, 1] or of their products with distances, so it carries a few
+    # eps32 of relative error
+    tol = 16 * EPS32 * max(1.0, abs(want.total))
     for field in ("row_penalty", "self_loop", "expected_length", "total"):
         assert abs(getattr(got, field) - getattr(want, field)) <= tol, field
 
@@ -144,21 +151,60 @@ class TestOptimizeHeatmap:
         assert max(peaks[1:]) < n * n * 8
 
     def test_matches_textbook_adam(self):
-        inst = generate_random(9, 5)
-        cfg = TrainConfig(steps=40, seed=5)
-        d = distance_matrix(inst)
-        logits = init_logits(inst.n, cfg)
-        m = np.zeros_like(logits)
-        v = np.zeros_like(logits)
-        for k in range(1, cfg.steps + 1):
-            g = loss_gradient(logits, d, cfg.lambda1, cfg.lambda2)
-            m = cfg.beta1 * m + (1.0 - cfg.beta1) * g
-            v = cfg.beta2 * v + (1.0 - cfg.beta2) * (g * g)
-            m_hat = m / (1.0 - cfg.beta1**k)
-            v_hat = v / (1.0 - cfg.beta2**k)
-            logits -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.epsilon)
-        _, t, _ = optimize_heatmap(inst, cfg)
-        assert np.array_equal(t, column_softmax(logits))
+        # the textbook update replayed on float32 arrays, with the float32
+        # gradient of the public loss_gradient, from the cast initial logits
+        for n in (9, 30):
+            inst = generate_random(n, 5)
+            cfg = TrainConfig(steps=40, seed=5)
+            d = distance_matrix(inst)
+            logits = init_logits(inst.n, cfg).astype(np.float32)
+            m = np.zeros_like(logits)
+            v = np.zeros_like(logits)
+            for k in range(1, cfg.steps + 1):
+                g = loss_gradient(logits, d, cfg.lambda1, cfg.lambda2)
+                assert g.dtype == np.float32
+                m = cfg.beta1 * m + (1.0 - cfg.beta1) * g
+                v = cfg.beta2 * v + (1.0 - cfg.beta2) * (g * g)
+                m_hat = m / (1.0 - cfg.beta1**k)
+                v_hat = v / (1.0 - cfg.beta2**k)
+                logits -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.epsilon)
+            assert logits.dtype == np.float32
+            _, t, _ = optimize_heatmap(inst, cfg)
+            assert t.dtype == np.float64
+            assert np.array_equal(t, column_softmax(logits))
+
+    def test_fit_returns_float64(self):
+        h, t, trace = optimize_heatmap(generate_random(12, 6), TrainConfig(steps=20, seed=6))
+        assert h.dtype == t.dtype == np.float64
+        assert isinstance(trace.final.total, float)
+
+    def test_power_of_two_scales_fit_alike(self):
+        # distances from 2**40 up train on the same exactly scaled matrix,
+        # so scales 2**100 and 2**150 give the same fit; the final loss
+        # stays in the instance's units
+        coords = generate_random(30, 7).coords
+        cfg = TrainConfig(steps=60, seed=7)
+        fits = [optimize_heatmap(Instance(coords=coords * 2.0**p), cfg) for p in (100, 150)]
+        (h1, t1, trace1), (h2, t2, trace2) = fits
+        assert np.array_equal(t1, t2)
+        assert np.array_equal(h1, h2)
+        assert [b.total for b in trace1.per_step] == [b.total for b in trace2.per_step]
+        assert trace2.final.expected_length == pytest.approx(
+            trace1.final.expected_length * 2.0**50, rel=1e-12)
+
+    def test_distances_below_the_bound_train_unscaled(self):
+        # the largest distance of coords * 2**38 lies below 2**40, so the
+        # fit trains on those distances: its first loss matches the float64
+        # loss of the initial parameters at that scale
+        inst = generate_random(10, 8)
+        big = Instance(coords=inst.coords * 2.0**38)
+        d = distance_matrix(big)
+        assert d.max() < 2.0**generator.TRAIN_MAX_EXPONENT
+        cfg = TrainConfig(steps=1, seed=8)
+        t = column_softmax(init_logits(10, cfg))
+        want = surrogate_loss(t, indicator_to_heatmap(t), d, cfg.lambda1, cfg.lambda2)
+        _, _, trace = optimize_heatmap(big, cfg)
+        _assert_breakdowns_match(trace.per_step[0], want)
 
 
 class TestGoldenTraining:

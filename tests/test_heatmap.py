@@ -206,6 +206,32 @@ class TestLossGradient:
             rel = np.abs(grad - fd) / np.maximum(np.abs(fd), 1e-8)
             assert rel.max() < 1e-4
 
+    def test_dtype_follows_logits(self):
+        # float64 logits take the float64 kernel, whose bytes were recorded
+        # before the kernel took its dtype from the logits; float32 logits
+        # give a float32 gradient within float32 round-off of the float64 one
+        # at the same point (n * eps32 of the gradient's scale: the kernel's
+        # matrix product sums n terms)
+        import hashlib
+
+        from tspheat.generator import TrainConfig, init_logits
+
+        n = 30
+        d = distance_matrix(generate_random(n, 8))
+        s = init_logits(n, TrainConfig(seed=8))
+        g64 = loss_gradient(s, d, 2.0, 1.0)
+        assert g64.dtype == np.float64
+        assert hashlib.sha256(g64.tobytes()).hexdigest() == (
+            "6d68285e6f492ed1c6f4c2a74537d14cfd934ea366f3ae4c1ccba0d0cbc5557a")
+        s32 = s.astype(np.float32)
+        g32 = loss_gradient(s32, d, 2.0, 1.0)
+        assert g32.dtype == np.float32
+        ref = loss_gradient(s32.astype(np.float64), d, 2.0, 1.0)
+        eps32 = np.finfo(np.float32).eps
+        assert np.abs(g32 - ref).max() <= n * eps32 * np.abs(ref).max()
+        assert column_softmax(s32).dtype == np.float32
+        assert column_softmax(s.tolist()).dtype == np.float64
+
     def test_rejects_asymmetric_distances(self):
         d = distance_matrix(generate_random(5, 0))
         d[0, 1] += 0.5
