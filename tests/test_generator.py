@@ -224,20 +224,20 @@ class TestGoldenTraining:
     CASES = [
         # (n, seed, indicator_sha, heat_sha, repr(final.total), per_step_sha)
         (14, 3,
-         "d8d967815bc9118d7b52e6deeacd62a35d18c513e45ce0dbe35517ac9256331c",
-         "79ac77fd03caadaaf76a0f516bef04307501b3c8024a47ee78d7f65ba894ce60",
-         "5.192008424698268",
-         "6e26044e147816ea6bce94b504573b46a0cf6caafe1dca233381b4d7c2118143"),
+         "faa0dda22f8fd9eaba01b2df1e5acf046d19e0ab8c5b7615b4af7791ab9d8d60",
+         "cf0cad0b4b1988b6a4c6ed896b8d9a41b81319f54a866b6525869106b1b94a6c",
+         "5.192007976655624",
+         "fe0c2f763388a6febea394fcb91470a4fd8e0f4d281e6ef70f464c355c9168a1"),
         (50, 7,
-         "1314c4532b0770c7e809cb5f148fd3f39a1af532ffef962e92d933e89fa81df0",
-         "80f067d8c175175e02868ae4f3e6d29a82391975f8b493da606ef170a8b4de56",
-         "9.156064719245371",
-         "72a643670eaee3cab502360ea5686e5dd831d15298ca720c14131f567bc131d9"),
+         "d6b1ec0c1fef242f1909c13c6e55831eef8c94c81732068513093f95dad8d684",
+         "b0d416d71286140969aea4468558756bf64d698fd7202d919df668f3a9658b4e",
+         "9.156063558364945",
+         "32ac8f4e5e19c97e20d5d259086112993cb6c1fbbf9fc9dc098e5788b27c6292"),
         (100, 11,
-         "9f37ba37fcbd5862cc8484b066141aba95327bd8999deed73a4d7882a850f7c1",
+         "2ba7de4b8f0e2e2747747e9fd40eed33c6fbac322b5cdbfb957bd8e92ccb54a8",
          None,
-         "13.80921702970734",
-         "93fef00f32c27aae2645d625a41d4a50453bedd9bec6cebc0d8ca26d46bf2ef7"),
+         "13.809217537608756",
+         "fcb6672e1b86179b884b75b21c88cb211c0daad4444d89010feec129d14d4961"),
     ]
 
     @pytest.mark.parametrize(
