@@ -169,14 +169,9 @@ class TestOptimizeHeatmap:
                 v_hat = v / (1.0 - cfg.beta2**k)
                 logits -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.epsilon)
             assert logits.dtype == np.float32
-            _, t, _ = optimize_heatmap(inst, cfg)
-            assert t.dtype == np.float64
+            h, t, _ = optimize_heatmap(inst, cfg)
+            assert h.dtype == t.dtype == np.float64
             assert np.array_equal(t, column_softmax(logits))
-
-    def test_fit_returns_float64(self):
-        h, t, trace = optimize_heatmap(generate_random(12, 6), TrainConfig(steps=20, seed=6))
-        assert h.dtype == t.dtype == np.float64
-        assert isinstance(trace.final.total, float)
 
     def test_power_of_two_scales_fit_alike(self):
         # distances from 2**40 up train on the same exactly scaled matrix,
