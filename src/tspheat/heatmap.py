@@ -67,7 +67,7 @@ class _Workspace:
     __slots__ = ("t", "t_next", "m", "g", "finite", "col_max", "col_sum",
                  "row_err", "col_dot")
 
-    def __init__(self, n: int, dtype=np.float64):
+    def __init__(self, n: int, dtype):
         self.t = np.empty((n, n), dtype)
         self.t_next = np.empty((n, n), dtype)
         self.m = np.empty((n, n), dtype)
