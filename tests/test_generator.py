@@ -130,7 +130,7 @@ class TestOptimizeHeatmap:
     def test_step_loop_allocates_no_square_array(self, monkeypatch):
         # numpy reports its buffers to tracemalloc; between two kernel calls
         # (the Adam update, the checks and one kernel call) nothing of n x n
-        # float64 size may be allocated, even if freed again
+        # float32 size may be allocated, even if freed again
         n = 160
         kernel = generator._loss_and_gradient
         peaks = []
@@ -148,7 +148,7 @@ class TestOptimizeHeatmap:
         finally:
             tracemalloc.stop()
         assert trace.steps == len(peaks) == 6
-        assert max(peaks[1:]) < n * n * 8
+        assert max(peaks[1:]) < n * n * 4
 
     def test_matches_textbook_adam(self):
         # the textbook update replayed on float32 arrays, with the float32
