@@ -12,6 +12,13 @@ end early at a dead end rather than at the removed-edge cap. Edges of applied
 improving actions get their heat raised, and the raised heat persists across
 rounds.
 
+An attempt pays only for the steps it takes. An expansion draws all its
+anchors at once and memoises each anchor's first step, which depends only
+on the anchor, the base tour and the candidate table. Candidate rows are
+kept in ascending distance order, so a row scan stops at the first
+candidate the gain rule rejects. The table is built once per round and
+patched in place on each heat update.
+
 Everything here is single-threaded per run: a run owns its mutable copy of
 the pruned heat map and its statistics. Parallelism belongs across runs.
 """
@@ -23,6 +30,7 @@ import time
 from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from itertools import islice
+from operator import itemgetter
 from typing import Optional
 
 import numpy as np
@@ -106,14 +114,15 @@ class SearchStats:
     """Counters accumulated over a run.
 
     total_expansions counts every construction attempt, completed or
-    discarded. An attempt that does not return an improving action ends
-    either at a dead end (no feasible candidate; dead_ends) or at the
-    removed-edge cap (cap_hits). two_opt_seconds is the wall-clock time
+    discarded. Each attempt ends once: with an improving action (improving),
+    at a dead end (no feasible candidate; dead_ends) or at the removed-edge
+    cap (cap_hits), so the three sum to total_expansions. two_opt_seconds is the wall-clock time
     spent in each round's 2-opt; it is a timing, so no determinism check
     reads it.
     """
 
     total_expansions: int = 0
+    improving: int = 0
     dead_ends: int = 0
     cap_hits: int = 0
     rounds: int = 0
@@ -248,10 +257,12 @@ def _draw(cums: list, rand) -> int:
     return i if i < len(cums) else len(cums) - 1
 
 
-def _candidate_table(cand: tuple, d: np.ndarray, pruned: np.ndarray) -> tuple:
-    """Per city u, a tuple of (v, edge key, pruned[u, v], d[u, v]) for each
-    candidate v, as plain Python values. O(n * m); it goes stale when the
-    pruned heat changes, so it is rebuilt for every expansion."""
+def _candidate_table(cand: tuple, d: np.ndarray, pruned: np.ndarray) -> list:
+    """Per city u, a list of (v, edge key, pruned[u, v], d[u, v]) for each
+    candidate v, as plain Python values, in ascending distance order. The
+    sort is stable, so a distance-ranked list keeps its order. O(n * m log m);
+    run_search builds it once per round and _patch_table keeps its heat
+    current after each heat update."""
     lens = [len(cl) for cl in cand]
     src = np.repeat(np.arange(len(lens)), lens)
     dst = np.concatenate(cand)
@@ -260,93 +271,118 @@ def _candidate_table(cand: tuple, d: np.ndarray, pruned: np.ndarray) -> tuple:
         for u, v, h, w in zip(src.tolist(), dst.tolist(),
                               pruned[src, dst].tolist(), d[src, dst].tolist())
     ])
-    return tuple(tuple(islice(entries, k)) for k in lens)
+    return [sorted(islice(entries, k), key=itemgetter(3)) for k in lens]
+
+
+def _patch_table(table: list, edges, pruned: np.ndarray) -> None:
+    """Rewrite the heat of each edge's entries, in both directions, from
+    pruned. update_heatmap raises the heat of an action's added edges only,
+    so patching those keeps the table equal to a fresh _candidate_table."""
+    for a, b in edges:
+        for u, v in ((a, b), (b, a)):
+            row = table[u]
+            for i, (c, key, _, w) in enumerate(row):
+                if c == v:
+                    row[i] = (c, key, pruned.item(u, v), w)
+                    break
+
+
+def _positions(order: list) -> list:
+    """pos[c] = the index of city c in order."""
+    pos = [0] * len(order)
+    for i, c in enumerate(order):
+        pos[c] = i
+    return pos
+
+
+def _feasible(row: list, gain: float, u1: int, neighbor: int, removed_set,
+              added_set, added_ends, path) -> tuple:
+    """The feasible entries of the moving endpoint's candidate row and their
+    running weight sums, for _draw.
+
+    A candidate c is feasible only while the running gain stays positive,
+    gain - d(v_i, c) > MIN_GAIN (the Lin-Kernighan gain criterion). The row
+    ascends in distance, so the first candidate that fails the test ends the
+    scan. Other infeasible cities (closing anchor, current path neighbour,
+    re-adds of removed edges, forced removal of added edges) are skipped.
+    Only an endpoint of an added edge can have an added edge toward its path
+    successor, so only those candidates pay for a position lookup in path.
+    Each feasible candidate weighs max(pruned heat, WEIGHT_FLOOR).
+    """
+    feas = []
+    cums = []
+    total = 0.0
+    for entry in row:
+        c, key, heat, added_len = entry
+        if gain - added_len <= MIN_GAIN:
+            break
+        if c == u1 or c == neighbor or key in removed_set:
+            continue
+        if c in added_ends:
+            nxt = path[path.index(c) + 1]
+            if ((c, nxt) if c < nxt else (nxt, c)) in added_set:
+                continue
+        total += WEIGHT_FLOOR if heat < WEIGHT_FLOOR else heat
+        feas.append(entry)
+        cums.append(total)
+    return feas, cums
 
 
 def _construct(
     d: np.ndarray,
-    order: list,
-    table: tuple,
+    base: list,
+    pos: list,
+    table: list,
+    first: list,
+    u1: int,
     stats: SearchStats,
     k_cap: int,
-    rng: np.random.Generator,
+    rand,
 ) -> Optional[KOptAction]:
-    """One sequential construction attempt; returns an improving action or
-    None (discard).
+    """One sequential construction attempt from anchor u1 on the base tour
+    order; returns an improving action or None (discard).
 
     The state is a Hamiltonian path, a list with fixed endpoint path[0] = u_1
-    and moving endpoint path[-1]. Adding an edge from the moving endpoint to
-    an interior city forces removal of that city's edge toward the moving
-    side (the only choice that keeps a Hamiltonian path), implemented as a
-    suffix reversal. A candidate c of the moving endpoint v_i is feasible
-    only when the running gain stays positive, gain - d(v_i, c) > MIN_GAIN
-    (the Lin-Kernighan gain criterion); the test comes first, so a rejected
-    candidate costs no lookup. Other infeasible cities (closing anchor,
-    current path neighbour, re-adds of removed edges, forced removal of
-    added edges) are skipped too. Only an endpoint of an added edge can have
-    an added edge toward its path successor, so only those candidates pay
-    for a position lookup. Feasible candidates are weighted by
-    max(pruned heat, WEIGHT_FLOOR) and one is drawn by _draw. Under the gain
-    rule most attempts end at a dead end (no feasible candidate) long before
-    the removed-edge cap k_cap; each unsuccessful attempt adds one to
-    stats.dead_ends or stats.cap_hits.
+    and moving endpoint path[-1], which starts at u_1's tour successor v_1.
+    Adding an edge from the moving endpoint to an interior city forces
+    removal of that city's edge toward the moving side (the only choice that
+    keeps a Hamiltonian path), implemented as a suffix reversal. Each step
+    draws the next city from _feasible's entries with _draw (rand is a
+    uniform [0, 1) source). The first step depends only on u_1, the base
+    tour and the table, so its feasible entries are memoised in first[u_1]
+    (pos holds each city's index in base); an anchor with none is a dead end
+    read from the memo, and the path is built only once a first city is
+    drawn. k_cap (>= 2) caps the removed edges. Under the gain rule most
+    attempts end at a dead end (no feasible candidate) long before the cap;
+    each attempt adds one to exactly one of stats.improving, stats.dead_ends
+    and stats.cap_hits.
     """
-    u1 = int(rng.integers(len(order)))
-    i1 = order.index(u1)
-    # path = u1 followed by the rest of the cycle walked backward, so the
-    # moving endpoint starts at u1's tour successor
-    path = order[i1::-1] + order[:i1:-1]
-
     d_at = d.item
-    rand = rng.random
-
-    v1 = path[-1]
+    n = len(base)
+    i1 = pos[u1]
+    v1 = base[i1 + 1 - n]
+    step = first[u1]
+    if step is None:
+        # the moving endpoint is v1, its path neighbour v1's tour successor
+        step = first[u1] = _feasible(table[v1], d_at(u1, v1), u1, base[i1 + 2 - n],
+                                     {_ekey(u1, v1)}, (), (), None)
+    feas, cums = step
+    if not feas:
+        stats.dead_ends += 1
+        return None
     seq = [u1, v1]
-    removed_set = {(u1, v1) if u1 < v1 else (v1, u1)}
+    removed_set = {_ekey(u1, v1)}
     added_set = set()
     added_ends = set()
     gain = d_at(u1, v1)  # running sum(removed) - sum(added)
+    vi = v1
+    u_next, key, _, added_len = feas[_draw(cums, rand)]
+    # path = u1 followed by the rest of the cycle walked backward, so
+    # path[t] = base[(i1 - t) % n]
+    path = base[i1::-1] + base[:i1:-1]
+    j = (i1 - pos[u_next]) % n
     k = 1
     while True:
-        vi = path[-1]
-        close_gain = gain - d_at(vi, u1)
-        # a closure that would re-add the anchor edge (only possible when the
-        # moving endpoint returns to v_1) is degenerate: the same rewiring is
-        # a shorter chain anchored elsewhere, so it is not accepted here
-        if close_gain > MIN_GAIN and vi != v1:
-            seq.append(u1)
-            return KOptAction(
-                sequence=tuple(seq),
-                removed=tuple(_ekey(a, b) for a, b in zip(seq[0::2], seq[1::2])),
-                added=tuple(_ekey(a, b) for a, b in zip(seq[1::2], seq[2::2])),
-                gain=close_gain,
-                new_order=np.array(path, dtype=np.int64),
-            )
-        if k >= k_cap:
-            stats.cap_hits += 1
-            return None
-        neighbor = path[-2]
-        feas = []
-        cums = []
-        total = 0.0
-        for entry in table[vi]:
-            c, key, heat, added_len = entry
-            if gain - added_len <= MIN_GAIN:
-                continue
-            if c == u1 or c == neighbor or key in removed_set:
-                continue
-            if c in added_ends:
-                nxt = path[path.index(c) + 1]
-                if ((c, nxt) if c < nxt else (nxt, c)) in added_set:
-                    continue
-            total += WEIGHT_FLOOR if heat < WEIGHT_FLOOR else heat
-            feas.append(entry)
-            cums.append(total)
-        if not feas:
-            stats.dead_ends += 1
-            return None
-        u_next, key, _, added_len = feas[_draw(cums, rand)]
-        j = path.index(u_next)
         v_next = path[j + 1]
         added_set.add(key)
         added_ends.add(vi)
@@ -358,6 +394,31 @@ def _construct(
         # rewire: reverse the suffix after u_next
         path[j + 1:] = path[:j:-1]
         k += 1
+        vi = v_next
+        close_gain = gain - d_at(vi, u1)
+        # a closure that would re-add the anchor edge (only possible when the
+        # moving endpoint returns to v_1) is degenerate: the same rewiring is
+        # a shorter chain anchored elsewhere, so it is not accepted here
+        if close_gain > MIN_GAIN and vi != v1:
+            seq.append(u1)
+            stats.improving += 1
+            return KOptAction(
+                sequence=tuple(seq),
+                removed=tuple(_ekey(a, b) for a, b in zip(seq[0::2], seq[1::2])),
+                added=tuple(_ekey(a, b) for a, b in zip(seq[1::2], seq[2::2])),
+                gain=close_gain,
+                new_order=np.array(path, dtype=np.int64),
+            )
+        if k >= k_cap:
+            stats.cap_hits += 1
+            return None
+        feas, cums = _feasible(table[vi], gain, u1, path[-2], removed_set,
+                               added_set, added_ends, path)
+        if not feas:
+            stats.dead_ends += 1
+            return None
+        u_next, key, _, added_len = feas[_draw(cums, rand)]
+        j = path.index(u_next)
 
 
 def construct_kopt_action(
@@ -376,35 +437,43 @@ def construct_kopt_action(
     Returns the completed improving action, or None when the attempt dead-ends
     (no candidate keeps the running gain positive or is otherwise feasible)
     or hits the removed-edge cap (k_cap; sampled from params.k_range when not
-    given). An unsuccessful attempt adds one to stats.dead_ends or
+    given). The attempt adds one to stats.improving, stats.dead_ends or
     stats.cap_hits.
     """
     if k_cap is None:
         k_cap = int(rng.integers(params.k_range[0], params.k_range[1]))
-    return _construct(d, tour.order.tolist(), _candidate_table(cand, d, pruned),
-                      stats, k_cap, rng)
+    base = tour.order.tolist()
+    u1 = int(rng.integers(len(base)))
+    return _construct(d, base, _positions(base), _candidate_table(cand, d, pruned),
+                      [None] * len(base), u1, stats, k_cap, rng.random)
 
 
 def _expand(
     d: np.ndarray,
     order: np.ndarray,
-    cand: tuple,
-    pruned: np.ndarray,
+    table: list,
     stats: SearchStats,
     params: SearchParams,
     k_cap: int,
     rng: np.random.Generator,
     deadline: Optional[float],
 ) -> Optional[KOptAction]:
-    """Try up to expand_budget constructions, keep the largest-gain action."""
+    """Try up to expand_budget constructions, keep the largest-gain action.
+
+    All anchors are drawn at once, each uniform and independent, and the
+    attempts share one first-step memo, since the base tour and the table
+    do not change during an expansion."""
     base = order.tolist()
-    table = _candidate_table(cand, d, pruned)
+    n = len(base)
+    pos = _positions(base)
+    first = [None] * n
+    rand = rng.random
     best: Optional[KOptAction] = None
-    for _ in range(params.expand_budget):
+    for u1 in rng.integers(n, size=params.expand_budget).tolist():
         if deadline is not None and time.perf_counter() >= deadline:
             break
         stats.total_expansions += 1
-        action = _construct(d, base, table, stats, k_cap, rng)
+        action = _construct(d, base, pos, table, first, u1, stats, k_cap, rand)
         if action is not None and (best is None or action.gain > best.gain):
             best = action
     return best
@@ -428,7 +497,8 @@ def expand_node(
     """
     if k_cap is None:
         k_cap = int(rng.integers(params.k_range[0], params.k_range[1]))
-    best = _expand(d, tour.order, cand, pruned, stats, params, k_cap, rng, deadline=None)
+    best = _expand(d, tour.order, _candidate_table(cand, d, pruned), stats, params, k_cap,
+                   rng, deadline=None)
     if best is None:
         return None
     return Tour.from_order(best.new_order), best
@@ -467,9 +537,10 @@ def run_search(
     Each round draws a fresh removed-edge cap from k_range and a candidate
     construction mode (updated pruned heat vs raw distance; the distance
     lists never change, so they are built once, on the first distance
-    round), builds a random tour, 2-opts it, then expands best-first until a
-    whole expansion yields no improvement. Heat updates survive into later
-    rounds. The run stops at the wall-clock deadline or after max_rounds,
+    round), builds the round's candidate table from its lists, builds a
+    random tour, 2-opts it, then expands best-first until a whole expansion
+    yields no improvement. After each heat update only the table entries of
+    the added edges are rewritten. Heat updates survive into later rounds. The run stops at the wall-clock deadline or after max_rounds,
     whichever comes first. Round 1's random tour and 2-opt always run, so
     even a deadline that has already passed returns a tour; its expansions
     stop at the deadline.
@@ -505,6 +576,7 @@ def run_search(
             if dist_cand is None:
                 dist_cand = candidate_lists(d, m_eff, DISTANCE_MODE)
             cand = dist_cand
+        table = _candidate_table(cand, d, hp)
         order = rng.permutation(n).astype(np.int64)
         t0 = time.perf_counter()
         _two_opt_order(d, rows, order)
@@ -516,11 +588,12 @@ def run_search(
         while True:
             if deadline is not None and time.perf_counter() >= deadline:
                 break
-            action = _expand(d, order, cand, hp, stats, params, k_cap, rng, deadline)
+            action = _expand(d, order, table, stats, params, k_cap, rng, deadline)
             if action is None:
                 break
             new_len = cur_len - action.gain
             update_heatmap(hp, action, cur_len, new_len, params.beta)
+            _patch_table(table, action.added, hp)
             order = action.new_order
             cur_len = new_len
             # the best is kept by exact length: the incremental cur_len can

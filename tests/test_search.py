@@ -41,7 +41,10 @@ from tspheat.search import (
     run_search,
     two_opt_improve,
     update_heatmap,
+    _candidate_table,
+    _construct,
     _draw,
+    _positions,
 )
 
 SQUARE = Instance(coords=np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]))
@@ -429,6 +432,38 @@ class TestConstructAction:
         assert (stats.dead_ends, stats.cap_hits) == (50, 0)
 
 
+class TestFirstStepMemo:
+    @given(st.integers(5, 60), st.integers(0, 10_000),
+           st.sampled_from([HEAT_MODE, DISTANCE_MODE]))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_the_rules_written_out(self, n, seed, mode):
+        # step 1 from anchor u1: the moving endpoint is v1 = succ(u1), its
+        # path neighbour succ(v1), the running gain d(u1, v1), and no edge is
+        # added yet; so the feasible candidates are v1's that keep the gain
+        # positive, other than u1 and succ(v1), in ascending distance order,
+        # each weighing its floored heat
+        d = distance_matrix(generate_random(n, seed))
+        m = min(6, n - 1)
+        _, pruned = top_m_filter(adjacency_weights(d), m)
+        cand = candidate_lists(pruned if mode == HEAT_MODE else d, m, mode)
+        base = two_opt_improve(d, random_tour(n, seed)).order.tolist()
+        table = _candidate_table(cand, d, pruned)
+        first = [None] * n
+        rng = np.random.default_rng(seed)
+        for u1 in range(n):
+            _construct(d, base, _positions(base), table, first, u1, SearchStats(), 4,
+                       rng.random)
+        for i, u1 in enumerate(base):
+            v1, nb = base[(i + 1) % n], base[(i + 2) % n]
+            row = sorted(cand[v1].tolist(), key=lambda c: d[v1, c])
+            want = [c for c in row
+                    if d[u1, v1] - d[v1, c] > MIN_GAIN and c != u1 and c != nb]
+            weights = [max(float(pruned[v1, c]), WEIGHT_FLOOR) for c in want]
+            feas, cums = first[u1]
+            assert [entry[0] for entry in feas] == want
+            assert cums == list(itertools.accumulate(weights))
+
+
 class TestExpandNode:
     def test_returns_best_gain_action(self):
         # engineered instance: from the crossing tour several improving
@@ -482,17 +517,21 @@ class TestExpandNode:
         params = dist_params(expand_budget=200)
         stats = SearchStats()
         expand_node(d, tour, cand, pruned, stats, params, np.random.default_rng(5), k_cap=3)
+        assert stats.total_expansions == 200
+        assert stats.dead_ends > 0 and stats.cap_hits > 0 and stats.improving > 0
+        assert stats.dead_ends + stats.cap_hits + stats.improving == stats.total_expansions
+        # replay: the expansion draws all its anchors at once, then each
+        # attempt draws its cities; here every attempt gets a fresh first-step
+        # memo, so a stale shared memo would show as a different ending
         replay = SearchStats()
         rng = np.random.default_rng(5)
-        improving = sum(
-            construct_kopt_action(d, tour, cand, pruned, replay, params, rng, k_cap=3)
-            is not None
-            for _ in range(200)
-        )
-        assert stats.total_expansions == 200
-        assert stats.dead_ends > 0 and stats.cap_hits > 0 and improving > 0
-        assert stats.dead_ends + stats.cap_hits + improving == stats.total_expansions
+        base = tour.order.tolist()
+        table = _candidate_table(cand, d, pruned)
+        for u1 in rng.integers(40, size=200).tolist():
+            _construct(d, base, _positions(base), table, [None] * 40, u1, replay, 3,
+                       rng.random)
         assert (replay.dead_ends, replay.cap_hits) == (stats.dead_ends, stats.cap_hits)
+        assert replay.improving == stats.improving
 
     def test_counts_every_attempt(self):
         inst = generate_random(10, 7)
@@ -673,6 +712,58 @@ class TestRunSearch:
         assert tour.order.tolist() == want.order.tolist()
         assert stats.best_length == want_stats.best_length
 
+
+    def test_patched_table_matches_fresh_build(self, monkeypatch):
+        # the candidate table is built once per round and patched after each
+        # heat update; at every expansion it must equal a fresh build from
+        # the round's lists and the current heat
+        import tspheat.search as search_mod
+
+        inst = generate_random(30, 4)
+        d = distance_matrix(inst)
+        _, pruned = top_m_filter(adjacency_weights(d), 6)
+        real_table, real_expand = search_mod._candidate_table, search_mod._expand
+        rounds = []  # (lists, heat map, table, table as built) per round
+        checked = []
+
+        def table_spy(cand, dd, hp):
+            table = real_table(cand, dd, hp)
+            rounds.append((cand, hp, table, [list(row) for row in table]))
+            return table
+
+        def expand_spy(dd, order, table, *args):
+            cand, hp, own, _ = rounds[-1]
+            assert table is own
+            assert table == real_table(cand, dd, hp)
+            checked.append(table)
+            return real_expand(dd, order, table, *args)
+
+        monkeypatch.setattr(search_mod, "_candidate_table", table_spy)
+        monkeypatch.setattr(search_mod, "_expand", expand_spy)
+        _, stats = run_search(inst, pruned, dist_params(m=6, max_rounds=6), 3)
+        assert len(rounds) == stats.rounds == 6
+        assert len(checked) > len(rounds)
+        # the heat updates did change the tables
+        assert any(table != start for _, _, table, start in rounds)
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    @pytest.mark.parametrize("layout", ["duplicate", "collinear"])
+    def test_tiny_degenerate_instances(self, n, layout):
+        from tspheat.bench import held_karp_exact
+
+        if layout == "duplicate":
+            coords = np.full((n, 2), 0.25)
+        else:
+            x = np.random.default_rng(n).permutation(n).astype(np.float64)
+            coords = np.column_stack([x, 2.0 * x])
+        inst = Instance(coords=coords)
+        d = distance_matrix(inst)
+        _, pruned = top_m_filter(adjacency_weights(d), n - 1)
+        tour, stats = run_search(inst, pruned, PRESETS["tsp20"].with_budget(max_rounds=3), n)
+        assert sorted(tour.order.tolist()) == list(range(n))
+        _, opt = held_karp_exact(inst)
+        assert stats.best_length == tour_length(d, tour) == pytest.approx(opt, abs=1e-12)
+        assert stats.dead_ends + stats.cap_hits + stats.improving == stats.total_expansions
 
 # Pinned round-capped searches: a change that alters any RNG draw, sampled
 # city or float of the search fails here. Changing a value needs a reason.
