@@ -421,6 +421,16 @@ def _construct(
         j = path.index(u_next)
 
 
+def _k_cap(k_cap: Optional[int], params: SearchParams, rng: np.random.Generator) -> int:
+    """The given removed-edge cap, or one drawn from params.k_range. A cap
+    below 2 admits no move, so it is rejected, as in SearchParams."""
+    if k_cap is None:
+        return int(rng.integers(params.k_range[0], params.k_range[1]))
+    if k_cap < 2:
+        raise ValueError(f"k_cap must be >= 2, got {k_cap}")
+    return k_cap
+
+
 def construct_kopt_action(
     d: np.ndarray,
     tour: Tour,
@@ -440,8 +450,7 @@ def construct_kopt_action(
     given). The attempt adds one to stats.improving, stats.dead_ends or
     stats.cap_hits.
     """
-    if k_cap is None:
-        k_cap = int(rng.integers(params.k_range[0], params.k_range[1]))
+    k_cap = _k_cap(k_cap, params, rng)
     base = tour.order.tolist()
     u1 = int(rng.integers(len(base)))
     return _construct(d, base, _positions(base), _candidate_table(cand, d, pruned),
@@ -495,8 +504,7 @@ def expand_node(
     (improved Tour, applied KOptAction) for the shortest completed candidate,
     or None when no attempt improved the tour.
     """
-    if k_cap is None:
-        k_cap = int(rng.integers(params.k_range[0], params.k_range[1]))
+    k_cap = _k_cap(k_cap, params, rng)
     best = _expand(d, tour.order, _candidate_table(cand, d, pruned), stats, params, k_cap,
                    rng, deadline=None)
     if best is None:

@@ -412,6 +412,19 @@ class TestConstructAction:
             assert gain - d.item(seq[-2], seq[-1]) == action.gain
         assert found > 0
 
+    def test_rejects_cap_below_two(self):
+        # a move removes at least two edges, so a cap of 1 admits none
+        d = distance_matrix(SQUARE)
+        tour = Tour.from_order([0, 2, 1, 3])
+        cand = candidate_lists(d, 3, DISTANCE_MODE)
+        pruned = np.ones((4, 4))
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError, match="k_cap"):
+            construct_kopt_action(d, tour, cand, pruned, SearchStats(), dist_params(), rng,
+                                  k_cap=1)
+        with pytest.raises(ValueError, match="k_cap"):
+            expand_node(d, tour, cand, pruned, SearchStats(), dist_params(), rng, k_cap=1)
+
     def test_no_move_when_every_candidate_is_longer_than_the_anchor_edge(self):
         # regular octagon walked along its perimeter: each city's candidates
         # are its chords, all longer than every tour edge, so the first
