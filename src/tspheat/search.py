@@ -116,9 +116,9 @@ class SearchStats:
     total_expansions counts every construction attempt, completed or
     discarded. Each attempt ends once: with an improving action (improving),
     at a dead end (no feasible candidate; dead_ends) or at the removed-edge
-    cap (cap_hits), so the three sum to total_expansions. two_opt_seconds is the wall-clock time
-    spent in each round's 2-opt; it is a timing, so no determinism check
-    reads it.
+    cap (cap_hits), so the three sum to total_expansions. two_opt_seconds
+    is the wall-clock time spent in each round's 2-opt; it is a timing, so
+    no determinism check reads it.
     """
 
     total_expansions: int = 0
@@ -548,10 +548,11 @@ def run_search(
     round), builds the round's candidate table from its lists, builds a
     random tour, 2-opts it, then expands best-first until a whole expansion
     yields no improvement. After each heat update only the table entries of
-    the added edges are rewritten. Heat updates survive into later rounds. The run stops at the wall-clock deadline or after max_rounds,
-    whichever comes first. Round 1's random tour and 2-opt always run, so
-    even a deadline that has already passed returns a tour; its expansions
-    stop at the deadline.
+    the added edges are rewritten. Heat updates survive into later rounds.
+    The run stops at the wall-clock deadline or after max_rounds, whichever
+    comes first. Round 1's random tour and 2-opt always run, so even a
+    deadline that has already passed returns a tour; its expansions stop at
+    the deadline.
     """
     if params.time_budget is None and params.max_rounds is None:
         raise ValueError("a budget is required: set time_budget and/or max_rounds")
