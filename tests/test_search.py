@@ -725,7 +725,6 @@ class TestRunSearch:
         assert tour.order.tolist() == want.order.tolist()
         assert stats.best_length == want_stats.best_length
 
-
     def test_patched_table_matches_fresh_build(self, monkeypatch):
         # the candidate table is built once per round and patched after each
         # heat update; at every expansion it must equal a fresh build from
@@ -777,6 +776,7 @@ class TestRunSearch:
         _, opt = held_karp_exact(inst)
         assert stats.best_length == tour_length(d, tour) == pytest.approx(opt, abs=1e-12)
         assert stats.dead_ends + stats.cap_hits + stats.improving == stats.total_expansions
+
 
 # Pinned round-capped searches: a change that alters any RNG draw, sampled
 # city or float of the search fails here. Changing a value needs a reason.
