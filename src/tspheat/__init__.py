@@ -48,7 +48,6 @@ from .search import (
     KOptAction,
     SearchParams,
     SearchStats,
-    construct_kopt_action,
     expand_node,
     random_tour,
     run_search,

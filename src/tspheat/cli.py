@@ -41,6 +41,12 @@ def _search_params(args) -> SearchParams:
     return PRESETS[args.preset].with_budget(args.time_budget, args.rounds)
 
 
+def _seeds(args) -> range:
+    if args.count < 1:
+        raise ValueError(f"--count must be >= 1, got {args.count}")
+    return range(args.seed, args.seed + args.count)
+
+
 def _train_config(args, seed: int) -> TrainConfig:
     kwargs = {"seed": seed}
     if getattr(args, "steps", None) is not None:
@@ -129,10 +135,7 @@ def cmd_baseline(args) -> int:
 
 
 def cmd_coverage(args) -> int:
-    instances = [
-        (generate_random(args.n, args.seed + k), args.seed + k)
-        for k in range(args.count)
-    ]
+    instances = [(generate_random(args.n, seed), seed) for seed in _seeds(args)]
     cfg = _train_config(args, args.seed)
     rows = bench_mod.coverage_report(instances, cfg, args.m)
     _write_out(bench_mod.coverage_csv(rows), args.out)
@@ -151,8 +154,7 @@ def cmd_coverage(args) -> int:
 
 def cmd_bench(args) -> int:
     rows = []
-    for k in range(args.count):
-        seed = args.seed + k
+    for seed in _seeds(args):
         inst = generate_random(args.n, seed)
         ref = None
         if inst.n <= bench_mod.HELD_KARP_MAX_N:

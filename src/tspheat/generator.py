@@ -32,6 +32,10 @@ from .instances import Instance, distance_matrix
 # moment stay far below float32's largest value, 3.4e38 (about 2**128).
 TRAIN_MAX_EXPONENT = 40
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
+
 
 def default_steps(n: int) -> int:
     """Step budget that grows with instance size: 300 per started block of
@@ -48,30 +52,25 @@ class TrainConfig:
     expected-length term; the defaults were chosen empirically so that the
     pruned heat map covers optimal-tour edges well (heavier penalties tend to
     collapse the indicator onto a single locally-optimal cycle, which hurts
-    edge coverage).
+    edge coverage). Adam's other settings are the module constants
+    ADAM_BETA1, ADAM_BETA2 and ADAM_EPSILON, Kingma & Ba's defaults.
     """
 
     steps: Optional[int] = None
     learning_rate: float = 0.05
     lambda1: float = 2.0
     lambda2: float = 1.0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     init_scale: float = 0.5
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("learning_rate", "lambda1", "lambda2", "beta1", "beta2",
-                     "epsilon", "init_scale"):
+        for name in ("learning_rate", "lambda1", "lambda2", "init_scale"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.steps is not None and self.steps < 1:
             raise ValueError(f"steps must be >= 1, got {self.steps}")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be > 0")
-        if not (0 < self.beta1 < 1 and 0 < self.beta2 < 1):
-            raise ValueError("beta1 and beta2 must lie in (0, 1)")
         if self.lambda1 < 0 or self.lambda2 < 0:
             raise ValueError("lambda weights must be >= 0")
         if self.init_scale < 0:
@@ -140,9 +139,9 @@ def optimize_heatmap(inst: Instance, cfg: TrainConfig = TrainConfig()):
     # Python float and costs less per call (at n=16, about 0.8 against
     # 1.1 us for one multiply, 2-core VM)
     f32 = np.float32
-    b1, b2 = f32(cfg.beta1), f32(cfg.beta2)
-    c1, c2 = f32(1.0 - cfg.beta1), f32(1.0 - cfg.beta2)
-    lr, eps = f32(cfg.learning_rate), f32(cfg.epsilon)
+    b1, b2 = f32(ADAM_BETA1), f32(ADAM_BETA2)
+    c1, c2 = f32(1.0 - ADAM_BETA1), f32(1.0 - ADAM_BETA2)
+    lr, eps = f32(cfg.learning_rate), f32(ADAM_EPSILON)
     logits = init_logits(n, cfg).astype(np.float32)
     ws = _Workspace(n, logits.dtype)
     # checked once here; the loop re-checks the logits after every update
@@ -172,10 +171,10 @@ def optimize_heatmap(inst: Instance, cfg: TrainConfig = TrainConfig()):
         step_buf *= c2
         v += step_buf
         # logits -= lr * m_hat / (sqrt(v_hat) + eps)
-        np.divide(v, f32(1.0 - cfg.beta2**k), out=denom)
+        np.divide(v, f32(1.0 - ADAM_BETA2**k), out=denom)
         np.sqrt(denom, out=denom)
         denom += eps
-        np.divide(m, f32(1.0 - cfg.beta1**k), out=step_buf)
+        np.divide(m, f32(1.0 - ADAM_BETA1**k), out=step_buf)
         step_buf *= lr
         step_buf /= denom
         logits -= step_buf

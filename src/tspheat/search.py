@@ -421,42 +421,6 @@ def _construct(
         j = path.index(u_next)
 
 
-def _k_cap(k_cap: Optional[int], params: SearchParams, rng: np.random.Generator) -> int:
-    """The given removed-edge cap, or one drawn from params.k_range. A cap
-    below 2 admits no move, so it is rejected, as in SearchParams."""
-    if k_cap is None:
-        return int(rng.integers(params.k_range[0], params.k_range[1]))
-    if k_cap < 2:
-        raise ValueError(f"k_cap must be >= 2, got {k_cap}")
-    return k_cap
-
-
-def construct_kopt_action(
-    d: np.ndarray,
-    tour: Tour,
-    cand: tuple,
-    pruned: np.ndarray,
-    stats: SearchStats,
-    params: SearchParams,
-    rng: np.random.Generator,
-    k_cap: Optional[int] = None,
-) -> Optional[KOptAction]:
-    """Attempt one k-opt construction from the tour.
-
-    The anchor city is drawn uniformly; its tour successor seeds the path.
-    Returns the completed improving action, or None when the attempt dead-ends
-    (no candidate keeps the running gain positive or is otherwise feasible)
-    or hits the removed-edge cap (k_cap; sampled from params.k_range when not
-    given). The attempt adds one to stats.improving, stats.dead_ends or
-    stats.cap_hits.
-    """
-    k_cap = _k_cap(k_cap, params, rng)
-    base = tour.order.tolist()
-    u1 = int(rng.integers(len(base)))
-    return _construct(d, base, _positions(base), _candidate_table(cand, d, pruned),
-                      [None] * len(base), u1, stats, k_cap, rng.random)
-
-
 def _expand(
     d: np.ndarray,
     order: np.ndarray,
@@ -502,9 +466,15 @@ def expand_node(
 
     Runs up to params.expand_budget construction attempts and returns
     (improved Tour, applied KOptAction) for the shortest completed candidate,
-    or None when no attempt improved the tour.
+    or None when no attempt improved the tour. k_cap caps the removed edges
+    of every attempt, is drawn from params.k_range when not given, and must
+    be >= 2, as in SearchParams. At expand_budget=1 this is a single attempt
+    from one uniformly drawn anchor.
     """
-    k_cap = _k_cap(k_cap, params, rng)
+    if k_cap is None:
+        k_cap = int(rng.integers(params.k_range[0], params.k_range[1]))
+    elif k_cap < 2:
+        raise ValueError(f"k_cap must be >= 2, got {k_cap}")
     best = _expand(d, tour.order, _candidate_table(cand, d, pruned), stats, params, k_cap,
                    rng, deadline=None)
     if best is None:

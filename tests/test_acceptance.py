@@ -36,7 +36,7 @@ from tspheat.search import (
     KOptAction,
     SearchParams,
     SearchStats,
-    construct_kopt_action,
+    expand_node,
     random_tour,
     two_opt_improve,
     update_heatmap,
@@ -237,11 +237,11 @@ def test_c08_kopt_integrity_bulk():
         cur_len = tour_length(d, tour)
         misses = 0
         while misses < 4 and accepted < target:
-            action = construct_kopt_action(d, tour, cand, pruned, stats,
-                                           params, rng)
-            if action is None:
+            out = expand_node(d, tour, cand, pruned, stats, params, rng)
+            if out is None:
                 misses += 1
                 continue
+            action = out[1]
             new_order = action.new_order
             # valid permutation
             seen = np.zeros(n, dtype=bool)

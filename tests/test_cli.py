@@ -237,6 +237,17 @@ class TestOracleAndBaseline:
         assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, count", [
+    ("coverage", "-3"), ("coverage", "0"), ("bench", "0"), ("bench", "-1"),
+])
+def test_rejects_non_positive_count(tmp_path, capsys, command, count):
+    out = tmp_path / "out.txt"
+    code = main([command, "--n", "8", "--count", count, "--out", str(out)])
+    assert code == 2
+    assert "--count must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 class TestCoverageCommand:
     def test_csv_output(self, tmp_path):
         out = tmp_path / "cov.csv"

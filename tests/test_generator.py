@@ -28,14 +28,10 @@ class TestTrainConfig:
         with pytest.raises(ValueError):
             TrainConfig(steps=0)
 
-    def test_rejects_bad_betas(self):
-        with pytest.raises(ValueError):
-            TrainConfig(beta1=1.0)
-
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     @pytest.mark.parametrize(
         "field",
-        ["learning_rate", "lambda1", "lambda2", "beta1", "beta2", "epsilon", "init_scale"],
+        ["learning_rate", "lambda1", "lambda2", "init_scale"],
     )
     def test_rejects_non_finite(self, field, value):
         with pytest.raises(ValueError, match=field):
@@ -153,6 +149,7 @@ class TestOptimizeHeatmap:
     def test_matches_textbook_adam(self):
         # the textbook update replayed on float32 arrays, with the float32
         # gradient of the public loss_gradient, from the cast initial logits
+        b1, b2 = generator.ADAM_BETA1, generator.ADAM_BETA2
         for n in (9, 30):
             inst = generate_random(n, 5)
             cfg = TrainConfig(steps=40, seed=5)
@@ -163,11 +160,11 @@ class TestOptimizeHeatmap:
             for k in range(1, cfg.steps + 1):
                 g = loss_gradient(logits, d, cfg.lambda1, cfg.lambda2)
                 assert g.dtype == np.float32
-                m = cfg.beta1 * m + (1.0 - cfg.beta1) * g
-                v = cfg.beta2 * v + (1.0 - cfg.beta2) * (g * g)
-                m_hat = m / (1.0 - cfg.beta1**k)
-                v_hat = v / (1.0 - cfg.beta2**k)
-                logits -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.epsilon)
+                m = b1 * m + (1.0 - b1) * g
+                v = b2 * v + (1.0 - b2) * (g * g)
+                m_hat = m / (1.0 - b1**k)
+                v_hat = v / (1.0 - b2**k)
+                logits -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + generator.ADAM_EPSILON)
             assert logits.dtype == np.float32
             h, t, _ = optimize_heatmap(inst, cfg)
             assert h.dtype == t.dtype == np.float64

@@ -2,6 +2,7 @@ import itertools
 import math
 import time
 from collections import Counter, defaultdict
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -33,7 +34,6 @@ from tspheat.search import (
     KOptAction,
     SearchParams,
     SearchStats,
-    construct_kopt_action,
     expand_node,
     format_tour,
     parse_tour,
@@ -115,6 +115,14 @@ def dist_params(**kw):
     defaults = dict(beta=10.0, m=4, k_range=(5, 6), expand_budget=30, max_rounds=3)
     defaults.update(kw)
     return SearchParams(**defaults)
+
+
+def attempt(d, tour, cand, pruned, stats, params, rng, k_cap=None):
+    """One construction attempt, expand_node at expand_budget=1: the action,
+    or None when the attempt did not improve the tour."""
+    out = expand_node(d, tour, cand, pruned, stats, replace(params, expand_budget=1), rng,
+                      k_cap)
+    return None if out is None else out[1]
 
 
 class TestRandomTour:
@@ -272,7 +280,7 @@ class TestSelectNextCity:
         params = dist_params(k_range=(2, 5))
         rng = np.random.default_rng(3)
         for _ in range(50):
-            assert construct_kopt_action(d, tour, cand, pruned, stats, params, rng) is None
+            assert attempt(d, tour, cand, pruned, stats, params, rng) is None
         assert (stats.dead_ends, stats.cap_hits) == (50, 0)
 
     def test_zero_heat_row_samples_uniformly(self):
@@ -296,8 +304,7 @@ class TestSelectNextCity:
         rng = np.random.default_rng(0)
         moves = defaultdict(set)
         for _ in range(300):
-            action = construct_kopt_action(d, tour, cand, pruned, stats, params, rng,
-                                           k_cap=4)
+            action = attempt(d, tour, cand, pruned, stats, params, rng, k_cap=4)
             if action is not None:
                 moves[action.sequence[0]].add(action.sequence)
         assert max(len(seqs) for seqs in moves.values()) > 1
@@ -327,7 +334,7 @@ class TestConstructAction:
         rng = np.random.default_rng(0)
         gains = set()
         for _ in range(100):
-            action = construct_kopt_action(d, tour, cand, pruned, stats, params, rng)
+            action = attempt(d, tour, cand, pruned, stats, params, rng)
             if action is not None:
                 gains.add(round(action.gain, 12))
                 assert sorted(action.new_order.tolist()) == [0, 1, 2, 3]
@@ -344,7 +351,7 @@ class TestConstructAction:
         params = dist_params(k_range=(2, 3))
         rng = np.random.default_rng(1)
         for _ in range(200):
-            assert construct_kopt_action(d, tour, cand, pruned, stats, params, rng) is None
+            assert attempt(d, tour, cand, pruned, stats, params, rng) is None
 
     @given(st.integers(0, 2_000))
     @settings(max_examples=50, deadline=None)
@@ -360,7 +367,7 @@ class TestConstructAction:
         rng = np.random.default_rng(seed)
         start_len = tour_length(d, tour)
         for _ in range(30):
-            action = construct_kopt_action(d, tour, cand, pruned, stats, params, rng)
+            action = attempt(d, tour, cand, pruned, stats, params, rng)
             if action is None:
                 continue
             # resulting order is a permutation
@@ -398,7 +405,7 @@ class TestConstructAction:
         rng = np.random.default_rng(seed)
         found = 0
         for _ in range(40):
-            action = construct_kopt_action(d, tour, cand, pruned, stats, params, rng)
+            action = attempt(d, tour, cand, pruned, stats, params, rng)
             if action is None:
                 continue
             found += 1
@@ -420,9 +427,6 @@ class TestConstructAction:
         pruned = np.ones((4, 4))
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError, match="k_cap"):
-            construct_kopt_action(d, tour, cand, pruned, SearchStats(), dist_params(), rng,
-                                  k_cap=1)
-        with pytest.raises(ValueError, match="k_cap"):
             expand_node(d, tour, cand, pruned, SearchStats(), dist_params(), rng, k_cap=1)
 
     def test_no_move_when_every_candidate_is_longer_than_the_anchor_edge(self):
@@ -441,7 +445,7 @@ class TestConstructAction:
         params = dist_params(k_range=(2, 10))
         rng = np.random.default_rng(0)
         for _ in range(50):
-            assert construct_kopt_action(d, tour, cand, pruned, stats, params, rng) is None
+            assert attempt(d, tour, cand, pruned, stats, params, rng) is None
         assert (stats.dead_ends, stats.cap_hits) == (50, 0)
 
 
@@ -492,16 +496,23 @@ class TestExpandNode:
         out = expand_node(d, tour, cand, pruned, stats, params, rng, k_cap=5)
         assert out is not None
         new_tour, action = out
-        # replay the same attempts and verify nothing beat the chosen gain
-        stats2 = SearchStats()
-        best = 0.0
-        rng3 = np.random.default_rng(99)
-        for _ in range(120):
-            stats2.total_expansions += 1
-            a = construct_kopt_action(d, tour, cand, pruned, stats2, params, rng3, k_cap=5)
+        # replay the expansion's own attempts as _expand makes them: all
+        # anchors drawn at once, one first-step memo shared by the attempts;
+        # they end alike, and nothing beat the chosen gain
+        replay = SearchStats()
+        rng = np.random.default_rng(99)
+        base = tour.order.tolist()
+        pos = _positions(base)
+        table = _candidate_table(cand, d, pruned)
+        first = [None] * 12
+        gains = []
+        for u1 in rng.integers(12, size=120).tolist():
+            a = _construct(d, base, pos, table, first, u1, replay, 5, rng.random)
             if a is not None:
-                best = max(best, a.gain)
-        assert action.gain == pytest.approx(best, abs=1e-12)
+                gains.append(a.gain)
+        assert (replay.improving, replay.dead_ends, replay.cap_hits) == (
+            stats.improving, stats.dead_ends, stats.cap_hits)
+        assert max(gains) == action.gain
         assert tour_length(d, new_tour) == pytest.approx(
             tour_length(d, tour) - action.gain, abs=1e-9
         )
