@@ -41,7 +41,54 @@ def brute_force_optimum(inst):
     return best
 
 
+# Pinned Held-Karp optima, one (order, repr(length)) per instance: a change to
+# the DP's layout, sweep order or tie-breaking fails here. The duplicate and
+# collinear instances have many equal-length predecessors, so they pin which
+# of the tied cities the argmin keeps.
+_DUP_BASE = generate_random(5, 6).coords
+GOLDEN_HELD_KARP = {
+    "random-n3-s0": (generate_random(3, 0), [0, 2, 1], "2.497344953848166"),
+    "random-n4-s1": (generate_random(4, 1), [0, 3, 2, 1], "2.0618599896768854"),
+    "random-n9-s2": (
+        generate_random(9, 2), [0, 4, 7, 6, 2, 8, 1, 5, 3], "2.6039366098683066"
+    ),
+    "random-n13-s3": (
+        generate_random(13, 3),
+        [0, 11, 3, 4, 9, 1, 12, 7, 6, 5, 8, 10, 2],
+        "3.6128390905178076",
+    ),
+    "random-n16-s4": (
+        generate_random(16, 4),
+        [0, 5, 7, 1, 3, 11, 14, 2, 12, 15, 9, 6, 13, 10, 8, 4],
+        "3.540256349414601",
+    ),
+    "random-n18-s5": (
+        generate_random(18, 5),
+        [0, 7, 12, 6, 13, 4, 2, 17, 3, 9, 15, 14, 11, 5, 10, 1, 16, 8],
+        "3.9095042489530707",
+    ),
+    "duplicates": (
+        Instance(coords=np.concatenate([_DUP_BASE, _DUP_BASE, _DUP_BASE[:2]])),
+        [0, 10, 5, 11, 6, 1, 9, 4, 7, 2, 8, 3],
+        "1.7395673976664865",
+    ),
+    "collinear": (
+        Instance(coords=np.array([
+            [x, 2.0 * x]
+            for x in [0.5, 0.0, 0.75, 0.25, 1.0, 0.125, 0.875, 0.375, 0.625, 0.0625]
+        ])),
+        [0, 8, 6, 4, 2, 7, 3, 5, 9, 1],
+        "4.47213595499958",
+    ),
+}
+
+
 class TestHeldKarp:
+    def test_matches_recording(self):
+        for name, (inst, order, length) in GOLDEN_HELD_KARP.items():
+            tour, got = held_karp_exact(inst)
+            assert (tour.order.tolist(), repr(got)) == (order, length), name
+
     def test_square_perimeter(self):
         tour, length = held_karp_exact(SQUARE)
         assert length == pytest.approx(4.0, abs=1e-12)
