@@ -15,7 +15,7 @@ import numpy as np
 from .candidates import edge_set, overlap_coefficient, top_m_filter
 from .generator import TrainConfig, optimize_heatmap
 from .instances import Instance, Tour, distance_matrix, tour_length
-from .search import SearchParams, _two_opt_order, run_search
+from .search import SearchParams, run_search, two_opt_improve
 
 HELD_KARP_MAX_N = 18
 
@@ -52,6 +52,12 @@ def gap_percent(length: float, ref_length: float) -> float:
 def held_karp_exact(inst: Instance):
     """Provably optimal tour by dynamic programming over city subsets.
 
+    Tours are cycles, so every path starts at city 0. Row r of the table
+    stands for city 0 plus each city c >= 1 whose bit c - 1 of r is set, and
+    dp[r, j] is the shortest such path that ends at j. The tour is walked
+    back from the full row by recomputing each step's argmin, which the
+    forward pass took on the same float64 values.
+
     Memory and time grow as 2^n, so instances above HELD_KARP_MAX_N cities
     are refused. Returns (Tour, length).
     """
@@ -62,41 +68,30 @@ def held_karp_exact(inst: Instance):
             "use the heuristic pipeline for larger instances"
         )
     d = distance_matrix(inst)
-    full = 1 << n
-    dp = np.full((full, n), np.inf)
-    parent = np.full((full, n), -1, dtype=np.int32)
-    dp[1, 0] = 0.0  # fix city 0 as the start; tours are cycles so WLOG
-    masks = np.arange(full, dtype=np.int64)
-    popcount = np.zeros(full, dtype=np.int64)
-    for b in range(n):
-        popcount += (masks >> b) & 1
-    by_pop = np.argsort(popcount, kind="stable")
-    bounds = np.searchsorted(popcount[by_pop], np.arange(n + 2))
-    for p in range(1, n):
-        layer = by_pop[bounds[p]:bounds[p + 1]]
-        layer = layer[(layer & 1) == 1]
-        if layer.size == 0:
-            continue
+    rows = 1 << (n - 1)
+    dp = np.full((rows, n), np.inf)
+    dp[0, 0] = 0.0
+    row_ids = np.arange(rows, dtype=np.int64)
+    popcount = np.zeros(rows, dtype=np.int64)
+    for b in range(n - 1):
+        popcount += (row_ids >> b) & 1
+    for p in range(n - 1):
+        layer = np.flatnonzero(popcount == p)
         dp_layer = dp[layer]
         for j in range(1, n):
-            missing_j = (layer >> j) & 1 == 0
-            src = layer[missing_j]
-            if src.size == 0:
-                continue
+            bit = 1 << (j - 1)
+            missing_j = (layer & bit) == 0
             scores = dp_layer[missing_j] + d[:, j][None, :]
-            parent[src | (1 << j), j] = np.argmin(scores, axis=1)
-            dp[src | (1 << j), j] = np.min(scores, axis=1)
-    closing = dp[full - 1] + d[:, 0]
-    last = int(np.argmin(closing))
-    length = float(closing[last])
-    order = np.empty(n, dtype=np.int64)
-    mask = full - 1
-    city = last
-    for k in range(n - 1, -1, -1):
+            dp[layer[missing_j] | bit, j] = np.min(scores, axis=1)
+    row = rows - 1
+    closing = dp[row] + d[:, 0]
+    city = int(np.argmin(closing))
+    length = float(closing[city])
+    order = np.zeros(n, dtype=np.int64)  # order[0] is the start city 0
+    for k in range(n - 1, 0, -1):
         order[k] = city
-        prev = int(parent[mask, city])
-        mask ^= 1 << city
-        city = prev
+        row ^= 1 << (city - 1)
+        city = int(np.argmin(dp[row] + d[:, city]))
     tour = Tour.from_order(order)
     return tour, length
 
@@ -130,8 +125,7 @@ def nn_two_opt_baseline(inst: Instance, seed: int):
         cur = int(np.argmin(row))
         order[k] = cur
         visited[cur] = True
-    _two_opt_order(d, d.tolist(), order)
-    tour = Tour.from_order(order)
+    tour = two_opt_improve(d, Tour.from_order(order))
     return tour, tour_length(d, tour)
 
 

@@ -96,9 +96,6 @@ def distance_matrix(inst: Instance) -> np.ndarray:
         d = np.sqrt((diff * diff).sum(axis=2))
     if not np.isfinite(d).all():
         raise ValueError("a distance between cities overflows; rescale the coordinates")
-    # enforce exact symmetry and zero diagonal regardless of float noise
-    d = (d + d.T) / 2.0
-    np.fill_diagonal(d, 0.0)
     return d
 
 

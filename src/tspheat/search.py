@@ -113,15 +113,13 @@ PRESETS: dict[str, SearchParams] = {
 class SearchStats:
     """Counters accumulated over a run.
 
-    total_expansions counts every construction attempt, completed or
-    discarded. Each attempt ends once: with an improving action (improving),
-    at a dead end (no feasible candidate; dead_ends) or at the removed-edge
-    cap (cap_hits), so the three sum to total_expansions. two_opt_seconds
-    is the wall-clock time spent in each round's 2-opt; it is a timing, so
-    no determinism check reads it.
+    Each construction attempt ends once: with an improving action
+    (improving), at a dead end (no feasible candidate; dead_ends) or at the
+    removed-edge cap (cap_hits). total_expansions, every attempt made, is
+    their sum. two_opt_seconds is the wall-clock time spent in each round's
+    2-opt; it is a timing, so no determinism check reads it.
     """
 
-    total_expansions: int = 0
     improving: int = 0
     dead_ends: int = 0
     cap_hits: int = 0
@@ -129,6 +127,10 @@ class SearchStats:
     two_opt_seconds: float = 0.0
     best_length: float = math.inf
     round_best_lengths: list = field(default_factory=list)
+
+    @property
+    def total_expansions(self) -> int:
+        return self.improving + self.dead_ends + self.cap_hits
 
 
 @dataclass(frozen=True)
@@ -445,7 +447,6 @@ def _expand(
     for u1 in rng.integers(n, size=params.expand_budget).tolist():
         if deadline is not None and time.perf_counter() >= deadline:
             break
-        stats.total_expansions += 1
         action = _construct(d, base, pos, table, first, u1, stats, k_cap, rand)
         if action is not None and (best is None or action.gain > best.gain):
             best = action

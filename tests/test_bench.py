@@ -1,6 +1,7 @@
 import itertools
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -41,8 +42,8 @@ def brute_force_optimum(inst):
     return best
 
 
-# Pinned Held-Karp optima, one (order, repr(length)) per instance: a change to
-# the DP's layout, sweep order or tie-breaking fails here. The duplicate and
+# Pinned Held-Karp optima, one (order, repr(length)) per instance: a change
+# that moves any optimum's order or last digit fails here. The duplicate and
 # collinear instances have many equal-length predecessors, so they pin which
 # of the tied cities the argmin keeps.
 _DUP_BASE = generate_random(5, 6).coords
@@ -99,6 +100,19 @@ class TestHeldKarp:
             inst = generate_random(7, seed)
             _, length = held_karp_exact(inst)
             assert length == pytest.approx(brute_force_optimum(inst), abs=1e-9)
+
+    def test_peak_memory_is_one_half_size_table(self):
+        # at n=16 the (2^15, 16) float64 table is 4 MiB; the bound leaves room
+        # for one more table's worth of layer copies and index arrays, and
+        # fails a table over all 2^16 subsets (8 MiB on its own)
+        inst = generate_random(16, 0)
+        tracemalloc.start()
+        try:
+            held_karp_exact(inst)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
     def test_refuses_large_n(self):
         with pytest.raises(ValueError, match="18"):

@@ -97,9 +97,19 @@ class TestDistanceMatrix:
     @given(st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=25, deadline=None)
     def test_symmetric_zero_diagonal(self, seed):
-        d = distance_matrix(generate_random(8, seed))
-        assert np.array_equal(d, d.T)
-        assert np.all(np.diag(d) == 0.0)
+        # exact without a symmetrising pass: (i, j) and (j, i) square the same
+        # differences up to sign, and c - c is +0.0, at every magnitude from
+        # subnormal to the overflow limit, shifted or not, with duplicate and
+        # collinear cities
+        c = generate_random(8, seed).coords
+        layouts = [c, np.concatenate([c[:4], c[:4]]), c[:, :1] * np.array([1.0, 3.0])]
+        for coords in layouts:
+            for scale in (1e-310, 1e-200, 1e-3, 1.0, 1e3, 1e150):
+                for shift in (0.0, -7.25, 1e6):
+                    d = distance_matrix(Instance(coords=coords * scale + shift))
+                    assert np.array_equal(d, d.T)
+                    assert np.all(np.diag(d) == 0.0)
+                    assert not np.signbit(np.diag(d)).any()
 
 
 class TestAdjacencyWeights:
