@@ -1,8 +1,9 @@
 """Heat-map-guided best-first k-opt local search.
 
-A search run repeats rounds of: random tour, 2-opt to a fixpoint, then
-best-first node expansion where each expansion tries a bounded number of
-sequential k-opt constructions and moves to the shortest improving result.
+A search run repeats rounds of: random tour, 2-opt to a fixpoint (a
+neighbour-list pass, then a full scan), then best-first node expansion
+where each expansion tries a bounded number of sequential k-opt
+constructions and moves to the shortest improving result.
 Constructions grow a Hamiltonian path with one fixed endpoint; the next city
 is sampled from the moving endpoint's candidate list with probability
 proportional to its pruned-heat value, floored so that zero-heat candidates
@@ -28,6 +29,7 @@ from __future__ import annotations
 import math
 import time
 from bisect import bisect_right
+from collections import deque
 from dataclasses import dataclass, field, replace
 from itertools import islice
 from operator import itemgetter
@@ -56,6 +58,11 @@ TWO_OPT_EPS = 1e-10
 # 80 gave the best times over n = 100 to 1000 taken together.
 SCALAR_SPAN = 16
 SCALAR_ROW = 80
+# nearest cities each city tries in a round's neighbour-list 2-opt pass. At
+# n=500 with an equal time budget, lists of 8 gave shorter tours than the
+# tsp500 preset's m=5 on 3 of 3 instances; 8 is the m of every preset up to
+# tsp200.
+TWO_OPT_NEIGHBORS = 8
 
 
 @dataclass(frozen=True)
@@ -117,7 +124,8 @@ class SearchStats:
     (improving), at a dead end (no feasible candidate; dead_ends) or at the
     removed-edge cap (cap_hits). total_expansions, every attempt made, is
     their sum. two_opt_seconds is the wall-clock time spent in each round's
-    2-opt; it is a timing, so no determinism check reads it.
+    2-opt, the neighbour-list pass and the full scan together; it is a
+    timing, so no determinism check reads it.
     """
 
     improving: int = 0
@@ -237,8 +245,89 @@ def _two_opt_order(d: np.ndarray, rows: list, order: np.ndarray) -> np.ndarray:
     return order
 
 
+def _reverse(tour: list, pos: list, i: int, j: int) -> None:
+    """Reverse the cyclic segment tour[i..j] (indices mod n), or the rest of
+    the cycle when that is shorter; both give the same cycle. pos (city ->
+    index in tour) is kept current."""
+    n = len(tour)
+    i %= n
+    j %= n
+    size = (j - i) % n + 1
+    if 2 * size > n:
+        i, j, size = (j + 1) % n, (i - 1) % n, n - size
+    for _ in range(size // 2):
+        x = tour[i]
+        y = tour[j]
+        tour[i] = y
+        pos[y] = i
+        tour[j] = x
+        pos[x] = j
+        i = i + 1 if i + 1 < n else 0
+        j = j - 1 if j else n - 1
+
+
+def _neighbor_pass(rows: list, nbrs: list, order: np.ndarray) -> np.ndarray:
+    """Neighbour-list 2-opt driven by a queue of cities (Bentley 1992's
+    don't-look bits); mutates order.
+
+    rows is d.tolist(); nbrs[a] holds (c, d[a, c]) for a's nearest cities in
+    ascending distance. The queue starts with every city in tour order. A
+    popped city a looks in each direction, successor first: with b its tour
+    neighbour that way, it scans its list up to the first c with
+    d[a, c] >= d[a, b], and with e c's neighbour the same way (c != b,
+    e != a) applies the first move whose d[a,c] + d[b,e] - d[a,b] - d[c,e]
+    is below -TWO_OPT_EPS, the scan's own test, so that (a, c) and (b, e)
+    replace (a, b) and (c, e). a, b, c and e are queued again and a is
+    looked at again at once. Every move shortens the tour, so the pass ends;
+    moves the short lists cannot see are left to _two_opt_order.
+    """
+    n = order.shape[0]
+    tour = order.tolist()
+    pos = _positions(tour)
+    queue = deque(tour)
+    queued = [True] * n
+    while queue:
+        a = queue.popleft()
+        queued[a] = False
+        ra = rows[a]
+        near = nbrs[a]
+        moved = True
+        while moved:
+            moved = False
+            for step in (1, -1):
+                i = pos[a]
+                b = tour[(i + step) % n]
+                rb = rows[b]
+                dab = ra[b]
+                for c, dac in near:
+                    if dac >= dab:
+                        break
+                    j = pos[c]
+                    e = tour[(j + step) % n]
+                    if c == b or e == a:
+                        continue
+                    if dac + rb[e] - dab - rows[c][e] < -TWO_OPT_EPS:
+                        if step == 1:
+                            _reverse(tour, pos, i + 1, j)  # b .. c
+                        else:
+                            _reverse(tour, pos, i, j - 1)  # a .. e
+                        for x in (a, b, c, e):
+                            if not queued[x]:
+                                queued[x] = True
+                                queue.append(x)
+                        moved = True
+                        break
+                if moved:
+                    break
+    order[:] = tour
+    return order
+
+
 def two_opt_improve(d: np.ndarray, tour: Tour) -> Tour:
-    """Run 2-opt from the given tour until no improving exchange exists."""
+    """Run 2-opt from the given tour until no improving exchange exists.
+
+    This is the plain first-improvement scan, without run_search's
+    neighbour-list pass in front of it."""
     if d.shape != (tour.n, tour.n):
         raise ValueError(
             f"distance matrix shape {d.shape} does not match a tour of {tour.n} cities"
@@ -513,12 +602,16 @@ def run_search(
 ) -> tuple[Tour, SearchStats]:
     """Full multi-round search; returns (best Tour, SearchStats).
 
-    Each round draws a fresh removed-edge cap from k_range and a candidate
-    construction mode (updated pruned heat vs raw distance; the distance
-    lists never change, so they are built once, on the first distance
-    round), builds the round's candidate table from its lists, builds a
-    random tour, 2-opts it, then expands best-first until a whole expansion
-    yields no improvement. After each heat update only the table entries of
+    One distance ranking of TWO_OPT_NEIGHBORS or m cities per city,
+    whichever is more, is built per run: its first m columns are the
+    distance rounds' candidate lists, its first TWO_OPT_NEIGHBORS the
+    neighbour lists of the 2-opt pass. Each round draws a fresh
+    removed-edge cap from k_range and a candidate construction mode
+    (updated pruned heat vs raw distance), builds the round's candidate
+    table from its lists, builds a random tour, runs _neighbor_pass and then
+    the full _two_opt_order scan on it, so the round starts at a 2-opt
+    fixpoint, then expands best-first until a whole expansion yields no
+    improvement. After each heat update only the table entries of
     the added edges are rewritten. Heat updates survive into later rounds.
     The run stops at the wall-clock deadline or after max_rounds, whichever
     comes first. Round 1's random tour and 2-opt always run, so even a
@@ -534,7 +627,10 @@ def run_search(
     hp = np.array(pruned, dtype=np.float64, copy=True)
     rows = d.tolist()
     m_eff = min(params.m, n - 1)  # presets can exceed tiny instances
-    dist_cand = None
+    ranked = candidate_lists(d, min(max(m_eff, TWO_OPT_NEIGHBORS), n - 1), DISTANCE_MODE)
+    dist_cand = tuple(cl[:m_eff] for cl in ranked)
+    nbrs = [[(c, ra[c]) for c in cl[:TWO_OPT_NEIGHBORS].tolist()]
+            for cl, ra in zip(ranked, rows)]
     rng = np.random.default_rng(seed)
     stats = SearchStats()
     deadline = None
@@ -553,12 +649,11 @@ def run_search(
         if rng.integers(2) == 0:
             cand = candidate_lists(hp, m_eff, HEAT_MODE)
         else:
-            if dist_cand is None:
-                dist_cand = candidate_lists(d, m_eff, DISTANCE_MODE)
             cand = dist_cand
         table = _candidate_table(cand, d, hp)
         order = rng.permutation(n).astype(np.int64)
         t0 = time.perf_counter()
+        _neighbor_pass(rows, nbrs, order)
         _two_opt_order(d, rows, order)
         stats.two_opt_seconds += time.perf_counter() - t0
         cur_len = order_length(d, order)

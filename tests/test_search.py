@@ -30,6 +30,7 @@ from tspheat.search import (
     SCALAR_ROW,
     SCALAR_SPAN,
     TWO_OPT_EPS,
+    TWO_OPT_NEIGHBORS,
     WEIGHT_FLOOR,
     KOptAction,
     SearchParams,
@@ -44,6 +45,7 @@ from tspheat.search import (
     _candidate_table,
     _construct,
     _draw,
+    _neighbor_pass,
     _positions,
 )
 
@@ -109,6 +111,33 @@ def assert_matches_reference(d, start):
     out = two_opt_improve(d, Tour.from_order(start))
     ref = reference_two_opt_order(d, np.array(start, dtype=np.int64))
     assert out.order.tolist() == ref.tolist()
+
+
+def neighbor_pairs(d):
+    """The pass's lists as run_search builds them: (city, distance) for each
+    city's TWO_OPT_NEIGHBORS nearest, ascending."""
+    rows = d.tolist()
+    ranked = candidate_lists(d, min(TWO_OPT_NEIGHBORS, len(rows) - 1), DISTANCE_MODE)
+    return [[(c, rows[a][c]) for c in cl.tolist()] for a, cl in enumerate(ranked)]
+
+
+def neighbor_pass(d, start):
+    return _neighbor_pass(d.tolist(), neighbor_pairs(d), np.array(start, dtype=np.int64))
+
+
+def first_round_start(d, seed, params):
+    """run_search's round-1 tour: after the removed-edge cap and list-mode
+    draws, a random permutation, the neighbour-list pass, then the scan."""
+    rng = np.random.default_rng(seed)
+    rng.integers(*params.k_range)
+    rng.integers(2)
+    start = neighbor_pass(d, rng.permutation(d.shape[0]))
+    return two_opt_improve(d, Tour.from_order(start))
+
+
+def edges(order):
+    n = len(order)
+    return {frozenset((order[i], order[(i + 1) % n])) for i in range(n)}
 
 
 def dist_params(**kw):
@@ -233,6 +262,72 @@ class TestTwoOptMatchesReference:
         reference_two_opt_order(d, start.copy(), moves)
         assert any(off >= SCALAR_SPAN and row > SCALAR_ROW for off, row in moves)
         assert_matches_reference(d, start)
+
+
+class TestNeighborPass:
+    @given(st.integers(3, 120), st.integers(0, 10_000), st.integers(0, 10_000))
+    @settings(max_examples=60, deadline=None)
+    def test_random_instances(self, n, inst_seed, start_seed):
+        d = distance_matrix(generate_random(n, inst_seed))
+        start = random_tour(n, start_seed).order
+        out = neighbor_pass(d, start)
+        assert sorted(out.tolist()) == list(range(n))
+        assert order_length(d, out) <= order_length(d, start)
+        # the scan after the pass reaches a full 2-opt fixpoint
+        fixed = two_opt_improve(d, Tour.from_order(out))
+        assert brute_force_two_opt_scan(d, fixed.order.tolist()) > -1e-9
+
+    def test_crossing_seen_only_from_the_predecessor_side(self):
+        # the start's one improving move adds edges (0, 3) and (1, 4); (0, 3)
+        # is longer than both removed edges, so the successor direction
+        # (which adds (a, c) with d(a, c) < d(a, succ a)) cannot see it,
+        # while (1, 4) is short: the predecessor direction from 1 or 4 does
+        coords = np.array([[2, 2], [0, 0], [-1.5, 0.5], [-1.8, 2], [0.2, 0], [1.7, 0.5]],
+                          dtype=np.float64)
+        d = distance_matrix(Instance(coords=coords))
+        start = [0, 1, 2, 3, 4, 5]
+        assert brute_force_two_opt_scan(d, start) < 0
+        assert d[0, 3] >= max(d[0, 1], d[3, 4]) and d[1, 4] < min(d[0, 1], d[3, 4])
+        out = neighbor_pass(d, start).tolist()
+        assert edges(out) == edges([0, 3, 2, 1, 4, 5])
+
+    @pytest.mark.parametrize("first", [10, 11])
+    def test_reversal_wraps_past_position_zero(self, first):
+        # a regular 12-gon walked in order except for the block of four
+        # positions first .. first + 3 (mod 12), which is reversed. Undoing
+        # it reverses either that block, which wraps past position 0, or
+        # the other eight; the pass reverses the shorter.
+        n = 12
+        angles = 2 * math.pi * np.arange(n) / n
+        d = distance_matrix(Instance(coords=np.column_stack([np.cos(angles), np.sin(angles)])))
+        start = list(range(n))
+        block = [(first + k) % n for k in range(4)]
+        for p, c in zip(block, reversed(block)):
+            start[p] = c
+        out = neighbor_pass(d, start).tolist()
+        assert edges(out) == edges(list(range(n)))
+        assert [out[p] for p in range(n) if p not in block] == [
+            start[p] for p in range(n) if p not in block]
+
+    def test_duplicate_cities_make_no_move(self):
+        # every distance is 0, so no list entry is nearer than a tour
+        # neighbour: the pass pops each city once and ends
+        d = distance_matrix(Instance(coords=np.full((10, 2), 0.25)))
+        start = random_tour(10, 1).order
+        assert neighbor_pass(d, start).tolist() == start.tolist()
+
+    @pytest.mark.parametrize("start_seed", range(4))
+    def test_collinear_cities(self, start_seed):
+        # integer points on a line: exact ties in the distances and deltas;
+        # a move with a zero delta is never applied, so the pass ends
+        x = np.arange(60, dtype=np.float64)
+        d = distance_matrix(Instance(coords=np.stack([x, np.zeros(60)], axis=1)))
+        start = random_tour(60, start_seed).order
+        out = neighbor_pass(d, start)
+        assert sorted(out.tolist()) == list(range(60))
+        assert order_length(d, out) < order_length(d, start)
+        fixed = two_opt_improve(d, Tour.from_order(out))
+        assert brute_force_two_opt_scan(d, fixed.order.tolist()) > -1e-9
 
 
 def draw_many(weights, rng, trials):
@@ -667,11 +762,7 @@ class TestRunSearch:
         d = distance_matrix(inst)
         _, pruned = top_m_filter(np.exp(-d), 6)
         params = dist_params(max_rounds=4)
-        # replicate the first round's initial 2-opt tour
-        rng = np.random.default_rng(21)
-        rng.integers(*params.k_range)
-        rng.integers(2)
-        first = two_opt_improve(d, Tour.from_order(rng.permutation(15)))
+        first = first_round_start(d, 21, params)
         tour, stats = run_search(inst, pruned, params, 21)
         assert stats.best_length <= tour_length(d, first) + 1e-12
 
@@ -680,14 +771,12 @@ class TestRunSearch:
         d = distance_matrix(inst)
         _, pruned = top_m_filter(np.exp(-d), 6)
         params = dist_params(time_budget=1e-12)
-        rng = np.random.default_rng(21)
-        rng.integers(*params.k_range)
-        rng.integers(2)
-        first = two_opt_improve(d, Tour.from_order(rng.permutation(15)))
+        first = first_round_start(d, 21, params)
         tour, stats = run_search(inst, pruned, params, 21)
         assert stats.rounds == 1
         assert stats.total_expansions == 0
         assert np.array_equal(tour.order, first.order)
+        assert brute_force_two_opt_scan(d, tour.order.tolist()) > -1e-9
         assert math.isfinite(stats.best_length)
         assert stats.best_length == tour_length(d, tour)
 
