@@ -294,8 +294,8 @@ def _neighbor_pass(rows: list, nbrs: list, order: np.ndarray) -> np.ndarray:
         moved = True
         while moved:
             moved = False
+            i = pos[a]
             for step in (1, -1):
-                i = pos[a]
                 b = tour[(i + step) % n]
                 rb = rows[b]
                 dab = ra[b]
