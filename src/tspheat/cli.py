@@ -114,8 +114,8 @@ def cmd_solve(args) -> int:
     sys.stderr.write(
         f"length={result.length!r} heatmap_s={result.heatmap_seconds:.3f} "
         f"search_s={result.search_seconds:.3f} two_opt_s={stats.two_opt_seconds:.3f} "
-        f"rounds={stats.rounds} attempts={stats.total_expansions} dead_ends={stats.dead_ends} "
-        f"cap_hits={stats.cap_hits} improving={stats.improving}\n"
+        f"rounds={stats.rounds} or_moves={stats.or_moves} attempts={stats.total_expansions} "
+        f"dead_ends={stats.dead_ends} cap_hits={stats.cap_hits} improving={stats.improving}\n"
     )
     return EXIT_OK
 

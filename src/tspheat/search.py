@@ -1,9 +1,9 @@
 """Heat-map-guided best-first k-opt local search.
 
 A search run repeats rounds of: random tour, 2-opt to a fixpoint (a
-neighbour-list pass, then a full scan), then best-first node expansion
-where each expansion tries a bounded number of sequential k-opt
-constructions and moves to the shortest improving result.
+neighbour-list pass of 2-opt and Or-opt moves, then a full 2-opt scan), then
+best-first node expansion where each expansion tries a bounded number of
+sequential k-opt constructions and moves to the shortest improving result.
 Constructions grow a Hamiltonian path with one fixed endpoint; the next city
 is sampled from the moving endpoint's candidate list with probability
 proportional to its pruned-heat value, floored so that zero-heat candidates
@@ -63,6 +63,8 @@ SCALAR_ROW = 80
 # with an equal 4 s budget, lists of 8 and of 5 (the tsp500 preset's m) gave
 # tours within 0.1% of each other on average over 10 instances (2-core VM).
 TWO_OPT_NEIGHBORS = 8
+# longest segment the neighbour-list pass moves with an Or-opt move
+OR_OPT_SEGMENT = 3
 
 
 @dataclass(frozen=True)
@@ -123,15 +125,18 @@ class SearchStats:
     Each construction attempt ends once: with an improving action
     (improving), at a dead end (no feasible candidate; dead_ends) or at the
     removed-edge cap (cap_hits). total_expansions, every attempt made, is
-    their sum. two_opt_seconds is the wall-clock time spent in each round's
-    2-opt, the neighbour-list pass and the full scan together; it is a
-    timing, so no determinism check reads it.
+    their sum. or_moves counts the Or-opt moves the rounds' neighbour-list
+    passes applied. two_opt_seconds is the wall-clock time spent on each
+    round's start: the neighbour-list pass, with both its 2-opt and its
+    Or-opt moves, and the full 2-opt scan together; it is a timing, so no
+    determinism check reads it.
     """
 
     improving: int = 0
     dead_ends: int = 0
     cap_hits: int = 0
     rounds: int = 0
+    or_moves: int = 0
     two_opt_seconds: float = 0.0
     best_length: float = math.inf
     round_best_lengths: list = field(default_factory=list)
@@ -266,61 +271,148 @@ def _reverse(tour: list, pos: list, i: int, j: int) -> None:
         j = j - 1 if j else n - 1
 
 
-def _neighbor_pass(rows: list, nbrs: list, order: np.ndarray) -> np.ndarray:
-    """Neighbour-list 2-opt driven by a queue of cities (Bentley 1992's
-    don't-look bits); mutates order.
+def _flip(tour: list, pos: list, t1: int, t2: int, t3: int) -> None:
+    """2-opt move on the cycle held in tour: with t2 a tour neighbour of t1
+    and t4 the neighbour of t3 on the same side, replace edges (t1, t2) and
+    (t3, t4) by (t1, t3) and (t2, t4) by reversing the path t2 .. t3. The
+    side is read from pos, so the move holds whichever way earlier
+    reversals left the tour."""
+    i = pos[t1] + 1
+    if tour[i if i < len(tour) else 0] == t2:
+        _reverse(tour, pos, pos[t2], pos[t3])
+    else:
+        _reverse(tour, pos, pos[t3], pos[t2])
+
+
+def _two_opt_move(tour: list, pos: list, rows: list, near: list, a: int) -> Optional[tuple]:
+    """Apply the first improving list-restricted 2-opt move at city a and
+    return the cities whose tour edges it changed, or None when there is
+    none.
+
+    a looks in each direction, successor first: with b its tour neighbour
+    that way, it scans its list up to the first c with d[a, c] >= d[a, b],
+    and with e c's neighbour the same way (c != b, e != a) applies the first
+    move whose d[a,c] + d[b,e] - d[a,b] - d[c,e] is below -TWO_OPT_EPS, the
+    scan's own test, so that (a, c) and (b, e) replace (a, b) and (c, e).
+    """
+    n = len(tour)
+    ra = rows[a]
+    i = pos[a]
+    for step in (1, -1):
+        b = tour[(i + step) % n]
+        rb = rows[b]
+        dab = ra[b]
+        for c, dac in near:
+            if dac >= dab:
+                break
+            j = pos[c]
+            e = tour[(j + step) % n]
+            if c == b or e == a:
+                continue
+            if dac + rb[e] - dab - rows[c][e] < -TWO_OPT_EPS:
+                if step == 1:
+                    _reverse(tour, pos, i + 1, j)  # b .. c
+                else:
+                    _reverse(tour, pos, i, j - 1)  # a .. e
+                return a, b, c, e
+    return None
+
+
+def _or_opt_move(tour: list, pos: list, rows: list, near: list, a: int) -> Optional[tuple]:
+    """Apply the first improving list-restricted Or-opt move at city a and
+    return the cities whose tour edges it changed, or None when there is
+    none.
+
+    The segment a .. s holds the L = 1 .. OR_OPT_SEGMENT cities that start
+    at a in tour order (L at most n - 3), with p and q the cities around it.
+    Taking it out gains g = d[p,a] + d[s,q] - d[p,q]; while g > TWO_OPT_EPS,
+    a scans its list up to the first c with d[a, c] >= g, skips the cities
+    of the segment and, for e the successor and then the predecessor of c
+    (not in the segment), applies the first insertion whose
+    g - (d[a,c] + d[s,e] - d[c,e]) exceeds TWO_OPT_EPS: the segment goes
+    between c and e with a next to c. That takes three _flip reversals, or
+    two when the segment is turned round, so a move costs the span it
+    moves, not the tour.
+    """
+    n = len(tour)
+    ra = rows[a]
+    i = pos[a]
+    p = tour[i - 1]
+    rp = rows[p]
+    for size in range(1, min(OR_OPT_SEGMENT, n - 3) + 1):
+        s = tour[(i + size - 1) % n]
+        q = tour[(i + size) % n]
+        rs = rows[s]
+        g = ra[p] + rs[q] - rp[q]
+        if g <= TWO_OPT_EPS:
+            continue
+        for c, dac in near:
+            if dac >= g:
+                break
+            j = pos[c]
+            if (j - i) % n < size:
+                continue
+            rc = rows[c]
+            for e in (tour[(j + 1) % n], tour[j - 1]):
+                if (pos[e] - i) % n < size:
+                    continue
+                if g - (dac + rs[e] - rc[e]) > TWO_OPT_EPS:
+                    if pos[e] == (j + 1) % n:  # c, a .. s, e
+                        _flip(tour, pos, p, a, c)
+                        _flip(tour, pos, q, s, a)
+                        _flip(tour, pos, p, c, q)
+                    else:  # e, s .. a, c
+                        _flip(tour, pos, p, a, e)
+                        _flip(tour, pos, p, e, q)
+                    return p, q, a, s, c, e
+    return None
+
+
+def _neighbor_pass(rows: list, nbrs: list, order: np.ndarray) -> int:
+    """Neighbour-list 2-opt and Or-opt driven by a queue of cities (Bentley
+    1992's don't-look bits); mutates order and returns the number of Or-opt
+    moves applied.
 
     rows is d.tolist(); nbrs[a] holds (c, d[a, c]) for a's nearest cities in
     ascending distance. The queue starts with every city in tour order. A
-    popped city a looks in each direction, successor first: with b its tour
-    neighbour that way, it scans its list up to the first c with
-    d[a, c] >= d[a, b], and with e c's neighbour the same way (c != b,
-    e != a) applies the first move whose d[a,c] + d[b,e] - d[a,b] - d[c,e]
-    is below -TWO_OPT_EPS, the scan's own test, so that (a, c) and (b, e)
-    replace (a, b) and (c, e). a, b, c and e are queued again and a is
-    looked at again at once. Every move shortens the tour, so the pass ends;
-    moves the short lists cannot see are left to _two_opt_order.
+    popped city a tries _two_opt_move and, when that finds nothing,
+    _or_opt_move; after a move the cities whose edges changed are queued
+    again and a is looked at again at once. A move elsewhere can open one at
+    a city that is not queued (a reversal turns the cities it spans round),
+    so when the queue runs dry after any move, every city is queued again:
+    the pass ends after a sweep of all cities that applied no move, with no
+    list-restricted move left. Every move shortens the tour, so the pass
+    ends; moves the short lists cannot see are left to _two_opt_order.
     """
     n = order.shape[0]
     tour = order.tolist()
     pos = _positions(tour)
     queue = deque(tour)
     queued = [True] * n
+    or_moves = 0
+    moves = 0  # since the queue last held every city
     while queue:
         a = queue.popleft()
         queued[a] = False
-        ra = rows[a]
         near = nbrs[a]
-        moved = True
-        while moved:
-            moved = False
-            i = pos[a]
-            for step in (1, -1):
-                b = tour[(i + step) % n]
-                rb = rows[b]
-                dab = ra[b]
-                for c, dac in near:
-                    if dac >= dab:
-                        break
-                    j = pos[c]
-                    e = tour[(j + step) % n]
-                    if c == b or e == a:
-                        continue
-                    if dac + rb[e] - dab - rows[c][e] < -TWO_OPT_EPS:
-                        if step == 1:
-                            _reverse(tour, pos, i + 1, j)  # b .. c
-                        else:
-                            _reverse(tour, pos, i, j - 1)  # a .. e
-                        for x in (a, b, c, e):
-                            if not queued[x]:
-                                queued[x] = True
-                                queue.append(x)
-                        moved = True
-                        break
-                if moved:
+        while True:
+            touched = _two_opt_move(tour, pos, rows, near, a)
+            if touched is None:
+                touched = _or_opt_move(tour, pos, rows, near, a)
+                if touched is None:
                     break
+                or_moves += 1
+            moves += 1
+            for x in touched:
+                if not queued[x]:
+                    queued[x] = True
+                    queue.append(x)
+        if not queue and moves:
+            moves = 0
+            queue.extend(tour)
+            queued = [True] * n
     order[:] = tour
-    return order
+    return or_moves
 
 
 def two_opt_improve(d: np.ndarray, tour: Tour) -> Tour:
@@ -608,9 +700,9 @@ def run_search(
     neighbour lists of the 2-opt pass. Each round draws a fresh
     removed-edge cap from k_range and a candidate construction mode
     (updated pruned heat vs raw distance), builds the round's candidate
-    table from its lists, builds a random tour, runs _neighbor_pass and then
-    the full _two_opt_order scan on it, so the round starts at a 2-opt
-    fixpoint, then expands best-first until a whole expansion yields no
+    table from its lists, builds a random tour, runs _neighbor_pass (2-opt
+    and Or-opt moves) and then the full _two_opt_order scan on it, so the
+    round starts at a 2-opt fixpoint, then expands best-first until a whole expansion yields no
     improvement. After each heat update only the table entries of
     the added edges are rewritten. Heat updates survive into later rounds.
     The run stops at the wall-clock deadline or after max_rounds, whichever
@@ -653,7 +745,7 @@ def run_search(
         table = _candidate_table(cand, d, hp)
         order = rng.permutation(n).astype(np.int64)
         t0 = time.perf_counter()
-        _neighbor_pass(rows, nbrs, order)
+        stats.or_moves += _neighbor_pass(rows, nbrs, order)
         _two_opt_order(d, rows, order)
         stats.two_opt_seconds += time.perf_counter() - t0
         cur_len = order_length(d, order)

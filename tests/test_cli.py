@@ -199,9 +199,10 @@ class TestSolve:
         assert code == 0
         fields = dict(f.split("=") for f in capsys.readouterr().err.split())
         assert list(fields) == ["length", "heatmap_s", "search_s", "two_opt_s", "rounds",
-                                "attempts", "dead_ends", "cap_hits", "improving"]
+                                "or_moves", "attempts", "dead_ends", "cap_hits", "improving"]
         assert 0.0 <= float(fields["two_opt_s"]) <= float(fields["search_s"])
         assert int(fields["rounds"]) == 3
+        assert int(fields["or_moves"]) >= 0
         ends = [int(fields[k]) for k in ("dead_ends", "cap_hits", "improving")]
         assert int(fields["attempts"]) == sum(ends) > 0
 

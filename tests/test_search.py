@@ -26,6 +26,7 @@ from tspheat.instances import (
 )
 from tspheat.search import (
     MIN_GAIN,
+    OR_OPT_SEGMENT,
     PRESETS,
     SCALAR_ROW,
     SCALAR_SPAN,
@@ -45,6 +46,7 @@ from tspheat.search import (
     _candidate_table,
     _construct,
     _draw,
+    _flip,
     _neighbor_pass,
     _positions,
 )
@@ -121,8 +123,50 @@ def neighbor_pairs(d):
     return [[(c, rows[a][c]) for c in cl.tolist()] for a, cl in enumerate(ranked)]
 
 
+def neighbor_pass_moves(d, start):
+    """The pass on a copy of start: (order, Or-opt moves applied)."""
+    order = np.array(start, dtype=np.int64)
+    return order, _neighbor_pass(d.tolist(), neighbor_pairs(d), order)
+
+
 def neighbor_pass(d, start):
-    return _neighbor_pass(d.tolist(), neighbor_pairs(d), np.array(start, dtype=np.int64))
+    return neighbor_pass_moves(d, start)[0]
+
+
+def list_moves_left(d, order):
+    """Test-only restatement of the pass's two move rules over the same
+    lists: (kind, city) for each list-restricted 2-opt and Or-opt move that
+    would still shorten order."""
+    n = len(order)
+    pos = {c: k for k, c in enumerate(order)}
+    left = []
+    for a, near in enumerate(neighbor_pairs(d)):
+        i = pos[a]
+        for step in (1, -1):
+            b = order[(i + step) % n]
+            for c, dac in near:
+                if dac >= d[a, b]:
+                    break
+                e = order[(pos[c] + step) % n]
+                if c != b and e != a and dac + d[b, e] - d[a, b] - d[c, e] < -TWO_OPT_EPS:
+                    left.append(("2-opt", a))
+        p = order[i - 1]
+        for size in range(1, min(OR_OPT_SEGMENT, n - 3) + 1):
+            segment = {order[(i + k) % n] for k in range(size)}
+            s, q = order[(i + size - 1) % n], order[(i + size) % n]
+            gain = d[p, a] + d[s, q] - d[p, q]
+            if gain <= TWO_OPT_EPS:
+                continue
+            for c, dac in near:
+                if dac >= gain:
+                    break
+                if c in segment:
+                    continue
+                j = pos[c]
+                for e in (order[(j + 1) % n], order[j - 1]):
+                    if e not in segment and gain - (dac + d[s, e] - d[c, e]) > TWO_OPT_EPS:
+                        left.append(("or-opt", a))
+    return left
 
 
 def first_round_start(d, seed, params):
@@ -273,6 +317,7 @@ class TestNeighborPass:
         out = neighbor_pass(d, start)
         assert sorted(out.tolist()) == list(range(n))
         assert order_length(d, out) <= order_length(d, start)
+        assert list_moves_left(d, out.tolist()) == []
         # the scan after the pass reaches a full 2-opt fixpoint
         fixed = two_opt_improve(d, Tour.from_order(out))
         assert brute_force_two_opt_scan(d, fixed.order.tolist()) > -1e-9
@@ -314,7 +359,9 @@ class TestNeighborPass:
         # neighbour: the pass pops each city once and ends
         d = distance_matrix(Instance(coords=np.full((10, 2), 0.25)))
         start = random_tour(10, 1).order
-        assert neighbor_pass(d, start).tolist() == start.tolist()
+        out, or_moves = neighbor_pass_moves(d, start)
+        assert out.tolist() == start.tolist()
+        assert or_moves == 0
 
     @pytest.mark.parametrize("start_seed", range(4))
     def test_collinear_cities(self, start_seed):
@@ -326,8 +373,142 @@ class TestNeighborPass:
         out = neighbor_pass(d, start)
         assert sorted(out.tolist()) == list(range(60))
         assert order_length(d, out) < order_length(d, start)
+        assert list_moves_left(d, out.tolist()) == []
         fixed = two_opt_improve(d, Tour.from_order(out))
         assert brute_force_two_opt_scan(d, fixed.order.tolist()) > -1e-9
+
+
+# Starts one Or-opt move away from their Held-Karp optimum with no 2-opt
+# move at all, so the pass's first move must be an Or-opt move. flips is
+# the number of _flip reversals the move takes: 3 when the segment keeps
+# its direction (e is c's successor), 2 when it is turned round (e is c's
+# predecessor). In every start the insertion point wraps past position 0:
+# c is the last city of the list and e the first, or the other way round.
+OR_OPT_STARTS = {
+    # city 5 goes back between 6 (last) and 8 (first)
+    "one-city": dict(
+        coords=[[1.0, 2.5], [8.0, 6.0], [1.0, 4.5], [5.0, 1.5], [7.5, 1.0], [4.0, 5.0],
+                [4.5, 6.0], [7.5, 9.5], [3.0, 6.5]],
+        start=[8, 2, 0, 5, 3, 4, 1, 7, 6], size=1, flips=3),
+    # 2, 5 goes between 4 (last) and 8 (first) as 5, 2
+    "two-cities-turned": dict(
+        coords=[[4.5, 7.0], [1.0, 1.0], [7.0, 5.0], [2.0, 1.0], [6.0, 0.5], [6.0, 2.5],
+                [4.5, 6.5], [6.0, 8.5], [8.5, 4.5], [10.0, 7.0]],
+        start=[8, 9, 7, 0, 6, 2, 5, 1, 3, 4], size=2, flips=3 - 1),
+    # 11, 9, 4 goes between 3 (last) and 6 (first)
+    "three-cities": dict(
+        coords=[[4.0, 6.0], [5.0, 7.0], [6.5, 8.5], [6.0, 5.5], [7.5, 2.0], [1.0, 1.0],
+                [5.0, 4.0], [2.0, 3.5], [6.5, 7.0], [7.5, 3.0], [0.0, 7.5], [6.5, 4.5]],
+        start=[6, 11, 9, 4, 5, 7, 10, 0, 1, 2, 8, 3], size=3, flips=3),
+    # a three-city segment turned round
+    "three-cities-turned": dict(
+        coords=[[8.5, 8.5], [2.0, 2.5], [5.0, 7.5], [7.0, 9.5], [0.5, 5.0], [3.5, 6.0],
+                [0.5, 3.5], [1.0, 9.5], [6.0, 5.0], [10.0, 3.5], [4.5, 5.0], [0.5, 0.0]],
+        start=[1, 11, 6, 4, 7, 2, 5, 10, 8, 3, 0, 9], size=3, flips=2),
+}
+
+
+def or_opt_start(name):
+    from tspheat.bench import held_karp_exact
+
+    case = OR_OPT_STARTS[name]
+    inst = Instance(coords=np.array(case["coords"]))
+    return distance_matrix(inst), case, held_karp_exact(inst)[0].order.tolist()
+
+
+class TestOrOptMoves:
+    @pytest.mark.parametrize("name", sorted(OR_OPT_STARTS))
+    def test_one_move_reaches_the_optimum(self, name, monkeypatch):
+        import tspheat.search as search_mod
+
+        d, case, opt = or_opt_start(name)
+        start = case["start"]
+        assert brute_force_two_opt_scan(d, start) > -1e-9
+        # the segment of size cities is the only one whose move shortens
+        # the start; it is where the start and the optimum part ways
+        assert len(edges(start) - edges(opt)) == 3
+        flips = []
+
+        def counted(*args):
+            flips.append(args)
+            _flip(*args)
+
+        monkeypatch.setattr(search_mod, "_flip", counted)
+        out, or_moves = neighbor_pass_moves(d, start)
+        assert edges(out.tolist()) == edges(opt)
+        assert or_moves == 1
+        assert len(flips) == case["flips"]
+
+    @pytest.mark.parametrize("name", ["one-city", "two-cities-turned"])
+    def test_every_rotation_and_direction(self, name):
+        # rotations put the segment, and the insertion point, across
+        # position 0 in every way; reading the list backward turns a kept
+        # direction into a turned-round one
+        d, case, opt = or_opt_start(name)
+        start = case["start"]
+        for r in range(len(start)):
+            rotated = start[r:] + start[:r]
+            for order in (rotated, rotated[::-1]):
+                out, or_moves = neighbor_pass_moves(d, order)
+                assert edges(out.tolist()) == edges(opt)
+                assert or_moves == 1
+
+    def test_flip_keeps_positions_in_either_direction(self):
+        # each _flip sequence of a kept and a turned-round insertion, on
+        # every small cycle and both list directions, gives the cycle with
+        # the segment moved and a position list that matches the tour
+        for n in range(4, 9):
+            for direction in (1, -1):
+                tour0 = list(range(n))[::direction]
+                for i, size in itertools.product(range(n), range(1, min(3, n - 3) + 1)):
+                    segment = [tour0[(i + k) % n] for k in range(size)]
+                    a, s = segment[0], segment[-1]
+                    p, q = tour0[i - 1], tour0[(i + size) % n]
+                    rest = [x for x in tour0 if x not in segment]
+                    for k, c in enumerate(rest):
+                        j = tour0.index(c)
+                        for e in (tour0[(j + 1) % n], tour0[j - 1]):
+                            if e in segment:
+                                continue
+                            if e == rest[(k + 1) % len(rest)]:
+                                want = rest[:k + 1] + segment + rest[k + 1:]
+                            else:
+                                want = rest[:k] + segment[::-1] + rest[k:]
+                            tour = list(tour0)
+                            pos = _positions(tour)
+                            if e == tour[(pos[c] + 1) % n]:
+                                _flip(tour, pos, p, a, c)
+                                _flip(tour, pos, q, s, a)
+                                _flip(tour, pos, p, c, q)
+                            else:
+                                _flip(tour, pos, p, a, e)
+                                _flip(tour, pos, p, e, q)
+                            assert edges(tour) == edges(want)
+                            assert pos == _positions(tour)
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_smallest_instances_every_start(self, n):
+        # segments stop at n - 3 cities; every start of a few instances
+        # ends at a permutation no longer than it with no move left
+        for inst_seed in range(4):
+            d = distance_matrix(generate_random(n, inst_seed))
+            for start in itertools.permutations(range(n)):
+                out, _ = neighbor_pass_moves(d, start)
+                assert sorted(out.tolist()) == list(range(n))
+                assert order_length(d, out) <= order_length(d, np.array(start)) + 1e-12
+                assert list_moves_left(d, out.tolist()) == []
+
+    def test_run_search_counts_round_start_or_moves(self):
+        inst = generate_random(40, 2)
+        d = distance_matrix(inst)
+        _, pruned = top_m_filter(adjacency_weights(d), 6)
+        params = dist_params(m=6, max_rounds=1)
+        rng = np.random.default_rng(7)
+        rng.integers(*params.k_range)
+        rng.integers(2)
+        _, want = neighbor_pass_moves(d, rng.permutation(40))
+        _, stats = run_search(inst, pruned, params, 7)
+        assert stats.or_moves == want > 0
 
 
 def draw_many(weights, rng, trials):
