@@ -1070,27 +1070,30 @@ GOLDEN_SEARCHES = {
         # the cycle first found at this length; before the best was kept by
         # exact length, an incremental length an ulp lower replaced it with
         # the same cycle written from another start and direction
-        order=[10, 8, 5, 6, 13, 7, 12, 1, 9, 4, 3, 15, 11, 0, 2, 14],
-        best_length="3.7710487245594857", expansions=1140, rounds=12, ends=(1107, 0),
+        order=[5, 6, 13, 7, 12, 1, 9, 4, 3, 15, 11, 0, 2, 14, 10, 8],
+        best_length="3.7710487245594857", expansions=720, rounds=12, ends=(720, 0),
+        or_moves=78,
     ),
     "tsp100-n100": dict(
         n=100, instance_seed=4, seed=6,
         params=PRESETS["tsp100"].with_budget(max_rounds=2),
-        order=[76, 51, 96, 11, 95, 25, 77, 90, 1, 91, 97, 3, 27, 92, 61, 66, 24, 31,
-               7, 29, 89, 0, 26, 16, 49, 86, 78, 56, 8, 34, 65, 72, 10, 84, 73, 20, 67,
-               85, 98, 59, 30, 13, 75, 32, 17, 70, 23, 69, 68, 94, 88, 38, 40, 87, 9,
-               71, 37, 21, 54, 33, 45, 58, 44, 50, 35, 22, 93, 46, 64, 19, 14, 28, 82,
-               55, 83, 41, 60, 42, 79, 53, 74, 6, 18, 39, 99, 15, 63, 43, 48, 12, 2,
-               47, 52, 62, 80, 36, 57, 4, 5, 81],
-        best_length="7.681572452397946", expansions=4800, rounds=2, ends=(4736, 0),
+        order=[11, 95, 25, 77, 90, 1, 91, 97, 3, 27, 92, 61, 66, 76, 51, 2, 47, 52,
+               62, 80, 36, 57, 4, 5, 81, 24, 31, 7, 29, 89, 0, 26, 16, 49, 86, 78, 56,
+               8, 34, 65, 72, 10, 84, 73, 20, 67, 85, 98, 59, 30, 13, 75, 6, 39, 99,
+               43, 48, 63, 15, 18, 74, 53, 32, 17, 70, 23, 69, 68, 94, 88, 38, 40, 87,
+               9, 79, 42, 60, 41, 12, 28, 82, 55, 83, 37, 71, 21, 54, 33, 45, 58, 44,
+               50, 35, 14, 22, 93, 46, 64, 19, 96],
+        best_length="7.77644127957343", expansions=1500, rounds=2, ends=(1494, 3),
+        or_moves=141,
     ),
     # a non-preset m and k_range
     "custom-n30": dict(
         n=30, instance_seed=8, seed=9,
         params=SearchParams(beta=10.0, m=6, k_range=(4, 9), expand_budget=60, max_rounds=6),
-        order=[8, 27, 1, 0, 18, 26, 9, 20, 2, 7, 23, 10, 21, 19, 15, 29, 24, 3, 14, 25,
-               22, 13, 11, 5, 6, 12, 16, 17, 4, 28],
-        best_length="4.671247308832938", expansions=900, rounds=6, ends=(784, 80),
+        order=[19, 21, 10, 23, 7, 2, 20, 9, 26, 18, 0, 1, 27, 8, 28, 4, 17, 16, 12, 6,
+               5, 11, 29, 24, 3, 13, 22, 25, 14, 15],
+        best_length="4.6426066301079345", expansions=420, rounds=6, ends=(387, 32),
+        or_moves=89,
     ),
 }
 
@@ -1108,6 +1111,7 @@ class TestGoldenSearch:
         assert stats.total_expansions == g["expansions"]
         assert stats.rounds == g["rounds"]
         assert (stats.dead_ends, stats.cap_hits) == g["ends"]
+        assert stats.or_moves == g["or_moves"]
 
 
 class TestPresets:
