@@ -284,6 +284,23 @@ def _flip(tour: list, pos: list, t1: int, t2: int, t3: int) -> None:
         _reverse(tour, pos, pos[t3], pos[t2])
 
 
+def _move_segment(tour: list, pos: list, p: int, a: int, s: int, q: int, c: int,
+                  e: int) -> None:
+    """Or-opt move on the cycle held in tour: take out the segment a .. s,
+    which p precedes and q follows, and put it between the tour neighbours c
+    and e, with a next to c and s next to e. Three _flip reversals when e is
+    c's successor (the segment keeps its direction), two when e is c's
+    predecessor (it is turned round)."""
+    i = pos[c] + 1
+    if tour[i if i < len(tour) else 0] == e:  # c, a .. s, e
+        _flip(tour, pos, p, a, c)
+        _flip(tour, pos, q, s, a)
+        _flip(tour, pos, p, c, q)
+    else:  # e, s .. a, c
+        _flip(tour, pos, p, a, e)
+        _flip(tour, pos, p, e, q)
+
+
 def _two_opt_move(tour: list, pos: list, rows: list, near: list, a: int) -> Optional[tuple]:
     """Apply the first improving list-restricted 2-opt move at city a and
     return the cities whose tour edges it changed, or None when there is
@@ -330,9 +347,8 @@ def _or_opt_move(tour: list, pos: list, rows: list, near: list, a: int) -> Optio
     of the segment and, for e the successor and then the predecessor of c
     (not in the segment), applies the first insertion whose
     g - (d[a,c] + d[s,e] - d[c,e]) exceeds TWO_OPT_EPS: the segment goes
-    between c and e with a next to c. That takes three _flip reversals, or
-    two when the segment is turned round, so a move costs the span it
-    moves, not the tour.
+    between c and e with a next to c (_move_segment), so a move costs the
+    span it moves, not the tour.
     """
     n = len(tour)
     ra = rows[a]
@@ -357,13 +373,7 @@ def _or_opt_move(tour: list, pos: list, rows: list, near: list, a: int) -> Optio
                 if (pos[e] - i) % n < size:
                     continue
                 if g - (dac + rs[e] - rc[e]) > TWO_OPT_EPS:
-                    if pos[e] == (j + 1) % n:  # c, a .. s, e
-                        _flip(tour, pos, p, a, c)
-                        _flip(tour, pos, q, s, a)
-                        _flip(tour, pos, p, c, q)
-                    else:  # e, s .. a, c
-                        _flip(tour, pos, p, a, e)
-                        _flip(tour, pos, p, e, q)
+                    _move_segment(tour, pos, p, a, s, q, c, e)
                     return p, q, a, s, c, e
     return None
 
@@ -702,9 +712,9 @@ def run_search(
     (updated pruned heat vs raw distance), builds the round's candidate
     table from its lists, builds a random tour, runs _neighbor_pass (2-opt
     and Or-opt moves) and then the full _two_opt_order scan on it, so the
-    round starts at a 2-opt fixpoint, then expands best-first until a whole expansion yields no
-    improvement. After each heat update only the table entries of
-    the added edges are rewritten. Heat updates survive into later rounds.
+    round starts at a 2-opt fixpoint, then expands best-first until a whole
+    expansion yields no improvement. After each heat update only the table
+    entries of the added edges are rewritten. Heat updates survive into later rounds.
     The run stops at the wall-clock deadline or after max_rounds, whichever
     comes first. Round 1's random tour and 2-opt always run, so even a
     deadline that has already passed returns a tour; its expansions stop at

@@ -47,6 +47,7 @@ from tspheat.search import (
     _construct,
     _draw,
     _flip,
+    _move_segment,
     _neighbor_pass,
     _positions,
 )
@@ -453,10 +454,10 @@ class TestOrOptMoves:
                 assert edges(out.tolist()) == edges(opt)
                 assert or_moves == 1
 
-    def test_flip_keeps_positions_in_either_direction(self):
-        # each _flip sequence of a kept and a turned-round insertion, on
-        # every small cycle and both list directions, gives the cycle with
-        # the segment moved and a position list that matches the tour
+    def test_move_segment_keeps_positions_in_either_direction(self):
+        # every kept and turned-round insertion on every small cycle, in
+        # both list directions, gives the cycle with the segment moved and a
+        # position list that matches the tour
         for n in range(4, 9):
             for direction in (1, -1):
                 tour0 = list(range(n))[::direction]
@@ -476,13 +477,7 @@ class TestOrOptMoves:
                                 want = rest[:k] + segment[::-1] + rest[k:]
                             tour = list(tour0)
                             pos = _positions(tour)
-                            if e == tour[(pos[c] + 1) % n]:
-                                _flip(tour, pos, p, a, c)
-                                _flip(tour, pos, q, s, a)
-                                _flip(tour, pos, p, c, q)
-                            else:
-                                _flip(tour, pos, p, a, e)
-                                _flip(tour, pos, p, e, q)
+                            _move_segment(tour, pos, p, a, s, q, c, e)
                             assert edges(tour) == edges(want)
                             assert pos == _positions(tour)
 
