@@ -46,7 +46,6 @@ from tspheat.search import (
     _candidate_table,
     _construct,
     _draw,
-    _flip,
     _move_segment,
     _neighbor_pass,
     _positions,
@@ -380,32 +379,31 @@ class TestNeighborPass:
 
 
 # Starts one Or-opt move away from their Held-Karp optimum with no 2-opt
-# move at all, so the pass's first move must be an Or-opt move. flips is
-# the number of _flip reversals the move takes: 3 when the segment keeps
-# its direction (e is c's successor), 2 when it is turned round (e is c's
-# predecessor). In every start the insertion point wraps past position 0:
-# c is the last city of the list and e the first, or the other way round.
+# move at all, so the pass's first move must be an Or-opt move. move is the
+# (a, s, c, e) the pass applies: the segment a .. s goes between c and e,
+# with a next to c. It keeps its direction when e follows c in the start
+# and is turned round when e precedes c.
 OR_OPT_STARTS = {
-    # city 5 goes back between 6 (last) and 8 (first)
+    # city 5 goes back between 6 and 8
     "one-city": dict(
         coords=[[1.0, 2.5], [8.0, 6.0], [1.0, 4.5], [5.0, 1.5], [7.5, 1.0], [4.0, 5.0],
                 [4.5, 6.0], [7.5, 9.5], [3.0, 6.5]],
-        start=[8, 2, 0, 5, 3, 4, 1, 7, 6], size=1, flips=3),
-    # 2, 5 goes between 4 (last) and 8 (first) as 5, 2
+        start=[0, 5, 3, 4, 1, 7, 6, 8, 2], move=(5, 5, 6, 8)),
+    # 2, 5 goes between 4 (last) and 8 (first), turned round
     "two-cities-turned": dict(
         coords=[[4.5, 7.0], [1.0, 1.0], [7.0, 5.0], [2.0, 1.0], [6.0, 0.5], [6.0, 2.5],
                 [4.5, 6.5], [6.0, 8.5], [8.5, 4.5], [10.0, 7.0]],
-        start=[8, 9, 7, 0, 6, 2, 5, 1, 3, 4], size=2, flips=3 - 1),
-    # 11, 9, 4 goes between 3 (last) and 6 (first)
+        start=[8, 9, 7, 0, 6, 2, 5, 1, 3, 4], move=(2, 5, 8, 4)),
+    # 11 (last), 9, 4 (first two) goes between 3 and 6
     "three-cities": dict(
         coords=[[4.0, 6.0], [5.0, 7.0], [6.5, 8.5], [6.0, 5.5], [7.5, 2.0], [1.0, 1.0],
                 [5.0, 4.0], [2.0, 3.5], [6.5, 7.0], [7.5, 3.0], [0.0, 7.5], [6.5, 4.5]],
-        start=[6, 11, 9, 4, 5, 7, 10, 0, 1, 2, 8, 3], size=3, flips=3),
-    # a three-city segment turned round
+        start=[9, 4, 5, 7, 10, 0, 1, 2, 8, 3, 6, 11], move=(11, 4, 3, 6)),
+    # 5, 10, 8 goes between 9 (last) and 1 (first), turned round
     "three-cities-turned": dict(
         coords=[[8.5, 8.5], [2.0, 2.5], [5.0, 7.5], [7.0, 9.5], [0.5, 5.0], [3.5, 6.0],
                 [0.5, 3.5], [1.0, 9.5], [6.0, 5.0], [10.0, 3.5], [4.5, 5.0], [0.5, 0.0]],
-        start=[1, 11, 6, 4, 7, 2, 5, 10, 8, 3, 0, 9], size=3, flips=2),
+        start=[1, 11, 6, 4, 7, 2, 5, 10, 8, 3, 0, 9], move=(5, 8, 1, 9)),
 }
 
 
@@ -425,26 +423,26 @@ class TestOrOptMoves:
         d, case, opt = or_opt_start(name)
         start = case["start"]
         assert brute_force_two_opt_scan(d, start) > -1e-9
-        # the segment of size cities is the only one whose move shortens
-        # the start; it is where the start and the optimum part ways
         assert len(edges(start) - edges(opt)) == 3
-        flips = []
+        moves = []
 
-        def counted(*args):
-            flips.append(args)
-            _flip(*args)
+        def spy(tour, pos, p, a, s, q, c, e):
+            moves.append((a, s, c, e))
+            _move_segment(tour, pos, p, a, s, q, c, e)
 
-        monkeypatch.setattr(search_mod, "_flip", counted)
+        monkeypatch.setattr(search_mod, "_move_segment", spy)
         out, or_moves = neighbor_pass_moves(d, start)
         assert edges(out.tolist()) == edges(opt)
+        assert moves == [case["move"]]
         assert or_moves == 1
-        assert len(flips) == case["flips"]
 
     @pytest.mark.parametrize("name", ["one-city", "two-cities-turned"])
     def test_every_rotation_and_direction(self, name):
         # rotations put the segment, and the insertion point, across
         # position 0 in every way; reading the list backward turns a kept
-        # direction into a turned-round one
+        # direction into a turned-round one. The pass may pick another
+        # segment of the same exchange, or finish with a 2-opt move, but it
+        # reaches the optimum with one Or-opt move from every start
         d, case, opt = or_opt_start(name)
         start = case["start"]
         for r in range(len(start)):
