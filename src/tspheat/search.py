@@ -342,7 +342,7 @@ def _or_opt_move(tour: list, pos: list, rows: list, near: list, a: int) -> Optio
 
     The segment a .. s holds the L = 1 .. OR_OPT_SEGMENT cities that start
     at a in tour order (L at most n - 3), with p and q the cities around it.
-    Taking it out gains g = d[p,a] + d[s,q] - d[p,q]; while g > TWO_OPT_EPS,
+    Taking it out gains g = d[p,a] + d[s,q] - d[p,q]; when g > TWO_OPT_EPS,
     a scans its list up to the first c with d[a, c] >= g, skips the cities
     of the segment and, for e the successor and then the predecessor of c
     (not in the segment), applies the first insertion whose
