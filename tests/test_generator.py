@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import tracemalloc
 
@@ -6,7 +7,13 @@ import pytest
 
 from tspheat import generator
 from tspheat.generator import TrainConfig, default_steps, init_logits, optimize_heatmap
-from tspheat.heatmap import column_softmax, indicator_to_heatmap, loss_gradient, surrogate_loss
+from tspheat.heatmap import (
+    NumericError,
+    column_softmax,
+    indicator_to_heatmap,
+    loss_gradient,
+    surrogate_loss,
+)
 from tspheat.instances import Instance, distance_matrix, generate_random
 
 
@@ -197,6 +204,67 @@ class TestOptimizeHeatmap:
         want = surrogate_loss(t, indicator_to_heatmap(t), d, cfg.lambda1, cfg.lambda2)
         _, _, trace = optimize_heatmap(big, cfg)
         _assert_breakdowns_match(trace.per_step[0], want)
+
+
+class TestNumericErrors:
+    """Each NumericError of the fit, with its exact message and step. The
+    step cases wrap the kernel the loop looks up on every step and poison
+    what it returns, or the logits it read, at step k."""
+
+    def _fit_poisoned(self, monkeypatch, k, poison):
+        kernel = generator._loss_and_gradient
+        calls = []
+
+        def spy(logits, *args):
+            breakdown, g = kernel(logits, *args)
+            calls.append(None)
+            if len(calls) == k:
+                breakdown = poison(breakdown, g, logits)
+            return breakdown, g
+
+        monkeypatch.setattr(generator, "_loss_and_gradient", spy)
+        with pytest.raises(NumericError) as excinfo:
+            optimize_heatmap(generate_random(9, 4), TrainConfig(steps=10, seed=4))
+        assert len(calls) == k
+        return str(excinfo.value)
+
+    def test_non_finite_initial_logits(self, monkeypatch):
+        def nan_logits(n, cfg):
+            logits = np.zeros((n, n))
+            logits[2, 5] = np.nan
+            return logits
+
+        monkeypatch.setattr(generator, "init_logits", nan_logits)
+        with pytest.raises(NumericError) as excinfo:
+            optimize_heatmap(generate_random(9, 4), TrainConfig(steps=10, seed=4))
+        assert str(excinfo.value) == "non-finite initial logits"
+
+    @pytest.mark.parametrize("k", [1, 7])
+    def test_non_finite_loss(self, monkeypatch, k):
+        def poison(breakdown, g, logits):
+            return dataclasses.replace(breakdown, total=float("nan"))
+
+        assert self._fit_poisoned(monkeypatch, k, poison) == f"non-finite loss at step {k}"
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("k", [1, 7])
+    def test_non_finite_gradient(self, monkeypatch, k, value):
+        def poison(breakdown, g, logits):
+            g[3, 6] = value
+            return breakdown
+
+        assert self._fit_poisoned(monkeypatch, k, poison) == f"non-finite gradient at step {k}"
+
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    @pytest.mark.parametrize("k", [1, 7])
+    def test_non_finite_logits(self, monkeypatch, k, value):
+        # the loss and gradient of step k are finite; the logits the update
+        # starts from are not
+        def poison(breakdown, g, logits):
+            logits[4, 1] = value
+            return breakdown
+
+        assert self._fit_poisoned(monkeypatch, k, poison) == f"non-finite logits after step {k}"
 
 
 class TestGoldenTraining:
