@@ -133,53 +133,61 @@ def optimize_heatmap(inst: Instance, cfg: TrainConfig = TrainConfig()):
     steps = cfg.resolved_steps(n)
     lam1, lam2 = cfg.lambda1, cfg.lambda2
     e = max(0, math.frexp(d.max())[1] - TRAIN_MAX_EXPONENT)
-    a = (np.ldexp(d, -e) + lam2 * np.eye(n)).astype(np.float32)
-    # each Adam coefficient is computed as a Python float, then cast once to
-    # float32: against a float32 array it gives the same result as the
-    # Python float and costs less per call (at n=16, about 0.8 against
-    # 1.1 us for one multiply, 2-core VM)
-    f32 = np.float32
-    b1, b2 = f32(ADAM_BETA1), f32(ADAM_BETA2)
-    c1, c2 = f32(1.0 - ADAM_BETA1), f32(1.0 - ADAM_BETA2)
-    lr, eps = f32(cfg.learning_rate), f32(ADAM_EPSILON)
-    logits = init_logits(n, cfg).astype(np.float32)
-    ws = _Workspace(n, logits.dtype)
-    # checked once here; the loop re-checks the logits after every update
-    if not ws.all_finite(logits):
-        raise NumericError("non-finite initial logits")
-    m = np.zeros_like(logits)
-    v = np.zeros_like(logits)
-    # scratch for the in-place Adam update; the operations and their order
-    # are those of the textbook expression, so the result is bit-identical
-    step_buf = np.empty_like(logits)
-    denom = np.empty_like(logits)
-    per_step: list[LossBreakdown] = []
-    t0 = time.perf_counter()
-    for k in range(1, steps + 1):
-        breakdown, g = _loss_and_gradient(logits, a, lam1, lam2, ws)
-        if not math.isfinite(breakdown.total):
-            raise NumericError(f"non-finite loss at step {k}")
-        if not ws.all_finite(g):
-            raise NumericError(f"non-finite gradient at step {k}")
-        per_step.append(breakdown)
-        # m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*(g*g)
-        m *= b1
-        np.multiply(c1, g, out=step_buf)
-        m += step_buf
-        v *= b2
-        np.multiply(g, g, out=step_buf)
-        step_buf *= c2
-        v += step_buf
-        # logits -= lr * m_hat / (sqrt(v_hat) + eps)
-        np.divide(v, f32(1.0 - ADAM_BETA2**k), out=denom)
-        np.sqrt(denom, out=denom)
-        denom += eps
-        np.divide(m, f32(1.0 - ADAM_BETA1**k), out=step_buf)
-        step_buf *= lr
-        step_buf /= denom
-        logits -= step_buf
+    # the fit checks the initial logits, every loss and the logits after
+    # every update itself, so numpy's overflow and invalid warnings (a huge
+    # setting, or logits a too large learning rate overflows) stay silent
+    with np.errstate(over="ignore", invalid="ignore"):
+        a = (np.ldexp(d, -e) + lam2 * np.eye(n)).astype(np.float32)
+        # m and v are one (2, n, n) stack, so that each moment operation is
+        # one ufunc call against (2, 1, 1) coefficients. Each coefficient is
+        # a Python float cast once to float32, which gives the same result
+        # as the Python float in a float32 operation; a scalar is a 0-d
+        # float32 array, the cheapest operand of a ufunc call.
+        f32 = np.float32
+        decay = np.array([ADAM_BETA1, ADAM_BETA2], f32).reshape(2, 1, 1)
+        gain = np.array([1.0 - ADAM_BETA1, 1.0 - ADAM_BETA2], f32).reshape(2, 1, 1)
+        bias = np.array([(1.0 - ADAM_BETA1**k, 1.0 - ADAM_BETA2**k)
+                         for k in range(1, steps + 1)], f32).reshape(steps, 2, 1, 1)
+        lr, eps = np.array(cfg.learning_rate, f32), np.array(ADAM_EPSILON, f32)
+        logits = init_logits(n, cfg).astype(f32)
+        ws = _Workspace(n, logits.dtype)
+        # checked once here; the loop re-checks the logits after every update
         if not ws.all_finite(logits):
-            raise NumericError(f"non-finite logits after step {k}")
+            raise NumericError("non-finite initial logits")
+        moments = np.zeros((2, n, n), f32)
+        # update holds (1-b1)*g and (1-b2)*(g*g), then m_hat and v_hat; the
+        # operations and their order are those of the textbook expression,
+        # so the result is bit-identical
+        update = np.empty_like(moments)
+        g_term, g2_term = update
+        m_hat, v_hat = update
+        per_step: list[LossBreakdown] = []
+        t0 = time.perf_counter()
+        for k, bias_k in enumerate(list(bias), 1):
+            breakdown, g = _loss_and_gradient(logits, a, lam1, lam2, ws)
+            if not math.isfinite(breakdown.total):
+                raise NumericError(f"non-finite loss at step {k}")
+            per_step.append(breakdown)
+            # m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*(g*g)
+            g_term[...] = g
+            np.multiply(g, g, g2_term)
+            np.multiply(update, gain, update)
+            np.multiply(moments, decay, moments)
+            np.add(moments, update, moments)
+            # logits -= lr * m_hat / (sqrt(v_hat) + eps)
+            np.divide(moments, bias_k, update)
+            np.sqrt(v_hat, v_hat)
+            np.add(v_hat, eps, v_hat)
+            np.multiply(m_hat, lr, m_hat)
+            np.divide(m_hat, v_hat, m_hat)
+            np.subtract(logits, m_hat, logits)
+            if not ws.all_finite(logits):
+                # a non-finite gradient entry always leaves a NaN in the
+                # logits (its m_hat and v_hat go infinite or NaN together,
+                # and inf/inf is NaN), so the gradient is checked only here
+                if not ws.all_finite(g):
+                    raise NumericError(f"non-finite gradient at step {k}")
+                raise NumericError(f"non-finite logits after step {k}")
     t = _softmax_into(logits, ws).astype(np.float64)
     del ws, g  # free the other kernel buffers before the final products
     h = indicator_to_heatmap(t)
