@@ -140,7 +140,7 @@ def solve_pipeline(
 
     The same seed drives both the logit initialization and the search run.
     """
-    result, tour, _ = _solve_pipeline(inst, train_cfg, search_params, seed, ref_length)
+    result, tour, _, _ = _solve_pipeline(inst, train_cfg, search_params, seed, ref_length)
     return result, tour
 
 
@@ -151,9 +151,10 @@ def _solve_pipeline(
     seed: int,
     ref_length: Optional[float],
 ):
-    """solve_pipeline, also returning the run's SearchStats."""
+    """solve_pipeline, also returning the run's SearchStats and the fit's
+    TrainTrace."""
     t0 = time.perf_counter()
-    heat, _, _ = optimize_heatmap(inst, train_cfg)
+    heat, _, trace = optimize_heatmap(inst, train_cfg)
     t_heat = time.perf_counter() - t0
     _, pruned = top_m_filter(heat, min(search_params.m, inst.n - 1))
     t1 = time.perf_counter()
@@ -169,7 +170,7 @@ def _solve_pipeline(
         search_seconds=t_search,
         seed=seed,
     )
-    return result, tour, stats
+    return result, tour, stats, trace
 
 
 @dataclass(frozen=True)

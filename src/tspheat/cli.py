@@ -107,12 +107,13 @@ def cmd_solve(args) -> int:
     inst = read_instance_file(args.instance)
     cfg = _train_config(args, args.seed)
     params = _search_params(args)
-    result, tour, stats = bench_mod._solve_pipeline(inst, cfg, params, args.seed, None)
+    result, tour, stats, trace = bench_mod._solve_pipeline(inst, cfg, params, args.seed, None)
     _write_out(format_tour(tour, result.length), args.out)
     if args.svg:
         bench_mod.emit_tour_svg(inst, tour, args.svg)
     sys.stderr.write(
         f"length={result.length!r} heatmap_s={result.heatmap_seconds:.3f} "
+        f"fit_steps={trace.steps} step_us={trace.seconds / trace.steps * 1e6:.1f} "
         f"search_s={result.search_seconds:.3f} two_opt_s={stats.two_opt_seconds:.3f} "
         f"rounds={stats.rounds} or_moves={stats.or_moves} attempts={stats.total_expansions} "
         f"dead_ends={stats.dead_ends} cap_hits={stats.cap_hits} improving={stats.improving}\n"

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -57,6 +61,26 @@ class TestTrainHeatmap:
         ])
         assert code == 2
         assert "must be finite" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--lr", "1e38", "--steps", "50"], "non-finite logits after step 5"),
+        (["--init-scale", "1e300", "--steps", "5"], "non-finite initial logits"),
+    ])
+    def test_numeric_failure_prints_only_its_error(self, tmp_path, flags, message):
+        # run as a command, with Python's default warning filters: the fit
+        # checks finiteness itself, so no numpy warning precedes its error
+        inst_path = tmp_path / "inst.txt"
+        assert main(["generate", "--n", "8", "--seed", "1", "--out", str(inst_path)]) == 0
+        src = Path(__file__).resolve().parents[1] / "src"
+        out = subprocess.run(
+            [sys.executable, "-m", "tspheat.cli", "train-heatmap", "--instance", str(inst_path),
+             *flags, "--seed", "1", "--out", str(tmp_path / "heat.txt")],
+            env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True,
+            timeout=120,
+        )
+        assert out.returncode == 3
+        assert out.stderr == f"runtime failure: {message}\n"
 
 
 class TestSearchCommand:
@@ -198,8 +222,12 @@ class TestSolve:
         ])
         assert code == 0
         fields = dict(f.split("=") for f in capsys.readouterr().err.split())
-        assert list(fields) == ["length", "heatmap_s", "search_s", "two_opt_s", "rounds",
-                                "or_moves", "attempts", "dead_ends", "cap_hits", "improving"]
+        assert list(fields) == ["length", "heatmap_s", "fit_steps", "step_us", "search_s",
+                                "two_opt_s", "rounds", "or_moves", "attempts", "dead_ends",
+                                "cap_hits", "improving"]
+        # the instance has 10 cities, so the fit runs default_steps(10) = 300
+        assert int(fields["fit_steps"]) == 300
+        assert float(fields["step_us"]) > 0.0
         assert 0.0 <= float(fields["two_opt_s"]) <= float(fields["search_s"])
         assert int(fields["rounds"]) == 3
         assert int(fields["or_moves"]) >= 0
