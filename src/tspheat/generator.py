@@ -145,7 +145,7 @@ def optimize_heatmap(inst: Instance, cfg: TrainConfig = TrainConfig()):
         # float32 array, the cheapest operand of a ufunc call.
         f32 = np.float32
         decay = np.array([ADAM_BETA1, ADAM_BETA2], f32).reshape(2, 1, 1)
-        gain = np.array([1.0 - ADAM_BETA1, 1.0 - ADAM_BETA2], f32).reshape(2, 1, 1)
+        c1, c2 = np.array(1.0 - ADAM_BETA1, f32), np.array(1.0 - ADAM_BETA2, f32)
         bias = np.array([(1.0 - ADAM_BETA1**k, 1.0 - ADAM_BETA2**k)
                          for k in range(1, steps + 1)], f32).reshape(steps, 2, 1, 1)
         lr, eps = np.array(cfg.learning_rate, f32), np.array(ADAM_EPSILON, f32)
@@ -163,15 +163,15 @@ def optimize_heatmap(inst: Instance, cfg: TrainConfig = TrainConfig()):
         m_hat, v_hat = update
         per_step: list[LossBreakdown] = []
         t0 = time.perf_counter()
-        for k, bias_k in enumerate(list(bias), 1):
+        for k, bias_k in enumerate(bias, 1):
             breakdown, g = _loss_and_gradient(logits, a, lam1, lam2, ws)
             if not math.isfinite(breakdown.total):
                 raise NumericError(f"non-finite loss at step {k}")
             per_step.append(breakdown)
             # m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*(g*g)
-            g_term[...] = g
+            np.multiply(g, c1, g_term)
             np.multiply(g, g, g2_term)
-            np.multiply(update, gain, update)
+            np.multiply(g2_term, c2, g2_term)
             np.multiply(moments, decay, moments)
             np.add(moments, update, moments)
             # logits -= lr * m_hat / (sqrt(v_hat) + eps)

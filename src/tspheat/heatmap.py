@@ -57,9 +57,8 @@ class _Workspace:
     one size n and one float dtype (that of the logits the kernel is given),
     so that a training step allocates no n x n array.
 
-    n x n: t (the soft indicator), t_next (its columns rolled by -1, then
-    scratch for the softmax backward pass), m (= a @ t), g (the logit
-    gradient) and a boolean finiteness mask; length n: column max and sum
+    n x n: t (the soft indicator), t_next (its columns rolled by -1), m
+    (= a @ t), g (the logit gradient) and a boolean finiteness mask; length n: column max and sum
     (softmax), row error and column dot (gradient). The views the kernel
     reads and writes on every call, and its constants as 0-d arrays of the
     dtype, are built here once: a ufunc call with a 0-d array costs less
@@ -67,9 +66,9 @@ class _Workspace:
     buffers, so a caller that needs only the softmax touches t alone.
     """
 
-    __slots__ = ("t", "t_next", "m", "g", "finite", "col_max",
-                 "col_sum", "row_err", "row_err_col", "col_dot", "one", "row_scale",
-                 "t_roll", "g_roll")
+    __slots__ = ("t", "t_next", "m", "g", "finite", "col_max", "col_sum",
+                 "row_err", "row_err_col", "col_dot", "one", "row_scale", "t_roll",
+                 "g_roll")
 
     def __init__(self, n: int, dtype):
         t = self.t = np.empty((n, n), dtype)
@@ -226,7 +225,7 @@ def _loss_and_gradient(
     t = _softmax_into(logits, ws)
     t_next, m, g, row_err = ws.t_next, ws.m, ws.g, ws.row_err
     np.matmul(a, t, m)
-    for dst, src in ws.t_roll:
+    for dst, src in ws.t_roll:  # t_next = roll(t, -1, axis=1)
         dst[...] = src
     np.add.reduce(t, 1, None, row_err)
     np.subtract(row_err, ws.one, row_err)
@@ -239,16 +238,13 @@ def _loss_and_gradient(
         expected_length=bilinear - lambda2 * self_loop,
         total=lambda1 * row_penalty + bilinear,
     )
-    for x, y, out in ws.g_roll:
+    for x, y, out in ws.g_roll:  # g = roll(m, -1, axis=1) + roll(m, 1, axis=1)
         np.add(x, y, out)
     ws.row_scale[()] = 2.0 * lambda1
     np.multiply(row_err, ws.row_scale, row_err)
     np.add(g, ws.row_err_col, g)
-    # softmax backward, one column at a time (vectorized across columns):
-    # the column dots sum the products g * t over i in row order, held in
-    # t_next, which the loss no longer needs
-    np.multiply(g, t, t_next)
-    np.add.reduce(t_next, 0, None, ws.col_dot)
+    # softmax backward, one column at a time (vectorized across columns)
+    np.einsum("ij,ij->j", g, t, out=ws.col_dot)
     np.subtract(g, ws.col_dot, g)
     np.multiply(g, t, g)
     return breakdown, g
