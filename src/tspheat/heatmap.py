@@ -58,12 +58,13 @@ class _Workspace:
     so that a training step allocates no n x n array.
 
     n x n: t (the soft indicator), t_next (its columns rolled by -1), m
-    (= a @ t), g (the logit gradient) and a boolean finiteness mask; length n: column max and sum
-    (softmax), row error and column dot (gradient). The views the kernel
-    reads and writes on every call, and its constants as 0-d arrays of the
-    dtype, are built here once: a ufunc call with a 0-d array costs less
-    than one with a Python or numpy scalar. np.empty does not write the
-    buffers, so a caller that needs only the softmax touches t alone.
+    (= a @ t), g (the logit gradient) and a boolean finiteness mask;
+    length n: column max and sum (softmax), row error and column dot
+    (gradient). The views the kernel reads and writes on every call, and
+    its constants as 0-d arrays of the dtype, are built here once: a ufunc
+    call with a 0-d array costs less than one with a Python or numpy
+    scalar. np.empty does not write the buffers, so a caller that needs
+    only the softmax touches t alone.
     """
 
     __slots__ = ("t", "t_next", "m", "g", "finite", "col_max", "col_sum",
