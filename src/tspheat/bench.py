@@ -25,8 +25,10 @@ class BenchResult:
     """One (instance, method) measurement row.
 
     Wall-clock seconds are split into the heat-map phase and the search
-    phase; methods without a heat-map phase report 0 for it. gap_percent is
-    relative to a reference length when one is available.
+    phase; methods without a heat-map phase report 0 for it, and the
+    nn+2opt baseline reports its whole run, construction and 2-opt, as its
+    search phase. gap_percent is relative to a reference length when one is
+    available.
     """
 
     instance: str

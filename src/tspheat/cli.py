@@ -13,6 +13,7 @@ import io
 import json
 import statistics
 import sys
+import time
 from dataclasses import asdict
 
 from . import bench as bench_mod
@@ -164,7 +165,9 @@ def cmd_bench(args) -> int:
         params = _search_params(args)
         result, _ = bench_mod.solve_pipeline(inst, cfg, params, seed, ref_length=ref)
         rows.append(result)
-        base_tour, base_len = bench_mod.nn_two_opt_baseline(inst, seed)
+        t0 = time.perf_counter()
+        _, base_len = bench_mod.nn_two_opt_baseline(inst, seed)
+        base_seconds = time.perf_counter() - t0
         rows.append(
             bench_mod.BenchResult(
                 instance=inst.name or f"n{inst.n}",
@@ -172,7 +175,7 @@ def cmd_bench(args) -> int:
                 length=base_len,
                 gap_percent=bench_mod.gap_percent(base_len, ref) if ref else None,
                 heatmap_seconds=0.0,
-                search_seconds=0.0,
+                search_seconds=base_seconds,
                 seed=seed,
             )
         )
@@ -191,7 +194,8 @@ def _add_common(p: argparse.ArgumentParser, budget: bool = False, train: bool = 
         p.add_argument("--preset", choices=sorted(PRESETS), default="tsp100")
         p.add_argument("--time-budget", type=float, default=None, metavar="SECONDS",
                        help="wall-clock cap on the search only, not on training; "
-                            "round 1's 2-opt tour is always returned")
+                            "round 1's start tour (after its 2-opt and Or-opt "
+                            "pass) is always returned")
         p.add_argument("--rounds", type=int, default=None, metavar="N")
     if train:
         p.add_argument("--steps", type=int, default=None)

@@ -270,8 +270,11 @@ def loss_gradient(
     if not np.array_equal(d, d.T):
         raise ValueError("d must be symmetric")
     ws = _Workspace(n, s.dtype)
-    a = (d + lambda2 * np.eye(n)).astype(s.dtype, copy=False)
-    _, grad = _loss_and_gradient(s, a, lambda1, lambda2, ws)
+    # the gradient's finiteness is checked below, so numpy's overflow and
+    # invalid warnings (a huge lambda or distance) stay silent, as in the fit
+    with np.errstate(over="ignore", invalid="ignore"):
+        a = (d + lambda2 * np.eye(n)).astype(s.dtype, copy=False)
+        _, grad = _loss_and_gradient(s, a, lambda1, lambda2, ws)
     if not ws.all_finite(grad):
         raise NumericError("gradient evaluation produced non-finite values")
     return grad

@@ -1,9 +1,9 @@
 """Heat-map-guided best-first k-opt local search.
 
-A search run repeats rounds of: random tour, 2-opt to a fixpoint (a
-neighbour-list pass of 2-opt and Or-opt moves, then a full 2-opt scan), then
-best-first node expansion where each expansion tries a bounded number of
-sequential k-opt constructions and moves to the shortest improving result.
+A search run repeats rounds of: random tour, a neighbour-list pass of 2-opt
+and Or-opt moves until no list-restricted move is left, then best-first node
+expansion where each expansion tries a bounded number of sequential k-opt
+constructions and moves to the shortest improving result.
 Constructions grow a Hamiltonian path with one fixed endpoint; the next city
 is sampled from the moving endpoint's candidate list with probability
 proportional to its pruned-heat value, floored so that zero-heat candidates
@@ -126,10 +126,9 @@ class SearchStats:
     (improving), at a dead end (no feasible candidate; dead_ends) or at the
     removed-edge cap (cap_hits). total_expansions, every attempt made, is
     their sum. or_moves counts the Or-opt moves the rounds' neighbour-list
-    passes applied. two_opt_seconds is the wall-clock time spent on each
-    round's start: the neighbour-list pass, with both its 2-opt and its
-    Or-opt moves, and the full 2-opt scan together; it is a timing, so no
-    determinism check reads it.
+    passes applied. two_opt_seconds is the wall-clock time spent in each
+    round's neighbour-list pass, its 2-opt and its Or-opt moves together;
+    it is a timing, so no determinism check reads it.
     """
 
     improving: int = 0
@@ -184,11 +183,10 @@ def random_tour(n: int, seed) -> Tour:
 # 2-opt
 # ---------------------------------------------------------------------------
 
-def _two_opt_order(d: np.ndarray, rows: list, order: np.ndarray) -> np.ndarray:
-    """First-improvement 2-opt sweeps until no move improves; mutates order.
-
-    rows is d.tolist(), converted once by the caller so that a search run
-    pays for it once, not in every round.
+def two_opt_improve(d: np.ndarray, tour: Tour) -> Tour:
+    """Run first-improvement 2-opt from the given tour until no improving
+    exchange exists. run_search's rounds do not call it; the nearest-neighbour
+    + 2-opt baseline does.
 
     Row i pairs edge (order[i], order[i+1]) with each later edge (order[j],
     order[j+1]) in turn and applies the first pair whose delta
@@ -197,24 +195,29 @@ def _two_opt_order(d: np.ndarray, rows: list, order: np.ndarray) -> np.ndarray:
     SCALAR_ROW partners is tried with Python floats; a longer one tries its
     first SCALAR_SPAN partners that way and the rest as one numpy
     expression. Both evaluate the same sum in the same order, so the moves
-    do not depend on where a row switches. The tour list carries a copy of
+    do not depend on where a row switches. The order list carries a copy of
     position 0 at its end as the successor of the last position; a reversal
     never moves position 0, so the copy stays valid.
     """
-    n = order.shape[0]
-    tour = order.tolist()
-    tour.append(tour[0])
-    # index mirror of tour for the numpy part, kept only when some row is
+    n = tour.n
+    if d.shape != (n, n):
+        raise ValueError(
+            f"distance matrix shape {d.shape} does not match a tour of {n} cities"
+        )
+    rows = d.tolist()
+    order = tour.order.tolist()
+    order.append(order[0])
+    # index mirror of order for the numpy part, kept only when some row is
     # long enough to reach it (rows 0 and 1 have the most partners, n - 3);
     # updating it on every move made an n=16 call about 1.5x slower
-    idx = np.array(tour, dtype=np.int64) if n - 3 > SCALAR_ROW else None
+    idx = np.array(order, dtype=np.int64) if n - 3 > SCALAR_ROW else None
     improved = True
     while improved:
         improved = False
         i = 0
         while i < n - 1:
-            a = tour[i]
-            b = tour[i + 1]
+            a = order[i]
+            b = order[i + 1]
             hi = n if i > 0 else n - 1  # skip the wrap pair (0, n-1)
             ra = rows[a]
             rb = rows[b]
@@ -223,8 +226,8 @@ def _two_opt_order(d: np.ndarray, rows: list, order: np.ndarray) -> np.ndarray:
             mid = hi if hi - i - 2 <= SCALAR_ROW else i + 2 + SCALAR_SPAN
             hit = 0  # no partner sits at position 0
             for j in range(i + 2, mid):
-                c = tour[j]
-                e = tour[j + 1]
+                c = order[j]
+                e = order[j + 1]
                 if ra[c] + rb[e] - dab - rows[c][e] < -TWO_OPT_EPS:
                     hit = j
                     break
@@ -240,14 +243,13 @@ def _two_opt_order(d: np.ndarray, rows: list, order: np.ndarray) -> np.ndarray:
                     if far.size:
                         hit = mid + int(far[0])
             if hit:
-                tour[i + 1:hit + 1] = tour[hit:i:-1]
+                order[i + 1:hit + 1] = order[hit:i:-1]
                 if idx is not None:
                     idx[i + 1:hit + 1] = idx[i + 1:hit + 1][::-1]
                 improved = True
             else:
                 i += 1
-    order[:] = tour[:n]
-    return order
+    return Tour.from_order(order[:n])
 
 
 def _reverse(tour: list, pos: list, i: int, j: int) -> None:
@@ -309,8 +311,9 @@ def _two_opt_move(tour: list, pos: list, rows: list, near: list, a: int) -> Opti
     a looks in each direction, successor first: with b its tour neighbour
     that way, it scans its list up to the first c with d[a, c] >= d[a, b],
     and with e c's neighbour the same way (c != b, e != a) applies the first
-    move whose d[a,c] + d[b,e] - d[a,b] - d[c,e] is below -TWO_OPT_EPS, the
-    scan's own test, so that (a, c) and (b, e) replace (a, b) and (c, e).
+    move whose d[a,c] + d[b,e] - d[a,b] - d[c,e] is below -TWO_OPT_EPS,
+    two_opt_improve's own test, so that (a, c) and (b, e) replace (a, b)
+    and (c, e).
     """
     n = len(tour)
     ra = rows[a]
@@ -392,7 +395,8 @@ def _neighbor_pass(rows: list, nbrs: list, order: np.ndarray) -> int:
     so when the queue runs dry after any move, every city is queued again:
     the pass ends after a sweep of all cities that applied no move, with no
     list-restricted move left. Every move shortens the tour, so the pass
-    ends; moves the short lists cannot see are left to _two_opt_order.
+    ends; moves the short lists cannot see are left to the k-opt
+    expansions.
     """
     n = order.shape[0]
     tour = order.tolist()
@@ -423,18 +427,6 @@ def _neighbor_pass(rows: list, nbrs: list, order: np.ndarray) -> int:
             queued = [True] * n
     order[:] = tour
     return or_moves
-
-
-def two_opt_improve(d: np.ndarray, tour: Tour) -> Tour:
-    """Run 2-opt from the given tour until no improving exchange exists.
-
-    This is the plain first-improvement scan, without run_search's
-    neighbour-list pass in front of it."""
-    if d.shape != (tour.n, tour.n):
-        raise ValueError(
-            f"distance matrix shape {d.shape} does not match a tour of {tour.n} cities"
-        )
-    return Tour.from_order(_two_opt_order(d, d.tolist(), tour.order.copy()))
 
 
 # ---------------------------------------------------------------------------
@@ -710,15 +702,15 @@ def run_search(
     neighbour lists of the 2-opt pass. Each round draws a fresh
     removed-edge cap from k_range and a candidate construction mode
     (updated pruned heat vs raw distance), builds the round's candidate
-    table from its lists, builds a random tour, runs _neighbor_pass (2-opt
-    and Or-opt moves) and then the full _two_opt_order scan on it, so the
-    round starts at a 2-opt fixpoint, then expands best-first until a whole
-    expansion yields no improvement. After each heat update only the table
-    entries of the added edges are rewritten. Heat updates survive into later rounds.
-    The run stops at the wall-clock deadline or after max_rounds, whichever
-    comes first. Round 1's random tour and 2-opt always run, so even a
-    deadline that has already passed returns a tour; its expansions stop at
-    the deadline.
+    table from its lists, builds a random tour and runs _neighbor_pass (2-opt
+    and Or-opt moves) on it, so the round starts with no list-restricted
+    move left, then expands best-first until a whole expansion yields no
+    improvement. No step of a round scans all O(n^2) city pairs. After each
+    heat update only the table entries of the added edges are rewritten.
+    Heat updates survive into later rounds. The run stops at the wall-clock
+    deadline or after max_rounds, whichever comes first. Round 1's random
+    tour and pass always run, so even a deadline that has already passed
+    returns a tour; its expansions stop at the deadline.
     """
     if params.time_budget is None and params.max_rounds is None:
         raise ValueError("a budget is required: set time_budget and/or max_rounds")
@@ -756,7 +748,6 @@ def run_search(
         order = rng.permutation(n).astype(np.int64)
         t0 = time.perf_counter()
         stats.or_moves += _neighbor_pass(rows, nbrs, order)
-        _two_opt_order(d, rows, order)
         stats.two_opt_seconds += time.perf_counter() - t0
         cur_len = order_length(d, order)
         if cur_len < best_len:

@@ -324,6 +324,11 @@ class TestBenchCommand:
         assert methods == {"pipeline", "nn+2opt"}
         for r in rows:
             assert r["gap_percent"] is not None and r["gap_percent"] >= -1e-9
+            # the baseline has no heat-map phase; its construction and 2-opt
+            # are timed as its search phase
+            if r["method"] == "nn+2opt":
+                assert r["heatmap_seconds"] == 0.0
+                assert r["search_seconds"] > 0.0
 
     def test_optimal_tours_report_zero_gap(self, tmp_path):
         # these optima and the tours found for them sum the same edges in

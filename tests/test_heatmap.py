@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tspheat.heatmap import (
+    NumericError,
     column_softmax,
     indicator_to_heatmap,
     is_permutation_matrix,
@@ -241,6 +242,15 @@ class TestLossGradient:
     def test_rejects_single_position(self):
         with pytest.raises(ValueError):
             loss_gradient(np.zeros((1, 1)), np.zeros((1, 1)), 2.0, 1.0)
+
+    def test_huge_lambda_raises_numeric_error(self):
+        # the float32 kernel overflows on 2 * lambda1; the suite turns a
+        # numpy RuntimeWarning into an error, so a warning would surface
+        # here in place of the NumericError
+        d = distance_matrix(generate_random(8, 0))
+        with pytest.raises(NumericError) as excinfo:
+            loss_gradient(np.zeros((8, 8), np.float32), d, 1e300, 1.0)
+        assert str(excinfo.value) == "gradient evaluation produced non-finite values"
 
     def test_zero_for_constant_loss(self):
         s = np.random.default_rng(0).normal(size=(5, 5))

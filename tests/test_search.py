@@ -171,12 +171,11 @@ def list_moves_left(d, order):
 
 def first_round_start(d, seed, params):
     """run_search's round-1 tour: after the removed-edge cap and list-mode
-    draws, a random permutation, the neighbour-list pass, then the scan."""
+    draws, a random permutation through the neighbour-list pass."""
     rng = np.random.default_rng(seed)
     rng.integers(*params.k_range)
     rng.integers(2)
-    start = neighbor_pass(d, rng.permutation(d.shape[0]))
-    return two_opt_improve(d, Tour.from_order(start))
+    return Tour.from_order(neighbor_pass(d, rng.permutation(d.shape[0])))
 
 
 def edges(order):
@@ -951,7 +950,26 @@ class TestRunSearch:
         assert stats.total_expansions == 0
         assert np.array_equal(tour.order, first.order)
         assert brute_force_two_opt_scan(d, tour.order.tolist()) > -1e-9
+        assert list_moves_left(d, tour.order.tolist()) == []
         assert math.isfinite(stats.best_length)
+        assert stats.best_length == tour_length(d, tour)
+
+    def test_round_start_is_the_neighbor_pass_alone(self):
+        # on this n=100 start the full 2-opt scan still finds moves after
+        # the pass; a round does not run the scan, so round 1's tour is the
+        # pass's fixpoint as it stands
+        inst = generate_random(100, 1)
+        d = distance_matrix(inst)
+        _, pruned = top_m_filter(adjacency_weights(d), 8)
+        params = dist_params(m=8, time_budget=1e-12)
+        first = first_round_start(d, 6, params)
+        assert list_moves_left(d, first.order.tolist()) == []
+        assert brute_force_two_opt_scan(d, first.order.tolist()) < -TWO_OPT_EPS
+        assert not np.array_equal(two_opt_improve(d, first).order, first.order)
+        tour, stats = run_search(inst, pruned, params, 6)
+        assert stats.rounds == 1
+        assert stats.total_expansions == 0
+        assert np.array_equal(tour.order, first.order)
         assert stats.best_length == tour_length(d, tour)
 
     def test_best_length_matches_best_tour(self):
