@@ -58,10 +58,9 @@ TWO_OPT_EPS = 1e-10
 # 80 gave the best times over n = 100 to 1000 taken together.
 SCALAR_SPAN = 16
 SCALAR_ROW = 80
-# nearest cities each city tries in a round's neighbour-list 2-opt pass,
-# whatever the preset's m (8 is the m of every preset up to tsp200). At n=500
-# with an equal 4 s budget, lists of 8 and of 5 (the tsp500 preset's m) gave
-# tours within 0.1% of each other on average over 10 instances (2-core VM).
+# fewest nearest cities each city tries in a round's neighbour-list pass,
+# whatever the preset's m (8 is the m of every preset up to tsp200); see
+# pass_neighbors for larger n
 TWO_OPT_NEIGHBORS = 8
 # longest segment the neighbour-list pass moves with an Or-opt move
 OR_OPT_SEGMENT = 3
@@ -164,6 +163,18 @@ class KOptAction:
     @property
     def k(self) -> int:
         return len(self.removed)
+
+
+def pass_neighbors(n: int) -> int:
+    """List length of the neighbour-list pass on n cities: TWO_OPT_NEIGHBORS
+    up to n = 256, then ceil(sqrt(n) / 2), capped at n - 1.
+
+    On random starts of uniform instances, lists of 8 left the pass's tours
+    0.2% longer than the full 2-opt scan at n = 200 (60 starts) but 0.9% at
+    n = 500 (40 starts) and 1.0% at n = 1000; lists of 12 at n = 500 and 16
+    at n = 1000 closed the gap at about the same pass time.
+    """
+    return min(max(TWO_OPT_NEIGHBORS, math.ceil(math.sqrt(n) / 2)), n - 1)
 
 
 def _ekey(a: int, b: int) -> tuple[int, int]:
@@ -696,10 +707,10 @@ def run_search(
 ) -> tuple[Tour, SearchStats]:
     """Full multi-round search; returns (best Tour, SearchStats).
 
-    One distance ranking of TWO_OPT_NEIGHBORS or m cities per city,
+    One distance ranking of pass_neighbors(n) or m cities per city,
     whichever is more, is built per run: its first m columns are the
-    distance rounds' candidate lists, its first TWO_OPT_NEIGHBORS the
-    neighbour lists of the 2-opt pass. Each round draws a fresh
+    distance rounds' candidate lists, its first pass_neighbors(n) the
+    neighbour lists of the pass. Each round draws a fresh
     removed-edge cap from k_range and a candidate construction mode
     (updated pruned heat vs raw distance), builds the round's candidate
     table from its lists, builds a random tour and runs _neighbor_pass (2-opt
@@ -721,10 +732,10 @@ def run_search(
     hp = np.array(pruned, dtype=np.float64, copy=True)
     rows = d.tolist()
     m_eff = min(params.m, n - 1)  # presets can exceed tiny instances
-    ranked = candidate_lists(d, min(max(m_eff, TWO_OPT_NEIGHBORS), n - 1), DISTANCE_MODE)
+    n_near = pass_neighbors(n)
+    ranked = candidate_lists(d, max(m_eff, n_near), DISTANCE_MODE)
     dist_cand = tuple(cl[:m_eff] for cl in ranked)
-    nbrs = [[(c, ra[c]) for c in cl[:TWO_OPT_NEIGHBORS].tolist()]
-            for cl, ra in zip(ranked, rows)]
+    nbrs = [[(c, ra[c]) for c in cl[:n_near].tolist()] for cl, ra in zip(ranked, rows)]
     rng = np.random.default_rng(seed)
     stats = SearchStats()
     deadline = None

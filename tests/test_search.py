@@ -39,6 +39,7 @@ from tspheat.search import (
     expand_node,
     format_tour,
     parse_tour,
+    pass_neighbors,
     random_tour,
     run_search,
     two_opt_improve,
@@ -117,9 +118,9 @@ def assert_matches_reference(d, start):
 
 def neighbor_pairs(d):
     """The pass's lists as run_search builds them: (city, distance) for each
-    city's TWO_OPT_NEIGHBORS nearest, ascending."""
+    city's pass_neighbors(n) nearest, ascending."""
     rows = d.tolist()
-    ranked = candidate_lists(d, min(TWO_OPT_NEIGHBORS, len(rows) - 1), DISTANCE_MODE)
+    ranked = candidate_lists(d, pass_neighbors(len(rows)), DISTANCE_MODE)
     return [[(c, rows[a][c]) for c in cl.tolist()] for a, cl in enumerate(ranked)]
 
 
@@ -320,6 +321,11 @@ class TestNeighborPass:
         # the scan after the pass reaches a full 2-opt fixpoint
         fixed = two_opt_improve(d, Tour.from_order(out))
         assert brute_force_two_opt_scan(d, fixed.order.tolist()) > -1e-9
+
+    def test_list_length(self):
+        assert [pass_neighbors(n) for n in (4, 9, 16, 100, 200, 256)] == [3, 8, 8, 8, 8, 8]
+        assert [pass_neighbors(n) for n in (257, 300, 500, 1000)] == [9, 9, 12, 16]
+        assert pass_neighbors(256) == TWO_OPT_NEIGHBORS
 
     def test_crossing_seen_only_from_the_predecessor_side(self):
         # the start's one improving move adds edges (0, 3) and (1, 4); (0, 3)
@@ -971,6 +977,29 @@ class TestRunSearch:
         assert stats.total_expansions == 0
         assert np.array_equal(tour.order, first.order)
         assert stats.best_length == tour_length(d, tour)
+
+    def test_round_start_lists_grow_with_n(self):
+        # n = 300 gives the pass lists of 9, and on this start the pass with
+        # lists of 8 ends at another tour
+        inst = generate_random(300, 0)
+        d = distance_matrix(inst)
+        _, pruned = top_m_filter(adjacency_weights(d), 4)
+        params = dist_params(time_budget=1e-12)
+        first = first_round_start(d, 2, params)
+        assert pass_neighbors(300) == 9
+        assert list_moves_left(d, first.order.tolist()) == []
+        rows = d.tolist()
+        eight = [[(c, rows[a][c]) for c in cl.tolist()]
+                 for a, cl in enumerate(candidate_lists(d, 8, DISTANCE_MODE))]
+        rng = np.random.default_rng(2)
+        rng.integers(*params.k_range)
+        rng.integers(2)
+        start = rng.permutation(300).astype(np.int64)
+        _neighbor_pass(rows, eight, start)
+        assert not np.array_equal(start, first.order)
+        tour, stats = run_search(inst, pruned, params, 2)
+        assert stats.total_expansions == 0
+        assert np.array_equal(tour.order, first.order)
 
     def test_best_length_matches_best_tour(self):
         inst = generate_random(12, 3)
