@@ -58,9 +58,8 @@ TWO_OPT_EPS = 1e-10
 # 80 gave the best times over n = 100 to 1000 taken together.
 SCALAR_SPAN = 16
 SCALAR_ROW = 80
-# fewest nearest cities each city tries in a round's neighbour-list pass,
-# whatever the preset's m (8 is the m of every preset up to tsp200); see
-# pass_neighbors for larger n
+# shortest neighbour list of the round-start pass, whatever the preset's m
+# (8 is the m of every preset up to tsp200); see pass_neighbors
 TWO_OPT_NEIGHBORS = 8
 # longest segment the neighbour-list pass moves with an Or-opt move
 OR_OPT_SEGMENT = 3
@@ -163,18 +162,6 @@ class KOptAction:
     @property
     def k(self) -> int:
         return len(self.removed)
-
-
-def pass_neighbors(n: int) -> int:
-    """List length of the neighbour-list pass on n cities: TWO_OPT_NEIGHBORS
-    up to n = 256, then ceil(sqrt(n) / 2), capped at n - 1.
-
-    On random starts of uniform instances, lists of 8 left the pass's tours
-    0.2% longer than the full 2-opt scan at n = 200 (60 starts) but 0.9% at
-    n = 500 (40 starts) and 1.0% at n = 1000; lists of 12 at n = 500 and 16
-    at n = 1000 closed the gap at about the same pass time.
-    """
-    return min(max(TWO_OPT_NEIGHBORS, math.ceil(math.sqrt(n) / 2)), n - 1)
 
 
 def _ekey(a: int, b: int) -> tuple[int, int]:
@@ -390,6 +377,15 @@ def _or_opt_move(tour: list, pos: list, rows: list, near: list, a: int) -> Optio
                     _move_segment(tour, pos, p, a, s, q, c, e)
                     return p, q, a, s, c, e
     return None
+
+
+def pass_neighbors(n: int) -> int:
+    """List length of the round-start pass on n cities: TWO_OPT_NEIGHBORS up
+    to n = 256, then ceil(sqrt(n) / 2), at most n - 1. On random starts the
+    pass with lists of 8 ends 0.2% above pass + full 2-opt scan at n = 200
+    (60 starts), 0.9% at n = 500 (40) and 1.3% at n = 1000 (10); lists of 12
+    and 16 end 0.3% and 0.2% below it there and take about as long as 8."""
+    return min(max(TWO_OPT_NEIGHBORS, math.ceil(math.sqrt(n) / 2)), n - 1)
 
 
 def _neighbor_pass(rows: list, nbrs: list, order: np.ndarray) -> int:
