@@ -50,15 +50,15 @@ def _seeds(args) -> range:
 
 def _train_config(args, seed: int) -> TrainConfig:
     kwargs = {"seed": seed}
-    if getattr(args, "steps", None) is not None:
+    if args.steps is not None:
         kwargs["steps"] = args.steps
-    if getattr(args, "lr", None) is not None:
+    if args.lr is not None:
         kwargs["learning_rate"] = args.lr
-    if getattr(args, "lambda1", None) is not None:
+    if args.lambda1 is not None:
         kwargs["lambda1"] = args.lambda1
-    if getattr(args, "lambda2", None) is not None:
+    if args.lambda2 is not None:
         kwargs["lambda2"] = args.lambda2
-    if getattr(args, "init_scale", None) is not None:
+    if args.init_scale is not None:
         kwargs["init_scale"] = args.init_scale
     return TrainConfig(**kwargs)
 
@@ -155,14 +155,15 @@ def cmd_coverage(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    seeds = _seeds(args)
+    params = _search_params(args)
     rows = []
-    for seed in _seeds(args):
+    for seed in seeds:
         inst = generate_random(args.n, seed)
         ref = None
         if inst.n <= bench_mod.HELD_KARP_MAX_N:
             _, ref = bench_mod.held_karp_exact(inst)
         cfg = _train_config(args, seed)
-        params = _search_params(args)
         result, _ = bench_mod.solve_pipeline(inst, cfg, params, seed, ref_length=ref)
         rows.append(result)
         t0 = time.perf_counter()

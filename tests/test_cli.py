@@ -341,6 +341,17 @@ class TestBenchCommand:
         assert code == 0
         assert [r["gap_percent"] for r in json.loads(out.read_text())] == [0.0] * 4
 
+    def test_requires_budget_before_any_work(self, tmp_path, capsys, monkeypatch):
+        def no_solve(inst):
+            raise AssertionError("held_karp_exact ran before the budget check")
+
+        monkeypatch.setattr("tspheat.bench.held_karp_exact", no_solve)
+        out = tmp_path / "bench.csv"
+        code = main(["bench", "--n", "12", "--count", "2", "--out", str(out)])
+        assert code == 2
+        assert "set --time-budget and/or --rounds" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_csv_default(self, tmp_path):
         out = tmp_path / "bench.csv"
         code = main([

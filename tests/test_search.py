@@ -28,8 +28,6 @@ from tspheat.search import (
     MIN_GAIN,
     OR_OPT_SEGMENT,
     PRESETS,
-    SCALAR_ROW,
-    SCALAR_SPAN,
     TWO_OPT_EPS,
     TWO_OPT_NEIGHBORS,
     WEIGHT_FLOOR,
@@ -72,7 +70,7 @@ def brute_force_two_opt_scan(d, order):
 
 def reference_two_opt_order(d, order, moves=None):
     """Test-only oracle: first-improvement 2-opt with every row evaluated as
-    one numpy expression, the kernel the scalar-first scan replaced. Mutates
+    one numpy expression, independent of two_opt_improve's Python scan. Mutates
     order; appends (partner offset j - (i + 2), partners in the row) for each
     applied move to moves when given."""
     n = order.shape[0]
@@ -258,7 +256,7 @@ class TestTwoOpt:
 
 
 class TestTwoOptMatchesReference:
-    """The scalar-first kernel applies the same moves as the vectorised
+    """The Python-float scan applies the same moves as the vectorised
     reference, so it returns the same order, ties included."""
 
     @given(st.integers(3, 120), st.integers(0, 10_000), st.integers(0, 10_000))
@@ -282,14 +280,14 @@ class TestTwoOptMatchesReference:
         d = distance_matrix(Instance(coords=np.stack([x, np.zeros(100)], axis=1)))
         assert_matches_reference(d, random_tour(100, start_seed).order)
 
-    @pytest.mark.parametrize("j", [3, 3 + SCALAR_SPAN + 5])
+    @pytest.mark.parametrize("j", [3, 24])
     @pytest.mark.parametrize("gain, applied", [(0.5 * TWO_OPT_EPS, False),
                                                (2.0 * TWO_OPT_EPS, True)])
-    def test_threshold_in_scalar_and_numpy_parts(self, j, gain, applied):
-        # row 0's only improving partner sits at position j: within the
-        # scalar span for j = 3, in the numpy part otherwise. A move that
-        # gains less than TWO_OPT_EPS is not applied.
-        n = SCALAR_ROW + 8
+    def test_threshold_near_and_far_partner(self, j, gain, applied):
+        # row 0's only improving partner sits at position j: near the start of
+        # the row for j = 3, far into it for j = 24. A move that gains less
+        # than TWO_OPT_EPS is not applied.
+        n = 88
         d = np.ones((n, n))
         np.fill_diagonal(d, 0.0)
         d[0, j] = d[j, 0] = 1.0 - gain
@@ -298,13 +296,14 @@ class TestTwoOptMatchesReference:
         assert (out.order.tolist() != start.tolist()) == applied
         assert_matches_reference(d, start)
 
-    def test_improving_partner_beyond_scalar_span(self):
-        # moves the scalar part never tries: only the numpy part finds them
+    def test_far_partner_in_long_row(self):
+        # the reference records moves 16 or more partners into a row of more
+        # than 80, so the scan must reach far partners in long rows
         d = distance_matrix(generate_random(120, 0))
         start = random_tour(120, 0).order
         moves = []
         reference_two_opt_order(d, start.copy(), moves)
-        assert any(off >= SCALAR_SPAN and row > SCALAR_ROW for off, row in moves)
+        assert any(off >= 16 and row > 80 for off, row in moves)
         assert_matches_reference(d, start)
 
 
