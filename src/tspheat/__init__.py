@@ -37,7 +37,6 @@ from .instances import (
     Instance,
     Tour,
     TsplibParseError,
-    adjacency_weights,
     distance_matrix,
     generate_random,
     parse_tsplib,

@@ -12,7 +12,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .candidates import edge_set, overlap_coefficient, top_m_filter
+from .candidates import check_list_size, edge_set, overlap_coefficient, top_m_filter
 from .generator import TrainConfig, optimize_heatmap
 from .instances import Instance, Tour, distance_matrix, tour_length
 from .search import SearchParams, run_search, two_opt_improve
@@ -51,6 +51,14 @@ def gap_percent(length: float, ref_length: float) -> float:
     return 100.0 * (length - ref_length) / ref_length
 
 
+def _check_oracle_size(n: int) -> None:
+    if n > HELD_KARP_MAX_N:
+        raise ValueError(
+            f"held_karp_exact handles at most n={HELD_KARP_MAX_N} cities, got {n}; "
+            "use the heuristic pipeline for larger instances"
+        )
+
+
 def held_karp_exact(inst: Instance):
     """Provably optimal tour by dynamic programming over city subsets.
 
@@ -64,11 +72,7 @@ def held_karp_exact(inst: Instance):
     are refused. Returns (Tour, length).
     """
     n = inst.n
-    if n > HELD_KARP_MAX_N:
-        raise ValueError(
-            f"held_karp_exact handles at most n={HELD_KARP_MAX_N} cities, got {n}; "
-            "use the heuristic pipeline for larger instances"
-        )
+    _check_oracle_size(n)
     d = distance_matrix(inst)
     rows = 1 << (n - 1)
     dp = np.full((rows, n), np.inf)
@@ -196,8 +200,12 @@ def coverage_report(
     once, then for every distinct m in m_values prune to the top-m
     prediction edge set and measure what fraction of the optimal tour's
     edges it covers. Rows are ordered by m (in the order given), then by
-    instance.
+    instance. Every instance size and m is checked before any fit.
     """
+    for inst, _ in instances:
+        _check_oracle_size(inst.n)
+        for m in m_values:
+            check_list_size(inst.n, m)
     rows: dict[int, list[CoverageRow]] = {m: [] for m in m_values}
     for inst, seed in instances:
         heat, _, _ = optimize_heatmap(inst, replace(train_cfg, seed=seed))
@@ -219,15 +227,21 @@ def coverage_report(
     return [row for m_rows in rows.values() for row in m_rows]
 
 
-def coverage_csv(rows: list[CoverageRow]) -> str:
+def _csv_text(header: list, rows) -> str:
+    """CSV text with "\n" line ends: the header, then one line per row."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["instance", "seed", "M", "eta", "pi_size", "fully_covered"])
-    for r in rows:
-        writer.writerow(
-            [r.instance, r.seed, r.m, repr(r.eta), r.pi_size, str(r.fully_covered).lower()]
-        )
+    writer.writerow(header)
+    writer.writerows(rows)
     return buf.getvalue()
+
+
+def coverage_csv(rows: list[CoverageRow]) -> str:
+    return _csv_text(
+        ["instance", "seed", "M", "eta", "pi_size", "fully_covered"],
+        ([r.instance, r.seed, r.m, repr(r.eta), r.pi_size, str(r.fully_covered).lower()]
+         for r in rows),
+    )
 
 
 def emit_tour_svg(inst: Instance, tour: Tour, path: str) -> None:
@@ -277,16 +291,11 @@ def emit_tour_svg(inst: Instance, tour: Tour, path: str) -> None:
 
 
 def bench_results_csv(rows: list[BenchResult]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(
+    return _csv_text(
         ["instance", "method", "length", "gap_percent", "heatmap_seconds",
-         "search_seconds", "seed"]
+         "search_seconds", "seed"],
+        ([r.instance, r.method, repr(r.length),
+          "" if r.gap_percent is None else repr(r.gap_percent),
+          f"{r.heatmap_seconds:.6f}", f"{r.search_seconds:.6f}", r.seed]
+         for r in rows),
     )
-    for r in rows:
-        writer.writerow(
-            [r.instance, r.method, repr(r.length),
-             "" if r.gap_percent is None else repr(r.gap_percent),
-             f"{r.heatmap_seconds:.6f}", f"{r.search_seconds:.6f}", r.seed]
-        )
-    return buf.getvalue()

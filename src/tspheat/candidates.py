@@ -9,6 +9,21 @@ HEAT_MODE = "heat"
 DISTANCE_MODE = "distance"
 
 
+def check_list_size(n: int, m: int) -> None:
+    """Raise ValueError unless an n-city row can give m candidates."""
+    if not 1 <= m <= n - 1:
+        raise ValueError(f"m must be in [1, {n - 1}], got {m}")
+
+
+def _rank_rows(key: np.ndarray, m: int) -> np.ndarray:
+    """The first m columns of each row of key in ascending order, ties toward
+    the smaller index, as an (n, m) int64 array. key must be a fresh array:
+    its diagonal is set to +inf, so a city sorts after its row's finite keys."""
+    check_list_size(key.shape[0], m)
+    np.fill_diagonal(key, np.inf)
+    return np.argsort(key, axis=1, kind="stable")[:, :m].astype(np.int64)
+
+
 def top_m_filter(h: np.ndarray, m: int):
     """Keep the m largest off-diagonal entries of each row, then symmetrize.
 
@@ -17,16 +32,11 @@ def top_m_filter(h: np.ndarray, m: int):
     `pruned` = kept + kept.T is the symmetric matrix used for search guidance.
     """
     h = np.asarray(h, dtype=np.float64)
-    n = h.shape[0]
-    if not 1 <= m <= n - 1:
-        raise ValueError(f"m must be in [1, {n - 1}], got {m}")
-    masked = h.copy()
-    np.fill_diagonal(masked, -np.inf)
-    # stable argsort on the negated row = descending values, ties by index
-    ranks = np.argsort(-masked, axis=1, kind="stable")[:, :m]
+    ranks = _rank_rows(-h, m)
+    rows = np.arange(h.shape[0])[:, None]
     kept = np.zeros_like(h)
-    rows = np.repeat(np.arange(n), m)
-    kept[rows, ranks.ravel()] = h[rows, ranks.ravel()]
+    kept[rows, ranks] = h[rows, ranks]
+    # a row with NaN or -inf heat can rank its own city within m
     np.fill_diagonal(kept, 0.0)
     pruned = kept + kept.T
     return kept, pruned
@@ -51,31 +61,23 @@ def candidate_lists(matrix: np.ndarray, m: int, mode: str) -> tuple:
     matrix: a tuple of n read-only int64 arrays, entry i holding city i's
     shortlist of cities the search may add an edge to.
 
-    Heat mode ranks a city's neighbours by descending pruned-heat value and
-    keeps only strictly positive entries (lists may then be shorter than m);
-    distance mode ranks by ascending distance. Ties always break toward the
-    smaller city index. A city never appears in its own list.
+    Heat mode ranks a row by descending pruned-heat value, as top_m_filter
+    does, and keeps only strictly positive entries (lists may then be
+    shorter than m); distance mode ranks by ascending distance. Ties always
+    break toward the smaller city index. A city never appears in its own list.
     """
     matrix = np.asarray(matrix, dtype=np.float64)
-    n = matrix.shape[0]
-    if not 1 <= m <= n - 1:
-        raise ValueError(f"m must be in [1, {n - 1}], got {m}")
     if mode == HEAT_MODE:
         key = -matrix
     elif mode == DISTANCE_MODE:
         key = matrix.copy()
     else:
         raise ValueError(f"unknown candidate mode {mode!r}")
-    # the diagonal sorts after every finite entry, and the stable sort
-    # breaks ties toward the smaller index
-    np.fill_diagonal(key, np.inf)
-    ranks = np.argsort(key, axis=1, kind="stable")[:, :m].astype(np.int64)
-    if mode == HEAT_MODE:
-        # positive heat is a negative key (never the diagonal's); heat
-        # descends along each row, so this keeps its positive prefix
-        lists = [idx[key[i, idx] < 0] for i, idx in enumerate(ranks)]
-    else:
-        lists = list(ranks)
-    for arr in lists:
-        arr.setflags(write=False)
-    return tuple(lists)
+    ranks = _rank_rows(key, m)
+    ranks.setflags(write=False)
+    if mode == DISTANCE_MODE:
+        return tuple(ranks)
+    # positive heat is a negative key (never the diagonal's +inf); heat
+    # descends along each row, so each list is the row's negative-key prefix
+    counts = np.count_nonzero(np.take_along_axis(key, ranks, axis=1) < 0, axis=1)
+    return tuple(row[:c] for row, c in zip(ranks, counts.tolist()))

@@ -8,8 +8,6 @@ numeric failure.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import statistics
 import sys
@@ -64,13 +62,11 @@ def _train_config(args, seed: int) -> TrainConfig:
 
 
 def _trace_csv(trace) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["step", "total", "row_penalty", "self_loop", "expected_length"])
-    for k, b in enumerate(trace.per_step):
-        writer.writerow([k, repr(b.total), repr(b.row_penalty), repr(b.self_loop),
-                         repr(b.expected_length)])
-    return buf.getvalue()
+    return bench_mod._csv_text(
+        ["step", "total", "row_penalty", "self_loop", "expected_length"],
+        ([k, repr(b.total), repr(b.row_penalty), repr(b.self_loop), repr(b.expected_length)]
+         for k, b in enumerate(trace.per_step)),
+    )
 
 
 def cmd_generate(args) -> int:
@@ -90,10 +86,10 @@ def cmd_train_heatmap(args) -> int:
 
 
 def cmd_search(args) -> int:
+    params = _search_params(args)
     inst = read_instance_file(args.instance)
     with open(args.heatmap, "r", encoding="utf-8") as fh:
         heat = parse_heatmap(fh.read())
-    params = _search_params(args)
     if heat.shape[0] != inst.n:
         raise ValueError(
             f"heat map is {heat.shape[0]}x{heat.shape[0]} but instance has {inst.n} cities"

@@ -287,7 +287,6 @@ def loss_gradient(
 def is_permutation_matrix(t: np.ndarray, tol: float = 1e-9) -> bool:
     """True when t is within tol of a 0/1 matrix with one 1 per row/column."""
     t = np.asarray(t, dtype=np.float64)
-    n = t.shape[0]
     near_one = np.abs(t - 1.0) <= tol
     near_zero = np.abs(t) <= tol
     if not np.all(near_one | near_zero):
@@ -319,18 +318,10 @@ def verify_hamiltonian_heatmap(h: np.ndarray, tol: float = 1e-9):
     """
     h = np.asarray(h, dtype=np.float64)
     n = h.shape[0]
-    if h.shape != (n, n):
+    if (h.shape != (n, n) or not is_permutation_matrix(h, tol=tol)
+            or not np.all(np.abs(np.diagonal(h)) <= tol)):
         return False, None
-    near_one = np.abs(h - 1.0) <= tol
-    near_zero = np.abs(h) <= tol
-    if not np.all(near_one | near_zero):
-        return False, None
-    if not np.all(near_zero[np.arange(n), np.arange(n)]):
-        return False, None
-    ones = near_one.astype(np.int64)
-    if not ((ones.sum(axis=1) == 1).all() and (ones.sum(axis=0) == 1).all()):
-        return False, None
-    succ = np.argmax(ones, axis=1)
+    succ = np.argmax(np.abs(h - 1.0) <= tol, axis=1)
     cycle = np.empty(n, dtype=np.int64)
     city = 0
     for k in range(n):

@@ -7,8 +7,6 @@ from typing import Optional
 
 import numpy as np
 
-DEFAULT_TAU = 0.1
-
 INSTANCE_HEADER = "UTSP-INSTANCE v1"
 
 
@@ -97,13 +95,6 @@ def distance_matrix(inst: Instance) -> np.ndarray:
     if not np.isfinite(d).all():
         raise ValueError("a distance between cities overflows; rescale the coordinates")
     return d
-
-
-def adjacency_weights(d: np.ndarray, tau: float = DEFAULT_TAU) -> np.ndarray:
-    """Gaussian-free edge weights exp(-d/tau); tau is the temperature."""
-    if tau <= 0:
-        raise ValueError(f"tau must be > 0, got {tau}")
-    return np.exp(-np.asarray(d, dtype=np.float64) / tau)
 
 
 def tour_length(d: np.ndarray, tour: Tour) -> float:

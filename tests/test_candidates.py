@@ -224,6 +224,21 @@ class TestCandidateLists:
         with pytest.raises(IndexError):
             cand[n]
 
+    @given(st.integers(2, 12), st.integers(0, 10_000), st.data(),
+           st.sampled_from(["float", "ints", "zero-rows", "zeros"]))
+    @settings(max_examples=200, deadline=None)
+    def test_heat_lists_are_top_m_support(self, n, seed, data, kind):
+        # both rank a row the same way: for non-negative heat each heat-mode
+        # list is the positive support of top_m_filter's kept row, best first
+        m = data.draw(st.integers(1, n - 1))
+        h = candidate_matrix(n, seed, kind)
+        kept, _ = top_m_filter(h, m)
+        cand = candidate_lists(h, m, HEAT_MODE)
+        for i in range(n):
+            support = sorted((j for j in range(n) if kept[i, j] > 0),
+                             key=lambda j: (-kept[i, j], j))
+            assert cand[i].tolist() == support
+
     def test_rejects_bad_m(self):
         for m in (0, 4):
             with pytest.raises(ValueError):

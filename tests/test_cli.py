@@ -181,6 +181,14 @@ class TestSearchCommand:
         ])
         assert code == 2
 
+    def test_requires_budget_before_reading_files(self, instance_file, tmp_path, capsys):
+        code = main([
+            "search", "--instance", instance_file, "--heatmap", str(tmp_path / "nope.txt"),
+            "--preset", "tsp20", "--out", str(tmp_path / "t.txt"),
+        ])
+        assert code == 2
+        assert "set --time-budget and/or --rounds" in capsys.readouterr().err
+
 
 class TestSolve:
     def test_end_to_end_optimal(self, instance_file, tmp_path):
@@ -303,6 +311,21 @@ class TestCoverageCommand:
         both = run("3", "4")
         assert capsys.readouterr().err.splitlines()[1].startswith("M=4 ")
         assert both == run("3") + run("4")[1:]
+
+    @pytest.mark.parametrize("n, m, message", [
+        ("18", "20", "m must be in [1, 17], got 20"),
+        ("19", "5", "at most n=18 cities, got 19"),
+    ], ids=["m-above-n-1", "n-above-oracle"])
+    def test_checks_before_any_fit(self, tmp_path, capsys, monkeypatch, n, m, message):
+        def no_fit(inst, cfg):
+            raise AssertionError("optimize_heatmap ran before the checks")
+
+        monkeypatch.setattr("tspheat.bench.optimize_heatmap", no_fit)
+        out = tmp_path / "cov.csv"
+        code = main(["coverage", "--n", n, "--count", "2", "--m", "3", m, "--out", str(out)])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestBenchCommand:

@@ -361,6 +361,14 @@ class TestVerifyHamiltonian:
         ok, _ = verify_hamiltonian_heatmap(np.full((5, 5), 0.2))
         assert not ok
 
+    def test_false_for_two_ones_in_a_column(self):
+        # one 1 per row, but rows 0 and 2 both point to city 1 and no row
+        # points to city 3
+        h = np.zeros((4, 4))
+        h[0, 1] = h[1, 2] = h[2, 1] = h[3, 0] = 1.0
+        assert (h.sum(axis=1) == 1).all() and h[:, 1].sum() == 2
+        assert verify_hamiltonian_heatmap(h) == (False, None)
+
     def test_false_for_nonzero_diagonal(self):
         h = np.zeros((4, 4))
         h[0, 0] = h[1, 2] = h[2, 3] = h[3, 1] = 1.0

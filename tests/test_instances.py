@@ -9,7 +9,6 @@ from tspheat.instances import (
     Instance,
     Tour,
     TsplibParseError,
-    adjacency_weights,
     distance_matrix,
     format_instance,
     generate_random,
@@ -110,31 +109,6 @@ class TestDistanceMatrix:
                     assert np.array_equal(d, d.T)
                     assert np.all(np.diag(d) == 0.0)
                     assert not np.signbit(np.diag(d)).any()
-
-
-class TestAdjacencyWeights:
-    def test_zero_distance_gives_one(self):
-        d = distance_matrix(SQUARE)
-        w = adjacency_weights(d, tau=0.5)
-        assert np.all(np.diag(w) == 1.0)
-
-    def test_distance_equal_tau(self):
-        d = np.array([[0.0, 0.3], [0.3, 0.0]])
-        w = adjacency_weights(d, tau=0.3)
-        assert w[0, 1] == pytest.approx(0.36787944117, abs=1e-11)
-
-    def test_monotone_decreasing_in_distance(self):
-        d = distance_matrix(generate_random(10, 4))
-        w = adjacency_weights(d)
-        flat_d = d[np.triu_indices(10, 1)]
-        flat_w = w[np.triu_indices(10, 1)]
-        sorting = np.argsort(flat_d)
-        assert np.all(np.diff(flat_w[sorting]) <= 0)
-        assert np.all(flat_w > 0) and np.all(flat_w <= 1)
-
-    def test_rejects_nonpositive_tau(self):
-        with pytest.raises(ValueError):
-            adjacency_weights(np.zeros((3, 3)), tau=0.0)
 
 
 class TestTourLength:

@@ -18,7 +18,6 @@ from tspheat.candidates import (
 from tspheat.instances import (
     Instance,
     Tour,
-    adjacency_weights,
     distance_matrix,
     generate_random,
     order_length,
@@ -49,6 +48,12 @@ from tspheat.search import (
     _neighbor_pass,
     _positions,
 )
+
+
+def soft_heat(d):
+    """A heat map that falls with distance, exp(-d / 0.1)."""
+    return np.exp(-d / 0.1)
+
 
 SQUARE = Instance(coords=np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]))
 
@@ -188,11 +193,10 @@ def dist_params(**kw):
     return SearchParams(**defaults)
 
 
-def attempt(d, tour, cand, pruned, stats, params, rng, k_cap=None):
+def attempt(d, tour, cand, pruned, stats, params, rng):
     """One construction attempt, expand_node at expand_budget=1: the action,
     or None when the attempt did not improve the tour."""
-    out = expand_node(d, tour, cand, pruned, stats, replace(params, expand_budget=1), rng,
-                      k_cap)
+    out = expand_node(d, tour, cand, pruned, stats, replace(params, expand_budget=1), rng)
     return None if out is None else out[1]
 
 
@@ -498,7 +502,7 @@ class TestOrOptMoves:
     def test_run_search_counts_round_start_or_moves(self):
         inst = generate_random(40, 2)
         d = distance_matrix(inst)
-        _, pruned = top_m_filter(adjacency_weights(d), 6)
+        _, pruned = top_m_filter(soft_heat(d), 6)
         params = dist_params(m=6, max_rounds=1)
         rng = np.random.default_rng(7)
         rng.integers(*params.k_range)
@@ -573,11 +577,11 @@ class TestSelectNextCity:
         cand = candidate_lists(d, 6, DISTANCE_MODE)
         pruned = np.zeros((n, n))
         stats = SearchStats()
-        params = dist_params()
+        params = dist_params(k_range=(4, 5))
         rng = np.random.default_rng(0)
         moves = defaultdict(set)
         for _ in range(300):
-            action = attempt(d, tour, cand, pruned, stats, params, rng, k_cap=4)
+            action = attempt(d, tour, cand, pruned, stats, params, rng)
             if action is not None:
                 moves[action.sequence[0]].add(action.sequence)
         assert max(len(seqs) for seqs in moves.values()) > 1
@@ -671,7 +675,7 @@ class TestConstructAction:
         inst = generate_random(n, seed)
         d = distance_matrix(inst)
         tour = random_tour(n, seed)
-        _, pruned = top_m_filter(adjacency_weights(d), 6)
+        _, pruned = top_m_filter(soft_heat(d), 6)
         cand = candidate_lists(pruned if mode == HEAT_MODE else d, 6, mode)
         stats = SearchStats()
         params = dist_params(k_range=(2, 12))
@@ -691,16 +695,6 @@ class TestConstructAction:
                     gain += d.item(seq[i + 1], seq[i + 2]) - added
             assert gain - d.item(seq[-2], seq[-1]) == action.gain
         assert found > 0
-
-    def test_rejects_cap_below_two(self):
-        # a move removes at least two edges, so a cap of 1 admits none
-        d = distance_matrix(SQUARE)
-        tour = Tour.from_order([0, 2, 1, 3])
-        cand = candidate_lists(d, 3, DISTANCE_MODE)
-        pruned = np.ones((4, 4))
-        rng = np.random.default_rng(0)
-        with pytest.raises(ValueError, match="k_cap"):
-            expand_node(d, tour, cand, pruned, SearchStats(), dist_params(), rng, k_cap=1)
 
     def test_no_move_when_every_candidate_is_longer_than_the_anchor_edge(self):
         # regular octagon walked along its perimeter: each city's candidates
@@ -734,7 +728,7 @@ class TestFirstStepMemo:
         # each weighing its floored heat
         d = distance_matrix(generate_random(n, seed))
         m = min(6, n - 1)
-        _, pruned = top_m_filter(adjacency_weights(d), m)
+        _, pruned = top_m_filter(soft_heat(d), m)
         cand = candidate_lists(pruned if mode == HEAT_MODE else d, m, mode)
         base = two_opt_improve(d, random_tour(n, seed)).order.tolist()
         table = _candidate_table(cand, d, pruned)
@@ -764,25 +758,26 @@ class TestExpandNode:
         tour = two_opt_improve(d, random_tour(12, 3))
         cand = candidate_lists(d, 6, DISTANCE_MODE)
         _, pruned = top_m_filter(np.exp(-d), 6)
-        params = dist_params(k_range=(2, 6), expand_budget=120)
+        params = dist_params(k_range=(5, 6), expand_budget=120)
         stats = SearchStats()
         rng = np.random.default_rng(3)
-        out = expand_node(d, tour, cand, pruned, stats, params, rng, k_cap=5)
+        out = expand_node(d, tour, cand, pruned, stats, params, rng)
         assert out is not None
         new_tour, action = out
         assert stats.improving >= 1 and stats.dead_ends >= 1
-        # replay the expansion's own attempts as _expand makes them: all
-        # anchors drawn at once, one first-step memo shared by the attempts;
-        # they end alike, and nothing beat the chosen gain
+        # replay the expansion's own attempts as _expand makes them: the cap
+        # drawn first, then all anchors at once, one first-step memo shared by
+        # the attempts; they end alike, and nothing beat the chosen gain
         replay = SearchStats()
         rng = np.random.default_rng(3)
+        k_cap = int(rng.integers(*params.k_range))
         base = tour.order.tolist()
         pos = _positions(base)
         table = _candidate_table(cand, d, pruned)
         first = [None] * 12
         gains = []
         for u1 in rng.integers(12, size=120).tolist():
-            a = _construct(d, base, pos, table, first, u1, replay, 5, rng.random)
+            a = _construct(d, base, pos, table, first, u1, replay, k_cap, rng.random)
             if a is not None:
                 gains.append(a.gain)
         assert (replay.improving, replay.dead_ends, replay.cap_hits) == (
@@ -800,10 +795,10 @@ class TestExpandNode:
         opt_tour, _ = held_karp_exact(inst)
         cand = candidate_lists(d, 4, DISTANCE_MODE)
         _, pruned = top_m_filter(np.exp(-d), 4)
-        params = dist_params(k_range=(2, 4), expand_budget=200)
+        params = dist_params(k_range=(3, 4), expand_budget=200)
         stats = SearchStats()
         rng = np.random.default_rng(3)
-        assert expand_node(d, opt_tour, cand, pruned, stats, params, rng, k_cap=3) is None
+        assert expand_node(d, opt_tour, cand, pruned, stats, params, rng) is None
         assert stats.total_expansions == 200
 
     def test_every_attempt_ends_once(self):
@@ -813,21 +808,23 @@ class TestExpandNode:
         tour = random_tour(40, 5)
         cand = candidate_lists(d, 6, DISTANCE_MODE)
         _, pruned = top_m_filter(np.exp(-d), 6)
-        params = dist_params(expand_budget=200)
+        params = dist_params(k_range=(3, 4), expand_budget=200)
         stats = SearchStats()
-        expand_node(d, tour, cand, pruned, stats, params, np.random.default_rng(5), k_cap=3)
+        expand_node(d, tour, cand, pruned, stats, params, np.random.default_rng(5))
         assert stats.total_expansions == 200
         assert stats.dead_ends > 0 and stats.cap_hits > 0 and stats.improving > 0
         assert stats.dead_ends + stats.cap_hits + stats.improving == stats.total_expansions
-        # replay: the expansion draws all its anchors at once, then each
-        # attempt draws its cities; here every attempt gets a fresh first-step
-        # memo, so a stale shared memo would show as a different ending
+        # replay: the expansion draws its cap, then all its anchors at once,
+        # then each attempt draws its cities; here every attempt gets a fresh
+        # first-step memo, so a stale shared memo would show as a different
+        # ending
         replay = SearchStats()
         rng = np.random.default_rng(5)
+        k_cap = int(rng.integers(*params.k_range))
         base = tour.order.tolist()
         table = _candidate_table(cand, d, pruned)
         for u1 in rng.integers(40, size=200).tolist():
-            _construct(d, base, _positions(base), table, [None] * 40, u1, replay, 3,
+            _construct(d, base, _positions(base), table, [None] * 40, u1, replay, k_cap,
                        rng.random)
         assert (replay.dead_ends, replay.cap_hits) == (stats.dead_ends, stats.cap_hits)
         assert replay.improving == stats.improving
@@ -838,10 +835,10 @@ class TestExpandNode:
         tour = random_tour(10, 7)
         cand = candidate_lists(d, 4, DISTANCE_MODE)
         _, pruned = top_m_filter(np.exp(-d), 4)
-        params = dist_params(expand_budget=33)
+        params = dist_params(k_range=(4, 5), expand_budget=33)
         stats = SearchStats()
         rng = np.random.default_rng(7)
-        expand_node(d, tour, cand, pruned, stats, params, rng, k_cap=4)
+        expand_node(d, tour, cand, pruned, stats, params, rng)
         assert stats.total_expansions == 33
 
 
@@ -928,7 +925,7 @@ class TestRunSearch:
         # run meets that case twice.
         inst = generate_random(20, 0)
         d = distance_matrix(inst)
-        _, pruned = top_m_filter(adjacency_weights(d), 6)
+        _, pruned = top_m_filter(soft_heat(d), 6)
         params = SearchParams(m=6, k_range=(5, 12), expand_budget=100, max_rounds=6)
         tour, stats = run_search(inst, pruned, params, 2)
         seq = stats.round_best_lengths
@@ -965,7 +962,7 @@ class TestRunSearch:
         # pass's fixpoint as it stands
         inst = generate_random(100, 1)
         d = distance_matrix(inst)
-        _, pruned = top_m_filter(adjacency_weights(d), 8)
+        _, pruned = top_m_filter(soft_heat(d), 8)
         params = dist_params(m=8, time_budget=1e-12)
         first = first_round_start(d, 6, params)
         assert list_moves_left(d, first.order.tolist()) == []
@@ -982,7 +979,7 @@ class TestRunSearch:
         # lists of 8 ends at another tour
         inst = generate_random(300, 0)
         d = distance_matrix(inst)
-        _, pruned = top_m_filter(adjacency_weights(d), 4)
+        _, pruned = top_m_filter(soft_heat(d), 4)
         params = dist_params(time_budget=1e-12)
         first = first_round_start(d, 2, params)
         assert pass_neighbors(300) == 9
@@ -1019,7 +1016,7 @@ class TestRunSearch:
 
     def test_two_opt_seconds_within_wall_time(self):
         inst = generate_random(30, 6)
-        _, pruned = top_m_filter(adjacency_weights(distance_matrix(inst)), 5)
+        _, pruned = top_m_filter(soft_heat(distance_matrix(inst)), 5)
         t0 = time.perf_counter()
         _, stats = run_search(inst, pruned, dist_params(max_rounds=3), 1)
         wall = time.perf_counter() - t0
@@ -1031,7 +1028,7 @@ class TestRunSearch:
         import tspheat.search as search_mod
 
         inst = generate_random(20, 3)
-        _, pruned = top_m_filter(adjacency_weights(distance_matrix(inst)), 6)
+        _, pruned = top_m_filter(soft_heat(distance_matrix(inst)), 6)
         params = dist_params(max_rounds=12)
         want, want_stats = run_search(inst, pruned, params, 5)
         modes = []
@@ -1055,7 +1052,7 @@ class TestRunSearch:
 
         inst = generate_random(30, 4)
         d = distance_matrix(inst)
-        _, pruned = top_m_filter(adjacency_weights(d), 6)
+        _, pruned = top_m_filter(soft_heat(d), 6)
         real_table, real_expand = search_mod._candidate_table, search_mod._expand
         rounds = []  # (lists, heat map, table, table as built) per round
         checked = []
@@ -1092,7 +1089,7 @@ class TestRunSearch:
             coords = np.column_stack([x, 2.0 * x])
         inst = Instance(coords=coords)
         d = distance_matrix(inst)
-        _, pruned = top_m_filter(adjacency_weights(d), n - 1)
+        _, pruned = top_m_filter(soft_heat(d), n - 1)
         tour, stats = run_search(inst, pruned, PRESETS["tsp20"].with_budget(max_rounds=3), n)
         assert sorted(tour.order.tolist()) == list(range(n))
         _, opt = held_karp_exact(inst)
@@ -1143,7 +1140,7 @@ class TestGoldenSearch:
         g = GOLDEN_SEARCHES[name]
         inst = generate_random(g["n"], g["instance_seed"])
         # SoftDist heat keeps the fixture independent of the training kernel
-        _, pruned = top_m_filter(adjacency_weights(distance_matrix(inst)), g["params"].m)
+        _, pruned = top_m_filter(soft_heat(distance_matrix(inst)), g["params"].m)
         tour, stats = run_search(inst, pruned, g["params"], g["seed"])
         assert tour.order.tolist() == g["order"]
         assert repr(stats.best_length) == g["best_length"]
