@@ -48,6 +48,7 @@ from .search import (
     SearchParams,
     SearchStats,
     expand_node,
+    preset_for,
     random_tour,
     run_search,
     two_opt_improve,

@@ -1,8 +1,9 @@
 """Command-line surface.
 
 Subcommands: generate, train-heatmap, search, solve, oracle, baseline,
-coverage, bench. Exit codes: 0 success, 2 invalid arguments, 3 runtime or
-numeric failure.
+coverage, bench. search, solve and bench search with the preset of the
+instance's size tier (search.preset_for). Exit codes: 0 success, 2 invalid
+arguments, 3 runtime or numeric failure.
 """
 
 from __future__ import annotations
@@ -12,14 +13,14 @@ import json
 import statistics
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 from . import bench as bench_mod
 from .candidates import top_m_filter
 from .generator import TrainConfig, optimize_heatmap
 from .heatmap import NumericError, format_heatmap, parse_heatmap
 from .instances import format_instance, generate_random, read_instance_file
-from .search import PRESETS, SearchParams, format_tour, run_search
+from .search import SearchParams, format_tour, preset_for, run_search
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -34,10 +35,10 @@ def _write_out(text: str, out: str | None) -> None:
             fh.write(text)
 
 
-def _search_params(args) -> SearchParams:
+def _search_params(args, n: int) -> SearchParams:
     if args.time_budget is None and args.rounds is None:
         raise ValueError("set --time-budget and/or --rounds")
-    return PRESETS[args.preset].with_budget(args.time_budget, args.rounds)
+    return preset_for(n).with_budget(args.time_budget, args.rounds)
 
 
 def _seeds(args) -> range:
@@ -47,18 +48,9 @@ def _seeds(args) -> range:
 
 
 def _train_config(args, seed: int) -> TrainConfig:
-    kwargs = {"seed": seed}
-    if args.steps is not None:
-        kwargs["steps"] = args.steps
-    if args.lr is not None:
-        kwargs["learning_rate"] = args.lr
-    if args.lambda1 is not None:
-        kwargs["lambda1"] = args.lambda1
-    if args.lambda2 is not None:
-        kwargs["lambda2"] = args.lambda2
-    if args.init_scale is not None:
-        kwargs["init_scale"] = args.init_scale
-    return TrainConfig(**kwargs)
+    # each training flag's dest is its TrainConfig field; an unset flag is None
+    given = {f.name: getattr(args, f.name) for f in fields(TrainConfig)}
+    return TrainConfig(**{k: v for k, v in given.items() if v is not None} | {"seed": seed})
 
 
 def _trace_csv(trace) -> str:
@@ -86,7 +78,7 @@ def cmd_train_heatmap(args) -> int:
 
 
 def cmd_search(args) -> int:
-    params = _search_params(args)
+    _search_params(args, 0)  # checks the budget before any file is read
     inst = read_instance_file(args.instance)
     with open(args.heatmap, "r", encoding="utf-8") as fh:
         heat = parse_heatmap(fh.read())
@@ -94,6 +86,7 @@ def cmd_search(args) -> int:
         raise ValueError(
             f"heat map is {heat.shape[0]}x{heat.shape[0]} but instance has {inst.n} cities"
         )
+    params = _search_params(args, inst.n)
     _, pruned = top_m_filter(heat, min(params.m, inst.n - 1))
     tour, stats = run_search(inst, pruned, params, args.seed)
     _write_out(format_tour(tour, stats.best_length), args.out)
@@ -103,7 +96,7 @@ def cmd_search(args) -> int:
 def cmd_solve(args) -> int:
     inst = read_instance_file(args.instance)
     cfg = _train_config(args, args.seed)
-    params = _search_params(args)
+    params = _search_params(args, inst.n)
     result, tour, stats, trace = bench_mod._solve_pipeline(inst, cfg, params, args.seed, None)
     _write_out(format_tour(tour, result.length), args.out)
     if args.svg:
@@ -152,7 +145,7 @@ def cmd_coverage(args) -> int:
 
 def cmd_bench(args) -> int:
     seeds = _seeds(args)
-    params = _search_params(args)
+    params = _search_params(args, args.n)
     rows = []
     for seed in seeds:
         inst = generate_random(args.n, seed)
@@ -188,7 +181,6 @@ def _add_common(p: argparse.ArgumentParser, budget: bool = False, train: bool = 
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, help="output path (default: stdout)")
     if budget:
-        p.add_argument("--preset", choices=sorted(PRESETS), default="tsp100")
         p.add_argument("--time-budget", type=float, default=None, metavar="SECONDS",
                        help="wall-clock cap on the search only, not on training; "
                             "round 1's start tour (after its 2-opt and Or-opt "
@@ -196,7 +188,7 @@ def _add_common(p: argparse.ArgumentParser, budget: bool = False, train: bool = 
         p.add_argument("--rounds", type=int, default=None, metavar="N")
     if train:
         p.add_argument("--steps", type=int, default=None)
-        p.add_argument("--lr", type=float, default=None)
+        p.add_argument("--lr", dest="learning_rate", metavar="LR", type=float, default=None)
         p.add_argument("--lambda1", type=float, default=None)
         p.add_argument("--lambda2", type=float, default=None)
         p.add_argument("--init-scale", type=float, default=None)

@@ -106,6 +106,15 @@ PRESETS: dict[str, SearchParams] = {
 }
 
 
+def preset_for(n: int) -> SearchParams:
+    """The PRESETS entry of the smallest tier that holds n cities (tsp20 for
+    n <= 20, tsp50 for 21..50, ...); tsp1000 above 1000 cities."""
+    for name, params in PRESETS.items():
+        if n <= int(name.removeprefix("tsp")):
+            return params
+    return PRESETS["tsp1000"]
+
+
 @dataclass
 class SearchStats:
     """Counters accumulated over a run.
@@ -346,10 +355,10 @@ def _or_opt_move(tour: list, pos: list, rows: list, near: list, a: int) -> Optio
 
 def pass_neighbors(n: int) -> int:
     """List length of the round-start pass on n cities: TWO_OPT_NEIGHBORS up
-    to n = 256, then ceil(sqrt(n) / 2), at most n - 1. On random starts the
-    pass with lists of 8 ends 0.2% above pass + full 2-opt scan at n = 200
-    (60 starts), 0.9% at n = 500 (40) and 1.3% at n = 1000 (10); lists of 12
-    and 16 end 0.3% and 0.2% below it there and take about as long as 8."""
+    to n = 256, then ceil(sqrt(n) / 2), at most n - 1. Past a few hundred
+    cities, lists of 8 leave random starts measurably above where a full
+    2-opt scan would take them, while lists of 12 or 16 close that gap for
+    about the same time (figures in README and CHANGES.md)."""
     return min(max(TWO_OPT_NEIGHBORS, math.ceil(math.sqrt(n) / 2)), n - 1)
 
 
@@ -675,15 +684,13 @@ def run_search(
     move left, then expands best-first until a whole expansion yields no
     improvement. No move search of a round scans all city pairs, but a heat
     round's candidate lists come from a stable O(n^2 log n) argsort of the
-    whole heat map and one vectorized cut: about 0.2 / 0.6 / 3 / 10 ms at
-    n = 100 / 200 / 500 / 1000, two thirds of it the argsort, against
-    2.3 / 5.7 / 30 / 144 ms for the pass on a random start (2-core VM,
-    1 BLAS thread). After each heat update
-    only the table entries of the added edges are rewritten. Heat updates
-    survive into later rounds. The run stops at the wall-clock
-    deadline or after max_rounds, whichever comes first. Round 1's random
-    tour and pass always run, so even a deadline that has already passed
-    returns a tour; its expansions stop at the deadline.
+    whole heat map and one vectorized cut, a small part of what the pass
+    on a random start costs. After each heat update only the table entries
+    of the added edges are rewritten. Heat updates survive into later
+    rounds. The run stops at the wall-clock deadline or after max_rounds,
+    whichever comes first. Round 1's random tour and pass always run, so
+    even a deadline that has already passed returns a tour; its expansions
+    stop at the deadline.
     """
     if params.time_budget is None and params.max_rounds is None:
         raise ValueError("a budget is required: set time_budget and/or max_rounds")

@@ -1,5 +1,6 @@
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -7,10 +8,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tspheat.cli import main
+from tspheat.bench import solve_pipeline
+from tspheat.cli import build_parser, main
+from tspheat.generator import TrainConfig
 from tspheat.heatmap import format_heatmap, parse_heatmap
 from tspheat.instances import Instance, format_instance, generate_random, parse_instance
-from tspheat.search import parse_tour
+from tspheat.search import PRESETS, parse_tour
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 @pytest.fixture
@@ -91,7 +96,7 @@ class TestSearchCommand:
         tour_path = tmp_path / "tour.txt"
         code = main([
             "search", "--instance", instance_file, "--heatmap", str(heat_path),
-            "--preset", "tsp20", "--rounds", "6", "--seed", "3",
+            "--rounds", "6", "--seed", "3",
             "--out", str(tour_path),
         ])
         assert code == 0
@@ -107,7 +112,7 @@ class TestSearchCommand:
         heat_path.write_text(format_heatmap(heat))
         code = main([
             "search", "--instance", instance_file, "--heatmap", str(heat_path),
-            "--preset", "tsp20", "--rounds", "2", "--seed", "3",
+            "--rounds", "2", "--seed", "3",
             "--out", str(tmp_path / "t.txt"),
         ])
         assert code == 2
@@ -120,7 +125,7 @@ class TestSearchCommand:
         heat_args = ["--heatmap", str(heat_path)] if command == "search" else []
         tour_path = tmp_path / "tour.txt"
         code = main([
-            command, "--instance", instance_file, *heat_args, "--preset", "tsp20",
+            command, "--instance", instance_file, *heat_args,
             "--time-budget", "1e-12", "--seed", "3", "--out", str(tour_path),
         ])
         assert code == 0
@@ -141,7 +146,7 @@ class TestSearchCommand:
         files[cut] = str(cut_path)
         heat_args = ["--heatmap", files["heatmap"]] if command == "search" else []
         code = main([
-            command, "--instance", files["instance"], *heat_args, "--preset", "tsp20",
+            command, "--instance", files["instance"], *heat_args,
             "--rounds", "1", "--out", str(tmp_path / "t.txt"),
         ])
         assert code == 2
@@ -156,7 +161,7 @@ class TestSearchCommand:
         heat_path.write_text(format_heatmap(np.full((8, 8), 0.1)))
         heat_args = ["--heatmap", str(heat_path)] if command == "search" else []
         code = main([
-            command, "--instance", str(inst_path), *heat_args, "--preset", "tsp20",
+            command, "--instance", str(inst_path), *heat_args,
             "--rounds", "2", "--out", str(tmp_path / "t.txt"),
         ])
         assert code == 2
@@ -165,7 +170,7 @@ class TestSearchCommand:
     @pytest.mark.parametrize("budget", ["nan", "inf"])
     def test_non_finite_time_budget_exits_2(self, instance_file, tmp_path, capsys, budget):
         code = main([
-            "solve", "--instance", instance_file, "--preset", "tsp20",
+            "solve", "--instance", instance_file,
             "--time-budget", budget, "--out", str(tmp_path / "t.txt"),
         ])
         assert code == 2
@@ -177,14 +182,14 @@ class TestSearchCommand:
               "--seed", "3", "--out", str(heat_path)])
         code = main([
             "search", "--instance", instance_file, "--heatmap", str(heat_path),
-            "--preset", "tsp20", "--seed", "3", "--out", str(tmp_path / "t.txt"),
+            "--seed", "3", "--out", str(tmp_path / "t.txt"),
         ])
         assert code == 2
 
     def test_requires_budget_before_reading_files(self, instance_file, tmp_path, capsys):
         code = main([
             "search", "--instance", instance_file, "--heatmap", str(tmp_path / "nope.txt"),
-            "--preset", "tsp20", "--out", str(tmp_path / "t.txt"),
+            "--out", str(tmp_path / "t.txt"),
         ])
         assert code == 2
         assert "set --time-budget and/or --rounds" in capsys.readouterr().err
@@ -195,7 +200,7 @@ class TestSolve:
         tour_path = tmp_path / "tour.txt"
         svg_path = tmp_path / "tour.svg"
         code = main([
-            "solve", "--instance", instance_file, "--preset", "tsp20",
+            "solve", "--instance", instance_file,
             "--rounds", "10", "--seed", "3", "--out", str(tour_path),
             "--svg", str(svg_path),
         ])
@@ -215,7 +220,7 @@ class TestSolve:
         inst_path.write_text(format_instance(inst))
         tour_path = tmp_path / "tour.txt"
         code = main([
-            "solve", "--instance", str(inst_path), "--preset", "tsp20",
+            "solve", "--instance", str(inst_path),
             "--rounds", "2", "--seed", "4", "--out", str(tour_path),
         ])
         assert code == 0
@@ -225,7 +230,7 @@ class TestSolve:
 
     def test_reports_stage_seconds(self, instance_file, tmp_path, capsys):
         code = main([
-            "solve", "--instance", instance_file, "--preset", "tsp20",
+            "solve", "--instance", instance_file,
             "--rounds", "3", "--seed", "3", "--out", str(tmp_path / "tour.txt"),
         ])
         assert code == 0
@@ -332,7 +337,7 @@ class TestBenchCommand:
     def test_json_output(self, tmp_path):
         out = tmp_path / "bench.json"
         code = main([
-            "bench", "--n", "8", "--count", "2", "--preset", "tsp20",
+            "bench", "--n", "8", "--count", "2",
             "--rounds", "3", "--steps", "60", "--format", "json",
             "--seed", "1", "--out", str(out),
         ])
@@ -358,11 +363,26 @@ class TestBenchCommand:
         # different orders, so their lengths differ in the last digits
         out = tmp_path / "bench.json"
         code = main([
-            "bench", "--n", "10", "--count", "2", "--preset", "tsp20",
+            "bench", "--n", "10", "--count", "2",
             "--rounds", "12", "--format", "json", "--out", str(out),
         ])
         assert code == 0
         assert [r["gap_percent"] for r in json.loads(out.read_text())] == [0.0] * 4
+
+    def test_default_preset_is_the_instance_tier(self, tmp_path):
+        out = tmp_path / "bench.json"
+        code = main([
+            "bench", "--n", "10", "--count", "2", "--rounds", "12",
+            "--format", "json", "--out", str(out),
+        ])
+        assert code == 0
+        lengths = [r["length"] for r in json.loads(out.read_text()) if r["method"] == "pipeline"]
+        params = PRESETS["tsp20"].with_budget(max_rounds=12)
+        expect = [
+            solve_pipeline(generate_random(10, seed), TrainConfig(seed=seed), params, seed)[0].length
+            for seed in (0, 1)
+        ]
+        assert lengths == expect
 
     def test_requires_budget_before_any_work(self, tmp_path, capsys, monkeypatch):
         def no_solve(inst):
@@ -378,9 +398,32 @@ class TestBenchCommand:
     def test_csv_default(self, tmp_path):
         out = tmp_path / "bench.csv"
         code = main([
-            "bench", "--n", "8", "--count", "1", "--preset", "tsp20",
+            "bench", "--n", "8", "--count", "1",
             "--rounds", "3", "--steps", "60", "--seed", "1", "--out", str(out),
         ])
         assert code == 0
         lines = out.read_text().strip().splitlines()
         assert len(lines) == 3
+
+
+@pytest.mark.parametrize("command, target", [
+    ("search", ["--instance", "i.txt", "--heatmap", "h.txt"]),
+    ("solve", ["--instance", "i.txt"]),
+    ("bench", ["--n", "8"]),
+])
+def test_preset_option_is_refused(capsys, command, target):
+    # the search preset follows from the instance size (search.preset_for)
+    with pytest.raises(SystemExit) as exc:
+        main([command, *target, "--preset", "tsp20", "--rounds", "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --preset tsp20" in capsys.readouterr().err
+
+
+def test_readme_cli_block_parses():
+    block = README.read_text(encoding="utf-8").split("## CLI", 1)[1]
+    block = block.split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.splitlines() if line.startswith("tspheat ")]
+    parser = build_parser()
+    commands = {parser.parse_args(shlex.split(line, comments=True)[1:]).command for line in lines}
+    assert commands == {"generate", "train-heatmap", "search", "solve", "oracle", "baseline",
+                        "coverage", "bench"}

@@ -37,6 +37,7 @@ from tspheat.search import (
     format_tour,
     parse_tour,
     pass_neighbors,
+    preset_for,
     random_tour,
     run_search,
     two_opt_improve,
@@ -1166,6 +1167,15 @@ class TestPresets:
             assert (p.beta, p.m, p.k_range, p.expand_budget) == (
                 beta, m, k_range, budget
             ), name
+
+    @pytest.mark.parametrize("n, tier", [
+        (3, "tsp20"), (20, "tsp20"), (21, "tsp50"), (50, "tsp50"), (51, "tsp100"),
+        (100, "tsp100"), (101, "tsp200"), (200, "tsp200"), (201, "tsp500"),
+        (500, "tsp500"), (501, "tsp1000"), (1000, "tsp1000"), (1001, "tsp1000"),
+        (5000, "tsp1000"),
+    ])
+    def test_preset_for_smallest_tier_that_holds_n(self, n, tier):
+        assert preset_for(n) is PRESETS[tier]
 
 
 class TestSearchParams:
