@@ -191,7 +191,6 @@ def _add_common(p: argparse.ArgumentParser, budget: bool = False, train: bool = 
         p.add_argument("--lr", dest="learning_rate", metavar="LR", type=float, default=None)
         p.add_argument("--lambda1", type=float, default=None)
         p.add_argument("--lambda2", type=float, default=None)
-        p.add_argument("--init-scale", type=float, default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -35,6 +35,7 @@ TRAIN_MAX_EXPONENT = 40
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPSILON = 1e-8
+INIT_SCALE = 0.5
 
 
 def default_steps(n: int) -> int:
@@ -53,18 +54,18 @@ class TrainConfig:
     pruned heat map covers optimal-tour edges well (heavier penalties tend to
     collapse the indicator onto a single locally-optimal cycle, which hurts
     edge coverage). Adam's other settings are the module constants
-    ADAM_BETA1, ADAM_BETA2 and ADAM_EPSILON, Kingma & Ba's defaults.
+    ADAM_BETA1, ADAM_BETA2 and ADAM_EPSILON, Kingma & Ba's defaults; the
+    initial logits' standard deviation is the module constant INIT_SCALE.
     """
 
     steps: Optional[int] = None
     learning_rate: float = 0.05
     lambda1: float = 2.0
     lambda2: float = 1.0
-    init_scale: float = 0.5
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("learning_rate", "lambda1", "lambda2", "init_scale"):
+        for name in ("learning_rate", "lambda1", "lambda2"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.steps is not None and self.steps < 1:
@@ -73,8 +74,6 @@ class TrainConfig:
             raise ValueError("learning_rate must be > 0")
         if self.lambda1 < 0 or self.lambda2 < 0:
             raise ValueError("lambda weights must be >= 0")
-        if self.init_scale < 0:
-            raise ValueError("init_scale must be >= 0")
 
     def resolved_steps(self, n: int) -> int:
         return self.steps if self.steps is not None else default_steps(n)
@@ -101,13 +100,11 @@ class TrainTrace:
 
 
 def init_logits(n: int, cfg: TrainConfig) -> np.ndarray:
-    """Seeded Gaussian(0, init_scale^2) logits; all zeros when init_scale=0."""
+    """Seeded float64 Gaussian(0, INIT_SCALE^2) logits of shape (n, n)."""
     if n < 3:
         raise ValueError(f"n must be >= 3, got {n}")
-    if cfg.init_scale == 0:
-        return np.zeros((n, n))
     rng = np.random.default_rng(cfg.seed)
-    return rng.normal(0.0, cfg.init_scale, size=(n, n))
+    return rng.normal(0.0, INIT_SCALE, size=(n, n))
 
 
 def optimize_heatmap(inst: Instance, cfg: TrainConfig = TrainConfig()):
@@ -119,23 +116,22 @@ def optimize_heatmap(inst: Instance, cfg: TrainConfig = TrainConfig()):
     its gradient. The loop runs in float32, the precision neural heat-map
     models train at: the logits, the kernel's workspace and the Adam
     moments and scratch are float32 buffers allocated once per fit, and the
-    float64 initial logits are cast once. It trains on d * 2**-e, where e is
-    the smallest exponent >= 0 that puts the largest distance below
-    2**TRAIN_MAX_EXPONENT; the scaling is exact, and e = 0 for any instance
-    whose largest distance is smaller. The returned soft indicator and heat
-    map are float64, and the two-form surrogate_loss check runs on them with
-    the instance's own distances. Deterministic for a fixed (instance,
-    config). Raises NumericError if the initial logits are non-finite, or
-    naming the step if the loss, gradient or logits go non-finite.
+    float64 initial logits (init_logits) are cast once. It trains on
+    d * 2**-e, where e is the smallest exponent >= 0 that puts the largest
+    distance below 2**TRAIN_MAX_EXPONENT; the scaling is exact, and e = 0
+    for any instance whose largest distance is smaller. The returned soft
+    indicator and heat map are float64, and the two-form surrogate_loss
+    check runs on them with the instance's own distances. Deterministic for
+    a fixed (instance, config). Raises NumericError naming the step if the
+    loss, gradient or logits go non-finite.
     """
     n = inst.n
     d = distance_matrix(inst)
     steps = cfg.resolved_steps(n)
     lam1, lam2 = cfg.lambda1, cfg.lambda2
     e = max(0, math.frexp(d.max())[1] - TRAIN_MAX_EXPONENT)
-    # the fit checks the initial logits, every loss and the logits after
-    # every update itself, so numpy's overflow and invalid warnings (a huge
-    # setting, or logits a too large learning rate overflows) stay silent
+    # the fit checks each loss and each update's logits itself, so numpy's
+    # overflow and invalid warnings (huge settings, a too large rate) stay silent
     with np.errstate(over="ignore", invalid="ignore"):
         a = (np.ldexp(d, -e) + lam2 * np.eye(n)).astype(np.float32)
         # m and v are one (2, n, n) stack, so that each moment operation is
@@ -151,9 +147,6 @@ def optimize_heatmap(inst: Instance, cfg: TrainConfig = TrainConfig()):
         lr, eps = np.array(cfg.learning_rate, f32), np.array(ADAM_EPSILON, f32)
         logits = init_logits(n, cfg).astype(f32)
         ws = _Workspace(n, logits.dtype)
-        # checked once here; the loop re-checks the logits after every update
-        if not ws.all_finite(logits):
-            raise NumericError("non-finite initial logits")
         moments = np.zeros((2, n, n), f32)
         # update holds (1-b1)*g and (1-b2)*(g*g), then m_hat and v_hat; the
         # operations and their order are those of the textbook expression,

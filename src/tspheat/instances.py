@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -85,16 +86,22 @@ def generate_random(n: int, seed: int) -> Instance:
 def distance_matrix(inst: Instance) -> np.ndarray:
     """Full symmetric Euclidean distance matrix.
 
+    Below 1/2, the largest per-axis span is lifted into [1/2, 1) by scaling
+    the coordinate differences by 2**k, and the distances are scaled back,
+    so tiny coordinates do not underflow when squared; the scaling is exact.
     Raises ValueError when a distance overflows to a non-finite value
     (coordinates of magnitude near 1e154 and above).
     """
     c = inst.coords
+    k = max(0, -math.frexp(float((c.max(axis=0) - c.min(axis=0)).max()))[1])
     with np.errstate(over="ignore", invalid="ignore"):
         diff = c[:, None, :] - c[None, :, :]
+        if k:
+            np.ldexp(diff, k, out=diff)
         d = np.sqrt((diff * diff).sum(axis=2))
     if not np.isfinite(d).all():
         raise ValueError("a distance between cities overflows; rescale the coordinates")
-    return d
+    return np.ldexp(d, -k, out=d) if k else d
 
 
 def tour_length(d: np.ndarray, tour: Tour) -> float:

@@ -42,12 +42,11 @@ from .instances import Instance, Tour, _native_body, distance_matrix, order_leng
 
 TOUR_HEADER = "UTSP-TOUR v1"
 
-# smallest accepted closure gain; guards against float-noise "improvements"
+# gain a k-opt, 2-opt or Or-opt move must exceed to count as improving;
+# guards against float-noise "improvements"
 MIN_GAIN = 1e-10
 # sampling-weight floor so zero-heat candidates stay reachable
 WEIGHT_FLOOR = 1e-12
-# threshold for an improving 2-opt move
-TWO_OPT_EPS = 1e-10
 # shortest neighbour list of the round-start pass, whatever the preset's m
 # (8 is the m of every preset up to tsp200); see pass_neighbors
 TWO_OPT_NEIGHBORS = 8
@@ -187,7 +186,7 @@ def two_opt_improve(d: np.ndarray, tour: Tour) -> Tour:
 
     Row i pairs edge (order[i], order[i+1]) with each later edge (order[j],
     order[j+1]) in turn and applies the first pair whose delta
-    d[a,c] + d[b,e] - d[a,b] - d[c,e] is below -TWO_OPT_EPS by reversing
+    d[a,c] + d[b,e] - d[a,b] - d[c,e] is below -MIN_GAIN by reversing
     order[i+1..j]; the row is then scanned again. Each delta is summed with
     Python floats in that order. The order list carries a copy of position 0
     at its end as the successor of the last position; a reversal never moves
@@ -215,7 +214,7 @@ def two_opt_improve(d: np.ndarray, tour: Tour) -> Tour:
             for j in range(i + 2, hi):
                 c = order[j]
                 e = order[j + 1]
-                if ra[c] + rb[e] - dab - rows[c][e] < -TWO_OPT_EPS:
+                if ra[c] + rb[e] - dab - rows[c][e] < -MIN_GAIN:
                     order[i + 1:j + 1] = order[j:i:-1]
                     improved = True
                     break
@@ -283,7 +282,7 @@ def _two_opt_move(tour: list, pos: list, rows: list, near: list, a: int) -> Opti
     a looks in each direction, successor first: with b its tour neighbour
     that way, it scans its list up to the first c with d[a, c] >= d[a, b],
     and with e c's neighbour the same way (c != b, e != a) applies the first
-    move whose d[a,c] + d[b,e] - d[a,b] - d[c,e] is below -TWO_OPT_EPS,
+    move whose d[a,c] + d[b,e] - d[a,b] - d[c,e] is below -MIN_GAIN,
     two_opt_improve's own test, so that (a, c) and (b, e) replace (a, b)
     and (c, e).
     """
@@ -301,7 +300,7 @@ def _two_opt_move(tour: list, pos: list, rows: list, near: list, a: int) -> Opti
             e = tour[(j + step) % n]
             if c == b or e == a:
                 continue
-            if dac + rb[e] - dab - rows[c][e] < -TWO_OPT_EPS:
+            if dac + rb[e] - dab - rows[c][e] < -MIN_GAIN:
                 if step == 1:
                     _reverse(tour, pos, i + 1, j)  # b .. c
                 else:
@@ -317,11 +316,11 @@ def _or_opt_move(tour: list, pos: list, rows: list, near: list, a: int) -> Optio
 
     The segment a .. s holds the L = 1 .. OR_OPT_SEGMENT cities that start
     at a in tour order (L at most n - 3), with p and q the cities around it.
-    Taking it out gains g = d[p,a] + d[s,q] - d[p,q]; when g > TWO_OPT_EPS,
+    Taking it out gains g = d[p,a] + d[s,q] - d[p,q]; when g > MIN_GAIN,
     a scans its list up to the first c with d[a, c] >= g, skips the cities
     of the segment and, for e the successor and then the predecessor of c
     (not in the segment), applies the first insertion whose
-    g - (d[a,c] + d[s,e] - d[c,e]) exceeds TWO_OPT_EPS: the segment goes
+    g - (d[a,c] + d[s,e] - d[c,e]) exceeds MIN_GAIN: the segment goes
     between c and e with a next to c (_move_segment), so a move costs the
     span it moves, not the tour.
     """
@@ -335,7 +334,7 @@ def _or_opt_move(tour: list, pos: list, rows: list, near: list, a: int) -> Optio
         q = tour[(i + size) % n]
         rs = rows[s]
         g = ra[p] + rs[q] - rp[q]
-        if g <= TWO_OPT_EPS:
+        if g <= MIN_GAIN:
             continue
         for c, dac in near:
             if dac >= g:
@@ -347,7 +346,7 @@ def _or_opt_move(tour: list, pos: list, rows: list, near: list, a: int) -> Optio
             for e in (tour[(j + 1) % n], tour[j - 1]):
                 if (pos[e] - i) % n < size:
                     continue
-                if g - (dac + rs[e] - rc[e]) > TWO_OPT_EPS:
+                if g - (dac + rs[e] - rc[e]) > MIN_GAIN:
                     _move_segment(tour, pos, p, a, s, q, c, e)
                     return p, q, a, s, c, e
     return None

@@ -57,7 +57,7 @@ class TestTrainHeatmap:
         assert len(lines) == 41
 
     @pytest.mark.parametrize("flag, value", [
-        ("--lr", "nan"), ("--lambda1", "inf"), ("--lambda2", "nan"), ("--init-scale", "inf"),
+        ("--lr", "nan"), ("--lambda1", "inf"), ("--lambda2", "nan"),
     ])
     def test_rejects_non_finite_setting(self, instance_file, tmp_path, capsys, flag, value):
         code = main([
@@ -70,7 +70,6 @@ class TestTrainHeatmap:
 
     @pytest.mark.parametrize("flags, message", [
         (["--lr", "1e38", "--steps", "50"], "non-finite logits after step 5"),
-        (["--init-scale", "1e300", "--steps", "5"], "non-finite initial logits"),
     ])
     def test_numeric_failure_prints_only_its_error(self, tmp_path, flags, message):
         # run as a command, with Python's default warning filters: the fit
@@ -417,6 +416,20 @@ def test_preset_option_is_refused(capsys, command, target):
         main([command, *target, "--preset", "tsp20", "--rounds", "1"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --preset tsp20" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, target", [
+    ("train-heatmap", ["--instance", "i.txt"]),
+    ("solve", ["--instance", "i.txt", "--rounds", "1"]),
+    ("coverage", []),
+    ("bench", ["--rounds", "1"]),
+])
+def test_init_scale_option_is_refused(capsys, command, target):
+    # the spread of the initial logits is the constant generator.INIT_SCALE
+    with pytest.raises(SystemExit) as exc:
+        main([command, *target, "--init-scale", "0.5"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --init-scale 0.5" in capsys.readouterr().err
 
 
 def test_readme_cli_block_parses():

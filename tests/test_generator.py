@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 
 from tspheat import generator
-from tspheat.generator import TrainConfig, default_steps, init_logits, optimize_heatmap
+from tspheat.generator import (
+    INIT_SCALE,
+    TrainConfig,
+    default_steps,
+    init_logits,
+    optimize_heatmap,
+)
 from tspheat.heatmap import (
     NumericError,
     column_softmax,
@@ -38,11 +44,16 @@ class TestTrainConfig:
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     @pytest.mark.parametrize(
         "field",
-        ["learning_rate", "lambda1", "lambda2", "init_scale"],
+        ["learning_rate", "lambda1", "lambda2"],
     )
     def test_rejects_non_finite(self, field, value):
         with pytest.raises(ValueError, match=field):
             TrainConfig(**{field: value})
+
+    def test_fields_are_the_training_settings(self):
+        # the spread of the initial logits is the module constant INIT_SCALE
+        names = [f.name for f in dataclasses.fields(TrainConfig)]
+        assert names == ["steps", "learning_rate", "lambda1", "lambda2", "seed"]
 
     def test_default_step_schedule(self):
         assert default_steps(10) == 300
@@ -52,21 +63,21 @@ class TestTrainConfig:
 
 
 class TestInitLogits:
-    def test_zero_scale_gives_uniform_indicator(self):
-        cfg = TrainConfig(init_scale=0.0)
-        logits = init_logits(6, cfg)
-        assert np.all(logits == 0.0)
-        assert np.allclose(column_softmax(logits), 1.0 / 6.0, atol=1e-15)
-
     def test_deterministic(self):
         cfg = TrainConfig(seed=123)
         assert np.array_equal(init_logits(7, cfg), init_logits(7, cfg))
 
     def test_sample_mean_near_zero(self):
-        cfg = TrainConfig(init_scale=0.1, seed=5)
-        logits = init_logits(8, cfg)
-        # 64 draws of sd 0.1: mean within 3 sigma / sqrt(64)
-        assert abs(logits.mean()) < 3 * 0.1 / 8
+        logits = init_logits(8, TrainConfig(seed=5))
+        # 64 draws of sd INIT_SCALE: mean within 3 sigma / sqrt(64)
+        assert abs(logits.mean()) < 3 * INIT_SCALE / 8
+
+    @pytest.mark.parametrize("n, seed", [(3, 0), (9, 4), (40, 11)])
+    def test_seeded_normal_draw(self, n, seed):
+        got = init_logits(n, TrainConfig(seed=seed))
+        want = np.random.default_rng(seed).normal(0.0, 0.5, (n, n))
+        assert got.dtype == np.float64
+        assert got.tobytes() == want.tobytes()
 
 
 class TestOptimizeHeatmap:
@@ -234,10 +245,12 @@ class TestNumericErrors:
             logits[2, 5] = np.nan
             return logits
 
+        # only a patched init_logits can start non-finite; the first step's
+        # loss then stops the fit
         monkeypatch.setattr(generator, "init_logits", nan_logits)
         with pytest.raises(NumericError) as excinfo:
             optimize_heatmap(generate_random(9, 4), TrainConfig(steps=10, seed=4))
-        assert str(excinfo.value) == "non-finite initial logits"
+        assert str(excinfo.value) == "non-finite loss at step 1"
 
     @pytest.mark.parametrize("k", [1, 7])
     def test_non_finite_loss(self, monkeypatch, k):

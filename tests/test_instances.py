@@ -93,6 +93,15 @@ class TestDistanceMatrix:
         assert np.isfinite(d).all()
         assert d[0, 1] == pytest.approx(1e150 * distance_matrix(generate_random(8, 0))[0, 1])
 
+    @pytest.mark.parametrize("k", [-1000, -600, -530])
+    def test_tiny_coordinates_do_not_underflow(self, k):
+        # the squares of these differences underflow; the distances are the
+        # unit-scale ones times 2**k, bit for bit
+        c = np.random.default_rng(1).random((30, 2))
+        d = distance_matrix(Instance(coords=np.ldexp(c, k)))
+        assert d.tobytes() == np.ldexp(distance_matrix(Instance(coords=c)), k).tobytes()
+        assert np.all(d[~np.eye(30, dtype=bool)] > 0.0)
+
     @given(st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=25, deadline=None)
     def test_symmetric_zero_diagonal(self, seed):

@@ -27,7 +27,6 @@ from tspheat.search import (
     MIN_GAIN,
     OR_OPT_SEGMENT,
     PRESETS,
-    TWO_OPT_EPS,
     TWO_OPT_NEIGHBORS,
     WEIGHT_FLOOR,
     KOptAction,
@@ -101,7 +100,7 @@ def reference_two_opt_order(d, order, moves=None):
             c = order[i + 2:hi]
             e = succ[i + 2:hi]
             delta = d[a, c] + d[b, e] - d[a, b] - d[c, e]
-            hit = np.flatnonzero(delta < -TWO_OPT_EPS)
+            hit = np.flatnonzero(delta < -MIN_GAIN)
             if hit.size:
                 j = i + 2 + int(hit[0])
                 if moves is not None:
@@ -153,14 +152,14 @@ def list_moves_left(d, order):
                 if dac >= d[a, b]:
                     break
                 e = order[(pos[c] + step) % n]
-                if c != b and e != a and dac + d[b, e] - d[a, b] - d[c, e] < -TWO_OPT_EPS:
+                if c != b and e != a and dac + d[b, e] - d[a, b] - d[c, e] < -MIN_GAIN:
                     left.append(("2-opt", a))
         p = order[i - 1]
         for size in range(1, min(OR_OPT_SEGMENT, n - 3) + 1):
             segment = {order[(i + k) % n] for k in range(size)}
             s, q = order[(i + size - 1) % n], order[(i + size) % n]
             gain = d[p, a] + d[s, q] - d[p, q]
-            if gain <= TWO_OPT_EPS:
+            if gain <= MIN_GAIN:
                 continue
             for c, dac in near:
                 if dac >= gain:
@@ -169,7 +168,7 @@ def list_moves_left(d, order):
                     continue
                 j = pos[c]
                 for e in (order[(j + 1) % n], order[j - 1]):
-                    if e not in segment and gain - (dac + d[s, e] - d[c, e]) > TWO_OPT_EPS:
+                    if e not in segment and gain - (dac + d[s, e] - d[c, e]) > MIN_GAIN:
                         left.append(("or-opt", a))
     return left
 
@@ -286,12 +285,12 @@ class TestTwoOptMatchesReference:
         assert_matches_reference(d, random_tour(100, start_seed).order)
 
     @pytest.mark.parametrize("j", [3, 24])
-    @pytest.mark.parametrize("gain, applied", [(0.5 * TWO_OPT_EPS, False),
-                                               (2.0 * TWO_OPT_EPS, True)])
+    @pytest.mark.parametrize("gain, applied", [(0.5 * MIN_GAIN, False),
+                                               (2.0 * MIN_GAIN, True)])
     def test_threshold_near_and_far_partner(self, j, gain, applied):
         # row 0's only improving partner sits at position j: near the start of
         # the row for j = 3, far into it for j = 24. A move that gains less
-        # than TWO_OPT_EPS is not applied.
+        # than MIN_GAIN is not applied.
         n = 88
         d = np.ones((n, n))
         np.fill_diagonal(d, 0.0)
@@ -967,7 +966,7 @@ class TestRunSearch:
         params = dist_params(m=8, time_budget=1e-12)
         first = first_round_start(d, 6, params)
         assert list_moves_left(d, first.order.tolist()) == []
-        assert brute_force_two_opt_scan(d, first.order.tolist()) < -TWO_OPT_EPS
+        assert brute_force_two_opt_scan(d, first.order.tolist()) < -MIN_GAIN
         assert not np.array_equal(two_opt_improve(d, first).order, first.order)
         tour, stats = run_search(inst, pruned, params, 6)
         assert stats.rounds == 1
