@@ -187,7 +187,8 @@ def _add_common(p: argparse.ArgumentParser, budget: bool = False, train: bool = 
                             "pass) is always returned")
         p.add_argument("--rounds", type=int, default=None, metavar="N")
     if train:
-        p.add_argument("--steps", type=int, default=None)
+        p.add_argument("--steps", type=int, default=None,
+                       help="Adam steps of the heat-map fit (default: 300)")
         p.add_argument("--lr", dest="learning_rate", metavar="LR", type=float, default=None)
         p.add_argument("--lambda1", type=float, default=None)
         p.add_argument("--lambda2", type=float, default=None)

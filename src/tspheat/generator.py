@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -38,18 +37,13 @@ ADAM_EPSILON = 1e-8
 INIT_SCALE = 0.5
 
 
-def default_steps(n: int) -> int:
-    """Step budget that grows with instance size: 300 per started block of
-    100 cities, never less than 300."""
-    return 300 * max(1, math.ceil(n / 100))
-
-
 @dataclass(frozen=True)
 class TrainConfig:
     """Optimizer settings for one heat-map fit.
 
-    steps=None derives the budget from the instance size via default_steps.
-    The lambda weights balance the doubly-stochastic pressure against the
+    steps is the number of Adam updates, 300 at every instance size, so a
+    fit costs about n**3 (one n x n matrix product per step). The lambda
+    weights balance the doubly-stochastic pressure against the
     expected-length term; the defaults were chosen empirically so that the
     pruned heat map covers optimal-tour edges well (heavier penalties tend to
     collapse the indicator onto a single locally-optimal cycle, which hurts
@@ -58,7 +52,7 @@ class TrainConfig:
     initial logits' standard deviation is the module constant INIT_SCALE.
     """
 
-    steps: Optional[int] = None
+    steps: int = 300
     learning_rate: float = 0.05
     lambda1: float = 2.0
     lambda2: float = 1.0
@@ -68,15 +62,12 @@ class TrainConfig:
         for name in ("learning_rate", "lambda1", "lambda2"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
-        if self.steps is not None and self.steps < 1:
+        if self.steps < 1:
             raise ValueError(f"steps must be >= 1, got {self.steps}")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be > 0")
         if self.lambda1 < 0 or self.lambda2 < 0:
             raise ValueError("lambda weights must be >= 0")
-
-    def resolved_steps(self, n: int) -> int:
-        return self.steps if self.steps is not None else default_steps(n)
 
 
 @dataclass
@@ -127,7 +118,7 @@ def optimize_heatmap(inst: Instance, cfg: TrainConfig = TrainConfig()):
     """
     n = inst.n
     d = distance_matrix(inst)
-    steps = cfg.resolved_steps(n)
+    steps = cfg.steps
     lam1, lam2 = cfg.lambda1, cfg.lambda2
     e = max(0, math.frexp(d.max())[1] - TRAIN_MAX_EXPONENT)
     # the fit checks each loss and each update's logits itself, so numpy's

@@ -43,7 +43,8 @@ from .instances import Instance, Tour, _native_body, distance_matrix, order_leng
 TOUR_HEADER = "UTSP-TOUR v1"
 
 # gain a k-opt, 2-opt or Or-opt move must exceed to count as improving;
-# guards against float-noise "improvements"
+# guards against float-noise "improvements". run_search compares it with
+# gains on distances lifted into [1/2, 1), two_opt_improve with raw ones
 MIN_GAIN = 1e-10
 # sampling-weight floor so zero-heat candidates stay reachable
 WEIGHT_FLOOR = 1e-12
@@ -697,6 +698,12 @@ def run_search(
     d = distance_matrix(inst)
     if pruned.shape != (n, n):
         raise ValueError(f"pruned heat map shape {pruned.shape} does not match n={n}")
+    # MIN_GAIN is absolute, so below 1/2 the largest distance is lifted into
+    # [1/2, 1) by an exact power of two, 2**k, as in distance_matrix; the
+    # lengths in stats are scaled back
+    k = max(0, -math.frexp(float(d.max()))[1])
+    if k:
+        d = np.ldexp(d, k)
     hp = np.array(pruned, dtype=np.float64, copy=True)
     rows = d.tolist()
     m_eff = min(params.m, n - 1)  # presets can exceed tiny instances
@@ -749,9 +756,9 @@ def run_search(
             if length < best_len:
                 best_order = order.copy()
                 best_len = length
-        stats.round_best_lengths.append(best_len)
+        stats.round_best_lengths.append(math.ldexp(best_len, -k))
     stats.rounds = rounds
-    stats.best_length = best_len
+    stats.best_length = math.ldexp(best_len, -k)
     return Tour.from_order(best_order), stats
 
 

@@ -237,7 +237,7 @@ class TestSolve:
         assert list(fields) == ["length", "heatmap_s", "fit_steps", "step_us", "search_s",
                                 "two_opt_s", "rounds", "or_moves", "attempts", "dead_ends",
                                 "cap_hits", "improving"]
-        # the instance has 10 cities, so the fit runs default_steps(10) = 300
+        # an unset --steps runs the default fit, 300 steps at every size
         assert int(fields["fit_steps"]) == 300
         assert float(fields["step_us"]) > 0.0
         assert 0.0 <= float(fields["two_opt_s"]) <= float(fields["search_s"])

@@ -9,7 +9,6 @@ from tspheat import generator
 from tspheat.generator import (
     INIT_SCALE,
     TrainConfig,
-    default_steps,
     init_logits,
     optimize_heatmap,
 )
@@ -55,11 +54,10 @@ class TestTrainConfig:
         names = [f.name for f in dataclasses.fields(TrainConfig)]
         assert names == ["steps", "learning_rate", "lambda1", "lambda2", "seed"]
 
-    def test_default_step_schedule(self):
-        assert default_steps(10) == 300
-        assert default_steps(100) == 300
-        assert default_steps(101) == 600
-        assert default_steps(1000) == 3000
+    def test_default_is_300_steps_at_every_size(self):
+        assert TrainConfig().steps == 300
+        _, _, trace = optimize_heatmap(generate_random(150, 1), TrainConfig(seed=1))
+        assert trace.steps == 300
 
 
 class TestInitLogits:
@@ -311,6 +309,11 @@ class TestGoldenTraining:
          None,
          "13.809217537608756",
          "fcb6672e1b86179b884b75b21c88cb211c0daad4444d89010feec129d14d4961"),
+        (200, 3,
+         "3c867a586af32186b1e75b8da2703c2978dfdc73bece25685bb6f1f470767001",
+         "8c93540d3a7b6dfdf0e487139f6c18c7eda1740893ee69bb27f66174d3284187",
+         "23.501546969868144",
+         "aa0a8f7a73c388d16db44665d21c1caeb0a4d7de95d5ae8610a24d9ee108ba87"),
     ]
 
     @pytest.mark.parametrize(

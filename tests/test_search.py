@@ -932,6 +932,23 @@ class TestRunSearch:
         assert all(a >= b for a, b in zip(seq, seq[1:]))
         assert stats.best_length == seq[-1] == tour_length(d, tour)
 
+    @pytest.mark.parametrize("k", [-20, -36, -40])
+    def test_tiny_instance_searches_like_the_unit_one(self, k):
+        # MIN_GAIN is absolute; an instance scaled by 2**k searches on its
+        # distances lifted by a power of two, so it finds the unit run's tour
+        # and reports the unit length scaled by 2**k
+        inst = generate_random(50, 3)
+        _, pruned = top_m_filter(soft_heat(distance_matrix(inst)), 8)
+        params = preset_for(50).with_budget(max_rounds=3)
+        unit_tour, unit = run_search(inst, pruned, params, 3)
+        tiny = Instance(coords=np.ldexp(inst.coords, k))
+        tour, stats = run_search(tiny, pruned, params, 3)
+        assert tour.order.tolist() == unit_tour.order.tolist()
+        assert stats.best_length == math.ldexp(unit.best_length, k)
+        assert stats.round_best_lengths == [math.ldexp(x, k) for x in unit.round_best_lengths]
+        assert stats.best_length == tour_length(distance_matrix(tiny), tour)
+        assert (stats.improving, stats.or_moves) == (unit.improving, unit.or_moves)
+
     def test_never_worse_than_first_round_two_opt(self):
         inst = generate_random(15, 8)
         d = distance_matrix(inst)
