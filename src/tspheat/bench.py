@@ -14,7 +14,7 @@ import numpy as np
 
 from .candidates import check_list_size, edge_set, overlap_coefficient, top_m_filter
 from .generator import TrainConfig, optimize_heatmap
-from .instances import Instance, Tour, distance_matrix, tour_length
+from .instances import Instance, Tour, distance_matrix, tour_length, unit_exponent
 from .search import SearchParams, run_search, two_opt_improve
 
 HELD_KARP_MAX_N = 18
@@ -113,12 +113,14 @@ def tour_edges(tour: Tour) -> set[tuple[int, int]]:
 
 
 def nn_two_opt_baseline(inst: Instance, seed: int):
-    """Nearest-neighbour construction from a random start city, then 2-opt.
+    """Nearest-neighbour construction from a random start city, then 2-opt
+    in the instance's power-of-two frame (instances.unit_exponent).
 
-    Returns (Tour, length); deterministic per seed.
+    Returns (Tour, length in the instance's units); deterministic per seed.
     """
     n = inst.n
     d = distance_matrix(inst)
+    frame = np.ldexp(d, -unit_exponent(inst))
     rng = np.random.default_rng(seed)
     start = int(rng.integers(n))
     visited = np.zeros(n, dtype=bool)
@@ -131,7 +133,7 @@ def nn_two_opt_baseline(inst: Instance, seed: int):
         cur = int(np.argmin(row))
         order[k] = cur
         visited[cur] = True
-    tour = two_opt_improve(d, Tour.from_order(order))
+    tour = two_opt_improve(frame, Tour.from_order(order))
     return tour, tour_length(d, tour)
 
 
@@ -254,7 +256,7 @@ def emit_tour_svg(inst: Instance, tour: Tour, path: str) -> None:
     n = inst.n
     xmin, ymin = coords.min(axis=0)
     xmax, ymax = coords.max(axis=0)
-    span = max(xmax - xmin, ymax - ymin, 1e-9)
+    span = max(xmax - xmin, ymax - ymin) or 1.0  # 1.0 when all cities coincide
     size = 640.0
     pad = 20.0
     scale = (size - 2 * pad) / span

@@ -22,14 +22,7 @@ from .heatmap import (
     indicator_to_heatmap,
     surrogate_loss,
 )
-from .instances import Instance, distance_matrix
-
-# The fit trains on the distances scaled by a power of two, 2**-e, so that
-# the largest lies below 2**TRAIN_MAX_EXPONENT; any instance already below
-# that bound trains on its distances unchanged. Under this bound the float32
-# loss terms (about n * max(d)) and the squared gradient in Adam's second
-# moment stay far below float32's largest value, 3.4e38 (about 2**128).
-TRAIN_MAX_EXPONENT = 40
+from .instances import Instance, distance_matrix, unit_exponent
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -75,10 +68,9 @@ class TrainTrace:
     """Per-step loss breakdowns (evaluated before each update), the loss of
     the returned parameters, and wall-clock duration.
 
-    final is in the instance's units. per_step holds the float32 breakdowns
-    of the objective the loop trains on, which for an instance whose
-    largest distance reaches 2**TRAIN_MAX_EXPONENT has its distances scaled
-    by a power of two (see optimize_heatmap).
+    final is in the instance's units; per_step holds the float32 breakdowns
+    of the objective the loop trains on, in the instance's power-of-two
+    frame (see optimize_heatmap), which is its units when unit_exponent is 0.
     """
 
     per_step: list[LossBreakdown]
@@ -107,24 +99,23 @@ def optimize_heatmap(inst: Instance, cfg: TrainConfig = TrainConfig()):
     its gradient. The loop runs in float32, the precision neural heat-map
     models train at: the logits, the kernel's workspace and the Adam
     moments and scratch are float32 buffers allocated once per fit, and the
-    float64 initial logits (init_logits) are cast once. It trains on
-    d * 2**-e, where e is the smallest exponent >= 0 that puts the largest
-    distance below 2**TRAIN_MAX_EXPONENT; the scaling is exact, and e = 0
-    for any instance whose largest distance is smaller. The returned soft
-    indicator and heat map are float64, and the two-form surrogate_loss
-    check runs on them with the instance's own distances. Deterministic for
-    a fixed (instance, config). Raises NumericError naming the step if the
-    loss, gradient or logits go non-finite.
+    float64 initial logits (init_logits) are cast once. It trains on the
+    distances of the instance's power-of-two frame, d * 2**-e with
+    e = unit_exponent(inst), so a copy scaled by a power of two gets the
+    same fit. The returned soft indicator and heat map are float64, and the
+    two-form surrogate_loss check runs on them with the instance's own
+    distances. Deterministic for a fixed (instance, config). Raises
+    NumericError naming the step if the loss, gradient or logits go
+    non-finite.
     """
     n = inst.n
     d = distance_matrix(inst)
     steps = cfg.steps
     lam1, lam2 = cfg.lambda1, cfg.lambda2
-    e = max(0, math.frexp(d.max())[1] - TRAIN_MAX_EXPONENT)
     # the fit checks each loss and each update's logits itself, so numpy's
     # overflow and invalid warnings (huge settings, a too large rate) stay silent
     with np.errstate(over="ignore", invalid="ignore"):
-        a = (np.ldexp(d, -e) + lam2 * np.eye(n)).astype(np.float32)
+        a = (np.ldexp(d, -unit_exponent(inst)) + lam2 * np.eye(n)).astype(np.float32)
         # m and v are one (2, n, n) stack, so that each moment operation is
         # one ufunc call against (2, 1, 1) coefficients. Each coefficient is
         # a Python float cast once to float32, which gives the same result

@@ -83,17 +83,26 @@ def generate_random(n: int, seed: int) -> Instance:
     return Instance(coords=coords, name=f"random-n{n}-s{seed}")
 
 
+def unit_exponent(inst: Instance) -> int:
+    """The e for which the largest per-axis coordinate span times 2**-e lies
+    in [1/2, 1); 0 when all cities share one point. Every stage with a
+    threshold or a scale-sensitive loss works on the distances times 2**-e,
+    the instance's power-of-two frame, and scales lengths back by 2**e; the
+    scaling is exact. Every unit-square instance has e = 0."""
+    c = inst.coords
+    return math.frexp(float((c.max(axis=0) - c.min(axis=0)).max()))[1]
+
+
 def distance_matrix(inst: Instance) -> np.ndarray:
     """Full symmetric Euclidean distance matrix.
 
-    Below 1/2, the largest per-axis span is lifted into [1/2, 1) by scaling
-    the coordinate differences by 2**k, and the distances are scaled back,
-    so tiny coordinates do not underflow when squared; the scaling is exact.
-    Raises ValueError when a distance overflows to a non-finite value
-    (coordinates of magnitude near 1e154 and above).
+    When unit_exponent e < 0, the coordinate differences are scaled by 2**-e
+    and the distances back by 2**e, so tiny coordinates do not underflow when
+    squared. Raises ValueError when a distance overflows to a non-finite
+    value (coordinates of magnitude near 1e154 and above).
     """
     c = inst.coords
-    k = max(0, -math.frexp(float((c.max(axis=0) - c.min(axis=0)).max()))[1])
+    k = max(0, -unit_exponent(inst))
     with np.errstate(over="ignore", invalid="ignore"):
         diff = c[:, None, :] - c[None, :, :]
         if k:

@@ -38,13 +38,14 @@ from typing import Optional
 import numpy as np
 
 from .candidates import DISTANCE_MODE, HEAT_MODE, candidate_lists
-from .instances import Instance, Tour, _native_body, distance_matrix, order_length
+from .instances import Instance, Tour, _native_body, distance_matrix, order_length, unit_exponent
 
 TOUR_HEADER = "UTSP-TOUR v1"
 
 # gain a k-opt, 2-opt or Or-opt move must exceed to count as improving;
-# guards against float-noise "improvements". run_search compares it with
-# gains on distances lifted into [1/2, 1), two_opt_improve with raw ones
+# guards against float-noise "improvements". It is absolute, so run_search
+# and the nn+2opt baseline compare it with gains in the instance's
+# power-of-two frame (instances.unit_exponent)
 MIN_GAIN = 1e-10
 # sampling-weight floor so zero-heat candidates stay reachable
 WEIGHT_FLOOR = 1e-12
@@ -183,7 +184,8 @@ def random_tour(n: int, seed) -> Tour:
 def two_opt_improve(d: np.ndarray, tour: Tour) -> Tour:
     """Run first-improvement 2-opt from the given tour until no improving
     exchange exists. run_search's rounds do not call it; the nearest-neighbour
-    + 2-opt baseline does.
+    + 2-opt baseline does, on its instance's power-of-two frame: MIN_GAIN is
+    absolute, so d should be near unit scale.
 
     Row i pairs edge (order[i], order[i+1]) with each later edge (order[j],
     order[j+1]) in turn and applies the first pair whose delta
@@ -695,15 +697,11 @@ def run_search(
     if params.time_budget is None and params.max_rounds is None:
         raise ValueError("a budget is required: set time_budget and/or max_rounds")
     n = inst.n
-    d = distance_matrix(inst)
     if pruned.shape != (n, n):
         raise ValueError(f"pruned heat map shape {pruned.shape} does not match n={n}")
-    # MIN_GAIN is absolute, so below 1/2 the largest distance is lifted into
-    # [1/2, 1) by an exact power of two, 2**k, as in distance_matrix; the
-    # lengths in stats are scaled back
-    k = max(0, -math.frexp(float(d.max()))[1])
-    if k:
-        d = np.ldexp(d, k)
+    # MIN_GAIN acts in the instance's frame; stats' lengths are scaled back
+    e = unit_exponent(inst)
+    d = np.ldexp(distance_matrix(inst), -e)
     hp = np.array(pruned, dtype=np.float64, copy=True)
     rows = d.tolist()
     m_eff = min(params.m, n - 1)  # presets can exceed tiny instances
@@ -756,9 +754,9 @@ def run_search(
             if length < best_len:
                 best_order = order.copy()
                 best_len = length
-        stats.round_best_lengths.append(math.ldexp(best_len, -k))
+        stats.round_best_lengths.append(math.ldexp(best_len, e))
     stats.rounds = rounds
-    stats.best_length = math.ldexp(best_len, -k)
+    stats.best_length = math.ldexp(best_len, e)
     return Tour.from_order(best_order), stats
 
 

@@ -182,6 +182,16 @@ class TestBaseline:
             _, base = nn_two_opt_baseline(inst, seed)
             assert base >= opt - 1e-9
 
+    @pytest.mark.parametrize("j", [-40, 100])
+    def test_power_of_two_copy_gives_the_unit_tour(self, j):
+        # 2-opt runs in the instance's power-of-two frame, so its absolute
+        # MIN_GAIN does not stop it early on a tiny copy
+        inst = generate_random(50, 3)
+        unit_tour, unit_length = nn_two_opt_baseline(inst, 3)
+        tour, length = nn_two_opt_baseline(Instance(coords=np.ldexp(inst.coords, j)), 3)
+        assert tour.order.tolist() == unit_tour.order.tolist()
+        assert length == math.ldexp(unit_length, j)
+
     def test_deterministic(self):
         inst = generate_random(15, 3)
         t1, l1 = nn_two_opt_baseline(inst, 9)
@@ -225,6 +235,18 @@ class TestSolvePipeline:
         assert np.array_equal(t1.order, t2.order)
         assert r1.instance == r2.instance and r1.seed == r2.seed
 
+    @pytest.mark.parametrize("j", [-40, -3, 7, 100])
+    def test_power_of_two_copy_gives_the_unit_tour(self, j):
+        # the fit and the search both run in the instance's power-of-two
+        # frame, so a copy scaled by 2**j gets the unit run's tour
+        inst = generate_random(30, 4)
+        params = PRESETS["tsp50"].with_budget(max_rounds=3)
+        unit, unit_tour = solve_pipeline(inst, TrainConfig(seed=4), params, 4)
+        scaled = Instance(coords=np.ldexp(inst.coords, j))
+        result, tour = solve_pipeline(scaled, TrainConfig(seed=4), params, 4)
+        assert tour.order.tolist() == unit_tour.order.tolist()
+        assert result.length == math.ldexp(unit.length, j)
+
 
 class TestCoverage:
     def test_report_rows(self):
@@ -266,6 +288,21 @@ class TestSvg:
         emit_tour_svg(inst, tour, str(p1))
         emit_tour_svg(inst, tour, str(p2))
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_power_of_two_copy_draws_alike(self, tmp_path):
+        # the drawing fills the frame with the cities' own span, however small
+        p1, p2 = tmp_path / "a.svg", tmp_path / "b.svg"
+        inst = generate_random(30, 0)
+        tour = Tour.from_order(np.random.default_rng(1).permutation(30))
+        emit_tour_svg(inst, tour, str(p1))
+        emit_tour_svg(Instance(coords=np.ldexp(inst.coords, -40)), tour, str(p2))
+        assert p1.read_bytes() == p2.read_bytes()
+
+    def test_coincident_cities_draw_at_one_point(self, tmp_path):
+        path = tmp_path / "one.svg"
+        emit_tour_svg(Instance(coords=np.full((3, 2), 5.0)), Tour.from_order([0, 1, 2]), str(path))
+        text = path.read_text()
+        assert text.count('cx="20.000" cy="620.000"') == 3
 
     def test_parse_back_counts_n100(self, tmp_path):
         inst = generate_random(100, 3)

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import math
 import tracemalloc
 
 import numpy as np
@@ -187,32 +188,20 @@ class TestOptimizeHeatmap:
             assert np.array_equal(t, column_softmax(logits))
 
     def test_power_of_two_scales_fit_alike(self):
-        # distances from 2**40 up train on the same exactly scaled matrix,
-        # so scales 2**100 and 2**150 give the same fit; the final loss
-        # stays in the instance's units
+        # the fit trains in the instance's power-of-two frame, so a copy
+        # scaled by 2**p gives the unit instance's fit bit for bit; the final
+        # loss stays in the instance's units
         coords = generate_random(30, 7).coords
         cfg = TrainConfig(steps=60, seed=7)
-        fits = [optimize_heatmap(Instance(coords=coords * 2.0**p), cfg) for p in (100, 150)]
-        (h1, t1, trace1), (h2, t2, trace2) = fits
-        assert np.array_equal(t1, t2)
-        assert np.array_equal(h1, h2)
-        assert [b.total for b in trace1.per_step] == [b.total for b in trace2.per_step]
-        assert trace2.final.expected_length == pytest.approx(
-            trace1.final.expected_length * 2.0**50, rel=1e-12)
-
-    def test_distances_below_the_bound_train_unscaled(self):
-        # the largest distance of coords * 2**38 lies below 2**40, so the
-        # fit trains on those distances: its first loss matches the float64
-        # loss of the initial parameters at that scale
-        inst = generate_random(10, 8)
-        big = Instance(coords=inst.coords * 2.0**38)
-        d = distance_matrix(big)
-        assert d.max() < 2.0**generator.TRAIN_MAX_EXPONENT
-        cfg = TrainConfig(steps=1, seed=8)
-        t = column_softmax(init_logits(10, cfg))
-        want = surrogate_loss(t, indicator_to_heatmap(t), d, cfg.lambda1, cfg.lambda2)
-        _, _, trace = optimize_heatmap(big, cfg)
-        _assert_breakdowns_match(trace.per_step[0], want)
+        h1, t1, trace1 = optimize_heatmap(Instance(coords=coords), cfg)
+        totals = [b.total for b in trace1.per_step]
+        for p in (-40, -3, 5, 38, 100, 150):
+            h2, t2, trace2 = optimize_heatmap(Instance(coords=np.ldexp(coords, p)), cfg)
+            assert np.array_equal(t1, t2), p
+            assert np.array_equal(h1, h2), p
+            assert [b.total for b in trace2.per_step] == totals, p
+            assert trace2.final.expected_length == math.ldexp(
+                trace1.final.expected_length, p), p
 
 
 class TestNumericErrors:

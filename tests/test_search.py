@@ -932,11 +932,12 @@ class TestRunSearch:
         assert all(a >= b for a, b in zip(seq, seq[1:]))
         assert stats.best_length == seq[-1] == tour_length(d, tour)
 
-    @pytest.mark.parametrize("k", [-20, -36, -40])
+    @pytest.mark.parametrize("k", [-20, -36, -40, 7, 100])
     def test_tiny_instance_searches_like_the_unit_one(self, k):
-        # MIN_GAIN is absolute; an instance scaled by 2**k searches on its
-        # distances lifted by a power of two, so it finds the unit run's tour
-        # and reports the unit length scaled by 2**k
+        # MIN_GAIN is absolute; an instance scaled by 2**k, tiny or large,
+        # searches in its power-of-two frame, the unit instance's distances,
+        # so it finds the unit run's tour and reports the unit length scaled
+        # by 2**k
         inst = generate_random(50, 3)
         _, pruned = top_m_filter(soft_heat(distance_matrix(inst)), 8)
         params = preset_for(50).with_budget(max_rounds=3)
