@@ -17,7 +17,7 @@ from .generator import TrainConfig, optimize_heatmap
 from .instances import Instance, Tour, distance_matrix, tour_length, unit_exponent
 from .search import SearchParams, run_search, two_opt_improve
 
-HELD_KARP_MAX_N = 18
+HELD_KARP_MAX_N = 20
 
 
 @dataclass(frozen=True)
@@ -62,11 +62,14 @@ def _check_oracle_size(n: int) -> None:
 def held_karp_exact(inst: Instance):
     """Provably optimal tour by dynamic programming over city subsets.
 
-    Tours are cycles, so every path starts at city 0. Row r of the table
-    stands for city 0 plus each city c >= 1 whose bit c - 1 of r is set, and
-    dp[r, j] is the shortest such path that ends at j. The tour is walked
-    back from the full row by recomputing each step's argmin, which the
-    forward pass took on the same float64 values.
+    Tours are cycles, so every path starts at city 0. Subset mask S stands
+    for city 0 plus each city c >= 1 whose bit c - 1 of S is set, and
+    dp[j, col[S]] is the shortest such path that ends at j. The columns are
+    grouped by subset size and ordered by mask within a size, so each layer
+    of the DP is one contiguous column block, and its minimum over the
+    previous city reduces across whole rows of that block. The tour is
+    walked back from the full subset by recomputing each step's argmin,
+    which the forward pass took on the same float64 values.
 
     Memory and time grow as 2^n, so instances above HELD_KARP_MAX_N cities
     are refused. Returns (Tour, length).
@@ -74,30 +77,37 @@ def held_karp_exact(inst: Instance):
     n = inst.n
     _check_oracle_size(n)
     d = distance_matrix(inst)
-    rows = 1 << (n - 1)
-    dp = np.full((rows, n), np.inf)
-    dp[0, 0] = 0.0
-    row_ids = np.arange(rows, dtype=np.int64)
-    popcount = np.zeros(rows, dtype=np.int64)
+    subsets = 1 << (n - 1)
+    ids = np.arange(subsets)
+    popcount = np.zeros(subsets, dtype=np.int8)
     for b in range(n - 1):
-        popcount += (row_ids >> b) & 1
+        popcount += (ids >> b) & 1
+    mask = np.argsort(popcount, kind="stable")  # the subset in each column
+    col = np.empty_like(mask)  # the column of each subset
+    col[mask] = ids
+    bounds = np.cumsum([0] + [math.comb(n - 1, p) for p in range(n)])
+    dp = np.full((n, subsets), np.inf)
+    dp[0, 0] = 0.0
+    scores = np.empty((n, int(np.diff(bounds).max())))
     for p in range(n - 1):
-        layer = np.flatnonzero(popcount == p)
-        dp_layer = dp[layer]
+        lo, hi = bounds[p], bounds[p + 1]
+        layer = mask[lo:hi]
+        block = scores[:, : hi - lo]
         for j in range(1, n):
             bit = 1 << (j - 1)
             missing_j = (layer & bit) == 0
-            scores = dp_layer[missing_j] + d[:, j][None, :]
-            dp[layer[missing_j] | bit, j] = np.min(scores, axis=1)
-    row = rows - 1
-    closing = dp[row] + d[:, 0]
+            np.add(dp[:, lo:hi], d[:, j, None], out=block)
+            best = np.minimum.reduce(block, axis=0)
+            dp[j, col[layer[missing_j] | bit]] = best[missing_j]
+    subset = subsets - 1
+    closing = dp[:, col[subset]] + d[:, 0]
     city = int(np.argmin(closing))
     length = float(closing[city])
     order = np.zeros(n, dtype=np.int64)  # order[0] is the start city 0
     for k in range(n - 1, 0, -1):
         order[k] = city
-        row ^= 1 << (city - 1)
-        city = int(np.argmin(dp[row] + d[:, city]))
+        subset ^= 1 << (city - 1)
+        city = int(np.argmin(dp[:, col[subset]] + d[:, city]))
     tour = Tour.from_order(order)
     return tour, length
 

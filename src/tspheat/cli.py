@@ -113,8 +113,11 @@ def cmd_solve(args) -> int:
 
 def cmd_oracle(args) -> int:
     inst = read_instance_file(args.instance)
+    t0 = time.perf_counter()
     tour, length = bench_mod.held_karp_exact(inst)
+    oracle_s = time.perf_counter() - t0
     _write_out(format_tour(tour, length), args.out)
+    sys.stderr.write(f"n={inst.n} length={length!r} oracle_s={oracle_s:.3f}\n")
     return EXIT_OK
 
 

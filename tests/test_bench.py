@@ -85,6 +85,59 @@ GOLDEN_HELD_KARP = {
 }
 
 
+def reference_held_karp(inst):
+    """Row-major Held-Karp: one (2^(n-1), n) table, row r = subset mask r.
+
+    held_karp_exact lays the same table out city-major with columns grouped
+    by subset size; each entry is the minimum over the same float64
+    candidates, so both must return the same order and the same length bits.
+    """
+    n = inst.n
+    d = distance_matrix(inst)
+    rows = 1 << (n - 1)
+    dp = np.full((rows, n), np.inf)
+    dp[0, 0] = 0.0
+    row_ids = np.arange(rows, dtype=np.int64)
+    popcount = np.zeros(rows, dtype=np.int64)
+    for b in range(n - 1):
+        popcount += (row_ids >> b) & 1
+    for p in range(n - 1):
+        layer = np.flatnonzero(popcount == p)
+        dp_layer = dp[layer]
+        for j in range(1, n):
+            bit = 1 << (j - 1)
+            missing_j = (layer & bit) == 0
+            scores = dp_layer[missing_j] + d[:, j][None, :]
+            dp[layer[missing_j] | bit, j] = np.min(scores, axis=1)
+    row = rows - 1
+    closing = dp[row] + d[:, 0]
+    city = int(np.argmin(closing))
+    length = float(closing[city])
+    order = np.zeros(n, dtype=np.int64)
+    for k in range(n - 1, 0, -1):
+        order[k] = city
+        row ^= 1 << (city - 1)
+        city = int(np.argmin(dp[row] + d[:, city]))
+    return order.tolist(), length
+
+
+def _integer_grid(n, seed):
+    # cities on a 4 x 4 integer grid: many equal distances and repeated cities
+    rng = np.random.default_rng(seed)
+    return Instance(coords=rng.integers(0, 4, size=(n, 2)).astype(float))
+
+
+def _oracle_peak_bytes(n):
+    inst = generate_random(n, 0)
+    tracemalloc.start()
+    try:
+        held_karp_exact(inst)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
 class TestHeldKarp:
     def test_matches_recording(self):
         for name, (inst, order, length) in GOLDEN_HELD_KARP.items():
@@ -102,22 +155,32 @@ class TestHeldKarp:
             _, length = held_karp_exact(inst)
             assert length == pytest.approx(brute_force_optimum(inst), abs=1e-9)
 
+    def test_matches_reference(self):
+        cases = [generate_random(n, s) for n in range(3, 17) for s in range(3)]
+        cases += [_integer_grid(n, s) for n in range(3, 17) for s in range(2)]
+        cases += [GOLDEN_HELD_KARP[k][0] for k in ("duplicates", "collinear")]
+        cases += [generate_random(18, 7)]
+        for inst in cases:
+            tour, length = held_karp_exact(inst)
+            order, ref = reference_held_karp(inst)
+            assert (tour.order.tolist(), repr(length)) == (order, repr(ref)), inst.n
+
     def test_peak_memory_is_one_half_size_table(self):
-        # at n=16 the (2^15, 16) float64 table is 4 MiB; the bound leaves room
-        # for one more table's worth of layer copies and index arrays, and
-        # fails a table over all 2^16 subsets (8 MiB on its own)
-        inst = generate_random(16, 0)
-        tracemalloc.start()
-        try:
-            held_karp_exact(inst)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 8 * 2**20
+        # at n=16 the (16, 2^15) float64 table is 4 MiB; the bound leaves room
+        # for the one (16, widest layer) score buffer, the column index arrays
+        # and the per-city temporaries, and fails a table over all 2^16
+        # subsets (8 MiB on its own)
+        assert _oracle_peak_bytes(16) < 8 * 2**20
+
+    @pytest.mark.parametrize("n, mib", [(18, 32), (20, 128)])
+    def test_peak_memory_at_larger_n(self, n, mib):
+        # the half-size table is 18 MiB at n=18 and 80 MiB at n=20; a table
+        # over all 2^n subsets (36 and 160 MiB) fails the bound
+        assert _oracle_peak_bytes(n) < mib * 2**20
 
     def test_refuses_large_n(self):
-        with pytest.raises(ValueError, match="18"):
-            held_karp_exact(generate_random(19, 0))
+        with pytest.raises(ValueError, match="20"):
+            held_karp_exact(generate_random(21, 0))
 
     def test_length_matches_tour(self):
         inst = generate_random(9, 5)

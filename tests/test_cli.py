@@ -254,9 +254,23 @@ class TestOracleAndBaseline:
         tour, length = parse_tour(out.read_text())
         assert sorted(tour.order.tolist()) == list(range(10))
 
+    def test_oracle_reports_seconds(self, instance_file, capsys):
+        from tspheat.bench import held_karp_exact
+        from tspheat.search import format_tour
+
+        assert main(["oracle", "--instance", instance_file]) == 0
+        out, err = capsys.readouterr()
+        tour, length = held_karp_exact(generate_random(10, 3))
+        assert out == format_tour(tour, length)
+        assert err.endswith("\n") and err.count("\n") == 1
+        fields = dict(f.split("=") for f in err.split())
+        assert list(fields) == ["n", "length", "oracle_s"]
+        assert (fields["n"], fields["length"]) == ("10", repr(length))
+        assert float(fields["oracle_s"]) >= 0.0
+
     def test_oracle_guard(self, tmp_path, capsys):
         big = tmp_path / "big.txt"
-        big.write_text(format_instance(generate_random(19, 0)))
+        big.write_text(format_instance(generate_random(21, 0)))
         assert main(["oracle", "--instance", str(big), "--out", str(tmp_path / "o.txt")]) == 2
 
     def test_baseline(self, instance_file, tmp_path):
@@ -318,7 +332,7 @@ class TestCoverageCommand:
 
     @pytest.mark.parametrize("n, m, message", [
         ("18", "20", "m must be in [1, 17], got 20"),
-        ("19", "5", "at most n=18 cities, got 19"),
+        ("21", "5", "at most n=20 cities, got 21"),
     ], ids=["m-above-n-1", "n-above-oracle"])
     def test_checks_before_any_fit(self, tmp_path, capsys, monkeypatch, n, m, message):
         def no_fit(inst, cfg):
