@@ -2,10 +2,12 @@
 
 Pipeline: per-instance surrogate-loss optimization produces an edge heat
 map, edge elimination prunes it to per-city candidate sets, and a
-best-first k-opt local search decodes tours. Exact small-instance oracles
-back the verification story.
+best-first k-opt local search decodes tours; a run ends once a 1-tree
+lower bound proves its best tour optimal. Exact small-instance oracles back
+the verification story.
 """
 
+from .bounds import one_tree_bound
 from .candidates import (
     candidate_lists,
     edge_set,

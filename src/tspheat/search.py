@@ -20,6 +20,10 @@ kept in ascending distance order, so a row scan stops at the first
 candidate the gain rule rejects. The table is built once per round and
 patched in place on each heat update.
 
+A run ends early once its best tour is proven optimal by the 1-tree lower
+bound (bounds.one_tree_bound), which it computes at most once, when a round
+ends at the length of the best tour of the rounds before it.
+
 Everything here is single-threaded per run: a run owns its mutable copy of
 the pruned heat map and its statistics. Parallelism belongs across runs.
 """
@@ -37,6 +41,7 @@ from typing import Optional
 
 import numpy as np
 
+from .bounds import one_tree_bound
 from .candidates import DISTANCE_MODE, HEAT_MODE, candidate_lists
 from .instances import Instance, Tour, _native_body, distance_matrix, order_length, unit_exponent
 
@@ -63,8 +68,10 @@ class SearchParams:
     k_range is the half-open integer interval the per-round cap on removed
     edges is drawn from; a fixed cap K is expressed as (K, K + 1).
     expand_budget is the number of construction attempts per node expansion.
-    At least one of time_budget (seconds) / max_rounds must be set; rounds
-    give bit-reproducible runs, wall-clock budgets do not.
+    At least one of time_budget (seconds) / max_rounds must be set. Both are
+    caps: a run ends sooner once a 1-tree bound proves its best tour optimal
+    (run_search). Round caps give bit-reproducible runs, wall-clock budgets
+    do not.
     """
 
     beta: float = 10.0
@@ -126,7 +133,11 @@ class SearchStats:
     their sum. or_moves counts the Or-opt moves the rounds' neighbour-list
     passes applied. two_opt_seconds is the wall-clock time spent in each
     round's neighbour-list pass, its 2-opt and its Or-opt moves together;
-    it is a timing, so no determinism check reads it.
+    it is a timing, so no determinism check reads it. lower_bound is the
+    run's 1-tree bound on the optimal length, in the instance's units (nan
+    when the run computed none), and proof_round the round after which that
+    bound proved the best tour optimal and the run ended (0 when it never
+    did).
     """
 
     improving: int = 0
@@ -137,6 +148,8 @@ class SearchStats:
     two_opt_seconds: float = 0.0
     best_length: float = math.inf
     round_best_lengths: list = field(default_factory=list)
+    lower_bound: float = math.nan
+    proof_round: int = 0
 
     @property
     def total_expansions(self) -> int:
@@ -689,10 +702,19 @@ def run_search(
     whole heat map and one vectorized cut, a small part of what the pass
     on a random start costs. After each heat update only the table entries
     of the added edges are rewritten. Heat updates survive into later
-    rounds. The run stops at the wall-clock deadline or after max_rounds,
-    whichever comes first. Round 1's random tour and pass always run, so
-    even a deadline that has already passed returns a tour; its expansions
-    stop at the deadline.
+    rounds. The run stops at the wall-clock deadline or after at most
+    max_rounds rounds, whichever comes first. Round 1's random tour and pass
+    always run, so even a deadline that has already passed returns a tour;
+    its expansions stop at the deadline.
+
+    It also stops after the first round whose best tour is proven optimal.
+    The first round r >= 2 that ends within MIN_GAIN of the best length of
+    rounds 1 .. r-1 computes bounds.one_tree_bound once, aimed at the best
+    length; from then on the run ends after any round whose best length is
+    within MIN_GAIN of that bound. The bound runs in the same power-of-two
+    frame and with the same MIN_GAIN as every move, draws no random number
+    and changes neither the heat nor the tour, so a run that is never proven
+    optimal is the run it would be without the bound.
     """
     if params.time_budget is None and params.max_rounds is None:
         raise ValueError("a budget is required: set time_budget and/or max_rounds")
@@ -716,6 +738,7 @@ def run_search(
         deadline = time.perf_counter() + params.time_budget
     best_order: Optional[np.ndarray] = None
     best_len = math.inf
+    bound = None  # the 1-tree bound, computed at most once per run
     rounds = 0
     while True:
         if params.max_rounds is not None and rounds >= params.max_rounds:
@@ -723,6 +746,7 @@ def run_search(
         if rounds and deadline is not None and time.perf_counter() >= deadline:
             break
         rounds += 1
+        earlier_best = best_len
         k_cap = int(rng.integers(params.k_range[0], params.k_range[1]))
         if rng.integers(2) == 0:
             cand = candidate_lists(hp, m_eff, HEAT_MODE)
@@ -733,9 +757,9 @@ def run_search(
         t0 = time.perf_counter()
         stats.or_moves += _neighbor_pass(rows, nbrs, order)
         stats.two_opt_seconds += time.perf_counter() - t0
-        cur_len = order_length(d, order)
-        if cur_len < best_len:
-            best_len = cur_len
+        cur_len = length = order_length(d, order)
+        if length < best_len:
+            best_len = length
             best_order = order.copy()
         while True:
             if deadline is not None and time.perf_counter() >= deadline:
@@ -755,6 +779,14 @@ def run_search(
                 best_order = order.copy()
                 best_len = length
         stats.round_best_lengths.append(math.ldexp(best_len, e))
+        # a round that ends where an earlier one did hints that the best tour
+        # may be optimal; only then is the bound worth its ascent
+        if bound is None and abs(length - earlier_best) <= MIN_GAIN:
+            bound = one_tree_bound(d, best_len)
+            stats.lower_bound = math.ldexp(bound, e)
+        if bound is not None and best_len <= bound + MIN_GAIN:
+            stats.proof_round = rounds
+            break
     stats.rounds = rounds
     stats.best_length = math.ldexp(best_len, e)
     return Tour.from_order(best_order), stats

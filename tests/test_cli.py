@@ -236,12 +236,14 @@ class TestSolve:
         fields = dict(f.split("=") for f in capsys.readouterr().err.split())
         assert list(fields) == ["length", "heatmap_s", "fit_steps", "step_us", "search_s",
                                 "two_opt_s", "rounds", "or_moves", "attempts", "dead_ends",
-                                "cap_hits", "improving"]
+                                "cap_hits", "improving", "lower_bound", "proof_round"]
         # an unset --steps runs the default fit, 300 steps at every size
         assert int(fields["fit_steps"]) == 300
         assert float(fields["step_us"]) > 0.0
         assert 0.0 <= float(fields["two_opt_s"]) <= float(fields["search_s"])
-        assert int(fields["rounds"]) == 3
+        # the 1-tree bound proves round 2's tour optimal, which ends the run
+        assert int(fields["rounds"]) == int(fields["proof_round"]) == 2
+        assert float(fields["lower_bound"]) <= float(fields["length"])
         assert int(fields["or_moves"]) >= 0
         ends = [int(fields[k]) for k in ("dead_ends", "cap_hits", "improving")]
         assert int(fields["attempts"]) == sum(ends) > 0

@@ -1028,8 +1028,10 @@ class TestRunSearch:
         d = distance_matrix(inst)
         _, pruned = top_m_filter(np.exp(-d), 5)
         _, stats = run_search(inst, pruned, dist_params(max_rounds=3), 1)
-        assert stats.rounds == 3
-        assert stats.total_expansions >= 3 * 1
+        # round 2 ends at round 1's length, and the 1-tree bound then proves
+        # that tour optimal
+        assert stats.rounds == stats.proof_round == 2
+        assert stats.total_expansions >= 2 * 1
         assert stats.dead_ends + stats.cap_hits <= stats.total_expansions
 
     def test_two_opt_seconds_within_wall_time(self):
@@ -1125,8 +1127,11 @@ GOLDEN_SEARCHES = {
         # exact length, an incremental length an ulp lower replaced it with
         # the same cycle written from another start and direction
         order=[5, 6, 13, 7, 12, 1, 9, 4, 3, 15, 11, 0, 2, 14, 10, 8],
-        best_length="3.7710487245594857", expansions=720, rounds=12, ends=(720, 0),
-        or_moves=78,
+        # the run ends by proof after round 2 of at most 12 (it made 720
+        # expansions, 720 dead ends and 78 Or-moves in 12 rounds before the
+        # 1-tree bound stopped it)
+        best_length="3.7710487245594857", expansions=120, rounds=2, ends=(120, 0),
+        or_moves=15,
     ),
     "tsp100-n100": dict(
         n=100, instance_seed=4, seed=6,
@@ -1166,6 +1171,104 @@ class TestGoldenSearch:
         assert stats.rounds == g["rounds"]
         assert (stats.dead_ends, stats.cap_hits) == g["ends"]
         assert stats.or_moves == g["or_moves"]
+
+
+class TestProofStop:
+    """A run ends after the first round whose best tour the 1-tree bound
+    proves optimal; the bound is computed at most once, when a round ends at
+    the length of the best tour of the rounds before it."""
+
+    @staticmethod
+    def search(inst, params, seed):
+        _, pruned = top_m_filter(soft_heat(distance_matrix(inst)), min(params.m, inst.n - 1))
+        return run_search(inst, pruned, params, seed)
+
+    @pytest.mark.parametrize("n", [5, 8, 12, 16, 20])
+    def test_a_proven_tour_is_optimal(self, n):
+        from tspheat.bench import gap_percent, held_karp_exact, tour_edges
+
+        params = PRESETS["tsp20"].with_budget(max_rounds=12)
+        for s in range(10):
+            inst = generate_random(n, s)
+            tour, stats = self.search(inst, params, s)
+            if stats.proof_round:
+                opt_tour, opt = held_karp_exact(inst)
+                assert gap_percent(stats.best_length, opt) == 0.0, s
+                assert tour_edges(tour) == tour_edges(opt_tour), s
+                assert stats.rounds == stats.proof_round, s
+                assert stats.lower_bound <= opt + 1e-12, s
+            else:
+                assert stats.rounds == 12, s
+
+    def test_timed_run_stops_at_its_proof(self):
+        from tspheat.bench import held_karp_exact, tour_edges
+
+        inst = generate_random(12, 0)
+        t0 = time.perf_counter()
+        tour, stats = self.search(inst, PRESETS["tsp20"].with_budget(time_budget=5.0), 0)
+        assert time.perf_counter() - t0 < 5.0
+        assert stats.rounds == stats.proof_round == 3
+        opt_tour, _ = held_karp_exact(inst)
+        assert tour_edges(tour) == tour_edges(opt_tour)
+
+    def test_proof_only_removes_rounds(self, monkeypatch):
+        # the golden tsp20-n16 run: the bound draws no random number and
+        # touches neither the heat nor the tour, so without it the run goes
+        # on through the same first rounds, and capped at the proof round it
+        # returns the proven run's tour and counters
+        import tspheat.search as search_mod
+
+        inst = generate_random(16, 3)
+        params = PRESETS["tsp20"].with_budget(max_rounds=12)
+        tour, stats = self.search(inst, params, 5)
+        assert stats.proof_round == 2
+        monkeypatch.setattr(search_mod, "one_tree_bound", lambda d, upper: -math.inf)
+        _, full = self.search(inst, params, 5)
+        assert (full.rounds, full.proof_round) == (12, 0)
+        assert (full.total_expansions, full.dead_ends, full.or_moves) == (720, 720, 78)
+        assert full.round_best_lengths[:2] == stats.round_best_lengths
+        capped_tour, capped = self.search(inst, params.with_budget(max_rounds=2), 5)
+        assert capped_tour.order.tolist() == tour.order.tolist()
+        assert capped.best_length == stats.best_length
+        assert (capped.total_expansions, capped.dead_ends, capped.cap_hits, capped.or_moves) == (
+            stats.total_expansions, stats.dead_ends, stats.cap_hits, stats.or_moves)
+
+    def test_bound_computed_at_most_once(self, monkeypatch):
+        import tspheat.search as search_mod
+
+        real = search_mod.one_tree_bound
+        calls = []
+
+        def counted(d, upper):
+            calls.append(upper)
+            return real(d, upper)
+
+        monkeypatch.setattr(search_mod, "one_tree_bound", counted)
+        # round 2 ends at round 1's length, but the bound (4.1129) is below
+        # the best tour (4.1233), and no later round proves it
+        _, stats = self.search(generate_random(30, 1), preset_for(30).with_budget(max_rounds=6), 1)
+        assert len(calls) == 1
+        assert (stats.rounds, stats.proof_round) == (6, 0)
+        assert stats.lower_bound < stats.best_length - MIN_GAIN
+
+    def test_one_round_computes_no_bound(self):
+        _, stats = self.search(generate_random(12, 0), PRESETS["tsp20"].with_budget(max_rounds=1), 0)
+        assert math.isnan(stats.lower_bound)
+        assert (stats.rounds, stats.proof_round) == (1, 0)
+
+    @pytest.mark.parametrize("k", [-40, 7])
+    def test_power_of_two_scales_prove_alike(self, k):
+        # the bound runs in the power-of-two frame, like every move
+        inst = generate_random(12, 5)
+        params = PRESETS["tsp20"].with_budget(max_rounds=12)
+        _, pruned = top_m_filter(soft_heat(distance_matrix(inst)), params.m)
+        unit_tour, unit = run_search(inst, pruned, params, 5)
+        scaled = Instance(coords=np.ldexp(inst.coords, k))
+        tour, stats = run_search(scaled, pruned, params, 5)
+        assert unit.proof_round == 3
+        assert tour.order.tolist() == unit_tour.order.tolist()
+        assert (stats.rounds, stats.proof_round) == (unit.rounds, unit.proof_round)
+        assert stats.lower_bound == math.ldexp(unit.lower_bound, k)
 
 
 class TestPresets:
