@@ -64,6 +64,9 @@ def one_tree_bound(d: np.ndarray, upper: float) -> float:
     tour (every degree 2, so L is the optimum), or after ASCENT_ITERATIONS
     1-trees. Returns the best L seen: any pi gives a valid bound, so the
     ascent's settings decide how tight the bound is, never whether it holds.
+    The step grows with upper - L, so a loose upper (a poor tour) makes the
+    steps overshoot and the ascent can end far below the optimum; the bound
+    is only tight when aimed at a good tour, such as a search's best.
     Nothing here is absolute, so d scaled by a power of two gives the bound
     scaled by the same power.
     """

@@ -13,7 +13,7 @@ import json
 import statistics
 import sys
 import time
-from dataclasses import asdict, fields
+from dataclasses import asdict
 
 from . import bench as bench_mod
 from .candidates import top_m_filter
@@ -47,12 +47,6 @@ def _seeds(args) -> range:
     return range(args.seed, args.seed + args.count)
 
 
-def _train_config(args, seed: int) -> TrainConfig:
-    # each training flag's dest is its TrainConfig field; an unset flag is None
-    given = {f.name: getattr(args, f.name) for f in fields(TrainConfig)}
-    return TrainConfig(**{k: v for k, v in given.items() if v is not None} | {"seed": seed})
-
-
 def _trace_csv(trace) -> str:
     return bench_mod._csv_text(
         ["step", "total", "row_penalty", "self_loop", "expected_length"],
@@ -69,7 +63,7 @@ def cmd_generate(args) -> int:
 
 def cmd_train_heatmap(args) -> int:
     inst = read_instance_file(args.instance)
-    cfg = _train_config(args, args.seed)
+    cfg = TrainConfig(steps=args.steps, seed=args.seed)
     heat, _, trace = optimize_heatmap(inst, cfg)
     _write_out(format_heatmap(heat), args.out)
     if args.trace_out:
@@ -95,7 +89,7 @@ def cmd_search(args) -> int:
 
 def cmd_solve(args) -> int:
     inst = read_instance_file(args.instance)
-    cfg = _train_config(args, args.seed)
+    cfg = TrainConfig(steps=args.steps, seed=args.seed)
     params = _search_params(args, inst.n)
     result, tour, stats, trace = bench_mod._solve_pipeline(inst, cfg, params, args.seed, None)
     _write_out(format_tour(tour, result.length), args.out)
@@ -131,7 +125,7 @@ def cmd_baseline(args) -> int:
 
 def cmd_coverage(args) -> int:
     instances = [(generate_random(args.n, seed), seed) for seed in _seeds(args)]
-    cfg = _train_config(args, args.seed)
+    cfg = TrainConfig(steps=args.steps, seed=args.seed)
     rows = bench_mod.coverage_report(instances, cfg, args.m)
     _write_out(bench_mod.coverage_csv(rows), args.out)
     # one summary line per M on stderr; the CSV holds every row
@@ -156,7 +150,7 @@ def cmd_bench(args) -> int:
         ref = None
         if inst.n <= bench_mod.HELD_KARP_MAX_N:
             _, ref = bench_mod.held_karp_exact(inst)
-        cfg = _train_config(args, seed)
+        cfg = TrainConfig(steps=args.steps, seed=seed)
         result, _ = bench_mod.solve_pipeline(inst, cfg, params, seed, ref_length=ref)
         rows.append(result)
         t0 = time.perf_counter()
@@ -191,11 +185,8 @@ def _add_common(p: argparse.ArgumentParser, budget: bool = False, train: bool = 
                             "pass) is always returned")
         p.add_argument("--rounds", type=int, default=None, metavar="N")
     if train:
-        p.add_argument("--steps", type=int, default=None,
-                       help="Adam steps of the heat-map fit (default: 300)")
-        p.add_argument("--lr", dest="learning_rate", metavar="LR", type=float, default=None)
-        p.add_argument("--lambda1", type=float, default=None)
-        p.add_argument("--lambda2", type=float, default=None)
+        p.add_argument("--steps", type=int, default=TrainConfig.steps,
+                       help="Adam steps of the heat-map fit (default: %(default)s)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -230,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="exact optimum (small instances only)")
     p.add_argument("--instance", required=True)
-    _add_common(p)
+    p.add_argument("--out", default=None, help="output path (default: stdout)")
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("baseline", help="nearest-neighbour + 2-opt baseline")

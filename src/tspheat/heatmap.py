@@ -22,6 +22,8 @@ HEATMAP_HEADER = "UTSP-HEATMAP v1"
 
 # agreement required between the two algebraic forms of the loss
 _FORM_TOL = 1e-12
+# how far from 0 or 1 the verification helpers still count an entry as 0 or 1
+_UNIT_TOL = 1e-9
 
 
 class NumericError(RuntimeError):
@@ -284,18 +286,18 @@ def loss_gradient(
 # Exact-permutation verification
 # ---------------------------------------------------------------------------
 
-def is_permutation_matrix(t: np.ndarray, tol: float = 1e-9) -> bool:
-    """True when t is within tol of a 0/1 matrix with one 1 per row/column."""
+def is_permutation_matrix(t: np.ndarray) -> bool:
+    """True when t is within _UNIT_TOL of a 0/1 matrix with one 1 per row/column."""
     t = np.asarray(t, dtype=np.float64)
-    near_one = np.abs(t - 1.0) <= tol
-    near_zero = np.abs(t) <= tol
+    near_one = np.abs(t - 1.0) <= _UNIT_TOL
+    near_zero = np.abs(t) <= _UNIT_TOL
     if not np.all(near_one | near_zero):
         return False
     ones = near_one.astype(np.int64)
     return bool((ones.sum(axis=0) == 1).all() and (ones.sum(axis=1) == 1).all())
 
 
-def permutation_to_cycle(t: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+def permutation_to_cycle(t: np.ndarray) -> np.ndarray:
     """Extract the city visiting order encoded by a permutation matrix.
 
     Entry k of the result is the city occupying cycle position k (the row
@@ -303,12 +305,12 @@ def permutation_to_cycle(t: np.ndarray, tol: float = 1e-9) -> np.ndarray:
     the directed edges result[k] -> result[k+1] (cyclically).
     """
     t = np.asarray(t, dtype=np.float64)
-    if not is_permutation_matrix(t, tol=tol):
+    if not is_permutation_matrix(t):
         raise ValueError("matrix is not a permutation matrix within tolerance")
     return np.argmax(t, axis=0)
 
 
-def verify_hamiltonian_heatmap(h: np.ndarray, tol: float = 1e-9):
+def verify_hamiltonian_heatmap(h: np.ndarray):
     """Check whether a heat map is exactly one Hamiltonian cycle.
 
     Returns (True, cycle) when every row and column holds exactly one unit
@@ -318,10 +320,10 @@ def verify_hamiltonian_heatmap(h: np.ndarray, tol: float = 1e-9):
     """
     h = np.asarray(h, dtype=np.float64)
     n = h.shape[0]
-    if (h.shape != (n, n) or not is_permutation_matrix(h, tol=tol)
-            or not np.all(np.abs(np.diagonal(h)) <= tol)):
+    if (h.shape != (n, n) or not is_permutation_matrix(h)
+            or not np.all(np.abs(np.diagonal(h)) <= _UNIT_TOL)):
         return False, None
-    succ = np.argmax(np.abs(h - 1.0) <= tol, axis=1)
+    succ = np.argmax(np.abs(h - 1.0) <= _UNIT_TOL, axis=1)
     cycle = np.empty(n, dtype=np.int64)
     city = 0
     for k in range(n):

@@ -812,8 +812,12 @@ def parse_tour(text: str):
         raise ValueError(f"{TOUR_HEADER} document has no order line")
     if len(rows) < 2:
         raise ValueError(f"{TOUR_HEADER} document has no length line")
+    if len(rows) > 2:
+        raise ValueError(f"{TOUR_HEADER} document has a line after its length line")
     order = np.array([int(v) for v in rows[0].split()], dtype=np.int64)
     if order.shape[0] != n:
         raise ValueError(f"expected {n} cities in the order line, got {order.shape[0]}")
     length = float(rows[1])
+    if not 0.0 <= length < math.inf:
+        raise ValueError(f"tour length must be finite and >= 0, got {length!r}")
     return Tour.from_order(order), length

@@ -41,19 +41,14 @@ class TestTrainConfig:
         with pytest.raises(ValueError):
             TrainConfig(steps=0)
 
-    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
-    @pytest.mark.parametrize(
-        "field",
-        ["learning_rate", "lambda1", "lambda2"],
-    )
-    def test_rejects_non_finite(self, field, value):
-        with pytest.raises(ValueError, match=field):
-            TrainConfig(**{field: value})
-
     def test_fields_are_the_training_settings(self):
-        # the spread of the initial logits is the module constant INIT_SCALE
+        # the spread of the initial logits is the module constant INIT_SCALE;
+        # the step size and the loss weights are class constants
         names = [f.name for f in dataclasses.fields(TrainConfig)]
-        assert names == ["steps", "learning_rate", "lambda1", "lambda2", "seed"]
+        assert names == ["steps", "seed"]
+        with pytest.raises(TypeError):
+            TrainConfig(lambda1=3.0)
+        assert TrainConfig().lambda1 == 2.0
 
     def test_default_is_300_steps_at_every_size(self):
         assert TrainConfig().steps == 300

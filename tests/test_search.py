@@ -1338,3 +1338,14 @@ class TestTourFormat:
         lines = ["UTSP-TOUR v1", "3", "0 1 2", "1.0"][:keep]
         with pytest.raises(ValueError, match=f"no {missing} line"):
             parse_tour("\n".join(lines) + "\n")
+
+    @pytest.mark.parametrize("tail, message", [
+        ("nan", "must be finite and >= 0"),
+        ("inf", "must be finite and >= 0"),
+        ("-5", "must be finite and >= 0"),
+        ("-5\n0 1 2", "a line after its length line"),
+        ("1.0\n1.0", "a line after its length line"),
+    ], ids=["nan", "inf", "negative", "negative-then-order", "two-lengths"])
+    def test_rejects_impossible_length(self, tail, message):
+        with pytest.raises(ValueError, match=message):
+            parse_tour(f"UTSP-TOUR v1\n3\n0 1 2\n{tail}\n")
