@@ -64,7 +64,7 @@ def cmd_generate(args) -> int:
 def cmd_train_heatmap(args) -> int:
     inst = read_instance_file(args.instance)
     cfg = TrainConfig(steps=args.steps, seed=args.seed)
-    heat, _, trace = optimize_heatmap(inst, cfg)
+    heat, _, trace = optimize_heatmap(inst, cfg, record_losses=bool(args.trace_out))
     _write_out(format_heatmap(heat), args.out)
     if args.trace_out:
         _write_out(_trace_csv(trace), args.trace_out)

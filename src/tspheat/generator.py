@@ -7,6 +7,7 @@ matrix and its cyclic transform is the heat map handed to the search stage.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass
@@ -17,7 +18,8 @@ import numpy as np
 from .heatmap import (
     LossBreakdown,
     NumericError,
-    _loss_and_gradient,
+    _breakdown,
+    _gradient,
     _softmax_into,
     _Workspace,
     indicator_to_heatmap,
@@ -61,21 +63,21 @@ class TrainConfig:
 
 @dataclass
 class TrainTrace:
-    """Per-step loss breakdowns (evaluated before each update), the loss of
-    the returned parameters, and wall-clock duration.
+    """Per-step loss breakdowns (evaluated before each update) when the fit
+    records them, the loss of the returned parameters, the wall-clock
+    duration and the number of Adam updates that ran.
 
-    final is in the instance's units; per_step holds the float32 breakdowns
-    of the objective the loop trains on, in the instance's power-of-two
-    frame (see optimize_heatmap), which is its units when unit_exponent is 0.
+    final is in the instance's units. per_step is empty unless
+    optimize_heatmap ran with record_losses=True; then it holds one float32
+    breakdown per step of the objective the loop trains on, in the
+    instance's power-of-two frame (see optimize_heatmap), which is its units
+    when unit_exponent is 0.
     """
 
     per_step: list[LossBreakdown]
     final: LossBreakdown
     seconds: float
-
-    @property
-    def steps(self) -> int:
-        return len(self.per_step)
+    steps: int
 
 
 def init_logits(n: int, cfg: TrainConfig) -> np.ndarray:
@@ -86,30 +88,46 @@ def init_logits(n: int, cfg: TrainConfig) -> np.ndarray:
     return rng.normal(0.0, INIT_SCALE, size=(n, n))
 
 
-def optimize_heatmap(inst: Instance, cfg: TrainConfig = TrainConfig()):
+@functools.lru_cache(maxsize=8)
+def _bias_correction(steps: int) -> np.ndarray:
+    """Read-only float32 (steps, 2, 1, 1) table of Adam's bias corrections
+    (1 - b1**k, 1 - b2**k) for k = 1..steps, as Python floats cast once."""
+    bias = np.array([(1.0 - ADAM_BETA1**k, 1.0 - ADAM_BETA2**k)
+                     for k in range(1, steps + 1)], np.float32).reshape(steps, 2, 1, 1)
+    bias.setflags(write=False)
+    return bias
+
+
+def optimize_heatmap(inst: Instance, cfg: TrainConfig = TrainConfig(),
+                     record_losses: bool = False):
     """Fit logits to one instance; returns (heat_map, soft_indicator, trace).
 
     Runs the configured number of Adam updates on the logits using the
     analytic loss gradient; each step costs one n x n matrix product,
-    M = (d + lambda2*I) @ t, which yields both the step's loss breakdown and
-    its gradient. The loop runs in float32, the precision neural heat-map
-    models train at: the logits, the kernel's workspace and the Adam
-    moments and scratch are float32 buffers allocated once per fit, and the
-    float64 initial logits (init_logits) are cast once. It trains on the
+    M = (d + lambda2*I) @ t, which yields the step's gradient and, when
+    record_losses is set, its loss breakdown. Only the gradient moves the
+    logits, so the per-step losses are computed only then, into
+    trace.per_step; the outputs are the same bytes either way. The loop runs
+    in float32, the precision neural heat-map models train at: the logits,
+    the kernel's workspace and the Adam moments and scratch are float32
+    buffers allocated once per fit, and the float64 initial logits
+    (init_logits) are cast once. It trains on the
     distances of the instance's power-of-two frame, d * 2**-e with
     e = unit_exponent(inst), so a copy scaled by a power of two gets the
     same fit. The returned soft indicator and heat map are float64, and the
     two-form surrogate_loss check runs on them with the instance's own
     distances. Deterministic for a fixed (instance, config). Raises
-    NumericError naming the step if the loss, gradient or logits go
-    non-finite.
+    NumericError naming the step if the gradient or logits go non-finite,
+    or, when recorded, the loss; a fit that does not record its losses
+    reports a non-finite loss as a non-finite gradient at the same step.
     """
     n = inst.n
     d = distance_matrix(inst)
     steps = cfg.steps
     lam1, lam2 = cfg.lambda1, cfg.lambda2
-    # each loss and each update's logits are checked below, and the first
-    # non-finite one raises NumericError, so numpy's warnings stay silent
+    # each update's logits (and each recorded loss) are checked below, and
+    # the first non-finite one raises NumericError, so numpy's warnings stay
+    # silent
     with np.errstate(over="ignore", invalid="ignore"):
         a = (np.ldexp(d, -unit_exponent(inst)) + lam2 * np.eye(n)).astype(np.float32)
         # m and v are one (2, n, n) stack, so that each moment operation is
@@ -120,9 +138,8 @@ def optimize_heatmap(inst: Instance, cfg: TrainConfig = TrainConfig()):
         f32 = np.float32
         decay = np.array([ADAM_BETA1, ADAM_BETA2], f32).reshape(2, 1, 1)
         c1, c2 = np.array(1.0 - ADAM_BETA1, f32), np.array(1.0 - ADAM_BETA2, f32)
-        bias = np.array([(1.0 - ADAM_BETA1**k, 1.0 - ADAM_BETA2**k)
-                         for k in range(1, steps + 1)], f32).reshape(steps, 2, 1, 1)
         lr, eps = np.array(cfg.learning_rate, f32), np.array(ADAM_EPSILON, f32)
+        bias = _bias_correction(steps)
         logits = init_logits(n, cfg).astype(f32)
         ws = _Workspace(n, logits.dtype)
         moments = np.zeros((2, n, n), f32)
@@ -135,10 +152,12 @@ def optimize_heatmap(inst: Instance, cfg: TrainConfig = TrainConfig()):
         per_step: list[LossBreakdown] = []
         t0 = time.perf_counter()
         for k, bias_k in enumerate(bias, 1):
-            breakdown, g = _loss_and_gradient(logits, a, lam1, lam2, ws)
-            if not math.isfinite(breakdown.total):
-                raise NumericError(f"non-finite loss at step {k}")
-            per_step.append(breakdown)
+            g = _gradient(logits, a, lam1, ws)
+            if record_losses:
+                breakdown = _breakdown(ws, lam1, lam2)
+                if not math.isfinite(breakdown.total):
+                    raise NumericError(f"non-finite loss at step {k}")
+                per_step.append(breakdown)
             # m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*(g*g)
             np.multiply(g, c1, g_term)
             np.multiply(g, g, g2_term)
@@ -155,7 +174,10 @@ def optimize_heatmap(inst: Instance, cfg: TrainConfig = TrainConfig()):
             if not ws.all_finite(logits):
                 # a non-finite gradient entry always leaves a NaN in the
                 # logits (its m_hat and v_hat go infinite or NaN together,
-                # and inf/inf is NaN), so the gradient is checked only here
+                # and inf/inf is NaN), so the gradient is checked only here.
+                # Finite logits give a finite t, and a is bounded in the
+                # power-of-two frame, so m and the loss are finite too: an
+                # unrecorded loss cannot go non-finite unseen
                 if not ws.all_finite(g):
                     raise NumericError(f"non-finite gradient at step {k}")
                 raise NumericError(f"non-finite logits after step {k}")
@@ -163,5 +185,6 @@ def optimize_heatmap(inst: Instance, cfg: TrainConfig = TrainConfig()):
     del ws, g  # free the other kernel buffers before the final products
     h = indicator_to_heatmap(t)
     final = surrogate_loss(t, h, d, lam1, lam2)
-    trace = TrainTrace(per_step=per_step, final=final, seconds=time.perf_counter() - t0)
+    trace = TrainTrace(per_step=per_step, final=final, seconds=time.perf_counter() - t0,
+                       steps=steps)
     return h, t, trace

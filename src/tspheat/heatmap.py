@@ -55,23 +55,25 @@ def _as_logits(logits) -> np.ndarray:
 
 
 class _Workspace:
-    """Preallocated buffers for the softmax and the loss/gradient kernel at
-    one size n and one float dtype (that of the logits the kernel is given),
-    so that a training step allocates no n x n array.
+    """Preallocated buffers for the softmax, the gradient kernel and the
+    loss breakdown at one size n and one float dtype (that of the logits
+    the kernel is given), so that a training step allocates no n x n array.
 
-    n x n: t (the soft indicator), t_next (its columns rolled by -1), m
-    (= a @ t), g (the logit gradient) and a boolean finiteness mask;
-    length n: column max and sum (softmax), row error and column dot
-    (gradient). The views the kernel reads and writes on every call, and
-    its constants as 0-d arrays of the dtype, are built here once: a ufunc
-    call with a 0-d array costs less than one with a Python or numpy
-    scalar. np.empty does not write the buffers, so a caller that needs
-    only the softmax touches t alone.
+    n x n: t (the soft indicator), t_next (its columns rolled by -1, read
+    by the breakdown only), m (= a @ t), g (the logit gradient) and a
+    boolean finiteness mask; length n: column max and sum (softmax), the
+    row error row_sum - 1 (kept for the breakdown), the scaled row error
+    2*lambda1*(row_sum - 1) and the column dot (gradient). The views the
+    kernels read and write on every call, and their constants as 0-d
+    arrays of the dtype, are built here once: a ufunc call with a 0-d
+    array costs less than one with a Python or numpy scalar. np.empty does
+    not write the buffers, so a caller that needs only the softmax touches
+    t alone.
     """
 
     __slots__ = ("t", "t_next", "m", "g", "finite", "col_max", "col_sum",
-                 "row_err", "row_err_col", "col_dot", "one", "row_scale", "t_roll",
-                 "g_roll")
+                 "row_err", "row_grad", "row_grad_col", "col_dot", "one", "row_scale",
+                 "t_roll", "g_roll")
 
     def __init__(self, n: int, dtype):
         t = self.t = np.empty((n, n), dtype)
@@ -82,7 +84,8 @@ class _Workspace:
         self.col_max = np.empty(n, dtype)
         self.col_sum = np.empty(n, dtype)
         self.row_err = np.empty(n, dtype)
-        self.row_err_col = self.row_err[:, None]
+        self.row_grad = np.empty(n, dtype)
+        self.row_grad_col = self.row_grad[:, None]
         self.col_dot = np.empty(n, dtype)
         self.one = np.array(1.0, dtype)
         self.row_scale = np.empty((), dtype)
@@ -207,50 +210,59 @@ def loss_total(logits: np.ndarray, d: np.ndarray, lambda1: float, lambda2: float
     return float(lambda1 * row_penalty + ((d + lambda2 * np.eye(n)) * h).sum())
 
 
-def _loss_and_gradient(
-    logits: np.ndarray, a: np.ndarray, lambda1: float, lambda2: float, ws: _Workspace
-) -> tuple[LossBreakdown, np.ndarray]:
-    """Loss breakdown and logit gradient at t = column_softmax(logits), from
-    one matrix product, computed in the buffers of ws.
+def _gradient(logits: np.ndarray, a: np.ndarray, lambda1: float, ws: _Workspace) -> np.ndarray:
+    """Logit gradient of the surrogate loss at t = column_softmax(logits),
+    from one matrix product, computed in the buffers of ws.
 
     logits, a and ws share one dtype, in which every step is computed.
     a = d + lambda2*I must be symmetric. With M = a @ t and V the cyclic
-    shift, trace(t V t.T) = <t, t_next> and the bilinear term
-    <a, t V t.T> = <t_next, M>, where t_next = roll(t, -1) holds column k+1
-    of t in column k. The bilinear t-gradient a t V.T + a.T t V equals
-    roll(M, -1) + roll(M, +1), since a column roll commutes with the left
-    product. The row penalty contributes 2*lambda1*(row_sum - 1) broadcast
-    over each row, and the column-wise softmax Jacobian maps the t-gradient
-    back to logit space. The rolls are slice copies into the workspace,
-    which yield the same values as np.roll. Returns (LossBreakdown, ws.g);
-    the gradient is overwritten by the next call with the same workspace.
+    shift, the bilinear term <a, t V t.T> has the t-gradient
+    a t V.T + a.T t V = roll(M, -1) + roll(M, +1), since a column roll
+    commutes with the left product. The row penalty contributes
+    2*lambda1*(row_sum - 1) broadcast over each row, and the column-wise
+    softmax Jacobian maps the t-gradient back to logit space. The rolls are
+    slice sums over the workspace, which yield the same values as np.roll.
+    Leaves t, M and the unscaled row error in ws for _breakdown. Returns
+    ws.g, which the next call with the same workspace overwrites.
     """
     t = _softmax_into(logits, ws)
-    t_next, m, g, row_err = ws.t_next, ws.m, ws.g, ws.row_err
+    m, g, row_err = ws.m, ws.g, ws.row_err
     np.matmul(a, t, m)
-    for dst, src in ws.t_roll:  # t_next = roll(t, -1, axis=1)
-        dst[...] = src
     np.add.reduce(t, 1, None, row_err)
     np.subtract(row_err, ws.one, row_err)
+    for x, y, out in ws.g_roll:  # g = roll(m, -1, axis=1) + roll(m, 1, axis=1)
+        np.add(x, y, out)
+    ws.row_scale[()] = 2.0 * lambda1
+    np.multiply(row_err, ws.row_scale, ws.row_grad)
+    np.add(g, ws.row_grad_col, g)
+    # softmax backward, one column at a time (vectorized across columns)
+    np.einsum("ij,ij->j", g, t, out=ws.col_dot)
+    np.subtract(g, ws.col_dot, g)
+    np.multiply(g, t, g)
+    return g
+
+
+def _breakdown(ws: _Workspace, lambda1: float, lambda2: float) -> LossBreakdown:
+    """Loss breakdown at the t, M = a @ t and row error that the last
+    _gradient call left in ws, in ws's dtype.
+
+    trace(t V t.T) = <t, t_next> and the bilinear term
+    <a, t V t.T> = <t_next, M>, where t_next = roll(t, -1) holds column k+1
+    of t in column k; the expected length is the bilinear term less the
+    lambda2-weighted self-loop term that a = d + lambda2*I adds to it.
+    """
+    t, t_next, row_err = ws.t, ws.t_next, ws.row_err
+    for dst, src in ws.t_roll:  # t_next = roll(t, -1, axis=1)
+        dst[...] = src
     row_penalty = float(row_err @ row_err)
     self_loop = float(np.vdot(t, t_next))
-    bilinear = float(np.vdot(t_next, m))
-    breakdown = LossBreakdown(
+    bilinear = float(np.vdot(t_next, ws.m))
+    return LossBreakdown(
         row_penalty=row_penalty,
         self_loop=self_loop,
         expected_length=bilinear - lambda2 * self_loop,
         total=lambda1 * row_penalty + bilinear,
     )
-    for x, y, out in ws.g_roll:  # g = roll(m, -1, axis=1) + roll(m, 1, axis=1)
-        np.add(x, y, out)
-    ws.row_scale[()] = 2.0 * lambda1
-    np.multiply(row_err, ws.row_scale, row_err)
-    np.add(g, ws.row_err_col, g)
-    # softmax backward, one column at a time (vectorized across columns)
-    np.einsum("ij,ij->j", g, t, out=ws.col_dot)
-    np.subtract(g, ws.col_dot, g)
-    np.multiply(g, t, g)
-    return breakdown, g
 
 
 def loss_gradient(
@@ -260,7 +272,8 @@ def loss_gradient(
 
     Computed in float32 for float32 logits and in float64 for any other
     input; the gradient has that dtype. d must be symmetric, as every
-    distance matrix here is; the shared one-product kernel relies on it.
+    distance matrix here is; the fit's one-product kernel, which this
+    calls, relies on it. The loss itself is not evaluated.
     """
     s = _as_logits(logits)
     d = np.asarray(d, dtype=np.float64)
@@ -276,7 +289,7 @@ def loss_gradient(
     # invalid warnings (a huge lambda or distance) stay silent, as in the fit
     with np.errstate(over="ignore", invalid="ignore"):
         a = (d + lambda2 * np.eye(n)).astype(s.dtype, copy=False)
-        _, grad = _loss_and_gradient(s, a, lambda1, lambda2, ws)
+        grad = _gradient(s, a, lambda1, ws)
     if not ws.all_finite(grad):
         raise NumericError("gradient evaluation produced non-finite values")
     return grad

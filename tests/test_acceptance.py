@@ -356,7 +356,7 @@ def test_c12_pipeline_determinism():
 
     def run_digest(seed):
         inst = generate_random(14, seed)
-        heat, soft, trace = optimize_heatmap(inst, TrainConfig(seed=seed))
+        heat, soft, trace = optimize_heatmap(inst, TrainConfig(seed=seed), record_losses=True)
         params = PRESETS["tsp20"].with_budget(max_rounds=6)
         _, pruned = top_m_filter(heat, min(params.m, inst.n - 1))
         tour, stats = run_search(inst, pruned, params, seed)

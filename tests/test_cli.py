@@ -57,25 +57,50 @@ class TestTrainHeatmap:
 
     def test_numeric_failure_prints_only_its_error(self, instance_file, tmp_path, capsys,
                                                    monkeypatch):
-        # the loss goes non-finite at step 3: main exits 3 with the fit's own
-        # message and nothing else (a numpy warning would fail the suite)
-        kernel = generator._loss_and_gradient
-        calls = []
+        # a fit goes non-finite at step 3: main exits 3 with the fit's own
+        # message and nothing else (a numpy warning would fail the suite).
+        # Without --trace-out the loss is not evaluated, so the gradient is
+        # poisoned; with it, the recorded loss is
+        def at_step_3(kernel, poison):
+            calls = []
 
-        def poisoned(*args):
-            breakdown, g = kernel(*args)
-            calls.append(None)
-            if len(calls) == 3:
-                breakdown = dataclasses.replace(breakdown, total=float("nan"))
-            return breakdown, g
+            def poisoned(*args):
+                out = kernel(*args)
+                calls.append(None)
+                return poison(out) if len(calls) == 3 else out
 
-        monkeypatch.setattr(generator, "_loss_and_gradient", poisoned)
+            return poisoned
+
+        def nan_gradient(g):
+            g[1, 2] = np.nan
+            return g
+
+        def nan_loss(breakdown):
+            return dataclasses.replace(breakdown, total=float("nan"))
+
         out = tmp_path / "heat.txt"
-        code = main(["train-heatmap", "--instance", instance_file, "--steps", "10",
-                     "--out", str(out)])
-        assert code == 3
-        assert capsys.readouterr().err == "runtime failure: non-finite loss at step 3\n"
-        assert not out.exists()
+        trace = tmp_path / "trace.csv"
+        args = ["train-heatmap", "--instance", instance_file, "--steps", "10",
+                "--out", str(out)]
+        for name, poison, extra, message in (
+            ("_gradient", nan_gradient, [], "non-finite gradient at step 3"),
+            ("_breakdown", nan_loss, ["--trace-out", str(trace)], "non-finite loss at step 3"),
+        ):
+            with monkeypatch.context() as mp:
+                mp.setattr(generator, name, at_step_3(getattr(generator, name), poison))
+                assert main(args + extra) == 3, name
+            assert capsys.readouterr().err == f"runtime failure: {message}\n"
+            assert not out.exists()
+            assert not trace.exists()
+
+    def test_trace_out_leaves_the_heatmap_bytes(self, instance_file, tmp_path):
+        # --trace-out records the per-step losses; the heat map is the same
+        # file with or without it
+        args = ["train-heatmap", "--instance", instance_file, "--steps", "20", "--seed", "3"]
+        plain, traced = tmp_path / "plain.txt", tmp_path / "traced.txt"
+        assert main(args + ["--out", str(plain)]) == 0
+        assert main(args + ["--out", str(traced), "--trace-out", str(tmp_path / "t.csv")]) == 0
+        assert plain.read_bytes() == traced.read_bytes()
 
 
 class TestSearchCommand:

@@ -77,13 +77,14 @@ class TestInitLogits:
 class TestOptimizeHeatmap:
     def test_loss_descends(self):
         inst = generate_random(10, 0)
-        h, t, trace = optimize_heatmap(inst, TrainConfig(seed=0))
+        h, t, trace = optimize_heatmap(inst, TrainConfig(seed=0), record_losses=True)
         assert trace.final.total < trace.per_step[0].total
 
     def test_single_step_trace(self):
         inst = generate_random(10, 1)
         _, _, trace = optimize_heatmap(inst, TrainConfig(steps=1, seed=1))
         assert trace.steps == 1
+        assert trace.per_step == []
 
     def test_trace_length_matches_steps(self):
         inst = generate_random(8, 2)
@@ -93,8 +94,8 @@ class TestOptimizeHeatmap:
     def test_deterministic_trace(self):
         inst = generate_random(9, 3)
         cfg = TrainConfig(steps=40, seed=3)
-        _, t1, trace1 = optimize_heatmap(inst, cfg)
-        _, t2, trace2 = optimize_heatmap(inst, cfg)
+        _, t1, trace1 = optimize_heatmap(inst, cfg, record_losses=True)
+        _, t2, trace2 = optimize_heatmap(inst, cfg, record_losses=True)
         assert np.array_equal(t1, t2)
         assert [b.total for b in trace1.per_step] == [b.total for b in trace2.per_step]
 
@@ -107,7 +108,7 @@ class TestOptimizeHeatmap:
         hits = 0
         for seed in range(20):
             inst = generate_random(10, seed)
-            _, _, trace = optimize_heatmap(inst, TrainConfig(seed=seed))
+            _, _, trace = optimize_heatmap(inst, TrainConfig(seed=seed), record_losses=True)
             hits += trace.final.row_penalty <= trace.per_step[0].row_penalty
         assert hits >= 18  # >= 90 percent of seeds
 
@@ -128,19 +129,44 @@ class TestOptimizeHeatmap:
             cfg = TrainConfig(steps=1, seed=seed)
             t = column_softmax(init_logits(n, cfg))
             want = surrogate_loss(t, indicator_to_heatmap(t), d, cfg.lambda1, cfg.lambda2)
-            _, _, trace = optimize_heatmap(inst, cfg)
+            _, _, trace = optimize_heatmap(inst, cfg, record_losses=True)
             _assert_breakdowns_match(trace.per_step[0], want)
             for k in (1, 7, 40):
-                _, _, longer = optimize_heatmap(inst, TrainConfig(steps=k + 1, seed=seed))
+                _, _, longer = optimize_heatmap(inst, TrainConfig(steps=k + 1, seed=seed),
+                                                record_losses=True)
                 _, _, exact = optimize_heatmap(inst, TrainConfig(steps=k, seed=seed))
                 _assert_breakdowns_match(longer.per_step[k], exact.final)
 
+    @pytest.mark.parametrize("n", [3, 5, 16, 50, 100, 200])
+    def test_recording_losses_changes_no_output(self, n):
+        # the per-step losses are a trace: computing them must not move a
+        # single byte of what the fit returns
+        for seed in (1, 2):
+            inst = generate_random(n, seed)
+            cfg = TrainConfig(seed=seed)
+            h, t, trace = optimize_heatmap(inst, cfg)
+            h_rec, t_rec, recorded = optimize_heatmap(inst, cfg, record_losses=True)
+            assert t.tobytes() == t_rec.tobytes()
+            assert h.tobytes() == h_rec.tobytes()
+            assert repr(trace.final.total) == repr(recorded.final.total)
+            assert trace.per_step == []
+            assert len(recorded.per_step) == trace.steps == recorded.steps == cfg.steps
+
+    def test_default_fit_never_evaluates_the_loss(self, monkeypatch):
+        def no_breakdown(*args):
+            raise AssertionError("the loss breakdown ran in a fit that records none")
+
+        monkeypatch.setattr(generator, "_breakdown", no_breakdown)
+        _, _, trace = optimize_heatmap(generate_random(12, 2), TrainConfig(steps=30, seed=2))
+        assert trace.steps == 30
+
     def test_step_loop_allocates_no_square_array(self, monkeypatch):
-        # numpy reports its buffers to tracemalloc; between two kernel calls
-        # (the Adam update, the checks and one kernel call) nothing of n x n
-        # float32 size may be allocated, even if freed again
+        # numpy reports its buffers to tracemalloc; between two gradient
+        # kernel calls (the Adam update, the checks, the loss breakdown if
+        # recorded, and one kernel call) nothing of n x n float32 size may
+        # be allocated, even if freed again
         n = 160
-        kernel = generator._loss_and_gradient
+        kernel = generator._gradient
         peaks = []
 
         def spy(*args):
@@ -149,14 +175,17 @@ class TestOptimizeHeatmap:
             tracemalloc.reset_peak()
             return kernel(*args)
 
-        monkeypatch.setattr(generator, "_loss_and_gradient", spy)
-        tracemalloc.start()
-        try:
-            _, _, trace = optimize_heatmap(generate_random(n, 1), TrainConfig(steps=6, seed=1))
-        finally:
-            tracemalloc.stop()
-        assert trace.steps == len(peaks) == 6
-        assert max(peaks[1:]) < n * n * 4
+        monkeypatch.setattr(generator, "_gradient", spy)
+        for record_losses in (False, True):
+            peaks.clear()
+            tracemalloc.start()
+            try:
+                _, _, trace = optimize_heatmap(generate_random(n, 1), TrainConfig(steps=6, seed=1),
+                                               record_losses=record_losses)
+            finally:
+                tracemalloc.stop()
+            assert trace.steps == len(peaks) == 6, record_losses
+            assert max(peaks[1:]) < n * n * 4, record_losses
 
     def test_matches_textbook_adam(self):
         # the textbook update replayed on float32 arrays, with the float32
@@ -188,10 +217,11 @@ class TestOptimizeHeatmap:
         # loss stays in the instance's units
         coords = generate_random(30, 7).coords
         cfg = TrainConfig(steps=60, seed=7)
-        h1, t1, trace1 = optimize_heatmap(Instance(coords=coords), cfg)
+        h1, t1, trace1 = optimize_heatmap(Instance(coords=coords), cfg, record_losses=True)
         totals = [b.total for b in trace1.per_step]
         for p in (-40, -3, 5, 38, 100, 150):
-            h2, t2, trace2 = optimize_heatmap(Instance(coords=np.ldexp(coords, p)), cfg)
+            h2, t2, trace2 = optimize_heatmap(Instance(coords=np.ldexp(coords, p)), cfg,
+                                              record_losses=True)
             assert np.array_equal(t1, t2), p
             assert np.array_equal(h1, h2), p
             assert [b.total for b in trace2.per_step] == totals, p
@@ -200,66 +230,108 @@ class TestOptimizeHeatmap:
 
 
 class TestNumericErrors:
-    """Each NumericError of the fit, with its exact message and step. The
-    step cases wrap the kernel the loop looks up on every step and poison
-    what it returns, or the logits it read, at step k."""
+    """Each NumericError of the fit, with its exact message and step, in a
+    fit that records its losses (record_losses=True) and in a default fit,
+    which never evaluates the loss. The step cases wrap a kernel the loop
+    looks up on every step and poison what it returns, or the logits it
+    read, at step k."""
 
-    def _fit_poisoned(self, monkeypatch, k, poison):
-        kernel = generator._loss_and_gradient
+    @staticmethod
+    def _fit_message(record_losses):
+        with pytest.raises(NumericError) as excinfo:
+            optimize_heatmap(generate_random(9, 4), TrainConfig(steps=10, seed=4),
+                             record_losses=record_losses)
+        return str(excinfo.value)
+
+    def _fit_poisoned(self, monkeypatch, k, poison, record_losses=True):
+        # poison(g, logits) at the k-th call of the gradient kernel
+        kernel = generator._gradient
         calls = []
 
         def spy(logits, *args):
-            breakdown, g = kernel(logits, *args)
+            g = kernel(logits, *args)
             calls.append(None)
             if len(calls) == k:
-                breakdown = poison(breakdown, g, logits)
-            return breakdown, g
+                poison(g, logits)
+            return g
 
-        monkeypatch.setattr(generator, "_loss_and_gradient", spy)
-        with pytest.raises(NumericError) as excinfo:
-            optimize_heatmap(generate_random(9, 4), TrainConfig(steps=10, seed=4))
+        monkeypatch.setattr(generator, "_gradient", spy)
+        message = self._fit_message(record_losses)
         assert len(calls) == k
-        return str(excinfo.value)
+        return message
 
-    def test_non_finite_initial_logits(self, monkeypatch):
+    @staticmethod
+    def _nan_init_logits(monkeypatch):
         def nan_logits(n, cfg):
             logits = np.zeros((n, n))
             logits[2, 5] = np.nan
             return logits
 
-        # only a patched init_logits can start non-finite; the first step's
-        # loss then stops the fit
+        # only a patched init_logits can start non-finite
         monkeypatch.setattr(generator, "init_logits", nan_logits)
-        with pytest.raises(NumericError) as excinfo:
-            optimize_heatmap(generate_random(9, 4), TrainConfig(steps=10, seed=4))
-        assert str(excinfo.value) == "non-finite loss at step 1"
+
+    def test_non_finite_initial_logits(self, monkeypatch):
+        # the first step's loss stops the fit
+        self._nan_init_logits(monkeypatch)
+        assert self._fit_message(True) == "non-finite loss at step 1"
+
+    def test_non_finite_initial_logits_unrecorded(self, monkeypatch):
+        # the loss is not evaluated; the NaN reaches the first step's
+        # gradient and the logits it updates
+        self._nan_init_logits(monkeypatch)
+        assert self._fit_message(False) == "non-finite gradient at step 1"
 
     @pytest.mark.parametrize("k", [1, 7])
     def test_non_finite_loss(self, monkeypatch, k):
-        def poison(breakdown, g, logits):
-            return dataclasses.replace(breakdown, total=float("nan"))
+        breakdown = generator._breakdown
+        calls = []
 
-        assert self._fit_poisoned(monkeypatch, k, poison) == f"non-finite loss at step {k}"
+        def poisoned(*args):
+            calls.append(None)
+            loss = breakdown(*args)
+            if len(calls) == k:
+                loss = dataclasses.replace(loss, total=float("nan"))
+            return loss
+
+        monkeypatch.setattr(generator, "_breakdown", poisoned)
+        assert self._fit_message(True) == f"non-finite loss at step {k}"
+        assert len(calls) == k
 
     @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
     @pytest.mark.parametrize("k", [1, 7])
     def test_non_finite_gradient(self, monkeypatch, k, value):
-        def poison(breakdown, g, logits):
+        def poison(g, logits):
             g[3, 6] = value
-            return breakdown
 
         assert self._fit_poisoned(monkeypatch, k, poison) == f"non-finite gradient at step {k}"
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("k", [1, 7])
+    def test_non_finite_gradient_unrecorded(self, monkeypatch, k, value):
+        def poison(g, logits):
+            g[3, 6] = value
+
+        message = self._fit_poisoned(monkeypatch, k, poison, record_losses=False)
+        assert message == f"non-finite gradient at step {k}"
 
     @pytest.mark.parametrize("value", [np.inf, np.nan])
     @pytest.mark.parametrize("k", [1, 7])
     def test_non_finite_logits(self, monkeypatch, k, value):
         # the loss and gradient of step k are finite; the logits the update
         # starts from are not
-        def poison(breakdown, g, logits):
+        def poison(g, logits):
             logits[4, 1] = value
-            return breakdown
 
         assert self._fit_poisoned(monkeypatch, k, poison) == f"non-finite logits after step {k}"
+
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    @pytest.mark.parametrize("k", [1, 7])
+    def test_non_finite_logits_unrecorded(self, monkeypatch, k, value):
+        def poison(g, logits):
+            logits[4, 1] = value
+
+        message = self._fit_poisoned(monkeypatch, k, poison, record_losses=False)
+        assert message == f"non-finite logits after step {k}"
 
 
 class TestGoldenTraining:
@@ -267,13 +339,15 @@ class TestGoldenTraining:
     training arithmetic, its operation order or the RNG fails these.
 
     The soft indicator, the per-step totals and the final loss come from
-    the training loop and are pinned bit-for-bit. The heat map is the one
-    product t @ roll(t, -1).T of the pinned indicator; its rounding depends
-    on the BLAS thread count at n=100 (one ulp in 154 entries between 1 and
-    2 OpenBLAS threads), so its SHA-256 is pinned where it does not move
-    (heat_sha None otherwise) and every heat map is also checked against a
-    BLAS-free product within n * eps (a length-n dot product of entries in
-    [0, 1] whose sum is about 1).
+    the training loop and are pinned bit-for-bit: the indicator and final
+    loss of a default fit, and the per-step totals of a fit that records
+    its losses, which must return the same indicator. The heat map is the
+    one product t @ roll(t, -1).T of the pinned indicator; its rounding
+    depends on the BLAS thread count at n=100 (one ulp in 154 entries
+    between 1 and 2 OpenBLAS threads), so its SHA-256 is pinned where it
+    does not move (heat_sha None otherwise) and every heat map is also
+    checked against a BLAS-free product within n * eps (a length-n dot
+    product of entries in [0, 1] whose sum is about 1).
     """
 
     CASES = [
@@ -307,10 +381,13 @@ class TestGoldenTraining:
     def test_optimize_heatmap_matches_recording(
         self, n, seed, indicator_sha, heat_sha, final_total, per_step_sha
     ):
-        h, t, trace = optimize_heatmap(generate_random(n, seed), TrainConfig(seed=seed))
+        inst = generate_random(n, seed)
+        h, t, trace = optimize_heatmap(inst, TrainConfig(seed=seed))
         assert hashlib.sha256(t.tobytes()).hexdigest() == indicator_sha
         assert repr(trace.final.total) == final_total
-        totals = repr([b.total for b in trace.per_step])
+        _, t_rec, recorded = optimize_heatmap(inst, TrainConfig(seed=seed), record_losses=True)
+        assert t_rec.tobytes() == t.tobytes()
+        totals = repr([b.total for b in recorded.per_step])
         assert hashlib.sha256(totals.encode()).hexdigest() == per_step_sha
         if heat_sha is not None:
             assert hashlib.sha256(h.tobytes()).hexdigest() == heat_sha
