@@ -51,7 +51,7 @@ def _trace_csv(trace) -> str:
     return bench_mod._csv_text(
         ["step", "total", "row_penalty", "self_loop", "expected_length"],
         ([k, repr(b.total), repr(b.row_penalty), repr(b.self_loop), repr(b.expected_length)]
-         for k, b in enumerate(trace.per_step)),
+         for k, b in enumerate(trace.per_step, 1)),
     )
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .instances import _native_body
+from .instances import _native_body, _native_rows
 
 HEATMAP_HEADER = "UTSP-HEATMAP v1"
 
@@ -366,7 +366,7 @@ def parse_heatmap(text: str) -> np.ndarray:
     n, rows = _native_body(text, HEATMAP_HEADER)
     if len(rows) != n:
         raise ValueError(f"expected {n} matrix rows, found {len(rows)}")
-    h = np.array([[float(v) for v in ln.split()] for ln in rows])
+    h = np.array(_native_rows(rows, n, "matrix"))
     if h.shape != (n, n):
         raise ValueError(f"expected an {n}x{n} matrix, got {h.shape}")
     if not np.isfinite(h).all():

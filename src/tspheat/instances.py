@@ -226,12 +226,21 @@ def _native_body(text: str, header: str) -> tuple[int, list[str]]:
     return int(lines[1]), lines[2:]
 
 
+def _native_rows(rows: list[str], width: int, kind: str) -> list[list[float]]:
+    """The values of each row, which must hold width of them; a ragged row
+    raises ValueError naming it (1-based) and its count."""
+    values = [[float(v) for v in ln.split()] for ln in rows]
+    for i, row in enumerate(values, 1):
+        if len(row) != width:
+            raise ValueError(f"{kind} row {i}: expected {width} values, found {len(row)}")
+    return values
+
+
 def parse_instance(text: str) -> Instance:
     n, rows = _native_body(text, INSTANCE_HEADER)
     if len(rows) != n:
         raise ValueError(f"expected {n} coordinate rows, found {len(rows)}")
-    coords = np.array([[float(v) for v in ln.split()] for ln in rows])
-    return Instance(coords=coords)
+    return Instance(coords=np.array(_native_rows(rows, 2, "coordinate")))
 
 
 def read_instance_file(path: str) -> Instance:

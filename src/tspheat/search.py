@@ -15,10 +15,10 @@ rounds.
 
 An attempt pays only for the steps it takes. An expansion draws all its
 anchors at once and memoises each anchor's first step, which depends only
-on the anchor, the base tour and the candidate table. Candidate rows are
-kept in ascending distance order, so a row scan stops at the first
-candidate the gain rule rejects. The table is built once per round and
-patched in place on each heat update.
+on the anchor, the base tour, the candidate table and the heat. Candidate
+rows are kept in ascending distance order, so a row scan stops at the first
+candidate the gain rule rejects. The table holds no heat: a draw reads its
+weights from the run's heat map, so a heat update never leaves it stale.
 
 A run ends early once its best tour is proven optimal by the 1-tree lower
 bound (bounds.one_tree_bound), which it computes at most once, when a round
@@ -438,34 +438,20 @@ def _draw(cums: list, rand) -> int:
     return i if i < len(cums) else len(cums) - 1
 
 
-def _candidate_table(cand: tuple, d: np.ndarray, pruned: np.ndarray) -> list:
-    """Per city u, a list of (v, edge key, pruned[u, v], d[u, v]) for each
-    candidate v, as plain Python values, in ascending distance order. The
-    sort is stable, so a distance-ranked list keeps its order. O(n * m log m);
-    run_search builds it once per round and _patch_table keeps its heat
-    current after each heat update."""
+def _candidate_table(cand, d: np.ndarray) -> list:
+    """Per city u, a list of (v, edge key, d[u, v]) for each candidate v, as
+    plain Python values, in ascending distance order. The sort is stable, so
+    a distance-ranked list keeps its order. O(n * m log m). The table holds
+    no heat, so run_search builds the distance lists' table once per run
+    and a heat round's table once per round."""
     lens = [len(cl) for cl in cand]
     src = np.repeat(np.arange(len(lens)), lens)
     dst = np.concatenate(cand)
     entries = iter([
-        (v, (u, v) if u < v else (v, u), h, w)
-        for u, v, h, w in zip(src.tolist(), dst.tolist(),
-                              pruned[src, dst].tolist(), d[src, dst].tolist())
+        (v, (u, v) if u < v else (v, u), w)
+        for u, v, w in zip(src.tolist(), dst.tolist(), d[src, dst].tolist())
     ])
-    return [sorted(islice(entries, k), key=itemgetter(3)) for k in lens]
-
-
-def _patch_table(table: list, edges, pruned: np.ndarray) -> None:
-    """Rewrite the heat of each edge's entries, in both directions, from
-    pruned. update_heatmap raises the heat of an action's added edges only,
-    so patching those keeps the table equal to a fresh _candidate_table."""
-    for a, b in edges:
-        for u, v in ((a, b), (b, a)):
-            row = table[u]
-            for i, (c, key, _, w) in enumerate(row):
-                if c == v:
-                    row[i] = (c, key, pruned.item(u, v), w)
-                    break
+    return [sorted(islice(entries, k), key=itemgetter(2)) for k in lens]
 
 
 def _positions(order: list) -> list:
@@ -476,10 +462,10 @@ def _positions(order: list) -> list:
     return pos
 
 
-def _feasible(row: list, gain: float, u1: int, neighbor: int, removed_set,
-              added_set, added_ends, path) -> tuple:
-    """The feasible entries of the moving endpoint's candidate row and their
-    running weight sums, for _draw.
+def _feasible(row: list, vi: int, heat_at, gain: float, u1: int, neighbor: int,
+              removed_set, added_set, added_ends, path) -> tuple:
+    """The feasible entries of the moving endpoint vi's candidate row and
+    their running weight sums, for _draw.
 
     A candidate c is feasible only while the running gain stays positive,
     gain - d(v_i, c) > MIN_GAIN (the Lin-Kernighan gain criterion). The row
@@ -488,13 +474,14 @@ def _feasible(row: list, gain: float, u1: int, neighbor: int, removed_set,
     re-adds of removed edges, forced removal of added edges) are skipped.
     Only an endpoint of an added edge can have an added edge toward its path
     successor, so only those candidates pay for a position lookup in path.
-    Each feasible candidate weighs max(pruned heat, WEIGHT_FLOOR).
+    Each feasible candidate c weighs max(heat_at(vi, c), WEIGHT_FLOOR); the
+    heat is read only once c has passed every test.
     """
     feas = []
     cums = []
     total = 0.0
     for entry in row:
-        c, key, heat, added_len = entry
+        c, key, added_len = entry
         if gain - added_len <= MIN_GAIN:
             break
         if c == u1 or c == neighbor or key in removed_set:
@@ -503,6 +490,7 @@ def _feasible(row: list, gain: float, u1: int, neighbor: int, removed_set,
             nxt = path[path.index(c) + 1]
             if ((c, nxt) if c < nxt else (nxt, c)) in added_set:
                 continue
+        heat = heat_at(vi, c)
         total += WEIGHT_FLOOR if heat < WEIGHT_FLOOR else heat
         feas.append(entry)
         cums.append(total)
@@ -514,6 +502,7 @@ def _construct(
     base: list,
     pos: list,
     table: list,
+    heat_at,
     first: list,
     u1: int,
     stats: SearchStats,
@@ -528,12 +517,12 @@ def _construct(
     Adding an edge from the moving endpoint to an interior city forces
     removal of that city's edge toward the moving side (the only choice that
     keeps a Hamiltonian path), implemented as a suffix reversal. Each step
-    draws the next city from _feasible's entries with _draw (rand is a
-    uniform [0, 1) source). The first step depends only on u_1, the base
-    tour and the table, so its feasible entries are memoised in first[u_1]
-    (pos holds each city's index in base); an anchor with none is a dead end
-    read from the memo, and the path is built only once a first city is
-    drawn. k_cap (>= 2) caps the removed edges. Under the gain rule most
+    draws the next city from _feasible's entries, weighed by heat_at (the
+    heat map's item), with _draw (rand is a uniform [0, 1) source). The
+    first step depends only on u_1, the base tour, the table and the heat,
+    so its feasible entries are memoised in first[u_1] (pos holds each
+    city's index in base); an anchor with none is a dead end read from the
+    memo, and the path is built only once a first city is drawn. k_cap (>= 2) caps the removed edges. Under the gain rule most
     attempts end at a dead end (no feasible candidate) long before the cap;
     each attempt adds one to exactly one of stats.improving, stats.dead_ends
     and stats.cap_hits.
@@ -545,8 +534,8 @@ def _construct(
     step = first[u1]
     if step is None:
         # the moving endpoint is v1, its path neighbour v1's tour successor
-        step = first[u1] = _feasible(table[v1], d_at(u1, v1), u1, base[i1 + 2 - n],
-                                     {_ekey(u1, v1)}, (), (), None)
+        step = first[u1] = _feasible(table[v1], v1, heat_at, d_at(u1, v1), u1,
+                                     base[i1 + 2 - n], {_ekey(u1, v1)}, (), (), None)
     feas, cums = step
     if not feas:
         stats.dead_ends += 1
@@ -557,7 +546,7 @@ def _construct(
     added_ends = set()
     gain = d_at(u1, v1)  # running sum(removed) - sum(added)
     vi = v1
-    u_next, key, _, added_len = feas[_draw(cums, rand)]
+    u_next, key, added_len = feas[_draw(cums, rand)]
     # path = u1 followed by the rest of the cycle walked backward, so
     # path[t] = base[(i1 - t) % n]
     path = base[i1::-1] + base[:i1:-1]
@@ -593,12 +582,12 @@ def _construct(
         if k >= k_cap:
             stats.cap_hits += 1
             return None
-        feas, cums = _feasible(table[vi], gain, u1, path[-2], removed_set,
+        feas, cums = _feasible(table[vi], vi, heat_at, gain, u1, path[-2], removed_set,
                                added_set, added_ends, path)
         if not feas:
             stats.dead_ends += 1
             return None
-        u_next, key, _, added_len = feas[_draw(cums, rand)]
+        u_next, key, added_len = feas[_draw(cums, rand)]
         j = path.index(u_next)
 
 
@@ -606,6 +595,7 @@ def _expand(
     d: np.ndarray,
     order: np.ndarray,
     table: list,
+    heat: np.ndarray,
     stats: SearchStats,
     params: SearchParams,
     k_cap: int,
@@ -615,18 +605,20 @@ def _expand(
     """Try up to expand_budget constructions, keep the largest-gain action.
 
     All anchors are drawn at once, each uniform and independent, and the
-    attempts share one first-step memo, since the base tour and the table
-    do not change during an expansion."""
+    attempts share one first-step memo, since the base tour, the table and
+    the heat do not change during an expansion: run_search updates the heat
+    between expansions."""
     base = order.tolist()
     n = len(base)
     pos = _positions(base)
     first = [None] * n
+    heat_at = heat.item
     rand = rng.random
     best: Optional[KOptAction] = None
     for u1 in rng.integers(n, size=params.expand_budget).tolist():
         if deadline is not None and time.perf_counter() >= deadline:
             break
-        action = _construct(d, base, pos, table, first, u1, stats, k_cap, rand)
+        action = _construct(d, base, pos, table, heat_at, first, u1, stats, k_cap, rand)
         if action is not None and (best is None or action.gain > best.gain):
             best = action
     return best
@@ -651,7 +643,7 @@ def expand_node(
     single attempt from one uniformly drawn anchor.
     """
     k_cap = int(rng.integers(params.k_range[0], params.k_range[1]))
-    best = _expand(d, tour.order, _candidate_table(cand, d, pruned), stats, params, k_cap,
+    best = _expand(d, tour.order, _candidate_table(cand, d), pruned, stats, params, k_cap,
                    rng, deadline=None)
     if best is None:
         return None
@@ -690,22 +682,23 @@ def run_search(
 
     One distance ranking of pass_neighbors(n) or m cities per city,
     whichever is more, is built per run: its first m columns are the
-    distance rounds' candidate lists, its first pass_neighbors(n) the
-    neighbour lists of the pass. Each round draws a fresh
-    removed-edge cap from k_range and a candidate construction mode
-    (updated pruned heat vs raw distance), builds the round's candidate
-    table from its lists, builds a random tour and runs _neighbor_pass (2-opt
-    and Or-opt moves) on it, so the round starts with no list-restricted
-    move left, then expands best-first until a whole expansion yields no
+    distance rounds' candidate lists, whose table is built once, before
+    round 1, and its first pass_neighbors(n) the neighbour lists of the
+    pass. Each round draws a fresh removed-edge cap from k_range and a
+    candidate construction mode (updated pruned heat vs raw distance); a
+    heat round builds its lists and their table from the current heat. The
+    round then builds a random tour and runs _neighbor_pass (2-opt and
+    Or-opt moves) on it, so the round starts with no list-restricted move
+    left, then expands best-first until a whole expansion yields no
     improvement. No move search of a round scans all city pairs, but a heat
     round's candidate lists come from a stable O(n^2 log n) argsort of the
     whole heat map and one vectorized cut, a small part of what the pass
-    on a random start costs. After each heat update only the table entries
-    of the added edges are rewritten. Heat updates survive into later
-    rounds. The run stops at the wall-clock deadline or after at most
-    max_rounds rounds, whichever comes first. Round 1's random tour and pass
-    always run, so even a deadline that has already passed returns a tour;
-    its expansions stop at the deadline.
+    on a random start costs. Every draw weighs its candidates by the run's
+    heat map as it stands, and heat updates survive into later rounds. The
+    run stops at the wall-clock deadline or after at most max_rounds
+    rounds, whichever comes first. Round 1's random tour and pass always
+    run, so even a deadline that has already passed returns a tour; its
+    expansions stop at the deadline.
 
     It also stops after the first round whose best tour is proven optimal.
     The first round r >= 2 that ends within MIN_GAIN of the best length of
@@ -729,7 +722,7 @@ def run_search(
     m_eff = min(params.m, n - 1)  # presets can exceed tiny instances
     n_near = pass_neighbors(n)
     ranked = candidate_lists(d, max(m_eff, n_near), DISTANCE_MODE)
-    dist_cand = tuple(cl[:m_eff] for cl in ranked)
+    dist_table = _candidate_table([cl[:m_eff] for cl in ranked], d)
     nbrs = [[(c, ra[c]) for c in cl[:n_near].tolist()] for cl, ra in zip(ranked, rows)]
     rng = np.random.default_rng(seed)
     stats = SearchStats()
@@ -749,10 +742,9 @@ def run_search(
         earlier_best = best_len
         k_cap = int(rng.integers(params.k_range[0], params.k_range[1]))
         if rng.integers(2) == 0:
-            cand = candidate_lists(hp, m_eff, HEAT_MODE)
+            table = _candidate_table(candidate_lists(hp, m_eff, HEAT_MODE), d)
         else:
-            cand = dist_cand
-        table = _candidate_table(cand, d, hp)
+            table = dist_table
         order = rng.permutation(n).astype(np.int64)
         t0 = time.perf_counter()
         stats.or_moves += _neighbor_pass(rows, nbrs, order)
@@ -764,12 +756,11 @@ def run_search(
         while True:
             if deadline is not None and time.perf_counter() >= deadline:
                 break
-            action = _expand(d, order, table, stats, params, k_cap, rng, deadline)
+            action = _expand(d, order, table, hp, stats, params, k_cap, rng, deadline)
             if action is None:
                 break
             new_len = cur_len - action.gain
             update_heatmap(hp, action, cur_len, new_len, params.beta)
-            _patch_table(table, action.added, hp)
             order = action.new_order
             cur_len = new_len
             # the best is kept by exact length: the incremental cur_len can

@@ -247,26 +247,27 @@ def test_c08_kopt_integrity_bulk():
     params = SearchParams(beta=0.0, m=6, k_range=(2, 9), expand_budget=1, max_rounds=1)
     sizes = (20, 50, 100)
     # expand_node rebuilds the candidate table on every call, but the table
-    # depends only on (cand, d, pruned), which are fixed per instance: build
-    # it once each and call the expansion expand_node wraps, with the same
-    # k_cap draw, so the same actions are made
+    # depends only on (cand, d), which are fixed per instance: build it once
+    # each and call the expansion expand_node wraps, with the same heat and
+    # the same k_cap draw, so the same actions are made
     instances = []
     for n in sizes:
         inst = generate_random(n, n)
         d = distance_matrix(inst)
         cand = candidate_lists(d, 6, DISTANCE_MODE)
         _, pruned = top_m_filter(np.exp(-d), 6)
-        instances.append((n, d, _candidate_table(cand, d, pruned)))
+        instances.append((n, d, _candidate_table(cand, d), pruned))
     idx = 0
     while accepted < target:
-        n, d, table = instances[idx % len(instances)]
+        n, d, table, pruned = instances[idx % len(instances)]
         idx += 1
         tour = random_tour(n, rng)
         cur_len = tour_length(d, tour)
         misses = 0
         while misses < 4 and accepted < target:
             k_cap = int(rng.integers(params.k_range[0], params.k_range[1]))
-            action = _expand(d, tour.order, table, stats, params, k_cap, rng, deadline=None)
+            action = _expand(d, tour.order, table, pruned, stats, params, k_cap, rng,
+                             deadline=None)
             if action is None:
                 misses += 1
                 continue

@@ -54,6 +54,9 @@ class TestTrainHeatmap:
         lines = trace.read_text().strip().splitlines()
         assert lines[0] == "step,total,row_penalty,self_loop,expected_length"
         assert len(lines) == 41
+        # row k is the loss evaluated before Adam update k, numbered from 1 as
+        # the fit's NumericError messages number steps
+        assert lines[1].startswith("1,") and lines[-1].startswith("40,")
 
     def test_numeric_failure_prints_only_its_error(self, instance_file, tmp_path, capsys,
                                                    monkeypatch):

@@ -339,6 +339,17 @@ class TestHeatmapFormat:
         with pytest.raises(ValueError, match="no count line"):
             parse_heatmap(f"{HEATMAP_HEADER}\n")
 
+    @pytest.mark.parametrize("rows, message", [
+        ("0 1 0\n1 0\n0 1 0\n", "matrix row 2: expected 3 values, found 2"),
+        ("0 1 0 0\n1 0 0\n0 1 0\n", "matrix row 1: expected 3 values, found 4"),
+        ("0 1 0\n1 0 0\n\t0\n", "matrix row 3: expected 3 values, found 1"),
+    ])
+    def test_ragged_row_named(self, rows, message):
+        from tspheat.heatmap import HEATMAP_HEADER, parse_heatmap
+
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            parse_heatmap(f"{HEATMAP_HEADER}\n3\n{rows}")
+
 
 class TestVerifyHamiltonian:
     @given(st.integers(min_value=3, max_value=64), st.integers(0, 10_000))

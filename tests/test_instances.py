@@ -211,3 +211,12 @@ class TestNativeFormat:
     def test_truncated_after_header(self):
         with pytest.raises(ValueError, match="no count line"):
             parse_instance("UTSP-INSTANCE v1\n")
+
+    @pytest.mark.parametrize("rows, message", [
+        ("0 0 7\n1 0\n0 1\n", "coordinate row 1: expected 2 values, found 3"),
+        ("0 0\n1\n0 1\n", "coordinate row 2: expected 2 values, found 1"),
+        ("0 0\n1 0\n0 1 2 3\n", "coordinate row 3: expected 2 values, found 4"),
+    ])
+    def test_ragged_row_named(self, rows, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            parse_instance("UTSP-INSTANCE v1\n3\n" + rows)

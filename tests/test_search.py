@@ -731,12 +731,12 @@ class TestFirstStepMemo:
         _, pruned = top_m_filter(soft_heat(d), m)
         cand = candidate_lists(pruned if mode == HEAT_MODE else d, m, mode)
         base = two_opt_improve(d, random_tour(n, seed)).order.tolist()
-        table = _candidate_table(cand, d, pruned)
+        table = _candidate_table(cand, d)
         first = [None] * n
         rng = np.random.default_rng(seed)
         for u1 in range(n):
-            _construct(d, base, _positions(base), table, first, u1, SearchStats(), 4,
-                       rng.random)
+            _construct(d, base, _positions(base), table, pruned.item, first, u1,
+                       SearchStats(), 4, rng.random)
         for i, u1 in enumerate(base):
             v1, nb = base[(i + 1) % n], base[(i + 2) % n]
             row = sorted(cand[v1].tolist(), key=lambda c: d[v1, c])
@@ -773,11 +773,12 @@ class TestExpandNode:
         k_cap = int(rng.integers(*params.k_range))
         base = tour.order.tolist()
         pos = _positions(base)
-        table = _candidate_table(cand, d, pruned)
+        table = _candidate_table(cand, d)
         first = [None] * 12
         gains = []
         for u1 in rng.integers(12, size=120).tolist():
-            a = _construct(d, base, pos, table, first, u1, replay, k_cap, rng.random)
+            a = _construct(d, base, pos, table, pruned.item, first, u1, replay, k_cap,
+                           rng.random)
             if a is not None:
                 gains.append(a.gain)
         assert (replay.improving, replay.dead_ends, replay.cap_hits) == (
@@ -822,10 +823,10 @@ class TestExpandNode:
         rng = np.random.default_rng(5)
         k_cap = int(rng.integers(*params.k_range))
         base = tour.order.tolist()
-        table = _candidate_table(cand, d, pruned)
+        table = _candidate_table(cand, d)
         for u1 in rng.integers(40, size=200).tolist():
-            _construct(d, base, _positions(base), table, [None] * 40, u1, replay, k_cap,
-                       rng.random)
+            _construct(d, base, _positions(base), table, pruned.item, [None] * 40, u1,
+                       replay, k_cap, rng.random)
         assert (replay.dead_ends, replay.cap_hits) == (stats.dead_ends, stats.cap_hits)
         assert replay.improving == stats.improving
 
@@ -1064,38 +1065,77 @@ class TestRunSearch:
         assert tour.order.tolist() == want.order.tolist()
         assert stats.best_length == want_stats.best_length
 
-    def test_patched_table_matches_fresh_build(self, monkeypatch):
-        # the candidate table is built once per round and patched after each
-        # heat update; at every expansion it must equal a fresh build from
-        # the round's lists and the current heat
+    def test_draws_read_the_current_heat(self, monkeypatch):
+        # the candidate tables hold no heat: the distance lists' table is
+        # built once per run and serves every distance round, a heat round
+        # builds its own, and every draw weighs its candidates by the run's
+        # heat map as it stands, heat updates included
         import tspheat.search as search_mod
 
         inst = generate_random(30, 4)
-        d = distance_matrix(inst)
-        _, pruned = top_m_filter(soft_heat(d), 6)
-        real_table, real_expand = search_mod._candidate_table, search_mod._expand
-        rounds = []  # (lists, heat map, table, table as built) per round
-        checked = []
+        _, pruned = top_m_filter(soft_heat(distance_matrix(inst)), 6)
+        real_lists, real_table = search_mod.candidate_lists, search_mod._candidate_table
+        real_pass, real_expand = search_mod._neighbor_pass, search_mod._expand
+        real_update, real_feasible = search_mod.update_heatmap, search_mod._feasible
+        heat_builds = []  # one per heat-mode candidate_lists call
+        tables = []  # every table built, in order
+        rounds = []  # per round: (heat builds so far, tables, tables expanded)
+        run_heat = [pruned]  # equal to the run's heat map until its first update
+        checks = []  # per _feasible call: was the heat updated by then
 
-        def table_spy(cand, dd, hp):
-            table = real_table(cand, dd, hp)
-            rounds.append((cand, hp, table, [list(row) for row in table]))
-            return table
+        def lists_spy(matrix, m, mode):
+            if mode == HEAT_MODE:
+                heat_builds.append(mode)
+            return real_lists(matrix, m, mode)
+
+        def table_spy(cand, dd):
+            tables.append(real_table(cand, dd))
+            return tables[-1]
+
+        def pass_spy(*args):
+            rounds.append((len(heat_builds), len(tables), []))
+            return real_pass(*args)
 
         def expand_spy(dd, order, table, *args):
-            cand, hp, own, _ = rounds[-1]
-            assert table is own
-            assert table == real_table(cand, dd, hp)
-            checked.append(table)
+            rounds[-1][2].append(table)
             return real_expand(dd, order, table, *args)
 
+        def update_spy(hp, *args):
+            run_heat[0] = hp
+            return real_update(hp, *args)
+
+        def feasible_spy(row, vi, heat_at, *args):
+            feas, cums = real_feasible(row, vi, heat_at, *args)
+            hp = run_heat[0]
+            weights = [max(float(hp[vi, c]), WEIGHT_FLOOR) for c, _, _ in feas]
+            assert cums == list(itertools.accumulate(weights))
+            checks.append(hp is not pruned)
+            return feas, cums
+
+        monkeypatch.setattr(search_mod, "candidate_lists", lists_spy)
         monkeypatch.setattr(search_mod, "_candidate_table", table_spy)
+        monkeypatch.setattr(search_mod, "_neighbor_pass", pass_spy)
         monkeypatch.setattr(search_mod, "_expand", expand_spy)
+        monkeypatch.setattr(search_mod, "update_heatmap", update_spy)
+        monkeypatch.setattr(search_mod, "_feasible", feasible_spy)
         _, stats = run_search(inst, pruned, dist_params(m=6, max_rounds=6), 3)
         assert len(rounds) == stats.rounds == 6
-        assert len(checked) > len(rounds)
-        # the heat updates did change the tables
-        assert any(table != start for _, _, table, start in rounds)
+        assert len(tables) == 1 + len(heat_builds)
+        distance_rounds = 0
+        before = 0
+        for builds, built, expanded in rounds:
+            assert expanded
+            if builds > before:  # a heat round: its own, fresh table
+                assert built == 1 + builds
+                assert all(table is tables[built - 1] for table in expanded)
+            else:
+                distance_rounds += 1
+                assert all(table is tables[0] for table in expanded)
+            before = builds
+        assert distance_rounds >= 2 and heat_builds
+        # draws ran both before and after the first heat update
+        assert any(checks) and not all(checks)
+        assert not np.array_equal(run_heat[0], pruned)
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     @pytest.mark.parametrize("layout", ["duplicate", "collinear"])
