@@ -156,7 +156,8 @@ def solve_pipeline(
 ):
     """Full pipeline: fit heat map, prune, search. Returns (BenchResult, Tour).
 
-    The same seed drives both the logit initialization and the search run.
+    Two seeds drive it: train_cfg.seed the logit initialization and seed the
+    search run. They are independent, and callers may pass different values.
     """
     result, tour, _, _ = _solve_pipeline(inst, train_cfg, search_params, seed, ref_length)
     return result, tour

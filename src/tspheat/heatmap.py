@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .instances import _native_body, _native_rows
+from .instances import _native_matrix
 
 HEATMAP_HEADER = "UTSP-HEATMAP v1"
 
@@ -363,12 +363,7 @@ def format_heatmap(h: np.ndarray) -> str:
 
 
 def parse_heatmap(text: str) -> np.ndarray:
-    n, rows = _native_body(text, HEATMAP_HEADER)
-    if len(rows) != n:
-        raise ValueError(f"expected {n} matrix rows, found {len(rows)}")
-    h = np.array(_native_rows(rows, n, "matrix"))
-    if h.shape != (n, n):
-        raise ValueError(f"expected an {n}x{n} matrix, got {h.shape}")
+    h = _native_matrix(text, HEATMAP_HEADER, "matrix")
     if not np.isfinite(h).all():
         raise ValueError("heat-map entries must be finite")
     if (h < 0).any():

@@ -55,13 +55,14 @@ class Tour:
 
     @classmethod
     def from_order(cls, order) -> "Tour":
-        order = np.asarray(order, dtype=np.int64)
-        n = order.shape[0]
-        if order.ndim != 1 or n < 3:
+        order = np.asarray(order)
+        if order.ndim != 1 or order.shape[0] < 3:
             raise ValueError("tour order must be a 1-d sequence of at least 3 cities")
-        if np.any(np.sort(order) != np.arange(n)):
+        if order.dtype.kind not in "iu":
+            raise ValueError(f"tour order must hold integers, got dtype {order.dtype}")
+        order = order.astype(np.int64)  # a copy
+        if np.any(np.sort(order) != np.arange(order.shape[0])):
             raise ValueError("tour order must be a permutation of 0..n-1")
-        order = order.copy()
         order.setflags(write=False)
         return cls(order=order)
 
@@ -134,7 +135,10 @@ def parse_tsplib(text: str) -> Instance:
 
     Coordinates are taken as written; 1-based city indices in the file map to
     0-based cities. Unsupported weight types and dimension mismatches raise
-    TsplibParseError naming the offending line.
+    TsplibParseError naming the offending line. Only the coordinates are
+    used: lengths are unrounded Euclidean distances, not TSPLIB's nint
+    EUC_2D metric, so they cannot be compared with TSPLIB's published
+    optima.
     """
     dimension: Optional[int] = None
     weight_type: Optional[str] = None
@@ -216,31 +220,36 @@ def format_instance(inst: Instance) -> str:
 
 def _native_body(text: str, header: str) -> tuple[int, list[str]]:
     """Check the header line of a native document (instance, heat map or
-    tour) and read its count line; returns (count, the non-blank lines after
-    them)."""
+    tour) and read its count line, a positive integer in decimal digits;
+    returns (count, the non-blank lines after them)."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0].strip() != header:
         raise ValueError(f"not a {header} document")
     if len(lines) < 2:
         raise ValueError(f"{header} document has no count line")
-    return int(lines[1]), lines[2:]
+    count = lines[1].strip()
+    if not (count.isascii() and count.isdigit() and int(count) > 0):
+        raise ValueError(f"{header} count line: expected a positive integer, found {count!r}")
+    return int(count), lines[2:]
 
 
-def _native_rows(rows: list[str], width: int, kind: str) -> list[list[float]]:
-    """The values of each row, which must hold width of them; a ragged row
-    raises ValueError naming it (1-based) and its count."""
+def _native_matrix(text: str, header: str, kind: str, width: Optional[int] = None) -> np.ndarray:
+    """The float rows of a native document with count n: n rows of width
+    values each (n when width is None). A wrong row count, or a ragged row
+    named by its 1-based index, raises ValueError."""
+    n, rows = _native_body(text, header)
+    if len(rows) != n:
+        raise ValueError(f"expected {n} {kind} rows, found {len(rows)}")
+    width = n if width is None else width
     values = [[float(v) for v in ln.split()] for ln in rows]
     for i, row in enumerate(values, 1):
         if len(row) != width:
             raise ValueError(f"{kind} row {i}: expected {width} values, found {len(row)}")
-    return values
+    return np.array(values)
 
 
 def parse_instance(text: str) -> Instance:
-    n, rows = _native_body(text, INSTANCE_HEADER)
-    if len(rows) != n:
-        raise ValueError(f"expected {n} coordinate rows, found {len(rows)}")
-    return Instance(coords=np.array(_native_rows(rows, 2, "coordinate")))
+    return Instance(coords=_native_matrix(text, INSTANCE_HEADER, "coordinate", 2))
 
 
 def read_instance_file(path: str) -> Instance:

@@ -607,7 +607,9 @@ def _expand(
     All anchors are drawn at once, each uniform and independent, and the
     attempts share one first-step memo, since the base tour, the table and
     the heat do not change during an expansion: run_search updates the heat
-    between expansions."""
+    between expansions. No attempt starts at or past the deadline, so once
+    it has passed the expansion returns None: run_search's only exit from a
+    round's expansions."""
     base = order.tolist()
     n = len(base)
     pos = _positions(base)
@@ -732,13 +734,10 @@ def run_search(
     best_order: Optional[np.ndarray] = None
     best_len = math.inf
     bound = None  # the 1-tree bound, computed at most once per run
-    rounds = 0
-    while True:
-        if params.max_rounds is not None and rounds >= params.max_rounds:
+    while params.max_rounds is None or stats.rounds < params.max_rounds:
+        if stats.rounds and deadline is not None and time.perf_counter() >= deadline:
             break
-        if rounds and deadline is not None and time.perf_counter() >= deadline:
-            break
-        rounds += 1
+        stats.rounds += 1
         earlier_best = best_len
         k_cap = int(rng.integers(params.k_range[0], params.k_range[1]))
         if rng.integers(2) == 0:
@@ -750,12 +749,11 @@ def run_search(
         stats.or_moves += _neighbor_pass(rows, nbrs, order)
         stats.two_opt_seconds += time.perf_counter() - t0
         cur_len = length = order_length(d, order)
-        if length < best_len:
-            best_len = length
-            best_order = order.copy()
         while True:
-            if deadline is not None and time.perf_counter() >= deadline:
-                break
+            # the best is kept by exact length: the incremental cur_len can
+            # sit an ulp below a tour that is not shorter
+            if length < best_len:
+                best_len, best_order = length, order.copy()
             action = _expand(d, order, table, hp, stats, params, k_cap, rng, deadline)
             if action is None:
                 break
@@ -763,12 +761,7 @@ def run_search(
             update_heatmap(hp, action, cur_len, new_len, params.beta)
             order = action.new_order
             cur_len = new_len
-            # the best is kept by exact length: the incremental cur_len can
-            # sit an ulp below a tour that is not shorter
             length = order_length(d, order)
-            if length < best_len:
-                best_order = order.copy()
-                best_len = length
         stats.round_best_lengths.append(math.ldexp(best_len, e))
         # a round that ends where an earlier one did hints that the best tour
         # may be optimal; only then is the bound worth its ascent
@@ -776,10 +769,9 @@ def run_search(
             bound = one_tree_bound(d, best_len)
             stats.lower_bound = math.ldexp(bound, e)
         if bound is not None and best_len <= bound + MIN_GAIN:
-            stats.proof_round = rounds
+            stats.proof_round = stats.rounds
             break
-    stats.rounds = rounds
-    stats.best_length = math.ldexp(best_len, e)
+    stats.best_length = stats.round_best_lengths[-1]
     return Tour.from_order(best_order), stats
 
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -349,6 +351,14 @@ class TestHeatmapFormat:
 
         with pytest.raises(ValueError, match=f"^{message}$"):
             parse_heatmap(f"{HEATMAP_HEADER}\n3\n{rows}")
+
+    @pytest.mark.parametrize("count", ["abc", "-1", "0", "2.5"])
+    def test_count_line_checked(self, count):
+        from tspheat.heatmap import HEATMAP_HEADER, parse_heatmap
+
+        message = f"{HEATMAP_HEADER} count line: expected a positive integer, found '{count}'"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            parse_heatmap(f"{HEATMAP_HEADER}\n{count}\n0 1 1\n1 0 1\n1 1 0\n")
 
 
 class TestVerifyHamiltonian:

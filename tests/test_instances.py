@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -156,6 +157,17 @@ class TestTour:
         with pytest.raises(ValueError):
             Tour.from_order([0, 1, 1, 2])
 
+    @pytest.mark.parametrize("order", [[0, 1.7, 2.2], [0.0, 2.0, 1.0], ["0", "2", "1"]])
+    def test_rejects_non_integer_order(self, order):
+        # casting to int64 would truncate 1.7 to 1 and read "2" as 2
+        with pytest.raises(ValueError, match="must hold integers"):
+            Tour.from_order(order)
+
+    def test_any_integer_dtype_accepted(self):
+        tour = Tour.from_order(np.array([2, 0, 1], dtype=np.uint8))
+        assert tour.order.dtype == np.int64
+        assert tour.order.tolist() == [2, 0, 1]
+
 
 MINIMAL_TSPLIB = """NAME: tiny4
 TYPE: TSP
@@ -220,3 +232,9 @@ class TestNativeFormat:
     def test_ragged_row_named(self, rows, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
             parse_instance("UTSP-INSTANCE v1\n3\n" + rows)
+
+    @pytest.mark.parametrize("count", ["abc", "-1", "0", "2.5"])
+    def test_count_line_checked(self, count):
+        message = f"UTSP-INSTANCE v1 count line: expected a positive integer, found '{count}'"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            parse_instance(f"UTSP-INSTANCE v1\n{count}\n0 0\n1 0\n0 1\n")

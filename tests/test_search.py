@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import time
 from collections import Counter, defaultdict
 from dataclasses import replace
@@ -975,6 +976,60 @@ class TestRunSearch:
         assert math.isfinite(stats.best_length)
         assert stats.best_length == tour_length(d, tour)
 
+    def test_deadline_inside_an_expansion(self, monkeypatch):
+        # a fake clock lets the deadline pass after attempt K of an expansion
+        # in a round r >= 2 that has applied a move: no attempt starts after
+        # it, round r is the last, and the run returns its best tour with the
+        # length it recorded for it
+        import types
+
+        import tspheat.search as search_mod
+
+        K = 3
+        inst = generate_random(30, 4)
+        d = distance_matrix(inst)
+        _, pruned = top_m_filter(soft_heat(d), 6)
+        now = [0.0]
+        seen = dict(round=0, moved=False, attempt=0, attempts=0, late=0, deadline_round=0)
+        real_pass, real_expand = search_mod._neighbor_pass, search_mod._expand
+        real_update, real_construct = search_mod.update_heatmap, search_mod._construct
+
+        def pass_spy(*args):
+            seen.update(round=seen["round"] + 1, moved=False)
+            return real_pass(*args)
+
+        def expand_spy(*args):
+            seen["attempt"] = 0
+            return real_expand(*args)
+
+        def update_spy(*args):
+            seen["moved"] = True
+            return real_update(*args)
+
+        def construct_spy(*args):
+            seen["late"] += bool(seen["deadline_round"])
+            action = real_construct(*args)
+            seen["attempt"] += 1
+            seen["attempts"] += 1
+            if (seen["round"] >= 2 and seen["moved"] and seen["attempt"] == K
+                    and not seen["deadline_round"]):
+                now[0] = 2.0  # the deadline is at 1.0
+                seen["deadline_round"] = seen["round"]
+            return action
+
+        monkeypatch.setattr(search_mod, "time", types.SimpleNamespace(perf_counter=lambda: now[0]))
+        monkeypatch.setattr(search_mod, "_neighbor_pass", pass_spy)
+        monkeypatch.setattr(search_mod, "_expand", expand_spy)
+        monkeypatch.setattr(search_mod, "update_heatmap", update_spy)
+        monkeypatch.setattr(search_mod, "_construct", construct_spy)
+        params = dist_params(m=6, max_rounds=None, time_budget=1.0)
+        tour, stats = run_search(inst, pruned, params, 3)
+        assert seen["deadline_round"] >= 2
+        assert stats.rounds == seen["deadline_round"] == len(stats.round_best_lengths)
+        assert seen["late"] == 0
+        assert stats.total_expansions == seen["attempts"]
+        assert tour_length(d, tour) == stats.best_length == stats.round_best_lengths[-1]
+
     def test_round_start_is_the_neighbor_pass_alone(self):
         # on this n=100 start the full 2-opt scan still finds moves after
         # the pass; a round does not run the scan, so round 1's tour is the
@@ -1378,6 +1433,12 @@ class TestTourFormat:
         lines = ["UTSP-TOUR v1", "3", "0 1 2", "1.0"][:keep]
         with pytest.raises(ValueError, match=f"no {missing} line"):
             parse_tour("\n".join(lines) + "\n")
+
+    @pytest.mark.parametrize("count", ["abc", "-1", "0", "2.5"])
+    def test_count_line_checked(self, count):
+        message = f"UTSP-TOUR v1 count line: expected a positive integer, found '{count}'"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            parse_tour(f"UTSP-TOUR v1\n{count}\n0 1 2\n1.0\n")
 
     @pytest.mark.parametrize("tail, message", [
         ("nan", "must be finite and >= 0"),
