@@ -7,7 +7,7 @@ import csv
 import io
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -204,16 +204,17 @@ class CoverageRow:
 
 def coverage_report(
     instances: list[tuple[Instance, int]],
-    train_cfg: TrainConfig,
+    steps: int,
     m_values: Sequence[int],
 ) -> list[CoverageRow]:
     """Edge-coverage analytics for oracle-solvable instances.
 
-    For each (instance, seed): fit a heat map and solve the instance exactly
-    once, then for every distinct m in m_values prune to the top-m
-    prediction edge set and measure what fraction of the optimal tour's
-    edges it covers. Rows are ordered by m (in the order given), then by
-    instance. Every instance size and m is checked before any fit.
+    For each (instance, seed): fit a heat map of the given Adam steps from
+    that seed and solve the instance exactly once, then for every distinct m
+    in m_values prune to the top-m prediction edge set and measure what
+    fraction of the optimal tour's edges it covers. Rows are ordered by m
+    (in the order given), then by instance. Every instance size and m is
+    checked before any fit.
     """
     for inst, _ in instances:
         _check_oracle_size(inst.n)
@@ -221,7 +222,7 @@ def coverage_report(
             check_list_size(inst.n, m)
     rows: dict[int, list[CoverageRow]] = {m: [] for m in m_values}
     for inst, seed in instances:
-        heat, _, _ = optimize_heatmap(inst, replace(train_cfg, seed=seed))
+        heat, _, _ = optimize_heatmap(inst, TrainConfig(steps=steps, seed=seed))
         opt_tour, _ = held_karp_exact(inst)
         truth = tour_edges(opt_tour)
         for m, m_rows in rows.items():

@@ -18,9 +18,10 @@ from dataclasses import asdict
 from . import bench as bench_mod
 from .candidates import top_m_filter
 from .generator import TrainConfig, optimize_heatmap
-from .heatmap import NumericError, format_heatmap, parse_heatmap
-from .instances import format_instance, generate_random, read_instance_file
-from .search import SearchParams, format_tour, preset_for, run_search
+from .heatmap import NumericError
+from .instances import (format_heatmap, format_instance, format_tour, generate_random,
+                        parse_heatmap, read_instance_file)
+from .search import SearchParams, preset_for, run_search
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -74,7 +75,7 @@ def cmd_train_heatmap(args) -> int:
 def cmd_search(args) -> int:
     _search_params(args, 0)  # checks the budget before any file is read
     inst = read_instance_file(args.instance)
-    with open(args.heatmap, "r", encoding="utf-8") as fh:
+    with open(args.heatmap, "r", encoding="utf-8-sig") as fh:
         heat = parse_heatmap(fh.read())
     if heat.shape[0] != inst.n:
         raise ValueError(
@@ -125,8 +126,7 @@ def cmd_baseline(args) -> int:
 
 def cmd_coverage(args) -> int:
     instances = [(generate_random(args.n, seed), seed) for seed in _seeds(args)]
-    cfg = TrainConfig(steps=args.steps, seed=args.seed)
-    rows = bench_mod.coverage_report(instances, cfg, args.m)
+    rows = bench_mod.coverage_report(instances, args.steps, args.m)
     _write_out(bench_mod.coverage_csv(rows), args.out)
     # one summary line per M on stderr; the CSV holds every row
     for m in dict.fromkeys(args.m):

@@ -7,7 +7,8 @@ The heat map ``h = t @ shift @ t.T`` (shift = the cyclic permutation operator)
 scores each directed edge by the probability that consecutive positions are
 occupied by its endpoints. When ``t`` is an exact permutation matrix, ``h``
 is the adjacency matrix of a single Hamiltonian cycle; the verification
-helpers at the bottom make that statement executable.
+helpers at the bottom make that statement executable. The heat-map file
+format (UTSP-HEATMAP) lives in instances.py with the other native documents.
 """
 
 from __future__ import annotations
@@ -15,10 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from .instances import _native_matrix
-
-HEATMAP_HEADER = "UTSP-HEATMAP v1"
 
 # agreement required between the two algebraic forms of the loss
 _FORM_TOL = 1e-12
@@ -347,25 +344,3 @@ def verify_hamiltonian_heatmap(h: np.ndarray):
     if city != 0:
         return False, None
     return True, cycle
-
-
-# ---------------------------------------------------------------------------
-# Heat-map file format
-# ---------------------------------------------------------------------------
-
-def format_heatmap(h: np.ndarray) -> str:
-    h = np.asarray(h, dtype=np.float64)
-    n = h.shape[0]
-    rows = [HEATMAP_HEADER, str(n)]
-    for i in range(n):
-        rows.append(" ".join(repr(float(v)) for v in h[i]))
-    return "\n".join(rows) + "\n"
-
-
-def parse_heatmap(text: str) -> np.ndarray:
-    h = _native_matrix(text, HEATMAP_HEADER, "matrix")
-    if not np.isfinite(h).all():
-        raise ValueError("heat-map entries must be finite")
-    if (h < 0).any():
-        raise ValueError("heat-map entries must be >= 0")
-    return h

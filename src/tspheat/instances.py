@@ -1,4 +1,6 @@
-"""Euclidean TSP instances: generation, parsing, distances, tour length."""
+"""Euclidean TSP instances: generation, parsing, distances, tour length, and
+the native instance, heat-map and tour documents, all written by one writer
+(_native_text) and read through one token reader (_native_values)."""
 
 from __future__ import annotations
 
@@ -9,6 +11,8 @@ from typing import Optional
 import numpy as np
 
 INSTANCE_HEADER = "UTSP-INSTANCE v1"
+HEATMAP_HEADER = "UTSP-HEATMAP v1"
+TOUR_HEADER = "UTSP-TOUR v1"
 
 
 class TsplibParseError(ValueError):
@@ -207,15 +211,31 @@ def parse_tsplib(text: str) -> Instance:
 
 
 # ---------------------------------------------------------------------------
-# Native instance format
+# Native documents: instance, heat map and tour
 # ---------------------------------------------------------------------------
+
+def _native_text(header: str, n: int, lines) -> str:
+    """The header line, the count line n, then the body lines, each ending in
+    "\n". Body floats are repr of Python floats (from .tolist(); numpy 2 spells
+    numpy scalars np.float64(...)), which round-trip bit-exactly."""
+    return "".join(f"{line}\n" for line in (header, n, *lines))
+
 
 def format_instance(inst: Instance) -> str:
     """Serialize to the versioned native text format (round-trips bit-exactly)."""
-    rows = [INSTANCE_HEADER, str(inst.n)]
-    for x, y in inst.coords:
-        rows.append(f"{float(x)!r} {float(y)!r}")
-    return "\n".join(rows) + "\n"
+    rows = (f"{x!r} {y!r}" for x, y in inst.coords.tolist())
+    return _native_text(INSTANCE_HEADER, inst.n, rows)
+
+
+def format_heatmap(h: np.ndarray) -> str:
+    h = np.asarray(h, dtype=np.float64)
+    rows = (" ".join(map(repr, row)) for row in h.tolist())
+    return _native_text(HEATMAP_HEADER, h.shape[0], rows)
+
+
+def format_tour(tour: Tour, length: float) -> str:
+    order = " ".join(map(str, tour.order.tolist()))
+    return _native_text(TOUR_HEADER, tour.n, (order, repr(float(length))))
 
 
 def _native_body(text: str, header: str) -> tuple[int, list[str]]:
@@ -233,28 +253,63 @@ def _native_body(text: str, header: str) -> tuple[int, list[str]]:
     return int(count), lines[2:]
 
 
+def _native_values(line: str, convert, where: str, width: Optional[int] = None) -> list:
+    """The tokens of one body line converted by convert (float or int), their
+    count checked against width if given; each ValueError names where."""
+    values = []
+    for token in line.split():
+        try:
+            values.append(convert(token))
+        except ValueError:
+            noun = "an integer" if convert is int else "a number"
+            raise ValueError(f"{where}: expected {noun}, found {token!r}") from None
+    if width is not None and len(values) != width:
+        raise ValueError(f"{where}: expected {width} values, found {len(values)}")
+    return values
+
+
 def _native_matrix(text: str, header: str, kind: str, width: Optional[int] = None) -> np.ndarray:
     """The float rows of a native document with count n: n rows of width
-    values each (n when width is None). A wrong row count, or a ragged row
-    named by its 1-based index, raises ValueError."""
+    values each (n when width is None). A wrong row count, or a ragged or
+    non-numeric row named by its 1-based index, raises ValueError."""
     n, rows = _native_body(text, header)
     if len(rows) != n:
         raise ValueError(f"expected {n} {kind} rows, found {len(rows)}")
-    width = n if width is None else width
-    values = [[float(v) for v in ln.split()] for ln in rows]
-    for i, row in enumerate(values, 1):
-        if len(row) != width:
-            raise ValueError(f"{kind} row {i}: expected {width} values, found {len(row)}")
-    return np.array(values)
+    return np.array([_native_values(ln, float, f"{kind} row {i}", width or n)
+                     for i, ln in enumerate(rows, 1)])
 
 
 def parse_instance(text: str) -> Instance:
     return Instance(coords=_native_matrix(text, INSTANCE_HEADER, "coordinate", 2))
 
 
+def parse_heatmap(text: str) -> np.ndarray:
+    h = _native_matrix(text, HEATMAP_HEADER, "matrix")
+    if not np.isfinite(h).all():
+        raise ValueError("heat-map entries must be finite")
+    if (h < 0).any():
+        raise ValueError("heat-map entries must be >= 0")
+    return h
+
+
+def parse_tour(text: str) -> tuple[Tour, float]:
+    n, rows = _native_body(text, TOUR_HEADER)
+    if len(rows) < 2:
+        raise ValueError(f"{TOUR_HEADER} document has no {('order', 'length')[len(rows)]} line")
+    if len(rows) > 2:
+        raise ValueError(f"{TOUR_HEADER} document has a line after its length line")
+    order = np.array(_native_values(rows[0], int, "order line"), dtype=np.int64)
+    if order.shape[0] != n:
+        raise ValueError(f"expected {n} cities in the order line, got {order.shape[0]}")
+    (length,) = _native_values(rows[1], float, "length line", 1)
+    if not 0.0 <= length < math.inf:
+        raise ValueError(f"tour length must be finite and >= 0, got {length!r}")
+    return Tour.from_order(order), length
+
+
 def read_instance_file(path: str) -> Instance:
-    """Load an instance from disk, sniffing native vs TSPLIB format."""
-    with open(path, "r", encoding="utf-8") as fh:
+    """Load an instance from disk, sniffing native vs TSPLIB format; skips a UTF-8 BOM."""
+    with open(path, "r", encoding="utf-8-sig") as fh:
         text = fh.read()
     first = text.lstrip().splitlines()[0].strip() if text.strip() else ""
     if first == INSTANCE_HEADER:

@@ -26,6 +26,7 @@ ends at the length of the best tour of the rounds before it.
 
 Everything here is single-threaded per run: a run owns its mutable copy of
 the pruned heat map and its statistics. Parallelism belongs across runs.
+The tour file format lives in instances.py with the other native documents.
 """
 
 from __future__ import annotations
@@ -43,9 +44,7 @@ import numpy as np
 
 from .bounds import one_tree_bound
 from .candidates import DISTANCE_MODE, HEAT_MODE, candidate_lists
-from .instances import Instance, Tour, _native_body, distance_matrix, order_length, unit_exponent
-
-TOUR_HEADER = "UTSP-TOUR v1"
+from .instances import Instance, Tour, distance_matrix, order_length, unit_exponent
 
 # gain a k-opt, 2-opt or Or-opt move must exceed to count as improving;
 # guards against float-noise "improvements". It is absolute, so run_search
@@ -773,34 +772,3 @@ def run_search(
             break
     stats.best_length = stats.round_best_lengths[-1]
     return Tour.from_order(best_order), stats
-
-
-# ---------------------------------------------------------------------------
-# Tour file format
-# ---------------------------------------------------------------------------
-
-def format_tour(tour: Tour, length: float) -> str:
-    rows = [
-        TOUR_HEADER,
-        str(tour.n),
-        " ".join(str(int(c)) for c in tour.order),
-        repr(float(length)),
-    ]
-    return "\n".join(rows) + "\n"
-
-
-def parse_tour(text: str):
-    n, rows = _native_body(text, TOUR_HEADER)
-    if not rows:
-        raise ValueError(f"{TOUR_HEADER} document has no order line")
-    if len(rows) < 2:
-        raise ValueError(f"{TOUR_HEADER} document has no length line")
-    if len(rows) > 2:
-        raise ValueError(f"{TOUR_HEADER} document has a line after its length line")
-    order = np.array([int(v) for v in rows[0].split()], dtype=np.int64)
-    if order.shape[0] != n:
-        raise ValueError(f"expected {n} cities in the order line, got {order.shape[0]}")
-    length = float(rows[1])
-    if not 0.0 <= length < math.inf:
-        raise ValueError(f"tour length must be finite and >= 0, got {length!r}")
-    return Tour.from_order(order), length

@@ -314,7 +314,7 @@ class TestSolvePipeline:
 class TestCoverage:
     def test_report_rows(self):
         instances = [(generate_random(10, s), s) for s in range(3)]
-        rows = coverage_report(instances, TrainConfig(steps=100), m_values=[4])
+        rows = coverage_report(instances, steps=100, m_values=[4])
         assert len(rows) == 3
         for row in rows:
             assert 0.0 <= row.eta <= 1.0
@@ -323,7 +323,7 @@ class TestCoverage:
 
     def test_csv_shape(self):
         instances = [(generate_random(8, s), s) for s in range(2)]
-        rows = coverage_report(instances, TrainConfig(steps=50), m_values=[3])
+        rows = coverage_report(instances, steps=50, m_values=[3])
         text = coverage_csv(rows)
         lines = text.strip().splitlines()
         assert lines[0] == "instance,seed,M,eta,pi_size,fully_covered"
@@ -332,7 +332,7 @@ class TestCoverage:
     def test_full_cover_flag(self):
         # with m = n-1 the prediction set is the complete graph: always covered
         instances = [(generate_random(8, 1), 1)]
-        rows = coverage_report(instances, TrainConfig(steps=50), m_values=[7])
+        rows = coverage_report(instances, steps=50, m_values=[7])
         assert rows[0].fully_covered and rows[0].eta == 1.0
 
 

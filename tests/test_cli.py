@@ -10,9 +10,17 @@ from tspheat import generator
 from tspheat.bench import solve_pipeline
 from tspheat.cli import build_parser, main
 from tspheat.generator import TrainConfig
-from tspheat.heatmap import format_heatmap, parse_heatmap
-from tspheat.instances import Instance, format_instance, generate_random, parse_instance
-from tspheat.search import PRESETS, parse_tour
+from tspheat.instances import (
+    Instance,
+    format_heatmap,
+    format_instance,
+    format_tour,
+    generate_random,
+    parse_heatmap,
+    parse_instance,
+    parse_tour,
+)
+from tspheat.search import PRESETS
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -277,7 +285,6 @@ class TestOracleAndBaseline:
 
     def test_oracle_reports_seconds(self, instance_file, capsys):
         from tspheat.bench import held_karp_exact
-        from tspheat.search import format_tour
 
         assert main(["oracle", "--instance", instance_file]) == 0
         out, err = capsys.readouterr()
@@ -312,6 +319,54 @@ class TestOracleAndBaseline:
         code = main(["oracle", "--instance", instance_file, "--out", str(tmp_path)])
         assert code == 2
         assert "error" in capsys.readouterr().err
+
+
+TSPLIB_DIMENSION_FIRST = """DIMENSION: 4
+EDGE_WEIGHT_TYPE: EUC_2D
+NODE_COORD_SECTION
+1 0 0
+2 10 0
+3 10 10
+4 0 10
+EOF
+"""
+
+
+class TestNativeFileText:
+    @pytest.mark.parametrize("kind", ["native", "tsplib", "heatmap"])
+    def test_byte_order_mark_is_skipped(self, instance_file, tmp_path, kind):
+        # a file saved with a UTF-8 byte-order mark gives the tour of the same
+        # file saved without one
+        inst_text = TSPLIB_DIMENSION_FIRST if kind == "tsplib" else Path(instance_file).read_text()
+        n = 4 if kind == "tsplib" else 10
+        heat_text = format_heatmap(np.full((n, n), 0.1))
+        inst, heat, out = tmp_path / "inst.txt", tmp_path / "heat.txt", tmp_path / "tour.txt"
+        tours = []
+        for bom in ("", "\ufeff"):
+            inst.write_text((bom if kind != "heatmap" else "") + inst_text, encoding="utf-8")
+            heat.write_text((bom if kind == "heatmap" else "") + heat_text, encoding="utf-8")
+            code = main([
+                "search", "--instance", str(inst), "--heatmap", str(heat),
+                "--rounds", "1", "--out", str(out),
+            ])
+            assert code == 0
+            tours.append(out.read_text())
+        assert tours[1] == tours[0]
+
+    @pytest.mark.parametrize("inst_rows, heat_rows, message", [
+        ("0 0\n1 x\n0 1", "0 1 1\n1 0 1\n1 1 0", "coordinate row 2: expected a number, found 'x'"),
+        ("0 0\n1 0\n0 1", "0 1 1\n1 0 x\n1 1 0", "matrix row 2: expected a number, found 'x'"),
+    ], ids=["instance", "heatmap"])
+    def test_non_number_named(self, tmp_path, capsys, inst_rows, heat_rows, message):
+        inst, heat = tmp_path / "inst.txt", tmp_path / "heat.txt"
+        inst.write_text(f"UTSP-INSTANCE v1\n3\n{inst_rows}\n")
+        heat.write_text(f"UTSP-HEATMAP v1\n3\n{heat_rows}\n")
+        code = main([
+            "search", "--instance", str(inst), "--heatmap", str(heat),
+            "--rounds", "1", "--out", str(tmp_path / "t.txt"),
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("command, count", [

@@ -317,26 +317,26 @@ class TestPermutationCycle:
 
 class TestHeatmapFormat:
     def test_round_trip_bit_exact(self):
-        from tspheat.heatmap import format_heatmap, parse_heatmap
+        from tspheat.instances import format_heatmap, parse_heatmap
 
         h = indicator_to_heatmap(random_stochastic(9, 13))
         again = parse_heatmap(format_heatmap(h))
         assert np.array_equal(h, again)
 
     def test_header_checked(self):
-        from tspheat.heatmap import parse_heatmap
+        from tspheat.instances import parse_heatmap
 
         with pytest.raises(ValueError):
             parse_heatmap("NOT-A-HEATMAP\n2\n0 1\n1 0\n")
 
     def test_row_count_checked(self):
-        from tspheat.heatmap import HEATMAP_HEADER, parse_heatmap
+        from tspheat.instances import HEATMAP_HEADER, parse_heatmap
 
         with pytest.raises(ValueError):
             parse_heatmap(f"{HEATMAP_HEADER}\n3\n0 1 0\n1 0 0\n")
 
     def test_truncated_after_header(self):
-        from tspheat.heatmap import HEATMAP_HEADER, parse_heatmap
+        from tspheat.instances import HEATMAP_HEADER, parse_heatmap
 
         with pytest.raises(ValueError, match="no count line"):
             parse_heatmap(f"{HEATMAP_HEADER}\n")
@@ -345,16 +345,17 @@ class TestHeatmapFormat:
         ("0 1 0\n1 0\n0 1 0\n", "matrix row 2: expected 3 values, found 2"),
         ("0 1 0 0\n1 0 0\n0 1 0\n", "matrix row 1: expected 3 values, found 4"),
         ("0 1 0\n1 0 0\n\t0\n", "matrix row 3: expected 3 values, found 1"),
+        ("0 1 0\n1 0 y\n0 1 0\n", "matrix row 2: expected a number, found 'y'"),
     ])
     def test_ragged_row_named(self, rows, message):
-        from tspheat.heatmap import HEATMAP_HEADER, parse_heatmap
+        from tspheat.instances import HEATMAP_HEADER, parse_heatmap
 
         with pytest.raises(ValueError, match=f"^{message}$"):
             parse_heatmap(f"{HEATMAP_HEADER}\n3\n{rows}")
 
     @pytest.mark.parametrize("count", ["abc", "-1", "0", "2.5"])
     def test_count_line_checked(self, count):
-        from tspheat.heatmap import HEATMAP_HEADER, parse_heatmap
+        from tspheat.instances import HEATMAP_HEADER, parse_heatmap
 
         message = f"{HEATMAP_HEADER} count line: expected a positive integer, found '{count}'"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

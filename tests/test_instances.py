@@ -1,3 +1,4 @@
+import hashlib
 import math
 import re
 
@@ -11,7 +12,9 @@ from tspheat.instances import (
     Tour,
     TsplibParseError,
     distance_matrix,
+    format_heatmap,
     format_instance,
+    format_tour,
     generate_random,
     parse_instance,
     parse_tsplib,
@@ -228,6 +231,8 @@ class TestNativeFormat:
         ("0 0 7\n1 0\n0 1\n", "coordinate row 1: expected 2 values, found 3"),
         ("0 0\n1\n0 1\n", "coordinate row 2: expected 2 values, found 1"),
         ("0 0\n1 0\n0 1 2 3\n", "coordinate row 3: expected 2 values, found 4"),
+        ("0 0\n1 x\n0 1\n", "coordinate row 2: expected a number, found 'x'"),
+        ("0 0\n1 0\n0,5 1\n", "coordinate row 3: expected a number, found '0,5'"),
     ])
     def test_ragged_row_named(self, rows, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
@@ -238,3 +243,35 @@ class TestNativeFormat:
         message = f"UTSP-INSTANCE v1 count line: expected a positive integer, found '{count}'"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             parse_instance(f"UTSP-INSTANCE v1\n{count}\n0 0\n1 0\n0 1\n")
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+class TestWriterBytes:
+    # the writers' exact bytes: a round trip alone would not notice another
+    # spelling of the same floats, such as %.17g's 0.10000000000000001 for 0.1
+    def test_generated_instance(self):
+        text = format_instance(generate_random(12, 5))
+        assert _sha256(text) == "febd4dc5840c53d8525d2bacf188d36319248737a9505aedff7b8bc763b09955"
+
+    def test_extreme_coordinates(self):
+        inst = Instance(coords=[[0.1 + 0.2, 1e-300], [5e-324, -0.0], [1e300, 0.5]])
+        text = format_instance(inst)
+        assert text == (
+            "UTSP-INSTANCE v1\n3\n0.30000000000000004 1e-300\n5e-324 -0.0\n1e+300 0.5\n"
+        )
+        assert _sha256(text) == "94c6d5d9a1c3bdfa5662daa274176f53552e6ed0c25d32f3c8ba87f3c9a019ec"
+
+    def test_float32_heatmap_with_zeros(self):
+        h = np.array([[0, 0.1, 0.9], [0.9, 0, 0.1], [0.1, 0.9, 0]], dtype=np.float32)
+        text = format_heatmap(h)
+        assert text.splitlines()[2] == "0.0 0.10000000149011612 0.8999999761581421"
+        assert _sha256(text) == "bbbe5ecef20c96a8c5c7e1d00c7914c586016e64182041c8081c07916c6a2320"
+
+    def test_tour_with_17_digit_length(self):
+        # a numpy scalar length is spelled as the Python float it holds
+        text = format_tour(Tour.from_order([2, 0, 3, 1]), np.float64(1 + 2.0**-52))
+        assert text == "UTSP-TOUR v1\n4\n2 0 3 1\n1.0000000000000002\n"
+        assert _sha256(text) == "91b8992adc6658ebf131e82ccdb3056debfe98e834bfc199a78784f4e75c812c"

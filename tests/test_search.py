@@ -20,8 +20,10 @@ from tspheat.instances import (
     Instance,
     Tour,
     distance_matrix,
+    format_tour,
     generate_random,
     order_length,
+    parse_tour,
     tour_length,
 )
 from tspheat.search import (
@@ -34,8 +36,6 @@ from tspheat.search import (
     SearchParams,
     SearchStats,
     expand_node,
-    format_tour,
-    parse_tour,
     pass_neighbors,
     preset_for,
     random_tour,
@@ -1450,3 +1450,13 @@ class TestTourFormat:
     def test_rejects_impossible_length(self, tail, message):
         with pytest.raises(ValueError, match=message):
             parse_tour(f"UTSP-TOUR v1\n3\n0 1 2\n{tail}\n")
+
+    @pytest.mark.parametrize("body, message", [
+        ("0 1.0 2\n1.0", "order line: expected an integer, found '1.0'"),
+        ("0 x 2\n1.0", "order line: expected an integer, found 'x'"),
+        ("0 1 2\nabc", "length line: expected a number, found 'abc'"),
+        ("0 1 2\n1.0 2.0", "length line: expected 1 values, found 2"),
+    ])
+    def test_non_number_named(self, body, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            parse_tour(f"UTSP-TOUR v1\n3\n{body}\n")
