@@ -38,7 +38,8 @@ def top_m_filter(h: np.ndarray, m: int):
     kept[rows, ranks] = h[rows, ranks]
     # a row with NaN or -inf heat can rank its own city within m
     np.fill_diagonal(kept, 0.0)
-    pruned = kept + kept.T
+    with np.errstate(over="ignore"):  # two entries past half the largest float sum to inf
+        pruned = kept + kept.T
     return kept, pruned
 
 

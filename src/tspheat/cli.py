@@ -20,7 +20,7 @@ from .candidates import top_m_filter
 from .generator import TrainConfig, optimize_heatmap
 from .heatmap import NumericError
 from .instances import (format_heatmap, format_instance, format_tour, generate_random,
-                        parse_heatmap, read_instance_file)
+                        parse_heatmap, read_instance_file, read_text)
 from .search import SearchParams, preset_for, run_search
 
 EXIT_OK = 0
@@ -75,8 +75,7 @@ def cmd_train_heatmap(args) -> int:
 def cmd_search(args) -> int:
     _search_params(args, 0)  # checks the budget before any file is read
     inst = read_instance_file(args.instance)
-    with open(args.heatmap, "r", encoding="utf-8-sig") as fh:
-        heat = parse_heatmap(fh.read())
+    heat = parse_heatmap(read_text(args.heatmap))
     if heat.shape[0] != inst.n:
         raise ValueError(
             f"heat map is {heat.shape[0]}x{heat.shape[0]} but instance has {inst.n} cities"

@@ -1,6 +1,7 @@
 """Euclidean TSP instances: generation, parsing, distances, tour length, and
 the native instance, heat-map and tour documents, all written by one writer
-(_native_text) and read through one token reader (_native_values)."""
+(_native_text). Every input file is read by read_text, and every token of
+document text, native or TSPLIB, is converted by one rule (_token)."""
 
 from __future__ import annotations
 
@@ -130,6 +131,22 @@ def order_length(d: np.ndarray, order: np.ndarray) -> float:
     return float(d[order, np.roll(order, -1)].sum())
 
 
+def _token(token: str, kind, where: str, error=ValueError, positive: bool = False):
+    """The one conversion of document text: an integer (kind int) is ASCII
+    digits, positive if asked; a number (kind float) is an ASCII token with no
+    "_" that float accepts (decimal, nan, inf). Else raises error naming where
+    and the token."""
+    try:
+        if token.isascii() and "_" not in token and (kind is float or token.isdigit()):
+            value = kind(token)
+            if value > 0 or not positive:
+                return value
+    except ValueError:  # float's own rejections, and int's digit-count limit
+        pass
+    noun = "a number" if kind is float else "a positive integer" if positive else "an integer"
+    raise error(f"{where}: expected {noun}, found {token!r}")
+
+
 # ---------------------------------------------------------------------------
 # TSPLIB (EUC_2D subset)
 # ---------------------------------------------------------------------------
@@ -147,11 +164,9 @@ def parse_tsplib(text: str) -> Instance:
     dimension: Optional[int] = None
     weight_type: Optional[str] = None
     name: Optional[str] = None
-    lines = text.splitlines()
-    i = 0
-    coord_rows: list[tuple[int, float, float]] = []
+    coord_rows: list[tuple[int, int, float, float]] = []  # (line, index, x, y)
     in_coords = False
-    for i, raw in enumerate(lines, start=1):
+    for i, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
             continue
@@ -162,12 +177,9 @@ def parse_tsplib(text: str) -> Instance:
             parts = line.split()
             if len(parts) != 3:
                 raise TsplibParseError(f"line {i}: expected 'index x y', got {raw!r}")
-            try:
-                idx = int(parts[0])
-                x, y = float(parts[1]), float(parts[2])
-            except ValueError:
-                raise TsplibParseError(f"line {i}: malformed coordinate row {raw!r}") from None
-            coord_rows.append((idx, x, y))
+            idx, x, y = (_token(part, kind, f"line {i}", TsplibParseError)
+                         for part, kind in zip(parts, (int, float, float)))
+            coord_rows.append((i, idx, x, y))
             continue
         key, _, value = line.partition(":")
         key = key.strip().upper()
@@ -175,10 +187,7 @@ def parse_tsplib(text: str) -> Instance:
         if key == "NAME":
             name = value or None
         elif key == "DIMENSION":
-            try:
-                dimension = int(value)
-            except ValueError:
-                raise TsplibParseError(f"line {i}: DIMENSION is not an integer: {raw!r}") from None
+            dimension = _token(value, int, f"line {i}: DIMENSION", TsplibParseError)
         elif key == "EDGE_WEIGHT_TYPE":
             weight_type = value.upper()
             if weight_type != "EUC_2D":
@@ -199,9 +208,9 @@ def parse_tsplib(text: str) -> Instance:
         )
     coords = np.zeros((dimension, 2), dtype=np.float64)
     seen = np.zeros(dimension, dtype=bool)
-    for idx, x, y in coord_rows:
+    for i, idx, x, y in coord_rows:
         if not 1 <= idx <= dimension:
-            raise TsplibParseError(f"city index {idx} outside 1..{dimension}")
+            raise TsplibParseError(f"line {i}: city index {idx} outside 1..{dimension}")
         coords[idx - 1] = (x, y)
         seen[idx - 1] = True
     if not seen.all():
@@ -247,22 +256,13 @@ def _native_body(text: str, header: str) -> tuple[int, list[str]]:
         raise ValueError(f"not a {header} document")
     if len(lines) < 2:
         raise ValueError(f"{header} document has no count line")
-    count = lines[1].strip()
-    if not (count.isascii() and count.isdigit() and int(count) > 0):
-        raise ValueError(f"{header} count line: expected a positive integer, found {count!r}")
-    return int(count), lines[2:]
+    return _token(lines[1].strip(), int, f"{header} count line", positive=True), lines[2:]
 
 
-def _native_values(line: str, convert, where: str, width: Optional[int] = None) -> list:
-    """The tokens of one body line converted by convert (float or int), their
-    count checked against width if given; each ValueError names where."""
-    values = []
-    for token in line.split():
-        try:
-            values.append(convert(token))
-        except ValueError:
-            noun = "an integer" if convert is int else "a number"
-            raise ValueError(f"{where}: expected {noun}, found {token!r}") from None
+def _native_values(line: str, kind, where: str, width: Optional[int] = None) -> list:
+    """The tokens of one body line read by _token as kind (int or float),
+    their count checked against width if given; each ValueError names where."""
+    values = [_token(token, kind, where) for token in line.split()]
     if width is not None and len(values) != width:
         raise ValueError(f"{where}: expected {width} values, found {len(values)}")
     return values
@@ -298,19 +298,30 @@ def parse_tour(text: str) -> tuple[Tour, float]:
         raise ValueError(f"{TOUR_HEADER} document has no {('order', 'length')[len(rows)]} line")
     if len(rows) > 2:
         raise ValueError(f"{TOUR_HEADER} document has a line after its length line")
-    order = np.array(_native_values(rows[0], int, "order line"), dtype=np.int64)
-    if order.shape[0] != n:
-        raise ValueError(f"expected {n} cities in the order line, got {order.shape[0]}")
+    order = _native_values(rows[0], int, "order line")
+    if len(order) != n:
+        raise ValueError(f"expected {n} cities in the order line, got {len(order)}")
+    if max(order) >= n:  # before Tour.from_order makes an int64 array of it
+        raise ValueError(f"order line: city {max(order)} outside 0..{n - 1}")
     (length,) = _native_values(rows[1], float, "length line", 1)
     if not 0.0 <= length < math.inf:
         raise ValueError(f"tour length must be finite and >= 0, got {length!r}")
     return Tour.from_order(order), length
 
 
+def read_text(path: str) -> str:
+    """An input file's text: UTF-8, a byte-order mark skipped; other bytes
+    raise ValueError naming the path."""
+    try:
+        with open(path, "r", encoding="utf-8-sig") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+
+
 def read_instance_file(path: str) -> Instance:
-    """Load an instance from disk, sniffing native vs TSPLIB format; skips a UTF-8 BOM."""
-    with open(path, "r", encoding="utf-8-sig") as fh:
-        text = fh.read()
+    """Load an instance from disk (read_text), sniffing native vs TSPLIB format."""
+    text = read_text(path)
     first = text.lstrip().splitlines()[0].strip() if text.strip() else ""
     if first == INSTANCE_HEADER:
         return parse_instance(text)

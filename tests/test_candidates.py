@@ -98,6 +98,14 @@ class TestTopMFilter:
         assert np.array_equal(pruned, pruned.T)
         assert np.all(np.diag(pruned) == 0.0)
 
+    def test_overflowing_pair_is_inf(self):
+        # finite heat past half the largest float sums to inf, with no
+        # overflow warning (the test suite turns warnings into errors)
+        h = np.array([[0.0, 1.5e308, 1.0], [1e308, 0.0, 1.0], [1.0, 1.0, 0.0]])
+        _, pruned = top_m_filter(h, 2)
+        assert pruned[0, 1] == pruned[1, 0] == np.inf
+        assert pruned[0, 2] == pruned[1, 2] == 2.0
+
     def test_rejects_bad_m(self):
         h = random_heat(5, 3)
         with pytest.raises(ValueError):

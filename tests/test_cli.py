@@ -368,6 +368,23 @@ class TestNativeFileText:
         assert code == 2
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("bad", ["instance", "heatmap"])
+    def test_not_utf8_named(self, instance_file, tmp_path, capsys, bad):
+        # UTF-16 text, as some editors save it, starts with a byte-order mark
+        # that is not UTF-8
+        heat = tmp_path / "heat.txt"
+        heat.write_text(format_heatmap(np.full((10, 10), 0.1)))
+        path = Path(instance_file) if bad == "instance" else heat
+        path.write_bytes(path.read_text().encode("utf-16"))
+        code = main([
+            "search", "--instance", instance_file, "--heatmap", str(heat),
+            "--rounds", "1", "--out", str(tmp_path / "t.txt"),
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: not UTF-8 text (invalid start byte at byte 0)\n"
+        )
+
 
 @pytest.mark.parametrize("command, count", [
     ("coverage", "-3"), ("coverage", "0"), ("bench", "0"), ("bench", "-1"),

@@ -346,6 +346,7 @@ class TestHeatmapFormat:
         ("0 1 0 0\n1 0 0\n0 1 0\n", "matrix row 1: expected 3 values, found 4"),
         ("0 1 0\n1 0 0\n\t0\n", "matrix row 3: expected 3 values, found 1"),
         ("0 1 0\n1 0 y\n0 1 0\n", "matrix row 2: expected a number, found 'y'"),
+        ("0_0 1 0\n1 0 0\n0 1 0\n", "matrix row 1: expected a number, found '0_0'"),
     ])
     def test_ragged_row_named(self, rows, message):
         from tspheat.instances import HEATMAP_HEADER, parse_heatmap

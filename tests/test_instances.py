@@ -210,6 +210,19 @@ class TestTsplib:
         with pytest.raises(TsplibParseError, match="line"):
             parse_tsplib(doc)
 
+    @pytest.mark.parametrize("old, new, message", [
+        ("DIMENSION: 4", "DIMENSION: ٣", "line 3: DIMENSION: expected an integer, found '٣'"),
+        ("2 10.0 0.0", "1_0 10.0 0.0", "line 7: expected an integer, found '1_0'"),
+        ("2 10.0 0.0", "+2 10.0 0.0", "line 7: expected an integer, found '+2'"),
+        ("3 10.0 10.0", "3 1_5 10.0", "line 8: expected a number, found '1_5'"),
+        ("3 10.0 10.0", "3 10.0 0x10", "line 8: expected a number, found '0x10'"),
+        ("4 0.0 10.0", "5 0.0 10.0", "line 9: city index 5 outside 1..4"),
+    ], ids=["dimension-arabic-indic", "index-underscore", "index-plus", "coordinate-underscore",
+            "coordinate-hex", "index-outside"])
+    def test_token_rules_named(self, old, new, message):
+        with pytest.raises(TsplibParseError, match=f"^{re.escape(message)}$"):
+            parse_tsplib(MINIMAL_TSPLIB.replace(old, new))
+
 
 class TestNativeFormat:
     @given(st.integers(min_value=0, max_value=10_000))
@@ -233,6 +246,9 @@ class TestNativeFormat:
         ("0 0\n1 0\n0 1 2 3\n", "coordinate row 3: expected 2 values, found 4"),
         ("0 0\n1 x\n0 1\n", "coordinate row 2: expected a number, found 'x'"),
         ("0 0\n1 0\n0,5 1\n", "coordinate row 3: expected a number, found '0,5'"),
+        # float alone would read these as 10.0 and 1.0
+        ("1_0 0\n1 0\n0 1\n", "coordinate row 1: expected a number, found '1_0'"),
+        ("0 0\n\u0661 0\n0 1\n", "coordinate row 2: expected a number, found '\u0661'"),
     ])
     def test_ragged_row_named(self, rows, message):
         with pytest.raises(ValueError, match=f"^{message}$"):

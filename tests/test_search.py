@@ -1456,6 +1456,11 @@ class TestTourFormat:
         ("0 x 2\n1.0", "order line: expected an integer, found 'x'"),
         ("0 1 2\nabc", "length line: expected a number, found 'abc'"),
         ("0 1 2\n1.0 2.0", "length line: expected 1 values, found 2"),
+        ("0 1 +2\n1.0", "order line: expected an integer, found '+2'"),
+        ("0 1 \u0662\n1.0", "order line: expected an integer, found '\u0662'"),
+        ("0 1 3\n1.0", "order line: city 3 outside 0..2"),
+        # past int64: checked against the count before it becomes an array
+        ("0 1 99999999999999999999\n1.0", "order line: city 99999999999999999999 outside 0..2"),
     ])
     def test_non_number_named(self, body, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
