@@ -1,11 +1,14 @@
 """Euclidean TSP instances: generation, parsing, distances, tour length, and
 the native instance, heat-map and tour documents, all written by one writer
-(_native_text). Every input file is read by read_text, and every token of
-document text, native or TSPLIB, is converted by one rule (_token)."""
+(_native_text). Every input file is read by read_text, and document text,
+native or TSPLIB, is cut by one rule: only "\n", "\r\n" and "\r" end a line
+(_lines) and only spaces and tabs separate tokens (_fields); every token is
+converted by one rule (_token)."""
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from typing import Optional
 
@@ -14,6 +17,13 @@ import numpy as np
 INSTANCE_HEADER = "UTSP-INSTANCE v1"
 HEATMAP_HEADER = "UTSP-HEATMAP v1"
 TOUR_HEADER = "UTSP-TOUR v1"
+
+# the only characters that separate the tokens of a document line; any other
+# space or separator (a no-break space, a form feed, U+2028) is part of its
+# token, which _token then rejects
+_BLANKS = " \t"
+_LINE_BREAK = re.compile(r"\r\n?|\n")
+_FIELD = re.compile(r"[^ \t]+")
 
 
 class TsplibParseError(ValueError):
@@ -131,13 +141,28 @@ def order_length(d: np.ndarray, order: np.ndarray) -> float:
     return float(d[order, np.roll(order, -1)].sum())
 
 
+def _lines(text: str) -> list[str]:
+    """The lines of document text, each stripped of _BLANKS. Only "\n",
+    "\r\n" and "\r" end a line; str.splitlines would also end one at "\v",
+    "\f", "\x1c".."\x1e", "\x85", U+2028 and U+2029."""
+    return [line.strip(_BLANKS) for line in _LINE_BREAK.split(text)]
+
+
+def _fields(line: str) -> list[str]:
+    """The tokens of a document line: its runs of characters other than
+    _BLANKS; str.split would also split at every other white space."""
+    return _FIELD.findall(line)
+
+
 def _token(token: str, kind, where: str, error=ValueError, positive: bool = False):
     """The one conversion of document text: an integer (kind int) is ASCII
     digits, positive if asked; a number (kind float) is an ASCII token with no
-    "_" that float accepts (decimal, nan, inf). Else raises error naming where
-    and the token."""
+    "_" and no white space that float accepts (decimal, nan, inf); float
+    itself would ignore white space around the token. Else raises error
+    naming where and the token."""
     try:
-        if token.isascii() and "_" not in token and (kind is float or token.isdigit()):
+        if (token.isascii() and "_" not in token and not any(map(str.isspace, token))
+                and (kind is float or token.isdigit())):
             value = kind(token)
             if value > 0 or not positive:
                 return value
@@ -166,24 +191,23 @@ def parse_tsplib(text: str) -> Instance:
     name: Optional[str] = None
     coord_rows: list[tuple[int, int, float, float]] = []  # (line, index, x, y)
     in_coords = False
-    for i, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
+    for i, line in enumerate(_lines(text), start=1):
         if not line:
             continue
         if in_coords:
             if line == "EOF":
                 in_coords = False
                 continue
-            parts = line.split()
+            parts = _fields(line)
             if len(parts) != 3:
-                raise TsplibParseError(f"line {i}: expected 'index x y', got {raw!r}")
+                raise TsplibParseError(f"line {i}: expected 'index x y', got {line!r}")
             idx, x, y = (_token(part, kind, f"line {i}", TsplibParseError)
                          for part, kind in zip(parts, (int, float, float)))
             coord_rows.append((i, idx, x, y))
             continue
         key, _, value = line.partition(":")
-        key = key.strip().upper()
-        value = value.strip()
+        key = key.strip(_BLANKS).upper()
+        value = value.strip(_BLANKS)
         if key == "NAME":
             name = value or None
         elif key == "DIMENSION":
@@ -251,18 +275,18 @@ def _native_body(text: str, header: str) -> tuple[int, list[str]]:
     """Check the header line of a native document (instance, heat map or
     tour) and read its count line, a positive integer in decimal digits;
     returns (count, the non-blank lines after them)."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0].strip() != header:
+    lines = [ln for ln in _lines(text) if ln]
+    if not lines or lines[0] != header:
         raise ValueError(f"not a {header} document")
     if len(lines) < 2:
         raise ValueError(f"{header} document has no count line")
-    return _token(lines[1].strip(), int, f"{header} count line", positive=True), lines[2:]
+    return _token(lines[1], int, f"{header} count line", positive=True), lines[2:]
 
 
 def _native_values(line: str, kind, where: str, width: Optional[int] = None) -> list:
     """The tokens of one body line read by _token as kind (int or float),
     their count checked against width if given; each ValueError names where."""
-    values = [_token(token, kind, where) for token in line.split()]
+    values = [_token(token, kind, where) for token in _fields(line)]
     if width is not None and len(values) != width:
         raise ValueError(f"{where}: expected {width} values, found {len(values)}")
     return values
@@ -322,7 +346,7 @@ def read_text(path: str) -> str:
 def read_instance_file(path: str) -> Instance:
     """Load an instance from disk (read_text), sniffing native vs TSPLIB format."""
     text = read_text(path)
-    first = text.lstrip().splitlines()[0].strip() if text.strip() else ""
+    first = next((ln for ln in _lines(text) if ln), "")
     if first == INSTANCE_HEADER:
         return parse_instance(text)
     return parse_tsplib(text)

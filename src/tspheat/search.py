@@ -1,9 +1,12 @@
 """Heat-map-guided best-first k-opt local search.
 
-A search run repeats rounds of: random tour, a neighbour-list pass of 2-opt
-and Or-opt moves until no list-restricted move is left, then best-first node
-expansion where each expansion tries a bounded number of sequential k-opt
-constructions and moves to the shortest improving result.
+A search run (run_search) builds its frame once (_Frame: the distances and
+lists every round reads and no round changes), then repeats rounds
+(_round) over it. A round's first tour is made by the round start
+(_round_start): a random tour, then a neighbour-list pass of 2-opt and
+Or-opt moves until no list-restricted move is left. Best-first node
+expansion follows, where each expansion tries a bounded number of
+sequential k-opt constructions and moves to the shortest improving result.
 Constructions grow a Hamiltonian path with one fixed endpoint; the next city
 is sampled from the moving endpoint's candidate list with probability
 proportional to its pruned-heat value, floored so that zero-heat candidates
@@ -182,7 +185,8 @@ def _ekey(a: int, b: int) -> tuple[int, int]:
 
 def random_tour(n: int, seed) -> Tour:
     """Uniformly random tour from a seeded shuffle; seed may be an int or a
-    numpy Generator."""
+    numpy Generator. Rounds make their own starts (_round_start); outside
+    the tests, perfbench's probes are its only callers."""
     if n < 3:
         raise ValueError(f"n must be >= 3, got {n}")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
@@ -441,8 +445,8 @@ def _candidate_table(cand, d: np.ndarray) -> list:
     """Per city u, a list of (v, edge key, d[u, v]) for each candidate v, as
     plain Python values, in ascending distance order. The sort is stable, so
     a distance-ranked list keeps its order. O(n * m log m). The table holds
-    no heat, so run_search builds the distance lists' table once per run
-    and a heat round's table once per round."""
+    no heat, so a run's frame holds the distance lists' table (_Frame) and
+    a heat round builds its own (_round)."""
     lens = [len(cl) for cl in cand]
     src = np.repeat(np.arange(len(lens)), lens)
     dst = np.concatenate(cand)
@@ -605,10 +609,10 @@ def _expand(
 
     All anchors are drawn at once, each uniform and independent, and the
     attempts share one first-step memo, since the base tour, the table and
-    the heat do not change during an expansion: run_search updates the heat
+    the heat do not change during an expansion: _round updates the heat
     between expansions. No attempt starts at or past the deadline, so once
-    it has passed the expansion returns None: run_search's only exit from a
-    round's expansions."""
+    it has passed the expansion returns None: _round's only exit from its
+    expansions."""
     base = order.tolist()
     n = len(base)
     pos = _positions(base)
@@ -641,7 +645,9 @@ def expand_node(
     or None when no attempt improved the tour. The cap on removed edges of
     every attempt is drawn from params.k_range first, as each search round
     draws it; k_range=(K, K + 1) fixes it at K. At expand_budget=1 this is a
-    single attempt from one uniformly drawn anchor.
+    single attempt from one uniformly drawn anchor. Rounds call _expand on
+    their own table; outside the tests, perfbench's probes are this
+    wrapper's only callers, and each call builds its table afresh.
     """
     k_cap = int(rng.integers(params.k_range[0], params.k_range[1]))
     best = _expand(d, tour.order, _candidate_table(cand, d), pruned, stats, params, k_cap,
@@ -673,6 +679,96 @@ def update_heatmap(
         pruned[b, a] += inc
 
 
+@dataclass(frozen=True)
+class _Frame:
+    """What every round of a run reads and no round changes, built once per
+    run by _Frame.build from the instance and the preset's m.
+
+    e is the instance's power-of-two exponent (instances.unit_exponent) and
+    d its distances scaled by 2**-e, read-only, so MIN_GAIN acts in the
+    same frame at every scale; rows is d.tolist(). One distance ranking of
+    max(m_eff, pass_neighbors(n)) cities per city gives both kinds of list:
+    nbrs[a] holds (c, d[a, c]) for a's pass_neighbors(n) nearest cities,
+    the pass's lists, and dist_table is the _candidate_table of the first
+    m_eff columns, the distance rounds' lists. m_eff is m capped at n - 1,
+    since presets can exceed tiny instances.
+    """
+
+    e: int
+    d: np.ndarray
+    rows: list
+    nbrs: list
+    m_eff: int
+    dist_table: list
+
+    @classmethod
+    def build(cls, inst: Instance, m: int) -> "_Frame":
+        e = unit_exponent(inst)
+        d = np.ldexp(distance_matrix(inst), -e)
+        d.setflags(write=False)
+        rows = d.tolist()
+        m_eff = min(m, inst.n - 1)
+        n_near = pass_neighbors(inst.n)
+        ranked = candidate_lists(d, max(m_eff, n_near), DISTANCE_MODE)
+        nbrs = [[(c, ra[c]) for c in cl[:n_near].tolist()] for cl, ra in zip(ranked, rows)]
+        return cls(e, d, rows, nbrs, m_eff, _candidate_table([cl[:m_eff] for cl in ranked], d))
+
+
+def _round_start(frame: _Frame, stats: SearchStats, rng: np.random.Generator) -> np.ndarray:
+    """A round's first tour: a random permutation through _neighbor_pass, so
+    the round starts with no list-restricted 2-opt or Or-opt move left. The
+    pass is timed into stats.two_opt_seconds and its Or-opt moves counted."""
+    order = rng.permutation(len(frame.rows)).astype(np.int64)
+    t0 = time.perf_counter()
+    stats.or_moves += _neighbor_pass(frame.rows, frame.nbrs, order)
+    stats.two_opt_seconds += time.perf_counter() - t0
+    return order
+
+
+def _round(
+    frame: _Frame,
+    heat: np.ndarray,
+    stats: SearchStats,
+    rng: np.random.Generator,
+    params: SearchParams,
+    deadline: Optional[float],
+) -> tuple[float, float, np.ndarray]:
+    """One search round; returns (the length it ends at, its shortest length,
+    the first tour of that length), all in the frame's units.
+
+    The round draws its removed-edge cap from k_range and its list mode:
+    lists ranked by the current heat, whose table the round builds, or the
+    frame's distance lists. It then starts from _round_start and expands
+    best-first until a whole expansion yields no improvement, raising the
+    heat of each applied action's added edges in place, so later draws and
+    later rounds read the update. No move search of a round scans all city
+    pairs, but a heat round's lists come from a stable O(n^2 log n) argsort
+    of the whole heat map and one vectorized cut, a small part of what the
+    pass on a random start costs. Lengths are exact (order_length), not the
+    incremental sum of gains, which can sit an ulp below a tour that is not
+    shorter. The expansions stop at the deadline; the start always runs.
+    """
+    k_cap = int(rng.integers(params.k_range[0], params.k_range[1]))
+    if rng.integers(2) == 0:
+        table = _candidate_table(candidate_lists(heat, frame.m_eff, HEAT_MODE), frame.d)
+    else:
+        table = frame.dist_table
+    order = _round_start(frame, stats, rng)
+    cur_len = length = best_len = order_length(frame.d, order)
+    best_order = order
+    while True:
+        action = _expand(frame.d, order, table, heat, stats, params, k_cap, rng, deadline)
+        if action is None:
+            return length, best_len, best_order
+        new_len = cur_len - action.gain
+        update_heatmap(heat, action, cur_len, new_len, params.beta)
+        order = action.new_order
+        cur_len = new_len
+        length = order_length(frame.d, order)
+        if length < best_len:
+            best_len, best_order = length, order
+
+
 def run_search(
     inst: Instance,
     pruned: np.ndarray,
@@ -681,25 +777,12 @@ def run_search(
 ) -> tuple[Tour, SearchStats]:
     """Full multi-round search; returns (best Tour, SearchStats).
 
-    One distance ranking of pass_neighbors(n) or m cities per city,
-    whichever is more, is built per run: its first m columns are the
-    distance rounds' candidate lists, whose table is built once, before
-    round 1, and its first pass_neighbors(n) the neighbour lists of the
-    pass. Each round draws a fresh removed-edge cap from k_range and a
-    candidate construction mode (updated pruned heat vs raw distance); a
-    heat round builds its lists and their table from the current heat. The
-    round then builds a random tour and runs _neighbor_pass (2-opt and
-    Or-opt moves) on it, so the round starts with no list-restricted move
-    left, then expands best-first until a whole expansion yields no
-    improvement. No move search of a round scans all city pairs, but a heat
-    round's candidate lists come from a stable O(n^2 log n) argsort of the
-    whole heat map and one vectorized cut, a small part of what the pass
-    on a random start costs. Every draw weighs its candidates by the run's
-    heat map as it stands, and heat updates survive into later rounds. The
-    run stops at the wall-clock deadline or after at most max_rounds
-    rounds, whichever comes first. Round 1's random tour and pass always
-    run, so even a deadline that has already passed returns a tour; its
-    expansions stop at the deadline.
+    The run builds its _Frame, copies the pruned heat map (its rounds update
+    the copy, and the updates survive into later rounds) and seeds one rng,
+    then runs _round until the wall-clock deadline or max_rounds rounds,
+    whichever comes first, and returns the first tour of the shortest length
+    any round reached. Round 1 always runs, so even a deadline that has
+    already passed returns a tour; its expansions stop at the deadline.
 
     It also stops after the first round whose best tour is proven optimal.
     The first round r >= 2 that ends within MIN_GAIN of the best length of
@@ -715,16 +798,8 @@ def run_search(
     n = inst.n
     if pruned.shape != (n, n):
         raise ValueError(f"pruned heat map shape {pruned.shape} does not match n={n}")
-    # MIN_GAIN acts in the instance's frame; stats' lengths are scaled back
-    e = unit_exponent(inst)
-    d = np.ldexp(distance_matrix(inst), -e)
-    hp = np.array(pruned, dtype=np.float64, copy=True)
-    rows = d.tolist()
-    m_eff = min(params.m, n - 1)  # presets can exceed tiny instances
-    n_near = pass_neighbors(n)
-    ranked = candidate_lists(d, max(m_eff, n_near), DISTANCE_MODE)
-    dist_table = _candidate_table([cl[:m_eff] for cl in ranked], d)
-    nbrs = [[(c, ra[c]) for c in cl[:n_near].tolist()] for cl, ra in zip(ranked, rows)]
+    frame = _Frame.build(inst, params.m)
+    heat = np.array(pruned, dtype=np.float64, copy=True)
     rng = np.random.default_rng(seed)
     stats = SearchStats()
     deadline = None
@@ -738,35 +813,15 @@ def run_search(
             break
         stats.rounds += 1
         earlier_best = best_len
-        k_cap = int(rng.integers(params.k_range[0], params.k_range[1]))
-        if rng.integers(2) == 0:
-            table = _candidate_table(candidate_lists(hp, m_eff, HEAT_MODE), d)
-        else:
-            table = dist_table
-        order = rng.permutation(n).astype(np.int64)
-        t0 = time.perf_counter()
-        stats.or_moves += _neighbor_pass(rows, nbrs, order)
-        stats.two_opt_seconds += time.perf_counter() - t0
-        cur_len = length = order_length(d, order)
-        while True:
-            # the best is kept by exact length: the incremental cur_len can
-            # sit an ulp below a tour that is not shorter
-            if length < best_len:
-                best_len, best_order = length, order.copy()
-            action = _expand(d, order, table, hp, stats, params, k_cap, rng, deadline)
-            if action is None:
-                break
-            new_len = cur_len - action.gain
-            update_heatmap(hp, action, cur_len, new_len, params.beta)
-            order = action.new_order
-            cur_len = new_len
-            length = order_length(d, order)
-        stats.round_best_lengths.append(math.ldexp(best_len, e))
+        length, round_len, round_order = _round(frame, heat, stats, rng, params, deadline)
+        if round_len < best_len:
+            best_len, best_order = round_len, round_order
+        stats.round_best_lengths.append(math.ldexp(best_len, frame.e))
         # a round that ends where an earlier one did hints that the best tour
         # may be optimal; only then is the bound worth its ascent
         if bound is None and abs(length - earlier_best) <= MIN_GAIN:
-            bound = one_tree_bound(d, best_len)
-            stats.lower_bound = math.ldexp(bound, e)
+            bound = one_tree_bound(frame.d, best_len)
+            stats.lower_bound = math.ldexp(bound, frame.e)
         if bound is not None and best_len <= bound + MIN_GAIN:
             stats.proof_round = stats.rounds
             break

@@ -130,6 +130,21 @@ class TestSearchCommand:
         assert sorted(tour.order.tolist()) == list(range(10))
         assert length > 0
 
+    @pytest.mark.parametrize("seed", ["0", "5"])
+    def test_search_from_file_equals_solve(self, tmp_path, seed):
+        # the heat-map file round-trips the fit bit-exactly, so searching
+        # from it writes the tour that solve writes
+        inst = tmp_path / "inst.txt"
+        inst.write_text(format_instance(generate_random(30, 2)))
+        heat, searched, solved = (tmp_path / name for name in ("heat.txt", "a.txt", "b.txt"))
+        common = ["--instance", str(inst), "--seed", seed]
+        assert main(["train-heatmap", *common, "--steps", "20", "--out", str(heat)]) == 0
+        assert main(["search", *common, "--heatmap", str(heat), "--rounds", "2",
+                     "--out", str(searched)]) == 0
+        assert main(["solve", *common, "--steps", "20", "--rounds", "2",
+                     "--out", str(solved)]) == 0
+        assert searched.read_bytes() == solved.read_bytes()
+
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -0.25])
     def test_rejects_bad_heatmap_entry(self, instance_file, tmp_path, capsys, bad):
         heat = np.full((10, 10), 0.1)

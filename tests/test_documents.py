@@ -178,3 +178,71 @@ def test_cli_search_exits_0_or_2(doc):
         code = _run(["search", "--instance", str(inst), "--heatmap", str(heat),
                      "--rounds", "1", "--out", str(Path(tmp, "t.txt"))])
         assert code == 0 or not shaped
+
+
+# characters that str.split or str.splitlines would take as a separator but a
+# document does not: only spaces and tabs separate tokens, and only "\n",
+# "\r\n" and "\r" end a line, so each of these stays inside its token
+FOREIGN_SEPARATORS = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\xa0",
+                      "\u2028", "\u2029", "\u3000"]
+TSPLIB_HEAD = "NAME: t\nDIMENSION: {dim}\nEDGE_WEIGHT_TYPE: EUC_2D\nNODE_COORD_SECTION\n"
+SEPARATOR_CASES = {
+    # name: (parser, document with {s} for the separator, message with {t} for the token)
+    "instance-inside": (
+        parse_instance, "UTSP-INSTANCE v1\n3\n0{s}0\n1 0\n0 1\n",
+        "coordinate row 1: expected a number, found {t}"),
+    "instance-after": (
+        parse_instance, "UTSP-INSTANCE v1\n3\n0 0\n1 0{s}\n0 1\n",
+        "coordinate row 2: expected a number, found {t}"),
+    "instance-row-break": (
+        parse_instance, "UTSP-INSTANCE v1\n2\n0 0{s}1 0\n0 1\n",
+        "coordinate row 1: expected a number, found {t}"),
+    "instance-count": (
+        parse_instance, "UTSP-INSTANCE v1\n3{s}\n0 0\n1 0\n0 1\n",
+        "UTSP-INSTANCE v1 count line: expected a positive integer, found {t}"),
+    "heatmap": (
+        parse_heatmap, "UTSP-HEATMAP v1\n3\n0 1 1\n1 0{s}1\n1 1 0\n",
+        "matrix row 2: expected a number, found {t}"),
+    "tour-order": (
+        parse_tour, "UTSP-TOUR v1\n3\n0 1{s}2\n3.0\n",
+        "order line: expected an integer, found {t}"),
+    "tour-length": (
+        parse_tour, "UTSP-TOUR v1\n3\n0 1 2\n{s}3.0\n",
+        "length line: expected a number, found {t}"),
+    "tsplib-coordinate": (
+        parse_tsplib, TSPLIB_HEAD.format(dim=3) + "1 0 0\n2 1{s}0 0\n3 0 1\nEOF\n",
+        "line 6: expected a number, found {t}"),
+    "tsplib-dimension": (
+        parse_tsplib, TSPLIB_HEAD.format(dim="3{s}") + "1 0 0\n2 1 0\n3 0 1\nEOF\n",
+        "line 2: DIMENSION: expected an integer, found {t}"),
+    "tsplib-row-break": (
+        parse_tsplib, TSPLIB_HEAD.format(dim=2) + "1 0 0{s}2 1 0\nEOF\n",
+        "line 5: expected 'index x y', got {t}"),
+}
+# the token each case names: the one holding the separator, or the whole line
+SEPARATOR_TOKENS = {
+    "instance-inside": "0{s}0", "instance-after": "0{s}", "instance-row-break": "0{s}1",
+    "instance-count": "3{s}", "heatmap": "0{s}1", "tour-order": "1{s}2", "tour-length": "{s}3.0",
+    "tsplib-coordinate": "1{s}0", "tsplib-dimension": "3{s}", "tsplib-row-break": "1 0 0{s}2 1 0",
+}
+
+
+@pytest.mark.parametrize("sep", FOREIGN_SEPARATORS, ids=lambda sep: f"U+{ord(sep):04X}")
+@pytest.mark.parametrize("case", sorted(SEPARATOR_CASES))
+def test_only_spaces_and_tabs_separate(case, sep):
+    parse, text, message = SEPARATOR_CASES[case]
+    token = SEPARATOR_TOKENS[case].format(s=sep)
+    with pytest.raises(ValueError) as exc:
+        parse(text.format(s=sep))
+    assert str(exc.value) == message.format(t=repr(token))
+
+
+@pytest.mark.parametrize("end", ["\r\n", "\r"], ids=["crlf", "cr"])
+def test_cr_and_crlf_end_lines(end):
+    inst = generate_random(5, 1)
+    text = format_instance(inst)
+    assert parse_instance(text.replace("\n", end)).coords.tolist() == inst.coords.tolist()
+    heat = "UTSP-HEATMAP v1\n3\n0\t1 1\n1 0 1\n1\t1\t0\n"
+    assert parse_heatmap(heat.replace("\n", end)).tolist() == parse_heatmap(heat).tolist()
+    tsplib = TSPLIB_HEAD.format(dim=3) + "1 0 0\n2\t1 0\n3 0 1\nEOF\n"
+    assert parse_tsplib(tsplib.replace("\n", end)).coords.tolist() == [[0, 0], [1, 0], [0, 1]]

@@ -45,9 +45,11 @@ from tspheat.search import (
     _candidate_table,
     _construct,
     _draw,
+    _Frame,
     _move_segment,
     _neighbor_pass,
     _positions,
+    _round,
 )
 
 
@@ -1212,6 +1214,46 @@ class TestRunSearch:
         assert stats.dead_ends + stats.cap_hits + stats.improving == stats.total_expansions
 
 
+class TestFrame:
+    """A run's frame is what every round reads and no round changes, so
+    rounds of several runs can share one."""
+
+    @staticmethod
+    def rounds(frame, pruned, params, seed, count):
+        """count rounds of one run on frame: their (end length, best length,
+        best order), the run's counters and its heat map."""
+        heat, stats, rng = pruned.copy(), SearchStats(), np.random.default_rng(seed)
+        out = [_round(frame, heat, stats, rng, params, None) for _ in range(count)]
+        counters = (stats.improving, stats.dead_ends, stats.cap_hits, stats.or_moves)
+        return [(end, best, order.tolist()) for end, best, order in out], counters, heat
+
+    def test_rounds_leave_a_shared_frame_as_built(self):
+        # n = 40 with m = 6: the pass's lists (8) and the distance rounds'
+        # lists differ in length, as at n = 300 under tsp500
+        inst = generate_random(40, 1)
+        params = replace(PRESETS["tsp50"], m=6)
+        _, pruned = top_m_filter(soft_heat(distance_matrix(inst)), params.m)
+        shared = _Frame.build(inst, params.m)
+        runs = [self.rounds(shared, pruned, params, seed, 4) for seed in (1, 2)]
+        fresh = _Frame.build(inst, params.m)
+        assert shared.e == fresh.e
+        assert np.array_equal(shared.d, fresh.d)
+        assert shared.rows == fresh.rows
+        assert shared.nbrs == fresh.nbrs
+        assert shared.m_eff == fresh.m_eff == 6
+        assert shared.dist_table == fresh.dist_table
+        with pytest.raises(ValueError, match="read-only"):
+            shared.d[0, 1] = 0.0
+        # each run's rounds moved the tour and the heat, and match the same
+        # run on a frame of its own
+        for seed, (results, counters, heat) in zip((1, 2), runs):
+            assert counters[0] > 0 and not np.array_equal(heat, pruned)
+            own_results, own_counters, own_heat = self.rounds(
+                _Frame.build(inst, params.m), pruned, params, seed, 4)
+            assert (own_results, own_counters) == (results, counters)
+            assert np.array_equal(own_heat, heat)
+
+
 # Pinned round-capped searches: a change that alters any RNG draw, sampled
 # city or float of the search fails here. Changing a value needs a reason.
 GOLDEN_SEARCHES = {
@@ -1227,6 +1269,8 @@ GOLDEN_SEARCHES = {
         # 1-tree bound stopped it)
         best_length="3.7710487245594857", expansions=120, rounds=2, ends=(120, 0),
         or_moves=15,
+        round_best_lengths=["3.7710487245594857", "3.7710487245594857"],
+        lower_bound="3.7710487245594857", proof_round=2,
     ),
     "tsp100-n100": dict(
         n=100, instance_seed=4, seed=6,
@@ -1239,6 +1283,8 @@ GOLDEN_SEARCHES = {
                50, 35, 14, 22, 93, 46, 64, 19, 96],
         best_length="7.77644127957343", expansions=1500, rounds=2, ends=(1494, 3),
         or_moves=141,
+        round_best_lengths=["7.860038911875415", "7.77644127957343"],
+        lower_bound="nan", proof_round=0,
     ),
     # a non-preset m and k_range
     "custom-n30": dict(
@@ -1248,6 +1294,38 @@ GOLDEN_SEARCHES = {
                5, 11, 29, 24, 3, 13, 22, 25, 14, 15],
         best_length="4.6426066301079345", expansions=420, rounds=6, ends=(387, 32),
         or_moves=89,
+        round_best_lengths=["4.644416896317511"] + ["4.6426066301079345"] * 5,
+        lower_bound="4.499432118324248", proof_round=0,
+    ),
+    # preset_for(300) is tsp500: the distance rounds' lists hold m = 5 cities
+    # while the pass's hold pass_neighbors(300) = 9, the one set-up where the
+    # two lengths differ
+    "tsp500-n300": dict(
+        n=300, instance_seed=2, seed=7,
+        params=PRESETS["tsp500"].with_budget(max_rounds=2),
+        order=[217, 176, 224, 103, 268, 213, 277, 15, 140, 185, 211, 245, 74, 281, 237, 122,
+               141, 12, 189, 27, 137, 170, 62, 73, 223, 89, 35, 157, 202, 195, 82, 120, 250,
+               266, 187, 159, 108, 52, 111, 152, 292, 236, 57, 26, 218, 136, 183, 90, 265,
+               16, 164, 230, 216, 54, 28, 2, 79, 182, 106, 234, 287, 290, 83, 94, 163, 11,
+               274, 41, 286, 8, 283, 295, 71, 271, 263, 149, 297, 269, 181, 190, 200, 151,
+               36, 247, 63, 188, 67, 240, 20, 253, 241, 59, 65, 242, 45, 105, 199, 84, 112,
+               38, 75, 184, 95, 100, 80, 196, 180, 87, 256, 66, 225, 93, 261, 58, 1, 289,
+               158, 131, 68, 96, 296, 227, 252, 165, 134, 273, 208, 104, 51, 267, 69, 154,
+               198, 232, 61, 17, 76, 22, 133, 280, 64, 228, 166, 160, 167, 197, 207, 19,
+               288, 126, 260, 21, 270, 219, 177, 25, 39, 37, 113, 258, 119, 262, 101, 239,
+               179, 50, 47, 150, 174, 127, 85, 139, 209, 99, 144, 298, 10, 238, 110, 243,
+               78, 34, 18, 156, 88, 153, 56, 13, 155, 143, 226, 6, 7, 121, 86, 178, 128, 4,
+               299, 272, 229, 210, 102, 255, 81, 115, 125, 72, 279, 0, 249, 214, 161, 130,
+               9, 29, 147, 118, 23, 264, 5, 203, 194, 123, 173, 175, 172, 201, 285, 77, 146,
+               205, 233, 231, 212, 31, 48, 278, 282, 284, 259, 222, 46, 132, 107, 114, 3,
+               44, 24, 70, 235, 221, 14, 148, 109, 291, 124, 193, 186, 294, 30, 257, 49,
+               275, 91, 116, 254, 55, 191, 53, 60, 129, 40, 42, 135, 204, 145, 142, 251, 33,
+               162, 138, 171, 293, 117, 220, 206, 215, 98, 246, 168, 97, 244, 43, 32, 192,
+               276, 169, 92, 248],
+        best_length="13.311246297608513", expansions=24000, rounds=2, ends=(23787, 0),
+        or_moves=489,
+        round_best_lengths=["13.311246297608513", "13.311246297608513"],
+        lower_bound="nan", proof_round=0,
     ),
 }
 
@@ -1266,6 +1344,9 @@ class TestGoldenSearch:
         assert stats.rounds == g["rounds"]
         assert (stats.dead_ends, stats.cap_hits) == g["ends"]
         assert stats.or_moves == g["or_moves"]
+        assert [repr(x) for x in stats.round_best_lengths] == g["round_best_lengths"]
+        assert repr(stats.lower_bound) == g["lower_bound"]
+        assert stats.proof_round == g["proof_round"]
 
 
 class TestProofStop:
