@@ -37,7 +37,7 @@ INIT_SCALE = 0.5
 class TrainConfig:
     """Settings of one heat-map fit: steps and seed.
 
-    steps is the number of Adam updates, 300 at every instance size, so a
+    steps is the number of Adam updates, 150 at every instance size, so a
     fit costs about n**3 (one n x n matrix product per step); seed draws the
     initial logits. Adam's step size learning_rate and the loss weights
     lambda1 and lambda2 are class constants, not fields. The lambda weights
@@ -53,7 +53,7 @@ class TrainConfig:
     learning_rate: ClassVar[float] = 0.05
     lambda1: ClassVar[float] = 2.0
     lambda2: ClassVar[float] = 1.0
-    steps: int = 300
+    steps: int = 150
     seed: int = 0
 
     def __post_init__(self):

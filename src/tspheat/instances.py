@@ -344,9 +344,12 @@ def read_text(path: str) -> str:
 
 
 def read_instance_file(path: str) -> Instance:
-    """Load an instance from disk (read_text), sniffing native vs TSPLIB format."""
+    """Load an instance from disk (read_text), sniffing native vs TSPLIB
+    format: a file whose first non-blank line starts with the token
+    UTSP-INSTANCE is native (no TSPLIB keyword is that token), and
+    parse_instance checks the rest of its header line."""
     text = read_text(path)
     first = next((ln for ln in _lines(text) if ln), "")
-    if first == INSTANCE_HEADER:
+    if _fields(first)[:1] == _fields(INSTANCE_HEADER)[:1]:
         return parse_instance(text)
     return parse_tsplib(text)

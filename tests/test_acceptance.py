@@ -179,7 +179,7 @@ def test_c05_search_space_reduction():
 
 def test_c05_coverage_in_other_units():
     # the fit trains in the instance's power-of-two frame, so coordinates in
-    # other units keep most of the unit square's coverage (0.896 on these 8
+    # other units keep most of the unit square's coverage (0.875 on these 8
     # instances); scales that are not powers of two still move it a little
     n, m, seeds = 12, 5, 8
     t0 = time.perf_counter()

@@ -9,6 +9,7 @@ import pytest
 
 from tspheat.bench import (
     BenchResult,
+    _solve_pipeline,
     bench_results_csv,
     coverage_csv,
     coverage_report,
@@ -309,6 +310,44 @@ class TestSolvePipeline:
         result, tour = solve_pipeline(scaled, TrainConfig(seed=4), params, 4)
         assert tour.order.tolist() == unit_tour.order.tolist()
         assert result.length == math.ldexp(unit.length, j)
+
+
+# Default pipelines recorded at a fixed commit: the default fit (TrainConfig
+# with only its seed set) feeds trained heat to the search, so a change to the
+# fit's default step count or its arithmetic, or to the search, fails here.
+# (n, preset, round cap, seed): fit seed = search seed = instance seed; the
+# n = 16 cases end at a proof and at the round cap. At n <= 50 the heat bytes
+# do not depend on the BLAS thread count.
+GOLDEN_PIPELINES = {
+    (16, "tsp20", 12, 0): (
+        [6, 7, 0, 12, 15, 8, 13, 2, 4, 3, 14, 11, 9, 10, 1, 5],
+        "3.7844877473832534", 4, 4,
+    ),
+    (16, "tsp20", 12, 4): (
+        [3, 1, 7, 5, 0, 4, 8, 10, 13, 6, 9, 15, 12, 2, 14, 11],
+        "3.540256349414601", 12, 0,
+    ),
+    (50, "tsp50", 3, 0): (
+        [9, 37, 12, 15, 40, 8, 39, 19, 25, 26, 6, 5, 7, 0, 21, 20, 17, 30, 27, 34, 29, 1, 10,
+         31, 16, 44, 24, 46, 48, 33, 22, 36, 18, 4, 38, 35, 43, 2, 45, 13, 47, 49, 14, 11, 3,
+         41, 28, 42, 32, 23],
+        "5.8478060152417575", 3, 0,
+    ),
+}
+
+
+class TestGoldenPipeline:
+    @pytest.mark.parametrize("case", sorted(GOLDEN_PIPELINES),
+                             ids=lambda c: f"n{c[0]}-s{c[3]}")
+    def test_default_pipeline_matches_recording(self, case):
+        n, preset, rounds, seed = case
+        order, length, run_rounds, proof_round = GOLDEN_PIPELINES[case]
+        params = PRESETS[preset].with_budget(max_rounds=rounds)
+        result, tour, stats, _ = _solve_pipeline(
+            generate_random(n, seed), TrainConfig(seed=seed), params, seed, None)
+        assert tour.order.tolist() == order
+        assert repr(result.length) == length
+        assert (stats.rounds, stats.proof_round) == (run_rounds, proof_round)
 
 
 class TestCoverage:

@@ -19,6 +19,7 @@ from tspheat.instances import (
     parse_heatmap,
     parse_instance,
     parse_tour,
+    read_instance_file,
 )
 from tspheat.search import PRESETS
 
@@ -279,8 +280,8 @@ class TestSolve:
         assert list(fields) == ["length", "heatmap_s", "fit_steps", "step_us", "search_s",
                                 "two_opt_s", "rounds", "or_moves", "attempts", "dead_ends",
                                 "cap_hits", "improving", "lower_bound", "proof_round"]
-        # an unset --steps runs the default fit, 300 steps at every size
-        assert int(fields["fit_steps"]) == 300
+        # an unset --steps runs the default fit, TrainConfig.steps at every size
+        assert int(fields["fit_steps"]) == TrainConfig.steps
         assert float(fields["step_us"]) > 0.0
         assert 0.0 <= float(fields["two_opt_s"]) <= float(fields["search_s"])
         # the 1-tree bound proves round 2's tour optimal, which ends the run
@@ -382,6 +383,32 @@ class TestNativeFileText:
         ])
         assert code == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("header", ["UTSP-INSTANCE v1\xa0", "UTSP-INSTANCE  v1"],
+                             ids=["no-break-space", "two-spaces"])
+    def test_native_header_variant_named(self, tmp_path, capsys, header):
+        # a first line that starts with the native header's token is read as
+        # a native instance, so the error names that format, not TSPLIB's
+        inst = tmp_path / "inst.txt"
+        inst.write_text(f"{header}\n3\n0 0\n1 0\n0 1\n", encoding="utf-8")
+        code = main([
+            "solve", "--instance", str(inst), "--rounds", "1", "--out", str(tmp_path / "t.txt"),
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == "error: not a UTSP-INSTANCE v1 document\n"
+
+    @pytest.mark.parametrize("text", [
+        "\n  UTSP-INSTANCE v1\t\n4\n0 0\n10 0\n10 10\n0 10\n",
+        "NAME: UTSP-INSTANCE v1\n" + TSPLIB_DIMENSION_FIRST,
+    ], ids=["native", "tsplib"])
+    def test_format_sniff(self, tmp_path, text):
+        # the header's first token decides the format: blank lines and the
+        # spaces and tabs around a native header are skipped, and a TSPLIB
+        # file that names the native header after its keyword stays TSPLIB
+        path = tmp_path / "inst.txt"
+        path.write_text(text, encoding="utf-8")
+        assert read_instance_file(str(path)).coords.tolist() == [
+            [0.0, 0.0], [10.0, 0.0], [10.0, 10.0], [0.0, 10.0]]
 
     @pytest.mark.parametrize("bad", ["instance", "heatmap"])
     def test_not_utf8_named(self, instance_file, tmp_path, capsys, bad):
