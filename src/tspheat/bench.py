@@ -14,7 +14,7 @@ import numpy as np
 
 from .candidates import check_list_size, edge_set, overlap_coefficient, top_m_filter
 from .generator import TrainConfig, optimize_heatmap
-from .instances import Instance, Tour, distance_matrix, tour_length, unit_exponent
+from .instances import Instance, Tour, coordinate_span, distance_matrix, tour_length, unit_exponent
 from .search import SearchParams, run_search, two_opt_improve
 
 HELD_KARP_MAX_N = 20
@@ -267,8 +267,7 @@ def emit_tour_svg(inst: Instance, tour: Tour, path: str) -> None:
     coords = inst.coords
     n = inst.n
     xmin, ymin = coords.min(axis=0)
-    xmax, ymax = coords.max(axis=0)
-    span = max(xmax - xmin, ymax - ymin) or 1.0  # 1.0 when all cities coincide
+    span = coordinate_span(inst) or 1.0  # 1.0 when all cities coincide
     size = 640.0
     pad = 20.0
     scale = (size - 2 * pad) / span

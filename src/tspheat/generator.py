@@ -25,7 +25,7 @@ from .heatmap import (
     indicator_to_heatmap,
     surrogate_loss,
 )
-from .instances import Instance, distance_matrix, unit_exponent
+from .instances import Instance, coordinate_span, distance_matrix
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -37,7 +37,7 @@ INIT_SCALE = 0.5
 class TrainConfig:
     """Settings of one heat-map fit: steps and seed.
 
-    steps is the number of Adam updates, 150 at every instance size, so a
+    steps is the number of Adam updates, 100 at every instance size, so a
     fit costs about n**3 (one n x n matrix product per step); seed draws the
     initial logits. Adam's step size learning_rate and the loss weights
     lambda1 and lambda2 are class constants, not fields. The lambda weights
@@ -53,7 +53,7 @@ class TrainConfig:
     learning_rate: ClassVar[float] = 0.05
     lambda1: ClassVar[float] = 2.0
     lambda2: ClassVar[float] = 1.0
-    steps: int = 150
+    steps: int = 100
     seed: int = 0
 
     def __post_init__(self):
@@ -70,8 +70,8 @@ class TrainTrace:
     final is in the instance's units. per_step is empty unless
     optimize_heatmap ran with record_losses=True; then it holds one float32
     breakdown per step of the objective the loop trains on, in the
-    instance's power-of-two frame (see optimize_heatmap), which is its units
-    when unit_exponent is 0.
+    instance's span frame: distances divided by coordinate_span(inst) (see
+    optimize_heatmap).
     """
 
     per_step: list[LossBreakdown]
@@ -111,10 +111,13 @@ def optimize_heatmap(inst: Instance, cfg: TrainConfig = TrainConfig(),
     in float32, the precision neural heat-map models train at: the logits,
     the kernel's workspace and the Adam moments and scratch are float32
     buffers allocated once per fit, and the float64 initial logits
-    (init_logits) are cast once. It trains on the
-    distances of the instance's power-of-two frame, d * 2**-e with
-    e = unit_exponent(inst), so a copy scaled by a power of two gets the
-    same fit. The returned soft indicator and heat map are float64, and the
+    (init_logits) are cast once. It trains on the distances of the
+    instance's span frame, d / coordinate_span(inst) (d itself when every
+    city coincides), which is free of the coordinates' unit: a copy scaled
+    by a power of two gets the same fit bit for bit, since the division is
+    then exact, and a copy scaled by another factor differs only by the
+    division's rounding, which the float32 cast mostly absorbs. The
+    returned soft indicator and heat map are float64, and the
     two-form surrogate_loss check runs on them with the instance's own
     distances. Deterministic for a fixed (instance, config). Raises
     NumericError naming the step if the gradient or logits go non-finite,
@@ -123,13 +126,14 @@ def optimize_heatmap(inst: Instance, cfg: TrainConfig = TrainConfig(),
     """
     n = inst.n
     d = distance_matrix(inst)
+    span = coordinate_span(inst)
     steps = cfg.steps
     lam1, lam2 = cfg.lambda1, cfg.lambda2
     # each update's logits (and each recorded loss) are checked below, and
     # the first non-finite one raises NumericError, so numpy's warnings stay
     # silent
     with np.errstate(over="ignore", invalid="ignore"):
-        a = (np.ldexp(d, -unit_exponent(inst)) + lam2 * np.eye(n)).astype(np.float32)
+        a = ((d / span if span else d) + lam2 * np.eye(n)).astype(np.float32)
         # m and v are one (2, n, n) stack, so that each moment operation is
         # one ufunc call against (2, 1, 1) coefficients. Each coefficient is
         # a Python float cast once to float32, which gives the same result
@@ -176,7 +180,7 @@ def optimize_heatmap(inst: Instance, cfg: TrainConfig = TrainConfig(),
                 # logits (its m_hat and v_hat go infinite or NaN together,
                 # and inf/inf is NaN), so the gradient is checked only here.
                 # Finite logits give a finite t, and a is bounded in the
-                # power-of-two frame, so m and the loss are finite too: an
+                # span frame, so m and the loss are finite too: an
                 # unrecorded loss cannot go non-finite unseen
                 if not ws.all_finite(g):
                     raise NumericError(f"non-finite gradient at step {k}")

@@ -99,14 +99,21 @@ def generate_random(n: int, seed: int) -> Instance:
     return Instance(coords=coords, name=f"random-n{n}-s{seed}")
 
 
-def unit_exponent(inst: Instance) -> int:
-    """The e for which the largest per-axis coordinate span times 2**-e lies
-    in [1/2, 1); 0 when all cities share one point. Every stage with a
-    threshold or a scale-sensitive loss works on the distances times 2**-e,
-    the instance's power-of-two frame, and scales lengths back by 2**e; the
-    scaling is exact. Every unit-square instance has e = 0."""
+def coordinate_span(inst: Instance) -> float:
+    """The largest per-axis extent of the cities' coordinates, max over the
+    axes of (max - min); 0.0 when all cities share one point. The one span
+    rule: unit_exponent, the heat-map fit's frame and emit_tour_svg read it."""
     c = inst.coords
-    return math.frexp(float((c.max(axis=0) - c.min(axis=0)).max()))[1]
+    return float((c.max(axis=0) - c.min(axis=0)).max())
+
+
+def unit_exponent(inst: Instance) -> int:
+    """The e for which coordinate_span(inst) times 2**-e lies in [1/2, 1); 0
+    when all cities share one point. Every stage with a threshold works on
+    the distances times 2**-e, the instance's power-of-two frame, and scales
+    lengths back by 2**e; the scaling is exact. Every unit-square instance
+    has e = 0."""
+    return math.frexp(coordinate_span(inst))[1]
 
 
 def distance_matrix(inst: Instance) -> np.ndarray:
@@ -117,13 +124,20 @@ def distance_matrix(inst: Instance) -> np.ndarray:
     squared. Raises ValueError when a distance overflows to a non-finite
     value (coordinates of magnitude near 1e154 and above).
     """
-    c = inst.coords
+    x, y = inst.coords.T
     k = max(0, -unit_exponent(inst))
     with np.errstate(over="ignore", invalid="ignore"):
-        diff = c[:, None, :] - c[None, :, :]
+        # dx*dx + dy*dy on two contiguous n x n arrays, in place: the same
+        # two-term sum as a reduction over a length-2 axis, at a fraction of
+        # its cost
+        dx = x[:, None] - x[None, :]
+        dy = y[:, None] - y[None, :]
         if k:
-            np.ldexp(diff, k, out=diff)
-        d = np.sqrt((diff * diff).sum(axis=2))
+            np.ldexp(dx, k, out=dx)
+            np.ldexp(dy, k, out=dy)
+        np.multiply(dx, dx, out=dx)
+        np.multiply(dy, dy, out=dy)
+        d = np.sqrt(np.add(dx, dy, out=dx), out=dx)
     if not np.isfinite(d).all():
         raise ValueError("a distance between cities overflows; rescale the coordinates")
     return np.ldexp(d, -k, out=d) if k else d

@@ -178,13 +178,13 @@ def test_c05_search_space_reduction():
 
 
 def test_c05_coverage_in_other_units():
-    # the fit trains in the instance's power-of-two frame, so coordinates in
-    # other units keep most of the unit square's coverage (0.875 on these 8
-    # instances); scales that are not powers of two still move it a little
+    # the fit trains on distances divided by the coordinate span, so
+    # coordinates in other units keep the unit square's coverage on these 8
+    # instances exactly, not only above the bar
     n, m, seeds = 12, 5, 8
     t0 = time.perf_counter()
     means = {}
-    for factor in (100.0, 0.01):
+    for factor in (1.0, 100.0, 0.01):
         etas = []
         for seed in range(seeds):
             inst = generate_random(n, seed)
@@ -194,9 +194,11 @@ def test_c05_coverage_in_other_units():
             _, pruned = top_m_filter(heat, m)
             etas.append(len(edge_set(pruned) & truth) / len(truth))
         means[factor] = float(np.mean(etas))
+    for factor in (100.0, 0.01):
         assert means[factor] >= 0.85, f"mean coverage {means[factor]} at x{factor}"
-    report(5, f"mean eta {means[100.0]:.3f} at x100, {means[0.01]:.3f} at x0.01 "
-              f"({time.perf_counter() - t0:.0f}s)")
+        assert means[factor] == means[1.0], f"x{factor}: {means[factor]}, x1: {means[1.0]}"
+    report(5, f"mean eta {means[100.0]:.3f} at x100, {means[0.01]:.3f} at x0.01, "
+              f"{means[1.0]:.3f} at x1 ({time.perf_counter() - t0:.0f}s)")
 
 
 def test_c06_end_to_end_small_instance_optimality():

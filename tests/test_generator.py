@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from tspheat import generator
+from tspheat.candidates import edge_set, top_m_filter
 from tspheat.generator import (
     INIT_SCALE,
     TrainConfig,
@@ -20,7 +21,7 @@ from tspheat.heatmap import (
     loss_gradient,
     surrogate_loss,
 )
-from tspheat.instances import Instance, distance_matrix, generate_random
+from tspheat.instances import Instance, coordinate_span, distance_matrix, generate_random
 
 
 EPS32 = float(np.finfo(np.float32).eps)
@@ -50,10 +51,10 @@ class TestTrainConfig:
             TrainConfig(lambda1=3.0)
         assert TrainConfig().lambda1 == 2.0
 
-    def test_default_is_150_steps_at_every_size(self):
-        assert TrainConfig().steps == 150
+    def test_default_is_100_steps_at_every_size(self):
+        assert TrainConfig().steps == 100
         _, _, trace = optimize_heatmap(generate_random(150, 1), TrainConfig(seed=1))
-        assert trace.steps == 150
+        assert trace.steps == 100
 
 
 class TestInitLogits:
@@ -121,21 +122,24 @@ class TestOptimizeHeatmap:
 
     @pytest.mark.parametrize("n", [5, 12, 30])
     def test_per_step_breakdown_matches_surrogate_loss(self, n):
-        # per_step[K] is evaluated before update K+1, at the parameters a
-        # K-step run returns and checks with the two-form surrogate_loss
+        # per_step[K] is evaluated before update K+1, in the fit's span
+        # frame, at the parameters a K-step run returns; surrogate_loss of
+        # those parameters on the frame's distances is the reference
         for seed in range(3):
             inst = generate_random(n, seed)
-            d = distance_matrix(inst)
+            d = distance_matrix(inst) / coordinate_span(inst)
             cfg = TrainConfig(steps=1, seed=seed)
-            t = column_softmax(init_logits(n, cfg))
-            want = surrogate_loss(t, indicator_to_heatmap(t), d, cfg.lambda1, cfg.lambda2)
+
+            def want(t):
+                return surrogate_loss(t, indicator_to_heatmap(t), d, cfg.lambda1, cfg.lambda2)
+
             _, _, trace = optimize_heatmap(inst, cfg, record_losses=True)
-            _assert_breakdowns_match(trace.per_step[0], want)
+            _assert_breakdowns_match(trace.per_step[0], want(column_softmax(init_logits(n, cfg))))
             for k in (1, 7, 40):
                 _, _, longer = optimize_heatmap(inst, TrainConfig(steps=k + 1, seed=seed),
                                                 record_losses=True)
-                _, _, exact = optimize_heatmap(inst, TrainConfig(steps=k, seed=seed))
-                _assert_breakdowns_match(longer.per_step[k], exact.final)
+                _, t, _ = optimize_heatmap(inst, TrainConfig(steps=k, seed=seed))
+                _assert_breakdowns_match(longer.per_step[k], want(t))
 
     @pytest.mark.parametrize("n", [3, 5, 16, 50, 100, 200])
     def test_recording_losses_changes_no_output(self, n):
@@ -189,12 +193,13 @@ class TestOptimizeHeatmap:
 
     def test_matches_textbook_adam(self):
         # the textbook update replayed on float32 arrays, with the float32
-        # gradient of the public loss_gradient, from the cast initial logits
+        # gradient of the public loss_gradient on the span frame's distances,
+        # from the cast initial logits
         b1, b2 = generator.ADAM_BETA1, generator.ADAM_BETA2
         for n in (9, 30):
             inst = generate_random(n, 5)
             cfg = TrainConfig(steps=40, seed=5)
-            d = distance_matrix(inst)
+            d = distance_matrix(inst) / coordinate_span(inst)  # the fit's frame
             logits = init_logits(inst.n, cfg).astype(np.float32)
             m = np.zeros_like(logits)
             v = np.zeros_like(logits)
@@ -227,6 +232,18 @@ class TestOptimizeHeatmap:
             assert [b.total for b in trace2.per_step] == totals, p
             assert trace2.final.expected_length == math.ldexp(
                 trace1.final.expected_length, p), p
+
+    @pytest.mark.parametrize("factor", [3.0, 0.01, 1000.0])
+    def test_other_units_prune_alike(self, factor):
+        # scales that are not powers of two change the span frame's
+        # distances only by the division's rounding, which the float32 cast
+        # absorbs here: each copy prunes to the unit instance's top-m edges
+        for seed in range(8):
+            inst = generate_random(12, seed)
+            cfg = TrainConfig(seed=seed)
+            h1, _, _ = optimize_heatmap(inst, cfg)
+            h2, _, _ = optimize_heatmap(Instance(coords=inst.coords * factor), cfg)
+            assert edge_set(top_m_filter(h2, 5)[1]) == edge_set(top_m_filter(h1, 5)[1]), seed
 
 
 class TestNumericErrors:
@@ -336,9 +353,8 @@ class TestNumericErrors:
 
 class TestGoldenTraining:
     """300-step fits recorded at a fixed commit; any change to the training
-    arithmetic, its operation order or the RNG fails these. They pin the
-    kernel, not the default step count, so each passes steps=300 (the
-    default when they were recorded, which keeps their hashes).
+    arithmetic, its frame, its operation order or the RNG fails these. They
+    pin the kernel, not the default step count, so each passes steps=300.
 
     The soft indicator, the per-step totals and the final loss come from
     the training loop and are pinned bit-for-bit: the indicator and final
@@ -355,25 +371,25 @@ class TestGoldenTraining:
     CASES = [
         # (n, seed, indicator_sha, heat_sha, repr(final.total), per_step_sha)
         (14, 3,
-         "faa0dda22f8fd9eaba01b2df1e5acf046d19e0ab8c5b7615b4af7791ab9d8d60",
-         "cf0cad0b4b1988b6a4c6ed896b8d9a41b81319f54a866b6525869106b1b94a6c",
-         "5.192007976655624",
-         "fe0c2f763388a6febea394fcb91470a4fd8e0f4d281e6ef70f464c355c9168a1"),
+         "006fbecfaa04d5c70823bca78758d16632bc7f0a375755f86b42be99b0d07af7",
+         "f5d8d3189c0a23f9fad3d58b9b178caf62f2e7d91b897f8c8f4b6ac895fd270a",
+         "5.18120082370429",
+         "f0e904516e4a8aef1b6181a041707c7d4cfd6ee9b3d2fd7592f0e52fdca249f9"),
         (50, 7,
-         "d6b1ec0c1fef242f1909c13c6e55831eef8c94c81732068513093f95dad8d684",
-         "b0d416d71286140969aea4468558756bf64d698fd7202d919df668f3a9658b4e",
-         "9.156063558364945",
-         "32ac8f4e5e19c97e20d5d259086112993cb6c1fbbf9fc9dc098e5788b27c6292"),
+         "bc7a02417dc7bbc88f01d2ee811ae8a0393bef768261d62a7fe0f47fb20da9c8",
+         "609377d8ba6c8edd6b793f5caa9f9cb6b0e0d5e6b017a2295c5e947608e405f6",
+         "9.090793312333552",
+         "641894f94d7d0547ddd2508b84682156941dc6c1d44fe0af57f26c3babc21ffa"),
         (100, 11,
-         "2ba7de4b8f0e2e2747747e9fd40eed33c6fbac322b5cdbfb957bd8e92ccb54a8",
+         "a8dc628dfb6eafcd5ebb09d23ebe99fd8345a455c89078f8649915c4e07ebceb",
          None,
-         "13.809217537608756",
-         "fcb6672e1b86179b884b75b21c88cb211c0daad4444d89010feec129d14d4961"),
+         "13.814477420654969",
+         "2b5b04c8f17fe5499bf6dffb7f6e0eb45ad5eb739dce804d23d624ed85bb1bc1"),
         (200, 3,
-         "3c867a586af32186b1e75b8da2703c2978dfdc73bece25685bb6f1f470767001",
-         "8c93540d3a7b6dfdf0e487139f6c18c7eda1740893ee69bb27f66174d3284187",
-         "23.501546969868144",
-         "aa0a8f7a73c388d16db44665d21c1caeb0a4d7de95d5ae8610a24d9ee108ba87"),
+         "ecc650eb97f7c41109329fc1ff1b8b7ea7de11abbc6c2ce9d4380c33f846c80e",
+         "644ac6ae392a034e9d498ae266d137e15b804eb4f488c8bc0d9ae3535da10fc7",
+         "23.50351534269937",
+         "8b938170690475735aafe5b13f87d0dcea7b30cc273eb8a6d1d46e37df697702"),
     ]
 
     @pytest.mark.parametrize(
