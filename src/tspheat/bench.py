@@ -26,8 +26,8 @@ class BenchResult:
 
     Wall-clock seconds are split into the heat-map phase and the search
     phase; methods without a heat-map phase report 0 for it, and the
-    nn+2opt baseline reports its whole run, construction and 2-opt, as its
-    search phase. gap_percent is relative to a reference length when one is
+    nn+2opt+oropt baseline reports its whole run, construction and its
+    2-opt and Or-opt pass, as its search phase. gap_percent is relative to a reference length when one is
     available.
     """
 
@@ -123,8 +123,10 @@ def tour_edges(tour: Tour) -> set[tuple[int, int]]:
 
 
 def nn_two_opt_baseline(inst: Instance, seed: int):
-    """Nearest-neighbour construction from a random start city, then 2-opt
-    in the instance's power-of-two frame (instances.unit_exponent).
+    """Nearest-neighbour construction from a random start city, then the
+    search's round-start pass of 2-opt and Or-opt moves
+    (search.two_opt_improve) in the instance's power-of-two frame
+    (instances.unit_exponent).
 
     Returns (Tour, length in the instance's units); deterministic per seed.
     """

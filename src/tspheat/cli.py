@@ -158,7 +158,7 @@ def cmd_bench(args) -> int:
         rows.append(
             bench_mod.BenchResult(
                 instance=inst.name or f"n{inst.n}",
-                method="nn+2opt",
+                method="nn+2opt+oropt",
                 length=base_len,
                 gap_percent=bench_mod.gap_percent(base_len, ref) if ref else None,
                 heatmap_seconds=0.0,
@@ -223,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="output path (default: stdout)")
     p.set_defaults(func=cmd_oracle)
 
-    p = sub.add_parser("baseline", help="nearest-neighbour + 2-opt baseline")
+    p = sub.add_parser("baseline", help="nearest-neighbour + 2-opt/Or-opt pass baseline")
     p.add_argument("--instance", required=True)
     _add_common(p)
     p.set_defaults(func=cmd_baseline)

@@ -51,8 +51,8 @@ from .instances import Instance, Tour, distance_matrix, order_length, unit_expon
 
 # gain a k-opt, 2-opt or Or-opt move must exceed to count as improving;
 # guards against float-noise "improvements". It is absolute, so run_search
-# and the nn+2opt baseline compare it with gains in the instance's
-# power-of-two frame (instances.unit_exponent)
+# and the nearest-neighbour baseline (bench.nn_two_opt_baseline) compare it
+# with gains in the instance's power-of-two frame (instances.unit_exponent)
 MIN_GAIN = 1e-10
 # sampling-weight floor so zero-heat candidates stay reachable
 WEIGHT_FLOOR = 1e-12
@@ -194,53 +194,8 @@ def random_tour(n: int, seed) -> Tour:
 
 
 # ---------------------------------------------------------------------------
-# 2-opt
+# 2-opt and Or-opt: the neighbour-list pass
 # ---------------------------------------------------------------------------
-
-def two_opt_improve(d: np.ndarray, tour: Tour) -> Tour:
-    """Run first-improvement 2-opt from the given tour until no improving
-    exchange exists. run_search's rounds do not call it; the nearest-neighbour
-    + 2-opt baseline does, on its instance's power-of-two frame: MIN_GAIN is
-    absolute, so d should be near unit scale.
-
-    Row i pairs edge (order[i], order[i+1]) with each later edge (order[j],
-    order[j+1]) in turn and applies the first pair whose delta
-    d[a,c] + d[b,e] - d[a,b] - d[c,e] is below -MIN_GAIN by reversing
-    order[i+1..j]; the row is then scanned again. Each delta is summed with
-    Python floats in that order. The order list carries a copy of position 0
-    at its end as the successor of the last position; a reversal never moves
-    position 0, so the copy stays valid.
-    """
-    n = tour.n
-    if d.shape != (n, n):
-        raise ValueError(
-            f"distance matrix shape {d.shape} does not match a tour of {n} cities"
-        )
-    rows = d.tolist()
-    order = tour.order.tolist()
-    order.append(order[0])
-    improved = True
-    while improved:
-        improved = False
-        i = 0
-        while i < n - 1:
-            a = order[i]
-            b = order[i + 1]
-            hi = n if i > 0 else n - 1  # skip the wrap pair (0, n-1)
-            ra = rows[a]
-            rb = rows[b]
-            dab = ra[b]
-            for j in range(i + 2, hi):
-                c = order[j]
-                e = order[j + 1]
-                if ra[c] + rb[e] - dab - rows[c][e] < -MIN_GAIN:
-                    order[i + 1:j + 1] = order[j:i:-1]
-                    improved = True
-                    break
-            else:
-                i += 1
-    return Tour.from_order(order[:n])
-
 
 def _reverse(tour: list, pos: list, i: int, j: int) -> None:
     """Reverse the cyclic segment tour[i..j] (indices mod n), or the rest of
@@ -301,9 +256,8 @@ def _two_opt_move(tour: list, pos: list, rows: list, near: list, a: int) -> Opti
     a looks in each direction, successor first: with b its tour neighbour
     that way, it scans its list up to the first c with d[a, c] >= d[a, b],
     and with e c's neighbour the same way (c != b, e != a) applies the first
-    move whose d[a,c] + d[b,e] - d[a,b] - d[c,e] is below -MIN_GAIN,
-    two_opt_improve's own test, so that (a, c) and (b, e) replace (a, b)
-    and (c, e).
+    move whose d[a,c] + d[b,e] - d[a,b] - d[c,e] is below -MIN_GAIN, so
+    that (a, c) and (b, e) replace (a, b) and (c, e).
     """
     n = len(tour)
     ra = rows[a]
@@ -426,6 +380,34 @@ def _neighbor_pass(rows: list, nbrs: list, order: np.ndarray) -> int:
             queued = [True] * n
     order[:] = tour
     return or_moves
+
+
+def _pass_lists(rows: list, ranked) -> list:
+    """The pass's lists for _neighbor_pass: nbrs[a] holds (c, d[a, c]) for
+    the first pass_neighbors(n) cities of a's distance ranking ranked[a]
+    (candidate_lists in DISTANCE_MODE, at least that long)."""
+    k = pass_neighbors(len(rows))
+    return [[(c, ra[c]) for c in cl[:k].tolist()] for cl, ra in zip(ranked, rows)]
+
+
+def two_opt_improve(d: np.ndarray, tour: Tour) -> Tour:
+    """Run the round-start pass (_neighbor_pass: 2-opt and Or-opt moves on
+    lists of d's pass_neighbors(n) nearest cities) from the given tour and
+    return the tour it ends at. From a round's permutation, in a run's
+    frame, that is the round's first tour (_round_start), the pass that
+    SearchStats.two_opt_seconds times. MIN_GAIN is absolute, so d should be
+    near unit scale, as in the nearest-neighbour baseline's power-of-two
+    frame."""
+    n = tour.n
+    if d.shape != (n, n):
+        raise ValueError(
+            f"distance matrix shape {d.shape} does not match a tour of {n} cities"
+        )
+    rows = d.tolist()
+    nbrs = _pass_lists(rows, candidate_lists(d, pass_neighbors(n), DISTANCE_MODE))
+    order = tour.order.copy()
+    _neighbor_pass(rows, nbrs, order)
+    return Tour.from_order(order)
 
 
 # ---------------------------------------------------------------------------
@@ -688,10 +670,9 @@ class _Frame:
     d its distances scaled by 2**-e, read-only, so MIN_GAIN acts in the
     same frame at every scale; rows is d.tolist(). One distance ranking of
     max(m_eff, pass_neighbors(n)) cities per city gives both kinds of list:
-    nbrs[a] holds (c, d[a, c]) for a's pass_neighbors(n) nearest cities,
-    the pass's lists, and dist_table is the _candidate_table of the first
-    m_eff columns, the distance rounds' lists. m_eff is m capped at n - 1,
-    since presets can exceed tiny instances.
+    nbrs, the pass's lists (_pass_lists), and dist_table, the
+    _candidate_table of the first m_eff columns, the distance rounds' lists.
+    m_eff is m capped at n - 1, since presets can exceed tiny instances.
     """
 
     e: int
@@ -708,10 +689,9 @@ class _Frame:
         d.setflags(write=False)
         rows = d.tolist()
         m_eff = min(m, inst.n - 1)
-        n_near = pass_neighbors(inst.n)
-        ranked = candidate_lists(d, max(m_eff, n_near), DISTANCE_MODE)
-        nbrs = [[(c, ra[c]) for c in cl[:n_near].tolist()] for cl, ra in zip(ranked, rows)]
-        return cls(e, d, rows, nbrs, m_eff, _candidate_table([cl[:m_eff] for cl in ranked], d))
+        ranked = candidate_lists(d, max(m_eff, pass_neighbors(inst.n)), DISTANCE_MODE)
+        return cls(e, d, rows, _pass_lists(rows, ranked), m_eff,
+                   _candidate_table([cl[:m_eff] for cl in ranked], d))
 
 
 def _round_start(frame: _Frame, stats: SearchStats, rng: np.random.Generator) -> np.ndarray:

@@ -205,23 +205,23 @@ class TestTourEdges:
         assert tour_edges(t) == {(0, 1), (1, 2), (2, 3), (0, 3)}
 
 
-# Pinned nn+2opt baselines, one (seed, repr(length), sha256 of the order's
-# int64 bytes) per instance. The nearest-neighbour starts make 7 (n=120) and
-# 24 (n=300) 2-opt moves with the improving partner 16 or more places into a
-# row of more than 80 partners, so a scan that skips or reorders far partners
-# fails here.
+# Pinned nearest-neighbour baselines, one (seed, repr(length), sha256 of the
+# order's int64 bytes) per instance. The round-start pass takes the
+# nearest-neighbour tour through 28 2-opt and 9 Or-opt moves at n=120 (lists
+# of 8) and 81 and 24 at n=300 (lists of pass_neighbors(300) = 9), so a change
+# to either move rule, the list length or the pass's queue order fails here.
 GOLDEN_BASELINES = {
     "random-n120-s3": (
         generate_random(120, 3),
         3,
-        "9.153616186455388",
-        "b4ffd8ec7c920ebe42ec7002955de4a61306d7602db53b3766d5cab00f3caf13",
+        "8.971344090922624",
+        "22e93ca28ddb9dde15ec6ecd2de106475e03c3810ef47624eb1cb64531468faf",
     ),
     "random-n300-s5": (
         generate_random(300, 5),
         5,
-        "13.669258742921727",
-        "86b4ace588a055bb2573ba9464b2a53c4698f3fee979a6ff47a3a89557cab2af",
+        "13.467009873606163",
+        "c5078e2c55da4dd6e79b533472264e1d0461f80bf248415e9733890f9fee3f22",
     ),
 }
 
@@ -248,7 +248,7 @@ class TestBaseline:
 
     @pytest.mark.parametrize("j", [-40, 100])
     def test_power_of_two_copy_gives_the_unit_tour(self, j):
-        # 2-opt runs in the instance's power-of-two frame, so its absolute
+        # the pass runs in the instance's power-of-two frame, so its absolute
         # MIN_GAIN does not stop it early on a tiny copy
         inst = generate_random(50, 3)
         unit_tour, unit_length = nn_two_opt_baseline(inst, 3)
@@ -420,7 +420,7 @@ class TestResultsCsv:
     def test_columns_and_blank_gap(self):
         rows = [
             BenchResult("i1", "pipeline", 3.5, 0.0, 0.1, 0.2, 7),
-            BenchResult("i1", "nn+2opt", 3.9, None, 0.0, 0.0, 7),
+            BenchResult("i1", "nn+2opt+oropt", 3.9, None, 0.0, 0.0, 7),
         ]
         text = bench_results_csv(rows)
         lines = text.strip().splitlines()

@@ -50,6 +50,7 @@ from tspheat.search import (
     _neighbor_pass,
     _positions,
     _round,
+    _round_start,
 )
 
 
@@ -76,11 +77,10 @@ def brute_force_two_opt_scan(d, order):
     return best
 
 
-def reference_two_opt_order(d, order, moves=None):
-    """Test-only oracle: first-improvement 2-opt with every row evaluated as
-    one numpy expression, independent of two_opt_improve's Python scan. Mutates
-    order; appends (partner offset j - (i + 2), partners in the row) for each
-    applied move to moves when given."""
+def reference_two_opt_order(d, order):
+    """Test-only oracle: the full first-improvement 2-opt scan over all pairs,
+    with every row evaluated as one numpy expression, independent of the
+    search's neighbour-list pass. Mutates order and returns it."""
     n = order.shape[0]
     succ = np.empty(n, dtype=order.dtype)
 
@@ -106,20 +106,12 @@ def reference_two_opt_order(d, order, moves=None):
             hit = np.flatnonzero(delta < -MIN_GAIN)
             if hit.size:
                 j = i + 2 + int(hit[0])
-                if moves is not None:
-                    moves.append((int(hit[0]), hi - i - 2))
                 order[i + 1:j + 1] = order[i + 1:j + 1][::-1]
                 rebuild_succ()
                 improved = True
             else:
                 i += 1
     return order
-
-
-def assert_matches_reference(d, start):
-    out = two_opt_improve(d, Tour.from_order(start))
-    ref = reference_two_opt_order(d, np.array(start, dtype=np.int64))
-    assert out.order.tolist() == ref.tolist()
 
 
 def neighbor_pairs(d):
@@ -261,39 +253,13 @@ class TestTwoOpt:
         with pytest.raises(ValueError, match="does not match"):
             two_opt_improve(np.ones(shape), random_tour(6, 0))
 
-
-class TestTwoOptMatchesReference:
-    """The Python-float scan applies the same moves as the vectorised
-    reference, so it returns the same order, ties included."""
-
-    @given(st.integers(3, 120), st.integers(0, 10_000), st.integers(0, 10_000))
-    @settings(max_examples=60, deadline=None)
-    def test_random_instances(self, n, inst_seed, start_seed):
-        d = distance_matrix(generate_random(n, inst_seed))
-        assert_matches_reference(d, random_tour(n, start_seed).order)
-
-    @pytest.mark.parametrize("start_seed", range(4))
-    def test_duplicate_cities(self, start_seed):
-        # every city appears twice: many moves have a delta of exactly 0
-        coords = generate_random(50, 1).coords
-        d = distance_matrix(Instance(coords=np.concatenate([coords, coords])))
-        assert_matches_reference(d, random_tour(100, start_seed).order)
-
-    @pytest.mark.parametrize("start_seed", range(4))
-    def test_collinear_cities(self, start_seed):
-        # integer points on a line: every distance is an exact integer, so
-        # many deltas are exactly 0 and many improving deltas tie
-        x = np.arange(100, dtype=np.float64)
-        d = distance_matrix(Instance(coords=np.stack([x, np.zeros(100)], axis=1)))
-        assert_matches_reference(d, random_tour(100, start_seed).order)
-
     @pytest.mark.parametrize("j", [3, 24])
     @pytest.mark.parametrize("gain, applied", [(0.5 * MIN_GAIN, False),
                                                (2.0 * MIN_GAIN, True)])
     def test_threshold_near_and_far_partner(self, j, gain, applied):
-        # row 0's only improving partner sits at position j: near the start of
-        # the row for j = 3, far into it for j = 24. A move that gains less
-        # than MIN_GAIN is not applied.
+        # the start's only improving move joins 0 and j: near 0 in the tour
+        # for j = 3, far from it for j = 24. A move that gains less than
+        # MIN_GAIN is not applied.
         n = 88
         d = np.ones((n, n))
         np.fill_diagonal(d, 0.0)
@@ -301,17 +267,47 @@ class TestTwoOptMatchesReference:
         start = np.arange(n)
         out = two_opt_improve(d, Tour.from_order(start))
         assert (out.order.tolist() != start.tolist()) == applied
-        assert_matches_reference(d, start)
+        assert order_length(d, out.order) == pytest.approx(
+            order_length(d, start) - (gain if applied else 0.0), abs=1e-12)
 
-    def test_far_partner_in_long_row(self):
-        # the reference records moves 16 or more partners into a row of more
-        # than 80, so the scan must reach far partners in long rows
-        d = distance_matrix(generate_random(120, 0))
-        start = random_tour(120, 0).order
-        moves = []
-        reference_two_opt_order(d, start.copy(), moves)
-        assert any(off >= 16 and row > 80 for off, row in moves)
-        assert_matches_reference(d, start)
+
+class TestTwoOptIsTheRoundStart:
+    """two_opt_improve runs the round-start pass: from the permutation a
+    round draws, in a run's frame, it ends at _round_start's tour, ties
+    included."""
+
+    @staticmethod
+    def assert_round_start(inst, seed, m):
+        frame = _Frame.build(inst, m)
+        want = _round_start(frame, SearchStats(), np.random.default_rng(seed))
+        start = Tour.from_order(np.random.default_rng(seed).permutation(inst.n))
+        assert two_opt_improve(frame.d, start).order.tolist() == want.tolist()
+
+    # m = 12 ranks the frame's lists past the pass's length, which must not
+    # change the pass's lists
+    @pytest.mark.parametrize("m", [4, 12])
+    @pytest.mark.parametrize("n", [3, 5, 16, 100, 300])
+    def test_random_instances(self, n, m):
+        for seed in range(2):
+            self.assert_round_start(generate_random(n, seed), seed, m)
+
+    @pytest.mark.parametrize("start_seed", range(4))
+    def test_duplicate_cities(self, start_seed):
+        # every city appears twice: many moves have a delta of exactly 0
+        coords = generate_random(50, 1).coords
+        self.assert_round_start(Instance(coords=np.concatenate([coords, coords])),
+                                start_seed, 8)
+
+    def test_coincident_cities(self):
+        self.assert_round_start(Instance(coords=np.full((10, 2), 0.25)), 1, 8)
+
+    @pytest.mark.parametrize("start_seed", range(4))
+    def test_collinear_cities(self, start_seed):
+        # integer points on a line: every distance is an exact integer, so
+        # many deltas are exactly 0 and many improving deltas tie
+        x = np.arange(100, dtype=np.float64)
+        self.assert_round_start(Instance(coords=np.stack([x, np.zeros(100)], axis=1)),
+                                start_seed, 8)
 
 
 class TestNeighborPass:
@@ -325,8 +321,8 @@ class TestNeighborPass:
         assert order_length(d, out) <= order_length(d, start)
         assert list_moves_left(d, out.tolist()) == []
         # the scan after the pass reaches a full 2-opt fixpoint
-        fixed = two_opt_improve(d, Tour.from_order(out))
-        assert brute_force_two_opt_scan(d, fixed.order.tolist()) > -1e-9
+        fixed = reference_two_opt_order(d, out.copy())
+        assert brute_force_two_opt_scan(d, fixed.tolist()) > -1e-9
 
     def test_list_length(self):
         assert [pass_neighbors(n) for n in (4, 9, 16, 100, 200, 256)] == [3, 8, 8, 8, 8, 8]
@@ -385,8 +381,8 @@ class TestNeighborPass:
         assert sorted(out.tolist()) == list(range(60))
         assert order_length(d, out) < order_length(d, start)
         assert list_moves_left(d, out.tolist()) == []
-        fixed = two_opt_improve(d, Tour.from_order(out))
-        assert brute_force_two_opt_scan(d, fixed.order.tolist()) > -1e-9
+        fixed = reference_two_opt_order(d, out.copy())
+        assert brute_force_two_opt_scan(d, fixed.tolist()) > -1e-9
 
 
 # Starts one Or-opt move away from their Held-Karp optimum with no 2-opt
@@ -758,7 +754,7 @@ class TestExpandNode:
         # a random tour every attempt improves and any anchor stream passes
         inst = generate_random(12, 3)
         d = distance_matrix(inst)
-        tour = two_opt_improve(d, random_tour(12, 3))
+        tour = Tour.from_order(reference_two_opt_order(d, random_tour(12, 3).order.copy()))
         cand = candidate_lists(d, 6, DISTANCE_MODE)
         _, pruned = top_m_filter(np.exp(-d), 6)
         params = dist_params(k_range=(5, 6), expand_budget=120)
@@ -1043,7 +1039,7 @@ class TestRunSearch:
         first = first_round_start(d, 6, params)
         assert list_moves_left(d, first.order.tolist()) == []
         assert brute_force_two_opt_scan(d, first.order.tolist()) < -MIN_GAIN
-        assert not np.array_equal(two_opt_improve(d, first).order, first.order)
+        assert not np.array_equal(reference_two_opt_order(d, first.order.copy()), first.order)
         tour, stats = run_search(inst, pruned, params, 6)
         assert stats.rounds == 1
         assert stats.total_expansions == 0
