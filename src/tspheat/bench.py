@@ -15,7 +15,7 @@ import numpy as np
 from .candidates import check_list_size, edge_set, overlap_coefficient, top_m_filter
 from .generator import TrainConfig, optimize_heatmap
 from .instances import Instance, Tour, coordinate_span, distance_matrix, tour_length, unit_exponent
-from .search import SearchParams, run_search, two_opt_improve
+from .search import SearchParams, _nearest_neighbor, _neighbor_pass, _pass_frame, run_search
 
 HELD_KARP_MAX_N = 20
 
@@ -123,29 +123,20 @@ def tour_edges(tour: Tour) -> set[tuple[int, int]]:
 
 
 def nn_two_opt_baseline(inst: Instance, seed: int):
-    """Nearest-neighbour construction from a random start city, then the
-    search's round-start pass of 2-opt and Or-opt moves
-    (search.two_opt_improve) in the instance's power-of-two frame
+    """Nearest-neighbour construction from a random start city
+    (search._nearest_neighbor, the routine that starts each search round),
+    then the search's round-start pass of 2-opt and Or-opt moves
+    (search._neighbor_pass), both in the instance's power-of-two frame
     (instances.unit_exponent).
 
     Returns (Tour, length in the instance's units); deterministic per seed.
     """
-    n = inst.n
     d = distance_matrix(inst)
-    frame = np.ldexp(d, -unit_exponent(inst))
-    rng = np.random.default_rng(seed)
-    start = int(rng.integers(n))
-    visited = np.zeros(n, dtype=bool)
-    order = np.empty(n, dtype=np.int64)
-    order[0] = start
-    visited[start] = True
-    cur = start
-    for k in range(1, n):
-        row = np.where(visited, np.inf, d[cur])
-        cur = int(np.argmin(row))
-        order[k] = cur
-        visited[cur] = True
-    tour = two_opt_improve(frame, Tour.from_order(order))
+    rows, nbrs = _pass_frame(np.ldexp(d, -unit_exponent(inst)))
+    start = int(np.random.default_rng(seed).integers(inst.n))
+    order = np.array(_nearest_neighbor(rows, nbrs, start), dtype=np.int64)
+    _neighbor_pass(rows, nbrs, order)
+    tour = Tour.from_order(order)
     return tour, tour_length(d, tour)
 
 

@@ -69,16 +69,32 @@ def candidate_lists(matrix: np.ndarray, m: int, mode: str) -> tuple:
     """
     matrix = np.asarray(matrix, dtype=np.float64)
     if mode == HEAT_MODE:
-        key = -matrix
-    elif mode == DISTANCE_MODE:
-        key = matrix.copy()
-    else:
+        return _heat_lists(matrix, m)
+    if mode != DISTANCE_MODE:
         raise ValueError(f"unknown candidate mode {mode!r}")
-    ranks = _rank_rows(key, m)
+    ranks = _rank_rows(matrix.copy(), m)
     ranks.setflags(write=False)
-    if mode == DISTANCE_MODE:
-        return tuple(ranks)
-    # positive heat is a negative key (never the diagonal's +inf); heat
-    # descends along each row, so each list is the row's negative-key prefix
-    counts = np.count_nonzero(np.take_along_axis(key, ranks, axis=1) < 0, axis=1)
-    return tuple(row[:c] for row, c in zip(ranks, counts.tolist()))
+    return tuple(ranks)
+
+
+def _heat_lists(matrix: np.ndarray, m: int) -> tuple:
+    """Heat-mode candidate_lists. A pruned row holds few positive entries,
+    so only those are ranked. One O(n^2) scan finds them in (row, column)
+    order; they fill an (n, w) table, w the most any row holds, with the
+    rest keyed +inf; and one stable row-wise argsort of -heat ranks the
+    table, so equal heats stay in column order, as in a stable argsort of
+    the whole row."""
+    n = matrix.shape[0]
+    check_list_size(n, m)
+    positive = matrix > 0
+    np.fill_diagonal(positive, False)
+    rows, cols = np.nonzero(positive)
+    counts = np.bincount(rows, minlength=n)
+    at = np.arange(rows.size) - (np.cumsum(counts) - counts)[rows]
+    key = np.full((n, counts.max()), np.inf)
+    key[rows, at] = -matrix[rows, cols]
+    table = np.zeros(key.shape, dtype=np.int64)
+    table[rows, at] = cols
+    ranked = np.take_along_axis(table, np.argsort(key, axis=1, kind="stable")[:, :m], axis=1)
+    ranked.setflags(write=False)
+    return tuple(row[:c] for row, c in zip(ranked, np.minimum(counts, m).tolist()))

@@ -3,8 +3,9 @@
 A search run (run_search) builds its frame once (_Frame: the distances and
 lists every round reads and no round changes), then repeats rounds
 (_round) over it. A round's first tour is made by the round start
-(_round_start): a random tour, then a neighbour-list pass of 2-opt and
-Or-opt moves until no list-restricted move is left. Best-first node
+(_round_start): a nearest-neighbour tour from a random city, two random
+double-bridge kicks, then a neighbour-list pass of 2-opt and Or-opt moves
+until no list-restricted move is left. Best-first node
 expansion follows, where each expansion tries a bounded number of
 sequential k-opt constructions and moves to the shortest improving result.
 Constructions grow a Hamiltonian path with one fixed endpoint; the next city
@@ -61,6 +62,9 @@ WEIGHT_FLOOR = 1e-12
 TWO_OPT_NEIGHBORS = 8
 # longest segment the neighbour-list pass moves with an Or-opt move
 OR_OPT_SEGMENT = 3
+# random double bridges applied to each round's nearest-neighbour start
+# (_round_start); one kick or none left exact-n16 runs short of the optimum
+ROUND_START_KICKS = 2
 
 
 @dataclass(frozen=True)
@@ -185,8 +189,9 @@ def _ekey(a: int, b: int) -> tuple[int, int]:
 
 def random_tour(n: int, seed) -> Tour:
     """Uniformly random tour from a seeded shuffle; seed may be an int or a
-    numpy Generator. Rounds make their own starts (_round_start); outside
-    the tests, perfbench's probes are its only callers."""
+    numpy Generator. Rounds start from a kicked nearest-neighbour tour
+    instead (_round_start); outside the tests, perfbench's probes are its
+    only callers."""
     if n < 3:
         raise ValueError(f"n must be >= 3, got {n}")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
@@ -390,21 +395,56 @@ def _pass_lists(rows: list, ranked) -> list:
     return [[(c, ra[c]) for c in cl[:k].tolist()] for cl, ra in zip(ranked, rows)]
 
 
+def _nearest_neighbor(rows: list, nbrs: list, start: int) -> list:
+    """The nearest-neighbour tour from start, as a list of cities.
+
+    rows is d.tolist() and nbrs the pass's distance-ranked lists
+    (_pass_lists). From the current city the tour goes to the first
+    unvisited city of its list; when the whole list is visited, to the
+    nearest unvisited city of its row, ties toward the smaller index. Both
+    give np.argmin over the row with the visited cities masked out, since
+    the lists are ranked with the same tie rule; only the fallback scans,
+    and only the cities still unvisited."""
+    n = len(rows)
+    visited = [False] * n
+    visited[start] = True
+    left = range(n)  # holds every unvisited city, in index order
+    tour = [start]
+    cur = start
+    while len(tour) < n:
+        for c, _ in nbrs[cur]:
+            if not visited[c]:
+                break
+        else:
+            left = [c for c in left if not visited[c]]
+            row = rows[cur]
+            c = min(left, key=row.__getitem__)
+        visited[c] = True
+        tour.append(c)
+        cur = c
+    return tour
+
+
+def _pass_frame(d: np.ndarray) -> tuple[list, list]:
+    """(rows, nbrs) of the round-start pass on d: d.tolist() and the lists of
+    each city's pass_neighbors(n) nearest cities (_pass_lists)."""
+    rows = d.tolist()
+    return rows, _pass_lists(rows, candidate_lists(d, pass_neighbors(len(rows)), DISTANCE_MODE))
+
+
 def two_opt_improve(d: np.ndarray, tour: Tour) -> Tour:
     """Run the round-start pass (_neighbor_pass: 2-opt and Or-opt moves on
     lists of d's pass_neighbors(n) nearest cities) from the given tour and
-    return the tour it ends at. From a round's permutation, in a run's
-    frame, that is the round's first tour (_round_start), the pass that
-    SearchStats.two_opt_seconds times. MIN_GAIN is absolute, so d should be
-    near unit scale, as in the nearest-neighbour baseline's power-of-two
-    frame."""
+    return the tour it ends at. From a round's kicked nearest-neighbour
+    tour, in a run's frame, that is the round's first tour (_round_start),
+    the pass that SearchStats.two_opt_seconds times. MIN_GAIN is absolute,
+    so d should be near unit scale, as in a run's power-of-two frame."""
     n = tour.n
     if d.shape != (n, n):
         raise ValueError(
             f"distance matrix shape {d.shape} does not match a tour of {n} cities"
         )
-    rows = d.tolist()
-    nbrs = _pass_lists(rows, candidate_lists(d, pass_neighbors(n), DISTANCE_MODE))
+    rows, nbrs = _pass_frame(d)
     order = tour.order.copy()
     _neighbor_pass(rows, nbrs, order)
     return Tour.from_order(order)
@@ -695,10 +735,23 @@ class _Frame:
 
 
 def _round_start(frame: _Frame, stats: SearchStats, rng: np.random.Generator) -> np.ndarray:
-    """A round's first tour: a random permutation through _neighbor_pass, so
-    the round starts with no list-restricted 2-opt or Or-opt move left. The
-    pass is timed into stats.two_opt_seconds and its Or-opt moves counted."""
-    order = rng.permutation(len(frame.rows)).astype(np.int64)
+    """A round's first tour: the nearest-neighbour tour from a random city
+    (_nearest_neighbor), then ROUND_START_KICKS random double bridges, then
+    _neighbor_pass, so the round starts with no list-restricted 2-opt or
+    Or-opt move left. Each double bridge draws three distinct cut points
+    1 <= a < b < c <= n - 1 and reorders the tour as
+    order[:a] + order[b:c] + order[a:b] + order[c:]; at n = 3 every order
+    is the same cycle, so no kick is drawn. Every draw comes from the run's
+    rng. The kicks keep starts diverse, and the pass has far less to undo
+    than from a random permutation. The pass is timed into
+    stats.two_opt_seconds and its Or-opt moves counted."""
+    n = len(frame.rows)
+    tour = _nearest_neighbor(frame.rows, frame.nbrs, int(rng.integers(n)))
+    if n > 3:
+        for _ in range(ROUND_START_KICKS):
+            a, b, c = sorted(x + 1 for x in rng.choice(n - 1, size=3, replace=False).tolist())
+            tour = tour[:a] + tour[b:c] + tour[a:b] + tour[c:]
+    order = np.array(tour, dtype=np.int64)
     t0 = time.perf_counter()
     stats.or_moves += _neighbor_pass(frame.rows, frame.nbrs, order)
     stats.two_opt_seconds += time.perf_counter() - t0
@@ -722,11 +775,11 @@ def _round(
     best-first until a whole expansion yields no improvement, raising the
     heat of each applied action's added edges in place, so later draws and
     later rounds read the update. No move search of a round scans all city
-    pairs, but a heat round's lists come from a stable O(n^2 log n) argsort
-    of the whole heat map and one vectorized cut, a small part of what the
-    pass on a random start costs. Lengths are exact (order_length), not the
-    incremental sum of gains, which can sit an ulp below a tour that is not
-    shorter. The expansions stop at the deadline; the start always runs.
+    pairs; a heat round's lists rank only the heat map's positive entries,
+    after one O(n^2) scan that finds them. Lengths are exact (order_length),
+    not the incremental sum of gains, which can sit an ulp below a tour that
+    is not shorter. The expansions stop at the deadline; the start always
+    runs.
     """
     k_cap = int(rng.integers(params.k_range[0], params.k_range[1]))
     if rng.integers(2) == 0:

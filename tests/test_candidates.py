@@ -169,6 +169,22 @@ class TestOverlapCoefficient:
         assert all(a <= b + 1e-15 for a, b in zip(etas, etas[1:]))
 
 
+def dense_heat_lists(matrix, m):
+    """Reference for heat mode: one stable argsort of every n x n key
+    -matrix, the diagonal keyed +inf, cut to m columns, each row keeping its
+    prefix of negative keys (strictly positive heat)."""
+    key = -np.asarray(matrix, dtype=np.float64)
+    np.fill_diagonal(key, np.inf)
+    ranks = np.argsort(key, axis=1, kind="stable")[:, :m]
+    counts = np.count_nonzero(np.take_along_axis(key, ranks, axis=1) < 0, axis=1)
+    return [row[:c] for row, c in zip(ranks, counts)]
+
+
+# heat values that stress the ranking: ties, both infinities, NaN, signed
+# zeros and negatives
+SPECIAL_HEAT = [0.0, -0.0, 0.5, 1.0, 1.0, 2.0, -1.0, np.inf, -np.inf, np.nan]
+
+
 class TestCandidateLists:
     def test_distance_mode_square_corners(self):
         inst = Instance(coords=np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]))
@@ -247,10 +263,46 @@ class TestCandidateLists:
                              key=lambda j: (-kept[i, j], j))
             assert cand[i].tolist() == support
 
+    @given(st.integers(2, 14), st.integers(0, 10_000), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_heat_lists_match_dense_argsort(self, n, seed, data):
+        # heat lists rank only each row's positive off-diagonal entries;
+        # they are the dense argsort's lists, byte for byte, with ties,
+        # +inf, NaN, negative and zero entries, positive diagonals and rows
+        # with fewer than m positive entries
+        m = data.draw(st.integers(1, n - 1))
+        rng = np.random.default_rng(seed)
+        matrix = rng.choice(SPECIAL_HEAT, size=(n, n))
+        matrix[rng.random((n, n)) < 0.5] = 0.0  # sparse, as a pruned map is
+        np.fill_diagonal(matrix, rng.choice([0.0, 1.0, 3.0, np.inf, np.nan], size=n))
+        cand = candidate_lists(matrix, m, HEAT_MODE)
+        want = dense_heat_lists(matrix, m)
+        assert len(cand) == n
+        for got, ref in zip(cand, want):
+            assert got.dtype == np.int64
+            assert not got.flags.writeable
+            assert got.tolist() == ref.tolist()
+
+    def test_heat_lists_cover_every_special_value(self):
+        # one row per case, checked against the dense argsort
+        inf, nan = np.inf, np.nan
+        matrix = np.array([
+            [5.0, 1.0, 1.0, 1.0, 0.0],  # positive diagonal, a three-way tie
+            [inf, 0.0, 2.0, inf, nan],  # tied +inf ahead of a finite heat, NaN dropped
+            [-1.0, -0.0, 0.0, -inf, 0.5],  # one positive entry, fewer than m
+            [0.0, 0.0, 0.0, 0.0, 0.0],  # no positive entry
+            [nan, nan, 3.0, 2.0, nan],  # NaN diagonal
+        ])
+        cand = candidate_lists(matrix, 2, HEAT_MODE)
+        assert [c.tolist() for c in cand] == [[1, 2], [0, 3], [4], [], [2, 3]]
+        assert [c.tolist() for c in cand] == [r.tolist() for r in dense_heat_lists(matrix, 2)]
+
     def test_rejects_bad_m(self):
         for m in (0, 4):
             with pytest.raises(ValueError):
                 candidate_lists(np.ones((4, 4)), m, DISTANCE_MODE)
+            with pytest.raises(ValueError):
+                candidate_lists(np.ones((4, 4)), m, HEAT_MODE)
 
     def test_rejects_unknown_mode(self):
         with pytest.raises(ValueError):

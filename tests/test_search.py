@@ -47,7 +47,9 @@ from tspheat.search import (
     _draw,
     _Frame,
     _move_segment,
+    _nearest_neighbor,
     _neighbor_pass,
+    _pass_frame,
     _positions,
     _round,
     _round_start,
@@ -168,13 +170,42 @@ def list_moves_left(d, order):
     return left
 
 
+def nearest_neighbor_oracle(d, start):
+    """Test-only O(n^2) nearest-neighbour tour: from each city, np.argmin
+    over its row with the visited cities masked out, ties toward the smaller
+    index, independent of the search's lists."""
+    n = d.shape[0]
+    visited = np.zeros(n, dtype=bool)
+    visited[start] = True
+    tour = [start]
+    while len(tour) < n:
+        city = int(np.argmin(np.where(visited, np.inf, d[tour[-1]])))
+        visited[city] = True
+        tour.append(city)
+    return tour
+
+
+def round_start_order(d, rng):
+    """The tour _round_start hands to the pass, from the rng as the round
+    holds it: the nearest-neighbour tour from a drawn city, then two double
+    bridges on three drawn cut points (none at n = 3)."""
+    n = d.shape[0]
+    tour = nearest_neighbor_oracle(d, int(rng.integers(n)))
+    if n > 3:
+        for _ in range(2):
+            a, b, c = sorted(rng.choice(n - 1, size=3, replace=False) + 1)
+            tour = tour[:a] + tour[b:c] + tour[a:b] + tour[c:]
+    return tour
+
+
 def first_round_start(d, seed, params):
     """run_search's round-1 tour: after the removed-edge cap and list-mode
-    draws, a random permutation through the neighbour-list pass."""
+    draws, the round start's kicked nearest-neighbour tour through the
+    neighbour-list pass."""
     rng = np.random.default_rng(seed)
     rng.integers(*params.k_range)
     rng.integers(2)
-    return Tour.from_order(neighbor_pass(d, rng.permutation(d.shape[0])))
+    return Tour.from_order(neighbor_pass(d, round_start_order(d, rng)))
 
 
 def edges(order):
@@ -271,16 +302,142 @@ class TestTwoOpt:
             order_length(d, start) - (gain if applied else 0.0), abs=1e-12)
 
 
+def list_exhausted_steps(nbrs, tour):
+    """The steps of tour at which every city of the current city's list was
+    already visited, so _nearest_neighbor took its row-scan fallback."""
+    seen = set()
+    steps = []
+    for k, city in enumerate(tour[:-1]):
+        seen.add(city)
+        if all(c in seen for c, _ in nbrs[city]):
+            steps.append(k)
+    return steps
+
+
+class TestNearestNeighbor:
+    """_nearest_neighbor, read from the pass's lists with a row-scan
+    fallback, builds the tour of the O(n^2) argmin oracle."""
+
+    @staticmethod
+    def assert_matches_oracle(d, starts):
+        rows, nbrs = _pass_frame(d)
+        fallbacks = 0
+        for start in starts:
+            tour = _nearest_neighbor(rows, nbrs, start)
+            assert tour == nearest_neighbor_oracle(d, start)
+            fallbacks += len(list_exhausted_steps(nbrs, tour))
+        return fallbacks
+
+    @pytest.mark.parametrize("n", [4, 9, 30, 120, 300])
+    def test_random_instances(self, n):
+        for seed in range(3):
+            d = distance_matrix(generate_random(n, seed))
+            self.assert_matches_oracle(d, range(0, n, max(1, n // 7)))
+
+    def test_duplicate_cities(self):
+        # every city appears twice: each city's twin is at distance 0, a tie
+        # with its own diagonal broken by the mask
+        coords = generate_random(40, 2).coords
+        d = distance_matrix(Instance(coords=np.concatenate([coords, coords])))
+        assert self.assert_matches_oracle(d, range(0, 80, 9)) > 0
+
+    def test_coincident_cities(self):
+        # every distance is 0: the tour visits the cities in index order
+        # after the start, all through the lists' tie rule and the fallback
+        d = distance_matrix(Instance(coords=np.full((12, 2), 0.25)))
+        self.assert_matches_oracle(d, range(12))
+        rows, nbrs = _pass_frame(d)
+        assert _nearest_neighbor(rows, nbrs, 5) == [5] + [c for c in range(12) if c != 5]
+
+    @pytest.mark.parametrize("spacing", ["integer", "random"])
+    def test_collinear_cities(self, spacing):
+        # integer points give exact distance ties on both sides of a city
+        rng = np.random.default_rng(3)
+        x = np.arange(60, dtype=np.float64) if spacing == "integer" else rng.random(60)
+        d = distance_matrix(Instance(coords=np.column_stack([x, np.zeros(60)])))
+        assert self.assert_matches_oracle(d, range(0, 60, 7)) > 0
+
+    def test_exact_ties_on_a_grid(self):
+        # a 6 x 6 integer grid: each city has up to four neighbours at the
+        # same distance, so every step is decided by the smaller index
+        xy = np.array([(i, j) for i in range(6) for j in range(6)], dtype=np.float64)
+        d = distance_matrix(Instance(coords=xy))
+        assert self.assert_matches_oracle(d, range(36)) > 0
+
+    def test_list_fully_visited_takes_the_fallback(self):
+        # two far clusters: after one cluster is toured, the last city's list
+        # holds only visited cities, and the scan must cross to the other
+        rng = np.random.default_rng(8)
+        coords = np.concatenate([rng.random((12, 2)), rng.random((12, 2)) + 100.0])
+        d = distance_matrix(Instance(coords=rng.permutation(coords)))
+        rows, nbrs = _pass_frame(d)
+        for start in range(24):
+            tour = _nearest_neighbor(rows, nbrs, start)
+            assert tour == nearest_neighbor_oracle(d, start)
+            assert list_exhausted_steps(nbrs, tour)
+
+    def test_three_cities(self):
+        d = distance_matrix(generate_random(3, 0))
+        self.assert_matches_oracle(d, range(3))
+
+
+class TestRoundStartEdgeSizes:
+    """_round_start on the smallest instances: a permutation with no
+    list-restricted move left, a function of the run's rng alone."""
+
+    INSTANCES = [(f"n{n}", n) for n in range(3, 9)] + [("duplicates", 6)]
+
+    @staticmethod
+    def instance(name, n):
+        if name == "duplicates":
+            return Instance(coords=np.full((n, 2), 0.25))
+        return generate_random(n, n)
+
+    @pytest.mark.parametrize("name, n", INSTANCES)
+    def test_start_is_a_pass_fixpoint(self, name, n):
+        frame = _Frame.build(self.instance(name, n), 8)
+        for seed in range(6):
+            order = _round_start(frame, SearchStats(), np.random.default_rng(seed))
+            assert order.dtype == np.int64
+            assert sorted(order.tolist()) == list(range(n))
+            assert list_moves_left(frame.d, order.tolist()) == []
+
+    @pytest.mark.parametrize("name, n", INSTANCES)
+    def test_equal_seeds_give_equal_starts(self, name, n):
+        frame = _Frame.build(self.instance(name, n), 8)
+        for seed in range(6):
+            a = _round_start(frame, SearchStats(), np.random.default_rng(seed))
+            b = _round_start(frame, SearchStats(), np.random.default_rng(seed))
+            assert a.tolist() == b.tolist()
+
+    @pytest.mark.parametrize("name, n", INSTANCES)
+    def test_draws_only_from_the_runs_rng(self, name, n):
+        # the start is the mirror's kicked tour through the pass, the rng
+        # ends where the mirror's draws leave it, and numpy's global stream
+        # is not touched
+        frame = _Frame.build(self.instance(name, n), 8)
+        np.random.seed(1)
+        before = np.random.get_state()
+        for seed in range(6):
+            rng, mirror = np.random.default_rng(seed), np.random.default_rng(seed)
+            order = _round_start(frame, SearchStats(), rng)
+            want = neighbor_pass(frame.d, round_start_order(frame.d, mirror))
+            assert order.tolist() == want.tolist()
+            assert rng.bit_generator.state == mirror.bit_generator.state
+        after = np.random.get_state()
+        assert np.array_equal(after[1], before[1]) and after[2:] == before[2:]
+
+
 class TestTwoOptIsTheRoundStart:
-    """two_opt_improve runs the round-start pass: from the permutation a
-    round draws, in a run's frame, it ends at _round_start's tour, ties
-    included."""
+    """two_opt_improve runs the round-start pass: from the kicked
+    nearest-neighbour tour a round draws, in a run's frame, it ends at
+    _round_start's tour, ties included."""
 
     @staticmethod
     def assert_round_start(inst, seed, m):
         frame = _Frame.build(inst, m)
         want = _round_start(frame, SearchStats(), np.random.default_rng(seed))
-        start = Tour.from_order(np.random.default_rng(seed).permutation(inst.n))
+        start = Tour.from_order(round_start_order(frame.d, np.random.default_rng(seed)))
         assert two_opt_improve(frame.d, start).order.tolist() == want.tolist()
 
     # m = 12 ranks the frame's lists past the pass's length, which must not
@@ -506,7 +663,7 @@ class TestOrOptMoves:
         rng = np.random.default_rng(7)
         rng.integers(*params.k_range)
         rng.integers(2)
-        _, want = neighbor_pass_moves(d, rng.permutation(40))
+        _, want = neighbor_pass_moves(d, round_start_order(d, rng))
         _, stats = run_search(inst, pruned, params, 7)
         assert stats.or_moves == want > 0
 
@@ -1036,11 +1193,11 @@ class TestRunSearch:
         d = distance_matrix(inst)
         _, pruned = top_m_filter(soft_heat(d), 8)
         params = dist_params(m=8, time_budget=1e-12)
-        first = first_round_start(d, 6, params)
+        first = first_round_start(d, 5, params)
         assert list_moves_left(d, first.order.tolist()) == []
         assert brute_force_two_opt_scan(d, first.order.tolist()) < -MIN_GAIN
         assert not np.array_equal(reference_two_opt_order(d, first.order.copy()), first.order)
-        tour, stats = run_search(inst, pruned, params, 6)
+        tour, stats = run_search(inst, pruned, params, 5)
         assert stats.rounds == 1
         assert stats.total_expansions == 0
         assert np.array_equal(tour.order, first.order)
@@ -1062,7 +1219,7 @@ class TestRunSearch:
         rng = np.random.default_rng(2)
         rng.integers(*params.k_range)
         rng.integers(2)
-        start = rng.permutation(300).astype(np.int64)
+        start = np.array(round_start_order(d, rng), dtype=np.int64)
         _neighbor_pass(rows, eight, start)
         assert not np.array_equal(start, first.order)
         tour, stats = run_search(inst, pruned, params, 2)
@@ -1171,7 +1328,7 @@ class TestRunSearch:
         monkeypatch.setattr(search_mod, "_expand", expand_spy)
         monkeypatch.setattr(search_mod, "update_heatmap", update_spy)
         monkeypatch.setattr(search_mod, "_feasible", feasible_spy)
-        _, stats = run_search(inst, pruned, dist_params(m=6, max_rounds=6), 3)
+        _, stats = run_search(inst, pruned, dist_params(m=6, max_rounds=6), 4)
         assert len(rounds) == stats.rounds == 6
         assert len(tables) == 1 + len(heat_builds)
         distance_rounds = 0
@@ -1230,7 +1387,7 @@ class TestFrame:
         params = replace(PRESETS["tsp50"], m=6)
         _, pruned = top_m_filter(soft_heat(distance_matrix(inst)), params.m)
         shared = _Frame.build(inst, params.m)
-        runs = [self.rounds(shared, pruned, params, seed, 4) for seed in (1, 2)]
+        runs = [self.rounds(shared, pruned, params, seed, 4) for seed in (1, 3)]
         fresh = _Frame.build(inst, params.m)
         assert shared.e == fresh.e
         assert np.array_equal(shared.d, fresh.d)
@@ -1242,7 +1399,7 @@ class TestFrame:
             shared.d[0, 1] = 0.0
         # each run's rounds moved the tour and the heat, and match the same
         # run on a frame of its own
-        for seed, (results, counters, heat) in zip((1, 2), runs):
+        for seed, (results, counters, heat) in zip((1, 3), runs):
             assert counters[0] > 0 and not np.array_equal(heat, pruned)
             own_results, own_counters, own_heat = self.rounds(
                 _Frame.build(inst, params.m), pruned, params, seed, 4)
@@ -1259,39 +1416,39 @@ GOLDEN_SEARCHES = {
         # the cycle first found at this length; before the best was kept by
         # exact length, an incremental length an ulp lower replaced it with
         # the same cycle written from another start and direction
-        order=[5, 6, 13, 7, 12, 1, 9, 4, 3, 15, 11, 0, 2, 14, 10, 8],
+        order=[7, 12, 1, 9, 4, 3, 15, 11, 0, 2, 14, 10, 8, 5, 6, 13],
         # the run ends by proof after round 2 of at most 12 (it made 720
-        # expansions, 720 dead ends and 78 Or-moves in 12 rounds before the
+        # expansions, 720 dead ends and 54 Or-moves in 12 rounds before the
         # 1-tree bound stopped it)
         best_length="3.7710487245594857", expansions=120, rounds=2, ends=(120, 0),
-        or_moves=15,
+        or_moves=9,
         round_best_lengths=["3.7710487245594857", "3.7710487245594857"],
         lower_bound="3.7710487245594857", proof_round=2,
     ),
     "tsp100-n100": dict(
         n=100, instance_seed=4, seed=6,
         params=PRESETS["tsp100"].with_budget(max_rounds=2),
-        order=[11, 95, 25, 77, 90, 1, 91, 97, 3, 27, 92, 61, 66, 76, 51, 2, 47, 52,
-               62, 80, 36, 57, 4, 5, 81, 24, 31, 7, 29, 89, 0, 26, 16, 49, 86, 78, 56,
-               8, 34, 65, 72, 10, 84, 73, 20, 67, 85, 98, 59, 30, 13, 75, 6, 39, 99,
-               43, 48, 63, 15, 18, 74, 53, 32, 17, 70, 23, 69, 68, 94, 88, 38, 40, 87,
-               9, 79, 42, 60, 41, 12, 28, 82, 55, 83, 37, 71, 21, 54, 33, 45, 58, 44,
-               50, 35, 14, 22, 93, 46, 64, 19, 96],
-        best_length="7.77644127957343", expansions=1500, rounds=2, ends=(1494, 3),
-        or_moves=141,
-        round_best_lengths=["7.860038911875415", "7.77644127957343"],
+        order=[47, 52, 62, 80, 36, 57, 4, 26, 16, 49, 86, 78, 56, 8, 34, 65, 72, 10, 84, 73,
+               20, 67, 85, 98, 59, 30, 13, 75, 17, 70, 23, 69, 68, 94, 88, 38, 40, 87, 9,
+               71, 37, 21, 54, 33, 45, 58, 44, 50, 35, 14, 22, 93, 46, 64, 11, 25, 77, 95,
+               3, 97, 90, 1, 91, 7, 29, 89, 0, 5, 81, 31, 24, 61, 92, 27, 66, 76, 51, 96,
+               19, 28, 82, 55, 83, 41, 60, 42, 79, 32, 53, 74, 6, 18, 39, 99, 15, 63, 43,
+               48, 12, 2],
+        best_length="7.784462513733753", expansions=1800, rounds=2, ends=(1788, 1),
+        or_moves=26,
+        round_best_lengths=["7.912052167902853", "7.784462513733753"],
         lower_bound="nan", proof_round=0,
     ),
     # a non-preset m and k_range
     "custom-n30": dict(
         n=30, instance_seed=8, seed=9,
         params=SearchParams(beta=10.0, m=6, k_range=(4, 9), expand_budget=60, max_rounds=6),
-        order=[19, 21, 10, 23, 7, 2, 20, 9, 26, 18, 0, 1, 27, 8, 28, 4, 17, 16, 12, 6,
-               5, 11, 29, 24, 3, 13, 22, 25, 14, 15],
-        best_length="4.6426066301079345", expansions=420, rounds=6, ends=(387, 32),
-        or_moves=89,
-        round_best_lengths=["4.644416896317511"] + ["4.6426066301079345"] * 5,
-        lower_bound="4.499432118324248", proof_round=0,
+        order=[21, 10, 23, 7, 2, 20, 9, 26, 18, 0, 1, 27, 8, 28, 4, 17, 16, 12, 6, 5, 11,
+               29, 24, 3, 13, 22, 25, 14, 15, 19],
+        best_length="4.642606630107934", expansions=360, rounds=6, ends=(328, 32),
+        or_moves=43,
+        round_best_lengths=["4.742794341601457", "4.6444168963175105"] + ["4.642606630107934"] * 4,
+        lower_bound="4.499432118324255", proof_round=0,
     ),
     # preset_for(300) is tsp500: the distance rounds' lists hold m = 5 cities
     # while the pass's hold pass_neighbors(300) = 9, the one set-up where the
@@ -1299,28 +1456,28 @@ GOLDEN_SEARCHES = {
     "tsp500-n300": dict(
         n=300, instance_seed=2, seed=7,
         params=PRESETS["tsp500"].with_budget(max_rounds=2),
-        order=[217, 176, 224, 103, 268, 213, 277, 15, 140, 185, 211, 245, 74, 281, 237, 122,
-               141, 12, 189, 27, 137, 170, 62, 73, 223, 89, 35, 157, 202, 195, 82, 120, 250,
-               266, 187, 159, 108, 52, 111, 152, 292, 236, 57, 26, 218, 136, 183, 90, 265,
-               16, 164, 230, 216, 54, 28, 2, 79, 182, 106, 234, 287, 290, 83, 94, 163, 11,
-               274, 41, 286, 8, 283, 295, 71, 271, 263, 149, 297, 269, 181, 190, 200, 151,
-               36, 247, 63, 188, 67, 240, 20, 253, 241, 59, 65, 242, 45, 105, 199, 84, 112,
-               38, 75, 184, 95, 100, 80, 196, 180, 87, 256, 66, 225, 93, 261, 58, 1, 289,
-               158, 131, 68, 96, 296, 227, 252, 165, 134, 273, 208, 104, 51, 267, 69, 154,
-               198, 232, 61, 17, 76, 22, 133, 280, 64, 228, 166, 160, 167, 197, 207, 19,
-               288, 126, 260, 21, 270, 219, 177, 25, 39, 37, 113, 258, 119, 262, 101, 239,
-               179, 50, 47, 150, 174, 127, 85, 139, 209, 99, 144, 298, 10, 238, 110, 243,
-               78, 34, 18, 156, 88, 153, 56, 13, 155, 143, 226, 6, 7, 121, 86, 178, 128, 4,
-               299, 272, 229, 210, 102, 255, 81, 115, 125, 72, 279, 0, 249, 214, 161, 130,
-               9, 29, 147, 118, 23, 264, 5, 203, 194, 123, 173, 175, 172, 201, 285, 77, 146,
-               205, 233, 231, 212, 31, 48, 278, 282, 284, 259, 222, 46, 132, 107, 114, 3,
-               44, 24, 70, 235, 221, 14, 148, 109, 291, 124, 193, 186, 294, 30, 257, 49,
-               275, 91, 116, 254, 55, 191, 53, 60, 129, 40, 42, 135, 204, 145, 142, 251, 33,
-               162, 138, 171, 293, 117, 220, 206, 215, 98, 246, 168, 97, 244, 43, 32, 192,
-               276, 169, 92, 248],
-        best_length="13.311246297608513", expansions=24000, rounds=2, ends=(23787, 0),
-        or_moves=489,
-        round_best_lengths=["13.311246297608513", "13.311246297608513"],
+        order=[89, 35, 202, 195, 82, 120, 250, 266, 187, 159, 108, 52, 111, 152, 292, 236,
+               57, 26, 274, 41, 286, 11, 163, 218, 136, 183, 90, 265, 16, 164, 234, 230,
+               216, 54, 28, 2, 79, 182, 106, 83, 290, 287, 94, 297, 181, 269, 149, 263, 271,
+               71, 295, 8, 283, 59, 65, 241, 253, 20, 240, 67, 242, 45, 105, 199, 84, 112,
+               38, 75, 184, 95, 100, 80, 196, 180, 87, 256, 66, 225, 93, 261, 1, 289, 58,
+               205, 233, 231, 212, 172, 201, 285, 77, 146, 158, 131, 68, 96, 296, 227, 252,
+               22, 76, 61, 17, 25, 177, 219, 64, 133, 280, 166, 228, 160, 167, 197, 207, 19,
+               288, 126, 270, 260, 21, 188, 63, 247, 36, 200, 190, 151, 39, 37, 113, 258,
+               119, 198, 154, 69, 232, 267, 51, 104, 208, 165, 134, 273, 123, 173, 175, 31,
+               282, 278, 48, 46, 132, 107, 114, 3, 44, 24, 70, 235, 221, 14, 148, 109, 291,
+               193, 124, 130, 161, 214, 29, 9, 259, 222, 284, 264, 5, 194, 203, 23, 118,
+               147, 50, 179, 239, 101, 262, 47, 150, 238, 10, 298, 144, 99, 209, 299, 272,
+               229, 102, 210, 139, 85, 127, 174, 249, 0, 279, 72, 186, 294, 30, 257, 49,
+               275, 91, 116, 254, 55, 191, 53, 60, 129, 40, 42, 135, 204, 145, 125, 115, 81,
+               255, 142, 251, 33, 162, 138, 171, 293, 117, 220, 206, 215, 98, 246, 168, 97,
+               244, 43, 32, 92, 248, 169, 192, 276, 74, 281, 245, 211, 185, 237, 122, 140,
+               15, 277, 213, 103, 224, 217, 176, 268, 128, 178, 4, 86, 121, 7, 110, 243, 78,
+               34, 18, 156, 88, 153, 13, 56, 6, 226, 143, 155, 170, 62, 73, 223, 137, 12,
+               141, 189, 27, 157],
+        best_length="13.146745466518293", expansions=23000, rounds=2, ends=(22894, 0),
+        or_moves=73,
+        round_best_lengths=["13.339403750799761", "13.146745466518293"],
         lower_bound="nan", proof_round=0,
     ),
 }
@@ -1379,7 +1536,7 @@ class TestProofStop:
         t0 = time.perf_counter()
         tour, stats = self.search(inst, PRESETS["tsp20"].with_budget(time_budget=5.0), 0)
         assert time.perf_counter() - t0 < 5.0
-        assert stats.rounds == stats.proof_round == 3
+        assert stats.rounds == stats.proof_round == 5
         opt_tour, _ = held_karp_exact(inst)
         assert tour_edges(tour) == tour_edges(opt_tour)
 
@@ -1397,7 +1554,7 @@ class TestProofStop:
         monkeypatch.setattr(search_mod, "one_tree_bound", lambda d, upper: -math.inf)
         _, full = self.search(inst, params, 5)
         assert (full.rounds, full.proof_round) == (12, 0)
-        assert (full.total_expansions, full.dead_ends, full.or_moves) == (720, 720, 78)
+        assert (full.total_expansions, full.dead_ends, full.or_moves) == (720, 720, 54)
         assert full.round_best_lengths[:2] == stats.round_best_lengths
         capped_tour, capped = self.search(inst, params.with_budget(max_rounds=2), 5)
         assert capped_tour.order.tolist() == tour.order.tolist()
@@ -1437,7 +1594,7 @@ class TestProofStop:
         unit_tour, unit = run_search(inst, pruned, params, 5)
         scaled = Instance(coords=np.ldexp(inst.coords, k))
         tour, stats = run_search(scaled, pruned, params, 5)
-        assert unit.proof_round == 3
+        assert unit.proof_round == 2
         assert tour.order.tolist() == unit_tour.order.tolist()
         assert (stats.rounds, stats.proof_round) == (unit.rounds, unit.proof_round)
         assert stats.lower_bound == math.ldexp(unit.lower_bound, k)
