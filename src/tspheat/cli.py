@@ -100,7 +100,7 @@ def cmd_solve(args) -> int:
         f"fit_steps={trace.steps} step_us={trace.seconds / trace.steps * 1e6:.1f} "
         f"search_s={result.search_seconds:.3f} two_opt_s={stats.two_opt_seconds:.3f} "
         f"rounds={stats.rounds} or_moves={stats.or_moves} attempts={stats.total_expansions} "
-        f"dead_ends={stats.dead_ends} cap_hits={stats.cap_hits} improving={stats.improving} "
+        f"dead_ends={stats.dead_ends} improving={stats.improving} "
         f"lower_bound={stats.lower_bound!r} proof_round={stats.proof_round}\n"
     )
     return EXIT_OK

@@ -12,10 +12,12 @@ Constructions grow a Hamiltonian path with one fixed endpoint; the next city
 is sampled from the moving endpoint's candidate list with probability
 proportional to its pruned-heat value, floored so that zero-heat candidates
 stay reachable. A candidate is feasible only while the move keeps a positive
-running gain (the gain criterion of Lin & Kernighan 1973), so most attempts
-end early at a dead end rather than at the removed-edge cap. Edges of applied
-improving actions get their heat raised, and the raised heat persists across
-rounds.
+running gain (the gain criterion of Lin & Kernighan 1973), so an attempt
+that does not close an improving move ends at a dead end, most often at its
+first step. No cap on removed edges is needed: an attempt removes only edges
+of its base tour, each at most once, so it ends within n steps. Edges of
+applied improving actions get their heat raised, and the raised heat
+persists across rounds.
 
 An attempt pays only for the steps it takes. An expansion draws all its
 anchors at once and memoises each anchor's first step, which depends only
@@ -71,8 +73,7 @@ ROUND_START_KICKS = 2
 class SearchParams:
     """Knobs for one search run.
 
-    k_range is the half-open integer interval the per-round cap on removed
-    edges is drawn from; a fixed cap K is expressed as (K, K + 1).
+    beta scales the heat update, m is the candidate-list size and
     expand_budget is the number of construction attempts per node expansion.
     At least one of time_budget (seconds) / max_rounds must be set. Both are
     caps: a run ends sooner once a 1-tree bound proves its best tour optimal
@@ -82,7 +83,6 @@ class SearchParams:
 
     beta: float = 10.0
     m: int = 8
-    k_range: tuple[int, int] = (10, 11)
     expand_budget: int = 60
     time_budget: Optional[float] = None
     max_rounds: Optional[int] = None
@@ -92,11 +92,6 @@ class SearchParams:
             raise ValueError(f"beta must be finite and >= 0, got {self.beta!r}")
         if self.m < 1:
             raise ValueError("candidate list size m must be >= 1")
-        k_lo, k_hi = self.k_range
-        if k_lo < 2:
-            raise ValueError(f"k_range lower bound must be >= 2, got {k_lo}")
-        if k_hi <= k_lo:
-            raise ValueError(f"k_range must be a nonempty interval, got {self.k_range}")
         if self.expand_budget < 1:
             raise ValueError("expand_budget must be >= 1")
         if self.time_budget is not None and not 0 < self.time_budget < math.inf:
@@ -108,15 +103,15 @@ class SearchParams:
         return replace(self, time_budget=time_budget, max_rounds=max_rounds)
 
 
-# Named parameter sets by instance-size tier (candidate-list size, heat
-# update scale, removed-edge cap interval and per-node attempt budget).
+# Named parameter sets by instance-size tier (heat update scale,
+# candidate-list size and per-node attempt budget).
 PRESETS: dict[str, SearchParams] = {
-    "tsp20": SearchParams(beta=10.0, m=8, k_range=(10, 11), expand_budget=60),
-    "tsp50": SearchParams(beta=10.0, m=8, k_range=(5, 15), expand_budget=150),
-    "tsp100": SearchParams(beta=10.0, m=8, k_range=(5, 35), expand_budget=300),
-    "tsp200": SearchParams(beta=10.0, m=8, k_range=(10, 90), expand_budget=600),
-    "tsp500": SearchParams(beta=50.0, m=5, k_range=(30, 130), expand_budget=1000),
-    "tsp1000": SearchParams(beta=50.0, m=5, k_range=(10, 110), expand_budget=2000),
+    "tsp20": SearchParams(beta=10.0, m=8, expand_budget=60),
+    "tsp50": SearchParams(beta=10.0, m=8, expand_budget=150),
+    "tsp100": SearchParams(beta=10.0, m=8, expand_budget=300),
+    "tsp200": SearchParams(beta=10.0, m=8, expand_budget=600),
+    "tsp500": SearchParams(beta=50.0, m=5, expand_budget=1000),
+    "tsp1000": SearchParams(beta=50.0, m=5, expand_budget=2000),
 }
 
 
@@ -134,21 +129,19 @@ class SearchStats:
     """Counters accumulated over a run.
 
     Each construction attempt ends once: with an improving action
-    (improving), at a dead end (no feasible candidate; dead_ends) or at the
-    removed-edge cap (cap_hits). total_expansions, every attempt made, is
-    their sum. or_moves counts the Or-opt moves the rounds' neighbour-list
-    passes applied. two_opt_seconds is the wall-clock time spent in each
-    round's neighbour-list pass, its 2-opt and its Or-opt moves together;
-    it is a timing, so no determinism check reads it. lower_bound is the
-    run's 1-tree bound on the optimal length, in the instance's units (nan
-    when the run computed none), and proof_round the round after which that
-    bound proved the best tour optimal and the run ended (0 when it never
-    did).
+    (improving) or at a dead end (no feasible candidate; dead_ends).
+    total_expansions, every attempt made, is their sum. or_moves counts the
+    Or-opt moves the rounds' neighbour-list passes applied. two_opt_seconds
+    is the wall-clock time spent in each round's neighbour-list pass, its
+    2-opt and its Or-opt moves together; it is a timing, so no determinism
+    check reads it. lower_bound is the run's 1-tree bound on the optimal
+    length, in the instance's units (nan when the run computed none), and
+    proof_round the round after which that bound proved the best tour
+    optimal and the run ended (0 when it never did).
     """
 
     improving: int = 0
     dead_ends: int = 0
-    cap_hits: int = 0
     rounds: int = 0
     or_moves: int = 0
     two_opt_seconds: float = 0.0
@@ -159,7 +152,7 @@ class SearchStats:
 
     @property
     def total_expansions(self) -> int:
-        return self.improving + self.dead_ends + self.cap_hits
+        return self.improving + self.dead_ends
 
 
 @dataclass(frozen=True)
@@ -531,7 +524,6 @@ def _construct(
     first: list,
     u1: int,
     stats: SearchStats,
-    k_cap: int,
     rand,
 ) -> Optional[KOptAction]:
     """One sequential construction attempt from anchor u1 on the base tour
@@ -547,10 +539,12 @@ def _construct(
     first step depends only on u_1, the base tour, the table and the heat,
     so its feasible entries are memoised in first[u_1] (pos holds each
     city's index in base); an anchor with none is a dead end read from the
-    memo, and the path is built only once a first city is drawn. k_cap (>= 2) caps the removed edges. Under the gain rule most
-    attempts end at a dead end (no feasible candidate) long before the cap;
-    each attempt adds one to exactly one of stats.improving, stats.dead_ends
-    and stats.cap_hits.
+    memo, and the path is built only once a first city is drawn.
+
+    An attempt removes only edges of the base tour, never an added edge
+    (_feasible skips a candidate that would force one out), and never the
+    same edge twice, so it ends within n steps with no cap on k. Each
+    attempt adds one to exactly one of stats.improving and stats.dead_ends.
     """
     d_at = d.item
     n = len(base)
@@ -576,7 +570,6 @@ def _construct(
     # path[t] = base[(i1 - t) % n]
     path = base[i1::-1] + base[:i1:-1]
     j = (i1 - pos[u_next]) % n
-    k = 1
     while True:
         v_next = path[j + 1]
         added_set.add(key)
@@ -588,7 +581,6 @@ def _construct(
         seq.append(v_next)
         # rewire: reverse the suffix after u_next
         path[j + 1:] = path[:j:-1]
-        k += 1
         vi = v_next
         close_gain = gain - d_at(vi, u1)
         # a closure that would re-add the anchor edge (only possible when the
@@ -604,9 +596,6 @@ def _construct(
                 gain=close_gain,
                 new_order=np.array(path, dtype=np.int64),
             )
-        if k >= k_cap:
-            stats.cap_hits += 1
-            return None
         feas, cums = _feasible(table[vi], vi, heat_at, gain, u1, path[-2], removed_set,
                                added_set, added_ends, path)
         if not feas:
@@ -623,7 +612,6 @@ def _expand(
     heat: np.ndarray,
     stats: SearchStats,
     params: SearchParams,
-    k_cap: int,
     rng: np.random.Generator,
     deadline: Optional[float],
 ) -> Optional[KOptAction]:
@@ -645,7 +633,7 @@ def _expand(
     for u1 in rng.integers(n, size=params.expand_budget).tolist():
         if deadline is not None and time.perf_counter() >= deadline:
             break
-        action = _construct(d, base, pos, table, heat_at, first, u1, stats, k_cap, rand)
+        action = _construct(d, base, pos, table, heat_at, first, u1, stats, rand)
         if action is not None and (best is None or action.gain > best.gain):
             best = action
     return best
@@ -664,16 +652,13 @@ def expand_node(
 
     Runs up to params.expand_budget construction attempts and returns
     (improved Tour, applied KOptAction) for the shortest completed candidate,
-    or None when no attempt improved the tour. The cap on removed edges of
-    every attempt is drawn from params.k_range first, as each search round
-    draws it; k_range=(K, K + 1) fixes it at K. At expand_budget=1 this is a
+    or None when no attempt improved the tour. At expand_budget=1 this is a
     single attempt from one uniformly drawn anchor. Rounds call _expand on
     their own table; outside the tests, perfbench's probes are this
     wrapper's only callers, and each call builds its table afresh.
     """
-    k_cap = int(rng.integers(params.k_range[0], params.k_range[1]))
-    best = _expand(d, tour.order, _candidate_table(cand, d), pruned, stats, params, k_cap,
-                   rng, deadline=None)
+    best = _expand(d, tour.order, _candidate_table(cand, d), pruned, stats, params, rng,
+                   deadline=None)
     if best is None:
         return None
     return Tour.from_order(best.new_order), best
@@ -769,19 +754,17 @@ def _round(
     """One search round; returns (the length it ends at, its shortest length,
     the first tour of that length), all in the frame's units.
 
-    The round draws its removed-edge cap from k_range and its list mode:
-    lists ranked by the current heat, whose table the round builds, or the
-    frame's distance lists. It then starts from _round_start and expands
-    best-first until a whole expansion yields no improvement, raising the
-    heat of each applied action's added edges in place, so later draws and
-    later rounds read the update. No move search of a round scans all city
-    pairs; a heat round's lists rank only the heat map's positive entries,
-    after one O(n^2) scan that finds them. Lengths are exact (order_length),
-    not the incremental sum of gains, which can sit an ulp below a tour that
-    is not shorter. The expansions stop at the deadline; the start always
-    runs.
+    The round draws its list mode: lists ranked by the current heat, whose
+    table the round builds, or the frame's distance lists. It then starts
+    from _round_start and expands best-first until a whole expansion yields
+    no improvement, raising the heat of each applied action's added edges
+    in place, so later draws and later rounds read the update. No move
+    search of a round scans all city pairs; a heat round's lists rank only
+    the heat map's positive entries, after one O(n^2) scan that finds them.
+    Lengths are exact (order_length), not the incremental sum of gains,
+    which can sit an ulp below a tour that is not shorter. The expansions
+    stop at the deadline; the start always runs.
     """
-    k_cap = int(rng.integers(params.k_range[0], params.k_range[1]))
     if rng.integers(2) == 0:
         table = _candidate_table(candidate_lists(heat, frame.m_eff, HEAT_MODE), frame.d)
     else:
@@ -790,7 +773,7 @@ def _round(
     cur_len = length = best_len = order_length(frame.d, order)
     best_order = order
     while True:
-        action = _expand(frame.d, order, table, heat, stats, params, k_cap, rng, deadline)
+        action = _expand(frame.d, order, table, heat, stats, params, rng, deadline)
         if action is None:
             return length, best_len, best_order
         new_len = cur_len - action.gain

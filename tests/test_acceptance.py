@@ -246,12 +246,12 @@ def test_c08_kopt_integrity_bulk():
     target = 100_000
     stats = SearchStats()
     rng = np.random.default_rng(808)
-    params = SearchParams(beta=0.0, m=6, k_range=(2, 9), expand_budget=1, max_rounds=1)
+    params = SearchParams(beta=0.0, m=6, expand_budget=1, max_rounds=1)
     sizes = (20, 50, 100)
     # expand_node rebuilds the candidate table on every call, but the table
     # depends only on (cand, d), which are fixed per instance: build it once
-    # each and call the expansion expand_node wraps, with the same heat and
-    # the same k_cap draw, so the same actions are made
+    # each and call the expansion expand_node wraps, with the same heat, so
+    # the same actions are made
     instances = []
     for n in sizes:
         inst = generate_random(n, n)
@@ -267,9 +267,7 @@ def test_c08_kopt_integrity_bulk():
         cur_len = tour_length(d, tour)
         misses = 0
         while misses < 4 and accepted < target:
-            k_cap = int(rng.integers(params.k_range[0], params.k_range[1]))
-            action = _expand(d, tour.order, table, pruned, stats, params, k_cap, rng,
-                             deadline=None)
+            action = _expand(d, tour.order, table, pruned, stats, params, rng, deadline=None)
             if action is None:
                 misses += 1
                 continue
@@ -310,21 +308,20 @@ def test_c09_two_opt_fixpoint():
 
 def test_c10_preset_fidelity():
     expect = {
-        "tsp20": (10.0, 8, (10, 11), 60),
-        "tsp50": (10.0, 8, (5, 15), 150),
-        "tsp100": (10.0, 8, (5, 35), 300),
-        "tsp200": (10.0, 8, (10, 90), 600),
-        "tsp500": (50.0, 5, (30, 130), 1000),
-        "tsp1000": (50.0, 5, (10, 110), 2000),
+        "tsp20": (10.0, 8, 60),
+        "tsp50": (10.0, 8, 150),
+        "tsp100": (10.0, 8, 300),
+        "tsp200": (10.0, 8, 600),
+        "tsp500": (50.0, 5, 1000),
+        "tsp1000": (50.0, 5, 2000),
     }
     assert set(PRESETS) == set(expect)
-    for name, (beta, m, k_range, budget) in expect.items():
+    for name, (beta, m, budget) in expect.items():
         p = PRESETS[name]
         assert p.beta == beta, name
         assert p.m == m, name
-        assert p.k_range == k_range, name
         assert p.expand_budget == budget, name
-    report(10, "all six presets match the published parameter table")
+    report(10, "all six presets match the published beta, M and attempt-budget columns")
 
 
 def test_c11_heatmap_update_formula():

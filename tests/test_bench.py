@@ -328,10 +328,10 @@ GOLDEN_PIPELINES = {
         "3.540256349414601", 12, 0,
     ),
     (50, "tsp50", 3, 0): (
-        [0, 21, 20, 17, 30, 27, 34, 29, 1, 10, 9, 37, 12, 15, 40, 14, 11, 3, 41, 28, 42, 32, 23,
-         31, 16, 44, 24, 46, 48, 33, 22, 36, 18, 4, 38, 35, 43, 2, 45, 13, 47, 49, 8, 39, 19, 26,
-         6, 5, 7, 25],
-        "5.811812060775848", 3, 0,
+        [19, 39, 8, 49, 47, 13, 45, 2, 43, 35, 38, 4, 18, 36, 22, 33, 48, 46, 24, 44, 16, 31, 23,
+         32, 42, 28, 41, 3, 11, 14, 40, 15, 12, 21, 20, 17, 37, 9, 10, 1, 29, 34, 27, 30, 0, 7, 5,
+         6, 26, 25],
+        "5.834240391542353", 3, 0,
     ),
 }
 
@@ -348,6 +348,23 @@ class TestGoldenPipeline:
         assert tour.order.tolist() == order
         assert repr(result.length) == length
         assert (stats.rounds, stats.proof_round) == (run_rounds, proof_round)
+
+    @pytest.mark.parametrize("case", sorted(GOLDEN_PIPELINES),
+                             ids=lambda c: f"n{c[0]}-s{c[3]}")
+    def test_recording_is_a_tour_of_its_length(self, case):
+        # checked without the pipeline: each pinned order is a permutation
+        # whose length is the pinned one, and each n = 16 order is
+        # Held-Karp's optimal tour
+        n, _, _, seed = case
+        order, length, _, _ = GOLDEN_PIPELINES[case]
+        inst = generate_random(n, seed)
+        assert sorted(order) == list(range(n))
+        tour = Tour.from_order(order)
+        assert repr(tour_length(distance_matrix(inst), tour)) == length
+        if n <= 16:
+            opt_tour, opt = held_karp_exact(inst)
+            assert gap_percent(float(length), opt) == 0.0
+            assert tour_edges(tour) == tour_edges(opt_tour)
 
 
 class TestCoverage:

@@ -198,12 +198,10 @@ def round_start_order(d, rng):
     return tour
 
 
-def first_round_start(d, seed, params):
-    """run_search's round-1 tour: after the removed-edge cap and list-mode
-    draws, the round start's kicked nearest-neighbour tour through the
-    neighbour-list pass."""
+def first_round_start(d, seed):
+    """run_search's round-1 tour: after the list-mode draw, the round
+    start's kicked nearest-neighbour tour through the neighbour-list pass."""
     rng = np.random.default_rng(seed)
-    rng.integers(*params.k_range)
     rng.integers(2)
     return Tour.from_order(neighbor_pass(d, round_start_order(d, rng)))
 
@@ -214,7 +212,7 @@ def edges(order):
 
 
 def dist_params(**kw):
-    defaults = dict(beta=10.0, m=4, k_range=(5, 6), expand_budget=30, max_rounds=3)
+    defaults = dict(beta=10.0, m=4, expand_budget=30, max_rounds=3)
     defaults.update(kw)
     return SearchParams(**defaults)
 
@@ -661,7 +659,6 @@ class TestOrOptMoves:
         _, pruned = top_m_filter(soft_heat(d), 6)
         params = dist_params(m=6, max_rounds=1)
         rng = np.random.default_rng(7)
-        rng.integers(*params.k_range)
         rng.integers(2)
         _, want = neighbor_pass_moves(d, round_start_order(d, rng))
         _, stats = run_search(inst, pruned, params, 7)
@@ -710,11 +707,11 @@ class TestSelectNextCity:
         cand = candidate_lists(d, 1, DISTANCE_MODE)
         pruned = np.ones((4, 4))
         stats = SearchStats()
-        params = dist_params(k_range=(2, 5))
+        params = dist_params()
         rng = np.random.default_rng(3)
         for _ in range(50):
             assert attempt(d, tour, cand, pruned, stats, params, rng) is None
-        assert (stats.dead_ends, stats.cap_hits) == (50, 0)
+        assert (stats.dead_ends, stats.improving) == (50, 0)
 
     def test_zero_heat_row_samples_uniformly(self):
         _, _, cand = self._setup()
@@ -733,7 +730,7 @@ class TestSelectNextCity:
         cand = candidate_lists(d, 6, DISTANCE_MODE)
         pruned = np.zeros((n, n))
         stats = SearchStats()
-        params = dist_params(k_range=(4, 5))
+        params = dist_params()
         rng = np.random.default_rng(0)
         moves = defaultdict(set)
         for _ in range(300):
@@ -763,7 +760,7 @@ class TestConstructAction:
         pruned = np.exp(-d)
         np.fill_diagonal(pruned, 0.0)
         stats = SearchStats()
-        params = dist_params(k_range=(2, 3), max_rounds=1)
+        params = dist_params(max_rounds=1)
         rng = np.random.default_rng(0)
         gains = set()
         for _ in range(100):
@@ -781,22 +778,23 @@ class TestConstructAction:
         pruned = np.exp(-d)
         np.fill_diagonal(pruned, 0.0)
         stats = SearchStats()
-        params = dist_params(k_range=(2, 3))
+        params = dist_params()
         rng = np.random.default_rng(1)
         for _ in range(200):
             assert attempt(d, tour, cand, pruned, stats, params, rng) is None
 
-    @given(st.integers(0, 2_000))
+    @given(st.integers(5, 60), st.integers(0, 2_000))
     @settings(max_examples=50, deadline=None)
-    def test_action_integrity(self, seed):
-        n = 14
+    def test_action_integrity(self, n, seed):
         inst = generate_random(n, seed)
         d = distance_matrix(inst)
         tour = random_tour(n, seed)
-        cand = candidate_lists(d, 5, DISTANCE_MODE)
-        _, pruned = top_m_filter(np.exp(-d), 5)
+        start_edges = edges(tour.order.tolist())
+        m = min(5, n - 1)
+        cand = candidate_lists(d, m, DISTANCE_MODE)
+        _, pruned = top_m_filter(np.exp(-d), m)
         stats = SearchStats()
-        params = dist_params(k_range=(2, 8))
+        params = dist_params()
         rng = np.random.default_rng(seed)
         start_len = tour_length(d, tour)
         for _ in range(30):
@@ -812,6 +810,11 @@ class TestConstructAction:
             # removed and added edge multisets are disjoint
             assert set(action.removed).isdisjoint(set(action.added))
             assert len(action.removed) == len(action.added) == action.k
+            # no cap bounds k: the removed edges are k distinct edges of the
+            # starting tour, so k <= n and every attempt ends
+            assert len(set(action.removed)) == action.k
+            assert {frozenset(e) for e in action.removed} <= start_edges
+            assert action.k <= n
             # gain accounting matches both edge sums and a full recompute
             edge_delta = sum(d[a, b] for a, b in action.removed) - sum(
                 d[a, b] for a, b in action.added
@@ -834,7 +837,7 @@ class TestConstructAction:
         _, pruned = top_m_filter(soft_heat(d), 6)
         cand = candidate_lists(pruned if mode == HEAT_MODE else d, 6, mode)
         stats = SearchStats()
-        params = dist_params(k_range=(2, 12))
+        params = dist_params()
         rng = np.random.default_rng(seed)
         found = 0
         for _ in range(40):
@@ -865,11 +868,11 @@ class TestConstructAction:
         assert min(d[u, c] for u in range(n) for c in cand[u]) > d[0, 1] * 1.5
         pruned = np.ones((n, n))
         stats = SearchStats()
-        params = dist_params(k_range=(2, 10))
+        params = dist_params()
         rng = np.random.default_rng(0)
         for _ in range(50):
             assert attempt(d, tour, cand, pruned, stats, params, rng) is None
-        assert (stats.dead_ends, stats.cap_hits) == (50, 0)
+        assert (stats.dead_ends, stats.improving) == (50, 0)
 
 
 class TestFirstStepMemo:
@@ -892,7 +895,7 @@ class TestFirstStepMemo:
         rng = np.random.default_rng(seed)
         for u1 in range(n):
             _construct(d, base, _positions(base), table, pruned.item, first, u1,
-                       SearchStats(), 4, rng.random)
+                       SearchStats(), rng.random)
         for i, u1 in enumerate(base):
             v1, nb = base[(i + 1) % n], base[(i + 2) % n]
             row = sorted(cand[v1].tolist(), key=lambda c: d[v1, c])
@@ -914,31 +917,28 @@ class TestExpandNode:
         tour = Tour.from_order(reference_two_opt_order(d, random_tour(12, 3).order.copy()))
         cand = candidate_lists(d, 6, DISTANCE_MODE)
         _, pruned = top_m_filter(np.exp(-d), 6)
-        params = dist_params(k_range=(5, 6), expand_budget=120)
+        params = dist_params(expand_budget=120)
         stats = SearchStats()
         rng = np.random.default_rng(3)
         out = expand_node(d, tour, cand, pruned, stats, params, rng)
         assert out is not None
         new_tour, action = out
         assert stats.improving >= 1 and stats.dead_ends >= 1
-        # replay the expansion's own attempts as _expand makes them: the cap
-        # drawn first, then all anchors at once, one first-step memo shared by
-        # the attempts; they end alike, and nothing beat the chosen gain
+        # replay the expansion's own attempts as _expand makes them: all
+        # anchors drawn at once, one first-step memo shared by the attempts;
+        # they end alike, and nothing beat the chosen gain
         replay = SearchStats()
         rng = np.random.default_rng(3)
-        k_cap = int(rng.integers(*params.k_range))
         base = tour.order.tolist()
         pos = _positions(base)
         table = _candidate_table(cand, d)
         first = [None] * 12
         gains = []
         for u1 in rng.integers(12, size=120).tolist():
-            a = _construct(d, base, pos, table, pruned.item, first, u1, replay, k_cap,
-                           rng.random)
+            a = _construct(d, base, pos, table, pruned.item, first, u1, replay, rng.random)
             if a is not None:
                 gains.append(a.gain)
-        assert (replay.improving, replay.dead_ends, replay.cap_hits) == (
-            stats.improving, stats.dead_ends, stats.cap_hits)
+        assert (replay.improving, replay.dead_ends) == (stats.improving, stats.dead_ends)
         assert max(gains) == action.gain
         assert tour_length(d, new_tour) == pytest.approx(
             tour_length(d, tour) - action.gain, abs=1e-9
@@ -952,39 +952,37 @@ class TestExpandNode:
         opt_tour, _ = held_karp_exact(inst)
         cand = candidate_lists(d, 4, DISTANCE_MODE)
         _, pruned = top_m_filter(np.exp(-d), 4)
-        params = dist_params(k_range=(3, 4), expand_budget=200)
+        params = dist_params(expand_budget=200)
         stats = SearchStats()
         rng = np.random.default_rng(3)
         assert expand_node(d, opt_tour, cand, pruned, stats, params, rng) is None
         assert stats.total_expansions == 200
 
     def test_every_attempt_ends_once(self):
-        # each attempt ends exactly once: improving, dead end or cap hit
+        # each attempt ends exactly once: improving or at a dead end
         inst = generate_random(40, 5)
         d = distance_matrix(inst)
         tour = random_tour(40, 5)
         cand = candidate_lists(d, 6, DISTANCE_MODE)
         _, pruned = top_m_filter(np.exp(-d), 6)
-        params = dist_params(k_range=(3, 4), expand_budget=200)
+        params = dist_params(expand_budget=200)
         stats = SearchStats()
         expand_node(d, tour, cand, pruned, stats, params, np.random.default_rng(5))
         assert stats.total_expansions == 200
-        assert stats.dead_ends > 0 and stats.cap_hits > 0 and stats.improving > 0
-        assert stats.dead_ends + stats.cap_hits + stats.improving == stats.total_expansions
-        # replay: the expansion draws its cap, then all its anchors at once,
-        # then each attempt draws its cities; here every attempt gets a fresh
+        assert stats.dead_ends > 0 and stats.improving > 0
+        assert stats.dead_ends + stats.improving == stats.total_expansions
+        # replay: the expansion draws all its anchors at once, then each
+        # attempt draws its cities; here every attempt gets a fresh
         # first-step memo, so a stale shared memo would show as a different
         # ending
         replay = SearchStats()
         rng = np.random.default_rng(5)
-        k_cap = int(rng.integers(*params.k_range))
         base = tour.order.tolist()
         table = _candidate_table(cand, d)
         for u1 in rng.integers(40, size=200).tolist():
             _construct(d, base, _positions(base), table, pruned.item, [None] * 40, u1,
-                       replay, k_cap, rng.random)
-        assert (replay.dead_ends, replay.cap_hits) == (stats.dead_ends, stats.cap_hits)
-        assert replay.improving == stats.improving
+                       replay, rng.random)
+        assert (replay.dead_ends, replay.improving) == (stats.dead_ends, stats.improving)
 
     def test_counts_every_attempt(self):
         inst = generate_random(10, 7)
@@ -992,7 +990,7 @@ class TestExpandNode:
         tour = random_tour(10, 7)
         cand = candidate_lists(d, 4, DISTANCE_MODE)
         _, pruned = top_m_filter(np.exp(-d), 4)
-        params = dist_params(k_range=(4, 5), expand_budget=33)
+        params = dist_params(expand_budget=33)
         stats = SearchStats()
         rng = np.random.default_rng(7)
         expand_node(d, tour, cand, pruned, stats, params, rng)
@@ -1078,13 +1076,13 @@ class TestRunSearch:
 
     def test_best_kept_by_exact_length(self):
         # the incremental length of an accepted tour can read an ulp below
-        # a best tour it does not beat; comparing it let the best rise. This
-        # run meets that case twice.
-        inst = generate_random(20, 0)
+        # a best tour of an earlier round it does not beat; comparing it let
+        # the best rise. This run meets that case twice.
+        inst = generate_random(20, 31)
         d = distance_matrix(inst)
         _, pruned = top_m_filter(soft_heat(d), 6)
-        params = SearchParams(m=6, k_range=(5, 12), expand_budget=100, max_rounds=6)
-        tour, stats = run_search(inst, pruned, params, 2)
+        params = SearchParams(m=6, expand_budget=100, max_rounds=6)
+        tour, stats = run_search(inst, pruned, params, 1)
         seq = stats.round_best_lengths
         assert all(a >= b for a, b in zip(seq, seq[1:]))
         assert stats.best_length == seq[-1] == tour_length(d, tour)
@@ -1112,7 +1110,7 @@ class TestRunSearch:
         d = distance_matrix(inst)
         _, pruned = top_m_filter(np.exp(-d), 6)
         params = dist_params(max_rounds=4)
-        first = first_round_start(d, 21, params)
+        first = first_round_start(d, 21)
         tour, stats = run_search(inst, pruned, params, 21)
         assert stats.best_length <= tour_length(d, first) + 1e-12
 
@@ -1121,7 +1119,7 @@ class TestRunSearch:
         d = distance_matrix(inst)
         _, pruned = top_m_filter(np.exp(-d), 6)
         params = dist_params(time_budget=1e-12)
-        first = first_round_start(d, 21, params)
+        first = first_round_start(d, 21)
         tour, stats = run_search(inst, pruned, params, 21)
         assert stats.rounds == 1
         assert stats.total_expansions == 0
@@ -1193,7 +1191,7 @@ class TestRunSearch:
         d = distance_matrix(inst)
         _, pruned = top_m_filter(soft_heat(d), 8)
         params = dist_params(m=8, time_budget=1e-12)
-        first = first_round_start(d, 5, params)
+        first = first_round_start(d, 5)
         assert list_moves_left(d, first.order.tolist()) == []
         assert brute_force_two_opt_scan(d, first.order.tolist()) < -MIN_GAIN
         assert not np.array_equal(reference_two_opt_order(d, first.order.copy()), first.order)
@@ -1210,14 +1208,13 @@ class TestRunSearch:
         d = distance_matrix(inst)
         _, pruned = top_m_filter(soft_heat(d), 4)
         params = dist_params(time_budget=1e-12)
-        first = first_round_start(d, 2, params)
+        first = first_round_start(d, 2)
         assert pass_neighbors(300) == 9
         assert list_moves_left(d, first.order.tolist()) == []
         rows = d.tolist()
         eight = [[(c, rows[a][c]) for c in cl.tolist()]
                  for a, cl in enumerate(candidate_lists(d, 8, DISTANCE_MODE))]
         rng = np.random.default_rng(2)
-        rng.integers(*params.k_range)
         rng.integers(2)
         start = np.array(round_start_order(d, rng), dtype=np.int64)
         _neighbor_pass(rows, eight, start)
@@ -1243,7 +1240,7 @@ class TestRunSearch:
         # that tour optimal
         assert stats.rounds == stats.proof_round == 2
         assert stats.total_expansions >= 2 * 1
-        assert stats.dead_ends + stats.cap_hits <= stats.total_expansions
+        assert stats.dead_ends <= stats.total_expansions
 
     def test_two_opt_seconds_within_wall_time(self):
         inst = generate_random(30, 6)
@@ -1364,7 +1361,7 @@ class TestRunSearch:
         assert sorted(tour.order.tolist()) == list(range(n))
         _, opt = held_karp_exact(inst)
         assert stats.best_length == tour_length(d, tour) == pytest.approx(opt, abs=1e-12)
-        assert stats.dead_ends + stats.cap_hits + stats.improving == stats.total_expansions
+        assert stats.dead_ends + stats.improving == stats.total_expansions
 
 
 class TestFrame:
@@ -1377,7 +1374,7 @@ class TestFrame:
         best order), the run's counters and its heat map."""
         heat, stats, rng = pruned.copy(), SearchStats(), np.random.default_rng(seed)
         out = [_round(frame, heat, stats, rng, params, None) for _ in range(count)]
-        counters = (stats.improving, stats.dead_ends, stats.cap_hits, stats.or_moves)
+        counters = (stats.improving, stats.dead_ends, stats.or_moves)
         return [(end, best, order.tolist()) for end, best, order in out], counters, heat
 
     def test_rounds_leave_a_shared_frame_as_built(self):
@@ -1420,34 +1417,33 @@ GOLDEN_SEARCHES = {
         # the run ends by proof after round 2 of at most 12 (it made 720
         # expansions, 720 dead ends and 54 Or-moves in 12 rounds before the
         # 1-tree bound stopped it)
-        best_length="3.7710487245594857", expansions=120, rounds=2, ends=(120, 0),
+        best_length="3.7710487245594857", expansions=120, rounds=2, dead_ends=120,
         or_moves=9,
-        round_best_lengths=["3.7710487245594857", "3.7710487245594857"],
+        round_best_lengths=["3.7710487245594857"] * 2,
         lower_bound="3.7710487245594857", proof_round=2,
     ),
     "tsp100-n100": dict(
         n=100, instance_seed=4, seed=6,
         params=PRESETS["tsp100"].with_budget(max_rounds=2),
-        order=[47, 52, 62, 80, 36, 57, 4, 26, 16, 49, 86, 78, 56, 8, 34, 65, 72, 10, 84, 73,
-               20, 67, 85, 98, 59, 30, 13, 75, 17, 70, 23, 69, 68, 94, 88, 38, 40, 87, 9,
-               71, 37, 21, 54, 33, 45, 58, 44, 50, 35, 14, 22, 93, 46, 64, 11, 25, 77, 95,
-               3, 97, 90, 1, 91, 7, 29, 89, 0, 5, 81, 31, 24, 61, 92, 27, 66, 76, 51, 96,
-               19, 28, 82, 55, 83, 41, 60, 42, 79, 32, 53, 74, 6, 18, 39, 99, 15, 63, 43,
-               48, 12, 2],
-        best_length="7.784462513733753", expansions=1800, rounds=2, ends=(1788, 1),
-        or_moves=26,
-        round_best_lengths=["7.912052167902853", "7.784462513733753"],
-        lower_bound="nan", proof_round=0,
+        order=[11, 25, 77, 95, 3, 97, 90, 1, 91, 7, 29, 89, 0, 26, 16, 49, 86, 78, 56, 8, 34,
+               65, 72, 10, 84, 73, 20, 67, 85, 98, 59, 30, 13, 75, 17, 70, 23, 69, 68, 94, 88,
+               38, 40, 87, 9, 71, 37, 21, 54, 33, 45, 58, 44, 50, 35, 14, 22, 93, 46, 64, 19,
+               28, 82, 55, 83, 41, 60, 42, 79, 32, 53, 74, 6, 18, 39, 99, 15, 63, 43, 48, 12,
+               2, 47, 52, 62, 80, 36, 57, 4, 5, 81, 31, 24, 66, 61, 92, 27, 76, 51, 96],
+        best_length="7.694298751133814", expansions=600, rounds=2, dead_ends=600,
+        or_moves=44,
+        round_best_lengths=["7.694298751133815", "7.694298751133814"],
+        lower_bound="7.495836872436319", proof_round=0,
     ),
-    # a non-preset m and k_range
+    # a non-preset m
     "custom-n30": dict(
         n=30, instance_seed=8, seed=9,
-        params=SearchParams(beta=10.0, m=6, k_range=(4, 9), expand_budget=60, max_rounds=6),
-        order=[21, 10, 23, 7, 2, 20, 9, 26, 18, 0, 1, 27, 8, 28, 4, 17, 16, 12, 6, 5, 11,
-               29, 24, 3, 13, 22, 25, 14, 15, 19],
-        best_length="4.642606630107934", expansions=360, rounds=6, ends=(328, 32),
-        or_moves=43,
-        round_best_lengths=["4.742794341601457", "4.6444168963175105"] + ["4.642606630107934"] * 4,
+        params=SearchParams(beta=10.0, m=6, expand_budget=60, max_rounds=6),
+        order=[20, 9, 26, 18, 0, 1, 27, 8, 28, 4, 17, 16, 12, 6, 5, 11, 29, 24, 3, 13, 22, 25,
+               14, 15, 19, 21, 10, 23, 7, 2],
+        best_length="4.642606630107934", expansions=480, rounds=6, dead_ends=471,
+        or_moves=49,
+        round_best_lengths=["4.735114631325094"] + ["4.642606630107934"] * 5,
         lower_bound="4.499432118324255", proof_round=0,
     ),
     # preset_for(300) is tsp500: the distance rounds' lists hold m = 5 cities
@@ -1456,28 +1452,27 @@ GOLDEN_SEARCHES = {
     "tsp500-n300": dict(
         n=300, instance_seed=2, seed=7,
         params=PRESETS["tsp500"].with_budget(max_rounds=2),
-        order=[89, 35, 202, 195, 82, 120, 250, 266, 187, 159, 108, 52, 111, 152, 292, 236,
-               57, 26, 274, 41, 286, 11, 163, 218, 136, 183, 90, 265, 16, 164, 234, 230,
-               216, 54, 28, 2, 79, 182, 106, 83, 290, 287, 94, 297, 181, 269, 149, 263, 271,
-               71, 295, 8, 283, 59, 65, 241, 253, 20, 240, 67, 242, 45, 105, 199, 84, 112,
-               38, 75, 184, 95, 100, 80, 196, 180, 87, 256, 66, 225, 93, 261, 1, 289, 58,
-               205, 233, 231, 212, 172, 201, 285, 77, 146, 158, 131, 68, 96, 296, 227, 252,
-               22, 76, 61, 17, 25, 177, 219, 64, 133, 280, 166, 228, 160, 167, 197, 207, 19,
-               288, 126, 270, 260, 21, 188, 63, 247, 36, 200, 190, 151, 39, 37, 113, 258,
-               119, 198, 154, 69, 232, 267, 51, 104, 208, 165, 134, 273, 123, 173, 175, 31,
-               282, 278, 48, 46, 132, 107, 114, 3, 44, 24, 70, 235, 221, 14, 148, 109, 291,
-               193, 124, 130, 161, 214, 29, 9, 259, 222, 284, 264, 5, 194, 203, 23, 118,
-               147, 50, 179, 239, 101, 262, 47, 150, 238, 10, 298, 144, 99, 209, 299, 272,
-               229, 102, 210, 139, 85, 127, 174, 249, 0, 279, 72, 186, 294, 30, 257, 49,
-               275, 91, 116, 254, 55, 191, 53, 60, 129, 40, 42, 135, 204, 145, 125, 115, 81,
-               255, 142, 251, 33, 162, 138, 171, 293, 117, 220, 206, 215, 98, 246, 168, 97,
-               244, 43, 32, 92, 248, 169, 192, 276, 74, 281, 245, 211, 185, 237, 122, 140,
-               15, 277, 213, 103, 224, 217, 176, 268, 128, 178, 4, 86, 121, 7, 110, 243, 78,
-               34, 18, 156, 88, 153, 13, 56, 6, 226, 143, 155, 170, 62, 73, 223, 137, 12,
-               141, 189, 27, 157],
-        best_length="13.146745466518293", expansions=23000, rounds=2, ends=(22894, 0),
-        or_moves=73,
-        round_best_lengths=["13.339403750799761", "13.146745466518293"],
+        order=[39, 151, 200, 190, 297, 269, 181, 36, 247, 63, 188, 67, 240, 20, 253, 241, 295,
+               71, 271, 263, 149, 94, 83, 290, 287, 234, 106, 182, 79, 2, 28, 54, 216, 230,
+               164, 16, 265, 120, 250, 266, 187, 159, 183, 90, 136, 218, 163, 11, 26, 57, 236,
+               292, 152, 108, 52, 111, 274, 41, 286, 8, 283, 59, 65, 242, 45, 105, 199, 84,
+               112, 38, 75, 184, 95, 100, 80, 196, 180, 87, 256, 66, 225, 93, 261, 1, 289, 158,
+               58, 205, 233, 146, 77, 285, 201, 172, 231, 212, 31, 175, 173, 123, 273, 134,
+               165, 68, 131, 96, 227, 296, 133, 280, 64, 228, 166, 160, 167, 197, 207, 19, 288,
+               126, 260, 21, 270, 219, 177, 25, 17, 61, 76, 22, 252, 208, 104, 51, 267, 232,
+               198, 154, 69, 118, 23, 203, 194, 5, 264, 282, 278, 48, 46, 132, 107, 114, 3, 44,
+               24, 70, 235, 221, 14, 148, 109, 291, 193, 124, 130, 161, 214, 29, 9, 259, 222,
+               284, 147, 50, 179, 239, 101, 262, 47, 150, 174, 249, 0, 279, 72, 186, 294, 30,
+               257, 49, 275, 91, 116, 254, 55, 191, 53, 60, 129, 40, 42, 135, 204, 145, 125,
+               115, 81, 255, 142, 251, 33, 162, 138, 171, 293, 117, 220, 206, 215, 98, 246,
+               244, 43, 32, 192, 276, 74, 281, 245, 211, 237, 122, 140, 15, 185, 169, 92, 248,
+               97, 168, 299, 272, 229, 102, 210, 139, 85, 127, 209, 99, 144, 298, 10, 238, 243,
+               78, 110, 7, 121, 86, 4, 178, 128, 217, 176, 103, 224, 277, 213, 268, 137, 12,
+               141, 189, 27, 202, 82, 195, 35, 157, 89, 223, 73, 62, 170, 226, 143, 155, 13, 6,
+               56, 153, 88, 156, 34, 18, 119, 258, 113, 37],
+        best_length="13.548695708135268", expansions=3000, rounds=2, dead_ends=2998,
+        or_moves=62,
+        round_best_lengths=["13.548695708135268"] * 2,
         lower_bound="nan", proof_round=0,
     ),
 }
@@ -1495,11 +1490,27 @@ class TestGoldenSearch:
         assert repr(stats.best_length) == g["best_length"]
         assert stats.total_expansions == g["expansions"]
         assert stats.rounds == g["rounds"]
-        assert (stats.dead_ends, stats.cap_hits) == g["ends"]
+        assert stats.dead_ends == g["dead_ends"]
         assert stats.or_moves == g["or_moves"]
         assert [repr(x) for x in stats.round_best_lengths] == g["round_best_lengths"]
         assert repr(stats.lower_bound) == g["lower_bound"]
         assert stats.proof_round == g["proof_round"]
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_SEARCHES))
+    def test_recording_is_a_tour_of_its_length(self, name):
+        # checked without run_search: each pinned order is a permutation
+        # whose length is the pinned one, and the n = 16 order is Held-Karp's
+        # optimal tour
+        from tspheat.bench import gap_percent, held_karp_exact, tour_edges
+
+        g = GOLDEN_SEARCHES[name]
+        inst = generate_random(g["n"], g["instance_seed"])
+        assert sorted(g["order"]) == list(range(g["n"]))
+        assert repr(order_length(distance_matrix(inst), np.array(g["order"]))) == g["best_length"]
+        if g["n"] <= 16:
+            opt_tour, opt = held_karp_exact(inst)
+            assert gap_percent(float(g["best_length"]), opt) == 0.0
+            assert tour_edges(Tour.from_order(g["order"])) == tour_edges(opt_tour)
 
 
 class TestProofStop:
@@ -1559,8 +1570,8 @@ class TestProofStop:
         capped_tour, capped = self.search(inst, params.with_budget(max_rounds=2), 5)
         assert capped_tour.order.tolist() == tour.order.tolist()
         assert capped.best_length == stats.best_length
-        assert (capped.total_expansions, capped.dead_ends, capped.cap_hits, capped.or_moves) == (
-            stats.total_expansions, stats.dead_ends, stats.cap_hits, stats.or_moves)
+        assert (capped.total_expansions, capped.dead_ends, capped.or_moves) == (
+            stats.total_expansions, stats.dead_ends, stats.or_moves)
 
     def test_bound_computed_at_most_once(self, monkeypatch):
         import tspheat.search as search_mod
@@ -1603,19 +1614,17 @@ class TestProofStop:
 class TestPresets:
     def test_table_values(self):
         expect = {
-            "tsp20": (10.0, 8, (10, 11), 60),
-            "tsp50": (10.0, 8, (5, 15), 150),
-            "tsp100": (10.0, 8, (5, 35), 300),
-            "tsp200": (10.0, 8, (10, 90), 600),
-            "tsp500": (50.0, 5, (30, 130), 1000),
-            "tsp1000": (50.0, 5, (10, 110), 2000),
+            "tsp20": (10.0, 8, 60),
+            "tsp50": (10.0, 8, 150),
+            "tsp100": (10.0, 8, 300),
+            "tsp200": (10.0, 8, 600),
+            "tsp500": (50.0, 5, 1000),
+            "tsp1000": (50.0, 5, 2000),
         }
         assert set(PRESETS) == set(expect)
-        for name, (beta, m, k_range, budget) in expect.items():
+        for name, (beta, m, budget) in expect.items():
             p = PRESETS[name]
-            assert (p.beta, p.m, p.k_range, p.expand_budget) == (
-                beta, m, k_range, budget
-            ), name
+            assert (p.beta, p.m, p.expand_budget) == (beta, m, budget), name
 
     @pytest.mark.parametrize("n, tier", [
         (3, "tsp20"), (20, "tsp20"), (21, "tsp50"), (50, "tsp50"), (51, "tsp100"),
@@ -1628,14 +1637,6 @@ class TestPresets:
 
 
 class TestSearchParams:
-    def test_rejects_small_k(self):
-        with pytest.raises(ValueError):
-            SearchParams(k_range=(1, 5))
-
-    def test_rejects_empty_interval(self):
-        with pytest.raises(ValueError):
-            SearchParams(k_range=(5, 5))
-
     def test_rejects_zero_budget(self):
         with pytest.raises(ValueError):
             SearchParams(time_budget=0.0)
