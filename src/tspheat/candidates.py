@@ -62,39 +62,25 @@ def candidate_lists(matrix: np.ndarray, m: int, mode: str) -> tuple:
     matrix: a tuple of n read-only int64 arrays, entry i holding city i's
     shortlist of cities the search may add an edge to.
 
-    Heat mode ranks a row by descending pruned-heat value, as top_m_filter
-    does, and keeps only strictly positive entries (lists may then be
-    shorter than m); distance mode ranks by ascending distance. Ties always
-    break toward the smaller city index. A city never appears in its own list.
+    Both modes are one _rank_rows call. Heat mode ranks a row by descending
+    pruned-heat value, as top_m_filter does: the key is -heat where heat > 0
+    and +inf elsewhere, and each list is cut at its row's count of strictly
+    positive off-diagonal entries (lists may then be shorter than m).
+    Distance mode ranks by ascending distance. Ties always break toward the
+    smaller city index. A city never appears in its own list.
     """
     matrix = np.asarray(matrix, dtype=np.float64)
     if mode == HEAT_MODE:
-        return _heat_lists(matrix, m)
-    if mode != DISTANCE_MODE:
+        key = np.where(matrix > 0, -matrix, np.inf)
+    elif mode == DISTANCE_MODE:
+        key = matrix.copy()
+    else:
         raise ValueError(f"unknown candidate mode {mode!r}")
-    ranks = _rank_rows(matrix.copy(), m)
+    ranks = _rank_rows(key, m)
     ranks.setflags(write=False)
-    return tuple(ranks)
-
-
-def _heat_lists(matrix: np.ndarray, m: int) -> tuple:
-    """Heat-mode candidate_lists. A pruned row holds few positive entries,
-    so only those are ranked. One O(n^2) scan finds them in (row, column)
-    order; they fill an (n, w) table, w the most any row holds, with the
-    rest keyed +inf; and one stable row-wise argsort of -heat ranks the
-    table, so equal heats stay in column order, as in a stable argsort of
-    the whole row."""
-    n = matrix.shape[0]
-    check_list_size(n, m)
-    positive = matrix > 0
-    np.fill_diagonal(positive, False)
-    rows, cols = np.nonzero(positive)
-    counts = np.bincount(rows, minlength=n)
-    at = np.arange(rows.size) - (np.cumsum(counts) - counts)[rows]
-    key = np.full((n, counts.max()), np.inf)
-    key[rows, at] = -matrix[rows, cols]
-    table = np.zeros(key.shape, dtype=np.int64)
-    table[rows, at] = cols
-    ranked = np.take_along_axis(table, np.argsort(key, axis=1, kind="stable")[:, :m], axis=1)
-    ranked.setflags(write=False)
-    return tuple(row[:c] for row, c in zip(ranked, np.minimum(counts, m).tolist()))
+    if mode == DISTANCE_MODE:
+        return tuple(ranks)
+    # counted after _rank_rows keyed the diagonal +inf, so a positive
+    # diagonal entry is not counted
+    counts = np.minimum(np.count_nonzero(key < np.inf, axis=1), m).tolist()
+    return tuple(row[:c] for row, c in zip(ranks, counts))

@@ -65,7 +65,12 @@ class TrainConfig:
 class TrainTrace:
     """Per-step loss breakdowns (evaluated before each update) when the fit
     records them, the loss of the returned parameters, the wall-clock
-    duration and the number of Adam updates that ran.
+    seconds of the Adam loop and the number of Adam updates that ran.
+
+    seconds times the loop alone, so seconds / steps is a per-step time:
+    the set-up before it (distances, initial logits, buffers) and the final
+    softmax, heat product and two-form loss check after it are fixed costs
+    it leaves out.
 
     final is in the instance's units. per_step is empty unless
     optimize_heatmap ran with record_losses=True; then it holds one float32
@@ -185,10 +190,9 @@ def optimize_heatmap(inst: Instance, cfg: TrainConfig = TrainConfig(),
                 if not ws.all_finite(g):
                     raise NumericError(f"non-finite gradient at step {k}")
                 raise NumericError(f"non-finite logits after step {k}")
+    seconds = time.perf_counter() - t0
     t = _softmax_into(logits, ws).astype(np.float64)
     del ws, g  # free the other kernel buffers before the final products
     h = indicator_to_heatmap(t)
     final = surrogate_loss(t, h, d, lam1, lam2)
-    trace = TrainTrace(per_step=per_step, final=final, seconds=time.perf_counter() - t0,
-                       steps=steps)
-    return h, t, trace
+    return h, t, TrainTrace(per_step=per_step, final=final, seconds=seconds, steps=steps)

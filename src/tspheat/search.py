@@ -689,7 +689,9 @@ def update_heatmap(
 @dataclass(frozen=True)
 class _Frame:
     """What every round of a run reads and no round changes, built once per
-    run by _Frame.build from the instance and the preset's m.
+    run by _Frame.build from the instance and the preset's m. The
+    nearest-neighbour baseline (bench.nn_two_opt_baseline) builds one at
+    m = 1: e, d, rows and nbrs do not depend on m.
 
     e is the instance's power-of-two exponent (instances.unit_exponent) and
     d its distances scaled by 2**-e, read-only, so MIN_GAIN acts in the
@@ -759,8 +761,9 @@ def _round(
     from _round_start and expands best-first until a whole expansion yields
     no improvement, raising the heat of each applied action's added edges
     in place, so later draws and later rounds read the update. No move
-    search of a round scans all city pairs; a heat round's lists rank only
-    the heat map's positive entries, after one O(n^2) scan that finds them.
+    search of a round scans all city pairs; a heat round's lists come from
+    one stable argsort of the heat map's rows (candidate_lists), which keeps
+    only each row's positive entries.
     Lengths are exact (order_length), not the incremental sum of gains,
     which can sit an ulp below a tour that is not shorter. The expansions
     stop at the deadline; the start always runs.

@@ -256,6 +256,21 @@ class TestBaseline:
         assert tour.order.tolist() == unit_tour.order.tolist()
         assert length == math.ldexp(unit_length, j)
 
+    @pytest.mark.parametrize("inst", [
+        pytest.param(generate_random(3, 1), id="n3"),
+        pytest.param(generate_random(4, 2), id="n4"),
+        pytest.param(Instance(coords=np.full((7, 2), 0.25)), id="coincident"),
+        pytest.param(Instance(coords=generate_random(50, 3).coords * 1000), id="n50-x1000"),
+    ])
+    def test_length_is_the_tours_length(self, inst):
+        # the length comes from the search frame's distances scaled back by
+        # 2**e, which is exact, so it is the tour's length on the instance's
+        # own distances to the last bit
+        for seed in range(3):
+            tour, length = nn_two_opt_baseline(inst, seed)
+            assert sorted(tour.order.tolist()) == list(range(inst.n))
+            assert length == tour_length(distance_matrix(inst), tour)
+
     def test_deterministic(self):
         inst = generate_random(15, 3)
         t1, l1 = nn_two_opt_baseline(inst, 9)

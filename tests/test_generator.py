@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -163,6 +164,18 @@ class TestOptimizeHeatmap:
         monkeypatch.setattr(generator, "_breakdown", no_breakdown)
         _, _, trace = optimize_heatmap(generate_random(12, 2), TrainConfig(steps=30, seed=2))
         assert trace.steps == 30
+
+    def test_trace_seconds_time_the_loop_alone(self, monkeypatch):
+        # the heat product after the loop is a fixed cost, so slowing it
+        # leaves seconds (and the CLI's step_us) a per-step time
+        def slow_heatmap(t):
+            time.sleep(0.05)
+            return indicator_to_heatmap(t)
+
+        monkeypatch.setattr(generator, "indicator_to_heatmap", slow_heatmap)
+        _, _, trace = optimize_heatmap(generate_random(8, 1), TrainConfig(steps=1, seed=1))
+        assert trace.steps == 1
+        assert 0.0 < trace.seconds < 0.05
 
     def test_step_loop_allocates_no_square_array(self, monkeypatch):
         # numpy reports its buffers to tracemalloc; between two gradient

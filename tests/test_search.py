@@ -1403,6 +1403,24 @@ class TestFrame:
             assert (own_results, own_counters) == (results, counters)
             assert np.array_equal(own_heat, heat)
 
+    @pytest.mark.parametrize("inst", [
+        pytest.param(generate_random(3, 3), id="n3"),
+        pytest.param(generate_random(16, 4), id="n16"),
+        pytest.param(generate_random(300, 5), id="n300"),
+        pytest.param(Instance(coords=np.full((12, 2), 0.25)), id="coincident"),
+    ])
+    def test_distances_and_pass_lists_do_not_depend_on_m(self, inst):
+        # the nearest-neighbour baseline builds its frame at m = 1
+        n = inst.n
+        base = _Frame.build(inst, 1)
+        assert base.m_eff == 1
+        for m in (2, 8, n - 1):
+            frame = _Frame.build(inst, m)
+            assert frame.e == base.e
+            assert frame.d.tobytes() == base.d.tobytes()
+            assert frame.rows == base.rows
+            assert frame.nbrs == base.nbrs
+
 
 # Pinned round-capped searches: a change that alters any RNG draw, sampled
 # city or float of the search fails here. Changing a value needs a reason.
