@@ -37,23 +37,25 @@ INIT_SCALE = 0.5
 class TrainConfig:
     """Settings of one heat-map fit: steps and seed.
 
-    steps is the number of Adam updates, 100 at every instance size, so a
+    steps is the number of Adam updates, 50 at every instance size, so a
     fit costs about n**3 (one n x n matrix product per step); seed draws the
     initial logits. Adam's step size learning_rate and the loss weights
-    lambda1 and lambda2 are class constants, not fields. The lambda weights
-    balance the doubly-stochastic pressure against the expected-length term;
-    they were chosen empirically so that the pruned heat map covers
-    optimal-tour edges well (heavier penalties tend to collapse the
-    indicator onto a single locally-optimal cycle, which hurts edge
-    coverage). Adam's other settings are the module constants ADAM_BETA1,
-    ADAM_BETA2 and ADAM_EPSILON, Kingma & Ba's defaults; the initial logits'
-    standard deviation is the module constant INIT_SCALE.
+    lambda1 and lambda2 are class constants, not fields. Adam moves a logit
+    by at most about the step size per update, so learning_rate * steps
+    (0.1 * 50 = 5) bounds how far the default fit can carry a logit. The
+    lambda weights balance the doubly-stochastic pressure against the
+    expected-length term; they were chosen empirically so that the pruned
+    heat map covers optimal-tour edges well (heavier penalties tend to
+    collapse the indicator onto a single locally-optimal cycle, which hurts
+    edge coverage). Adam's other settings are the module constants
+    ADAM_BETA1, ADAM_BETA2 and ADAM_EPSILON, Kingma & Ba's defaults; the
+    initial logits' standard deviation is the module constant INIT_SCALE.
     """
 
-    learning_rate: ClassVar[float] = 0.05
+    learning_rate: ClassVar[float] = 0.1
     lambda1: ClassVar[float] = 2.0
     lambda2: ClassVar[float] = 1.0
-    steps: int = 100
+    steps: int = 50
     seed: int = 0
 
     def __post_init__(self):
@@ -107,8 +109,9 @@ def optimize_heatmap(inst: Instance, cfg: TrainConfig = TrainConfig(),
                      record_losses: bool = False):
     """Fit logits to one instance; returns (heat_map, soft_indicator, trace).
 
-    Runs the configured number of Adam updates on the logits using the
-    analytic loss gradient; each step costs one n x n matrix product,
+    Runs the configured number of Adam updates (50 by default, at step
+    size TrainConfig.learning_rate) on the logits using the analytic loss
+    gradient; each step costs one n x n matrix product,
     M = (d + lambda2*I) @ t, which yields the step's gradient and, when
     record_losses is set, its loss breakdown. Only the gradient moves the
     logits, so the per-step losses are computed only then, into

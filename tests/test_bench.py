@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import math
 import re
+import time
 import tracemalloc
 
 import numpy as np
@@ -20,6 +21,7 @@ from tspheat.bench import (
     solve_pipeline,
     tour_edges,
 )
+from tspheat.candidates import top_m_filter
 from tspheat.generator import TrainConfig
 from tspheat.instances import (
     Instance,
@@ -326,6 +328,38 @@ class TestSolvePipeline:
         assert tour.order.tolist() == unit_tour.order.tolist()
         assert result.length == math.ldexp(unit.length, j)
 
+    @pytest.mark.parametrize("shift, rel_tol", [
+        ((1000.0, 1000.0), 1e-12), ((-37.5, 12.25), 1e-12),
+        # coordinates near 1e6 round to steps of about 1.2e-10, which moves
+        # each edge by up to about 1.7e-10 and a tour of at most 50 such
+        # edges (length above 4) by under 2e-9 of its length
+        ((1e6, -1e6), 2e-9),
+    ], ids=["+(1000,1000)", "+(-37.5,12.25)", "+(1e6,-1e6)"])
+    def test_translated_copy_gives_the_unit_cycle(self, shift, rel_tol):
+        # translation moves the distances only by the rounding of the
+        # shifted coordinates' differences: the pipeline returns the same
+        # cycle, though it may write it from another start city
+        params = PRESETS["tsp50"].with_budget(max_rounds=3)
+        for n, seed in itertools.product((30, 50), range(8)):
+            inst = generate_random(n, seed)
+            unit, unit_tour = solve_pipeline(inst, TrainConfig(seed=seed), params, seed)
+            shifted = Instance(coords=inst.coords + np.array(shift))
+            result, tour = solve_pipeline(shifted, TrainConfig(seed=seed), params, seed)
+            assert tour_edges(tour) == tour_edges(unit_tour), (n, seed)
+            assert math.isclose(result.length, unit.length, rel_tol=rel_tol), (n, seed)
+
+    def test_heatmap_phase_counts_the_prune(self, monkeypatch):
+        # the heat-map phase is the fit and the top-m prune, so a slow
+        # prune shows in heatmap_seconds
+        def slow_top_m_filter(heat, m):
+            time.sleep(0.05)
+            return top_m_filter(heat, m)
+
+        monkeypatch.setattr("tspheat.bench.top_m_filter", slow_top_m_filter)
+        params = PRESETS["tsp20"].with_budget(max_rounds=1)
+        result, _ = solve_pipeline(generate_random(8, 1), TrainConfig(steps=1), params, 1)
+        assert result.heatmap_seconds >= 0.05
+
 
 # Default pipelines recorded at a fixed commit: the default fit (TrainConfig
 # with only its seed set) feeds trained heat to the search, so a change to the
@@ -335,7 +369,7 @@ class TestSolvePipeline:
 # do not depend on the BLAS thread count.
 GOLDEN_PIPELINES = {
     (16, "tsp20", 12, 0): (
-        [8, 13, 2, 4, 3, 14, 11, 9, 10, 1, 5, 6, 7, 0, 12, 15],
+        [10, 1, 5, 6, 7, 0, 12, 15, 8, 13, 2, 4, 3, 14, 11, 9],
         "3.784487747383253", 3, 3,
     ),
     (16, "tsp20", 12, 4): (
