@@ -67,7 +67,8 @@ def candidate_lists(matrix: np.ndarray, m: int, mode: str) -> tuple:
     and +inf elsewhere, and each list is cut at its row's count of strictly
     positive off-diagonal entries (lists may then be shorter than m).
     Distance mode ranks by ascending distance. Ties always break toward the
-    smaller city index. A city never appears in its own list.
+    smaller city index. A city never appears in its own list. A search run
+    ranks by distance only (search._Frame.build); no run builds heat lists.
     """
     matrix = np.asarray(matrix, dtype=np.float64)
     if mode == HEAT_MODE:

@@ -15,6 +15,8 @@ import sys
 import time
 from dataclasses import asdict
 
+import numpy as np
+
 from . import bench as bench_mod
 from .candidates import top_m_filter
 from .generator import TrainConfig, optimize_heatmap
@@ -81,7 +83,13 @@ def cmd_search(args) -> int:
             f"heat map is {heat.shape[0]}x{heat.shape[0]} but instance has {inst.n} cities"
         )
     params = _search_params(args, inst.n)
-    _, pruned = top_m_filter(heat, min(params.m, inst.n - 1))
+    m = min(params.m, inst.n - 1)
+    _, pruned = top_m_filter(heat, m)
+    if not np.isfinite(pruned).all():
+        # two entries past half the largest float sum to inf, which
+        # run_search refuses; halving keeps the ranking, and two halves sum
+        # to at most the largest float
+        _, pruned = top_m_filter(np.ldexp(heat, -1), m)
     tour, stats = run_search(inst, pruned, params, args.seed)
     _write_out(format_tour(tour, stats.best_length), args.out)
     return EXIT_OK

@@ -1,15 +1,15 @@
 """Heat-map-guided best-first k-opt local search.
 
-A search run (run_search) builds its frame once (_Frame: the distances and
-lists every round reads and no round changes), then repeats rounds
-(_round) over it. A round's first tour is made by the round start
-(_round_start): a nearest-neighbour tour from a random city, two random
-double-bridge kicks, then a neighbour-list pass of 2-opt and Or-opt moves
-until no list-restricted move is left. Best-first node
-expansion follows, where each expansion tries a bounded number of
-sequential k-opt constructions and moves to the shortest improving result.
-Constructions grow a Hamiltonian path with one fixed endpoint; the next city
-is sampled from the moving endpoint's candidate list with probability
+A search run (run_search) builds its frame once (_Frame: the distances, the
+lists and the one candidate table every round reads and no round changes),
+then repeats rounds (_round) over it. A round's first tour is made by the
+round start (_round_start): a nearest-neighbour tour from a random city, two
+random double-bridge kicks, then a neighbour-list pass of 2-opt and Or-opt
+moves until no list-restricted move is left. Best-first node expansion
+follows, where each expansion tries a bounded number of sequential k-opt
+constructions and moves to the shortest improving result. Constructions grow
+a Hamiltonian path with one fixed endpoint; the next city is sampled from
+the moving endpoint's candidate list, its m nearest cities, with probability
 proportional to its pruned-heat value, floored so that zero-heat candidates
 stay reachable. A candidate is feasible only while the move keeps a positive
 running gain (the gain criterion of Lin & Kernighan 1973), so an attempt
@@ -24,7 +24,8 @@ anchors at once and memoises each anchor's first step, which depends only
 on the anchor, the base tour, the candidate table and the heat. Candidate
 rows are kept in ascending distance order, so a row scan stops at the first
 candidate the gain rule rejects. The table holds no heat: a draw reads its
-weights from the run's heat map, so a heat update never leaves it stale.
+weights from the run's heat map, so a heat update never leaves it stale,
+and one table built with the frame serves every round of the run.
 
 A run ends early once its best tour is proven optimal by the 1-tree lower
 bound (bounds.one_tree_bound), which it computes at most once, when a round
@@ -49,7 +50,7 @@ from typing import Optional
 import numpy as np
 
 from .bounds import one_tree_bound
-from .candidates import DISTANCE_MODE, HEAT_MODE, candidate_lists
+from .candidates import DISTANCE_MODE, candidate_lists
 from .instances import Instance, Tour, distance_matrix, order_length, unit_exponent
 
 # gain a k-opt, 2-opt or Or-opt move must exceed to count as improving;
@@ -460,8 +461,8 @@ def _candidate_table(cand, d: np.ndarray) -> list:
     """Per city u, a list of (v, edge key, d[u, v]) for each candidate v, as
     plain Python values, in ascending distance order. The sort is stable, so
     a distance-ranked list keeps its order. O(n * m log m). The table holds
-    no heat, so a run's frame holds the distance lists' table (_Frame) and
-    a heat round builds its own (_round)."""
+    no heat, so a run builds one, with its frame (_Frame), for every round;
+    expand_node builds one per call."""
     lens = [len(cl) for cl in cand]
     src = np.repeat(np.arange(len(lens)), lens)
     dst = np.concatenate(cand)
@@ -654,7 +655,7 @@ def expand_node(
     (improved Tour, applied KOptAction) for the shortest completed candidate,
     or None when no attempt improved the tour. At expand_budget=1 this is a
     single attempt from one uniformly drawn anchor. Rounds call _expand on
-    their own table; outside the tests, perfbench's probes are this
+    the run's table; outside the tests, perfbench's probes are this
     wrapper's only callers, and each call builds its table afresh.
     """
     best = _expand(d, tour.order, _candidate_table(cand, d), pruned, stats, params, rng,
@@ -698,8 +699,9 @@ class _Frame:
     same frame at every scale; rows is d.tolist(). One distance ranking of
     max(m_eff, pass_neighbors(n)) cities per city gives both kinds of list:
     nbrs, the pass's lists (_pass_lists), and dist_table, the
-    _candidate_table of the first m_eff columns, the distance rounds' lists.
-    m_eff is m capped at n - 1, since presets can exceed tiny instances.
+    _candidate_table of the first m_eff columns, which every round's
+    expansions draw from. m_eff is m capped at n - 1, since presets can
+    exceed tiny instances.
     """
 
     e: int
@@ -756,27 +758,20 @@ def _round(
     """One search round; returns (the length it ends at, its shortest length,
     the first tour of that length), all in the frame's units.
 
-    The round draws its list mode: lists ranked by the current heat, whose
-    table the round builds, or the frame's distance lists. It then starts
-    from _round_start and expands best-first until a whole expansion yields
-    no improvement, raising the heat of each applied action's added edges
-    in place, so later draws and later rounds read the update. No move
-    search of a round scans all city pairs; a heat round's lists come from
-    one stable argsort of the heat map's rows (candidate_lists), which keeps
-    only each row's positive entries.
+    The round starts from _round_start and expands best-first on the
+    frame's table until a whole expansion yields no improvement, raising the
+    heat of each applied action's added edges in place, so later draws and
+    later rounds read the update. The round builds no list or table of its
+    own, and no move search of a round scans all city pairs.
     Lengths are exact (order_length), not the incremental sum of gains,
     which can sit an ulp below a tour that is not shorter. The expansions
     stop at the deadline; the start always runs.
     """
-    if rng.integers(2) == 0:
-        table = _candidate_table(candidate_lists(heat, frame.m_eff, HEAT_MODE), frame.d)
-    else:
-        table = frame.dist_table
     order = _round_start(frame, stats, rng)
     cur_len = length = best_len = order_length(frame.d, order)
     best_order = order
     while True:
-        action = _expand(frame.d, order, table, heat, stats, params, rng, deadline)
+        action = _expand(frame.d, order, frame.dist_table, heat, stats, params, rng, deadline)
         if action is None:
             return length, best_len, best_order
         new_len = cur_len - action.gain
@@ -802,6 +797,8 @@ def run_search(
     whichever comes first, and returns the first tour of the shortest length
     any round reached. Round 1 always runs, so even a deadline that has
     already passed returns a tour; its expansions stop at the deadline.
+    Every entry of pruned must be finite and >= 0, the rules a heat-map file
+    obeys (instances.parse_heatmap); ValueError otherwise.
 
     It also stops after the first round whose best tour is proven optimal.
     The first round r >= 2 that ends within MIN_GAIN of the best length of
@@ -817,6 +814,10 @@ def run_search(
     n = inst.n
     if pruned.shape != (n, n):
         raise ValueError(f"pruned heat map shape {pruned.shape} does not match n={n}")
+    # NaN fails both tests, and a NaN weight would turn every later running
+    # sum of a draw into NaN
+    if not ((pruned >= 0) & (pruned < math.inf)).all():
+        raise ValueError("pruned heat-map entries must be finite and >= 0")
     frame = _Frame.build(inst, params.m)
     heat = np.array(pruned, dtype=np.float64, copy=True)
     rng = np.random.default_rng(seed)

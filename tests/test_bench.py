@@ -369,18 +369,18 @@ class TestSolvePipeline:
 # do not depend on the BLAS thread count.
 GOLDEN_PIPELINES = {
     (16, "tsp20", 12, 0): (
-        [10, 1, 5, 6, 7, 0, 12, 15, 8, 13, 2, 4, 3, 14, 11, 9],
-        "3.784487747383253", 3, 3,
+        [2, 13, 8, 15, 12, 0, 7, 6, 5, 1, 10, 9, 11, 14, 3, 4],
+        "3.7844877473832534", 4, 4,
     ),
     (16, "tsp20", 12, 4): (
-        [13, 6, 9, 15, 12, 2, 14, 11, 3, 1, 7, 5, 0, 4, 8, 10],
-        "3.540256349414601", 12, 0,
+        [2, 12, 15, 9, 6, 13, 10, 8, 4, 0, 5, 7, 1, 3, 11, 14],
+        "3.5402563494146015", 12, 0,
     ),
     (50, "tsp50", 3, 0): (
-        [19, 39, 8, 49, 47, 13, 45, 2, 43, 35, 38, 4, 18, 36, 22, 33, 48, 46, 24, 44, 16, 31, 23,
-         32, 42, 28, 41, 3, 11, 14, 40, 15, 12, 21, 20, 17, 37, 9, 10, 1, 29, 34, 27, 30, 0, 7, 5,
-         6, 26, 25],
-        "5.834240391542353", 3, 0,
+        [23, 31, 16, 44, 24, 46, 48, 33, 22, 36, 18, 4, 38, 35, 43, 2, 45, 13, 47, 49, 8, 39, 19,
+         25, 26, 6, 5, 7, 0, 30, 27, 34, 29, 1, 10, 9, 37, 17, 20, 21, 12, 15, 40, 14, 11, 3, 41,
+         28, 42, 32],
+        "5.834240391542352", 3, 0,
     ),
 }
 

@@ -160,6 +160,20 @@ class TestSearchCommand:
         assert code == 2
         assert "heat-map entries" in capsys.readouterr().err
 
+    def test_heat_past_half_the_largest_float_searches(self, instance_file, tmp_path):
+        # the file's entries are finite, but the pruned pair (2, 7) sums to
+        # inf; the search runs on the heat halved, which keeps the ranking
+        heat = np.full((10, 10), 0.1)
+        heat[2, 7], heat[7, 2] = 1.5e308, 1e308
+        tours = []
+        for name, h in (("huge", heat), ("halved", np.ldexp(heat, -1))):
+            heat_path, tour_path = tmp_path / f"{name}.txt", tmp_path / f"{name}-tour.txt"
+            heat_path.write_text(format_heatmap(h))
+            assert main(["search", "--instance", instance_file, "--heatmap", str(heat_path),
+                         "--rounds", "2", "--seed", "3", "--out", str(tour_path)]) == 0
+            tours.append(tour_path.read_bytes())
+        assert tours[0] == tours[1]
+
     @pytest.mark.parametrize("command", ["search", "solve"])
     def test_expired_budget_still_writes_tour(self, instance_file, tmp_path, command):
         heat_path = tmp_path / "heat.txt"

@@ -199,10 +199,9 @@ def round_start_order(d, rng):
 
 
 def first_round_start(d, seed):
-    """run_search's round-1 tour: after the list-mode draw, the round
-    start's kicked nearest-neighbour tour through the neighbour-list pass."""
+    """run_search's round-1 tour: the round start's kicked nearest-neighbour
+    tour through the neighbour-list pass."""
     rng = np.random.default_rng(seed)
-    rng.integers(2)
     return Tour.from_order(neighbor_pass(d, round_start_order(d, rng)))
 
 
@@ -659,7 +658,6 @@ class TestOrOptMoves:
         _, pruned = top_m_filter(soft_heat(d), 6)
         params = dist_params(m=6, max_rounds=1)
         rng = np.random.default_rng(7)
-        rng.integers(2)
         _, want = neighbor_pass_moves(d, round_start_order(d, rng))
         _, stats = run_search(inst, pruned, params, 7)
         assert stats.or_moves == want > 0
@@ -1191,11 +1189,11 @@ class TestRunSearch:
         d = distance_matrix(inst)
         _, pruned = top_m_filter(soft_heat(d), 8)
         params = dist_params(m=8, time_budget=1e-12)
-        first = first_round_start(d, 5)
+        first = first_round_start(d, 2)
         assert list_moves_left(d, first.order.tolist()) == []
         assert brute_force_two_opt_scan(d, first.order.tolist()) < -MIN_GAIN
         assert not np.array_equal(reference_two_opt_order(d, first.order.copy()), first.order)
-        tour, stats = run_search(inst, pruned, params, 5)
+        tour, stats = run_search(inst, pruned, params, 2)
         assert stats.rounds == 1
         assert stats.total_expansions == 0
         assert np.array_equal(tour.order, first.order)
@@ -1215,7 +1213,6 @@ class TestRunSearch:
         eight = [[(c, rows[a][c]) for c in cl.tolist()]
                  for a, cl in enumerate(candidate_lists(d, 8, DISTANCE_MODE))]
         rng = np.random.default_rng(2)
-        rng.integers(2)
         start = np.array(round_start_order(d, rng), dtype=np.int64)
         _neighbor_pass(rows, eight, start)
         assert not np.array_equal(start, first.order)
@@ -1251,8 +1248,8 @@ class TestRunSearch:
         assert 0.0 < stats.two_opt_seconds <= wall
 
     def test_distance_lists_built_once(self, monkeypatch):
-        # heat lists change with the heat updates and are built every heat
-        # round; distance lists are the same in every round
+        # a run ranks the distances once and builds one candidate table, on
+        # its frame; no round builds lists or a table of its own
         import tspheat.search as search_mod
 
         inst = generate_random(20, 3)
@@ -1260,51 +1257,52 @@ class TestRunSearch:
         params = dist_params(max_rounds=12)
         want, want_stats = run_search(inst, pruned, params, 5)
         modes = []
+        tables = []
 
-        def counted(matrix, m, mode):
+        def counted_lists(matrix, m, mode):
             modes.append(mode)
             return candidate_lists(matrix, m, mode)
 
-        monkeypatch.setattr(search_mod, "candidate_lists", counted)
+        def counted_table(cand, d):
+            tables.append(_candidate_table(cand, d))
+            return tables[-1]
+
+        monkeypatch.setattr(search_mod, "candidate_lists", counted_lists)
+        monkeypatch.setattr(search_mod, "_candidate_table", counted_table)
         tour, stats = run_search(inst, pruned, params, 5)
-        assert modes.count(DISTANCE_MODE) == 1
-        assert modes.count(HEAT_MODE) >= 1
+        assert stats.rounds > 1
+        assert modes == [DISTANCE_MODE]
+        assert len(tables) == 1
         assert tour.order.tolist() == want.order.tolist()
         assert stats.best_length == want_stats.best_length
 
     def test_draws_read_the_current_heat(self, monkeypatch):
-        # the candidate tables hold no heat: the distance lists' table is
-        # built once per run and serves every distance round, a heat round
-        # builds its own, and every draw weighs its candidates by the run's
-        # heat map as it stands, heat updates included
+        # the candidate table holds no heat: the run's one table, built with
+        # its frame, serves every round, and every draw weighs its
+        # candidates by the run's heat map as it stands, heat updates
+        # included
         import tspheat.search as search_mod
 
         inst = generate_random(30, 4)
         _, pruned = top_m_filter(soft_heat(distance_matrix(inst)), 6)
-        real_lists, real_table = search_mod.candidate_lists, search_mod._candidate_table
-        real_pass, real_expand = search_mod._neighbor_pass, search_mod._expand
-        real_update, real_feasible = search_mod.update_heatmap, search_mod._feasible
-        heat_builds = []  # one per heat-mode candidate_lists call
+        real_table, real_pass = search_mod._candidate_table, search_mod._neighbor_pass
+        real_expand, real_update = search_mod._expand, search_mod.update_heatmap
+        real_feasible = search_mod._feasible
         tables = []  # every table built, in order
-        rounds = []  # per round: (heat builds so far, tables, tables expanded)
+        rounds = []  # per round: (tables built by its start, tables expanded)
         run_heat = [pruned]  # equal to the run's heat map until its first update
         checks = []  # per _feasible call: was the heat updated by then
-
-        def lists_spy(matrix, m, mode):
-            if mode == HEAT_MODE:
-                heat_builds.append(mode)
-            return real_lists(matrix, m, mode)
 
         def table_spy(cand, dd):
             tables.append(real_table(cand, dd))
             return tables[-1]
 
         def pass_spy(*args):
-            rounds.append((len(heat_builds), len(tables), []))
+            rounds.append((len(tables), []))
             return real_pass(*args)
 
         def expand_spy(dd, order, table, *args):
-            rounds[-1][2].append(table)
+            rounds[-1][1].append(table)
             return real_expand(dd, order, table, *args)
 
         def update_spy(hp, *args):
@@ -1319,7 +1317,6 @@ class TestRunSearch:
             checks.append(hp is not pruned)
             return feas, cums
 
-        monkeypatch.setattr(search_mod, "candidate_lists", lists_spy)
         monkeypatch.setattr(search_mod, "_candidate_table", table_spy)
         monkeypatch.setattr(search_mod, "_neighbor_pass", pass_spy)
         monkeypatch.setattr(search_mod, "_expand", expand_spy)
@@ -1327,22 +1324,49 @@ class TestRunSearch:
         monkeypatch.setattr(search_mod, "_feasible", feasible_spy)
         _, stats = run_search(inst, pruned, dist_params(m=6, max_rounds=6), 4)
         assert len(rounds) == stats.rounds == 6
-        assert len(tables) == 1 + len(heat_builds)
-        distance_rounds = 0
-        before = 0
-        for builds, built, expanded in rounds:
-            assert expanded
-            if builds > before:  # a heat round: its own, fresh table
-                assert built == 1 + builds
-                assert all(table is tables[built - 1] for table in expanded)
-            else:
-                distance_rounds += 1
-                assert all(table is tables[0] for table in expanded)
-            before = builds
-        assert distance_rounds >= 2 and heat_builds
+        assert len(tables) == 1
+        for built, expanded in rounds:
+            assert built == 1
+            assert expanded and all(table is tables[0] for table in expanded)
         # draws ran both before and after the first heat update
         assert any(checks) and not all(checks)
         assert not np.array_equal(run_heat[0], pruned)
+
+    @pytest.mark.parametrize("n, instance_seed, rounds", [(16, 14, 12), (50, 50, 6),
+                                                          (120, 120, 3)])
+    def test_heat_outside_the_lists_is_never_read(self, n, instance_seed, rounds):
+        # a draw reads the heat only at (u, c) for c in u's list of its m
+        # nearest cities, and a heat update only adds to entries, so a heat
+        # map that differs only outside those lists gives the same run
+        inst = generate_random(n, instance_seed)
+        d = distance_matrix(inst)
+        params = preset_for(n).with_budget(max_rounds=rounds)
+        _, pruned = top_m_filter(soft_heat(d), params.m)
+        outside = np.ones((n, n), dtype=bool)
+        for u, cl in enumerate(candidate_lists(d, params.m, DISTANCE_MODE)):
+            outside[u, cl] = False
+        other = pruned.copy()
+        other[outside] = np.random.default_rng(n).random(int(outside.sum())) * 10.0
+        assert not np.array_equal(other, pruned)
+
+        def run(heat):
+            tour, stats = run_search(inst, heat, params, 1)
+            # repr, so that a nan lower bound compares equal
+            return tour.order.tolist(), repr(vars(stats) | {"two_opt_seconds": None})
+
+        want = run(pruned)
+        assert "'improving': 0," not in want[1]  # heat updates happened
+        assert run(other) == want
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -5.0])
+    def test_rejects_non_finite_or_negative_heat(self, bad):
+        # the rules parse_heatmap applies to heat-map files; a NaN weight
+        # would turn every later running sum of a draw into NaN
+        inst = generate_random(8, 0)
+        _, pruned = top_m_filter(soft_heat(distance_matrix(inst)), 4)
+        pruned[2, 5] = bad
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            run_search(inst, pruned, dist_params(max_rounds=2), 0)
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     @pytest.mark.parametrize("layout", ["duplicate", "collinear"])
@@ -1431,38 +1455,39 @@ GOLDEN_SEARCHES = {
         # the cycle first found at this length; before the best was kept by
         # exact length, an incremental length an ulp lower replaced it with
         # the same cycle written from another start and direction
-        order=[7, 12, 1, 9, 4, 3, 15, 11, 0, 2, 14, 10, 8, 5, 6, 13],
+        order=[9, 4, 3, 15, 11, 0, 2, 14, 10, 8, 5, 6, 13, 7, 12, 1],
         # the run ends by proof after round 2 of at most 12 (it made 720
-        # expansions, 720 dead ends and 54 Or-moves in 12 rounds before the
+        # expansions, 720 dead ends and 35 Or-moves in 12 rounds before the
         # 1-tree bound stopped it)
         best_length="3.7710487245594857", expansions=120, rounds=2, dead_ends=120,
-        or_moves=9,
+        or_moves=7,
         round_best_lengths=["3.7710487245594857"] * 2,
         lower_bound="3.7710487245594857", proof_round=2,
     ),
     "tsp100-n100": dict(
         n=100, instance_seed=4, seed=6,
         params=PRESETS["tsp100"].with_budget(max_rounds=2),
-        order=[11, 25, 77, 95, 3, 97, 90, 1, 91, 7, 29, 89, 0, 26, 16, 49, 86, 78, 56, 8, 34,
-               65, 72, 10, 84, 73, 20, 67, 85, 98, 59, 30, 13, 75, 17, 70, 23, 69, 68, 94, 88,
-               38, 40, 87, 9, 71, 37, 21, 54, 33, 45, 58, 44, 50, 35, 14, 22, 93, 46, 64, 19,
-               28, 82, 55, 83, 41, 60, 42, 79, 32, 53, 74, 6, 18, 39, 99, 15, 63, 43, 48, 12,
-               2, 47, 52, 62, 80, 36, 57, 4, 5, 81, 31, 24, 66, 61, 92, 27, 76, 51, 96],
-        best_length="7.694298751133814", expansions=600, rounds=2, dead_ends=600,
-        or_moves=44,
-        round_best_lengths=["7.694298751133815", "7.694298751133814"],
-        lower_bound="7.495836872436319", proof_round=0,
+        order=[18, 39, 99, 15, 63, 43, 48, 12, 41, 60, 42, 79, 53, 74, 32, 17, 70, 23, 69, 68,
+               94, 88, 38, 40, 87, 9, 71, 37, 83, 21, 33, 45, 58, 44, 50, 35, 54, 55, 82, 28,
+               14, 22, 93, 46, 64, 19, 96, 11, 95, 25, 77, 90, 1, 91, 97, 3, 27, 92, 61, 66,
+               76, 51, 2, 47, 52, 62, 80, 36, 57, 4, 5, 81, 24, 31, 7, 29, 89, 0, 26, 16, 49,
+               86, 78, 56, 8, 34, 65, 72, 10, 84, 73, 20, 67, 85, 98, 59, 30, 13, 75, 6],
+        best_length="7.654298698409481", expansions=3300, rounds=2, dead_ends=3250,
+        or_moves=36,
+        round_best_lengths=["8.094062159828809", "7.654298698409481"],
+        lower_bound="nan", proof_round=0,
     ),
     # a non-preset m
     "custom-n30": dict(
         n=30, instance_seed=8, seed=9,
         params=SearchParams(beta=10.0, m=6, expand_budget=60, max_rounds=6),
-        order=[20, 9, 26, 18, 0, 1, 27, 8, 28, 4, 17, 16, 12, 6, 5, 11, 29, 24, 3, 13, 22, 25,
-               14, 15, 19, 21, 10, 23, 7, 2],
-        best_length="4.642606630107934", expansions=480, rounds=6, dead_ends=471,
-        or_moves=49,
-        round_best_lengths=["4.735114631325094"] + ["4.642606630107934"] * 5,
-        lower_bound="4.499432118324255", proof_round=0,
+        order=[2, 7, 23, 10, 21, 19, 15, 14, 25, 22, 13, 3, 24, 29, 11, 5, 6, 12, 16, 17, 4, 28,
+               8, 27, 1, 0, 18, 26, 9, 20],
+        best_length="4.6426066301079345", expansions=360, rounds=6, dead_ends=360,
+        or_moves=42,
+        round_best_lengths=["4.748536330606426", "4.748536330606425", "4.642606630107935"]
+        + ["4.6426066301079345"] * 3,
+        lower_bound="4.546576924920412", proof_round=0,
     ),
     # preset_for(300) is tsp500: the distance rounds' lists hold m = 5 cities
     # while the pass's hold pass_neighbors(300) = 9, the one set-up where the
@@ -1470,27 +1495,26 @@ GOLDEN_SEARCHES = {
     "tsp500-n300": dict(
         n=300, instance_seed=2, seed=7,
         params=PRESETS["tsp500"].with_budget(max_rounds=2),
-        order=[39, 151, 200, 190, 297, 269, 181, 36, 247, 63, 188, 67, 240, 20, 253, 241, 295,
-               71, 271, 263, 149, 94, 83, 290, 287, 234, 106, 182, 79, 2, 28, 54, 216, 230,
-               164, 16, 265, 120, 250, 266, 187, 159, 183, 90, 136, 218, 163, 11, 26, 57, 236,
-               292, 152, 108, 52, 111, 274, 41, 286, 8, 283, 59, 65, 242, 45, 105, 199, 84,
-               112, 38, 75, 184, 95, 100, 80, 196, 180, 87, 256, 66, 225, 93, 261, 1, 289, 158,
-               58, 205, 233, 146, 77, 285, 201, 172, 231, 212, 31, 175, 173, 123, 273, 134,
-               165, 68, 131, 96, 227, 296, 133, 280, 64, 228, 166, 160, 167, 197, 207, 19, 288,
-               126, 260, 21, 270, 219, 177, 25, 17, 61, 76, 22, 252, 208, 104, 51, 267, 232,
-               198, 154, 69, 118, 23, 203, 194, 5, 264, 282, 278, 48, 46, 132, 107, 114, 3, 44,
-               24, 70, 235, 221, 14, 148, 109, 291, 193, 124, 130, 161, 214, 29, 9, 259, 222,
-               284, 147, 50, 179, 239, 101, 262, 47, 150, 174, 249, 0, 279, 72, 186, 294, 30,
-               257, 49, 275, 91, 116, 254, 55, 191, 53, 60, 129, 40, 42, 135, 204, 145, 125,
-               115, 81, 255, 142, 251, 33, 162, 138, 171, 293, 117, 220, 206, 215, 98, 246,
-               244, 43, 32, 192, 276, 74, 281, 245, 211, 237, 122, 140, 15, 185, 169, 92, 248,
-               97, 168, 299, 272, 229, 102, 210, 139, 85, 127, 209, 99, 144, 298, 10, 238, 243,
-               78, 110, 7, 121, 86, 4, 178, 128, 217, 176, 103, 224, 277, 213, 268, 137, 12,
-               141, 189, 27, 202, 82, 195, 35, 157, 89, 223, 73, 62, 170, 226, 143, 155, 13, 6,
-               56, 153, 88, 156, 34, 18, 119, 258, 113, 37],
-        best_length="13.548695708135268", expansions=3000, rounds=2, dead_ends=2998,
-        or_moves=62,
-        round_best_lengths=["13.548695708135268"] * 2,
+        order=[170, 62, 73, 223, 137, 12, 141, 189, 27, 157, 89, 35, 202, 195, 82, 250, 120, 265,
+               90, 183, 266, 187, 159, 136, 218, 163, 11, 26, 57, 236, 292, 152, 108, 52, 111, 274,
+               41, 286, 8, 283, 295, 71, 271, 263, 149, 94, 287, 290, 83, 106, 234, 16, 164, 230,
+               216, 54, 28, 2, 79, 182, 151, 200, 190, 297, 269, 181, 36, 247, 63, 188, 67, 240, 20,
+               253, 241, 59, 65, 242, 45, 197, 207, 19, 288, 126, 260, 21, 270, 219, 64, 133, 280,
+               166, 228, 160, 167, 105, 199, 84, 112, 38, 75, 184, 95, 100, 80, 196, 180, 87, 256,
+               66, 225, 93, 261, 1, 289, 58, 205, 233, 146, 158, 131, 68, 96, 296, 227, 252, 22, 76,
+               61, 17, 25, 177, 39, 37, 113, 258, 119, 262, 101, 239, 179, 50, 147, 118, 23, 69,
+               154, 198, 232, 267, 51, 104, 208, 165, 134, 273, 172, 201, 285, 77, 231, 212, 31,
+               175, 173, 123, 194, 203, 5, 264, 48, 278, 282, 284, 259, 222, 46, 132, 107, 114, 3,
+               291, 193, 124, 130, 9, 29, 161, 214, 249, 0, 279, 72, 186, 294, 257, 275, 49, 30,
+               109, 148, 14, 44, 24, 70, 235, 221, 254, 116, 91, 55, 191, 53, 60, 129, 40, 42, 135,
+               204, 145, 125, 115, 81, 210, 139, 85, 127, 174, 47, 150, 238, 10, 298, 144, 99, 209,
+               299, 272, 229, 102, 255, 142, 251, 33, 162, 138, 171, 293, 117, 220, 206, 215, 98,
+               246, 168, 97, 244, 43, 32, 192, 276, 92, 248, 169, 74, 281, 245, 211, 185, 237, 122,
+               140, 15, 277, 213, 103, 224, 217, 176, 268, 128, 178, 4, 86, 121, 7, 110, 243, 78,
+               34, 18, 156, 88, 153, 56, 6, 13, 155, 143, 226],
+        best_length="13.487796941836226", expansions=23000, rounds=2, dead_ends=22869,
+        or_moves=71,
+        round_best_lengths=["13.511701637781577", "13.487796941836226"],
         lower_bound="nan", proof_round=0,
     ),
 }
@@ -1565,7 +1589,7 @@ class TestProofStop:
         t0 = time.perf_counter()
         tour, stats = self.search(inst, PRESETS["tsp20"].with_budget(time_budget=5.0), 0)
         assert time.perf_counter() - t0 < 5.0
-        assert stats.rounds == stats.proof_round == 5
+        assert stats.rounds == stats.proof_round == 2
         opt_tour, _ = held_karp_exact(inst)
         assert tour_edges(tour) == tour_edges(opt_tour)
 
@@ -1583,7 +1607,7 @@ class TestProofStop:
         monkeypatch.setattr(search_mod, "one_tree_bound", lambda d, upper: -math.inf)
         _, full = self.search(inst, params, 5)
         assert (full.rounds, full.proof_round) == (12, 0)
-        assert (full.total_expansions, full.dead_ends, full.or_moves) == (720, 720, 54)
+        assert (full.total_expansions, full.dead_ends, full.or_moves) == (720, 720, 35)
         assert full.round_best_lengths[:2] == stats.round_best_lengths
         capped_tour, capped = self.search(inst, params.with_budget(max_rounds=2), 5)
         assert capped_tour.order.tolist() == tour.order.tolist()
