@@ -188,9 +188,13 @@ def _add_common(p: argparse.ArgumentParser, budget: bool = False, train: bool = 
     if budget:
         p.add_argument("--time-budget", type=float, default=None, metavar="SECONDS",
                        help="wall-clock cap on the search only, not on training; "
-                            "round 1's start tour (after its 2-opt and Or-opt "
-                            "pass) is always returned")
-        p.add_argument("--rounds", type=int, default=None, metavar="N")
+                            "the search returns round 1's start tour (after its "
+                            "2-opt and Or-opt pass) or a shorter one, however "
+                            "small the budget")
+        p.add_argument("--rounds", type=int, default=None, metavar="N",
+                       help="cap on the search's rounds, bit-reproducible; above 20 "
+                            "cities a search runs them as two seeded streams, the "
+                            "second in a worker process, and N caps both together")
     if train:
         p.add_argument("--steps", type=int, default=TrainConfig.steps,
                        help="Adam steps of the heat-map fit (default: %(default)s)")

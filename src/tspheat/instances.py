@@ -102,9 +102,12 @@ def generate_random(n: int, seed: int) -> Instance:
 def coordinate_span(inst: Instance) -> float:
     """The largest per-axis extent of the cities' coordinates, max over the
     axes of (max - min); 0.0 when all cities share one point. The one span
-    rule: unit_exponent, the heat-map fit's frame and emit_tour_svg read it."""
+    rule: unit_exponent, the heat-map fit's frame and emit_tour_svg read it.
+    An extent past the largest float is inf, and distance_matrix then
+    refuses the instance."""
     c = inst.coords
-    return float((c.max(axis=0) - c.min(axis=0)).max())
+    with np.errstate(over="ignore"):
+        return float((c.max(axis=0) - c.min(axis=0)).max())
 
 
 def unit_exponent(inst: Instance) -> int:

@@ -27,18 +27,27 @@ candidate the gain rule rejects. The table holds no heat: a draw reads its
 weights from the run's heat map, so a heat update never leaves it stale,
 and one table built with the frame serves every round of the run.
 
-A run ends early once its best tour is proven optimal by the 1-tree lower
-bound (bounds.one_tree_bound), which it computes at most once, when a round
-ends at the length of the best tour of the rounds before it.
+A run's rounds form one or two streams (_stream), each with its own rng,
+its own copy of the pruned heat map and its own statistics. A stream ends
+early once its best tour is proven optimal by the 1-tree lower bound
+(bounds.one_tree_bound), which it computes at most once, when a round ends
+at the length of the best tour of the rounds before it.
 
-Everything here is single-threaded per run: a run owns its mutable copy of
-the pruned heat map and its statistics. Parallelism belongs across runs.
-The tour file format lives in instances.py with the other native documents.
+A run of more than ONE_STREAM_MAX_CITIES cities with a round cap other than
+1 splits its rounds into two seeded streams: stream 0 in this process and
+stream 1 in one worker process (_Worker), forked on first need and reused
+by later runs. The streams share nothing while they run, and the merged
+result (_merge) never depends on which ends first, so it is the same
+without the worker. The tour file format lives in instances.py with the
+other native documents.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import struct
+import sys
 import time
 from bisect import bisect_right
 from collections import deque
@@ -68,6 +77,11 @@ OR_OPT_SEGMENT = 3
 # random double bridges applied to each round's nearest-neighbour start
 # (_round_start); one kick or none left exact-n16 runs short of the optimum
 ROUND_START_KICKS = 2
+# runs of at most this many cities keep one stream (run_search): the 1-tree
+# bound ends most of them within 2-4 rounds, and a 10-round search took 4.4
+# ms in one stream against 4.7 ms in two at n = 20, but 17.9 against 13.5 ms
+# at n = 30 (medians of 48 runs, 2-core VM)
+ONE_STREAM_MAX_CITIES = 20
 
 
 @dataclass(frozen=True)
@@ -78,7 +92,10 @@ class SearchParams:
     expand_budget is the number of construction attempts per node expansion.
     At least one of time_budget (seconds) / max_rounds must be set. Both are
     caps: a run ends sooner once a 1-tree bound proves its best tour optimal
-    (run_search). Round caps give bit-reproducible runs, wall-clock budgets
+    (run_search). max_rounds is a total over the run's streams: a run split
+    into two gives stream 0 at most ceil(max_rounds / 2) rounds and stream
+    1 at most floor(max_rounds / 2); time_budget is one deadline that both
+    streams share. Round caps give bit-reproducible runs, wall-clock budgets
     do not.
     """
 
@@ -139,6 +156,16 @@ class SearchStats:
     length, in the instance's units (nan when the run computed none), and
     proof_round the round after which that bound proved the best tour
     optimal and the run ended (0 when it never did).
+
+    A run split into two streams (run_search) reports stream 0 alone when
+    stream 0 proves its tour optimal, and otherwise both merged (_merge):
+    the counters, rounds and two_opt_seconds are sums over both
+    streams, so two_opt_seconds counts both processes' time and can exceed
+    its share of the run's wall clock; round_best_lengths holds stream 0's
+    rounds, then the run's best length after each of stream 1's, and ends at
+    best_length; lower_bound is the larger of the streams' bounds; and
+    proof_round is rounds when the run's best length is within MIN_GAIN of
+    that bound, else 0. A proven run has rounds == proof_round either way.
     """
 
     improving: int = 0
@@ -783,54 +810,43 @@ def _round(
             best_len, best_order = length, order
 
 
-def run_search(
-    inst: Instance,
-    pruned: np.ndarray,
+def _stream(
+    frame: _Frame,
+    heat: np.ndarray,
     params: SearchParams,
-    seed: int,
-) -> tuple[Tour, SearchStats]:
-    """Full multi-round search; returns (best Tour, SearchStats).
+    rng: np.random.Generator,
+    rounds: Optional[int],
+    deadline: Optional[float],
+    live=None,
+) -> Optional[tuple[np.ndarray, SearchStats]]:
+    """One stream of rounds on frame; returns (the first order of the
+    shortest length any round reached, the stream's SearchStats), or None
+    when live (a callable, or None) returned False at a round boundary.
 
-    The run builds its _Frame, copies the pruned heat map (its rounds update
-    the copy, and the updates survive into later rounds) and seeds one rng,
-    then runs _round until the wall-clock deadline or max_rounds rounds,
-    whichever comes first, and returns the first tour of the shortest length
-    any round reached. Round 1 always runs, so even a deadline that has
-    already passed returns a tour; its expansions stop at the deadline.
-    Every entry of pruned must be finite and >= 0, the rules a heat-map file
-    obeys (instances.parse_heatmap); ValueError otherwise.
+    heat is the stream's own heat map: its rounds update it in place, and
+    the updates survive into later rounds. The stream runs _round until the
+    deadline or `rounds` rounds (None: no cap), whichever comes first. Round
+    1 always runs, so even a deadline that has already passed gives a tour;
+    its expansions stop at the deadline.
 
     It also stops after the first round whose best tour is proven optimal.
     The first round r >= 2 that ends within MIN_GAIN of the best length of
     rounds 1 .. r-1 computes bounds.one_tree_bound once, aimed at the best
-    length; from then on the run ends after any round whose best length is
-    within MIN_GAIN of that bound. The bound runs in the same power-of-two
-    frame and with the same MIN_GAIN as every move, draws no random number
-    and changes neither the heat nor the tour, so a run that is never proven
-    optimal is the run it would be without the bound.
+    length; from then on the stream ends after any round whose best length
+    is within MIN_GAIN of that bound. The bound runs in the frame, with the
+    same MIN_GAIN as every move, draws no random number and changes neither
+    the heat nor the tour, so a stream that is never proven optimal is the
+    stream it would be without the bound.
     """
-    if params.time_budget is None and params.max_rounds is None:
-        raise ValueError("a budget is required: set time_budget and/or max_rounds")
-    n = inst.n
-    if pruned.shape != (n, n):
-        raise ValueError(f"pruned heat map shape {pruned.shape} does not match n={n}")
-    # NaN fails both tests, and a NaN weight would turn every later running
-    # sum of a draw into NaN
-    if not ((pruned >= 0) & (pruned < math.inf)).all():
-        raise ValueError("pruned heat-map entries must be finite and >= 0")
-    frame = _Frame.build(inst, params.m)
-    heat = np.array(pruned, dtype=np.float64, copy=True)
-    rng = np.random.default_rng(seed)
     stats = SearchStats()
-    deadline = None
-    if params.time_budget is not None:
-        deadline = time.perf_counter() + params.time_budget
     best_order: Optional[np.ndarray] = None
     best_len = math.inf
-    bound = None  # the 1-tree bound, computed at most once per run
-    while params.max_rounds is None or stats.rounds < params.max_rounds:
+    bound = None  # the 1-tree bound, computed at most once per stream
+    while rounds is None or stats.rounds < rounds:
         if stats.rounds and deadline is not None and time.perf_counter() >= deadline:
             break
+        if live is not None and not live():
+            return None
         stats.rounds += 1
         earlier_best = best_len
         length, round_len, round_order = _round(frame, heat, stats, rng, params, deadline)
@@ -846,4 +862,248 @@ def run_search(
             stats.proof_round = stats.rounds
             break
     stats.best_length = stats.round_best_lengths[-1]
-    return Tour.from_order(best_order), stats
+    return best_order, stats
+
+
+def _merge(first: tuple, second: tuple, e: int) -> tuple[np.ndarray, SearchStats]:
+    """One run's (order, SearchStats) from its two streams' (_stream), as if
+    stream 1's rounds had run after stream 0's.
+
+    The shorter best tour wins, a tie goes to stream 0, and the counters
+    and two_opt_seconds are summed. round_best_lengths is stream 0's list
+    followed by the best length of the run after each of stream 1's rounds,
+    lower_bound the larger of the bounds the streams computed, and the run
+    is proven, with proof_round = rounds, when its best length is within
+    MIN_GAIN of that bound in the frame (e is its exponent)."""
+    order, s0 = first
+    other, s1 = second
+    best = s0.best_length
+    if s1.best_length < best:
+        order, best = other, s1.best_length
+    stats = SearchStats(
+        improving=s0.improving + s1.improving,
+        dead_ends=s0.dead_ends + s1.dead_ends,
+        rounds=s0.rounds + s1.rounds,
+        or_moves=s0.or_moves + s1.or_moves,
+        two_opt_seconds=s0.two_opt_seconds + s1.two_opt_seconds,
+        best_length=best,
+        round_best_lengths=s0.round_best_lengths
+        + [min(x, s0.best_length) for x in s1.round_best_lengths],
+        lower_bound=max((b for b in (s0.lower_bound, s1.lower_bound) if not math.isnan(b)),
+                        default=math.nan),
+    )
+    if math.ldexp(best, -e) <= math.ldexp(stats.lower_bound, -e) + MIN_GAIN:
+        stats.proof_round = stats.rounds
+    return order, stats
+
+
+def _run_heat(pruned: np.ndarray) -> np.ndarray:
+    """A run's heat map: a float64 copy of pruned, scaled by a power of two
+    when its largest entry exceeds the largest float / n. A draw sums at
+    most n - 1 weights (_feasible), so no running sum can then overflow to
+    inf, which would make _draw always take a row's last candidate. The
+    scale keeps every ratio of heats that does not underflow, and ordinary
+    heat maps are copied unscaled."""
+    heat = np.array(pruned, dtype=np.float64, copy=True)
+    peak = float(heat.max())
+    limit = sys.float_info.max / heat.shape[0]
+    if peak > limit:
+        heat = np.ldexp(heat, -math.frexp(peak / limit)[1])
+    return heat
+
+
+def _deadline(params: SearchParams) -> Optional[float]:
+    """The perf_counter time at which a run's time budget, started now,
+    ends; None without a budget. perf_counter is a system-wide monotonic
+    clock on the platforms that fork, so the worker reads it alike."""
+    if params.time_budget is None:
+        return None
+    return time.perf_counter() + params.time_budget
+
+
+def run_search(
+    inst: Instance,
+    pruned: np.ndarray,
+    params: SearchParams,
+    seed: int,
+) -> tuple[Tour, SearchStats]:
+    """Full multi-round search; returns (best Tour, SearchStats).
+
+    The run builds its _Frame and a copy of the pruned heat map (_run_heat),
+    then runs its rounds as streams (_stream). Every entry of pruned must be
+    finite and >= 0, the rules a heat-map file obeys
+    (instances.parse_heatmap); ValueError otherwise.
+
+    A run of at most ONE_STREAM_MAX_CITIES cities, or with max_rounds = 1,
+    is one stream seeded with seed. Any other run splits its round cap R
+    into two streams, each with its own copy of the heat: stream 0, the
+    same stream seeded with seed, for at most ceil(R / 2) rounds, and
+    stream 1, seeded with (seed, 1), for at most floor(R / 2). A time
+    budget gives both the same deadline. Stream 1 runs in a worker process
+    (_Worker) while this process runs stream 0. If stream 0's 1-tree bound
+    proves its tour optimal, stream 0 is the run and stream 1 is dropped;
+    otherwise the two are merged (_merge). Where no worker can run (no fork
+    on the platform, a process with threads or a daemonic one, or a worker
+    that died), stream 1 runs here after stream 0, with the same result, so
+    a round-capped run's result never depends on timing or on the worker.
+    """
+    if params.time_budget is None and params.max_rounds is None:
+        raise ValueError("a budget is required: set time_budget and/or max_rounds")
+    n = inst.n
+    if pruned.shape != (n, n):
+        raise ValueError(f"pruned heat map shape {pruned.shape} does not match n={n}")
+    # NaN fails both tests, and a NaN weight would turn every later running
+    # sum of a draw into NaN
+    if not ((pruned >= 0) & (pruned < math.inf)).all():
+        raise ValueError("pruned heat-map entries must be finite and >= 0")
+    heat = _run_heat(pruned)
+    cap = params.max_rounds
+    if n <= ONE_STREAM_MAX_CITIES or cap == 1:
+        frame = _Frame.build(inst, params.m)
+        order, stats = _stream(frame, heat, params, np.random.default_rng(seed), cap,
+                               _deadline(params))
+        return Tour.from_order(order), stats
+    caps = (None, None) if cap is None else ((cap + 1) // 2, cap // 2)
+    deadline = _deadline(params)
+    # submitted before this process builds its frame, so that the worker
+    # builds its own meanwhile
+    number = _submit((inst, heat, params, seed, caps[1], deadline))
+    frame = _Frame.build(inst, params.m)
+    first = _stream(frame, heat.copy(), params, np.random.default_rng(seed), caps[0], deadline)
+    if first[1].proof_round:
+        if number is not None:
+            _worker.abort()  # stream 1 stops at its next round boundary
+        return Tour.from_order(first[0]), first[1]
+    second = _collect(number) or _stream(frame, heat, params, np.random.default_rng((seed, 1)),
+                                         caps[1], deadline)
+    order, stats = _merge(first, second, frame.e)
+    return Tour.from_order(order), stats
+
+
+# ---------------------------------------------------------------------------
+# the worker process that runs stream 1
+# ---------------------------------------------------------------------------
+
+class _Worker:
+    """A process that runs stream 1 of split runs (run_search) for the
+    process that forked it: forked on first need, a daemon, reused by every
+    later run, and ending when its pipe closes. current holds the number of
+    the job the parent still wants; stream 1 reads it at each round boundary
+    and drops its job once the number has changed."""
+
+    def __init__(self):
+        # imported here, so that importing the package loads no process
+        # machinery
+        import mmap
+        import multiprocessing
+        import threading
+
+        if threading.active_count() > 1 or multiprocessing.current_process().daemon:
+            # a fork copies only the calling thread, so a lock another thread
+            # holds stays held in the child; a daemonic process, such as a
+            # multiprocessing.Pool worker, may not have children
+            raise ValueError("this process cannot fork a worker")
+        ctx = multiprocessing.get_context("fork")  # ValueError where fork does not exist
+        self.owner = os.getpid()
+        self.current = mmap.mmap(-1, 8)  # anonymous, so shared with the fork
+        self.number = 0
+        self.conn, child = ctx.Pipe()
+        self.proc = ctx.Process(target=_serve, args=(child, self.conn, self.current),
+                                name="tspheat-stream", daemon=True)
+        try:
+            self.proc.start()
+        finally:
+            child.close()
+
+    def submit(self, job: tuple) -> int:
+        self.number += 1
+        struct.pack_into("q", self.current, 0, self.number)
+        self.conn.send((self.number, job))
+        return self.number
+
+    def collect(self, number: int) -> Optional[tuple]:
+        """The result of job number (None when the worker's stream raised);
+        results of dropped jobs are read past."""
+        while True:
+            got, result = self.conn.recv()
+            if got == number:
+                return result
+
+    def abort(self) -> None:
+        struct.pack_into("q", self.current, 0, 0)
+
+    def stop(self) -> None:
+        self.abort()
+        self.conn.close()
+        self.proc.join(timeout=5)
+        if self.proc.is_alive():
+            self.proc.kill()
+            self.proc.join()
+
+
+_worker: Optional[_Worker] = None
+
+
+def _serve(conn, parent_end, current) -> None:
+    """The worker's loop: build the frame of each job, run its stream 1 and
+    send back its (order, stats), until the pipe closes."""
+    import signal
+
+    parent_end.close()
+    # an interrupt is the parent's to handle; this process ends with its pipe
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    while True:
+        try:
+            number, (inst, heat, params, seed, rounds, deadline) = conn.recv()
+        except (EOFError, OSError):
+            return
+        try:
+            result = _stream(_Frame.build(inst, params.m), heat, params,
+                             np.random.default_rng((seed, 1)), rounds, deadline,
+                             lambda: struct.unpack_from("q", current)[0] == number)
+            if result is None:  # dropped: nobody reads it
+                continue
+        except Exception:  # the parent runs the stream itself, and raises there
+            result = None
+        try:
+            conn.send((number, result))
+        except OSError:
+            return
+
+
+def _submit(job: tuple) -> Optional[int]:
+    """Start stream 1 of a split run on the worker, forking it if none is
+    running; returns the job's number, or None when no worker can take it."""
+    global _worker
+    if _worker is not None and _worker.owner != os.getpid():
+        _worker = None  # inherited through a fork: its parent's worker
+    try:
+        if _worker is None:
+            _worker = _Worker()
+        return _worker.submit(job)
+    except (ValueError, OSError):
+        _stop_worker()
+        return None
+
+
+def _collect(number: Optional[int]) -> Optional[tuple]:
+    """Stream 1's (order, stats) for job number, or None when there is no
+    job or the worker failed, in which case the run runs stream 1 itself."""
+    if number is None:
+        return None
+    try:
+        result = _worker.collect(number)
+    except (EOFError, OSError):
+        result = None
+    if result is None:
+        _stop_worker()
+    return result
+
+
+def _stop_worker() -> None:
+    """End the worker process, if one runs; the next split run forks a new
+    one."""
+    global _worker
+    worker, _worker = _worker, None
+    if worker is not None:
+        worker.stop()

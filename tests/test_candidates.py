@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from tspheat.candidates import (
     DISTANCE_MODE,
     HEAT_MODE,
+    SELECT_MIN_KEYS,
     candidate_lists,
     edge_set,
     overlap_coefficient,
@@ -66,6 +67,42 @@ def candidate_matrix(n, seed, kind):
     return a
 
 
+def dense_ranks(key, m):
+    """Reference ranking: one stable argsort of every whole row of the n x n
+    key, its diagonal set to +inf in place, cut to m columns."""
+    np.fill_diagonal(key, np.inf)
+    return np.argsort(key, axis=1, kind="stable")[:, :m]
+
+
+def dense_heat_lists(matrix, m):
+    """Reference for heat mode: the dense ranking of the key -matrix, each
+    row keeping its prefix of negative keys (strictly positive heat)."""
+    key = -np.asarray(matrix, dtype=np.float64)
+    ranks = dense_ranks(key, m)
+    counts = np.count_nonzero(np.take_along_axis(key, ranks, axis=1) < 0, axis=1)
+    return [row[:c] for row, c in zip(ranks, counts)]
+
+
+# heat values that stress the ranking: ties, both infinities, NaN, signed
+# zeros and negatives
+SPECIAL_HEAT = [0.0, -0.0, 0.5, 1.0, 1.0, 2.0, -1.0, np.inf, -np.inf, np.nan]
+
+
+# row lengths on both sides of SELECT_MIN_KEYS: short rows are argsorted
+# whole, long ones ranked by a selection
+SIZES = st.one_of(st.integers(2, 14), st.integers(SELECT_MIN_KEYS, SELECT_MIN_KEYS + 30))
+
+
+def special_matrix(n, seed):
+    """SPECIAL_HEAT entries, half of them zeroed (sparse, as a pruned map is,
+    and tied), with a diagonal of zero, positive, +inf or NaN entries."""
+    rng = np.random.default_rng(seed)
+    matrix = rng.choice(SPECIAL_HEAT, size=(n, n))
+    matrix[rng.random((n, n)) < 0.5] = 0.0
+    np.fill_diagonal(matrix, rng.choice([0.0, 1.0, 3.0, np.inf, np.nan], size=n))
+    return matrix
+
+
 class TestTopMFilter:
     def test_m_equals_n_minus_one_keeps_everything(self):
         h = random_heat(3, 0)
@@ -92,6 +129,24 @@ class TestTopMFilter:
         bf_kept, bf_pruned = brute_force_top_m(h, m)
         assert np.array_equal(kept, bf_kept)
         assert np.array_equal(pruned, bf_pruned)
+
+    @given(SIZES, st.integers(0, 10_000), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_dense_argsort(self, n, seed, data):
+        # kept holds each row's entries at the dense argsort's first m
+        # columns of -h, byte for byte, with ties, both infinities, NaN and
+        # signed zeros; +inf and -inf kept at (i, j) and (j, i) sum to NaN
+        m = data.draw(st.integers(1, n - 1))
+        h = special_matrix(n, seed)
+        rows = np.arange(n)[:, None]
+        ranks = dense_ranks(-h, m)
+        want = np.zeros_like(h)
+        want[rows, ranks] = h[rows, ranks]
+        np.fill_diagonal(want, 0.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            kept, pruned = top_m_filter(h, m)
+            assert pruned.tobytes() == (want + want.T).tobytes()
+        assert kept.tobytes() == want.tobytes()
 
     def test_symmetry_is_exact(self):
         _, pruned = top_m_filter(random_heat(9, 2), 3)
@@ -167,22 +222,6 @@ class TestOverlapCoefficient:
             _, pruned = top_m_filter(h, m)
             etas.append(overlap_coefficient(edge_set(pruned), truth))
         assert all(a <= b + 1e-15 for a, b in zip(etas, etas[1:]))
-
-
-def dense_heat_lists(matrix, m):
-    """Reference for heat mode: one stable argsort of every n x n key
-    -matrix, the diagonal keyed +inf, cut to m columns, each row keeping its
-    prefix of negative keys (strictly positive heat)."""
-    key = -np.asarray(matrix, dtype=np.float64)
-    np.fill_diagonal(key, np.inf)
-    ranks = np.argsort(key, axis=1, kind="stable")[:, :m]
-    counts = np.count_nonzero(np.take_along_axis(key, ranks, axis=1) < 0, axis=1)
-    return [row[:c] for row, c in zip(ranks, counts)]
-
-
-# heat values that stress the ranking: ties, both infinities, NaN, signed
-# zeros and negatives
-SPECIAL_HEAT = [0.0, -0.0, 0.5, 1.0, 1.0, 2.0, -1.0, np.inf, -np.inf, np.nan]
 
 
 class TestCandidateLists:
@@ -263,7 +302,7 @@ class TestCandidateLists:
                              key=lambda j: (-kept[i, j], j))
             assert cand[i].tolist() == support
 
-    @given(st.integers(2, 14), st.integers(0, 10_000), st.data())
+    @given(SIZES, st.integers(0, 10_000), st.data())
     @settings(max_examples=300, deadline=None)
     def test_heat_lists_match_dense_argsort(self, n, seed, data):
         # heat lists rank only each row's positive off-diagonal entries;
@@ -271,10 +310,7 @@ class TestCandidateLists:
         # +inf, NaN, negative and zero entries, positive diagonals and rows
         # with fewer than m positive entries
         m = data.draw(st.integers(1, n - 1))
-        rng = np.random.default_rng(seed)
-        matrix = rng.choice(SPECIAL_HEAT, size=(n, n))
-        matrix[rng.random((n, n)) < 0.5] = 0.0  # sparse, as a pruned map is
-        np.fill_diagonal(matrix, rng.choice([0.0, 1.0, 3.0, np.inf, np.nan], size=n))
+        matrix = special_matrix(n, seed)
         cand = candidate_lists(matrix, m, HEAT_MODE)
         want = dense_heat_lists(matrix, m)
         assert len(cand) == n
@@ -282,6 +318,17 @@ class TestCandidateLists:
             assert got.dtype == np.int64
             assert not got.flags.writeable
             assert got.tolist() == ref.tolist()
+
+    @given(SIZES, st.integers(0, 10_000), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_distance_lists_match_dense_argsort(self, n, seed, data):
+        # a distance list is the dense argsort's row, byte for byte, with
+        # the same special keys, ties at the cut included
+        m = data.draw(st.integers(1, n - 1))
+        matrix = special_matrix(n, seed)
+        cand = candidate_lists(matrix, m, DISTANCE_MODE)
+        assert [c.tolist() for c in cand] == dense_ranks(matrix.copy(), m).tolist()
+        assert all(c.dtype == np.int64 and not c.flags.writeable for c in cand)
 
     def test_heat_lists_cover_every_special_value(self):
         # one row per case, checked against the dense argsort

@@ -11,6 +11,7 @@ from tspheat.instances import (
     Instance,
     Tour,
     TsplibParseError,
+    coordinate_span,
     distance_matrix,
     format_heatmap,
     format_instance,
@@ -88,6 +89,15 @@ class TestDistanceMatrix:
 
     def test_rejects_overflowing_distances(self):
         inst = Instance(coords=generate_random(8, 0).coords * 1e200)
+        with pytest.raises(ValueError, match="overflows"):
+            distance_matrix(inst)
+
+    def test_rejects_an_extent_past_the_largest_float(self):
+        # the largest float and a negative coordinate: their difference
+        # overflows, with no warning, and the instance is refused
+        inst = Instance(coords=np.array([[1.7976931348623157e308, 0.0], [0.0, 0.0],
+                                         [-1e292, 0.0]]))
+        assert coordinate_span(inst) == math.inf
         with pytest.raises(ValueError, match="overflows"):
             distance_matrix(inst)
 

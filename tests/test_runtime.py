@@ -27,3 +27,15 @@ def test_import_adds_only_numpy_and_stdlib_modules():
     added = set(json.loads(out.stdout))
     assert "tspheat" in added
     assert added - sys.stdlib_module_names - {"numpy", "tspheat"} == set()
+
+
+def test_import_loads_no_process_machinery():
+    # the search imports multiprocessing when a run first splits, so that
+    # importing the package and the CLI costs no more than it did
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    probe = "import sys, tspheat, tspheat.cli; print('multiprocessing' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+        check=True, timeout=120,
+    )
+    assert out.stdout.strip() == "False"

@@ -1,6 +1,10 @@
 import itertools
 import math
+import os
 import re
+import signal
+import subprocess
+import sys
 import time
 from collections import Counter, defaultdict
 from dataclasses import replace
@@ -53,6 +57,7 @@ from tspheat.search import (
     _positions,
     _round,
     _round_start,
+    _run_heat,
 )
 
 
@@ -1127,11 +1132,11 @@ class TestRunSearch:
         assert math.isfinite(stats.best_length)
         assert stats.best_length == tour_length(d, tour)
 
-    def test_deadline_inside_an_expansion(self, monkeypatch):
+    def test_deadline_inside_an_expansion(self, monkeypatch, one_stream):
         # a fake clock lets the deadline pass after attempt K of an expansion
         # in a round r >= 2 that has applied a move: no attempt starts after
         # it, round r is the last, and the run returns its best tour with the
-        # length it recorded for it
+        # length it recorded for it (one stream, so the spies see every round)
         import types
 
         import tspheat.search as search_mod
@@ -1184,7 +1189,9 @@ class TestRunSearch:
     def test_round_start_is_the_neighbor_pass_alone(self):
         # on this n=100 start the full 2-opt scan still finds moves after
         # the pass; a round does not run the scan, so round 1's tour is the
-        # pass's fixpoint as it stands
+        # pass's fixpoint as it stands. Each of the run's two streams runs
+        # its round 1 (stream 1's rng seeded with (seed, 1)), and the run
+        # returns the shorter start, stream 0's on a tie
         inst = generate_random(100, 1)
         d = distance_matrix(inst)
         _, pruned = top_m_filter(soft_heat(d), 8)
@@ -1193,10 +1200,12 @@ class TestRunSearch:
         assert list_moves_left(d, first.order.tolist()) == []
         assert brute_force_two_opt_scan(d, first.order.tolist()) < -MIN_GAIN
         assert not np.array_equal(reference_two_opt_order(d, first.order.copy()), first.order)
+        second = first_round_start(d, (2, 1))
         tour, stats = run_search(inst, pruned, params, 2)
-        assert stats.rounds == 1
+        assert stats.rounds == 2
         assert stats.total_expansions == 0
-        assert np.array_equal(tour.order, first.order)
+        want = min((first, second), key=lambda t: tour_length(d, t))
+        assert np.array_equal(tour.order, want.order)
         assert stats.best_length == tour_length(d, tour)
 
     def test_round_start_lists_grow_with_n(self):
@@ -1276,11 +1285,11 @@ class TestRunSearch:
         assert tour.order.tolist() == want.order.tolist()
         assert stats.best_length == want_stats.best_length
 
-    def test_draws_read_the_current_heat(self, monkeypatch):
+    def test_draws_read_the_current_heat(self, monkeypatch, one_stream):
         # the candidate table holds no heat: the run's one table, built with
         # its frame, serves every round, and every draw weighs its
         # candidates by the run's heat map as it stands, heat updates
-        # included
+        # included (one stream, so the spies see every round)
         import tspheat.search as search_mod
 
         inst = generate_random(30, 4)
@@ -1332,7 +1341,7 @@ class TestRunSearch:
         assert any(checks) and not all(checks)
         assert not np.array_equal(run_heat[0], pruned)
 
-    @pytest.mark.parametrize("n, instance_seed, rounds", [(16, 14, 12), (50, 50, 6),
+    @pytest.mark.parametrize("n, instance_seed, rounds", [(16, 14, 12), (50, 50, 10),
                                                           (120, 120, 3)])
     def test_heat_outside_the_lists_is_never_read(self, n, instance_seed, rounds):
         # a draw reads the heat only at (u, c) for c in u's list of its m
@@ -1367,6 +1376,32 @@ class TestRunSearch:
         pruned[2, 5] = bad
         with pytest.raises(ValueError, match="finite and >= 0"):
             run_search(inst, pruned, dist_params(max_rounds=2), 0)
+
+    def test_running_sums_stay_finite_for_any_accepted_heat(self, monkeypatch, in_process):
+        # every positive pruned entry at 1e308: the run scales its heat copy
+        # by a power of two, so no running weight sum of a draw overflows to
+        # inf (after which _draw always took a row's last candidate); an
+        # ordinary heat map is copied as it is
+        import tspheat.search as search_mod
+
+        inst = generate_random(30, 1)
+        params = preset_for(30).with_budget(max_rounds=3)
+        _, pruned = top_m_filter(soft_heat(distance_matrix(inst)), params.m)
+        assert _run_heat(pruned).tobytes() == pruned.tobytes()
+        pruned[pruned > 0] = 1e308
+        real = search_mod._feasible
+        sums = []
+
+        def feasible_spy(*args):
+            feas, cums = real(*args)
+            sums.extend(cums)
+            return feas, cums
+
+        monkeypatch.setattr(search_mod, "_feasible", feasible_spy)
+        tour, stats = run_search(inst, pruned, params, 1)
+        assert stats.rounds == 3 and len(sums) > 100
+        assert all(math.isfinite(x) for x in sums)
+        assert stats.best_length == tour_length(distance_matrix(inst), tour)
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     @pytest.mark.parametrize("layout", ["duplicate", "collinear"])
@@ -1467,26 +1502,26 @@ GOLDEN_SEARCHES = {
     "tsp100-n100": dict(
         n=100, instance_seed=4, seed=6,
         params=PRESETS["tsp100"].with_budget(max_rounds=2),
-        order=[18, 39, 99, 15, 63, 43, 48, 12, 41, 60, 42, 79, 53, 74, 32, 17, 70, 23, 69, 68,
-               94, 88, 38, 40, 87, 9, 71, 37, 83, 21, 33, 45, 58, 44, 50, 35, 54, 55, 82, 28,
-               14, 22, 93, 46, 64, 19, 96, 11, 95, 25, 77, 90, 1, 91, 97, 3, 27, 92, 61, 66,
-               76, 51, 2, 47, 52, 62, 80, 36, 57, 4, 5, 81, 24, 31, 7, 29, 89, 0, 26, 16, 49,
-               86, 78, 56, 8, 34, 65, 72, 10, 84, 73, 20, 67, 85, 98, 59, 30, 13, 75, 6],
-        best_length="7.654298698409481", expansions=3300, rounds=2, dead_ends=3250,
-        or_moves=36,
-        round_best_lengths=["8.094062159828809", "7.654298698409481"],
+        order=[9, 87, 40, 38, 88, 94, 68, 69, 23, 70, 17, 75, 13, 30, 59, 98, 85, 67, 20, 73, 84,
+               10, 72, 65, 34, 8, 56, 78, 86, 49, 16, 26, 4, 57, 36, 80, 62, 52, 47, 2, 96, 51, 76,
+               5, 0, 89, 29, 7, 31, 81, 24, 66, 61, 92, 27, 91, 1, 90, 97, 3, 95, 77, 25, 11, 19,
+               64, 46, 93, 22, 14, 35, 50, 44, 58, 45, 33, 54, 21, 71, 37, 83, 55, 82, 28, 12, 48,
+               43, 63, 15, 99, 39, 18, 6, 74, 53, 32, 79, 42, 60, 41],
+        best_length="7.909439112714774", expansions=1200, rounds=2, dead_ends=1197,
+        or_moves=32,
+        round_best_lengths=["8.094062159828809", "7.909439112714774"],
         lower_bound="nan", proof_round=0,
     ),
     # a non-preset m
     "custom-n30": dict(
         n=30, instance_seed=8, seed=9,
         params=SearchParams(beta=10.0, m=6, expand_budget=60, max_rounds=6),
-        order=[2, 7, 23, 10, 21, 19, 15, 14, 25, 22, 13, 3, 24, 29, 11, 5, 6, 12, 16, 17, 4, 28,
-               8, 27, 1, 0, 18, 26, 9, 20],
-        best_length="4.6426066301079345", expansions=360, rounds=6, dead_ends=360,
-        or_moves=42,
-        round_best_lengths=["4.748536330606426", "4.748536330606425", "4.642606630107935"]
-        + ["4.6426066301079345"] * 3,
+        order=[5, 11, 29, 24, 3, 13, 22, 25, 14, 15, 19, 21, 10, 23, 7, 2, 20, 9, 26, 18, 0, 1, 27,
+               8, 28, 4, 17, 16, 12, 6],
+        best_length="4.642606630107934", expansions=420, rounds=6, dead_ends=419,
+        or_moves=59,
+        round_best_lengths=["4.748536330606426", "4.748536330606425"]
+        + ["4.642606630107935"] * 3 + ["4.642606630107934"],
         lower_bound="4.546576924920412", proof_round=0,
     ),
     # preset_for(300) is tsp500: the distance rounds' lists hold m = 5 cities
@@ -1495,26 +1530,26 @@ GOLDEN_SEARCHES = {
     "tsp500-n300": dict(
         n=300, instance_seed=2, seed=7,
         params=PRESETS["tsp500"].with_budget(max_rounds=2),
-        order=[170, 62, 73, 223, 137, 12, 141, 189, 27, 157, 89, 35, 202, 195, 82, 250, 120, 265,
-               90, 183, 266, 187, 159, 136, 218, 163, 11, 26, 57, 236, 292, 152, 108, 52, 111, 274,
-               41, 286, 8, 283, 295, 71, 271, 263, 149, 94, 287, 290, 83, 106, 234, 16, 164, 230,
-               216, 54, 28, 2, 79, 182, 151, 200, 190, 297, 269, 181, 36, 247, 63, 188, 67, 240, 20,
-               253, 241, 59, 65, 242, 45, 197, 207, 19, 288, 126, 260, 21, 270, 219, 64, 133, 280,
-               166, 228, 160, 167, 105, 199, 84, 112, 38, 75, 184, 95, 100, 80, 196, 180, 87, 256,
-               66, 225, 93, 261, 1, 289, 58, 205, 233, 146, 158, 131, 68, 96, 296, 227, 252, 22, 76,
-               61, 17, 25, 177, 39, 37, 113, 258, 119, 262, 101, 239, 179, 50, 147, 118, 23, 69,
-               154, 198, 232, 267, 51, 104, 208, 165, 134, 273, 172, 201, 285, 77, 231, 212, 31,
-               175, 173, 123, 194, 203, 5, 264, 48, 278, 282, 284, 259, 222, 46, 132, 107, 114, 3,
-               291, 193, 124, 130, 9, 29, 161, 214, 249, 0, 279, 72, 186, 294, 257, 275, 49, 30,
-               109, 148, 14, 44, 24, 70, 235, 221, 254, 116, 91, 55, 191, 53, 60, 129, 40, 42, 135,
-               204, 145, 125, 115, 81, 210, 139, 85, 127, 174, 47, 150, 238, 10, 298, 144, 99, 209,
-               299, 272, 229, 102, 255, 142, 251, 33, 162, 138, 171, 293, 117, 220, 206, 215, 98,
-               246, 168, 97, 244, 43, 32, 192, 276, 92, 248, 169, 74, 281, 245, 211, 185, 237, 122,
-               140, 15, 277, 213, 103, 224, 217, 176, 268, 128, 178, 4, 86, 121, 7, 110, 243, 78,
-               34, 18, 156, 88, 153, 56, 6, 13, 155, 143, 226],
-        best_length="13.487796941836226", expansions=23000, rounds=2, dead_ends=22869,
-        or_moves=71,
-        round_best_lengths=["13.511701637781577", "13.487796941836226"],
+        order=[227, 96, 131, 68, 165, 134, 273, 123, 173, 175, 31, 212, 231, 172, 201, 285, 77,
+               146, 233, 205, 58, 158, 289, 1, 261, 93, 225, 66, 256, 87, 180, 196, 80, 100, 95,
+               184, 75, 38, 112, 84, 199, 105, 45, 242, 67, 188, 63, 247, 36, 181, 269, 149, 263,
+               271, 71, 295, 20, 240, 253, 241, 65, 59, 283, 8, 286, 11, 41, 274, 26, 57, 236, 292,
+               152, 111, 52, 108, 159, 187, 266, 250, 120, 265, 16, 164, 230, 216, 54, 28, 2, 79,
+               182, 106, 83, 290, 287, 234, 90, 183, 136, 218, 163, 94, 297, 190, 200, 151, 39, 37,
+               156, 18, 34, 78, 243, 110, 7, 6, 56, 153, 88, 13, 155, 143, 226, 170, 62, 73, 223,
+               89, 157, 35, 195, 82, 202, 27, 189, 141, 12, 137, 268, 213, 277, 224, 103, 176, 217,
+               128, 178, 4, 86, 121, 238, 10, 298, 144, 99, 209, 127, 85, 139, 210, 102, 229, 272,
+               299, 168, 97, 248, 92, 169, 185, 15, 140, 122, 237, 211, 245, 281, 74, 276, 192, 32,
+               43, 244, 246, 98, 215, 206, 220, 117, 293, 171, 138, 162, 33, 251, 142, 255, 81,
+               115, 125, 145, 204, 135, 42, 40, 129, 60, 53, 191, 55, 254, 116, 91, 275, 49, 257,
+               294, 30, 109, 148, 14, 221, 235, 70, 24, 44, 3, 291, 114, 107, 132, 46, 48, 278,
+               282, 264, 5, 194, 203, 23, 118, 147, 284, 222, 259, 9, 29, 214, 161, 130, 124, 193,
+               186, 72, 279, 0, 249, 174, 150, 47, 262, 101, 239, 50, 179, 198, 154, 69, 232, 267,
+               51, 104, 208, 252, 22, 76, 61, 119, 258, 113, 17, 25, 177, 219, 270, 21, 260, 126,
+               288, 19, 207, 197, 167, 160, 166, 228, 64, 280, 133, 296],
+        best_length="13.511701637781577", expansions=2000, rounds=2, dead_ends=2000,
+        or_moves=79,
+        round_best_lengths=["13.511701637781577", "13.511701637781577"],
         lower_bound="nan", proof_round=0,
     ),
 }
@@ -1627,7 +1662,8 @@ class TestProofStop:
 
         monkeypatch.setattr(search_mod, "one_tree_bound", counted)
         # round 2 ends at round 1's length, but the bound (4.1129) is below
-        # the best tour (4.1233), and no later round proves it
+        # the best tour (4.1233), and no later round proves it; the spy
+        # counts the calls of stream 0, which runs in this process
         _, stats = self.search(generate_random(30, 1), preset_for(30).with_budget(max_rounds=6), 1)
         assert len(calls) == 1
         assert (stats.rounds, stats.proof_round) == (6, 0)
@@ -1651,6 +1687,171 @@ class TestProofStop:
         assert tour.order.tolist() == unit_tour.order.tolist()
         assert (stats.rounds, stats.proof_round) == (unit.rounds, unit.proof_round)
         assert stats.lower_bound == math.ldexp(unit.lower_bound, k)
+
+
+def run_and_worker(args):
+    """TestStreams.run(*args) in this process, and the pid of the worker it
+    used (None when stream 1 ran here)."""
+    import tspheat.search as search_mod
+
+    result = TestStreams.run(*args)
+    return result, search_mod._worker.proc.pid if search_mod._worker else None
+
+
+class TestStreams:
+    """A run of more than ONE_STREAM_MAX_CITIES cities with a round cap R >= 2
+    runs stream 0 (seed, ceil(R / 2) rounds) here and stream 1 ((seed, 1),
+    floor(R / 2) rounds) in a worker process; where no worker can take it,
+    stream 1 runs here after stream 0, with the same result."""
+
+    @staticmethod
+    def run(n, instance_seed, rounds, seed):
+        inst = generate_random(n, instance_seed)
+        params = preset_for(n).with_budget(max_rounds=rounds)
+        _, pruned = top_m_filter(soft_heat(distance_matrix(inst)), params.m)
+        tour, stats = run_search(inst, pruned, params, seed)
+        # repr, so that a nan lower bound compares equal
+        return tour.order.tolist(), repr(vars(stats) | {"two_opt_seconds": None})
+
+    @pytest.mark.parametrize("n, rounds", [(30, 6), (100, 4), (300, 2)])
+    def test_worker_and_in_process_runs_agree(self, n, rounds, monkeypatch):
+        import tspheat.search as search_mod
+
+        want = self.run(n, n, rounds, 1)
+        # the worker ran stream 1: a failed worker is stopped
+        assert search_mod._worker is not None and search_mod._worker.proc.is_alive()
+        monkeypatch.setattr(search_mod, "_submit", lambda job: None)
+        assert self.run(n, n, rounds, 1) == want
+        # the same run, round for round: stream 0 then stream 1, as one
+        # stream each
+        monkeypatch.setattr(search_mod, "ONE_STREAM_MAX_CITIES", 10**9)
+        inst = generate_random(n, n)
+        params = preset_for(n).with_budget(max_rounds=rounds)
+        _, pruned = top_m_filter(soft_heat(distance_matrix(inst)), params.m)
+        frame = _Frame.build(inst, params.m)
+        first = search_mod._stream(frame, pruned.copy(), params, np.random.default_rng(1),
+                                   (rounds + 1) // 2, None)
+        second = search_mod._stream(frame, pruned.copy(), params,
+                                    np.random.default_rng((1, 1)), rounds // 2, None)
+        tour, stats = run_search(inst, pruned, params.with_budget(max_rounds=(rounds + 1) // 2), 1)
+        assert (tour.order.tolist(), stats.round_best_lengths) == (
+            first[0].tolist(), first[1].round_best_lengths)
+        order, merged = search_mod._merge(first, second, frame.e)
+        assert (order.tolist(), merged.rounds) == (want[0], rounds)
+        assert merged.total_expansions == first[1].total_expansions + second[1].total_expansions
+        best = min(first[1].best_length, second[1].best_length)
+        assert merged.best_length == merged.round_best_lengths[-1] == best
+        assert merged.round_best_lengths[:len(first[1].round_best_lengths)] == \
+            first[1].round_best_lengths
+
+    @pytest.mark.parametrize("instance_seed", [0, 3])
+    def test_a_proof_in_stream_0_is_the_run(self, instance_seed, monkeypatch):
+        # n = 21, R = 8: stream 0's bound proves its tour, so the run is a
+        # single 4-round run, and the dropped stream 1 leaves the worker
+        # ready for the next run
+        import tspheat.search as search_mod
+
+        want = self.run(21, instance_seed, 8, instance_seed)
+        assert "'proof_round': 0" not in want[1]
+        follow = self.run(30, 1, 4, 1)
+        monkeypatch.setattr(search_mod, "ONE_STREAM_MAX_CITIES", 10**9)
+        assert self.run(21, instance_seed, 4, instance_seed) == want
+        monkeypatch.setattr(search_mod, "ONE_STREAM_MAX_CITIES", 20)
+        monkeypatch.setattr(search_mod, "_submit", lambda job: None)
+        assert self.run(30, 1, 4, 1) == follow
+
+    def test_a_proof_after_the_merge_ends_at_the_last_round(self):
+        # n = 21, R = 8: stream 0's 4 rounds compute no bound, and stream 1's
+        # bound proves its tour, an ulp shorter than stream 0's, in its
+        # second round
+        inst = generate_random(21, 4)
+        params = preset_for(21).with_budget(max_rounds=8)
+        _, pruned = top_m_filter(soft_heat(distance_matrix(inst)), params.m)
+        tour, stats = run_search(inst, pruned, params, 4)
+        assert stats.rounds == stats.proof_round == 6
+        assert stats.best_length == tour_length(distance_matrix(inst), tour)
+        assert stats.best_length <= stats.lower_bound + MIN_GAIN
+        assert stats.round_best_lengths[3] > stats.round_best_lengths[-1]
+
+    def test_dropped_and_collected_jobs_interleave(self, monkeypatch):
+        # runs whose stream 0 proves its tour drop stream 1 mid-job or leave
+        # its late reply in the pipe; every later run still reads its own
+        # job's result, as the same runs do with no worker
+        import tspheat.search as search_mod
+
+        cases = [(21, 3, 8, 3), (30, 1, 4, 1), (21, 0, 8, 0), (100, 1, 2, 2)] * 5
+        got = [self.run(*case) for case in cases]
+        assert search_mod._worker is not None and search_mod._worker.proc.is_alive()
+        assert "'proof_round': 0" not in got[0][1] and "'proof_round': 0" in got[1][1]
+        monkeypatch.setattr(search_mod, "_submit", lambda job: None)
+        assert [self.run(*case) for case in cases[:4]] * 5 == got
+
+    def test_a_dropped_job_stops_at_a_round_boundary(self, monkeypatch):
+        # a bound that proves only in this process: stream 0 ends proven,
+        # and stream 1, which would run 200 rounds and never prove, is
+        # dropped at a round boundary, so the worker sends no reply
+        import tspheat.search as search_mod
+
+        here = os.getpid()
+        monkeypatch.setattr(search_mod, "one_tree_bound",
+                            lambda d, upper: upper if os.getpid() == here else -math.inf)
+        _, stats = self.run(30, 1, 400, 1)
+        assert "'proof_round': 0" not in stats
+        assert not search_mod._worker.conn.poll(2.0)
+
+    def test_a_killed_worker_leaves_the_next_run_unchanged(self):
+        import tspheat.search as search_mod
+
+        want = self.run(100, 1, 4, 2)
+        proc = search_mod._worker.proc
+        os.kill(proc.pid, signal.SIGKILL)
+        proc.join(timeout=10)
+        assert not proc.is_alive()
+        assert self.run(100, 1, 4, 2) == want
+        # the next run forks a new worker
+        assert self.run(100, 1, 4, 2) == want
+        assert search_mod._worker is not None and search_mod._worker.proc.pid != proc.pid
+
+    def test_a_forked_process_uses_a_worker_of_its_own(self):
+        # a forked process inherits this process's worker, which is not its
+        # own to use: it forks one of its own, or, as a daemonic Pool worker
+        # that may not have children, runs stream 1 itself, with the same
+        # result
+        import multiprocessing
+
+        import tspheat.search as search_mod
+
+        want = self.run(30, 1, 4, 1)
+        ours = search_mod._worker.proc.pid
+        ctx = multiprocessing.get_context("fork")
+        with ctx.Pool(1) as pool:
+            got = pool.apply_async(run_and_worker, ((30, 1, 4, 1),)).get(timeout=60)
+            assert got == (want, None)
+        reader, writer = ctx.Pipe(duplex=False)
+        child = ctx.Process(target=lambda: writer.send(run_and_worker((30, 1, 4, 1))))
+        child.start()
+        assert reader.poll(60)
+        got, theirs = reader.recv()
+        child.join(timeout=10)
+        assert not child.is_alive() and child.exitcode == 0
+        assert got == want and theirs not in (None, ours)
+        assert self.run(30, 1, 4, 1) == want and search_mod._worker.proc.pid == ours
+
+    def test_no_worker_outlives_its_interpreter(self):
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        code = (
+            "import tspheat, tspheat.search as s\n"
+            "inst = tspheat.generate_random(60, 1)\n"
+            "params = tspheat.preset_for(60).with_budget(max_rounds=4)\n"
+            "tspheat.solve_pipeline(inst, tspheat.TrainConfig(steps=5), params, 1)\n"
+            "print(s._worker.proc.pid)\n"
+        )
+        out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                             capture_output=True, text=True, check=True, timeout=120)
+        pid = int(out.stdout)
+        assert pid != os.getpid()
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
 
 
 class TestPresets:
