@@ -1341,12 +1341,23 @@ class TestRunSearch:
         assert any(checks) and not all(checks)
         assert not np.array_equal(run_heat[0], pruned)
 
-    @pytest.mark.parametrize("n, instance_seed, rounds", [(16, 14, 12), (50, 50, 10),
-                                                          (120, 120, 3)])
-    def test_heat_outside_the_lists_is_never_read(self, n, instance_seed, rounds):
+    @pytest.mark.parametrize("n, instance_seed, rounds, streams", [
+        pytest.param(16, 14, 12, 1, id="16-14-12"),
+        pytest.param(50, 50, 6, 1, id="50-50-6"),
+        pytest.param(50, 50, 10, 2, id="50-50-10"),
+        pytest.param(120, 120, 3, 2, id="120-120-3"),
+    ])
+    def test_heat_outside_the_lists_is_never_read(self, n, instance_seed, rounds, streams,
+                                                  monkeypatch):
         # a draw reads the heat only at (u, c) for c in u's list of its m
         # nearest cities, and a heat update only adds to entries, so a heat
-        # map that differs only outside those lists gives the same run
+        # map that differs only outside those lists gives the same run, with
+        # one stream or two (split in two, the 50-city 6-round run has no
+        # improving round, so that case runs one stream)
+        import tspheat.search as search_mod
+
+        if streams == 1:
+            monkeypatch.setattr(search_mod, "ONE_STREAM_MAX_CITIES", 10**9)
         inst = generate_random(n, instance_seed)
         d = distance_matrix(inst)
         params = preset_for(n).with_budget(max_rounds=rounds)
