@@ -30,10 +30,7 @@ from .heatmap import (
     column_softmax,
     indicator_to_heatmap,
     loss_gradient,
-    permutation_to_cycle,
-    shift_matrix,
     surrogate_loss,
-    verify_hamiltonian_heatmap,
 )
 from .instances import (
     Instance,

@@ -62,7 +62,9 @@ def top_m_filter(h: np.ndarray, m: int):
     kept[rows, ranks] = h[rows, ranks]
     # a row with NaN or -inf heat can rank its own city within m
     np.fill_diagonal(kept, 0.0)
-    with np.errstate(over="ignore"):  # two entries past half the largest float sum to inf
+    # two entries past half the largest float sum to inf; +inf kept at (i, j)
+    # and -inf at (j, i) sum to NaN, which run_search refuses
+    with np.errstate(over="ignore", invalid="ignore"):
         pruned = kept + kept.T
     return kept, pruned
 

@@ -6,9 +6,10 @@ probability distribution over which city occupies position k of the cycle.
 The heat map ``h = t @ shift @ t.T`` (shift = the cyclic permutation operator)
 scores each directed edge by the probability that consecutive positions are
 occupied by its endpoints. When ``t`` is an exact permutation matrix, ``h``
-is the adjacency matrix of a single Hamiltonian cycle; the verification
-helpers at the bottom make that statement executable. The heat-map file
-format (UTSP-HEATMAP) lives in instances.py with the other native documents.
+is the adjacency matrix of a single Hamiltonian cycle; the test oracles
+(tests/oracles.py) make that statement executable and keep an independent
+loss for the gradient check. The heat-map file format (UTSP-HEATMAP) lives
+in instances.py with the other native documents.
 """
 
 from __future__ import annotations
@@ -19,8 +20,6 @@ import numpy as np
 
 # agreement required between the two algebraic forms of the loss
 _FORM_TOL = 1e-12
-# how far from 0 or 1 the verification helpers still count an entry as 0 or 1
-_UNIT_TOL = 1e-9
 
 
 class NumericError(RuntimeError):
@@ -118,20 +117,14 @@ def _softmax_into(logits: np.ndarray, ws: _Workspace) -> np.ndarray:
     return t
 
 
-def shift_matrix(n: int) -> np.ndarray:
-    """The n x n cyclic shift operator: ones on the superdiagonal and corner."""
-    v = np.zeros((n, n))
-    v[np.arange(n), (np.arange(n) + 1) % n] = 1.0
-    return v
-
-
 def indicator_to_heatmap(t: np.ndarray) -> np.ndarray:
     """Map a soft indicator matrix to its heat map.
 
     h[i, j] = sum_k t[i, k] * t[j, (k+1) mod n]: the probability that city i
     sits at some position whose cyclic successor position holds city j.
     Equivalent to the sum of outer products of cyclically adjacent columns,
-    and to t @ shift_matrix(n) @ t.T.
+    and to t @ V @ t.T with V the n x n cyclic shift operator, which the
+    test oracles (tests/oracles.py) build.
     """
     t = np.asarray(t, dtype=np.float64)
     return t @ np.roll(t, -1, axis=1).T
@@ -195,16 +188,6 @@ def surrogate_loss(
         expected_length=expected_length,
         total=total,
     )
-
-
-def loss_total(logits: np.ndarray, d: np.ndarray, lambda1: float, lambda2: float) -> float:
-    """Total surrogate loss as a function of raw logits (finite-difference
-    oracle target; shares no code path with loss_gradient's chain rule)."""
-    t = column_softmax(logits)
-    h = indicator_to_heatmap(t)
-    n = t.shape[0]
-    row_penalty = ((t.sum(axis=1) - 1.0) ** 2).sum()
-    return float(lambda1 * row_penalty + ((d + lambda2 * np.eye(n)) * h).sum())
 
 
 def _gradient(logits: np.ndarray, a: np.ndarray, lambda1: float, ws: _Workspace) -> np.ndarray:
@@ -290,57 +273,3 @@ def loss_gradient(
     if not ws.all_finite(grad):
         raise NumericError("gradient evaluation produced non-finite values")
     return grad
-
-
-# ---------------------------------------------------------------------------
-# Exact-permutation verification
-# ---------------------------------------------------------------------------
-
-def is_permutation_matrix(t: np.ndarray) -> bool:
-    """True when t is within _UNIT_TOL of a 0/1 matrix with one 1 per row/column."""
-    t = np.asarray(t, dtype=np.float64)
-    near_one = np.abs(t - 1.0) <= _UNIT_TOL
-    near_zero = np.abs(t) <= _UNIT_TOL
-    if not np.all(near_one | near_zero):
-        return False
-    ones = near_one.astype(np.int64)
-    return bool((ones.sum(axis=0) == 1).all() and (ones.sum(axis=1) == 1).all())
-
-
-def permutation_to_cycle(t: np.ndarray) -> np.ndarray:
-    """Extract the city visiting order encoded by a permutation matrix.
-
-    Entry k of the result is the city occupying cycle position k (the row
-    index of the unit entry in column k). The heat map of t contains exactly
-    the directed edges result[k] -> result[k+1] (cyclically).
-    """
-    t = np.asarray(t, dtype=np.float64)
-    if not is_permutation_matrix(t):
-        raise ValueError("matrix is not a permutation matrix within tolerance")
-    return np.argmax(t, axis=0)
-
-
-def verify_hamiltonian_heatmap(h: np.ndarray):
-    """Check whether a heat map is exactly one Hamiltonian cycle.
-
-    Returns (True, cycle) when every row and column holds exactly one unit
-    entry, the diagonal is zero, and following successors from city 0 returns
-    to city 0 after exactly n steps; (False, None) otherwise. The returned
-    cycle lists cities in visiting order starting from city 0.
-    """
-    h = np.asarray(h, dtype=np.float64)
-    n = h.shape[0]
-    if (h.shape != (n, n) or not is_permutation_matrix(h)
-            or not np.all(np.abs(np.diagonal(h)) <= _UNIT_TOL)):
-        return False, None
-    succ = np.argmax(np.abs(h - 1.0) <= _UNIT_TOL, axis=1)
-    cycle = np.empty(n, dtype=np.int64)
-    city = 0
-    for k in range(n):
-        cycle[k] = city
-        city = int(succ[city])
-        if city == 0 and k != n - 1:
-            return False, None  # premature return: disjoint sub-cycles
-    if city != 0:
-        return False, None
-    return True, cycle

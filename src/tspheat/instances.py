@@ -333,23 +333,6 @@ def parse_heatmap(text: str) -> np.ndarray:
     return h
 
 
-def parse_tour(text: str) -> tuple[Tour, float]:
-    n, rows = _native_body(text, TOUR_HEADER)
-    if len(rows) < 2:
-        raise ValueError(f"{TOUR_HEADER} document has no {('order', 'length')[len(rows)]} line")
-    if len(rows) > 2:
-        raise ValueError(f"{TOUR_HEADER} document has a line after its length line")
-    order = _native_values(rows[0], int, "order line")
-    if len(order) != n:
-        raise ValueError(f"expected {n} cities in the order line, got {len(order)}")
-    if max(order) >= n:  # before Tour.from_order makes an int64 array of it
-        raise ValueError(f"order line: city {max(order)} outside 0..{n - 1}")
-    (length,) = _native_values(rows[1], float, "length line", 1)
-    if not 0.0 <= length < math.inf:
-        raise ValueError(f"tour length must be finite and >= 0, got {length!r}")
-    return Tour.from_order(order), length
-
-
 def read_text(path: str) -> str:
     """An input file's text: UTF-8, a byte-order mark skipped; other bytes
     raise ValueError naming the path."""

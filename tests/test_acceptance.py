@@ -15,14 +15,7 @@ from tspheat.bench import (
 )
 from tspheat.candidates import DISTANCE_MODE, candidate_lists, edge_set, top_m_filter
 from tspheat.generator import TrainConfig, init_logits, optimize_heatmap
-from tspheat.heatmap import (
-    column_softmax,
-    indicator_to_heatmap,
-    loss_total,
-    permutation_to_cycle,
-    surrogate_loss,
-    verify_hamiltonian_heatmap,
-)
+from tspheat.heatmap import column_softmax, indicator_to_heatmap, surrogate_loss
 from tspheat.heatmap import loss_gradient
 from tspheat.instances import (
     Instance,
@@ -43,6 +36,8 @@ from tspheat.search import (
     two_opt_improve,
     update_heatmap,
 )
+
+from oracles import loss_total, permutation_to_cycle, verify_hamiltonian_heatmap
 
 
 def report(criterion, detail):

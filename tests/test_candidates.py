@@ -12,8 +12,11 @@ from tspheat.candidates import (
     overlap_coefficient,
     top_m_filter,
 )
-from tspheat.heatmap import indicator_to_heatmap, verify_hamiltonian_heatmap
+from tspheat.heatmap import indicator_to_heatmap
 from tspheat.instances import Instance, distance_matrix, generate_random
+from tspheat.search import SearchParams, run_search
+
+from oracles import verify_hamiltonian_heatmap
 
 
 def random_heat(n, seed):
@@ -143,9 +146,10 @@ class TestTopMFilter:
         want = np.zeros_like(h)
         want[rows, ranks] = h[rows, ranks]
         np.fill_diagonal(want, 0.0)
+        kept, pruned = top_m_filter(h, m)
         with np.errstate(over="ignore", invalid="ignore"):
-            kept, pruned = top_m_filter(h, m)
-            assert pruned.tobytes() == (want + want.T).tobytes()
+            want_pruned = want + want.T
+        assert pruned.tobytes() == want_pruned.tobytes()
         assert kept.tobytes() == want.tobytes()
 
     def test_symmetry_is_exact(self):
@@ -160,6 +164,21 @@ class TestTopMFilter:
         _, pruned = top_m_filter(h, 2)
         assert pruned[0, 1] == pruned[1, 0] == np.inf
         assert pruned[0, 2] == pruned[1, 2] == 2.0
+
+    def test_opposite_infinities_sum_to_nan_that_search_refuses(self):
+        # +inf kept at (0, 1) and -inf at (1, 0) sum to NaN with no invalid
+        # warning (the test suite turns warnings into errors); run_search
+        # refuses the pruned map with a ValueError
+        h = np.array([[0.0, np.inf, 1.0, 2.0],
+                      [-np.inf, 0.0, -1.0, -2.0],
+                      [1.0, 2.0, 0.0, 3.0],
+                      [2.0, 1.0, 3.0, 0.0]])
+        kept, pruned = top_m_filter(h, 3)
+        assert kept[0, 1] == np.inf and kept[1, 0] == -np.inf
+        assert np.isnan(pruned[0, 1]) and np.isnan(pruned[1, 0])
+        inst = generate_random(4, seed=0)
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            run_search(inst, pruned, SearchParams(m=2, max_rounds=1), seed=0)
 
     def test_rejects_bad_m(self):
         h = random_heat(5, 3)

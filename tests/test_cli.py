@@ -18,10 +18,11 @@ from tspheat.instances import (
     generate_random,
     parse_heatmap,
     parse_instance,
-    parse_tour,
     read_instance_file,
 )
 from tspheat.search import PRESETS
+
+from oracles import parse_tour
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -617,3 +618,18 @@ def test_readme_cli_block_parses():
     commands = {parser.parse_args(shlex.split(line, comments=True)[1:]).command for line in lines}
     assert commands == {"generate", "train-heatmap", "search", "solve", "oracle", "baseline",
                         "coverage", "bench"}
+
+
+def test_readme_library_example_runs(capsys):
+    # the documented API: every name the example reads is exported; the run
+    # forks the search worker, which conftest's autouse fixture then stops
+    block = README.read_text(encoding="utf-8").split("## Library example", 1)[1]
+    block = block.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(compile(block, "README.md", "exec"), namespace)
+    stats, tour = namespace["stats"], namespace["tour"]
+    assert tour.n == 100
+    assert 1 <= stats.rounds <= 25
+    printed = capsys.readouterr().out.splitlines()
+    assert printed == [f"{stats.best_length} {stats.rounds} {stats.total_expansions}",
+                       f"{stats.lower_bound} {stats.proof_round}"]

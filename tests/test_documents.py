@@ -27,10 +27,11 @@ from tspheat.instances import (
     generate_random,
     parse_heatmap,
     parse_instance,
-    parse_tour,
     parse_tsplib,
     read_instance_file,
 )
+
+from oracles import parse_tour
 
 ODD_TOKENS = ["1_0", "١", "٣", "nan", "inf", "1e400", "+1", "-0", ".5", "5.", "0x10", "1,5"]
 odd_token = st.one_of(st.sampled_from(ODD_TOKENS), st.integers(10**19, 10**20 - 1).map(str))

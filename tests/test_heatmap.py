@@ -9,15 +9,18 @@ from tspheat.heatmap import (
     NumericError,
     column_softmax,
     indicator_to_heatmap,
-    is_permutation_matrix,
     loss_gradient,
+    surrogate_loss,
+)
+from tspheat.instances import Tour, distance_matrix, generate_random, tour_length
+
+from oracles import (
+    is_permutation_matrix,
     loss_total,
     permutation_to_cycle,
     shift_matrix,
-    surrogate_loss,
     verify_hamiltonian_heatmap,
 )
-from tspheat.instances import Tour, distance_matrix, generate_random, tour_length
 
 
 def random_stochastic(n, seed):

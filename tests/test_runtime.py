@@ -1,12 +1,15 @@
-"""The installed package needs numpy and the standard library, nothing else."""
+"""The installed package needs numpy and the standard library, nothing else,
+and holds only what its own code or the benchmark runs."""
 
+import ast
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 
 # run in a fresh interpreter, so modules the test session already loaded
 # (pytest, hypothesis) cannot hide an import the package makes
@@ -39,3 +42,38 @@ def test_import_loads_no_process_machinery():
         check=True, timeout=120,
     )
     assert out.stdout.strip() == "False"
+
+
+def _names_read(node):
+    """Every name node reads, as a bare name, an attribute or an import."""
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+        elif isinstance(sub, ast.ImportFrom):
+            names.update(alias.name for alias in sub.names)
+    return names
+
+
+def test_every_definition_is_run_by_the_package_or_the_benchmark():
+    # a top-level def or class of a package module must be read by another
+    # statement of the package or by the benchmark's code; neither the tests
+    # nor an export from __init__ count, so a test oracle lives in tests/
+    statements = []  # (module, statement, the names it reads)
+    for path in sorted((SRC / "tspheat").glob("*.py")):
+        if path.name != "__init__.py":
+            statements += [(path.stem, node, _names_read(node))
+                           for node in ast.parse(path.read_text()).body]
+    benchmark = set()
+    for path in sorted((ROOT / "perfbench").glob("*.py")):
+        if not path.name.startswith("test_"):
+            benchmark |= _names_read(ast.parse(path.read_text()))
+    unread = [
+        f"{module}.{node.name}" for module, node, _ in statements
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name not in benchmark
+        and not any(node.name in names for _, other, names in statements if other is not node)
+    ]
+    assert not unread, f"defined in the package, run by neither it nor the benchmark: {unread}"

@@ -27,7 +27,6 @@ from tspheat.instances import (
     format_tour,
     generate_random,
     order_length,
-    parse_tour,
     tour_length,
 )
 from tspheat.search import (
@@ -59,6 +58,8 @@ from tspheat.search import (
     _round_start,
     _run_heat,
 )
+
+from oracles import parse_tour
 
 
 def soft_heat(d):
