@@ -1,8 +1,8 @@
 """Heat-map-guided best-first k-opt local search.
 
-A search run (run_search) builds its frame once (_Frame: the distances, the
-lists and the one candidate table every round reads and no round changes),
-then repeats rounds (_round) over it. A round's first tour is made by the
+A search run (run_search) builds its frame once (_Frame: the distances and
+the one neighbour table every round reads and no round changes), then
+repeats rounds (_round) over it. A round's first tour is made by the
 round start (_round_start): a nearest-neighbour tour from a random city, two
 random double-bridge kicks, then a neighbour-list pass of 2-opt and Or-opt
 moves until no list-restricted move is left. Best-first node expansion
@@ -21,11 +21,12 @@ persists across rounds.
 
 An attempt pays only for the steps it takes. An expansion draws all its
 anchors at once and memoises each anchor's first step, which depends only
-on the anchor, the base tour, the candidate table and the heat. Candidate
-rows are kept in ascending distance order, so a row scan stops at the first
-candidate the gain rule rejects. The table holds no heat: a draw reads its
-weights from the run's heat map, so a heat update never leaves it stale,
-and one table built with the frame serves every round of the run.
+on the anchor, the base tour, the table and the heat. The pass, the
+nearest-neighbour start and the expansions all read the table's rows of
+(city, edge key, distance) in ascending distance, so a scan stops at the
+first candidate its gain rule rejects. Every loop reads its distances from
+rows = d.tolist(). The table holds no heat: a draw weighs by the run's heat
+map, so a heat update never leaves it stale.
 
 A run's rounds form one or two streams (_stream), each with its own rng,
 its own copy of the pruned heat map and its own statistics. A stream ends
@@ -48,11 +49,11 @@ import math
 import os
 import struct
 import sys
+import threading
 import time
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field, replace
-from itertools import islice
 from operator import itemgetter
 from typing import Optional
 
@@ -292,7 +293,7 @@ def _two_opt_move(tour: list, pos: list, rows: list, near: list, a: int) -> Opti
         b = tour[(i + step) % n]
         rb = rows[b]
         dab = ra[b]
-        for c, dac in near:
+        for c, _, dac in near:
             if dac >= dab:
                 break
             j = pos[c]
@@ -335,7 +336,7 @@ def _or_opt_move(tour: list, pos: list, rows: list, near: list, a: int) -> Optio
         g = ra[p] + rs[q] - rp[q]
         if g <= MIN_GAIN:
             continue
-        for c, dac in near:
+        for c, _, dac in near:
             if dac >= g:
                 break
             j = pos[c]
@@ -365,9 +366,9 @@ def _neighbor_pass(rows: list, nbrs: list, order: np.ndarray) -> int:
     1992's don't-look bits); mutates order and returns the number of Or-opt
     moves applied.
 
-    rows is d.tolist(); nbrs[a] holds (c, d[a, c]) for a's nearest cities in
-    ascending distance. The queue starts with every city in tour order. A
-    popped city a tries _two_opt_move and, when that finds nothing,
+    rows is d.tolist(); nbrs[a] is a's _candidate_table row of its nearest
+    cities, in ascending distance. The queue starts with every city in tour
+    order. A popped city a tries _two_opt_move and, when that finds nothing,
     _or_opt_move; after a move the cities whose edges changed are queued
     again and a is looked at again at once. A move elsewhere can open one at
     a city that is not queued (a reversal turns the cities it spans round),
@@ -408,19 +409,11 @@ def _neighbor_pass(rows: list, nbrs: list, order: np.ndarray) -> int:
     return or_moves
 
 
-def _pass_lists(rows: list, ranked) -> list:
-    """The pass's lists for _neighbor_pass: nbrs[a] holds (c, d[a, c]) for
-    the first pass_neighbors(n) cities of a's distance ranking ranked[a]
-    (candidate_lists in DISTANCE_MODE, at least that long)."""
-    k = pass_neighbors(len(rows))
-    return [[(c, ra[c]) for c in cl[:k].tolist()] for cl, ra in zip(ranked, rows)]
-
-
 def _nearest_neighbor(rows: list, nbrs: list, start: int) -> list:
     """The nearest-neighbour tour from start, as a list of cities.
 
     rows is d.tolist() and nbrs the pass's distance-ranked lists
-    (_pass_lists). From the current city the tour goes to the first
+    (_neighbor_pass). From the current city the tour goes to the first
     unvisited city of its list; when the whole list is visited, to the
     nearest unvisited city of its row, ties toward the smaller index. Both
     give np.argmin over the row with the visited cities masked out, since
@@ -433,7 +426,7 @@ def _nearest_neighbor(rows: list, nbrs: list, start: int) -> list:
     tour = [start]
     cur = start
     while len(tour) < n:
-        for c, _ in nbrs[cur]:
+        for c, _, _ in nbrs[cur]:
             if not visited[c]:
                 break
         else:
@@ -447,10 +440,10 @@ def _nearest_neighbor(rows: list, nbrs: list, start: int) -> list:
 
 
 def _pass_frame(d: np.ndarray) -> tuple[list, list]:
-    """(rows, nbrs) of the round-start pass on d: d.tolist() and the lists of
-    each city's pass_neighbors(n) nearest cities (_pass_lists)."""
+    """(rows, nbrs) of the round-start pass on d: d.tolist() and the
+    _candidate_table of each city's pass_neighbors(n) nearest cities."""
     rows = d.tolist()
-    return rows, _pass_lists(rows, candidate_lists(d, pass_neighbors(len(rows)), DISTANCE_MODE))
+    return rows, _candidate_table(candidate_lists(d, pass_neighbors(len(d)), DISTANCE_MODE), rows)
 
 
 def two_opt_improve(d: np.ndarray, tour: Tour) -> Tour:
@@ -484,20 +477,15 @@ def _draw(cums: list, rand) -> int:
     return i if i < len(cums) else len(cums) - 1
 
 
-def _candidate_table(cand, d: np.ndarray) -> list:
-    """Per city u, a list of (v, edge key, d[u, v]) for each candidate v, as
-    plain Python values, in ascending distance order. The sort is stable, so
-    a distance-ranked list keeps its order. O(n * m log m). The table holds
-    no heat, so a run builds one, with its frame (_Frame), for every round;
-    expand_node builds one per call."""
-    lens = [len(cl) for cl in cand]
-    src = np.repeat(np.arange(len(lens)), lens)
-    dst = np.concatenate(cand)
-    entries = iter([
-        (v, (u, v) if u < v else (v, u), w)
-        for u, v, w in zip(src.tolist(), dst.tolist(), d[src, dst].tolist())
-    ])
-    return [sorted(islice(entries, k), key=itemgetter(2)) for k in lens]
+def _candidate_table(cand, rows: list) -> list:
+    """Per city u, a list of (v, edge key, rows[u][v]) for each candidate v
+    of cand[u] (rows is d.tolist()), in ascending distance order. The sort
+    is stable, so a distance-ranked list keeps its order. O(n * m log m).
+    The table holds no heat, so a run builds one, with its frame (_Frame),
+    for its pass and every round; expand_node builds one per call."""
+    return [sorted([(v, (u, v) if u < v else (v, u), ru[v]) for v in cl.tolist()],
+                   key=itemgetter(2))
+            for u, (cl, ru) in enumerate(zip(cand, rows))]
 
 
 def _positions(order: list) -> list:
@@ -544,7 +532,7 @@ def _feasible(row: list, vi: int, heat_at, gain: float, u1: int, neighbor: int,
 
 
 def _construct(
-    d: np.ndarray,
+    rows: list,
     base: list,
     pos: list,
     table: list,
@@ -574,14 +562,13 @@ def _construct(
     same edge twice, so it ends within n steps with no cap on k. Each
     attempt adds one to exactly one of stats.improving and stats.dead_ends.
     """
-    d_at = d.item
     n = len(base)
     i1 = pos[u1]
     v1 = base[i1 + 1 - n]
     step = first[u1]
     if step is None:
         # the moving endpoint is v1, its path neighbour v1's tour successor
-        step = first[u1] = _feasible(table[v1], v1, heat_at, d_at(u1, v1), u1,
+        step = first[u1] = _feasible(table[v1], v1, heat_at, rows[u1][v1], u1,
                                      base[i1 + 2 - n], {_ekey(u1, v1)}, (), (), None)
     feas, cums = step
     if not feas:
@@ -591,7 +578,7 @@ def _construct(
     removed_set = {_ekey(u1, v1)}
     added_set = set()
     added_ends = set()
-    gain = d_at(u1, v1)  # running sum(removed) - sum(added)
+    gain = rows[u1][v1]  # running sum(removed) - sum(added)
     vi = v1
     u_next, key, added_len = feas[_draw(cums, rand)]
     # path = u1 followed by the rest of the cycle walked backward, so
@@ -604,13 +591,13 @@ def _construct(
         added_ends.add(vi)
         added_ends.add(u_next)
         removed_set.add((u_next, v_next) if u_next < v_next else (v_next, u_next))
-        gain += d_at(u_next, v_next) - added_len
+        gain += rows[u_next][v_next] - added_len
         seq.append(u_next)
         seq.append(v_next)
         # rewire: reverse the suffix after u_next
         path[j + 1:] = path[:j:-1]
         vi = v_next
-        close_gain = gain - d_at(vi, u1)
+        close_gain = gain - rows[vi][u1]
         # a closure that would re-add the anchor edge (only possible when the
         # moving endpoint returns to v_1) is degenerate: the same rewiring is
         # a shorter chain anchored elsewhere, so it is not accepted here
@@ -634,7 +621,7 @@ def _construct(
 
 
 def _expand(
-    d: np.ndarray,
+    rows: list,
     order: np.ndarray,
     table: list,
     heat: np.ndarray,
@@ -661,7 +648,7 @@ def _expand(
     for u1 in rng.integers(n, size=params.expand_budget).tolist():
         if deadline is not None and time.perf_counter() >= deadline:
             break
-        action = _construct(d, base, pos, table, heat_at, first, u1, stats, rand)
+        action = _construct(rows, base, pos, table, heat_at, first, u1, stats, rand)
         if action is not None and (best is None or action.gain > best.gain):
             best = action
     return best
@@ -685,7 +672,8 @@ def expand_node(
     the run's table; outside the tests, perfbench's probes are this
     wrapper's only callers, and each call builds its table afresh.
     """
-    best = _expand(d, tour.order, _candidate_table(cand, d), pruned, stats, params, rng,
+    rows = d.tolist()
+    best = _expand(rows, tour.order, _candidate_table(cand, rows), pruned, stats, params, rng,
                    deadline=None)
     if best is None:
         return None
@@ -723,19 +711,19 @@ class _Frame:
 
     e is the instance's power-of-two exponent (instances.unit_exponent) and
     d its distances scaled by 2**-e, read-only, so MIN_GAIN acts in the
-    same frame at every scale; rows is d.tolist(). One distance ranking of
-    max(m_eff, pass_neighbors(n)) cities per city gives both kinds of list:
-    nbrs, the pass's lists (_pass_lists), and dist_table, the
-    _candidate_table of the first m_eff columns, which every round's
-    expansions draw from. m_eff is m capped at n - 1, since presets can
-    exceed tiny instances.
+    same frame at every scale. The numpy work reads d, every loop of the
+    search rows = d.tolist(). One distance ranking of max(m, k) cities per
+    city (m capped at n - 1, k = pass_neighbors(n)) gives one
+    _candidate_table: nbrs, the pass's lists, are the first k entries of
+    each row, dist_table, which every expansion draws from, the first m;
+    both are the table itself when m = k, as in every preset run up to 200
+    cities.
     """
 
     e: int
     d: np.ndarray
     rows: list
     nbrs: list
-    m_eff: int
     dist_table: list
 
     @classmethod
@@ -744,10 +732,11 @@ class _Frame:
         d = np.ldexp(distance_matrix(inst), -e)
         d.setflags(write=False)
         rows = d.tolist()
-        m_eff = min(m, inst.n - 1)
-        ranked = candidate_lists(d, max(m_eff, pass_neighbors(inst.n)), DISTANCE_MODE)
-        return cls(e, d, rows, _pass_lists(rows, ranked), m_eff,
-                   _candidate_table([cl[:m_eff] for cl in ranked], d))
+        m, k = min(m, inst.n - 1), pass_neighbors(inst.n)
+        table = _candidate_table(candidate_lists(d, max(m, k), DISTANCE_MODE), rows)
+        nbrs, dist_table = (table if w == max(m, k) else [row[:w] for row in table]
+                            for w in (k, m))
+        return cls(e, d, rows, nbrs, dist_table)
 
 
 def _round_start(frame: _Frame, stats: SearchStats, rng: np.random.Generator) -> np.ndarray:
@@ -798,7 +787,7 @@ def _round(
     cur_len = length = best_len = order_length(frame.d, order)
     best_order = order
     while True:
-        action = _expand(frame.d, order, frame.dist_table, heat, stats, params, rng, deadline)
+        action = _expand(frame.rows, order, frame.dist_table, heat, stats, params, rng, deadline)
         if action is None:
             return length, best_len, best_order
         new_len = cur_len - action.gain
@@ -996,12 +985,9 @@ class _Worker:
         # machinery
         import mmap
         import multiprocessing
-        import threading
 
-        if threading.active_count() > 1 or multiprocessing.current_process().daemon:
-            # a fork copies only the calling thread, so a lock another thread
-            # holds stays held in the child; a daemonic process, such as a
-            # multiprocessing.Pool worker, may not have children
+        if multiprocessing.current_process().daemon:
+            # a daemonic process, such as a Pool worker, may not have children
             raise ValueError("this process cannot fork a worker")
         ctx = multiprocessing.get_context("fork")  # ValueError where fork does not exist
         self.owner = os.getpid()
@@ -1073,8 +1059,13 @@ def _serve(conn, parent_end, current) -> None:
 
 def _submit(job: tuple) -> Optional[int]:
     """Start stream 1 of a split run on the worker, forking it if none is
-    running; returns the job's number, or None when no worker can take it."""
+    running; returns the job's number, or None when no worker can take it,
+    as while other threads run: a fork copies only the calling thread (a
+    lock another holds stays held in the child), and two threads' runs would
+    share one pipe."""
     global _worker
+    if threading.active_count() > 1:
+        return None
     if _worker is not None and _worker.owner != os.getpid():
         _worker = None  # inherited through a fork: its parent's worker
     try:

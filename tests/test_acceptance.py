@@ -253,16 +253,17 @@ def test_c08_kopt_integrity_bulk():
         d = distance_matrix(inst)
         cand = candidate_lists(d, 6, DISTANCE_MODE)
         _, pruned = top_m_filter(np.exp(-d), 6)
-        instances.append((n, d, _candidate_table(cand, d), pruned))
+        rows = d.tolist()
+        instances.append((n, d, rows, _candidate_table(cand, rows), pruned))
     idx = 0
     while accepted < target:
-        n, d, table, pruned = instances[idx % len(instances)]
+        n, d, rows, table, pruned = instances[idx % len(instances)]
         idx += 1
         tour = random_tour(n, rng)
         cur_len = tour_length(d, tour)
         misses = 0
         while misses < 4 and accepted < target:
-            action = _expand(d, tour.order, table, pruned, stats, params, rng, deadline=None)
+            action = _expand(rows, tour.order, table, pruned, stats, params, rng, deadline=None)
             if action is None:
                 misses += 1
                 continue

@@ -130,10 +130,17 @@ def neighbor_pairs(d):
     return [[(c, rows[a][c]) for c in cl.tolist()] for a, cl in enumerate(ranked)]
 
 
+def as_table(pairs):
+    """Pass lists of (city, distance) pairs as the search's table rows of
+    (city, edge key, distance)."""
+    return [[(c, (a, c) if a < c else (c, a), w) for c, w in near]
+            for a, near in enumerate(pairs)]
+
+
 def neighbor_pass_moves(d, start):
     """The pass on a copy of start: (order, Or-opt moves applied)."""
     order = np.array(start, dtype=np.int64)
-    return order, _neighbor_pass(d.tolist(), neighbor_pairs(d), order)
+    return order, _neighbor_pass(d.tolist(), as_table(neighbor_pairs(d)), order)
 
 
 def neighbor_pass(d, start):
@@ -312,7 +319,7 @@ def list_exhausted_steps(nbrs, tour):
     steps = []
     for k, city in enumerate(tour[:-1]):
         seen.add(city)
-        if all(c in seen for c, _ in nbrs[city]):
+        if all(c in seen for c, _, _ in nbrs[city]):
             steps.append(k)
     return steps
 
@@ -894,11 +901,12 @@ class TestFirstStepMemo:
         _, pruned = top_m_filter(soft_heat(d), m)
         cand = candidate_lists(pruned if mode == HEAT_MODE else d, m, mode)
         base = two_opt_improve(d, random_tour(n, seed)).order.tolist()
-        table = _candidate_table(cand, d)
+        rows = d.tolist()
+        table = _candidate_table(cand, rows)
         first = [None] * n
         rng = np.random.default_rng(seed)
         for u1 in range(n):
-            _construct(d, base, _positions(base), table, pruned.item, first, u1,
+            _construct(rows, base, _positions(base), table, pruned.item, first, u1,
                        SearchStats(), rng.random)
         for i, u1 in enumerate(base):
             v1, nb = base[(i + 1) % n], base[(i + 2) % n]
@@ -935,11 +943,12 @@ class TestExpandNode:
         rng = np.random.default_rng(3)
         base = tour.order.tolist()
         pos = _positions(base)
-        table = _candidate_table(cand, d)
+        rows = d.tolist()
+        table = _candidate_table(cand, rows)
         first = [None] * 12
         gains = []
         for u1 in rng.integers(12, size=120).tolist():
-            a = _construct(d, base, pos, table, pruned.item, first, u1, replay, rng.random)
+            a = _construct(rows, base, pos, table, pruned.item, first, u1, replay, rng.random)
             if a is not None:
                 gains.append(a.gain)
         assert (replay.improving, replay.dead_ends) == (stats.improving, stats.dead_ends)
@@ -982,9 +991,10 @@ class TestExpandNode:
         replay = SearchStats()
         rng = np.random.default_rng(5)
         base = tour.order.tolist()
-        table = _candidate_table(cand, d)
+        rows = d.tolist()
+        table = _candidate_table(cand, rows)
         for u1 in rng.integers(40, size=200).tolist():
-            _construct(d, base, _positions(base), table, pruned.item, [None] * 40, u1,
+            _construct(rows, base, _positions(base), table, pruned.item, [None] * 40, u1,
                        replay, rng.random)
         assert (replay.dead_ends, replay.improving) == (stats.dead_ends, stats.improving)
 
@@ -1220,8 +1230,8 @@ class TestRunSearch:
         assert pass_neighbors(300) == 9
         assert list_moves_left(d, first.order.tolist()) == []
         rows = d.tolist()
-        eight = [[(c, rows[a][c]) for c in cl.tolist()]
-                 for a, cl in enumerate(candidate_lists(d, 8, DISTANCE_MODE))]
+        eight = as_table([[(c, rows[a][c]) for c in cl.tolist()]
+                          for a, cl in enumerate(candidate_lists(d, 8, DISTANCE_MODE))])
         rng = np.random.default_rng(2)
         start = np.array(round_start_order(d, rng), dtype=np.int64)
         _neighbor_pass(rows, eight, start)
@@ -1273,8 +1283,8 @@ class TestRunSearch:
             modes.append(mode)
             return candidate_lists(matrix, m, mode)
 
-        def counted_table(cand, d):
-            tables.append(_candidate_table(cand, d))
+        def counted_table(cand, rows):
+            tables.append(_candidate_table(cand, rows))
             return tables[-1]
 
         monkeypatch.setattr(search_mod, "candidate_lists", counted_lists)
@@ -1297,23 +1307,28 @@ class TestRunSearch:
         _, pruned = top_m_filter(soft_heat(distance_matrix(inst)), 6)
         real_table, real_pass = search_mod._candidate_table, search_mod._neighbor_pass
         real_expand, real_update = search_mod._expand, search_mod.update_heatmap
-        real_feasible = search_mod._feasible
+        real_feasible, real_start = search_mod._feasible, search_mod._round_start
         tables = []  # every table built, in order
+        frames = []  # the frame of each round
         rounds = []  # per round: (tables built by its start, tables expanded)
         run_heat = [pruned]  # equal to the run's heat map until its first update
         checks = []  # per _feasible call: was the heat updated by then
 
-        def table_spy(cand, dd):
-            tables.append(real_table(cand, dd))
+        def table_spy(cand, rows):
+            tables.append(real_table(cand, rows))
             return tables[-1]
+
+        def start_spy(frame, *args):
+            frames.append(frame)
+            return real_start(frame, *args)
 
         def pass_spy(*args):
             rounds.append((len(tables), []))
             return real_pass(*args)
 
-        def expand_spy(dd, order, table, *args):
+        def expand_spy(rows, order, table, *args):
             rounds[-1][1].append(table)
-            return real_expand(dd, order, table, *args)
+            return real_expand(rows, order, table, *args)
 
         def update_spy(hp, *args):
             run_heat[0] = hp
@@ -1328,16 +1343,18 @@ class TestRunSearch:
             return feas, cums
 
         monkeypatch.setattr(search_mod, "_candidate_table", table_spy)
+        monkeypatch.setattr(search_mod, "_round_start", start_spy)
         monkeypatch.setattr(search_mod, "_neighbor_pass", pass_spy)
         monkeypatch.setattr(search_mod, "_expand", expand_spy)
         monkeypatch.setattr(search_mod, "update_heatmap", update_spy)
         monkeypatch.setattr(search_mod, "_feasible", feasible_spy)
         _, stats = run_search(inst, pruned, dist_params(m=6, max_rounds=6), 4)
-        assert len(rounds) == stats.rounds == 6
+        assert len(rounds) == len(frames) == stats.rounds == 6
         assert len(tables) == 1
+        assert all(frame is frames[0] for frame in frames)
         for built, expanded in rounds:
             assert built == 1
-            assert expanded and all(table is tables[0] for table in expanded)
+            assert expanded and all(table is frames[0].dist_table for table in expanded)
         # draws ran both before and after the first heat update
         assert any(checks) and not all(checks)
         assert not np.array_equal(run_heat[0], pruned)
@@ -1461,7 +1478,8 @@ class TestFrame:
         assert np.array_equal(shared.d, fresh.d)
         assert shared.rows == fresh.rows
         assert shared.nbrs == fresh.nbrs
-        assert shared.m_eff == fresh.m_eff == 6
+        assert {len(row) for row in shared.dist_table} == \
+            {len(row) for row in fresh.dist_table} == {6}
         assert shared.dist_table == fresh.dist_table
         with pytest.raises(ValueError, match="read-only"):
             shared.d[0, 1] = 0.0
@@ -1484,13 +1502,42 @@ class TestFrame:
         # the nearest-neighbour baseline builds its frame at m = 1
         n = inst.n
         base = _Frame.build(inst, 1)
-        assert base.m_eff == 1
+        assert {len(row) for row in base.dist_table} == {1}
         for m in (2, 8, n - 1):
             frame = _Frame.build(inst, m)
             assert frame.e == base.e
             assert frame.d.tobytes() == base.d.tobytes()
             assert frame.rows == base.rows
             assert frame.nbrs == base.nbrs
+
+    @pytest.mark.parametrize("inst, m", [
+        pytest.param(generate_random(3, 3), 8, id="n3"),
+        pytest.param(generate_random(16, 4), 8, id="n16"),
+        pytest.param(generate_random(300, 5), PRESETS["tsp500"].m, id="n300-tsp500"),
+        pytest.param(generate_random(40, 1), 6, id="n40-m6"),
+        pytest.param(Instance(coords=np.full((12, 2), 0.25)), 8, id="coincident"),
+    ])
+    def test_one_table_serves_the_pass_and_the_expansions(self, inst, m):
+        # the pass's lists and the expansions' rows are prefixes of one
+        # stable distance ranking, with their distances read from rows
+        n = inst.n
+        frame = _Frame.build(inst, m)
+        key = frame.d.copy()
+        np.fill_diagonal(key, np.inf)
+        ranking = np.argsort(key, axis=1, kind="stable").tolist()
+        widths = {"nbrs": pass_neighbors(n), "dist_table": min(m, n - 1)}
+        for name, width in widths.items():
+            for u, row in enumerate(getattr(frame, name)):
+                assert [c for c, _, _ in row] == ranking[u][:width]
+                assert row == [(c, (min(u, c), max(u, c)), frame.rows[u][c]) for c, _, _ in row]
+        if n == 300:
+            assert widths == {"nbrs": 9, "dist_table": 5}
+            assert all(a[:5] == b for a, b in zip(frame.nbrs, frame.dist_table))
+
+    @pytest.mark.parametrize("n", [3, 4, 9, 16, 20, 21, 50, 51, 100, 150, 200])
+    def test_presets_up_to_200_cities_build_one_table(self, n):
+        frame = _Frame.build(generate_random(n, n), preset_for(n).m)
+        assert frame.nbrs is frame.dist_table
 
 
 # Pinned round-capped searches: a change that alters any RNG draw, sampled
@@ -1823,6 +1870,32 @@ class TestStreams:
         # the next run forks a new worker
         assert self.run(100, 1, 4, 2) == want
         assert search_mod._worker is not None and search_mod._worker.proc.pid != proc.pid
+
+    def test_runs_from_threads_leave_the_worker_alone(self):
+        # while other threads are alive a run neither uses nor stops the
+        # worker: it runs stream 1 itself, with the result of the same run
+        # made without threads, and the next run uses the same worker
+        import threading
+
+        import tspheat.search as search_mod
+
+        self.run(60, 99, 4, 1)
+        pid = search_mod._worker.proc.pid
+        want = [self.run(60, s, 4, 1) for s in range(4)]
+        got = [None] * 4
+
+        def work(s):
+            got[s] = self.run(60, s, 4, 1)
+
+        threads = [threading.Thread(target=work, args=(s,), daemon=True) for s in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+        assert got == want
+        self.run(60, 99, 4, 1)
+        assert search_mod._worker.proc.pid == pid
 
     def test_a_forked_process_uses_a_worker_of_its_own(self):
         # a forked process inherits this process's worker, which is not its
