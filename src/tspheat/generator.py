@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import time
 from dataclasses import dataclass
 from typing import ClassVar
@@ -59,6 +60,10 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        try:
+            operator.index(self.steps)
+        except TypeError:
+            raise ValueError(f"steps must be an integer, got {self.steps!r}") from None
         if self.steps < 1:
             raise ValueError(f"steps must be >= 1, got {self.steps}")
 

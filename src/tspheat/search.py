@@ -36,18 +36,18 @@ at the length of the best tour of the rounds before it.
 
 A run of more than ONE_STREAM_MAX_CITIES cities with a round cap other than
 1 splits its rounds into two seeded streams: stream 0 in this process and
-stream 1 in one worker process (_Worker), forked on first need and reused
-by later runs. The streams share nothing while they run, and the merged
-result (_merge) never depends on which ends first, so it is the same
-without the worker. The tour file format lives in instances.py with the
-other native documents.
+stream 1 in one worker process (_Worker), forked on first need, reused by
+later runs and told everything through its pipe, its only channel. The
+streams share nothing while they run, and the merged result (_merge) never
+depends on which ends first, so it is the same without the worker. The
+tour file format lives in instances.py with the other native documents.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import os
-import struct
 import sys
 import threading
 import time
@@ -109,14 +109,16 @@ class SearchParams:
     def __post_init__(self):
         if not 0 <= self.beta < math.inf:
             raise ValueError(f"beta must be finite and >= 0, got {self.beta!r}")
-        if self.m < 1:
-            raise ValueError("candidate list size m must be >= 1")
-        if self.expand_budget < 1:
-            raise ValueError("expand_budget must be >= 1")
         if self.time_budget is not None and not 0 < self.time_budget < math.inf:
             raise ValueError(f"time_budget must be finite and > 0, got {self.time_budget!r}")
-        if self.max_rounds is not None and self.max_rounds < 1:
-            raise ValueError("max_rounds must be >= 1 when set")
+        for name in ("m", "expand_budget", "max_rounds"):
+            value = getattr(self, name)
+            try:
+                if (value is None and name == "max_rounds") or operator.index(value) >= 1:
+                    continue
+            except TypeError:
+                pass
+            raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
     def with_budget(self, time_budget=None, max_rounds=None) -> "SearchParams":
         return replace(self, time_budget=time_budget, max_rounds=max_rounds)
@@ -439,13 +441,6 @@ def _nearest_neighbor(rows: list, nbrs: list, start: int) -> list:
     return tour
 
 
-def _pass_frame(d: np.ndarray) -> tuple[list, list]:
-    """(rows, nbrs) of the round-start pass on d: d.tolist() and the
-    _candidate_table of each city's pass_neighbors(n) nearest cities."""
-    rows = d.tolist()
-    return rows, _candidate_table(candidate_lists(d, pass_neighbors(len(d)), DISTANCE_MODE), rows)
-
-
 def two_opt_improve(d: np.ndarray, tour: Tour) -> Tour:
     """Run the round-start pass (_neighbor_pass: 2-opt and Or-opt moves on
     lists of d's pass_neighbors(n) nearest cities) from the given tour and
@@ -458,9 +453,9 @@ def two_opt_improve(d: np.ndarray, tour: Tour) -> Tour:
         raise ValueError(
             f"distance matrix shape {d.shape} does not match a tour of {n} cities"
         )
-    rows, nbrs = _pass_frame(d)
+    frame = _Frame.of(d, pass_neighbors(n))
     order = tour.order.copy()
-    _neighbor_pass(rows, nbrs, order)
+    _neighbor_pass(frame.rows, frame.nbrs, order)
     return Tour.from_order(order)
 
 
@@ -707,7 +702,8 @@ class _Frame:
     """What every round of a run reads and no round changes, built once per
     run by _Frame.build from the instance and the preset's m. The
     nearest-neighbour baseline (bench.nn_two_opt_baseline) builds one at
-    m = 1: e, d, rows and nbrs do not depend on m.
+    m = 1: e, d, rows and nbrs do not depend on m. two_opt_improve builds
+    one (_Frame.of) on its d at m = pass_neighbors(n), so nbrs is dist_table.
 
     e is the instance's power-of-two exponent (instances.unit_exponent) and
     d its distances scaled by 2**-e, read-only, so MIN_GAIN acts in the
@@ -731,8 +727,13 @@ class _Frame:
         e = unit_exponent(inst)
         d = np.ldexp(distance_matrix(inst), -e)
         d.setflags(write=False)
+        return cls.of(d, m, e)
+
+    @classmethod
+    def of(cls, d: np.ndarray, m: int, e: int = 0) -> "_Frame":
+        """The frame of distances d already scaled by 2**-e, kept as given."""
         rows = d.tolist()
-        m, k = min(m, inst.n - 1), pass_neighbors(inst.n)
+        m, k = min(m, len(rows) - 1), pass_neighbors(len(rows))
         table = _candidate_table(candidate_lists(d, max(m, k), DISTANCE_MODE), rows)
         nbrs, dist_table = (table if w == max(m, k) else [row[:w] for row in table]
                             for w in (k, m))
@@ -930,11 +931,12 @@ def run_search(
     stream 1, seeded with (seed, 1), for at most floor(R / 2). A time
     budget gives both the same deadline. Stream 1 runs in a worker process
     (_Worker) while this process runs stream 0. If stream 0's 1-tree bound
-    proves its tour optimal, stream 0 is the run and stream 1 is dropped;
-    otherwise the two are merged (_merge). Where no worker can run (no fork
-    on the platform, a process with threads or a daemonic one, or a worker
-    that died), stream 1 runs here after stream 0, with the same result, so
-    a round-capped run's result never depends on timing or on the worker.
+    proves its tour optimal, stream 0 is the run and stream 1 is dropped
+    (_Worker.drop); otherwise the two are merged (_merge). Where no worker
+    can run (no fork on the platform, a process with threads or a daemonic
+    one, or a dead worker), stream 1 runs here after stream 0, with the same
+    result, so a round-capped run's result never depends on timing or on
+    the worker.
     """
     if params.time_budget is None and params.max_rounds is None:
         raise ValueError("a budget is required: set time_budget and/or max_rounds")
@@ -961,10 +963,10 @@ def run_search(
     first = _stream(frame, heat.copy(), params, np.random.default_rng(seed), caps[0], deadline)
     if first[1].proof_round:
         if number is not None:
-            _worker.abort()  # stream 1 stops at its next round boundary
+            _worker.drop()
         return Tour.from_order(first[0]), first[1]
-    second = _collect(number) or _stream(frame, heat, params, np.random.default_rng((seed, 1)),
-                                         caps[1], deadline)
+    second = (number is not None and _worker.collect(number)) or _stream(
+        frame, heat, params, np.random.default_rng((seed, 1)), caps[1], deadline)
     order, stats = _merge(first, second, frame.e)
     return Tour.from_order(order), stats
 
@@ -976,14 +978,13 @@ def run_search(
 class _Worker:
     """A process that runs stream 1 of split runs (run_search) for the
     process that forked it: forked on first need, a daemon, reused by every
-    later run, and ending when its pipe closes. current holds the number of
-    the job the parent still wants; stream 1 reads it at each round boundary
-    and drops its job once the number has changed."""
+    later run. Its pipe is its only channel. Stream 1 stops at its next
+    round boundary, with no reply, once anything waits on the pipe: a drop,
+    the next job, or the pipe's end when the parent closes it or dies."""
 
     def __init__(self):
         # imported here, so that importing the package loads no process
         # machinery
-        import mmap
         import multiprocessing
 
         if multiprocessing.current_process().daemon:
@@ -991,10 +992,9 @@ class _Worker:
             raise ValueError("this process cannot fork a worker")
         ctx = multiprocessing.get_context("fork")  # ValueError where fork does not exist
         self.owner = os.getpid()
-        self.current = mmap.mmap(-1, 8)  # anonymous, so shared with the fork
         self.number = 0
         self.conn, child = ctx.Pipe()
-        self.proc = ctx.Process(target=_serve, args=(child, self.conn, self.current),
+        self.proc = ctx.Process(target=_serve, args=(child, self.conn),
                                 name="tspheat-stream", daemon=True)
         try:
             self.proc.start()
@@ -1003,24 +1003,34 @@ class _Worker:
 
     def submit(self, job: tuple) -> int:
         self.number += 1
-        struct.pack_into("q", self.current, 0, self.number)
         self.conn.send((self.number, job))
         return self.number
 
     def collect(self, number: int) -> Optional[tuple]:
-        """The result of job number (None when the worker's stream raised);
-        results of dropped jobs are read past."""
-        while True:
-            got, result = self.conn.recv()
-            if got == number:
-                return result
+        """Stream 1's (order, stats) for job number, read past replies to
+        earlier jobs (sent before their drop arrived, or left by an
+        interrupted run); None, with the worker stopped, when it failed."""
+        try:
+            while True:
+                got, result = self.conn.recv()
+                if got == number:
+                    break
+        except (EOFError, OSError):
+            result = None
+        if result is None:
+            _stop_worker()
+        return result
 
-    def abort(self) -> None:
-        struct.pack_into("q", self.current, 0, 0)
+    def drop(self) -> None:
+        """Stop the current job at its next round boundary; a worker that
+        cannot be told (it died) is stopped, so the next split run forks one."""
+        try:
+            self.conn.send(None)
+        except OSError:
+            _stop_worker()
 
     def stop(self) -> None:
-        self.abort()
-        self.conn.close()
+        self.conn.close()  # a running job stops at its next round boundary
         self.proc.join(timeout=5)
         if self.proc.is_alive():
             self.proc.kill()
@@ -1030,9 +1040,11 @@ class _Worker:
 _worker: Optional[_Worker] = None
 
 
-def _serve(conn, parent_end, current) -> None:
-    """The worker's loop: build the frame of each job, run its stream 1 and
-    send back its (order, stats), until the pipe closes."""
+def _serve(conn, parent_end) -> None:
+    """The worker's loop: run stream 1 of each job on its own frame and send
+    back (order, stats), until the pipe closes. A job that finds the pipe
+    waiting at a round boundary (conn.poll()) sends nothing; a drop read
+    between jobs came after its job's reply and is skipped."""
     import signal
 
     parent_end.close()
@@ -1040,13 +1052,16 @@ def _serve(conn, parent_end, current) -> None:
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     while True:
         try:
-            number, (inst, heat, params, seed, rounds, deadline) = conn.recv()
+            message = conn.recv()
         except (EOFError, OSError):
             return
+        if message is None:
+            continue
+        number, (inst, heat, params, seed, rounds, deadline) = message
         try:
             result = _stream(_Frame.build(inst, params.m), heat, params,
                              np.random.default_rng((seed, 1)), rounds, deadline,
-                             lambda: struct.unpack_from("q", current)[0] == number)
+                             lambda: not conn.poll())
             if result is None:  # dropped: nobody reads it
                 continue
         except Exception:  # the parent runs the stream itself, and raises there
@@ -1077,23 +1092,8 @@ def _submit(job: tuple) -> Optional[int]:
         return None
 
 
-def _collect(number: Optional[int]) -> Optional[tuple]:
-    """Stream 1's (order, stats) for job number, or None when there is no
-    job or the worker failed, in which case the run runs stream 1 itself."""
-    if number is None:
-        return None
-    try:
-        result = _worker.collect(number)
-    except (EOFError, OSError):
-        result = None
-    if result is None:
-        _stop_worker()
-    return result
-
-
 def _stop_worker() -> None:
-    """End the worker process, if one runs; the next split run forks a new
-    one."""
+    """End the worker, if one runs; the next split run forks a new one."""
     global _worker
     worker, _worker = _worker, None
     if worker is not None:

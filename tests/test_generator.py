@@ -44,6 +44,13 @@ class TestTrainConfig:
         with pytest.raises(ValueError):
             TrainConfig(steps=0)
 
+    def test_rejects_non_integral_steps(self):
+        # steps = 2.5 failed with a TypeError in the fit's bias correction
+        with pytest.raises(ValueError, match="steps must be an integer"):
+            TrainConfig(steps=2.5)
+        _, _, trace = optimize_heatmap(generate_random(10, 1), TrainConfig(steps=np.int64(3)))
+        assert trace.steps == 3
+
     def test_fields_are_the_training_settings(self):
         # the spread of the initial logits is the module constant INIT_SCALE;
         # the step size and the loss weights are class constants

@@ -52,7 +52,6 @@ from tspheat.search import (
     _move_segment,
     _nearest_neighbor,
     _neighbor_pass,
-    _pass_frame,
     _positions,
     _round,
     _round_start,
@@ -330,7 +329,8 @@ class TestNearestNeighbor:
 
     @staticmethod
     def assert_matches_oracle(d, starts):
-        rows, nbrs = _pass_frame(d)
+        frame = _Frame.of(d, pass_neighbors(len(d)))
+        rows, nbrs = frame.rows, frame.nbrs
         fallbacks = 0
         for start in starts:
             tour = _nearest_neighbor(rows, nbrs, start)
@@ -356,7 +356,8 @@ class TestNearestNeighbor:
         # after the start, all through the lists' tie rule and the fallback
         d = distance_matrix(Instance(coords=np.full((12, 2), 0.25)))
         self.assert_matches_oracle(d, range(12))
-        rows, nbrs = _pass_frame(d)
+        frame = _Frame.of(d, pass_neighbors(len(d)))
+        rows, nbrs = frame.rows, frame.nbrs
         assert _nearest_neighbor(rows, nbrs, 5) == [5] + [c for c in range(12) if c != 5]
 
     @pytest.mark.parametrize("spacing", ["integer", "random"])
@@ -380,7 +381,8 @@ class TestNearestNeighbor:
         rng = np.random.default_rng(8)
         coords = np.concatenate([rng.random((12, 2)), rng.random((12, 2)) + 100.0])
         d = distance_matrix(Instance(coords=rng.permutation(coords)))
-        rows, nbrs = _pass_frame(d)
+        frame = _Frame.of(d, pass_neighbors(len(d)))
+        rows, nbrs = frame.rows, frame.nbrs
         for start in range(24):
             tour = _nearest_neighbor(rows, nbrs, start)
             assert tour == nearest_neighbor_oracle(d, start)
@@ -1858,6 +1860,49 @@ class TestStreams:
         assert "'proof_round': 0" not in stats
         assert not search_mod._worker.conn.poll(2.0)
 
+    def test_a_drop_after_the_reply_is_skipped(self, monkeypatch):
+        # the worker replies to a job, then reads its drop before the next
+        # job: it skips the drop, and the next run reads its own reply
+        import tspheat.search as search_mod
+
+        inst = generate_random(30, 1)
+        params = preset_for(30).with_budget(max_rounds=2)
+        _, pruned = top_m_filter(soft_heat(distance_matrix(inst)), params.m)
+        assert search_mod._submit((inst, _run_heat(pruned), params, 1, 2, None)) is not None
+        worker = search_mod._worker
+        assert worker.conn.poll(10)
+        worker.drop()
+        got = self.run(30, 1, 4, 1)
+        assert search_mod._worker is worker and worker.proc.is_alive()
+        monkeypatch.setattr(search_mod, "_submit", lambda job: None)
+        assert self.run(30, 1, 4, 1) == got
+
+    def test_a_worker_dead_before_the_drop_leaves_the_run_unchanged(self, monkeypatch):
+        # the worker dies between the submit and stream 0's proof, so the
+        # drop cannot be sent: the run is stream 0's as without a worker,
+        # and a later split run forks a new worker
+        import tspheat.search as search_mod
+
+        monkeypatch.setattr(search_mod, "_submit", lambda job: None)
+        want = self.run(21, 3, 8, 3)
+        follow = self.run(30, 1, 4, 1)
+        monkeypatch.undo()
+        here, build, killed = os.getpid(), _Frame.build, []
+
+        def build_after_killing_the_worker(inst, m):
+            if os.getpid() == here and not killed:
+                proc = search_mod._worker.proc
+                os.kill(proc.pid, signal.SIGKILL)
+                proc.join(timeout=10)
+                killed.append(proc.pid)
+            return build(inst, m)
+
+        monkeypatch.setattr(_Frame, "build", build_after_killing_the_worker)
+        assert self.run(21, 3, 8, 3) == want
+        assert killed
+        assert [self.run(30, 1, 4, 1) for _ in range(2)] == [follow] * 2
+        assert search_mod._worker is not None and search_mod._worker.proc.pid != killed[0]
+
     def test_a_killed_worker_leaves_the_next_run_unchanged(self):
         import tspheat.search as search_mod
 
@@ -1938,6 +1983,51 @@ class TestStreams:
         with pytest.raises(ProcessLookupError):
             os.kill(pid, 0)
 
+    def test_a_killed_parent_stops_its_worker(self):
+        # the end of the pipe stops stream 1 at its next round boundary, so
+        # a worker whose parent dies mid-run ends within a round
+        if not os.path.isdir("/proc/self"):
+            pytest.skip("needs /proc to read a process's state")
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        code = (
+            "import numpy as np, tspheat, tspheat.search as s\n"
+            "inst = tspheat.generate_random(100, 1)\n"
+            "params = tspheat.preset_for(100)\n"
+            "_, pruned = tspheat.top_m_filter(np.exp(-tspheat.distance_matrix(inst) / 0.1), 8)\n"
+            "tspheat.run_search(inst, pruned, params.with_budget(max_rounds=2), 1)\n"
+            "print(s._worker.proc.pid, flush=True)\n"
+            "tspheat.run_search(inst, pruned, params.with_budget(time_budget=60), 1)\n"
+        )
+        parent = subprocess.Popen([sys.executable, "-c", code], stdout=subprocess.PIPE,
+                                  env={**os.environ, "PYTHONPATH": src}, text=True)
+        pid = None
+        try:
+            pid = int(parent.stdout.readline())
+            time.sleep(0.5)
+            parent.kill()
+            parent.wait(timeout=10)
+            stop = time.monotonic() + 10
+            while time.monotonic() < stop:
+                try:
+                    with open(f"/proc/{pid}/stat") as f:
+                        state = f.read().rpartition(")")[2].split()[0]
+                except FileNotFoundError:
+                    break
+                if state in ("Z", "X"):
+                    break
+                time.sleep(0.05)
+            else:
+                pytest.fail(f"worker {pid} still in state {state} 10 s after its parent died")
+        finally:
+            parent.kill()
+            parent.wait(timeout=10)
+            parent.stdout.close()
+            if pid is not None:
+                try:
+                    os.kill(pid, signal.SIGKILL)
+                except ProcessLookupError:
+                    pass
+
 
 class TestPresets:
     def test_table_values(self):
@@ -1968,6 +2058,21 @@ class TestSearchParams:
     def test_rejects_zero_budget(self):
         with pytest.raises(ValueError):
             SearchParams(time_budget=0.0)
+
+    @pytest.mark.parametrize("field", ["m", "expand_budget", "max_rounds"])
+    def test_rejects_non_integral_counts(self, field):
+        # at n = 30, m = 8.5 and expand_budget = 2.5 failed with a TypeError
+        # deep in the search, and max_rounds = 2.5 ran 2 rounds
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            SearchParams(**{field: 2.5 if field != "m" else 8.5})
+
+    def test_accepts_numpy_integers(self):
+        params = SearchParams(m=np.int64(6), expand_budget=np.int64(20),
+                              max_rounds=np.int64(2))
+        inst = generate_random(30, 1)
+        _, pruned = top_m_filter(soft_heat(distance_matrix(inst)), 6)
+        _, stats = run_search(inst, pruned, params, 1)
+        assert stats.rounds == 2
 
     @pytest.mark.parametrize("field, value", [
         ("beta", math.nan), ("beta", math.inf),
