@@ -37,10 +37,10 @@ at the length of the best tour of the rounds before it.
 A run of more than ONE_STREAM_MAX_CITIES cities with a round cap other than
 1 splits its rounds into two seeded streams: stream 0 in this process and
 stream 1 in one worker process (_Worker), forked on first need, reused by
-later runs and told everything through its pipe, its only channel. The
-streams share nothing while they run, and the merged result (_merge) never
-depends on which ends first, so it is the same without the worker. The
-tour file format lives in instances.py with the other native documents.
+later runs of this process alone, told everything through its pipe, and
+stopped by a run that raises. The streams share nothing while they run, and
+the merged result (_merge) never depends on which ends first, so it is the
+same without the worker. The tour file format lives in instances.py.
 """
 
 from __future__ import annotations
@@ -95,9 +95,9 @@ class SearchParams:
     caps: a run ends sooner once a 1-tree bound proves its best tour optimal
     (run_search). max_rounds is a total over the run's streams: a run split
     into two gives stream 0 at most ceil(max_rounds / 2) rounds and stream
-    1 at most floor(max_rounds / 2); time_budget is one deadline that both
-    streams share. Round caps give bit-reproducible runs, wall-clock budgets
-    do not.
+    1 at most floor(max_rounds / 2); time_budget counts from the call to
+    run_search and is one deadline that both streams share. Round caps give
+    bit-reproducible runs, wall-clock budgets do not.
     """
 
     beta: float = 10.0
@@ -902,15 +902,6 @@ def _run_heat(pruned: np.ndarray) -> np.ndarray:
     return heat
 
 
-def _deadline(params: SearchParams) -> Optional[float]:
-    """The perf_counter time at which a run's time budget, started now,
-    ends; None without a budget. perf_counter is a system-wide monotonic
-    clock on the platforms that fork, so the worker reads it alike."""
-    if params.time_budget is None:
-        return None
-    return time.perf_counter() + params.time_budget
-
-
 def run_search(
     inst: Instance,
     pruned: np.ndarray,
@@ -929,14 +920,15 @@ def run_search(
     into two streams, each with its own copy of the heat: stream 0, the
     same stream seeded with seed, for at most ceil(R / 2) rounds, and
     stream 1, seeded with (seed, 1), for at most floor(R / 2). A time
-    budget gives both the same deadline. Stream 1 runs in a worker process
-    (_Worker) while this process runs stream 0. If stream 0's 1-tree bound
-    proves its tour optimal, stream 0 is the run and stream 1 is dropped
-    (_Worker.drop); otherwise the two are merged (_merge). Where no worker
-    can run (no fork on the platform, a process with threads or a daemonic
-    one, or a dead worker), stream 1 runs here after stream 0, with the same
-    result, so a round-capped run's result never depends on timing or on
-    the worker.
+    budget counts from this call: both share one deadline. Stream 1 runs in
+    a worker process (_Worker) while this process runs stream 0. If stream
+    0's 1-tree bound proves its tour optimal, stream 0 is the run and stream
+    1 is dropped (_Worker.drop); otherwise the two are merged (_merge).
+    Where no worker can run (no fork on the platform, a process with threads
+    or a daemonic one, or a dead worker), stream 1 runs here after stream 0,
+    with the same result, so a round-capped run's result never depends on
+    timing or on the worker. Any exception once the job is sent, such as a
+    KeyboardInterrupt, stops the worker (_stop_worker) and is re-raised.
     """
     if params.time_budget is None and params.max_rounds is None:
         raise ValueError("a budget is required: set time_budget and/or max_rounds")
@@ -947,26 +939,31 @@ def run_search(
     # sum of a draw into NaN
     if not ((pruned >= 0) & (pruned < math.inf)).all():
         raise ValueError("pruned heat-map entries must be finite and >= 0")
+    # perf_counter is system-wide where fork exists, so the worker reads it alike
+    deadline = None if params.time_budget is None else time.perf_counter() + params.time_budget
     heat = _run_heat(pruned)
     cap = params.max_rounds
     if n <= ONE_STREAM_MAX_CITIES or cap == 1:
         frame = _Frame.build(inst, params.m)
-        order, stats = _stream(frame, heat, params, np.random.default_rng(seed), cap,
-                               _deadline(params))
+        order, stats = _stream(frame, heat, params, np.random.default_rng(seed), cap, deadline)
         return Tour.from_order(order), stats
     caps = (None, None) if cap is None else ((cap + 1) // 2, cap // 2)
-    deadline = _deadline(params)
-    # submitted before this process builds its frame, so that the worker
-    # builds its own meanwhile
+    # submitted first, so that the worker builds its frame while this one does
     number = _submit((inst, heat, params, seed, caps[1], deadline))
-    frame = _Frame.build(inst, params.m)
-    first = _stream(frame, heat.copy(), params, np.random.default_rng(seed), caps[0], deadline)
-    if first[1].proof_round:
+    try:
+        frame = _Frame.build(inst, params.m)
+        first = _stream(frame, heat.copy(), params, np.random.default_rng(seed), caps[0],
+                        deadline)
+        if first[1].proof_round:
+            if number is not None:
+                _worker.drop()
+            return Tour.from_order(first[0]), first[1]
+        second = (number is not None and _worker.collect(number)) or _stream(
+            frame, heat, params, np.random.default_rng((seed, 1)), caps[1], deadline)
+    except BaseException:
         if number is not None:
-            _worker.drop()
-        return Tour.from_order(first[0]), first[1]
-    second = (number is not None and _worker.collect(number)) or _stream(
-        frame, heat, params, np.random.default_rng((seed, 1)), caps[1], deadline)
+            _stop_worker()
+        raise
     order, stats = _merge(first, second, frame.e)
     return Tour.from_order(order), stats
 
@@ -977,21 +974,19 @@ def run_search(
 
 class _Worker:
     """A process that runs stream 1 of split runs (run_search) for the
-    process that forked it: forked on first need, a daemon, reused by every
-    later run. Its pipe is its only channel. Stream 1 stops at its next
-    round boundary, with no reply, once anything waits on the pipe: a drop,
-    the next job, or the pipe's end when the parent closes it or dies."""
+    process that forked it and no other (_forget_worker): forked on first
+    need, a daemon, reused by every later run. Its pipe is its only channel.
+    Stream 1 stops at its next round boundary, with no reply, once anything
+    waits on the pipe: a drop, the next job, or the pipe's end (_serve)."""
 
     def __init__(self):
-        # imported here, so that importing the package loads no process
-        # machinery
+        # imported here: importing the package loads no process machinery
         import multiprocessing
 
         if multiprocessing.current_process().daemon:
             # a daemonic process, such as a Pool worker, may not have children
             raise ValueError("this process cannot fork a worker")
         ctx = multiprocessing.get_context("fork")  # ValueError where fork does not exist
-        self.owner = os.getpid()
         self.number = 0
         self.conn, child = ctx.Pipe()
         self.proc = ctx.Process(target=_serve, args=(child, self.conn),
@@ -1001,15 +996,9 @@ class _Worker:
         finally:
             child.close()
 
-    def submit(self, job: tuple) -> int:
-        self.number += 1
-        self.conn.send((self.number, job))
-        return self.number
-
     def collect(self, number: int) -> Optional[tuple]:
-        """Stream 1's (order, stats) for job number, read past replies to
-        earlier jobs (sent before their drop arrived, or left by an
-        interrupted run); None, with the worker stopped, when it failed."""
+        """Stream 1's (order, stats) for job number, past earlier jobs' replies
+        (sent before their drop arrived); None, the worker stopped, if it failed."""
         try:
             while True:
                 got, result = self.conn.recv()
@@ -1029,22 +1018,15 @@ class _Worker:
         except OSError:
             _stop_worker()
 
-    def stop(self) -> None:
-        self.conn.close()  # a running job stops at its next round boundary
-        self.proc.join(timeout=5)
-        if self.proc.is_alive():
-            self.proc.kill()
-            self.proc.join()
-
 
 _worker: Optional[_Worker] = None
 
 
 def _serve(conn, parent_end) -> None:
     """The worker's loop: run stream 1 of each job on its own frame and send
-    back (order, stats), until the pipe closes. A job that finds the pipe
-    waiting at a round boundary (conn.poll()) sends nothing; a drop read
-    between jobs came after its job's reply and is skipped."""
+    back (order, stats), until the pipe ends; only the parent holds its end
+    (_forget_worker). A job that finds the pipe waiting at a round boundary
+    sends nothing; a drop read between jobs came after its reply: skipped."""
     import signal
 
     parent_end.close()
@@ -1073,7 +1055,7 @@ def _serve(conn, parent_end) -> None:
 
 
 def _submit(job: tuple) -> Optional[int]:
-    """Start stream 1 of a split run on the worker, forking it if none is
+    """Send stream 1 of a split run to the worker, forking it if none is
     running; returns the job's number, or None when no worker can take it,
     as while other threads run: a fork copies only the calling thread (a
     lock another holds stays held in the child), and two threads' runs would
@@ -1081,20 +1063,38 @@ def _submit(job: tuple) -> Optional[int]:
     global _worker
     if threading.active_count() > 1:
         return None
-    if _worker is not None and _worker.owner != os.getpid():
-        _worker = None  # inherited through a fork: its parent's worker
     try:
         if _worker is None:
             _worker = _Worker()
-        return _worker.submit(job)
+        _worker.number += 1
+        _worker.conn.send((_worker.number, job))
+        return _worker.number
     except (ValueError, OSError):
         _stop_worker()
         return None
 
 
 def _stop_worker() -> None:
-    """End the worker, if one runs; the next split run forks a new one."""
+    """End the worker, if one runs: close the pipe, kill the worker, join
+    it. The next split run forks a new one."""
     global _worker
     worker, _worker = _worker, None
     if worker is not None:
-        worker.stop()
+        worker.conn.close()
+        worker.proc.kill()
+        worker.proc.join()
+
+
+def _forget_worker() -> None:
+    """In a forked child, drop the parent's worker: close the copy of its
+    pipe end, which would hide the parent's exit from it, and remove it from
+    the children that a plain os.fork child's exit would kill and join."""
+    global _worker
+    worker, _worker = _worker, None
+    if worker is not None:
+        worker.conn.close()
+        sys.modules["multiprocessing.process"]._children.discard(worker.proc)
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_worker)

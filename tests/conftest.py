@@ -4,8 +4,11 @@ A run_search call that splits its rounds into two streams runs stream 1 in
 a worker process, forked on first need and reused by later calls. A forked
 worker keeps the module as it stood when it forked, monkeypatches included,
 so every test stops the worker it started, and a test that spies on a run's
-rounds from this process asks for one_stream or in_process.
+rounds from this process asks for one_stream or in_process. After the stop,
+no test may leave a child process running: multiprocessing lists none.
 """
+
+import multiprocessing
 
 import pytest
 
@@ -16,6 +19,7 @@ import tspheat.search as search_mod
 def _stop_search_worker():
     yield
     search_mod._stop_worker()
+    assert multiprocessing.active_children() == []
 
 
 @pytest.fixture

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import os
 import re
@@ -1199,6 +1200,37 @@ class TestRunSearch:
         assert stats.total_expansions == seen["attempts"]
         assert tour_length(d, tour) == stats.best_length == stats.round_best_lengths[-1]
 
+    def test_time_budget_counts_from_the_call(self, monkeypatch, in_process):
+        # a fake clock that building the frame moves on by 1.0: the deadline
+        # every stream reads is the clock at the call plus the budget, in a
+        # one-stream run and in a split run alike
+        import types
+
+        import tspheat.search as search_mod
+
+        now = [50.0]
+        build, stream, deadlines = _Frame.build, search_mod._stream, []
+
+        def slow_build(inst, m):
+            now[0] += 1.0
+            return build(inst, m)
+
+        def stream_spy(*args):
+            deadlines.append(args[5])
+            return stream(*args)
+
+        monkeypatch.setattr(search_mod, "time", types.SimpleNamespace(perf_counter=lambda: now[0]))
+        monkeypatch.setattr(_Frame, "build", slow_build)
+        monkeypatch.setattr(search_mod, "_stream", stream_spy)
+        for n, streams in ((15, 1), (30, 2)):
+            inst = generate_random(n, 2)
+            _, pruned = top_m_filter(soft_heat(distance_matrix(inst)), 8)
+            entry = now[0]
+            deadlines.clear()
+            run_search(inst, pruned, preset_for(n).with_budget(time_budget=100, max_rounds=2), 1)
+            assert now[0] == entry + 1.0
+            assert deadlines == [entry + 100] * streams
+
     def test_round_start_is_the_neighbor_pass_alone(self):
         # on this n=100 start the full 2-opt scan still finds moves after
         # the pass; a round does not run the scan, so round 1's tour is the
@@ -1759,6 +1791,47 @@ def run_and_worker(args):
     return result, search_mod._worker.proc.pid if search_mod._worker else None
 
 
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+# the head of a script for a fresh interpreter: run(**budget) makes a split
+# run at n = 100 and returns its order and its worker's pid (None when it
+# has none); the script starts with a 2-round run, so its worker is known
+SPLIT_SCRIPT = (
+    "import json, multiprocessing, os, sys, time\n"
+    "import numpy as np, tspheat, tspheat.search as s\n"
+    "inst = tspheat.generate_random(100, 1)\n"
+    "_, pruned = tspheat.top_m_filter(np.exp(-tspheat.distance_matrix(inst) / 0.1), 8)\n"
+    "def run(**budget):\n"
+    "    params = tspheat.preset_for(100).with_budget(**budget)\n"
+    "    tour, _ = tspheat.run_search(inst, pruned, params, 1)\n"
+    "    return tour.order.tolist(), s._worker and s._worker.proc.pid\n"
+    "want, pid = run(max_rounds=2)\n"
+)
+
+
+def state_within(pid, seconds):
+    """The state /proc gives process pid: None once it is gone, "Z" or "X"
+    once it has ended, or after `seconds` the state it still is in."""
+    stop = time.monotonic() + seconds
+    while True:
+        try:
+            with open(f"/proc/{pid}/stat") as f:
+                state = f.read().rpartition(")")[2].split()[0]
+        except FileNotFoundError:
+            return None
+        if state in ("Z", "X") or time.monotonic() >= stop:
+            return state
+        time.sleep(0.05)
+
+
+def kill_all(pids):
+    for pid in pids:
+        try:
+            os.kill(pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+
+
 class TestStreams:
     """A run of more than ONE_STREAM_MAX_CITIES cities with a round cap R >= 2
     runs stream 0 (seed, ceil(R / 2) rounds) here and stream 1 ((seed, 1),
@@ -2027,6 +2100,103 @@ class TestStreams:
                     os.kill(pid, signal.SIGKILL)
                 except ProcessLookupError:
                     pass
+
+    def test_a_later_fork_leaves_the_parent_death_to_the_worker(self):
+        # a process forked after the worker closes its copy of the worker's
+        # pipe end, so the end of the pipe still reaches the worker when the
+        # parent is killed while that process lives
+        if not os.path.isdir("/proc/self"):
+            pytest.skip("needs /proc to read a process's state")
+        code = SPLIT_SCRIPT + (
+            "child = multiprocessing.get_context('fork').Process(target=time.sleep, args=(15,))\n"
+            "child.start()\n"
+            "print(pid, child.pid, flush=True)\n"
+            "run(time_budget=20)\n"
+        )
+        parent = subprocess.Popen([sys.executable, "-c", code], stdout=subprocess.PIPE,
+                                  env={**os.environ, "PYTHONPATH": SRC}, text=True)
+        pids = []
+        try:
+            pids = [int(pid) for pid in parent.stdout.readline().split()]
+            time.sleep(1.0)
+            parent.kill()
+            parent.wait(timeout=10)
+            state = state_within(pids[0], 10)
+            assert state in (None, "Z", "X"), f"worker {pids[0]} in state {state} after 10 s"
+        finally:
+            parent.kill()
+            parent.wait(timeout=10)
+            parent.stdout.close()
+            kill_all(pids)
+
+    def test_a_plain_fork_exit_leaves_the_worker_alone(self):
+        # an os.fork child that exits normally neither kills nor joins the
+        # parent's worker; its own split run forks a worker of its own
+        if not os.path.isdir("/proc/self"):
+            pytest.skip("needs /proc to read a process's state")
+        code = SPLIT_SCRIPT + (
+            "r, w = os.pipe()\n"
+            "child = os.fork()\n"
+            "if child == 0:\n"
+            "    os.close(r)\n"
+            "    os.write(w, json.dumps(run(max_rounds=2)).encode())\n"
+            "    sys.exit(0)\n"
+            "os.close(w)\n"
+            "with os.fdopen(r) as f:\n"
+            "    got, theirs = json.loads(f.read())\n"
+            "status = os.waitstatus_to_exitcode(os.waitpid(child, 0)[1])\n"
+            "alive = s._worker.proc.pid == pid and s._worker.proc.is_alive()\n"
+            "again, later = run(max_rounds=2)\n"
+            "print(json.dumps([pid, theirs, later, status, alive, got == want == again]))\n"
+        )
+        pids = []
+        try:
+            out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                                 env={**os.environ, "PYTHONPATH": SRC}, check=True, timeout=120)
+            pid, theirs, later, status, alive, same = json.loads(out.stdout)
+            pids = [p for p in (pid, theirs, later) if p is not None]
+            assert "Exception ignored" not in out.stderr, out.stderr
+            assert (status, alive, same) == (0, True, True)
+            assert theirs != pid and later == pid
+        finally:
+            kill_all(pids)
+
+    @pytest.mark.parametrize("where", ["build", "collect"])
+    def test_an_interrupted_run_stops_its_worker(self, where, monkeypatch):
+        # an exception between the submit and the end of collect stops the
+        # worker, which would otherwise run stream 1 on to its deadline, and
+        # the next split run forks a new one with the same result
+        import tspheat.search as search_mod
+
+        self.run(100, 1, 2, 2)
+        proc = search_mod._worker.proc
+        here, build, collect = os.getpid(), _Frame.build, search_mod._Worker.collect
+
+        def interrupt(real):
+            def interrupted(*args):
+                if os.getpid() == here:
+                    raise KeyboardInterrupt
+                return real(*args)
+            return interrupted
+
+        if where == "build":
+            monkeypatch.setattr(_Frame, "build", interrupt(build))
+            params = preset_for(100).with_budget(time_budget=20)
+        else:
+            monkeypatch.setattr(search_mod._Worker, "collect", interrupt(collect))
+            params = preset_for(100).with_budget(time_budget=20, max_rounds=2)
+        inst = generate_random(100, 1)
+        _, pruned = top_m_filter(soft_heat(distance_matrix(inst)), params.m)
+        with pytest.raises(KeyboardInterrupt):
+            run_search(inst, pruned, params, 2)
+        assert search_mod._worker is None
+        with pytest.raises(ProcessLookupError):
+            os.kill(proc.pid, 0)
+        monkeypatch.undo()
+        got = self.run(100, 1, 2, 2)
+        assert search_mod._worker.proc.pid != proc.pid
+        monkeypatch.setattr(search_mod, "_submit", lambda job: None)
+        assert self.run(100, 1, 2, 2) == got
 
 
 class TestPresets:
