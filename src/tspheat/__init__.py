@@ -17,7 +17,6 @@ from .candidates import (
 from .bench import (
     BenchResult,
     held_karp_exact,
-    nn_two_opt_baseline,
     solve_pipeline,
     coverage_report,
     emit_tour_svg,
@@ -47,6 +46,7 @@ from .search import (
     SearchParams,
     SearchStats,
     expand_node,
+    nn_two_opt_baseline,
     preset_for,
     random_tour,
     run_search,

@@ -1,5 +1,5 @@
-"""Exact small-instance oracle, baselines, pipeline orchestration and
-report/figure emission."""
+"""Exact small-instance oracle, pipeline orchestration and report/figure
+emission."""
 
 from __future__ import annotations
 
@@ -14,8 +14,8 @@ import numpy as np
 
 from .candidates import check_list_size, edge_set, overlap_coefficient, top_m_filter
 from .generator import TrainConfig, optimize_heatmap
-from .instances import Instance, Tour, coordinate_span, distance_matrix, order_length
-from .search import SearchParams, _Frame, _nearest_neighbor, _neighbor_pass, run_search
+from .instances import Instance, Tour, coordinate_span, distance_matrix
+from .search import SearchParams, run_search
 
 HELD_KARP_MAX_N = 20
 
@@ -120,24 +120,6 @@ def tour_edges(tour: Tour) -> set[tuple[int, int]]:
         (int(min(order[k], order[(k + 1) % n])), int(max(order[k], order[(k + 1) % n])))
         for k in range(n)
     }
-
-
-def nn_two_opt_baseline(inst: Instance, seed: int):
-    """Nearest-neighbour construction from a random start city
-    (search._nearest_neighbor, the routine that starts each search round),
-    then the search's round-start pass of 2-opt and Or-opt moves
-    (search._neighbor_pass), both on a search run's frame (search._Frame,
-    built at m = 1: its distances and pass lists do not depend on m).
-
-    Returns (Tour, length in the instance's units); deterministic per seed.
-    """
-    frame = _Frame.build(inst, 1)
-    start = int(np.random.default_rng(seed).integers(inst.n))
-    order = np.array(_nearest_neighbor(frame.rows, frame.nbrs, start), dtype=np.int64)
-    _neighbor_pass(frame.rows, frame.nbrs, order)
-    # power-of-two scaling is exact (short of subnormal distances), so this
-    # is tour_length on distance_matrix(inst), bit for bit
-    return Tour.from_order(order), math.ldexp(order_length(frame.d, order), frame.e)
 
 
 def solve_pipeline(

@@ -23,7 +23,7 @@ from .generator import TrainConfig, optimize_heatmap
 from .heatmap import NumericError
 from .instances import (format_heatmap, format_instance, format_tour, generate_random,
                         parse_heatmap, read_instance_file, read_text)
-from .search import SearchParams, preset_for, run_search
+from .search import SearchParams, nn_two_opt_baseline, preset_for, run_search
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -126,7 +126,7 @@ def cmd_oracle(args) -> int:
 
 def cmd_baseline(args) -> int:
     inst = read_instance_file(args.instance)
-    tour, length = bench_mod.nn_two_opt_baseline(inst, args.seed)
+    tour, length = nn_two_opt_baseline(inst, args.seed)
     _write_out(format_tour(tour, length), args.out)
     return EXIT_OK
 
@@ -161,7 +161,7 @@ def cmd_bench(args) -> int:
         result, _ = bench_mod.solve_pipeline(inst, cfg, params, seed, ref_length=ref)
         rows.append(result)
         t0 = time.perf_counter()
-        _, base_len = bench_mod.nn_two_opt_baseline(inst, seed)
+        _, base_len = nn_two_opt_baseline(inst, seed)
         base_seconds = time.perf_counter() - t0
         rows.append(
             bench_mod.BenchResult(

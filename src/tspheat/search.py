@@ -65,8 +65,8 @@ from .instances import Instance, Tour, distance_matrix, order_length, unit_expon
 
 # gain a k-opt, 2-opt or Or-opt move must exceed to count as improving;
 # guards against float-noise "improvements". It is absolute, so run_search
-# and the nearest-neighbour baseline (bench.nn_two_opt_baseline) compare it
-# with gains in the instance's power-of-two frame (instances.unit_exponent)
+# and the nearest-neighbour baseline (nn_two_opt_baseline) compare it with
+# gains in the instance's power-of-two frame (instances.unit_exponent)
 MIN_GAIN = 1e-10
 # sampling-weight floor so zero-heat candidates stay reachable
 WEIGHT_FLOOR = 1e-12
@@ -701,9 +701,9 @@ def update_heatmap(
 class _Frame:
     """What every round of a run reads and no round changes, built once per
     run by _Frame.build from the instance and the preset's m. The
-    nearest-neighbour baseline (bench.nn_two_opt_baseline) builds one at
-    m = 1: e, d, rows and nbrs do not depend on m. two_opt_improve builds
-    one (_Frame.of) on its d at m = pass_neighbors(n), so nbrs is dist_table.
+    nearest-neighbour baseline (nn_two_opt_baseline) builds one at m = 1:
+    e, d, rows and nbrs do not depend on m. two_opt_improve builds one
+    (_Frame.of) on its d at m = pass_neighbors(n), so nbrs is dist_table.
 
     e is the instance's power-of-two exponent (instances.unit_exponent) and
     d its distances scaled by 2**-e, read-only, so MIN_GAIN acts in the
@@ -740,21 +740,23 @@ class _Frame:
         return cls(e, d, rows, nbrs, dist_table)
 
 
-def _round_start(frame: _Frame, stats: SearchStats, rng: np.random.Generator) -> np.ndarray:
+def _round_start(frame: _Frame, stats: SearchStats, rng: np.random.Generator,
+                 kicks: int = ROUND_START_KICKS) -> np.ndarray:
     """A round's first tour: the nearest-neighbour tour from a random city
-    (_nearest_neighbor), then ROUND_START_KICKS random double bridges, then
-    _neighbor_pass, so the round starts with no list-restricted 2-opt or
-    Or-opt move left. Each double bridge draws three distinct cut points
+    (_nearest_neighbor), then `kicks` random double bridges, then
+    _neighbor_pass, so the tour has no list-restricted 2-opt or Or-opt move
+    left. Each double bridge draws three distinct cut points
     1 <= a < b < c <= n - 1 and reorders the tour as
     order[:a] + order[b:c] + order[a:b] + order[c:]; at n = 3 every order
-    is the same cycle, so no kick is drawn. Every draw comes from the run's
-    rng. The kicks keep starts diverse, and the pass has far less to undo
-    than from a random permutation. The pass is timed into
+    is the same cycle, so no kick is drawn. Every draw comes from rng. A
+    round makes ROUND_START_KICKS kicks, which keep starts diverse while
+    leaving the pass far less to undo than a random permutation would;
+    nn_two_opt_baseline makes none. The pass is timed into
     stats.two_opt_seconds and its Or-opt moves counted."""
     n = len(frame.rows)
     tour = _nearest_neighbor(frame.rows, frame.nbrs, int(rng.integers(n)))
     if n > 3:
-        for _ in range(ROUND_START_KICKS):
+        for _ in range(kicks):
             a, b, c = sorted(x + 1 for x in rng.choice(n - 1, size=3, replace=False).tolist())
             tour = tour[:a] + tour[b:c] + tour[a:b] + tour[c:]
     order = np.array(tour, dtype=np.int64)
@@ -762,6 +764,19 @@ def _round_start(frame: _Frame, stats: SearchStats, rng: np.random.Generator) ->
     stats.or_moves += _neighbor_pass(frame.rows, frame.nbrs, order)
     stats.two_opt_seconds += time.perf_counter() - t0
     return order
+
+
+def nn_two_opt_baseline(inst: Instance, seed: int):
+    """The nn+2opt+oropt baseline: a round start (_round_start) without
+    kicks, from an rng seeded with seed, in a frame built at m = 1.
+
+    Returns (Tour, length in the instance's units); deterministic per seed.
+    """
+    frame = _Frame.build(inst, 1)
+    order = _round_start(frame, SearchStats(), np.random.default_rng(seed), kicks=0)
+    # power-of-two scaling is exact (short of subnormal distances), so this
+    # is tour_length on distance_matrix(inst), bit for bit
+    return Tour.from_order(order), math.ldexp(order_length(frame.d, order), frame.e)
 
 
 def _round(

@@ -9,7 +9,6 @@ import numpy as np
 
 from tspheat.bench import (
     held_karp_exact,
-    nn_two_opt_baseline,
     solve_pipeline,
     tour_edges,
 )
@@ -32,6 +31,7 @@ from tspheat.search import (
     SearchStats,
     _candidate_table,
     _expand,
+    nn_two_opt_baseline,
     random_tour,
     two_opt_improve,
     update_heatmap,

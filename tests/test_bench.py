@@ -17,7 +17,6 @@ from tspheat.bench import (
     emit_tour_svg,
     gap_percent,
     held_karp_exact,
-    nn_two_opt_baseline,
     solve_pipeline,
     tour_edges,
 )
@@ -30,7 +29,7 @@ from tspheat.instances import (
     generate_random,
     tour_length,
 )
-from tspheat.search import PRESETS
+from tspheat.search import PRESETS, nn_two_opt_baseline
 
 SQUARE = Instance(coords=np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]))
 

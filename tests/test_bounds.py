@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 import tspheat.bounds as bounds_mod
-from tspheat.bench import held_karp_exact, nn_two_opt_baseline
+from tspheat.bench import held_karp_exact
 from tspheat.bounds import ASCENT_ITERATIONS, one_tree_bound, _one_tree
 from tspheat.instances import Instance, distance_matrix, generate_random, order_length
-from tspheat.search import MIN_GAIN
+from tspheat.search import MIN_GAIN, nn_two_opt_baseline
 
 from test_bench import GOLDEN_HELD_KARP, _integer_grid
 

@@ -77,3 +77,18 @@ def test_every_definition_is_run_by_the_package_or_the_benchmark():
         and not any(node.name in names for _, other, names in statements if other is not node)
     ]
     assert not unread, f"defined in the package, run by neither it nor the benchmark: {unread}"
+
+
+def test_no_module_imports_private_names_of_the_search():
+    # the search frame (_Frame) and the routines that read it stay inside
+    # search.py, so that a new frame changes one module
+    crossings = []
+    for path in sorted((SRC / "tspheat").glob("*.py")):
+        if path.name == "search.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.level, node.module) in {
+                    (1, "search"), (0, "tspheat.search")}:
+                crossings += [f"{path.stem}.{alias.name}" for alias in node.names
+                              if alias.name.startswith("_")]
+    assert not crossings, f"private names of search.py imported elsewhere: {crossings}"

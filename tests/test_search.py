@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import math
@@ -24,6 +25,7 @@ from tspheat.candidates import (
 from tspheat.instances import (
     Instance,
     Tour,
+    coordinate_span,
     distance_matrix,
     format_tour,
     generate_random,
@@ -1647,6 +1649,33 @@ GOLDEN_SEARCHES = {
     ),
 }
 
+# Pinned split runs: above ONE_STREAM_MAX_CITIES cities stream 0 runs here
+# and stream 1 in the worker. Each (n, seed, max_rounds) runs preset_for(n)
+# with search seed = instance seed on the heat 1 / (1 + d / span), made of
+# correctly rounded operations only, so its bytes depend neither on the
+# CPU's exp nor on the BLAS thread count. Recorded: the sha256 of the tour's
+# int64 order, best_length, lower_bound and (rounds, improving, dead_ends,
+# or_moves, proof_round).
+GOLDEN_SPLIT_RUNS = {
+    # stream 0 proves its tour, so stream 1 is dropped
+    (24, 0, 8): ("b90345384a8dbb02f3a8e5bc6581ee764d6337278faf6ae56acbbf810b595af3",
+                 "4.393248478994652", "4.393248478994651", (3, 0, 450, 18, 3)),
+    (24, 2, 8): ("36bda4c86fe547ecc048883d8b8fd9ce1bd2939c82eb8ef02a76f77bae5d4071",
+                 "3.796923528672071", "3.796923528672071", (2, 0, 300, 16, 2)),
+    # two streams merged, with a 1-tree bound
+    (24, 1, 8): ("35615ce9bfa1b1281e3255a306ab7c994e61faf3343f4342250c7c876fb0429e",
+                 "3.831985622040362", "3.8137899552873176", (8, 45, 2355, 44, 0)),
+    # merged, no bound
+    (60, 1, 6): ("b740c7a101c5443b12f37a95dd738dde9dc5ce5ffb43940a1d6244908bffdace",
+                 "5.947973045778653", "nan", (6, 23, 4477, 55, 0)),
+    (100, 1, 10): ("7460b9801f379070b4e3fd3ef72006eb9543a4869a3a2bf954dbb0e15c8709dc",
+                   "7.674673636414983", "nan", (10, 46, 7154, 144, 0)),
+    # tsp500: the pass lists (8 cities) and the k-opt lists (5) are slices of
+    # one table
+    (210, 2, 4): ("0e5a1ab5656488929ff3ebfadd8ab0643caadeb44648a1d785d4d2665efd1bc5",
+                  "10.950668486401625", "nan", (4, 106, 15894, 116, 0)),
+}
+
 
 class TestGoldenSearch:
     @pytest.mark.parametrize("name", sorted(GOLDEN_SEARCHES))
@@ -1681,6 +1710,26 @@ class TestGoldenSearch:
             opt_tour, opt = held_karp_exact(inst)
             assert gap_percent(float(g["best_length"]), opt) == 0.0
             assert tour_edges(Tour.from_order(g["order"])) == tour_edges(opt_tour)
+
+    @pytest.mark.parametrize("route", ["worker", "in_process"])
+    @pytest.mark.parametrize("case", sorted(GOLDEN_SPLIT_RUNS),
+                             ids=lambda c: "n{}-seed{}-rounds{}".format(*c))
+    def test_split_run_matches_recording(self, case, route, request):
+        import tspheat.search as search_mod
+
+        if route == "in_process":
+            request.getfixturevalue("in_process")
+        n, seed, rounds = case
+        inst = generate_random(n, seed)
+        params = preset_for(n).with_budget(max_rounds=rounds)
+        d = distance_matrix(inst)
+        _, pruned = top_m_filter(1.0 / (1.0 + d / coordinate_span(inst)), min(params.m, n - 1))
+        tour, stats = run_search(inst, pruned, params, seed)
+        assert (search_mod._worker is not None) == (route == "worker")
+        assert (hashlib.sha256(tour.order.astype(np.int64).tobytes()).hexdigest(),
+                repr(stats.best_length), repr(stats.lower_bound),
+                (stats.rounds, stats.improving, stats.dead_ends, stats.or_moves,
+                 stats.proof_round)) == GOLDEN_SPLIT_RUNS[case]
 
 
 class TestProofStop:
