@@ -22,13 +22,16 @@ from .bench import (
     emit_tour_svg,
     tour_edges,
 )
-from .generator import TrainConfig, TrainTrace, init_logits, optimize_heatmap
-from .heatmap import (
+from .generator import (
     LossBreakdown,
     NumericError,
+    TrainConfig,
+    TrainTrace,
     column_softmax,
     indicator_to_heatmap,
+    init_logits,
     loss_gradient,
+    optimize_heatmap,
     surrogate_loss,
 )
 from .instances import (

@@ -19,8 +19,7 @@ import numpy as np
 
 from . import bench as bench_mod
 from .candidates import top_m_filter
-from .generator import TrainConfig, optimize_heatmap
-from .heatmap import NumericError
+from .generator import NumericError, TrainConfig, optimize_heatmap
 from .instances import (format_heatmap, format_instance, format_tour, generate_random,
                         parse_heatmap, read_instance_file, read_text)
 from .search import SearchParams, nn_two_opt_baseline, preset_for, run_search

@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from tspheat.heatmap import column_softmax, indicator_to_heatmap
+from tspheat.generator import column_softmax, indicator_to_heatmap
 from tspheat.instances import TOUR_HEADER, Tour, _native_body, _native_values
 
 # how far from 0 or 1 the verification helpers still count an entry as 0 or 1

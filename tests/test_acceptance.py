@@ -14,8 +14,8 @@ from tspheat.bench import (
 )
 from tspheat.candidates import DISTANCE_MODE, candidate_lists, edge_set, top_m_filter
 from tspheat.generator import TrainConfig, init_logits, optimize_heatmap
-from tspheat.heatmap import column_softmax, indicator_to_heatmap, surrogate_loss
-from tspheat.heatmap import loss_gradient
+from tspheat.generator import column_softmax, indicator_to_heatmap, surrogate_loss
+from tspheat.generator import loss_gradient
 from tspheat.instances import (
     Instance,
     Tour,

@@ -12,7 +12,7 @@ from tspheat.candidates import (
     overlap_coefficient,
     top_m_filter,
 )
-from tspheat.heatmap import indicator_to_heatmap
+from tspheat.generator import indicator_to_heatmap
 from tspheat.instances import Instance, distance_matrix, generate_random
 from tspheat.search import SearchParams, run_search
 

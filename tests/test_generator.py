@@ -16,7 +16,7 @@ from tspheat.generator import (
     init_logits,
     optimize_heatmap,
 )
-from tspheat.heatmap import (
+from tspheat.generator import (
     NumericError,
     column_softmax,
     indicator_to_heatmap,
@@ -441,3 +441,51 @@ class TestGoldenTraining:
             assert hashlib.sha256(h.tobytes()).hexdigest() == heat_sha
         ref = np.einsum("ik,jk->ij", t, np.roll(t, -1, axis=1))
         assert np.abs(h - ref).max() <= n * np.finfo(np.float64).eps
+
+
+class TestGoldenKernelWrappers:
+    """column_softmax and loss_gradient, the public wrappers of the fit's
+    kernel that the benchmark's probes time, pinned bit-for-bit at a fixed
+    commit in both dtypes; the oracle tests check them only within a
+    tolerance. The digests are the same at one and two OpenBLAS threads.
+    """
+
+    CASES = [
+        # (n, dtype, softmax_sha, gradient_sha) at logits init_logits(n, seed=n)
+        # and distances of generate_random(n, n), lambda1 = 2, lambda2 = 1
+        (5, np.float64,
+         "ecb74e50964f7668813323dc98daf74c34d949d20e83b013d13fd66c52fc968f",
+         "18f73e2615453172ae1353d82e69d72995f6bd2ddde34062bcb62663f3105206"),
+        (5, np.float32,
+         "91535af28ee41585aebd3714ed659b30cd2c7c3038e10b0ff7d79c3716dafc44",
+         "dc27e41ca779a3bc95211ce7c53aed22d43a4a42ef6e4b4df99fd807ea02bf2c"),
+        (16, np.float64,
+         "b66453a43eb230ec3caa048cea5bd05281bfc4f7ccceb64eff741d986d45e63f",
+         "371704961723b29740a9f7e381da5482342320a6a4f744766a4bf0861a4178de"),
+        (16, np.float32,
+         "86ee8e8e1b87b0d1737d722c0c9c75ac42c13f08cc7b84fe52617e187c880bb7",
+         "2f66f3ec9771134abc6226cd6871b2cc5a3f8ef3207af8eccaeca6e3a7ffe4d5"),
+        (40, np.float64,
+         "69daa2c3ac129d34442e1b4f0db9827092e58da60f4a8fde8ac7ad84d5a8985c",
+         "e1f534fb829b15adbe7fe9484bf83fcf110e72ba00e4562f35abcebc9baa74b2"),
+        (40, np.float32,
+         "d3f3b2f0d042a11f7d3e67233c113131dce996669c73c8d078825aff3b3453e9",
+         "a2ff2d4f58f6fb76a43d68f402e20f1d92ac3ba4d1da83459bb6297a89675ecb"),
+        (64, np.float64,
+         "a5b5f74855d351136740010b3be5142727e97f3f0ac9b903ca0eab3ad4fc4a45",
+         "1fcb0d756a407617d5720737537c9bb9be5ad23c7ad6e78ea17e9e54a2508b7b"),
+        (64, np.float32,
+         "5a0d959a6bdadfc2fa031530707cdc9d39bb99c59afbb9db78590e8274c1b1f9",
+         "428b340e03918e0d8a51b84ea7731fecb06b1b068406677973d9855b6f0c34a3"),
+    ]
+
+    @pytest.mark.parametrize(
+        "n, dtype, softmax_sha, gradient_sha", CASES,
+        ids=[f"n{c[0]}-{c[1].__name__}" for c in CASES],
+    )
+    def test_wrappers_match_recording(self, n, dtype, softmax_sha, gradient_sha):
+        s = init_logits(n, TrainConfig(seed=n)).astype(dtype)
+        d = distance_matrix(generate_random(n, n))
+        assert hashlib.sha256(column_softmax(s).tobytes()).hexdigest() == softmax_sha
+        grad = loss_gradient(s, d, 2.0, 1.0)
+        assert hashlib.sha256(grad.tobytes()).hexdigest() == gradient_sha

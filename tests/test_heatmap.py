@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tspheat.heatmap import (
+from tspheat.generator import (
     NumericError,
     column_softmax,
     indicator_to_heatmap,
@@ -172,6 +172,19 @@ class TestSurrogateLoss:
         h = indicator_to_heatmap(t)
         with pytest.raises(ValueError):
             surrogate_loss(t, h, np.zeros((4, 4)), 1.0, 1.0)
+
+    def test_non_finite_loss_raises(self):
+        # abs(total - compact) > tol is False when either side is NaN, and
+        # inf - inf is NaN, so the two-form check alone passes them
+        t = column_softmax(np.zeros((6, 6)))
+        h = indicator_to_heatmap(t)
+        d = distance_matrix(generate_random(6, 0))
+        t_nan, h_inf = t.copy(), h.copy()
+        t_nan[0, 0] = np.nan
+        h_inf[1, 2] = np.inf
+        for t_in, h_in in ((t_nan, h), (t, h_inf)):
+            with pytest.raises(NumericError, match="non-finite"):
+                surrogate_loss(t_in, h_in, d, 2.0, 1.0)
 
     @given(
         st.integers(min_value=3, max_value=32),
