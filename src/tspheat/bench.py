@@ -134,11 +134,11 @@ def solve_pipeline(
     Two seeds drive it: train_cfg.seed the logit initialization and seed the
     search run. They are independent, and callers may pass different values.
     """
-    result, tour, _, _ = _solve_pipeline(inst, train_cfg, search_params, seed, ref_length)
+    result, tour, _, _ = run_pipeline(inst, train_cfg, search_params, seed, ref_length)
     return result, tour
 
 
-def _solve_pipeline(
+def run_pipeline(
     inst: Instance,
     train_cfg: TrainConfig,
     search_params: SearchParams,
@@ -216,7 +216,7 @@ def coverage_report(
     return [row for m_rows in rows.values() for row in m_rows]
 
 
-def _csv_text(header: list, rows) -> str:
+def csv_text(header: list, rows) -> str:
     """CSV text with "\n" line ends: the header, then one line per row."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -226,7 +226,7 @@ def _csv_text(header: list, rows) -> str:
 
 
 def coverage_csv(rows: list[CoverageRow]) -> str:
-    return _csv_text(
+    return csv_text(
         ["instance", "seed", "M", "eta", "pi_size", "fully_covered"],
         ([r.instance, r.seed, r.m, repr(r.eta), r.pi_size, str(r.fully_covered).lower()]
          for r in rows),
@@ -279,7 +279,7 @@ def emit_tour_svg(inst: Instance, tour: Tour, path: str) -> None:
 
 
 def bench_results_csv(rows: list[BenchResult]) -> str:
-    return _csv_text(
+    return csv_text(
         ["instance", "method", "length", "gap_percent", "heatmap_seconds",
          "search_seconds", "seed"],
         ([r.instance, r.method, repr(r.length),

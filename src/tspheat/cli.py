@@ -50,11 +50,20 @@ def _seeds(args) -> range:
 
 
 def _trace_csv(trace) -> str:
-    return bench_mod._csv_text(
+    return bench_mod.csv_text(
         ["step", "total", "row_penalty", "self_loop", "expected_length"],
         ([k, repr(b.total), repr(b.row_penalty), repr(b.self_loop), repr(b.expected_length)]
          for k, b in enumerate(trace.per_step, 1)),
     )
+
+
+def _search_fields(stats) -> str:
+    """The search's counters for a stderr stats line."""
+    return (f"two_opt_s={stats.two_opt_seconds:.3f} rounds={stats.rounds} "
+            f"or_moves={stats.or_moves} kicks={stats.kicks} kicks_kept={stats.kicks_kept} "
+            f"attempts={stats.total_expansions} dead_ends={stats.dead_ends} "
+            f"improving={stats.improving} lower_bound={stats.lower_bound!r} "
+            f"proof_round={stats.proof_round}")
 
 
 def cmd_generate(args) -> int:
@@ -89,8 +98,12 @@ def cmd_search(args) -> int:
         # run_search refuses; halving keeps the ranking, and two halves sum
         # to at most the largest float
         _, pruned = top_m_filter(np.ldexp(heat, -1), m)
+    t0 = time.perf_counter()
     tour, stats = run_search(inst, pruned, params, args.seed)
+    search_s = time.perf_counter() - t0
     _write_out(format_tour(tour, stats.best_length), args.out)
+    sys.stderr.write(f"length={stats.best_length!r} search_s={search_s:.3f} "
+                     f"{_search_fields(stats)}\n")
     return EXIT_OK
 
 
@@ -98,17 +111,14 @@ def cmd_solve(args) -> int:
     inst = read_instance_file(args.instance)
     cfg = TrainConfig(steps=args.steps, seed=args.seed)
     params = _search_params(args, inst.n)
-    result, tour, stats, trace = bench_mod._solve_pipeline(inst, cfg, params, args.seed, None)
+    result, tour, stats, trace = bench_mod.run_pipeline(inst, cfg, params, args.seed, None)
     _write_out(format_tour(tour, result.length), args.out)
     if args.svg:
         bench_mod.emit_tour_svg(inst, tour, args.svg)
     sys.stderr.write(
         f"length={result.length!r} heatmap_s={result.heatmap_seconds:.3f} "
         f"fit_steps={trace.steps} step_us={trace.seconds / trace.steps * 1e6:.1f} "
-        f"search_s={result.search_seconds:.3f} two_opt_s={stats.two_opt_seconds:.3f} "
-        f"rounds={stats.rounds} or_moves={stats.or_moves} attempts={stats.total_expansions} "
-        f"dead_ends={stats.dead_ends} improving={stats.improving} "
-        f"lower_bound={stats.lower_bound!r} proof_round={stats.proof_round}\n"
+        f"search_s={result.search_seconds:.3f} {_search_fields(stats)}\n"
     )
     return EXIT_OK
 
@@ -191,9 +201,12 @@ def _add_common(p: argparse.ArgumentParser, budget: bool = False, train: bool = 
                             "2-opt and Or-opt pass) or a shorter one, however "
                             "small the budget")
         p.add_argument("--rounds", type=int, default=None, metavar="N",
-                       help="cap on the search's rounds, bit-reproducible; above 20 "
-                            "cities a search runs them as two seeded streams, the "
-                            "second in a worker process, and N caps both together")
+                       help="cap on the search's rounds, bit-reproducible; a round "
+                            "builds a fresh start and descends from it, and above 20 "
+                            "cities then kicks its best tour a preset number of times, "
+                            "keeping each kick that ends shorter; above 20 cities a "
+                            "search runs its rounds as two seeded streams, the second "
+                            "in a worker process, and N caps both together")
     if train:
         p.add_argument("--steps", type=int, default=TrainConfig.steps,
                        help="Adam steps of the heat-map fit (default: %(default)s)")

@@ -7,7 +7,11 @@ round start (_round_start): a nearest-neighbour tour from a random city, two
 random double-bridge kicks, then a neighbour-list pass of 2-opt and Or-opt
 moves until no list-restricted move is left. Best-first node expansion
 follows, where each expansion tries a bounded number of sequential k-opt
-constructions and moves to the shortest improving result. Constructions grow
+constructions and moves to the shortest improving result. Then, above 20
+cities, the round kicks its best tour a preset number of times (_kick,
+iterated local search): a double bridge, a neighbour-list pass seeded with
+its end cities, and one-attempt expansions, kept when the result is
+shorter. Constructions grow
 a Hamiltonian path with one fixed endpoint; the next city is sampled from
 the moving endpoint's candidate list, its m nearest cities, with probability
 proportional to its pruned-heat value, floored so that zero-heat candidates
@@ -31,8 +35,8 @@ map, so a heat update never leaves it stale.
 A run's rounds form one or two streams (_stream), each with its own rng,
 its own copy of the pruned heat map and its own statistics. A stream ends
 early once its best tour is proven optimal by the 1-tree lower bound
-(bounds.one_tree_bound), which it computes at most once, when a round ends
-at the length of the best tour of the rounds before it.
+(bounds.one_tree_bound), which it computes at most once, when a round's
+fresh descent ends at the length of the best tour of the rounds before it.
 
 A run of more than ONE_STREAM_MAX_CITIES cities with a round cap other than
 1 splits its rounds into two seeded streams: stream 0 in this process and
@@ -52,7 +56,7 @@ import sys
 import threading
 import time
 from bisect import bisect_right
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass, field, replace
 from operator import itemgetter
 from typing import Optional
@@ -78,6 +82,9 @@ OR_OPT_SEGMENT = 3
 # random double bridges applied to each round's nearest-neighbour start
 # (_round_start); one kick or none left exact-n16 runs short of the optimum
 ROUND_START_KICKS = 2
+# longest segment of a kick's double bridge (_kick), so a kick moves at most
+# 2 * KICK_SEGMENT cities and its repair starts next to them
+KICK_SEGMENT = 50
 # runs of at most this many cities keep one stream (run_search): the 1-tree
 # bound ends most of them within 2-4 rounds, and a 10-round search took 4.4
 # ms in one stream against 4.7 ms in two at n = 20, but 17.9 against 13.5 ms
@@ -90,9 +97,12 @@ class SearchParams:
     """Knobs for one search run.
 
     beta scales the heat update, m is the candidate-list size and
-    expand_budget is the number of construction attempts per node expansion.
-    At least one of time_budget (seconds) / max_rounds must be set. Both are
-    caps: a run ends sooner once a 1-tree bound proves its best tour optimal
+    expand_budget is the number of construction attempts per node expansion
+    of a round's fresh descent. kicks is the number of double-bridge kicks of
+    the round's best tour that follow that descent (_kick), each repaired
+    and then descended with one attempt per expansion. At least one of
+    time_budget (seconds) / max_rounds must be set. Both are caps: a run
+    ends sooner once a 1-tree bound proves its best tour optimal
     (run_search). max_rounds is a total over the run's streams: a run split
     into two gives stream 0 at most ceil(max_rounds / 2) rounds and stream
     1 at most floor(max_rounds / 2); time_budget counts from the call to
@@ -105,34 +115,38 @@ class SearchParams:
     expand_budget: int = 60
     time_budget: Optional[float] = None
     max_rounds: Optional[int] = None
+    kicks: int = 0
 
     def __post_init__(self):
         if not 0 <= self.beta < math.inf:
             raise ValueError(f"beta must be finite and >= 0, got {self.beta!r}")
         if self.time_budget is not None and not 0 < self.time_budget < math.inf:
             raise ValueError(f"time_budget must be finite and > 0, got {self.time_budget!r}")
-        for name in ("m", "expand_budget", "max_rounds"):
+        for name, least in (("m", 1), ("expand_budget", 1), ("max_rounds", 1), ("kicks", 0)):
             value = getattr(self, name)
             try:
-                if (value is None and name == "max_rounds") or operator.index(value) >= 1:
+                if (value is None and name == "max_rounds") or operator.index(value) >= least:
                     continue
             except TypeError:
                 pass
-            raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+            raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
     def with_budget(self, time_budget=None, max_rounds=None) -> "SearchParams":
         return replace(self, time_budget=time_budget, max_rounds=max_rounds)
 
 
 # Named parameter sets by instance-size tier (heat update scale,
-# candidate-list size and per-node attempt budget).
+# candidate-list size, per-node attempt budget of the fresh descent and kicks
+# per round). Above 20 cities the budget is 1/16 of the one rounds had
+# before kicks, and the kicks were sized so that a round-capped run takes
+# less time than it did then and ends no longer on average (CHANGES.md)
 PRESETS: dict[str, SearchParams] = {
     "tsp20": SearchParams(beta=10.0, m=8, expand_budget=60),
-    "tsp50": SearchParams(beta=10.0, m=8, expand_budget=150),
-    "tsp100": SearchParams(beta=10.0, m=8, expand_budget=300),
-    "tsp200": SearchParams(beta=10.0, m=8, expand_budget=600),
-    "tsp500": SearchParams(beta=50.0, m=5, expand_budget=1000),
-    "tsp1000": SearchParams(beta=50.0, m=5, expand_budget=2000),
+    "tsp50": SearchParams(beta=10.0, m=8, expand_budget=9, kicks=4),
+    "tsp100": SearchParams(beta=10.0, m=8, expand_budget=18, kicks=5),
+    "tsp200": SearchParams(beta=10.0, m=8, expand_budget=37, kicks=20),
+    "tsp500": SearchParams(beta=50.0, m=5, expand_budget=62, kicks=50),
+    "tsp1000": SearchParams(beta=50.0, m=5, expand_budget=125, kicks=100),
 }
 
 
@@ -152,9 +166,12 @@ class SearchStats:
     Each construction attempt ends once: with an improving action
     (improving) or at a dead end (no feasible candidate; dead_ends).
     total_expansions, every attempt made, is their sum. or_moves counts the
-    Or-opt moves the rounds' neighbour-list passes applied. two_opt_seconds
-    is the wall-clock time spent in each round's neighbour-list pass, its
-    2-opt and its Or-opt moves together; it is a timing, so no determinism
+    Or-opt moves the neighbour-list passes applied, round starts and kick
+    repairs alike. kicks counts the kicks made (_kick) and kicks_kept those
+    that ended shorter than the round's best tour and replaced it.
+    two_opt_seconds is the wall-clock time spent in the neighbour-list
+    passes, each round start's pass and each kick's seeded repair, their
+    2-opt and Or-opt moves together; it is a timing, so no determinism
     check reads it. lower_bound is the run's 1-tree bound on the optimal
     length, in the instance's units (nan when the run computed none), and
     proof_round the round after which that bound proved the best tour
@@ -175,6 +192,8 @@ class SearchStats:
     dead_ends: int = 0
     rounds: int = 0
     or_moves: int = 0
+    kicks: int = 0
+    kicks_kept: int = 0
     two_opt_seconds: float = 0.0
     best_length: float = math.inf
     round_best_lengths: list = field(default_factory=list)
@@ -279,8 +298,8 @@ def _move_segment(tour: list, pos: list, p: int, a: int, s: int, q: int, c: int,
 
 def _two_opt_move(tour: list, pos: list, rows: list, near: list, a: int) -> Optional[tuple]:
     """Apply the first improving list-restricted 2-opt move at city a and
-    return the cities whose tour edges it changed, or None when there is
-    none.
+    return its gain and the cities whose tour edges it changed, or None when
+    there is none.
 
     a looks in each direction, successor first: with b its tour neighbour
     that way, it scans its list up to the first c with d[a, c] >= d[a, b],
@@ -302,19 +321,20 @@ def _two_opt_move(tour: list, pos: list, rows: list, near: list, a: int) -> Opti
             e = tour[(j + step) % n]
             if c == b or e == a:
                 continue
-            if dac + rb[e] - dab - rows[c][e] < -MIN_GAIN:
+            delta = dac + rb[e] - dab - rows[c][e]
+            if delta < -MIN_GAIN:
                 if step == 1:
                     _reverse(tour, pos, i + 1, j)  # b .. c
                 else:
                     _reverse(tour, pos, i, j - 1)  # a .. e
-                return a, b, c, e
+                return -delta, (a, b, c, e)
     return None
 
 
 def _or_opt_move(tour: list, pos: list, rows: list, near: list, a: int) -> Optional[tuple]:
     """Apply the first improving list-restricted Or-opt move at city a and
-    return the cities whose tour edges it changed, or None when there is
-    none.
+    return its gain and the cities whose tour edges it changed, or None when
+    there is none.
 
     The segment a .. s holds the L = 1 .. OR_OPT_SEGMENT cities that start
     at a in tour order (L at most n - 3), with p and q the cities around it.
@@ -348,9 +368,10 @@ def _or_opt_move(tour: list, pos: list, rows: list, near: list, a: int) -> Optio
             for e in (tour[(j + 1) % n], tour[j - 1]):
                 if (pos[e] - i) % n < size:
                     continue
-                if g - (dac + rs[e] - rc[e]) > MIN_GAIN:
+                gain = g - (dac + rs[e] - rc[e])
+                if gain > MIN_GAIN:
                     _move_segment(tour, pos, p, a, s, q, c, e)
-                    return p, q, a, s, c, e
+                    return gain, (p, q, a, s, c, e)
     return None
 
 
@@ -363,52 +384,64 @@ def pass_neighbors(n: int) -> int:
     return min(max(TWO_OPT_NEIGHBORS, math.ceil(math.sqrt(n) / 2)), n - 1)
 
 
-def _neighbor_pass(rows: list, nbrs: list, order: np.ndarray) -> int:
+def _neighbor_pass(rows: list, nbrs: list, tour: list, pos: list,
+                   seeds: Optional[tuple] = None) -> tuple[int, float]:
     """Neighbour-list 2-opt and Or-opt driven by a queue of cities (Bentley
-    1992's don't-look bits); mutates order and returns the number of Or-opt
-    moves applied.
+    1992's don't-look bits) on the cycle held in tour (pos: city -> index,
+    kept current); returns the number of Or-opt moves applied and the length
+    they and the 2-opt moves took off, the sum of their gains.
 
     rows is d.tolist(); nbrs[a] is a's _candidate_table row of its nearest
     cities, in ascending distance. The queue starts with every city in tour
-    order. A popped city a tries _two_opt_move and, when that finds nothing,
+    order, or with the cities of seeds alone (a kick's repair, _kick). A
+    popped city a tries _two_opt_move and, when that finds nothing,
     _or_opt_move; after a move the cities whose edges changed are queued
     again and a is looked at again at once. A move elsewhere can open one at
     a city that is not queued (a reversal turns the cities it spans round),
-    so when the queue runs dry after any move, every city is queued again:
-    the pass ends after a sweep of all cities that applied no move, with no
-    list-restricted move left. Every move shortens the tour, so the pass
-    ends; moves the short lists cannot see are left to the k-opt
-    expansions.
+    so when the queue runs dry after any move, every city the pass has
+    queued is queued again: every city, or with seeds every city queued so
+    far, so a repair costs the cities its moves reach, not the tour. The
+    pass ends after a sweep of those cities that applied no move, with no
+    list-restricted move left at any of them. Every move shortens the tour,
+    so the pass ends; moves the short lists cannot see are left to the
+    k-opt expansions.
     """
-    n = order.shape[0]
-    tour = order.tolist()
-    pos = _positions(tour)
-    queue = deque(tour)
-    queued = [True] * n
+    n = len(tour)
+    if seeds is None:
+        queue, queued = deque(tour), [True] * n
+    else:
+        # keyed by every city queued so far, the repair's sweep
+        queued = defaultdict(bool, dict.fromkeys(seeds, True))
+        queue = deque(queued)
     or_moves = 0
-    moves = 0  # since the queue last held every city
+    gain = 0.0
+    moves = 0  # since the queue last held every city it sweeps
     while queue:
         a = queue.popleft()
         queued[a] = False
         near = nbrs[a]
         while True:
-            touched = _two_opt_move(tour, pos, rows, near, a)
-            if touched is None:
-                touched = _or_opt_move(tour, pos, rows, near, a)
-                if touched is None:
+            moved = _two_opt_move(tour, pos, rows, near, a)
+            if moved is None:
+                moved = _or_opt_move(tour, pos, rows, near, a)
+                if moved is None:
                     break
                 or_moves += 1
             moves += 1
-            for x in touched:
+            gain += moved[0]
+            for x in moved[1]:
                 if not queued[x]:
                     queued[x] = True
                     queue.append(x)
         if not queue and moves:
             moves = 0
-            queue.extend(tour)
-            queued = [True] * n
-    order[:] = tour
-    return or_moves
+            if seeds is None:
+                queue.extend(tour)
+                queued = [True] * n
+            else:
+                queue.extend(queued)
+                queued.update(dict.fromkeys(queued, True))
+    return or_moves, gain
 
 
 def _nearest_neighbor(rows: list, nbrs: list, start: int) -> list:
@@ -454,8 +487,8 @@ def two_opt_improve(d: np.ndarray, tour: Tour) -> Tour:
             f"distance matrix shape {d.shape} does not match a tour of {n} cities"
         )
     frame = _Frame.of(d, pass_neighbors(n))
-    order = tour.order.copy()
-    _neighbor_pass(frame.rows, frame.nbrs, order)
+    order = tour.order.tolist()
+    _neighbor_pass(frame.rows, frame.nbrs, order, _positions(order))
     return Tour.from_order(order)
 
 
@@ -759,11 +792,11 @@ def _round_start(frame: _Frame, stats: SearchStats, rng: np.random.Generator,
         for _ in range(kicks):
             a, b, c = sorted(x + 1 for x in rng.choice(n - 1, size=3, replace=False).tolist())
             tour = tour[:a] + tour[b:c] + tour[a:b] + tour[c:]
-    order = np.array(tour, dtype=np.int64)
     t0 = time.perf_counter()
-    stats.or_moves += _neighbor_pass(frame.rows, frame.nbrs, order)
+    or_moves, _ = _neighbor_pass(frame.rows, frame.nbrs, tour, _positions(tour))
     stats.two_opt_seconds += time.perf_counter() - t0
-    return order
+    stats.or_moves += or_moves
+    return np.array(tour, dtype=np.int64)
 
 
 def nn_two_opt_baseline(inst: Instance, seed: int):
@@ -787,17 +820,19 @@ def _round(
     params: SearchParams,
     deadline: Optional[float],
 ) -> tuple[float, float, np.ndarray]:
-    """One search round; returns (the length it ends at, its shortest length,
-    the first tour of that length), all in the frame's units.
+    """One search round; returns (the length its fresh descent ends at, its
+    shortest length, the first tour of that length), all in the frame's
+    units.
 
     The round starts from _round_start and expands best-first on the
     frame's table until a whole expansion yields no improvement, raising the
     heat of each applied action's added edges in place, so later draws and
-    later rounds read the update. The round builds no list or table of its
+    later rounds read the update. Then come params.kicks kicks of the
+    round's best tour (_kick). The round builds no list or table of its
     own, and no move search of a round scans all city pairs.
     Lengths are exact (order_length), not the incremental sum of gains,
     which can sit an ulp below a tour that is not shorter. The expansions
-    stop at the deadline; the start always runs.
+    and the kicks stop at the deadline; the start always runs.
     """
     order = _round_start(frame, stats, rng)
     cur_len = length = best_len = order_length(frame.d, order)
@@ -805,7 +840,7 @@ def _round(
     while True:
         action = _expand(frame.rows, order, frame.dist_table, heat, stats, params, rng, deadline)
         if action is None:
-            return length, best_len, best_order
+            break
         new_len = cur_len - action.gain
         update_heatmap(heat, action, cur_len, new_len, params.beta)
         order = action.new_order
@@ -813,6 +848,106 @@ def _round(
         length = order_length(frame.d, order)
         if length < best_len:
             best_len, best_order = length, order
+    if params.kicks and len(order) > 3:
+        best_len, best_order = _kick(frame, heat, stats, rng, params, deadline, best_len,
+                                     best_order)
+    return length, best_len, best_order
+
+
+def _apply(tour: list, pos: list, action: KOptAction) -> None:
+    """Apply a k-opt action to the cycle held in tour, as the k - 1 2-opt
+    moves (_flip) its construction made: each step's suffix reversal of the
+    path swaps (u_i, v_i) and the path's closing edge (v_{i-1}, u_1) for
+    (v_{i-1}, u_i) and (v_i, u_1). It gives action.new_order's cycle, at the
+    cost of the spans reversed rather than the tour."""
+    seq = action.sequence
+    for t in range(2, len(seq) - 1, 2):
+        _flip(tour, pos, seq[t], seq[t + 1], seq[t - 1])
+
+
+def _double_bridge(tour: list, pos: list, rows: list, i: int, l1: int, l2: int) -> tuple:
+    """Swap the l1 cities from index i and the l2 cities after them (indices
+    mod n; l1 + l2 < n), the double bridge A B C D -> A C B D with D A the
+    rest of the cycle, at the cost of the l1 + l2 cities it moves. Returns
+    the six end cities of the three edges it replaces and the length it
+    adds."""
+    n = len(tour)
+    k = l1 + l2
+    span = [tour[(i + t) % n] for t in range(k)]
+    p, q = tour[i - 1], tour[(i + k) % n]
+    b0, b1, c0, c1 = span[0], span[l1 - 1], span[l1], span[-1]
+    for t, c in enumerate(span[l1:] + span[:l1], i):
+        t %= n
+        tour[t] = c
+        pos[c] = t
+    added = rows[p][c0] + rows[c1][b0] + rows[b1][q] - rows[p][b0] - rows[b1][c0] - rows[c1][q]
+    return (p, b0, b1, c0, c1, q), added
+
+
+def _kick(
+    frame: _Frame,
+    heat: np.ndarray,
+    stats: SearchStats,
+    rng: np.random.Generator,
+    params: SearchParams,
+    deadline: Optional[float],
+    best_len: float,
+    best_order: np.ndarray,
+) -> tuple[float, np.ndarray]:
+    """params.kicks iterations of local search on the round's best tour
+    (Lourenço, Martin & Stützle's iterated local search); returns the best
+    length and the first tour of that length after them.
+
+    Each iteration applies a double bridge (_double_bridge) whose two
+    segments hold 1 .. KICK_SEGMENT cities each, at a uniformly drawn place,
+    repairs it with _neighbor_pass seeded with the bridge's six end cities,
+    and then descends with one-attempt expansions on the frame's table
+    until an attempt fails, raising the heat as the round's expansions do.
+    The kicked tour replaces the best only when it is shorter by more than
+    MIN_GAIN by the sum of its gains and strictly shorter by order_length.
+    The working tour and pos lists live across iterations: a kick, its
+    repair and its moves change only the spans they touch, and the lists
+    return to the best tour by a slice copy, which moves no Python object
+    one by one. No kick starts at or past the deadline."""
+    rows, nbrs, table = frame.rows, frame.nbrs, frame.dist_table
+    best_tour = best_order.tolist()
+    best_pos = _positions(best_tour)
+    tour, pos = best_tour[:], best_pos[:]
+    n = len(tour)
+    widest = min(KICK_SEGMENT, (n - 1) // 2)
+    heat_at = heat.item
+    rand = rng.random
+    for _ in range(params.kicks):
+        if deadline is not None and time.perf_counter() >= deadline:
+            break
+        stats.kicks += 1
+        i, l1, l2 = int(rand() * n), 1 + int(rand() * widest), 1 + int(rand() * widest)
+        ends, added = _double_bridge(tour, pos, rows, i, l1, l2)
+        t0 = time.perf_counter()
+        or_moves, gain = _neighbor_pass(rows, nbrs, tour, pos, ends)
+        stats.two_opt_seconds += time.perf_counter() - t0
+        stats.or_moves += or_moves
+        length = best_len + added - gain
+        while True:
+            u1 = int(rand() * n)
+            action = _construct(rows, tour, pos, table, heat_at, [None] * n, u1, stats, rand)
+            if action is None:
+                break
+            update_heatmap(heat, action, length, length - action.gain, params.beta)
+            length -= action.gain
+            _apply(tour, pos, action)
+        if length < best_len - MIN_GAIN:
+            order = np.array(tour, dtype=np.int64)
+            exact = order_length(frame.d, order)
+            if exact < best_len:
+                stats.kicks_kept += 1
+                best_len, best_order = exact, order
+                best_tour[:] = tour
+                best_pos[:] = pos
+                continue
+        tour[:] = best_tour
+        pos[:] = best_pos
+    return best_len, best_order
 
 
 def _stream(
@@ -832,16 +967,17 @@ def _stream(
     the updates survive into later rounds. The stream runs _round until the
     deadline or `rounds` rounds (None: no cap), whichever comes first. Round
     1 always runs, so even a deadline that has already passed gives a tour;
-    its expansions stop at the deadline.
+    its expansions and kicks stop at the deadline.
 
     It also stops after the first round whose best tour is proven optimal.
-    The first round r >= 2 that ends within MIN_GAIN of the best length of
-    rounds 1 .. r-1 computes bounds.one_tree_bound once, aimed at the best
-    length; from then on the stream ends after any round whose best length
-    is within MIN_GAIN of that bound. The bound runs in the frame, with the
-    same MIN_GAIN as every move, draws no random number and changes neither
-    the heat nor the tour, so a stream that is never proven optimal is the
-    stream it would be without the bound.
+    The first round r >= 2 whose fresh descent (the round before its kicks)
+    ends within MIN_GAIN of the best length of rounds 1 .. r-1 computes
+    bounds.one_tree_bound once, aimed at the best length; from then on the
+    stream ends after any round whose best length is within MIN_GAIN of
+    that bound. The bound runs in the frame, with the same MIN_GAIN as
+    every move, draws no random number and changes neither the heat nor the
+    tour, so a stream that is never proven optimal is the stream it would
+    be without the bound.
     """
     stats = SearchStats()
     best_order: Optional[np.ndarray] = None
@@ -858,8 +994,9 @@ def _stream(
         if round_len < best_len:
             best_len, best_order = round_len, round_order
         stats.round_best_lengths.append(math.ldexp(best_len, frame.e))
-        # a round that ends where an earlier one did hints that the best tour
-        # may be optimal; only then is the bound worth its ascent
+        # a fresh descent that ends where an earlier round did hints that the
+        # best tour may be optimal; only then is the bound worth its ascent.
+        # A kick reaches the best length at once, so kicks do not count
         if bound is None and abs(length - earlier_best) <= MIN_GAIN:
             bound = one_tree_bound(frame.d, best_len)
             stats.lower_bound = math.ldexp(bound, frame.e)
@@ -890,6 +1027,8 @@ def _merge(first: tuple, second: tuple, e: int) -> tuple[np.ndarray, SearchStats
         dead_ends=s0.dead_ends + s1.dead_ends,
         rounds=s0.rounds + s1.rounds,
         or_moves=s0.or_moves + s1.or_moves,
+        kicks=s0.kicks + s1.kicks,
+        kicks_kept=s0.kicks_kept + s1.kicks_kept,
         two_opt_seconds=s0.two_opt_seconds + s1.two_opt_seconds,
         best_length=best,
         round_best_lengths=s0.round_best_lengths

@@ -303,21 +303,26 @@ def test_c09_two_opt_fixpoint():
 
 
 def test_c10_preset_fidelity():
+    # the published beta, M and attempt-budget columns; above tsp20 a round
+    # also kicks its best tour, and its fresh descent runs 1/16 of the
+    # published budget
     expect = {
-        "tsp20": (10.0, 8, 60),
-        "tsp50": (10.0, 8, 150),
-        "tsp100": (10.0, 8, 300),
-        "tsp200": (10.0, 8, 600),
-        "tsp500": (50.0, 5, 1000),
-        "tsp1000": (50.0, 5, 2000),
+        "tsp20": (10.0, 8, 60, 0),
+        "tsp50": (10.0, 8, 150, 4),
+        "tsp100": (10.0, 8, 300, 5),
+        "tsp200": (10.0, 8, 600, 20),
+        "tsp500": (50.0, 5, 1000, 50),
+        "tsp1000": (50.0, 5, 2000, 100),
     }
     assert set(PRESETS) == set(expect)
-    for name, (beta, m, budget) in expect.items():
+    for name, (beta, m, budget, kicks) in expect.items():
         p = PRESETS[name]
         assert p.beta == beta, name
         assert p.m == m, name
-        assert p.expand_budget == budget, name
-    report(10, "all six presets match the published beta, M and attempt-budget columns")
+        assert p.expand_budget == (budget if kicks == 0 else budget // 16), name
+        assert p.kicks == kicks, name
+    report(10, "all six presets match the published beta and M columns; tsp20 the attempt "
+               "budget, and the kicked tiers 1/16 of it")
 
 
 def test_c11_heatmap_update_formula():

@@ -10,13 +10,13 @@ import pytest
 
 from tspheat.bench import (
     BenchResult,
-    _solve_pipeline,
     bench_results_csv,
     coverage_csv,
     coverage_report,
     emit_tour_svg,
     gap_percent,
     held_karp_exact,
+    run_pipeline,
     solve_pipeline,
     tour_edges,
 )
@@ -375,11 +375,12 @@ GOLDEN_PIPELINES = {
         [2, 12, 15, 9, 6, 13, 10, 8, 4, 0, 5, 7, 1, 3, 11, 14],
         "3.5402563494146015", 12, 0,
     ),
+    # tsp50 kicks: stream 0's bound proves its round-2 tour
     (50, "tsp50", 3, 0): (
-        [23, 31, 16, 44, 24, 46, 48, 33, 22, 36, 18, 4, 38, 35, 43, 2, 45, 13, 47, 49, 8, 39, 19,
-         25, 26, 6, 5, 7, 0, 30, 27, 34, 29, 1, 10, 9, 37, 17, 20, 21, 12, 15, 40, 14, 11, 3, 41,
-         28, 42, 32],
-        "5.834240391542352", 3, 0,
+        [34, 29, 1, 10, 9, 37, 12, 15, 40, 14, 11, 3, 41, 28, 42, 32, 23, 31, 16, 44, 24, 46, 48,
+         33, 22, 36, 18, 4, 38, 35, 43, 2, 45, 13, 47, 49, 8, 39, 19, 25, 26, 6, 5, 7, 0, 21, 20,
+         17, 30, 27],
+        "5.790652383268142", 2, 2,
     ),
 }
 
@@ -391,7 +392,7 @@ class TestGoldenPipeline:
         n, preset, rounds, seed = case
         order, length, run_rounds, proof_round = GOLDEN_PIPELINES[case]
         params = PRESETS[preset].with_budget(max_rounds=rounds)
-        result, tour, stats, _ = _solve_pipeline(
+        result, tour, stats, _ = run_pipeline(
             generate_random(n, seed), TrainConfig(seed=seed), params, seed, None)
         assert tour.order.tolist() == order
         assert repr(result.length) == length

@@ -82,14 +82,26 @@ def test_every_definition_is_run_by_the_package_or_the_benchmark():
 def test_no_module_imports_private_names_of_another():
     # a module's private names (search.py's frame _Frame and the routines
     # that read it, generator.py's kernel workspace) stay inside it, so that
-    # a change to them touches one module. Only import statements are
-    # checked: cli.py still reads bench._csv_text and bench._solve_pipeline
-    # through its bench_mod alias
+    # a change to them touches one module: neither an import statement nor
+    # an attribute read through a package module bound to a name (such as
+    # cli.py's `from . import bench as bench_mod`) may reach one
     crossings = []
     for path in sorted((SRC / "tspheat").glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
+        tree = ast.parse(path.read_text())
+        modules = set()  # the names this module binds to package modules
+        for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom) and (
                     node.level or (node.module or "").partition(".")[0] == "tspheat"):
                 crossings += [f"{path.stem}.{alias.name}" for alias in node.names
                               if alias.name.startswith("_")]
-    assert not crossings, f"private names of one package module imported by another: {crossings}"
+                if node.level and not node.module:  # from . import bench as bench_mod
+                    modules.update(alias.asname or alias.name for alias in node.names)
+            elif isinstance(node, ast.Import):
+                modules.update(alias.asname or alias.name for alias in node.names
+                               if alias.name.partition(".")[0] == "tspheat")
+        crossings += [
+            f"{path.stem}: {node.value.id}.{node.attr}" for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id in modules and node.attr.startswith("_")
+        ]
+    assert not crossings, f"private names of one package module read by another: {crossings}"

@@ -48,10 +48,14 @@ from tspheat.search import (
     run_search,
     two_opt_improve,
     update_heatmap,
+    KICK_SEGMENT,
+    _apply,
     _candidate_table,
     _construct,
+    _double_bridge,
     _draw,
     _Frame,
+    _kick,
     _move_segment,
     _nearest_neighbor,
     _neighbor_pass,
@@ -141,8 +145,9 @@ def as_table(pairs):
 
 def neighbor_pass_moves(d, start):
     """The pass on a copy of start: (order, Or-opt moves applied)."""
-    order = np.array(start, dtype=np.int64)
-    return order, _neighbor_pass(d.tolist(), as_table(neighbor_pairs(d)), order)
+    tour = list(start)
+    or_moves, _ = _neighbor_pass(d.tolist(), as_table(neighbor_pairs(d)), tour, _positions(tour))
+    return np.array(tour, dtype=np.int64), or_moves
 
 
 def neighbor_pass(d, start):
@@ -1269,8 +1274,8 @@ class TestRunSearch:
         eight = as_table([[(c, rows[a][c]) for c in cl.tolist()]
                           for a, cl in enumerate(candidate_lists(d, 8, DISTANCE_MODE))])
         rng = np.random.default_rng(2)
-        start = np.array(round_start_order(d, rng), dtype=np.int64)
-        _neighbor_pass(rows, eight, start)
+        start = round_start_order(d, rng)
+        _neighbor_pass(rows, eight, start, _positions(start))
         assert not np.array_equal(start, first.order)
         tour, stats = run_search(inst, pruned, params, 2)
         assert stats.total_expansions == 0
@@ -1407,7 +1412,9 @@ class TestRunSearch:
         # nearest cities, and a heat update only adds to entries, so a heat
         # map that differs only outside those lists gives the same run, with
         # one stream or two (split in two, the 50-city 6-round run has no
-        # improving round, so that case runs one stream)
+        # improving round, so that case runs one stream). The n = 50 cases
+        # run tsp50 as it was before its kicks, whose rounds made improving
+        # moves and updated the heat; the n = 120 case kicks
         import tspheat.search as search_mod
 
         if streams == 1:
@@ -1415,6 +1422,9 @@ class TestRunSearch:
         inst = generate_random(n, instance_seed)
         d = distance_matrix(inst)
         params = preset_for(n).with_budget(max_rounds=rounds)
+        if n == 50:
+            params = replace(params, expand_budget=150, kicks=0)
+        assert (params.kicks > 0) == (n == 120)
         _, pruned = top_m_filter(soft_heat(d), params.m)
         outside = np.ones((n, n), dtype=bool)
         for u, cl in enumerate(candidate_lists(d, params.m, DISTANCE_MODE)):
@@ -1446,11 +1456,12 @@ class TestRunSearch:
         # every positive pruned entry at 1e308: the run scales its heat copy
         # by a power of two, so no running weight sum of a draw overflows to
         # inf (after which _draw always took a row's last candidate); an
-        # ordinary heat map is copied as it is
+        # ordinary heat map is copied as it is; the fresh descents run 150
+        # attempts, so that the run makes over 100 draws
         import tspheat.search as search_mod
 
         inst = generate_random(30, 1)
-        params = preset_for(30).with_budget(max_rounds=3)
+        params = replace(preset_for(30), expand_budget=150).with_budget(max_rounds=3)
         _, pruned = top_m_filter(soft_heat(distance_matrix(inst)), params.m)
         assert _run_heat(pruned).tobytes() == pruned.tobytes()
         pruned[pruned > 0] = 1e308
@@ -1488,6 +1499,196 @@ class TestRunSearch:
         assert stats.dead_ends + stats.improving == stats.total_expansions
 
 
+class TestKicks:
+    """Above 20 cities a round ends with params.kicks kicks of its best tour
+    (_kick): a double bridge, a neighbour-list pass seeded with its six end
+    cities, and one-attempt descents; a kick is kept only if it ends
+    shorter."""
+
+    @staticmethod
+    def setting(n, seed, kicks=1):
+        inst = generate_random(n, seed)
+        params = replace(preset_for(n), kicks=kicks)
+        frame = _Frame.build(inst, params.m)
+        _, pruned = top_m_filter(soft_heat(frame.d), min(params.m, n - 1))
+        rng = np.random.default_rng(seed)
+        start = _round_start(frame, SearchStats(), rng)
+        return frame, _run_heat(pruned), params, rng, start
+
+    @pytest.mark.parametrize("n, seed", [(30, 2), (60, 3), (150, 2)])
+    def test_a_kept_kick_shortens_and_a_rejected_one_changes_nothing(self, n, seed):
+        # one kick per call, each from the best so far; on these starts
+        # some kicks are kept and most are not
+        frame, heat, params, rng, order = self.setting(n, seed)
+        length = order_length(frame.d, order)
+        kept = rejected = 0
+        for _ in range(60):
+            before = order.tobytes()
+            stats = SearchStats()
+            new_len, new_order = _kick(frame, heat, stats, rng, params, None, length, order)
+            assert stats.kicks == 1
+            assert order.tobytes() == before
+            if stats.kicks_kept:
+                kept += 1
+                assert new_len < length
+                assert new_len == order_length(frame.d, new_order)
+                assert sorted(new_order.tolist()) == list(range(n))
+                order, length = new_order, new_len
+            else:
+                rejected += 1
+                assert new_order is order and new_len == length
+        assert kept and rejected
+
+    def test_kicks_keep_the_best_of_a_round(self):
+        # many kicks in one call: the best only shortens, and the tour
+        # returned is the first of the length returned
+        frame, heat, params, rng, order = self.setting(100, 3, kicks=40)
+        length = order_length(frame.d, order)
+        stats = SearchStats()
+        new_len, new_order = _kick(frame, heat, stats, rng, params, None, length, order)
+        assert stats.kicks == 40 and 0 < stats.kicks_kept < 40
+        assert new_len < length and new_len == order_length(frame.d, new_order)
+        assert stats.total_expansions >= 40
+
+    @pytest.mark.parametrize("n", [8, 30, 200])
+    def test_the_seeded_repair_leaves_no_move_at_the_cities_it_queued(self, n, monkeypatch):
+        import tspheat.search as search_mod
+
+        inst = generate_random(n, n + 1)
+        d = distance_matrix(inst)
+        rows, table = d.tolist(), as_table(neighbor_pairs(d))
+        popped = []
+        real = search_mod._two_opt_move
+
+        def spy(tour, pos, rows, near, a):
+            popped.append(a)
+            return real(tour, pos, rows, near, a)
+
+        monkeypatch.setattr(search_mod, "_two_opt_move", spy)
+        rng = np.random.default_rng(n)
+        widest = min(KICK_SEGMENT, (n - 1) // 2)
+        for _ in range(20):
+            tour = neighbor_pass(d, rng.permutation(n).tolist()).tolist()
+            pos = _positions(tour)
+            i, l1, l2 = int(rng.integers(n)), *rng.integers(1, widest + 1, size=2).tolist()
+            ends, added = _double_bridge(tour, pos, rows, i, l1, l2)
+            kicked = order_length(d, np.array(tour))
+            popped.clear()
+            _, gain = _neighbor_pass(rows, table, tour, pos, ends)
+            assert set(ends) <= set(popped)
+            assert sorted(tour) == list(range(n))
+            assert all(tour[pos[c]] == c for c in range(n))
+            assert kicked - order_length(d, np.array(tour)) == pytest.approx(gain, abs=1e-12)
+            assert [m for m in list_moves_left(d, tour) if m[1] in set(popped)] == []
+
+    @pytest.mark.parametrize("n", [4, 5, 6, 7, 8, 40])
+    def test_double_bridge_swaps_two_segments(self, n):
+        rng = np.random.default_rng(n)
+        d = distance_matrix(generate_random(n, n))
+        rows = d.tolist()
+        widest = min(KICK_SEGMENT, (n - 1) // 2)
+        for _ in range(30):
+            tour = rng.permutation(n).tolist()
+            pos = _positions(tour)
+            i, l1, l2 = int(rng.integers(n)), *rng.integers(1, widest + 1, size=2).tolist()
+            rotated = tour[i:] + tour[:i]
+            want = rotated[l1:l1 + l2] + rotated[:l1] + rotated[l1 + l2:]
+            before = order_length(d, np.array(tour))
+            ends, added = _double_bridge(tour, pos, rows, i, l1, l2)
+            assert tour[i:] + tour[:i] == want
+            assert all(tour[pos[c]] == c for c in range(n))
+            assert ends == (rotated[-1], rotated[0], rotated[l1 - 1], rotated[l1],
+                            rotated[l1 + l2 - 1], rotated[(l1 + l2) % n])
+            assert order_length(d, np.array(tour)) - before == pytest.approx(added, abs=1e-12)
+            assert len(edges(tour) - edges(rotated)) <= 3
+
+    def test_apply_gives_the_actions_cycle(self):
+        # a k-opt action applied as its construction's 2-opt moves gives the
+        # cycle of its new_order
+        n = 60
+        frame, heat, params, rng, order = self.setting(n, 7)
+        applied = 0
+        for _ in range(4000):
+            tour = rng.permutation(n).tolist()
+            pos = _positions(tour)
+            action = _construct(frame.rows, tour, pos, frame.dist_table, heat.item, [None] * n,
+                                int(rng.integers(n)), SearchStats(), rng.random)
+            if action is not None:
+                _apply(tour, pos, action)
+                assert edges(tour) == edges(action.new_order.tolist())
+                assert all(tour[pos[c]] == c for c in range(n))
+                applied += 1
+        assert applied > 100
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
+    def test_kicked_runs_on_the_smallest_instances(self, n):
+        inst = generate_random(n, n)
+        d = distance_matrix(inst)
+        _, pruned = top_m_filter(soft_heat(d), n - 1)
+        params = SearchParams(m=n - 1, expand_budget=4, kicks=6, max_rounds=3)
+        for seed in range(5):
+            tour, stats = run_search(inst, pruned, params, seed)
+            assert sorted(tour.order.tolist()) == list(range(n))
+            assert stats.best_length == tour_length(d, tour)
+            # at n = 3 every order is the same cycle, so no kick is made
+            assert stats.kicks == (0 if n == 3 else 6 * stats.rounds)
+            assert stats.kicks_kept <= stats.kicks
+
+    def test_no_kick_starts_at_the_deadline(self, monkeypatch, one_stream):
+        # a fake clock passes the deadline during round 1's third kick: that
+        # kick ends, no later kick or round starts, and the run returns its
+        # best tour with its exact length
+        import types
+
+        import tspheat.search as search_mod
+
+        now = [0.0]
+        bridges = []
+        real = search_mod._double_bridge
+
+        def bridge_spy(*args):
+            bridges.append(args[3])
+            if len(bridges) == 3:
+                now[0] = 2.0  # the deadline is at 1.0
+            return real(*args)
+
+        monkeypatch.setattr(search_mod, "time", types.SimpleNamespace(perf_counter=lambda: now[0]))
+        monkeypatch.setattr(search_mod, "_double_bridge", bridge_spy)
+        inst = generate_random(60, 5)
+        d = distance_matrix(inst)
+        _, pruned = top_m_filter(soft_heat(d), 8)
+        params = replace(preset_for(60), kicks=10).with_budget(time_budget=1.0)
+        tour, stats = run_search(inst, pruned, params, 5)
+        assert (stats.rounds, stats.kicks, len(bridges)) == (1, 3, 3)
+        assert stats.best_length == tour_length(d, tour)
+
+    def test_the_bound_fires_on_the_fresh_descent(self, monkeypatch, one_stream):
+        # kicks shorten a round's best, but the 1-tree bound is triggered by
+        # the length the round's fresh descent ends at, as without kicks
+        import tspheat.search as search_mod
+
+        real_round, ends = search_mod._round, []
+
+        def round_spy(*args):
+            out = real_round(*args)
+            ends.append(out[:2])
+            return out
+
+        calls = []
+        monkeypatch.setattr(search_mod, "_round", round_spy)
+        monkeypatch.setattr(search_mod, "one_tree_bound",
+                            lambda d, upper: calls.append(len(ends)) or -math.inf)
+        inst = generate_random(60, 2)
+        _, pruned = top_m_filter(soft_heat(distance_matrix(inst)), 8)
+        _, stats = run_search(inst, pruned, preset_for(60).with_budget(max_rounds=10), 2)
+        assert stats.kicks > 0
+        best = [min(b for _, b in ends[:r]) for r in range(1, len(ends) + 1)]
+        want = next((r + 1 for r in range(1, len(ends))
+                     if abs(ends[r][0] - best[r - 1]) <= MIN_GAIN), None)
+        assert calls == ([] if want is None else [want])
+
+
+
 class TestFrame:
     """A run's frame is what every round reads and no round changes, so
     rounds of several runs can share one."""
@@ -1505,7 +1706,7 @@ class TestFrame:
         # n = 40 with m = 6: the pass's lists (8) and the distance rounds'
         # lists differ in length, as at n = 300 under tsp500
         inst = generate_random(40, 1)
-        params = replace(PRESETS["tsp50"], m=6)
+        params = replace(PRESETS["tsp50"], m=6, expand_budget=150)
         _, pruned = top_m_filter(soft_heat(distance_matrix(inst)), params.m)
         shared = _Frame.build(inst, params.m)
         runs = [self.rounds(shared, pruned, params, seed, 4) for seed in (1, 3)]
@@ -1594,9 +1795,26 @@ GOLDEN_SEARCHES = {
         round_best_lengths=["3.7710487245594857"] * 2,
         lower_bound="3.7710487245594857", proof_round=2,
     ),
+    # tsp100 kicks: each round's fresh descent runs 18 attempts per expansion,
+    # then 5 kicks of its best tour
     "tsp100-n100": dict(
         n=100, instance_seed=4, seed=6,
         params=PRESETS["tsp100"].with_budget(max_rounds=2),
+        order=[64, 11, 25, 77, 95, 3, 97, 90, 1, 91, 7, 29, 89, 0, 5, 81, 31, 24, 66, 61, 92, 27,
+               76, 51, 96, 2, 47, 52, 62, 80, 36, 57, 4, 26, 16, 49, 86, 78, 56, 8, 34, 65, 72, 10,
+               84, 73, 20, 67, 85, 98, 59, 30, 13, 75, 17, 70, 23, 69, 68, 94, 88, 38, 40, 87, 9,
+               71, 37, 21, 83, 41, 60, 42, 79, 32, 53, 74, 6, 18, 39, 99, 15, 63, 43, 48, 12, 28,
+               82, 55, 54, 33, 45, 58, 44, 50, 35, 93, 22, 14, 19, 46],
+        best_length="7.757283698692335", expansions=82, rounds=2, dead_ends=80,
+        or_moves=57, kicks=(10, 4),
+        round_best_lengths=["7.757283698692335"] * 2,
+        lower_bound="nan", proof_round=0,
+    ),
+    # the same run with tsp100 as it was before kicks: 300 attempts per
+    # expansion and no kick, recorded before kicks existed
+    "tsp100-n100-no-kicks": dict(
+        n=100, instance_seed=4, seed=6,
+        params=replace(PRESETS["tsp100"], expand_budget=300, kicks=0).with_budget(max_rounds=2),
         order=[9, 87, 40, 38, 88, 94, 68, 69, 23, 70, 17, 75, 13, 30, 59, 98, 85, 67, 20, 73, 84,
                10, 72, 65, 34, 8, 56, 78, 86, 49, 16, 26, 4, 57, 36, 80, 62, 52, 47, 2, 96, 51, 76,
                5, 0, 89, 29, 7, 31, 81, 24, 66, 61, 92, 27, 91, 1, 90, 97, 3, 95, 77, 25, 11, 19,
@@ -1625,26 +1843,26 @@ GOLDEN_SEARCHES = {
     "tsp500-n300": dict(
         n=300, instance_seed=2, seed=7,
         params=PRESETS["tsp500"].with_budget(max_rounds=2),
-        order=[227, 96, 131, 68, 165, 134, 273, 123, 173, 175, 31, 212, 231, 172, 201, 285, 77,
-               146, 233, 205, 58, 158, 289, 1, 261, 93, 225, 66, 256, 87, 180, 196, 80, 100, 95,
-               184, 75, 38, 112, 84, 199, 105, 45, 242, 67, 188, 63, 247, 36, 181, 269, 149, 263,
-               271, 71, 295, 20, 240, 253, 241, 65, 59, 283, 8, 286, 11, 41, 274, 26, 57, 236, 292,
-               152, 111, 52, 108, 159, 187, 266, 250, 120, 265, 16, 164, 230, 216, 54, 28, 2, 79,
-               182, 106, 83, 290, 287, 234, 90, 183, 136, 218, 163, 94, 297, 190, 200, 151, 39, 37,
-               156, 18, 34, 78, 243, 110, 7, 6, 56, 153, 88, 13, 155, 143, 226, 170, 62, 73, 223,
-               89, 157, 35, 195, 82, 202, 27, 189, 141, 12, 137, 268, 213, 277, 224, 103, 176, 217,
-               128, 178, 4, 86, 121, 238, 10, 298, 144, 99, 209, 127, 85, 139, 210, 102, 229, 272,
-               299, 168, 97, 248, 92, 169, 185, 15, 140, 122, 237, 211, 245, 281, 74, 276, 192, 32,
-               43, 244, 246, 98, 215, 206, 220, 117, 293, 171, 138, 162, 33, 251, 142, 255, 81,
-               115, 125, 145, 204, 135, 42, 40, 129, 60, 53, 191, 55, 254, 116, 91, 275, 49, 257,
-               294, 30, 109, 148, 14, 221, 235, 70, 24, 44, 3, 291, 114, 107, 132, 46, 48, 278,
-               282, 264, 5, 194, 203, 23, 118, 147, 284, 222, 259, 9, 29, 214, 161, 130, 124, 193,
-               186, 72, 279, 0, 249, 174, 150, 47, 262, 101, 239, 50, 179, 198, 154, 69, 232, 267,
-               51, 104, 208, 252, 22, 76, 61, 119, 258, 113, 17, 25, 177, 219, 270, 21, 260, 126,
-               288, 19, 207, 197, 167, 160, 166, 228, 64, 280, 133, 296],
-        best_length="13.511701637781577", expansions=2000, rounds=2, dead_ends=2000,
-        or_moves=79,
-        round_best_lengths=["13.511701637781577", "13.511701637781577"],
+        order=[83, 106, 182, 79, 156, 88, 153, 56, 13, 155, 143, 226, 6, 7, 121, 86, 4, 178, 128,
+               268, 213, 277, 224, 103, 176, 217, 299, 272, 229, 102, 210, 99, 209, 139, 85, 127,
+               174, 47, 150, 144, 298, 10, 238, 110, 243, 78, 34, 18, 37, 39, 36, 151, 200, 190,
+               181, 269, 297, 94, 149, 263, 271, 71, 295, 8, 283, 59, 65, 241, 253, 20, 240, 67,
+               242, 45, 197, 207, 19, 288, 126, 260, 21, 188, 63, 247, 270, 25, 177, 219, 64, 133,
+               280, 166, 228, 160, 167, 105, 199, 84, 112, 38, 75, 184, 95, 100, 80, 196, 180, 87,
+               256, 66, 225, 93, 261, 1, 289, 58, 205, 233, 146, 158, 131, 68, 96, 296, 227, 252,
+               22, 76, 61, 17, 113, 258, 119, 262, 101, 239, 50, 179, 198, 154, 69, 232, 267, 51,
+               104, 208, 165, 134, 273, 123, 173, 175, 172, 201, 285, 77, 231, 212, 31, 48, 278,
+               282, 264, 5, 194, 203, 23, 118, 147, 29, 9, 284, 259, 222, 46, 132, 107, 114, 3,
+               291, 109, 148, 44, 24, 70, 235, 221, 14, 116, 254, 55, 53, 191, 42, 135, 204, 145,
+               40, 129, 60, 91, 275, 49, 257, 30, 294, 186, 193, 124, 130, 161, 214, 249, 0, 279,
+               72, 125, 115, 81, 255, 142, 251, 33, 162, 138, 171, 293, 117, 220, 206, 215, 98,
+               246, 168, 97, 244, 43, 32, 92, 248, 169, 192, 276, 74, 281, 245, 211, 237, 185, 15,
+               140, 122, 141, 12, 189, 27, 137, 170, 62, 73, 223, 89, 35, 157, 202, 195, 82, 120,
+               250, 266, 187, 159, 108, 52, 111, 152, 292, 236, 57, 26, 274, 41, 286, 11, 163, 218,
+               136, 183, 90, 265, 16, 164, 230, 216, 54, 28, 2, 234, 287, 290],
+        best_length="13.24719138888523", expansions=224, rounds=2, dead_ends=224,
+        or_moves=315, kicks=(100, 13),
+        round_best_lengths=["13.372550304384136", "13.24719138888523"],
         lower_bound="nan", proof_round=0,
     ),
 }
@@ -1658,22 +1876,22 @@ GOLDEN_SEARCHES = {
 # or_moves, proof_round).
 GOLDEN_SPLIT_RUNS = {
     # stream 0 proves its tour, so stream 1 is dropped
-    (24, 0, 8): ("b90345384a8dbb02f3a8e5bc6581ee764d6337278faf6ae56acbbf810b595af3",
-                 "4.393248478994652", "4.393248478994651", (3, 0, 450, 18, 3)),
+    (24, 0, 8): ("52ae9ff977258f8479f2cb9a16a32b480eccadd8a90cfd4f9ea9a2d029f14511",
+                 "4.393248478994651", "4.39324847899465", (4, 0, 52, 45, 4)),
     (24, 2, 8): ("36bda4c86fe547ecc048883d8b8fd9ce1bd2939c82eb8ef02a76f77bae5d4071",
-                 "3.796923528672071", "3.796923528672071", (2, 0, 300, 16, 2)),
+                 "3.796923528672071", "3.796923528672071", (2, 0, 26, 30, 2)),
     # two streams merged, with a 1-tree bound
-    (24, 1, 8): ("35615ce9bfa1b1281e3255a306ab7c994e61faf3343f4342250c7c876fb0429e",
-                 "3.831985622040362", "3.8137899552873176", (8, 45, 2355, 44, 0)),
+    (24, 1, 8): ("d138424445782e0ddfd77021df29faf3e5d30aefc672c2bbd2b84fea86f598ce",
+                 "3.831985622040362", "3.813789955287317", (8, 0, 104, 113, 0)),
     # merged, no bound
     (60, 1, 6): ("b740c7a101c5443b12f37a95dd738dde9dc5ce5ffb43940a1d6244908bffdace",
-                 "5.947973045778653", "nan", (6, 23, 4477, 55, 0)),
-    (100, 1, 10): ("7460b9801f379070b4e3fd3ef72006eb9543a4869a3a2bf954dbb0e15c8709dc",
-                   "7.674673636414983", "nan", (10, 46, 7154, 144, 0)),
+                 "5.947973045778653", "nan", (6, 0, 138, 140, 0)),
+    (100, 1, 10): ("8dec2958c8eedb04a08e1c90ffacf0079b4848311d0844e8f1924ca003b17b36",
+                   "7.722702451613344", "nan", (10, 1, 247, 284, 0)),
     # tsp500: the pass lists (8 cities) and the k-opt lists (5) are slices of
     # one table
-    (210, 2, 4): ("0e5a1ab5656488929ff3ebfadd8ab0643caadeb44648a1d785d4d2665efd1bc5",
-                  "10.950668486401625", "nan", (4, 106, 15894, 116, 0)),
+    (210, 2, 4): ("179c17a07edc7ec105dfa82081ed28d4c1e45105c4245fe366ed679cdf306672",
+                  "10.856299965841789", "nan", (4, 1, 509, 584, 0)),
 }
 
 
@@ -1691,6 +1909,7 @@ class TestGoldenSearch:
         assert stats.rounds == g["rounds"]
         assert stats.dead_ends == g["dead_ends"]
         assert stats.or_moves == g["or_moves"]
+        assert (stats.kicks, stats.kicks_kept) == g.get("kicks", (0, 0))
         assert [repr(x) for x in stats.round_best_lengths] == g["round_best_lengths"]
         assert repr(stats.lower_bound) == g["lower_bound"]
         assert stats.proof_round == g["proof_round"]
@@ -1898,9 +2117,12 @@ class TestStreams:
 
     @pytest.mark.parametrize("n, rounds", [(30, 6), (100, 4), (300, 2)])
     def test_worker_and_in_process_runs_agree(self, n, rounds, monkeypatch):
+        # every preset above 20 cities kicks, so kicks, their repairs and
+        # their one-attempt descents give the same bytes on both routes
         import tspheat.search as search_mod
 
         want = self.run(n, n, rounds, 1)
+        assert "'kicks': 0," not in want[1]
         # the worker ran stream 1: a failed worker is stopped
         assert search_mod._worker is not None and search_mod._worker.proc.is_alive()
         monkeypatch.setattr(search_mod, "_submit", lambda job: None)
@@ -1919,6 +2141,10 @@ class TestStreams:
         tour, stats = run_search(inst, pruned, params.with_budget(max_rounds=(rounds + 1) // 2), 1)
         assert (tour.order.tolist(), stats.round_best_lengths) == (
             first[0].tolist(), first[1].round_best_lengths)
+        if first[1].proof_round:
+            # at n = 30 stream 0 proves its tour in round 2: it is the run
+            assert (first[0].tolist(), first[1].rounds, n) == (want[0], 2, 30)
+            return
         order, merged = search_mod._merge(first, second, frame.e)
         assert (order.tolist(), merged.rounds) == (want[0], rounds)
         assert merged.total_expansions == first[1].total_expansions + second[1].total_expansions
@@ -1944,14 +2170,14 @@ class TestStreams:
         assert self.run(30, 1, 4, 1) == follow
 
     def test_a_proof_after_the_merge_ends_at_the_last_round(self):
-        # n = 21, R = 8: stream 0's 4 rounds compute no bound, and stream 1's
+        # n = 21, R = 8: stream 0's 4 rounds end unproven, and stream 1's
         # bound proves its tour, an ulp shorter than stream 0's, in its
-        # second round
-        inst = generate_random(21, 4)
+        # third round
+        inst = generate_random(21, 23)
         params = preset_for(21).with_budget(max_rounds=8)
         _, pruned = top_m_filter(soft_heat(distance_matrix(inst)), params.m)
-        tour, stats = run_search(inst, pruned, params, 4)
-        assert stats.rounds == stats.proof_round == 6
+        tour, stats = run_search(inst, pruned, params, 23)
+        assert stats.rounds == stats.proof_round == 7
         assert stats.best_length == tour_length(distance_matrix(inst), tour)
         assert stats.best_length <= stats.lower_bound + MIN_GAIN
         assert stats.round_best_lengths[3] > stats.round_best_lengths[-1]
@@ -2251,17 +2477,17 @@ class TestStreams:
 class TestPresets:
     def test_table_values(self):
         expect = {
-            "tsp20": (10.0, 8, 60),
-            "tsp50": (10.0, 8, 150),
-            "tsp100": (10.0, 8, 300),
-            "tsp200": (10.0, 8, 600),
-            "tsp500": (50.0, 5, 1000),
-            "tsp1000": (50.0, 5, 2000),
+            "tsp20": (10.0, 8, 60, 0),
+            "tsp50": (10.0, 8, 9, 4),
+            "tsp100": (10.0, 8, 18, 5),
+            "tsp200": (10.0, 8, 37, 20),
+            "tsp500": (50.0, 5, 62, 50),
+            "tsp1000": (50.0, 5, 125, 100),
         }
         assert set(PRESETS) == set(expect)
-        for name, (beta, m, budget) in expect.items():
+        for name, (beta, m, budget, kicks) in expect.items():
             p = PRESETS[name]
-            assert (p.beta, p.m, p.expand_budget) == (beta, m, budget), name
+            assert (p.beta, p.m, p.expand_budget, p.kicks) == (beta, m, budget, kicks), name
 
     @pytest.mark.parametrize("n, tier", [
         (3, "tsp20"), (20, "tsp20"), (21, "tsp50"), (50, "tsp50"), (51, "tsp100"),
