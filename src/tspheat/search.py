@@ -296,10 +296,11 @@ def _move_segment(tour: list, pos: list, p: int, a: int, s: int, q: int, c: int,
         _flip(tour, pos, p, e, q)
 
 
-def _two_opt_move(tour: list, pos: list, rows: list, near: list, a: int) -> Optional[tuple]:
-    """Apply the first improving list-restricted 2-opt move at city a and
-    return its gain and the cities whose tour edges it changed, or None when
-    there is none.
+def _two_opt_move(tour: list, pos: list, rows: list, near: list, a: int,
+                  n: int) -> Optional[tuple]:
+    """Apply the first improving list-restricted 2-opt move at city a of the
+    n-city tour and return its gain and the cities whose tour edges it
+    changed, or None when there is none.
 
     a looks in each direction, successor first: with b its tour neighbour
     that way, it scans its list up to the first c with d[a, c] >= d[a, b],
@@ -307,7 +308,6 @@ def _two_opt_move(tour: list, pos: list, rows: list, near: list, a: int) -> Opti
     move whose d[a,c] + d[b,e] - d[a,b] - d[c,e] is below -MIN_GAIN, so
     that (a, c) and (b, e) replace (a, b) and (c, e).
     """
-    n = len(tour)
     ra = rows[a]
     i = pos[a]
     for step in (1, -1):
@@ -331,13 +331,15 @@ def _two_opt_move(tour: list, pos: list, rows: list, near: list, a: int) -> Opti
     return None
 
 
-def _or_opt_move(tour: list, pos: list, rows: list, near: list, a: int) -> Optional[tuple]:
-    """Apply the first improving list-restricted Or-opt move at city a and
-    return its gain and the cities whose tour edges it changed, or None when
-    there is none.
+def _or_opt_move(tour: list, pos: list, rows: list, near: list, a: int, n: int,
+                 longest: int) -> Optional[tuple]:
+    """Apply the first improving list-restricted Or-opt move at city a of the
+    n-city tour and return its gain and the cities whose tour edges it
+    changed, or None when there is none.
 
-    The segment a .. s holds the L = 1 .. OR_OPT_SEGMENT cities that start
-    at a in tour order (L at most n - 3), with p and q the cities around it.
+    The segment a .. s holds the L = 1 .. longest cities that start at a in
+    tour order (_neighbor_pass passes min(OR_OPT_SEGMENT, n - 3)), with p
+    and q the cities around it.
     Taking it out gains g = d[p,a] + d[s,q] - d[p,q]; when g > MIN_GAIN,
     a scans its list up to the first c with d[a, c] >= g, skips the cities
     of the segment and, for e the successor and then the predecessor of c
@@ -346,12 +348,11 @@ def _or_opt_move(tour: list, pos: list, rows: list, near: list, a: int) -> Optio
     between c and e with a next to c (_move_segment), so a move costs the
     span it moves, not the tour.
     """
-    n = len(tour)
     ra = rows[a]
     i = pos[a]
     p = tour[i - 1]
     rp = rows[p]
-    for size in range(1, min(OR_OPT_SEGMENT, n - 3) + 1):
+    for size in range(1, longest + 1):
         s = tour[(i + size - 1) % n]
         q = tour[(i + size) % n]
         rs = rows[s]
@@ -413,6 +414,7 @@ def _neighbor_pass(rows: list, nbrs: list, tour: list, pos: list,
         # keyed by every city queued so far, the repair's sweep
         queued = defaultdict(bool, dict.fromkeys(seeds, True))
         queue = deque(queued)
+    longest = min(OR_OPT_SEGMENT, n - 3)
     or_moves = 0
     gain = 0.0
     moves = 0  # since the queue last held every city it sweeps
@@ -421,9 +423,9 @@ def _neighbor_pass(rows: list, nbrs: list, tour: list, pos: list,
         queued[a] = False
         near = nbrs[a]
         while True:
-            moved = _two_opt_move(tour, pos, rows, near, a)
+            moved = _two_opt_move(tour, pos, rows, near, a, n)
             if moved is None:
-                moved = _or_opt_move(tour, pos, rows, near, a)
+                moved = _or_opt_move(tour, pos, rows, near, a, n, longest)
                 if moved is None:
                     break
                 or_moves += 1

@@ -1560,9 +1560,9 @@ class TestKicks:
         popped = []
         real = search_mod._two_opt_move
 
-        def spy(tour, pos, rows, near, a):
+        def spy(tour, pos, rows, near, a, n):
             popped.append(a)
-            return real(tour, pos, rows, near, a)
+            return real(tour, pos, rows, near, a, n)
 
         monkeypatch.setattr(search_mod, "_two_opt_move", spy)
         rng = np.random.default_rng(n)
