@@ -60,7 +60,7 @@ def _trace_csv(trace) -> str:
 def _search_fields(stats) -> str:
     """The search's counters for a stderr stats line."""
     return (f"two_opt_s={stats.two_opt_seconds:.3f} rounds={stats.rounds} "
-            f"or_moves={stats.or_moves} kicks={stats.kicks} kicks_kept={stats.kicks_kept} "
+            f"starts={stats.starts} or_moves={stats.or_moves} kicks={stats.kicks} kicks_kept={stats.kicks_kept} "
             f"attempts={stats.total_expansions} dead_ends={stats.dead_ends} "
             f"improving={stats.improving} lower_bound={stats.lower_bound!r} "
             f"proof_round={stats.proof_round}")
@@ -201,12 +201,14 @@ def _add_common(p: argparse.ArgumentParser, budget: bool = False, train: bool = 
                             "2-opt and Or-opt pass) or a shorter one, however "
                             "small the budget")
         p.add_argument("--rounds", type=int, default=None, metavar="N",
-                       help="cap on the search's rounds, bit-reproducible; a round "
-                            "builds a fresh start and descends from it, and above 20 "
-                            "cities then kicks its best tour a preset number of times, "
-                            "keeping each kick that ends shorter; above 20 cities a "
-                            "search runs its rounds as two seeded streams, the second "
-                            "in a worker process, and N caps both together")
+                       help="cap on the search's rounds, bit-reproducible; at 20 "
+                            "cities or fewer every round builds a fresh start and "
+                            "descends from it; above 20 cities a search runs its rounds "
+                            "as two seeded streams, the second in a worker process, "
+                            "and N caps both together: a stream's first round starts "
+                            "fresh, descends and kicks its best tour a preset number "
+                            "of times, each later round only kicks, and a kick is "
+                            "kept when it ends shorter")
     if train:
         p.add_argument("--steps", type=int, default=TrainConfig.steps,
                        help="Adam steps of the heat-map fit (default: %(default)s)")

@@ -2,16 +2,17 @@
 
 A search run (run_search) builds its frame once (_Frame: the distances and
 the one neighbour table every round reads and no round changes), then
-repeats rounds (_round) over it. A round's first tour is made by the
-round start (_round_start): a nearest-neighbour tour from a random city, two
-random double-bridge kicks, then a neighbour-list pass of 2-opt and Or-opt
-moves until no list-restricted move is left. Best-first node expansion
-follows, where each expansion tries a bounded number of sequential k-opt
-constructions and moves to the shortest improving result. Then, above 20
-cities, the round kicks its best tour a preset number of times (_kick,
+repeats rounds over it. A fresh round (_round) starts from the round start
+(_round_start): a nearest-neighbour tour from a random city, two random
+double-bridge kicks, then a neighbour-list pass of 2-opt and Or-opt moves
+until no list-restricted move is left. Best-first node expansion follows,
+where each expansion tries a bounded number of sequential k-opt
+constructions and moves to the shortest improving result. Above 20 cities
+the round then kicks its best tour a preset number of times (_kick,
 iterated local search): a double bridge, a neighbour-list pass seeded with
 its end cities, and one-attempt expansions, kept when the result is
-shorter. Constructions grow
+shorter. There a stream (below) starts fresh once: each of its later
+rounds is that many kicks of its best tour alone. Constructions grow
 a Hamiltonian path with one fixed endpoint; the next city is sampled from
 the moving endpoint's candidate list, its m nearest cities, with probability
 proportional to its pruned-heat value, floored so that zero-heat candidates
@@ -37,6 +38,8 @@ its own copy of the pruned heat map and its own statistics. A stream ends
 early once its best tour is proven optimal by the 1-tree lower bound
 (bounds.one_tree_bound), which it computes at most once, when a round's
 fresh descent ends at the length of the best tour of the rounds before it.
+A stream that kicks has one fresh descent, so only streams without kicks
+(20 cities or fewer with the presets) compute the bound.
 
 A run of more than ONE_STREAM_MAX_CITIES cities with a round cap other than
 1 splits its rounds into two seeded streams: stream 0 in this process and
@@ -79,7 +82,7 @@ WEIGHT_FLOOR = 1e-12
 TWO_OPT_NEIGHBORS = 8
 # longest segment the neighbour-list pass moves with an Or-opt move
 OR_OPT_SEGMENT = 3
-# random double bridges applied to each round's nearest-neighbour start
+# random double bridges applied to each fresh round's nearest-neighbour start
 # (_round_start); one kick or none left exact-n16 runs short of the optimum
 ROUND_START_KICKS = 2
 # longest segment of a kick's double bridge (_kick), so a kick moves at most
@@ -98,9 +101,12 @@ class SearchParams:
 
     beta scales the heat update, m is the candidate-list size and
     expand_budget is the number of construction attempts per node expansion
-    of a round's fresh descent. kicks is the number of double-bridge kicks of
-    the round's best tour that follow that descent (_kick), each repaired
-    and then descended with one attempt per expansion. At least one of
+    of a round's fresh descent. kicks is the number of double-bridge kicks
+    per round (_kick), each repaired and then descended with one attempt per
+    expansion: in a stream's first round they kick the best tour of its
+    fresh descent, and every later round is kicks kicks of the stream's
+    best tour, with no fresh start. With kicks = 0 every round starts fresh.
+    At least one of
     time_budget (seconds) / max_rounds must be set. Both are caps: a run
     ends sooner once a 1-tree bound proves its best tour optimal
     (run_search). max_rounds is a total over the run's streams: a run split
@@ -138,15 +144,16 @@ class SearchParams:
 # Named parameter sets by instance-size tier (heat update scale,
 # candidate-list size, per-node attempt budget of the fresh descent and kicks
 # per round). Above 20 cities the budget is 1/16 of the one rounds had
-# before kicks, and the kicks were sized so that a round-capped run takes
-# less time than it did then and ends no longer on average (CHANGES.md)
+# before kicks, and K is the smallest whose round-capped pool runs, with
+# only round 1 of each stream starting fresh, end no longer on average than
+# runs with a fresh start in every round did (CHANGES.md)
 PRESETS: dict[str, SearchParams] = {
     "tsp20": SearchParams(beta=10.0, m=8, expand_budget=60),
-    "tsp50": SearchParams(beta=10.0, m=8, expand_budget=9, kicks=4),
-    "tsp100": SearchParams(beta=10.0, m=8, expand_budget=18, kicks=5),
-    "tsp200": SearchParams(beta=10.0, m=8, expand_budget=37, kicks=20),
-    "tsp500": SearchParams(beta=50.0, m=5, expand_budget=62, kicks=50),
-    "tsp1000": SearchParams(beta=50.0, m=5, expand_budget=125, kicks=100),
+    "tsp50": SearchParams(beta=10.0, m=8, expand_budget=9, kicks=7),
+    "tsp100": SearchParams(beta=10.0, m=8, expand_budget=18, kicks=7),
+    "tsp200": SearchParams(beta=10.0, m=8, expand_budget=37, kicks=18),
+    "tsp500": SearchParams(beta=50.0, m=5, expand_budget=62, kicks=41),
+    "tsp1000": SearchParams(beta=50.0, m=5, expand_budget=125, kicks=95),
 }
 
 
@@ -165,10 +172,12 @@ class SearchStats:
 
     Each construction attempt ends once: with an improving action
     (improving) or at a dead end (no feasible candidate; dead_ends).
-    total_expansions, every attempt made, is their sum. or_moves counts the
-    Or-opt moves the neighbour-list passes applied, round starts and kick
-    repairs alike. kicks counts the kicks made (_kick) and kicks_kept those
-    that ended shorter than the round's best tour and replaced it.
+    total_expansions, every attempt made, is their sum. starts counts the
+    fresh starts (_round_start): one per round without kicks, one per
+    stream with them. or_moves counts the Or-opt moves the neighbour-list
+    passes applied, round starts and kick repairs alike. kicks counts the
+    kicks made (_kick) and kicks_kept those that ended shorter than the best
+    tour they kicked and replaced it.
     two_opt_seconds is the wall-clock time spent in the neighbour-list
     passes, each round start's pass and each kick's seeded repair, their
     2-opt and Or-opt moves together; it is a timing, so no determinism
@@ -191,6 +200,7 @@ class SearchStats:
     improving: int = 0
     dead_ends: int = 0
     rounds: int = 0
+    starts: int = 0
     or_moves: int = 0
     kicks: int = 0
     kicks_kept: int = 0
@@ -777,7 +787,7 @@ class _Frame:
 
 def _round_start(frame: _Frame, stats: SearchStats, rng: np.random.Generator,
                  kicks: int = ROUND_START_KICKS) -> np.ndarray:
-    """A round's first tour: the nearest-neighbour tour from a random city
+    """A fresh round's first tour: the nearest-neighbour tour from a random city
     (_nearest_neighbor), then `kicks` random double bridges, then
     _neighbor_pass, so the tour has no list-restricted 2-opt or Or-opt move
     left. Each double bridge draws three distinct cut points
@@ -787,7 +797,8 @@ def _round_start(frame: _Frame, stats: SearchStats, rng: np.random.Generator,
     round makes ROUND_START_KICKS kicks, which keep starts diverse while
     leaving the pass far less to undo than a random permutation would;
     nn_two_opt_baseline makes none. The pass is timed into
-    stats.two_opt_seconds and its Or-opt moves counted."""
+    stats.two_opt_seconds, its Or-opt moves counted, and the start counted
+    in stats.starts."""
     n = len(frame.rows)
     tour = _nearest_neighbor(frame.rows, frame.nbrs, int(rng.integers(n)))
     if n > 3:
@@ -797,6 +808,7 @@ def _round_start(frame: _Frame, stats: SearchStats, rng: np.random.Generator,
     t0 = time.perf_counter()
     or_moves, _ = _neighbor_pass(frame.rows, frame.nbrs, tour, _positions(tour))
     stats.two_opt_seconds += time.perf_counter() - t0
+    stats.starts += 1
     stats.or_moves += or_moves
     return np.array(tour, dtype=np.int64)
 
@@ -822,9 +834,10 @@ def _round(
     params: SearchParams,
     deadline: Optional[float],
 ) -> tuple[float, float, np.ndarray]:
-    """One search round; returns (the length its fresh descent ends at, its
-    shortest length, the first tour of that length), all in the frame's
-    units.
+    """One fresh search round; returns (the length its fresh descent ends
+    at, its shortest length, the first tour of that length), all in the
+    frame's units. It is every round of a stream without kicks and the first
+    round of a stream with them (_stream).
 
     The round starts from _round_start and expands best-first on the
     frame's table until a whole expansion yields no improvement, raising the
@@ -896,9 +909,10 @@ def _kick(
     best_len: float,
     best_order: np.ndarray,
 ) -> tuple[float, np.ndarray]:
-    """params.kicks iterations of local search on the round's best tour
-    (Lourenço, Martin & Stützle's iterated local search); returns the best
-    length and the first tour of that length after them.
+    """params.kicks iterations of local search on a best tour, a fresh
+    round's or a stream's (Lourenço, Martin & Stützle's iterated local
+    search); returns the best length and the first tour of that length
+    after them.
 
     Each iteration applies a double bridge (_double_bridge) whose two
     segments hold 1 .. KICK_SEGMENT cities each, at a uniformly drawn place,
@@ -966,25 +980,32 @@ def _stream(
     when live (a callable, or None) returned False at a round boundary.
 
     heat is the stream's own heat map: its rounds update it in place, and
-    the updates survive into later rounds. The stream runs _round until the
+    the updates survive into later rounds. The stream runs rounds until the
     deadline or `rounds` rounds (None: no cap), whichever comes first. Round
-    1 always runs, so even a deadline that has already passed gives a tour;
-    its expansions and kicks stop at the deadline.
+    1 is a fresh round (_round) and always runs, so even a deadline that has
+    already passed gives a tour; its expansions and kicks stop at the
+    deadline. Without kicks (params.kicks = 0, or n = 3, where every order
+    is the same cycle) every round is a fresh round. With kicks every later
+    round is params.kicks kicks of the stream's best tour (_kick), with no
+    fresh start and no fresh descent, so a timed stream kicks until its
+    deadline.
 
     It also stops after the first round whose best tour is proven optimal.
     The first round r >= 2 whose fresh descent (the round before its kicks)
     ends within MIN_GAIN of the best length of rounds 1 .. r-1 computes
     bounds.one_tree_bound once, aimed at the best length; from then on the
     stream ends after any round whose best length is within MIN_GAIN of
-    that bound. The bound runs in the frame, with the same MIN_GAIN as
-    every move, draws no random number and changes neither the heat nor the
-    tour, so a stream that is never proven optimal is the stream it would
-    be without the bound.
+    that bound. A stream with kicks has no fresh descent after round 1, so
+    it computes no bound. The bound runs in the frame, with the same
+    MIN_GAIN as every move, draws no random number and changes neither the
+    heat nor the tour, so a stream that is never proven optimal is the
+    stream it would be without the bound.
     """
     stats = SearchStats()
     best_order: Optional[np.ndarray] = None
     best_len = math.inf
     bound = None  # the 1-tree bound, computed at most once per stream
+    kicking = params.kicks > 0 and len(frame.rows) > 3
     while rounds is None or stats.rounds < rounds:
         if stats.rounds and deadline is not None and time.perf_counter() >= deadline:
             break
@@ -992,7 +1013,14 @@ def _stream(
             return None
         stats.rounds += 1
         earlier_best = best_len
-        length, round_len, round_order = _round(frame, heat, stats, rng, params, deadline)
+        if kicking and best_order is not None:
+            # a kick round: no fresh start and no fresh descent, so no length
+            # that could trigger the bound
+            length = math.nan
+            round_len, round_order = _kick(frame, heat, stats, rng, params, deadline, best_len,
+                                           best_order)
+        else:
+            length, round_len, round_order = _round(frame, heat, stats, rng, params, deadline)
         if round_len < best_len:
             best_len, best_order = round_len, round_order
         stats.round_best_lengths.append(math.ldexp(best_len, frame.e))
@@ -1028,6 +1056,7 @@ def _merge(first: tuple, second: tuple, e: int) -> tuple[np.ndarray, SearchStats
         improving=s0.improving + s1.improving,
         dead_ends=s0.dead_ends + s1.dead_ends,
         rounds=s0.rounds + s1.rounds,
+        starts=s0.starts + s1.starts,
         or_moves=s0.or_moves + s1.or_moves,
         kicks=s0.kicks + s1.kicks,
         kicks_kept=s0.kicks_kept + s1.kicks_kept,

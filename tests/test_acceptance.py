@@ -303,16 +303,16 @@ def test_c09_two_opt_fixpoint():
 
 
 def test_c10_preset_fidelity():
-    # the published beta, M and attempt-budget columns; above tsp20 a round
-    # also kicks its best tour, and its fresh descent runs 1/16 of the
-    # published budget
+    # the published beta, M and attempt-budget columns; above tsp20 a
+    # stream's fresh descent runs 1/16 of the published budget, and every
+    # round kicks the stream's best tour K times
     expect = {
         "tsp20": (10.0, 8, 60, 0),
-        "tsp50": (10.0, 8, 150, 4),
-        "tsp100": (10.0, 8, 300, 5),
-        "tsp200": (10.0, 8, 600, 20),
-        "tsp500": (50.0, 5, 1000, 50),
-        "tsp1000": (50.0, 5, 2000, 100),
+        "tsp50": (10.0, 8, 150, 7),
+        "tsp100": (10.0, 8, 300, 7),
+        "tsp200": (10.0, 8, 600, 18),
+        "tsp500": (50.0, 5, 1000, 41),
+        "tsp1000": (50.0, 5, 2000, 95),
     }
     assert set(PRESETS) == set(expect)
     for name, (beta, m, budget, kicks) in expect.items():

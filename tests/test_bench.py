@@ -375,12 +375,13 @@ GOLDEN_PIPELINES = {
         [2, 12, 15, 9, 6, 13, 10, 8, 4, 0, 5, 7, 1, 3, 11, 14],
         "3.5402563494146015", 12, 0,
     ),
-    # tsp50 kicks: stream 0's bound proves its round-2 tour
+    # tsp50 kicks: each stream starts fresh once, so no bound fires and the
+    # run ends at its round cap
     (50, "tsp50", 3, 0): (
         [34, 29, 1, 10, 9, 37, 12, 15, 40, 14, 11, 3, 41, 28, 42, 32, 23, 31, 16, 44, 24, 46, 48,
          33, 22, 36, 18, 4, 38, 35, 43, 2, 45, 13, 47, 49, 8, 39, 19, 25, 26, 6, 5, 7, 0, 21, 20,
          17, 30, 27],
-        "5.790652383268142", 2, 2,
+        "5.790652383268142", 3, 0,
     ),
 }
 

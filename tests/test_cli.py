@@ -293,9 +293,9 @@ class TestSolve:
         assert code == 0
         fields = dict(f.split("=") for f in capsys.readouterr().err.split())
         assert list(fields) == ["length", "heatmap_s", "fit_steps", "step_us", "search_s",
-                                "two_opt_s", "rounds", "or_moves", "kicks", "kicks_kept",
-                                "attempts", "dead_ends", "improving", "lower_bound",
-                                "proof_round"]
+                                "two_opt_s", "rounds", "starts", "or_moves", "kicks",
+                                "kicks_kept", "attempts", "dead_ends", "improving",
+                                "lower_bound", "proof_round"]
         # an unset --steps runs the default fit, TrainConfig.steps at every size
         assert int(fields["fit_steps"]) == TrainConfig.steps
         assert float(fields["step_us"]) > 0.0
@@ -306,12 +306,14 @@ class TestSolve:
         assert int(fields["or_moves"]) >= 0
         # every attempt ends improving or at a dead end
         assert int(fields["attempts"]) == int(fields["dead_ends"]) + int(fields["improving"]) > 0
-        # tsp20 makes no kick
+        # tsp20 makes no kick, so every round starts fresh
         assert (fields["kicks"], fields["kicks_kept"]) == ("0", "0")
+        assert fields["starts"] == fields["rounds"]
 
     def test_search_reports_the_same_search_fields(self, tmp_path, capsys):
         # search's stats line is solve's without the fit, and above 20
-        # cities its rounds kick; a kept kick is a kick
+        # cities each of the two streams starts fresh once and then kicks;
+        # a kept kick is a kick
         inst, heat = tmp_path / "inst.txt", tmp_path / "heat.txt"
         inst.write_text(format_instance(generate_random(40, 2)))
         common = ["--instance", str(inst), "--seed", "2"]
@@ -320,13 +322,14 @@ class TestSolve:
         assert main(["search", *common, "--heatmap", str(heat), "--rounds", "4",
                      "--out", str(tmp_path / "tour.txt")]) == 0
         fields = dict(f.split("=") for f in capsys.readouterr().err.split())
-        assert list(fields) == ["length", "search_s", "two_opt_s", "rounds", "or_moves", "kicks",
-                                "kicks_kept", "attempts", "dead_ends", "improving",
+        assert list(fields) == ["length", "search_s", "two_opt_s", "rounds", "starts", "or_moves",
+                                "kicks", "kicks_kept", "attempts", "dead_ends", "improving",
                                 "lower_bound", "proof_round"]
         _, length = parse_tour((tmp_path / "tour.txt").read_text())
         assert float(fields["length"]) == length
         assert 0 <= int(fields["kicks_kept"]) <= int(fields["kicks"])
         assert int(fields["kicks"]) > 0
+        assert (fields["rounds"], fields["starts"]) == ("4", "2")
         assert int(fields["attempts"]) == int(fields["dead_ends"]) + int(fields["improving"]) > 0
 
 

@@ -13,7 +13,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tspheat.candidates import (
@@ -276,14 +276,17 @@ class TestTwoOpt:
         assert tour_length(d, out) == pytest.approx(4.0)
 
     @given(st.integers(0, 10_000))
+    @example(4291)  # the full 2-opt scan still finds a move here
     @settings(max_examples=25, deadline=None)
     def test_never_lengthens_and_reaches_fixpoint(self, seed):
+        # the fixpoint is the pass's own: no list-restricted move is left,
+        # though a move the short lists cannot see may be
         inst = generate_random(20, seed)
         d = distance_matrix(inst)
         start = random_tour(20, seed)
         out = two_opt_improve(d, start)
         assert tour_length(d, out) <= tour_length(d, start) + 1e-12
-        assert brute_force_two_opt_scan(d, out.order.tolist()) > -1e-9
+        assert list_moves_left(d, out.order.tolist()) == []
 
     def test_bounded_below_by_oracle(self):
         from tspheat.bench import held_karp_exact
@@ -1500,10 +1503,11 @@ class TestRunSearch:
 
 
 class TestKicks:
-    """Above 20 cities a round ends with params.kicks kicks of its best tour
-    (_kick): a double bridge, a neighbour-list pass seeded with its six end
-    cities, and one-attempt descents; a kick is kept only if it ends
-    shorter."""
+    """Above 20 cities a stream's first round ends with params.kicks kicks of
+    its best tour (_kick), and every later round is params.kicks kicks of the
+    stream's best tour: a double bridge, a neighbour-list pass seeded with
+    its six end cities, and one-attempt descents; a kick is kept only if it
+    ends shorter."""
 
     @staticmethod
     def setting(n, seed, kicks=1):
@@ -1663,30 +1667,111 @@ class TestKicks:
         assert stats.best_length == tour_length(d, tour)
 
     def test_the_bound_fires_on_the_fresh_descent(self, monkeypatch, one_stream):
-        # kicks shorten a round's best, but the 1-tree bound is triggered by
-        # the length the round's fresh descent ends at, as without kicks
+        # the 1-tree bound is triggered by the length a round's fresh descent
+        # ends at, never by a kick: a kicked stream descends fresh in round 1
+        # alone, so it computes no bound, while the same run without kicks
+        # computes it after the first round whose descent ends at the best
+        # length of the rounds before it
         import tspheat.search as search_mod
 
-        real_round, ends = search_mod._round, []
+        real_round, ends, calls = search_mod._round, [], []
 
         def round_spy(*args):
             out = real_round(*args)
             ends.append(out[:2])
             return out
 
-        calls = []
         monkeypatch.setattr(search_mod, "_round", round_spy)
         monkeypatch.setattr(search_mod, "one_tree_bound",
                             lambda d, upper: calls.append(len(ends)) or -math.inf)
-        inst = generate_random(60, 2)
+        inst = generate_random(60, 5)
         _, pruned = top_m_filter(soft_heat(distance_matrix(inst)), 8)
-        _, stats = run_search(inst, pruned, preset_for(60).with_budget(max_rounds=10), 2)
-        assert stats.kicks > 0
-        best = [min(b for _, b in ends[:r]) for r in range(1, len(ends) + 1)]
-        want = next((r + 1 for r in range(1, len(ends))
-                     if abs(ends[r][0] - best[r - 1]) <= MIN_GAIN), None)
-        assert calls == ([] if want is None else [want])
+        kicked = preset_for(60).with_budget(max_rounds=10)
+        for params in (kicked, replace(kicked, kicks=0)):
+            ends.clear()
+            calls.clear()
+            _, stats = run_search(inst, pruned, params, 5)
+            assert stats.kicks == 10 * params.kicks
+            assert len(ends) == stats.starts == (1 if params.kicks else 10)
+            best = [min(b for _, b in ends[:r]) for r in range(1, len(ends) + 1)]
+            want = [r + 1 for r in range(1, len(ends))
+                    if abs(ends[r][0] - best[r - 1]) <= MIN_GAIN]
+            assert calls == want[:1]
+        assert calls
 
+    @pytest.mark.parametrize("n, cap", [(30, 1), (30, 2), (60, 3), (60, 7), (120, 10)])
+    def test_a_kicked_stream_starts_fresh_once(self, n, cap, monkeypatch, in_process):
+        # after round 1, each round of a kicked stream is params.kicks kicks
+        # of the stream's best tour: one round start per stream (two
+        # streams, both in this process, for a cap above 1), and K kicks in
+        # every round
+        import tspheat.search as search_mod
+
+        real, calls = search_mod._round_start, []
+        monkeypatch.setattr(search_mod, "_round_start",
+                            lambda *args: calls.append(args) or real(*args))
+        inst = generate_random(n, cap)
+        _, pruned = top_m_filter(soft_heat(distance_matrix(inst)), 8)
+        params = preset_for(n).with_budget(max_rounds=cap)
+        _, stats = run_search(inst, pruned, params, cap)
+        assert len(calls) == stats.starts == min(cap, 2)
+        assert stats.rounds == cap
+        assert stats.kicks == cap * params.kicks > 0
+
+    @pytest.mark.parametrize("n, cap", [(12, 6), (16, 12), (20, 5)])
+    def test_a_run_without_kicks_starts_every_round_fresh(self, n, cap, monkeypatch):
+        import tspheat.search as search_mod
+
+        real, calls = search_mod._round_start, []
+        monkeypatch.setattr(search_mod, "_round_start",
+                            lambda *args: calls.append(args) or real(*args))
+        inst = generate_random(n, n)
+        _, pruned = top_m_filter(soft_heat(distance_matrix(inst)), 8)
+        _, stats = run_search(inst, pruned, preset_for(n).with_budget(max_rounds=cap), n)
+        assert len(calls) == stats.starts == stats.rounds >= 1
+        assert stats.kicks == 0
+
+    @pytest.mark.parametrize("last", [0, 3, 10, 17])
+    def test_a_timed_kicked_stream_kicks_until_its_deadline(self, last, monkeypatch, one_stream):
+        # a fake clock passes the deadline during kick number `last` (0:
+        # during round 1's start). The stream starts fresh once and kicks
+        # round after round until then; the kick under way ends, and no
+        # later kick or round starts. With no kick made, the run returns
+        # round 1's start
+        import types
+
+        import tspheat.search as search_mod
+
+        now, starts, bridges = [0.0], [], []
+        real_start, real_bridge = search_mod._round_start, search_mod._double_bridge
+
+        def start_spy(*args):
+            starts.append(real_start(*args))
+            if last == 0:
+                now[0] = 2.0  # the deadline is at 1.0
+            return starts[-1]
+
+        def bridge_spy(*args):
+            bridges.append(args[3])
+            if len(bridges) == last:
+                now[0] = 2.0
+            return real_bridge(*args)
+
+        monkeypatch.setattr(search_mod, "time", types.SimpleNamespace(perf_counter=lambda: now[0]))
+        monkeypatch.setattr(search_mod, "_round_start", start_spy)
+        monkeypatch.setattr(search_mod, "_double_bridge", bridge_spy)
+        inst = generate_random(60, 5)
+        d = distance_matrix(inst)
+        _, pruned = top_m_filter(soft_heat(d), 8)
+        params = preset_for(60).with_budget(time_budget=1.0)
+        tour, stats = run_search(inst, pruned, params, 5)
+        assert len(starts) == stats.starts == 1
+        assert (stats.rounds, stats.kicks) == (max(1, -(-last // params.kicks)), last)
+        assert stats.best_length == tour_length(d, tour)
+        assert stats.best_length <= order_length(d, starts[0])
+        if last == 0:
+            assert stats.total_expansions == 0
+            assert tour.order.tolist() == starts[0].tolist()
 
 
 class TestFrame:
@@ -1795,19 +1880,19 @@ GOLDEN_SEARCHES = {
         round_best_lengths=["3.7710487245594857"] * 2,
         lower_bound="3.7710487245594857", proof_round=2,
     ),
-    # tsp100 kicks: each round's fresh descent runs 18 attempts per expansion,
-    # then 5 kicks of its best tour
+    # tsp100 kicks: two streams of one round each, whose fresh descent runs
+    # 18 attempts per expansion, then 7 kicks of its best tour
     "tsp100-n100": dict(
         n=100, instance_seed=4, seed=6,
         params=PRESETS["tsp100"].with_budget(max_rounds=2),
-        order=[64, 11, 25, 77, 95, 3, 97, 90, 1, 91, 7, 29, 89, 0, 5, 81, 31, 24, 66, 61, 92, 27,
-               76, 51, 96, 2, 47, 52, 62, 80, 36, 57, 4, 26, 16, 49, 86, 78, 56, 8, 34, 65, 72, 10,
-               84, 73, 20, 67, 85, 98, 59, 30, 13, 75, 17, 70, 23, 69, 68, 94, 88, 38, 40, 87, 9,
-               71, 37, 21, 83, 41, 60, 42, 79, 32, 53, 74, 6, 18, 39, 99, 15, 63, 43, 48, 12, 28,
-               82, 55, 54, 33, 45, 58, 44, 50, 35, 93, 22, 14, 19, 46],
-        best_length="7.757283698692335", expansions=82, rounds=2, dead_ends=80,
-        or_moves=57, kicks=(10, 4),
-        round_best_lengths=["7.757283698692335"] * 2,
+        order=[96, 11, 25, 77, 95, 3, 97, 90, 1, 91, 7, 29, 89, 0, 5, 81, 31, 24, 66, 61, 92, 27,
+               76, 51, 2, 47, 52, 62, 80, 36, 57, 4, 26, 16, 49, 86, 78, 56, 8, 34, 65, 72, 10, 84,
+               73, 20, 67, 85, 98, 59, 30, 13, 75, 17, 70, 23, 69, 68, 94, 88, 38, 40, 87, 9, 71,
+               37, 21, 83, 41, 60, 42, 79, 32, 53, 74, 6, 18, 39, 99, 15, 63, 43, 48, 12, 28, 82,
+               55, 54, 33, 45, 58, 44, 50, 35, 14, 22, 93, 46, 64, 19],
+        best_length="7.7251317047456505", expansions=86, rounds=2, dead_ends=84,
+        or_moves=67, kicks=(14, 5),
+        round_best_lengths=["7.7251317047456505"] * 2,
         lower_bound="nan", proof_round=0,
     ),
     # the same run with tsp100 as it was before kicks: 300 attempts per
@@ -1849,9 +1934,9 @@ GOLDEN_SEARCHES = {
                181, 269, 297, 94, 149, 263, 271, 71, 295, 8, 283, 59, 65, 241, 253, 20, 240, 67,
                242, 45, 197, 207, 19, 288, 126, 260, 21, 188, 63, 247, 270, 25, 177, 219, 64, 133,
                280, 166, 228, 160, 167, 105, 199, 84, 112, 38, 75, 184, 95, 100, 80, 196, 180, 87,
-               256, 66, 225, 93, 261, 1, 289, 58, 205, 233, 146, 158, 131, 68, 96, 296, 227, 252,
-               22, 76, 61, 17, 113, 258, 119, 262, 101, 239, 50, 179, 198, 154, 69, 232, 267, 51,
-               104, 208, 165, 134, 273, 123, 173, 175, 172, 201, 285, 77, 231, 212, 31, 48, 278,
+               256, 66, 225, 93, 261, 1, 289, 58, 205, 233, 146, 158, 131, 68, 96, 227, 296, 22,
+               76, 61, 17, 113, 258, 119, 262, 101, 239, 50, 179, 198, 154, 69, 232, 267, 51, 104,
+               208, 252, 165, 134, 273, 123, 173, 175, 172, 201, 285, 77, 231, 212, 31, 48, 278,
                282, 264, 5, 194, 203, 23, 118, 147, 29, 9, 284, 259, 222, 46, 132, 107, 114, 3,
                291, 109, 148, 44, 24, 70, 235, 221, 14, 116, 254, 55, 53, 191, 42, 135, 204, 145,
                40, 129, 60, 91, 275, 49, 257, 30, 294, 186, 193, 124, 130, 161, 214, 249, 0, 279,
@@ -1860,9 +1945,9 @@ GOLDEN_SEARCHES = {
                140, 122, 141, 12, 189, 27, 137, 170, 62, 73, 223, 89, 35, 157, 202, 195, 82, 120,
                250, 266, 187, 159, 108, 52, 111, 152, 292, 236, 57, 26, 274, 41, 286, 11, 163, 218,
                136, 183, 90, 265, 16, 164, 230, 216, 54, 28, 2, 234, 287, 290],
-        best_length="13.24719138888523", expansions=224, rounds=2, dead_ends=224,
-        or_moves=315, kicks=(100, 13),
-        round_best_lengths=["13.372550304384136", "13.24719138888523"],
+        best_length="13.253759035906366", expansions=206, rounds=2, dead_ends=206,
+        or_moves=269, kicks=(82, 12),
+        round_best_lengths=["13.372550304384136", "13.253759035906366"],
         lower_bound="nan", proof_round=0,
     ),
 }
@@ -1872,27 +1957,34 @@ GOLDEN_SEARCHES = {
 # with search seed = instance seed on the heat 1 / (1 + d / span), made of
 # correctly rounded operations only, so its bytes depend neither on the
 # CPU's exp nor on the BLAS thread count. Recorded: the sha256 of the tour's
-# int64 order, best_length, lower_bound and (rounds, improving, dead_ends,
-# or_moves, proof_round).
+# int64 order, best_length, lower_bound and (rounds, starts, kicks,
+# kicks_kept, improving, dead_ends, or_moves, proof_round).
 GOLDEN_SPLIT_RUNS = {
-    # stream 0 proves its tour, so stream 1 is dropped
-    (24, 0, 8): ("52ae9ff977258f8479f2cb9a16a32b480eccadd8a90cfd4f9ea9a2d029f14511",
-                 "4.393248478994651", "4.39324847899465", (4, 0, 52, 45, 4)),
+    # no kicks (SPLIT_RUNS_WITHOUT_KICKS): stream 0 proves its tour, so
+    # stream 1 is dropped
+    (24, 0, 8): ("b90345384a8dbb02f3a8e5bc6581ee764d6337278faf6ae56acbbf810b595af3",
+                 "4.393248478994652", "4.393248478994651", (2, 2, 0, 0, 0, 18, 5, 2)),
     (24, 2, 8): ("36bda4c86fe547ecc048883d8b8fd9ce1bd2939c82eb8ef02a76f77bae5d4071",
-                 "3.796923528672071", "3.796923528672071", (2, 0, 26, 30, 2)),
-    # two streams merged, with a 1-tree bound
-    (24, 1, 8): ("d138424445782e0ddfd77021df29faf3e5d30aefc672c2bbd2b84fea86f598ce",
-                 "3.831985622040362", "3.813789955287317", (8, 0, 104, 113, 0)),
-    # merged, no bound
+                 "3.796923528672071", "3.796923528672071", (2, 2, 0, 0, 0, 18, 20, 2)),
+    # two streams merged; each starts fresh once and then kicks its best
+    # tour, so neither computes a 1-tree bound
+    (24, 1, 8): ("60751172cdb38f06efff604dffa5d0525e1fd4a0fb19acd135f7a4979a6fe38a",
+                 "3.831985622040362", "nan", (8, 2, 56, 1, 0, 74, 116, 0)),
     (60, 1, 6): ("b740c7a101c5443b12f37a95dd738dde9dc5ce5ffb43940a1d6244908bffdace",
-                 "5.947973045778653", "nan", (6, 0, 138, 140, 0)),
-    (100, 1, 10): ("8dec2958c8eedb04a08e1c90ffacf0079b4848311d0844e8f1924ca003b17b36",
-                   "7.722702451613344", "nan", (10, 1, 247, 284, 0)),
+                 "5.947973045778653", "nan", (6, 2, 42, 4, 0, 78, 95, 0)),
+    (100, 1, 10): ("862c71e6f8487476ca0b253fba46a0dd543f49485ef8a0aa163b96208c32ad67",
+                   "7.574704864105881", "nan", (10, 2, 70, 11, 0, 106, 192, 0)),
     # tsp500: the pass lists (8 cities) and the k-opt lists (5) are slices of
     # one table
-    (210, 2, 4): ("179c17a07edc7ec105dfa82081ed28d4c1e45105c4245fe366ed679cdf306672",
-                  "10.856299965841789", "nan", (4, 1, 509, 584, 0)),
+    (210, 2, 4): ("0a1e2cad66a80c2c41af376c187d47a73e6945f9954408496be136ae0ef2c929",
+                  "10.836173677610384", "nan", (4, 2, 164, 9, 0, 288, 408, 0)),
 }
+
+
+# the proofs above 20 cities need fresh descents after round 1, so these
+# cases run their preset without kicks, and the worker's drop path stays
+# pinned
+SPLIT_RUNS_WITHOUT_KICKS = {(24, 0, 8), (24, 2, 8)}
 
 
 class TestGoldenSearch:
@@ -1907,6 +1999,9 @@ class TestGoldenSearch:
         assert repr(stats.best_length) == g["best_length"]
         assert stats.total_expansions == g["expansions"]
         assert stats.rounds == g["rounds"]
+        # each pinned run starts fresh in every round: it makes no kick, or
+        # it is two streams of one round each
+        assert stats.starts == stats.rounds
         assert stats.dead_ends == g["dead_ends"]
         assert stats.or_moves == g["or_moves"]
         assert (stats.kicks, stats.kicks_kept) == g.get("kicks", (0, 0))
@@ -1941,14 +2036,16 @@ class TestGoldenSearch:
         n, seed, rounds = case
         inst = generate_random(n, seed)
         params = preset_for(n).with_budget(max_rounds=rounds)
+        if case in SPLIT_RUNS_WITHOUT_KICKS:
+            params = replace(params, kicks=0)
         d = distance_matrix(inst)
         _, pruned = top_m_filter(1.0 / (1.0 + d / coordinate_span(inst)), min(params.m, n - 1))
         tour, stats = run_search(inst, pruned, params, seed)
         assert (search_mod._worker is not None) == (route == "worker")
         assert (hashlib.sha256(tour.order.astype(np.int64).tobytes()).hexdigest(),
                 repr(stats.best_length), repr(stats.lower_bound),
-                (stats.rounds, stats.improving, stats.dead_ends, stats.or_moves,
-                 stats.proof_round)) == GOLDEN_SPLIT_RUNS[case]
+                (stats.rounds, stats.starts, stats.kicks, stats.kicks_kept, stats.improving,
+                 stats.dead_ends, stats.or_moves, stats.proof_round)) == GOLDEN_SPLIT_RUNS[case]
 
 
 class TestProofStop:
@@ -2022,10 +2119,12 @@ class TestProofStop:
             return real(d, upper)
 
         monkeypatch.setattr(search_mod, "one_tree_bound", counted)
-        # round 2 ends at round 1's length, but the bound (4.1129) is below
-        # the best tour (4.1233), and no later round proves it; the spy
-        # counts the calls of stream 0, which runs in this process
-        _, stats = self.search(generate_random(30, 1), preset_for(30).with_budget(max_rounds=6), 1)
+        # with no kicks, a fresh descent ends at an earlier round's length,
+        # but the bound (4.1129) is below the best tour (4.1233), and no
+        # later round proves it; the spy counts the calls of stream 0, which
+        # runs in this process
+        params = replace(preset_for(30), kicks=0).with_budget(max_rounds=6)
+        _, stats = self.search(generate_random(30, 1), params, 1)
         assert len(calls) == 1
         assert (stats.rounds, stats.proof_round) == (6, 0)
         assert stats.lower_bound < stats.best_length - MIN_GAIN
@@ -2107,9 +2206,17 @@ class TestStreams:
     stream 1 runs here after stream 0, with the same result."""
 
     @staticmethod
-    def run(n, instance_seed, rounds, seed):
-        inst = generate_random(n, instance_seed)
+    def params(n, rounds, kicks=None):
+        """preset_for(n) capped at rounds, with kicks in place of the
+        preset's when given: a run that should end by proof above 20 cities
+        makes no kick, since its bound fires only on fresh descents."""
         params = preset_for(n).with_budget(max_rounds=rounds)
+        return params if kicks is None else replace(params, kicks=kicks)
+
+    @staticmethod
+    def run(n, instance_seed, rounds, seed, kicks=None):
+        inst = generate_random(n, instance_seed)
+        params = TestStreams.params(n, rounds, kicks)
         _, pruned = top_m_filter(soft_heat(distance_matrix(inst)), params.m)
         tour, stats = run_search(inst, pruned, params, seed)
         # repr, so that a nan lower bound compares equal
@@ -2118,20 +2225,23 @@ class TestStreams:
     @pytest.mark.parametrize("n, rounds", [(30, 6), (100, 4), (300, 2)])
     def test_worker_and_in_process_runs_agree(self, n, rounds, monkeypatch):
         # every preset above 20 cities kicks, so kicks, their repairs and
-        # their one-attempt descents give the same bytes on both routes
+        # their one-attempt descents give the same bytes on both routes; at
+        # n = 30 the run makes no kick, so that its bound fires and proves
+        # the merged run's tour
         import tspheat.search as search_mod
 
-        want = self.run(n, n, rounds, 1)
-        assert "'kicks': 0," not in want[1]
+        kicks = 0 if n == 30 else None
+        want = self.run(n, n, rounds, 1, kicks)
+        assert ("'kicks': 0," in want[1]) == ("'proof_round': 0" not in want[1]) == (n == 30)
         # the worker ran stream 1: a failed worker is stopped
         assert search_mod._worker is not None and search_mod._worker.proc.is_alive()
         monkeypatch.setattr(search_mod, "_submit", lambda job: None)
-        assert self.run(n, n, rounds, 1) == want
+        assert self.run(n, n, rounds, 1, kicks) == want
         # the same run, round for round: stream 0 then stream 1, as one
         # stream each
         monkeypatch.setattr(search_mod, "ONE_STREAM_MAX_CITIES", 10**9)
         inst = generate_random(n, n)
-        params = preset_for(n).with_budget(max_rounds=rounds)
+        params = self.params(n, rounds, kicks)
         _, pruned = top_m_filter(soft_heat(distance_matrix(inst)), params.m)
         frame = _Frame.build(inst, params.m)
         first = search_mod._stream(frame, pruned.copy(), params, np.random.default_rng(1),
@@ -2141,13 +2251,13 @@ class TestStreams:
         tour, stats = run_search(inst, pruned, params.with_budget(max_rounds=(rounds + 1) // 2), 1)
         assert (tour.order.tolist(), stats.round_best_lengths) == (
             first[0].tolist(), first[1].round_best_lengths)
-        if first[1].proof_round:
-            # at n = 30 stream 0 proves its tour in round 2: it is the run
-            assert (first[0].tolist(), first[1].rounds, n) == (want[0], 2, 30)
-            return
+        assert first[1].proof_round == 0
         order, merged = search_mod._merge(first, second, frame.e)
         assert (order.tolist(), merged.rounds) == (want[0], rounds)
+        assert merged.proof_round == (rounds if n == 30 else 0)
         assert merged.total_expansions == first[1].total_expansions + second[1].total_expansions
+        # a kicked stream starts fresh once, a stream without kicks every round
+        assert merged.starts == first[1].starts + second[1].starts == (rounds if n == 30 else 2)
         best = min(first[1].best_length, second[1].best_length)
         assert merged.best_length == merged.round_best_lengths[-1] == best
         assert merged.round_best_lengths[:len(first[1].round_best_lengths)] == \
@@ -2155,28 +2265,28 @@ class TestStreams:
 
     @pytest.mark.parametrize("instance_seed", [0, 3])
     def test_a_proof_in_stream_0_is_the_run(self, instance_seed, monkeypatch):
-        # n = 21, R = 8: stream 0's bound proves its tour, so the run is a
-        # single 4-round run, and the dropped stream 1 leaves the worker
-        # ready for the next run
+        # n = 21, R = 8, no kicks: stream 0's bound proves its tour in round
+        # 2, so the run is stream 0 alone, and the dropped stream 1 leaves
+        # the worker ready for the next run
         import tspheat.search as search_mod
 
-        want = self.run(21, instance_seed, 8, instance_seed)
-        assert "'proof_round': 0" not in want[1]
+        want = self.run(21, instance_seed, 8, instance_seed, kicks=0)
+        assert "'proof_round': 2" in want[1]
         follow = self.run(30, 1, 4, 1)
         monkeypatch.setattr(search_mod, "ONE_STREAM_MAX_CITIES", 10**9)
-        assert self.run(21, instance_seed, 4, instance_seed) == want
+        assert self.run(21, instance_seed, 4, instance_seed, kicks=0) == want
         monkeypatch.setattr(search_mod, "ONE_STREAM_MAX_CITIES", 20)
         monkeypatch.setattr(search_mod, "_submit", lambda job: None)
         assert self.run(30, 1, 4, 1) == follow
 
     def test_a_proof_after_the_merge_ends_at_the_last_round(self):
-        # n = 21, R = 8: stream 0's 4 rounds end unproven, and stream 1's
-        # bound proves its tour, an ulp shorter than stream 0's, in its
-        # third round
-        inst = generate_random(21, 23)
-        params = preset_for(21).with_budget(max_rounds=8)
+        # n = 21, R = 8, no kicks: stream 0's 4 rounds end unproven, and
+        # stream 1's bound proves its tour, an ulp shorter than stream 0's,
+        # in its third round
+        inst = generate_random(21, 11)
+        params = self.params(21, 8, kicks=0)
         _, pruned = top_m_filter(soft_heat(distance_matrix(inst)), params.m)
-        tour, stats = run_search(inst, pruned, params, 23)
+        tour, stats = run_search(inst, pruned, params, 11)
         assert stats.rounds == stats.proof_round == 7
         assert stats.best_length == tour_length(distance_matrix(inst), tour)
         assert stats.best_length <= stats.lower_bound + MIN_GAIN
@@ -2188,7 +2298,7 @@ class TestStreams:
         # job's result, as the same runs do with no worker
         import tspheat.search as search_mod
 
-        cases = [(21, 3, 8, 3), (30, 1, 4, 1), (21, 0, 8, 0), (100, 1, 2, 2)] * 5
+        cases = [(21, 3, 8, 3, 0), (30, 1, 4, 1), (21, 0, 8, 0, 0), (100, 1, 2, 2)] * 5
         got = [self.run(*case) for case in cases]
         assert search_mod._worker is not None and search_mod._worker.proc.is_alive()
         assert "'proof_round': 0" not in got[0][1] and "'proof_round': 0" in got[1][1]
@@ -2201,10 +2311,11 @@ class TestStreams:
         # dropped at a round boundary, so the worker sends no reply
         import tspheat.search as search_mod
 
+        # (no kicks, so that stream 0's bound fires)
         here = os.getpid()
         monkeypatch.setattr(search_mod, "one_tree_bound",
                             lambda d, upper: upper if os.getpid() == here else -math.inf)
-        _, stats = self.run(30, 1, 400, 1)
+        _, stats = self.run(30, 1, 400, 1, kicks=0)
         assert "'proof_round': 0" not in stats
         assert not search_mod._worker.conn.poll(2.0)
 
@@ -2232,7 +2343,7 @@ class TestStreams:
         import tspheat.search as search_mod
 
         monkeypatch.setattr(search_mod, "_submit", lambda job: None)
-        want = self.run(21, 3, 8, 3)
+        want = self.run(21, 3, 8, 3, kicks=0)
         follow = self.run(30, 1, 4, 1)
         monkeypatch.undo()
         here, build, killed = os.getpid(), _Frame.build, []
@@ -2246,7 +2357,7 @@ class TestStreams:
             return build(inst, m)
 
         monkeypatch.setattr(_Frame, "build", build_after_killing_the_worker)
-        assert self.run(21, 3, 8, 3) == want
+        assert self.run(21, 3, 8, 3, kicks=0) == want
         assert killed
         assert [self.run(30, 1, 4, 1) for _ in range(2)] == [follow] * 2
         assert search_mod._worker is not None and search_mod._worker.proc.pid != killed[0]
@@ -2478,11 +2589,11 @@ class TestPresets:
     def test_table_values(self):
         expect = {
             "tsp20": (10.0, 8, 60, 0),
-            "tsp50": (10.0, 8, 9, 4),
-            "tsp100": (10.0, 8, 18, 5),
-            "tsp200": (10.0, 8, 37, 20),
-            "tsp500": (50.0, 5, 62, 50),
-            "tsp1000": (50.0, 5, 125, 100),
+            "tsp50": (10.0, 8, 9, 7),
+            "tsp100": (10.0, 8, 18, 7),
+            "tsp200": (10.0, 8, 37, 18),
+            "tsp500": (50.0, 5, 62, 41),
+            "tsp1000": (50.0, 5, 125, 95),
         }
         assert set(PRESETS) == set(expect)
         for name, (beta, m, budget, kicks) in expect.items():
