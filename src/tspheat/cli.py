@@ -60,7 +60,8 @@ def _trace_csv(trace) -> str:
 def _search_fields(stats) -> str:
     """The search's counters for a stderr stats line."""
     return (f"two_opt_s={stats.two_opt_seconds:.3f} rounds={stats.rounds} "
-            f"starts={stats.starts} or_moves={stats.or_moves} kicks={stats.kicks} kicks_kept={stats.kicks_kept} "
+            f"starts={stats.starts} or_moves={stats.or_moves} kicks={stats.kicks} "
+            f"kicks_kept={stats.kicks_kept} "
             f"attempts={stats.total_expansions} dead_ends={stats.dead_ends} "
             f"improving={stats.improving} lower_bound={stats.lower_bound!r} "
             f"proof_round={stats.proof_round}")

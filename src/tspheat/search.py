@@ -106,10 +106,9 @@ class SearchParams:
     expansion: in a stream's first round they kick the best tour of its
     fresh descent, and every later round is kicks kicks of the stream's
     best tour, with no fresh start. With kicks = 0 every round starts fresh.
-    At least one of
-    time_budget (seconds) / max_rounds must be set. Both are caps: a run
-    ends sooner once a 1-tree bound proves its best tour optimal
-    (run_search). max_rounds is a total over the run's streams: a run split
+    At least one of time_budget (seconds) / max_rounds must be set. Both
+    are caps: a run ends sooner once a 1-tree bound proves its best tour
+    optimal (run_search). max_rounds is a total over the run's streams: a run split
     into two gives stream 0 at most ceil(max_rounds / 2) rounds and stream
     1 at most floor(max_rounds / 2); time_budget counts from the call to
     run_search and is one deadline that both streams share. Round caps give
@@ -787,8 +786,8 @@ class _Frame:
 
 def _round_start(frame: _Frame, stats: SearchStats, rng: np.random.Generator,
                  kicks: int = ROUND_START_KICKS) -> np.ndarray:
-    """A fresh round's first tour: the nearest-neighbour tour from a random city
-    (_nearest_neighbor), then `kicks` random double bridges, then
+    """A fresh round's first tour: the nearest-neighbour tour from a random
+    city (_nearest_neighbor), then `kicks` random double bridges, then
     _neighbor_pass, so the tour has no list-restricted 2-opt or Or-opt move
     left. Each double bridge draws three distinct cut points
     1 <= a < b < c <= n - 1 and reorders the tour as
