@@ -1699,12 +1699,13 @@ class TestKicks:
             assert calls == want[:1]
         assert calls
 
-    @pytest.mark.parametrize("n, cap", [(30, 1), (30, 2), (60, 3), (60, 7), (120, 10)])
+    @pytest.mark.parametrize("n, cap", [(12, 6), (16, 12), (20, 5), (30, 1), (30, 2), (60, 3),
+                                        (60, 7), (120, 10)])
     def test_a_kicked_stream_starts_fresh_once(self, n, cap, monkeypatch, in_process):
         # after round 1, each round of a kicked stream is params.kicks kicks
         # of the stream's best tour: one round start per stream (two
-        # streams, both in this process, for a cap above 1), and K kicks in
-        # every round
+        # streams, both in this process, for a cap above 1). tsp20 makes no
+        # kick and starts every round fresh
         import tspheat.search as search_mod
 
         real, calls = search_mod._round_start, []
@@ -1714,22 +1715,12 @@ class TestKicks:
         _, pruned = top_m_filter(soft_heat(distance_matrix(inst)), 8)
         params = preset_for(n).with_budget(max_rounds=cap)
         _, stats = run_search(inst, pruned, params, cap)
-        assert len(calls) == stats.starts == min(cap, 2)
-        assert stats.rounds == cap
-        assert stats.kicks == cap * params.kicks > 0
-
-    @pytest.mark.parametrize("n, cap", [(12, 6), (16, 12), (20, 5)])
-    def test_a_run_without_kicks_starts_every_round_fresh(self, n, cap, monkeypatch):
-        import tspheat.search as search_mod
-
-        real, calls = search_mod._round_start, []
-        monkeypatch.setattr(search_mod, "_round_start",
-                            lambda *args: calls.append(args) or real(*args))
-        inst = generate_random(n, n)
-        _, pruned = top_m_filter(soft_heat(distance_matrix(inst)), 8)
-        _, stats = run_search(inst, pruned, preset_for(n).with_budget(max_rounds=cap), n)
-        assert len(calls) == stats.starts == stats.rounds >= 1
-        assert stats.kicks == 0
+        assert stats.kicks == stats.rounds * params.kicks
+        if params.kicks:
+            assert len(calls) == stats.starts == min(cap, 2)
+            assert stats.rounds == cap
+        else:
+            assert len(calls) == stats.starts == stats.rounds >= 1
 
     @pytest.mark.parametrize("last", [0, 3, 10, 17])
     def test_a_timed_kicked_stream_kicks_until_its_deadline(self, last, monkeypatch, one_stream):
