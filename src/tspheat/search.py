@@ -26,7 +26,9 @@ persists across rounds.
 
 An attempt pays only for the steps it takes. An expansion draws all its
 anchors at once and memoises each anchor's first step, which depends only
-on the anchor, the base tour, the table and the heat. The pass, the
+on the anchor, the base tour, the table and the heat. The pass scans a
+city again only once a move has been applied since its last scan that
+found none (_neighbor_pass's clean stamp). The pass, the
 nearest-neighbour start and the expansions all read the table's rows of
 (city, edge key, distance) in ascending distance, so a scan stops at the
 first candidate its gain rule rejects. Every loop reads its distances from
@@ -173,8 +175,11 @@ class SearchStats:
     (improving) or at a dead end (no feasible candidate; dead_ends).
     total_expansions, every attempt made, is their sum. starts counts the
     fresh starts (_round_start): one per round without kicks, one per
-    stream with them. or_moves counts the Or-opt moves the neighbour-list
-    passes applied, round starts and kick repairs alike. kicks counts the
+    stream with them. two_opt_moves and or_moves count the 2-opt and Or-opt
+    moves the neighbour-list passes (_neighbor_pass) applied, round starts
+    and kick repairs alike, and scans the scans they made: a scan looks for
+    both kinds of move at one city and applies one or finds none, and a
+    city the pass skips as clean is not scanned. kicks counts the
     kicks made (_kick) and kicks_kept those that ended shorter than the best
     tour they kicked and replaced it.
     two_opt_seconds is the wall-clock time spent in the neighbour-list
@@ -201,6 +206,8 @@ class SearchStats:
     rounds: int = 0
     starts: int = 0
     or_moves: int = 0
+    two_opt_moves: int = 0
+    scans: int = 0
     kicks: int = 0
     kicks_kept: int = 0
     two_opt_seconds: float = 0.0
@@ -305,86 +312,6 @@ def _move_segment(tour: list, pos: list, p: int, a: int, s: int, q: int, c: int,
         _flip(tour, pos, p, e, q)
 
 
-def _two_opt_move(tour: list, pos: list, rows: list, near: list, a: int,
-                  n: int) -> Optional[tuple]:
-    """Apply the first improving list-restricted 2-opt move at city a of the
-    n-city tour and return its gain and the cities whose tour edges it
-    changed, or None when there is none.
-
-    a looks in each direction, successor first: with b its tour neighbour
-    that way, it scans its list up to the first c with d[a, c] >= d[a, b],
-    and with e c's neighbour the same way (c != b, e != a) applies the first
-    move whose d[a,c] + d[b,e] - d[a,b] - d[c,e] is below -MIN_GAIN, so
-    that (a, c) and (b, e) replace (a, b) and (c, e).
-    """
-    ra = rows[a]
-    i = pos[a]
-    for step in (1, -1):
-        b = tour[(i + step) % n]
-        rb = rows[b]
-        dab = ra[b]
-        for c, _, dac in near:
-            if dac >= dab:
-                break
-            j = pos[c]
-            e = tour[(j + step) % n]
-            if c == b or e == a:
-                continue
-            delta = dac + rb[e] - dab - rows[c][e]
-            if delta < -MIN_GAIN:
-                if step == 1:
-                    _reverse(tour, pos, i + 1, j)  # b .. c
-                else:
-                    _reverse(tour, pos, i, j - 1)  # a .. e
-                return -delta, (a, b, c, e)
-    return None
-
-
-def _or_opt_move(tour: list, pos: list, rows: list, near: list, a: int, n: int,
-                 longest: int) -> Optional[tuple]:
-    """Apply the first improving list-restricted Or-opt move at city a of the
-    n-city tour and return its gain and the cities whose tour edges it
-    changed, or None when there is none.
-
-    The segment a .. s holds the L = 1 .. longest cities that start at a in
-    tour order (_neighbor_pass passes min(OR_OPT_SEGMENT, n - 3)), with p
-    and q the cities around it.
-    Taking it out gains g = d[p,a] + d[s,q] - d[p,q]; when g > MIN_GAIN,
-    a scans its list up to the first c with d[a, c] >= g, skips the cities
-    of the segment and, for e the successor and then the predecessor of c
-    (not in the segment), applies the first insertion whose
-    g - (d[a,c] + d[s,e] - d[c,e]) exceeds MIN_GAIN: the segment goes
-    between c and e with a next to c (_move_segment), so a move costs the
-    span it moves, not the tour.
-    """
-    ra = rows[a]
-    i = pos[a]
-    p = tour[i - 1]
-    rp = rows[p]
-    for size in range(1, longest + 1):
-        s = tour[(i + size - 1) % n]
-        q = tour[(i + size) % n]
-        rs = rows[s]
-        g = ra[p] + rs[q] - rp[q]
-        if g <= MIN_GAIN:
-            continue
-        for c, _, dac in near:
-            if dac >= g:
-                break
-            j = pos[c]
-            if (j - i) % n < size:
-                continue
-            rc = rows[c]
-            for e in (tour[(j + 1) % n], tour[j - 1]):
-                if (pos[e] - i) % n < size:
-                    continue
-                gain = g - (dac + rs[e] - rc[e])
-                if gain > MIN_GAIN:
-                    _move_segment(tour, pos, p, a, s, q, c, e)
-                    return gain, (p, q, a, s, c, e)
-    return None
-
-
 def pass_neighbors(n: int) -> int:
     """List length of the round-start pass on n cities: TWO_OPT_NEIGHBORS up
     to n = 256, then ceil(sqrt(n) / 2), at most n - 1. Past a few hundred
@@ -394,28 +321,47 @@ def pass_neighbors(n: int) -> int:
     return min(max(TWO_OPT_NEIGHBORS, math.ceil(math.sqrt(n) / 2)), n - 1)
 
 
-def _neighbor_pass(rows: list, nbrs: list, tour: list, pos: list,
-                   seeds: Optional[tuple] = None) -> tuple[int, float]:
+def _neighbor_pass(rows: list, nbrs: list, tour: list, pos: list, stats: SearchStats,
+                   seeds: Optional[tuple] = None) -> float:
     """Neighbour-list 2-opt and Or-opt driven by a queue of cities (Bentley
     1992's don't-look bits) on the cycle held in tour (pos: city -> index,
-    kept current); returns the number of Or-opt moves applied and the length
-    they and the 2-opt moves took off, the sum of their gains.
+    kept current); returns the length its moves took off, the sum of their
+    gains, and adds its moves, scans and seconds to stats.
 
     rows is d.tolist(); nbrs[a] is a's _candidate_table row of its nearest
     cities, in ascending distance. The queue starts with every city in tour
     order, or with the cities of seeds alone (a kick's repair, _kick). A
-    popped city a tries _two_opt_move and, when that finds nothing,
-    _or_opt_move; after a move the cities whose edges changed are queued
-    again and a is looked at again at once. A move elsewhere can open one at
-    a city that is not queued (a reversal turns the cities it spans round),
-    so when the queue runs dry after any move, every city the pass has
-    queued is queued again: every city, or with seeds every city queued so
-    far, so a repair costs the cities its moves reach, not the tour. The
-    pass ends after a sweep of those cities that applied no move, with no
+    popped city a is scanned: with b its tour successor, then its
+    predecessor, a tries its list up to the first c with d[a, c] >= d[a, b]
+    and, with e c's neighbour the same way (c != b, e != a), applies the
+    first 2-opt move whose d[a,c] + d[b,e] - d[a,b] - d[c,e] is below
+    -MIN_GAIN, so that (a, c) and (b, e) replace (a, b) and (c, e). When
+    there is none, the segment a .. s of the L = 1 .. min(OR_OPT_SEGMENT,
+    n - 3) cities that start at a, with p and q the cities around it, gains
+    g = d[p,a] + d[s,q] - d[p,q] when taken out; for g > MIN_GAIN, a tries
+    its list up to the first c with d[a, c] >= g, skips the segment's
+    cities and, for e the successor and then the predecessor of c (not in
+    the segment), applies the first Or-opt move whose
+    g - (d[a,c] + d[s,e] - d[c,e]) exceeds MIN_GAIN: the segment goes
+    between c and e with a next to c (_move_segment). Either move costs the
+    span it reverses or moves, not the tour. After a move the cities whose
+    edges changed are queued again and a is scanned again at once.
+
+    A move elsewhere can open one at a city that is not queued (a reversal
+    turns the cities it spans round), so when the queue runs dry after any
+    move, every city the pass has queued is queued again: every city, or
+    with seeds every city queued so far, so a repair costs the cities its
+    moves reach, not the tour. A scan reads only tour, pos, rows and the
+    city's list, and one that finds no move changes nothing, so the city
+    is stamped clean with the number of moves applied so far, and a popped
+    city whose stamp still equals that number is not scanned again; the
+    check for a dry queue follows every pop, skipped or not. The pass ends
+    after a sweep of those cities that applied no move, with no
     list-restricted move left at any of them. Every move shortens the tour,
     so the pass ends; moves the short lists cannot see are left to the
     k-opt expansions.
     """
+    t0 = time.perf_counter()
     n = len(tour)
     if seeds is None:
         queue, queued = deque(tour), [True] * n
@@ -423,36 +369,107 @@ def _neighbor_pass(rows: list, nbrs: list, tour: list, pos: list,
         # keyed by every city queued so far, the repair's sweep
         queued = defaultdict(bool, dict.fromkeys(seeds, True))
         queue = deque(queued)
-    longest = min(OR_OPT_SEGMENT, n - 3)
-    or_moves = 0
+    clean = [-1] * n  # the move count at a city's last scan that found none
+    sizes = range(1, min(OR_OPT_SEGMENT, n - 3) + 1)
+    applied = or_moves = scans = 0
+    swept = 0  # applied when the queue last held every city it sweeps
     gain = 0.0
-    moves = 0  # since the queue last held every city it sweeps
     while queue:
         a = queue.popleft()
         queued[a] = False
-        near = nbrs[a]
-        while True:
-            moved = _two_opt_move(tour, pos, rows, near, a, n)
-            if moved is None:
-                moved = _or_opt_move(tour, pos, rows, near, a, n, longest)
-                if moved is None:
-                    break
-                or_moves += 1
-            moves += 1
-            gain += moved[0]
-            for x in moved[1]:
-                if not queued[x]:
-                    queued[x] = True
-                    queue.append(x)
-        if not queue and moves:
-            moves = 0
+        if clean[a] != applied:
+            near = nbrs[a]
+            ra = rows[a]
+            while True:
+                scans += 1
+                i = pos[a]
+                changed = None
+                # 2-opt with b = a's successor: reverse b .. c
+                b = tour[i + 1 - n]
+                rb = rows[b]
+                dab = ra[b]
+                for c, _, dac in near:
+                    if dac >= dab:
+                        break
+                    j = pos[c]
+                    e = tour[j + 1 - n]
+                    if c == b or e == a:
+                        continue
+                    delta = dac + rb[e] - dab - rows[c][e]
+                    if delta < -MIN_GAIN:
+                        _reverse(tour, pos, i + 1, j)
+                        changed = (a, b, c, e)
+                        break
+                if changed is None:
+                    # 2-opt with b = a's predecessor: reverse a .. e
+                    b = tour[i - 1]
+                    rb = rows[b]
+                    dab = ra[b]
+                    for c, _, dac in near:
+                        if dac >= dab:
+                            break
+                        j = pos[c]
+                        e = tour[j - 1]
+                        if c == b or e == a:
+                            continue
+                        delta = dac + rb[e] - dab - rows[c][e]
+                        if delta < -MIN_GAIN:
+                            _reverse(tour, pos, i, j - 1)
+                            changed = (a, b, c, e)
+                            break
+                if changed is None:
+                    # Or-opt of the segment a .. s, with p = b before it
+                    p, rp, q = b, rb, a
+                    for size in sizes:
+                        s = q
+                        q = tour[(i + size) % n]
+                        rs = rows[s]
+                        g = ra[p] + rs[q] - rp[q]
+                        if g <= MIN_GAIN:
+                            continue
+                        for c, _, dac in near:
+                            if dac >= g:
+                                break
+                            j = pos[c]
+                            if (j - i) % n < size:
+                                continue
+                            rc = rows[c]
+                            for e in (tour[j + 1 - n], tour[j - 1]):
+                                if (pos[e] - i) % n < size:
+                                    continue
+                                # the move's gain is -delta, bit for bit
+                                delta = dac + rs[e] - rc[e] - g
+                                if delta < -MIN_GAIN:
+                                    _move_segment(tour, pos, p, a, s, q, c, e)
+                                    changed = (p, q, a, s, c, e)
+                                    break
+                            if changed:
+                                break
+                        if changed:
+                            break
+                    if changed is None:
+                        clean[a] = applied
+                        break
+                    or_moves += 1
+                applied += 1
+                gain -= delta
+                for x in changed:
+                    if not queued[x]:
+                        queued[x] = True
+                        queue.append(x)
+        if not queue and applied != swept:
+            swept = applied
             if seeds is None:
                 queue.extend(tour)
                 queued = [True] * n
             else:
                 queue.extend(queued)
                 queued.update(dict.fromkeys(queued, True))
-    return or_moves, gain
+    stats.two_opt_moves += applied - or_moves
+    stats.or_moves += or_moves
+    stats.scans += scans
+    stats.two_opt_seconds += time.perf_counter() - t0
+    return gain
 
 
 def _nearest_neighbor(rows: list, nbrs: list, start: int) -> list:
@@ -499,7 +516,7 @@ def two_opt_improve(d: np.ndarray, tour: Tour) -> Tour:
         )
     frame = _Frame.of(d, pass_neighbors(n))
     order = tour.order.tolist()
-    _neighbor_pass(frame.rows, frame.nbrs, order, _positions(order))
+    _neighbor_pass(frame.rows, frame.nbrs, order, _positions(order), SearchStats())
     return Tour.from_order(order)
 
 
@@ -795,20 +812,16 @@ def _round_start(frame: _Frame, stats: SearchStats, rng: np.random.Generator,
     is the same cycle, so no kick is drawn. Every draw comes from rng. A
     round makes ROUND_START_KICKS kicks, which keep starts diverse while
     leaving the pass far less to undo than a random permutation would;
-    nn_two_opt_baseline makes none. The pass is timed into
-    stats.two_opt_seconds, its Or-opt moves counted, and the start counted
-    in stats.starts."""
+    nn_two_opt_baseline makes none. The pass adds its seconds, moves and
+    scans to stats, and the start is counted in stats.starts."""
     n = len(frame.rows)
     tour = _nearest_neighbor(frame.rows, frame.nbrs, int(rng.integers(n)))
     if n > 3:
         for _ in range(kicks):
             a, b, c = sorted(x + 1 for x in rng.choice(n - 1, size=3, replace=False).tolist())
             tour = tour[:a] + tour[b:c] + tour[a:b] + tour[c:]
-    t0 = time.perf_counter()
-    or_moves, _ = _neighbor_pass(frame.rows, frame.nbrs, tour, _positions(tour))
-    stats.two_opt_seconds += time.perf_counter() - t0
+    _neighbor_pass(frame.rows, frame.nbrs, tour, _positions(tour), stats)
     stats.starts += 1
-    stats.or_moves += or_moves
     return np.array(tour, dtype=np.int64)
 
 
@@ -938,10 +951,7 @@ def _kick(
         stats.kicks += 1
         i, l1, l2 = int(rand() * n), 1 + int(rand() * widest), 1 + int(rand() * widest)
         ends, added = _double_bridge(tour, pos, rows, i, l1, l2)
-        t0 = time.perf_counter()
-        or_moves, gain = _neighbor_pass(rows, nbrs, tour, pos, ends)
-        stats.two_opt_seconds += time.perf_counter() - t0
-        stats.or_moves += or_moves
+        gain = _neighbor_pass(rows, nbrs, tour, pos, stats, ends)
         length = best_len + added - gain
         while True:
             u1 = int(rand() * n)
@@ -1057,6 +1067,8 @@ def _merge(first: tuple, second: tuple, e: int) -> tuple[np.ndarray, SearchStats
         rounds=s0.rounds + s1.rounds,
         starts=s0.starts + s1.starts,
         or_moves=s0.or_moves + s1.or_moves,
+        two_opt_moves=s0.two_opt_moves + s1.two_opt_moves,
+        scans=s0.scans + s1.scans,
         kicks=s0.kicks + s1.kicks,
         kicks_kept=s0.kicks_kept + s1.kicks_kept,
         two_opt_seconds=s0.two_opt_seconds + s1.two_opt_seconds,

@@ -293,9 +293,9 @@ class TestSolve:
         assert code == 0
         fields = dict(f.split("=") for f in capsys.readouterr().err.split())
         assert list(fields) == ["length", "heatmap_s", "fit_steps", "step_us", "search_s",
-                                "two_opt_s", "rounds", "starts", "or_moves", "kicks",
-                                "kicks_kept", "attempts", "dead_ends", "improving",
-                                "lower_bound", "proof_round"]
+                                "two_opt_s", "rounds", "starts", "or_moves", "two_opt_moves",
+                                "scans", "kicks", "kicks_kept", "attempts", "dead_ends",
+                                "improving", "lower_bound", "proof_round"]
         # an unset --steps runs the default fit, TrainConfig.steps at every size
         assert int(fields["fit_steps"]) == TrainConfig.steps
         assert float(fields["step_us"]) > 0.0
@@ -304,6 +304,8 @@ class TestSolve:
         assert int(fields["rounds"]) == int(fields["proof_round"]) == 2
         assert float(fields["lower_bound"]) <= float(fields["length"])
         assert int(fields["or_moves"]) >= 0
+        # a scan applies one move or finds none, and every city is scanned
+        assert int(fields["two_opt_moves"]) + int(fields["or_moves"]) < int(fields["scans"])
         # every attempt ends improving or at a dead end
         assert int(fields["attempts"]) == int(fields["dead_ends"]) + int(fields["improving"]) > 0
         # tsp20 makes no kick, so every round starts fresh
@@ -323,13 +325,14 @@ class TestSolve:
                      "--out", str(tmp_path / "tour.txt")]) == 0
         fields = dict(f.split("=") for f in capsys.readouterr().err.split())
         assert list(fields) == ["length", "search_s", "two_opt_s", "rounds", "starts", "or_moves",
-                                "kicks", "kicks_kept", "attempts", "dead_ends", "improving",
-                                "lower_bound", "proof_round"]
+                                "two_opt_moves", "scans", "kicks", "kicks_kept", "attempts",
+                                "dead_ends", "improving", "lower_bound", "proof_round"]
         _, length = parse_tour((tmp_path / "tour.txt").read_text())
         assert float(fields["length"]) == length
         assert 0 <= int(fields["kicks_kept"]) <= int(fields["kicks"])
         assert int(fields["kicks"]) > 0
         assert (fields["rounds"], fields["starts"]) == ("4", "2")
+        assert int(fields["two_opt_moves"]) + int(fields["or_moves"]) < int(fields["scans"])
         assert int(fields["attempts"]) == int(fields["dead_ends"]) + int(fields["improving"]) > 0
 
 

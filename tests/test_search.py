@@ -65,7 +65,7 @@ from tspheat.search import (
     _run_heat,
 )
 
-from oracles import parse_tour
+from oracles import parse_tour, reference_pass
 
 
 def soft_heat(d):
@@ -146,8 +146,9 @@ def as_table(pairs):
 def neighbor_pass_moves(d, start):
     """The pass on a copy of start: (order, Or-opt moves applied)."""
     tour = list(start)
-    or_moves, _ = _neighbor_pass(d.tolist(), as_table(neighbor_pairs(d)), tour, _positions(tour))
-    return np.array(tour, dtype=np.int64), or_moves
+    stats = SearchStats()
+    _neighbor_pass(d.tolist(), as_table(neighbor_pairs(d)), tour, _positions(tour), stats)
+    return np.array(tour, dtype=np.int64), stats.or_moves
 
 
 def neighbor_pass(d, start):
@@ -503,6 +504,44 @@ class TestNeighborPass:
         # the scan after the pass reaches a full 2-opt fixpoint
         fixed = reference_two_opt_order(d, out.copy())
         assert brute_force_two_opt_scan(d, fixed.tolist()) > -1e-9
+
+    @staticmethod
+    def assert_same_pass(rows, table, tour, seeds=None):
+        """The pass and oracles.reference_pass, each on its own copy of
+        tour: the same (or_moves, gain), tour and pos, bit for bit; returns
+        the pass's tour and its stats."""
+        ours, ref = tour[:], tour[:]
+        ours_pos, ref_pos = _positions(ours), _positions(ref)
+        stats = SearchStats()
+        gain = _neighbor_pass(rows, table, ours, ours_pos, stats, seeds)
+        assert (stats.or_moves, gain) == reference_pass(rows, table, ref, ref_pos, seeds)
+        assert (ours, ours_pos) == (ref, ref_pos)
+        # a scan applies one move or finds none, and every city queued at
+        # the start is scanned at least once
+        assert stats.two_opt_moves + stats.or_moves + len(set(seeds or tour)) <= stats.scans
+        return ours, stats
+
+    @given(st.integers(3, 200), st.integers(0, 10_000), st.integers(0, 10_000))
+    @settings(max_examples=40, deadline=None)
+    def test_a_full_pass_matches_the_reference_pass(self, n, inst_seed, start_seed):
+        d = distance_matrix(generate_random(n, inst_seed))
+        start = random_tour(n, start_seed).order.tolist()
+        self.assert_same_pass(d.tolist(), as_table(neighbor_pairs(d)), start)
+
+    @given(st.integers(8, 200), st.integers(0, 10_000), st.integers(0, 10_000))
+    @settings(max_examples=40, deadline=None)
+    def test_a_seeded_repair_matches_the_reference_pass(self, n, inst_seed, kick_seed):
+        # kicks as _kick draws them, each repaired from where the last left
+        # the tour, starting at the pass's fixpoint
+        d = distance_matrix(generate_random(n, inst_seed))
+        rows, table = d.tolist(), as_table(neighbor_pairs(d))
+        tour, _ = self.assert_same_pass(rows, table, random_tour(n, inst_seed).order.tolist())
+        rng = np.random.default_rng(kick_seed)
+        widest = min(KICK_SEGMENT, (n - 1) // 2)
+        for _ in range(5):
+            i, l1, l2 = int(rng.integers(n)), *rng.integers(1, widest + 1, size=2).tolist()
+            ends, _ = _double_bridge(tour, _positions(tour), rows, i, l1, l2)
+            tour, _ = self.assert_same_pass(rows, table, tour, ends)
 
     def test_list_length(self):
         assert [pass_neighbors(n) for n in (4, 9, 16, 100, 200, 256)] == [3, 8, 8, 8, 8, 8]
@@ -1278,7 +1317,7 @@ class TestRunSearch:
                           for a, cl in enumerate(candidate_lists(d, 8, DISTANCE_MODE))])
         rng = np.random.default_rng(2)
         start = round_start_order(d, rng)
-        _neighbor_pass(rows, eight, start, _positions(start))
+        _neighbor_pass(rows, eight, start, _positions(start), SearchStats())
         assert not np.array_equal(start, first.order)
         tour, stats = run_search(inst, pruned, params, 2)
         assert stats.total_expansions == 0
@@ -1555,20 +1594,20 @@ class TestKicks:
         assert stats.total_expansions >= 40
 
     @pytest.mark.parametrize("n", [8, 30, 200])
-    def test_the_seeded_repair_leaves_no_move_at_the_cities_it_queued(self, n, monkeypatch):
-        import tspheat.search as search_mod
-
+    def test_the_seeded_repair_leaves_no_move_at_the_cities_it_queued(self, n):
+        # the pass reads a city's list once per scan, so a list that records
+        # the cities it is read at records the cities the repair scanned
         inst = generate_random(n, n + 1)
         d = distance_matrix(inst)
-        rows, table = d.tolist(), as_table(neighbor_pairs(d))
+        rows = d.tolist()
         popped = []
-        real = search_mod._two_opt_move
 
-        def spy(tour, pos, rows, near, a, n):
-            popped.append(a)
-            return real(tour, pos, rows, near, a, n)
+        class Recording(list):
+            def __getitem__(self, a):
+                popped.append(a)
+                return super().__getitem__(a)
 
-        monkeypatch.setattr(search_mod, "_two_opt_move", spy)
+        table = Recording(as_table(neighbor_pairs(d)))
         rng = np.random.default_rng(n)
         widest = min(KICK_SEGMENT, (n - 1) // 2)
         for _ in range(20):
@@ -1578,7 +1617,7 @@ class TestKicks:
             ends, added = _double_bridge(tour, pos, rows, i, l1, l2)
             kicked = order_length(d, np.array(tour))
             popped.clear()
-            _, gain = _neighbor_pass(rows, table, tour, pos, ends)
+            gain = _neighbor_pass(rows, table, tour, pos, SearchStats(), ends)
             assert set(ends) <= set(popped)
             assert sorted(tour) == list(range(n))
             assert all(tour[pos[c]] == c for c in range(n))
@@ -1867,7 +1906,7 @@ GOLDEN_SEARCHES = {
         # expansions, 720 dead ends and 35 Or-moves in 12 rounds before the
         # 1-tree bound stopped it)
         best_length="3.7710487245594857", expansions=120, rounds=2, dead_ends=120,
-        or_moves=7,
+        or_moves=7, two_opt_moves=18, scans=85,
         round_best_lengths=["3.7710487245594857"] * 2,
         lower_bound="3.7710487245594857", proof_round=2,
     ),
@@ -1882,7 +1921,7 @@ GOLDEN_SEARCHES = {
                37, 21, 83, 41, 60, 42, 79, 32, 53, 74, 6, 18, 39, 99, 15, 63, 43, 48, 12, 28, 82,
                55, 54, 33, 45, 58, 44, 50, 35, 14, 22, 93, 46, 64, 19],
         best_length="7.7251317047456505", expansions=86, rounds=2, dead_ends=84,
-        or_moves=67, kicks=(14, 5),
+        or_moves=67, two_opt_moves=232, scans=1390, kicks=(14, 5),
         round_best_lengths=["7.7251317047456505"] * 2,
         lower_bound="nan", proof_round=0,
     ),
@@ -1897,7 +1936,7 @@ GOLDEN_SEARCHES = {
                64, 46, 93, 22, 14, 35, 50, 44, 58, 45, 33, 54, 21, 71, 37, 83, 55, 82, 28, 12, 48,
                43, 63, 15, 99, 39, 18, 6, 74, 53, 32, 79, 42, 60, 41],
         best_length="7.909439112714774", expansions=1200, rounds=2, dead_ends=1197,
-        or_moves=32,
+        or_moves=32, two_opt_moves=75, scans=679,
         round_best_lengths=["8.094062159828809", "7.909439112714774"],
         lower_bound="nan", proof_round=0,
     ),
@@ -1908,7 +1947,7 @@ GOLDEN_SEARCHES = {
         order=[5, 11, 29, 24, 3, 13, 22, 25, 14, 15, 19, 21, 10, 23, 7, 2, 20, 9, 26, 18, 0, 1, 27,
                8, 28, 4, 17, 16, 12, 6],
         best_length="4.642606630107934", expansions=420, rounds=6, dead_ends=419,
-        or_moves=59,
+        or_moves=59, two_opt_moves=101, scans=745,
         round_best_lengths=["4.748536330606426", "4.748536330606425"]
         + ["4.642606630107935"] * 3 + ["4.642606630107934"],
         lower_bound="4.546576924920412", proof_round=0,
@@ -1937,7 +1976,7 @@ GOLDEN_SEARCHES = {
                250, 266, 187, 159, 108, 52, 111, 152, 292, 236, 57, 26, 274, 41, 286, 11, 163, 218,
                136, 183, 90, 265, 16, 164, 230, 216, 54, 28, 2, 234, 287, 290],
         best_length="13.253759035906366", expansions=206, rounds=2, dead_ends=206,
-        or_moves=269, kicks=(82, 12),
+        or_moves=269, two_opt_moves=1080, scans=6029, kicks=(82, 12),
         round_best_lengths=["13.372550304384136", "13.253759035906366"],
         lower_bound="nan", proof_round=0,
     ),
@@ -1949,26 +1988,27 @@ GOLDEN_SEARCHES = {
 # correctly rounded operations only, so its bytes depend neither on the
 # CPU's exp nor on the BLAS thread count. Recorded: the sha256 of the tour's
 # int64 order, best_length, lower_bound and (rounds, starts, kicks,
-# kicks_kept, improving, dead_ends, or_moves, proof_round).
+# kicks_kept, improving, dead_ends, or_moves, two_opt_moves, scans,
+# proof_round).
 GOLDEN_SPLIT_RUNS = {
     # no kicks (SPLIT_RUNS_WITHOUT_KICKS): stream 0 proves its tour, so
     # stream 1 is dropped
     (24, 0, 8): ("b90345384a8dbb02f3a8e5bc6581ee764d6337278faf6ae56acbbf810b595af3",
-                 "4.393248478994652", "4.393248478994651", (2, 2, 0, 0, 0, 18, 5, 2)),
+                 "4.393248478994652", "4.393248478994651", (2, 2, 0, 0, 0, 18, 5, 26, 124, 2)),
     (24, 2, 8): ("36bda4c86fe547ecc048883d8b8fd9ce1bd2939c82eb8ef02a76f77bae5d4071",
-                 "3.796923528672071", "3.796923528672071", (2, 2, 0, 0, 0, 18, 20, 2)),
+                 "3.796923528672071", "3.796923528672071", (2, 2, 0, 0, 0, 18, 20, 24, 147, 2)),
     # two streams merged; each starts fresh once and then kicks its best
     # tour, so neither computes a 1-tree bound
     (24, 1, 8): ("60751172cdb38f06efff604dffa5d0525e1fd4a0fb19acd135f7a4979a6fe38a",
-                 "3.831985622040362", "nan", (8, 2, 56, 1, 0, 74, 116, 0)),
+                 "3.831985622040362", "nan", (8, 2, 56, 1, 0, 74, 116, 366, 1774, 0)),
     (60, 1, 6): ("b740c7a101c5443b12f37a95dd738dde9dc5ce5ffb43940a1d6244908bffdace",
-                 "5.947973045778653", "nan", (6, 2, 42, 4, 0, 78, 95, 0)),
+                 "5.947973045778653", "nan", (6, 2, 42, 4, 0, 78, 95, 381, 1929, 0)),
     (100, 1, 10): ("862c71e6f8487476ca0b253fba46a0dd543f49485ef8a0aa163b96208c32ad67",
-                   "7.574704864105881", "nan", (10, 2, 70, 11, 0, 106, 192, 0)),
+                   "7.574704864105881", "nan", (10, 2, 70, 11, 0, 106, 192, 714, 3818, 0)),
     # tsp500: the pass lists (8 cities) and the k-opt lists (5) are slices of
     # one table
     (210, 2, 4): ("0a1e2cad66a80c2c41af376c187d47a73e6945f9954408496be136ae0ef2c929",
-                  "10.836173677610384", "nan", (4, 2, 164, 9, 0, 288, 408, 0)),
+                  "10.836173677610384", "nan", (4, 2, 164, 9, 0, 288, 408, 1720, 9023, 0)),
 }
 
 
@@ -1995,6 +2035,8 @@ class TestGoldenSearch:
         assert stats.starts == stats.rounds
         assert stats.dead_ends == g["dead_ends"]
         assert stats.or_moves == g["or_moves"]
+        assert stats.two_opt_moves == g["two_opt_moves"]
+        assert stats.scans == g["scans"]
         assert (stats.kicks, stats.kicks_kept) == g.get("kicks", (0, 0))
         assert [repr(x) for x in stats.round_best_lengths] == g["round_best_lengths"]
         assert repr(stats.lower_bound) == g["lower_bound"]
@@ -2036,7 +2078,8 @@ class TestGoldenSearch:
         assert (hashlib.sha256(tour.order.astype(np.int64).tobytes()).hexdigest(),
                 repr(stats.best_length), repr(stats.lower_bound),
                 (stats.rounds, stats.starts, stats.kicks, stats.kicks_kept, stats.improving,
-                 stats.dead_ends, stats.or_moves, stats.proof_round)) == GOLDEN_SPLIT_RUNS[case]
+                 stats.dead_ends, stats.or_moves, stats.two_opt_moves, stats.scans,
+                 stats.proof_round)) == GOLDEN_SPLIT_RUNS[case]
 
 
 class TestProofStop:
@@ -2096,8 +2139,10 @@ class TestProofStop:
         capped_tour, capped = self.search(inst, params.with_budget(max_rounds=2), 5)
         assert capped_tour.order.tolist() == tour.order.tolist()
         assert capped.best_length == stats.best_length
-        assert (capped.total_expansions, capped.dead_ends, capped.or_moves) == (
-            stats.total_expansions, stats.dead_ends, stats.or_moves)
+        assert (capped.total_expansions, capped.dead_ends, capped.or_moves,
+                capped.two_opt_moves, capped.scans) == (
+            stats.total_expansions, stats.dead_ends, stats.or_moves, stats.two_opt_moves,
+            stats.scans)
 
     def test_bound_computed_at_most_once(self, monkeypatch):
         import tspheat.search as search_mod
@@ -2249,6 +2294,8 @@ class TestStreams:
         assert merged.total_expansions == first[1].total_expansions + second[1].total_expansions
         # a kicked stream starts fresh once, a stream without kicks every round
         assert merged.starts == first[1].starts + second[1].starts == (rounds if n == 30 else 2)
+        for name in ("or_moves", "two_opt_moves", "scans"):
+            assert getattr(merged, name) == getattr(first[1], name) + getattr(second[1], name) > 0
         best = min(first[1].best_length, second[1].best_length)
         assert merged.best_length == merged.round_best_lengths[-1] == best
         assert merged.round_best_lengths[:len(first[1].round_best_lengths)] == \
