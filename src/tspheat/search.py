@@ -379,53 +379,59 @@ def _neighbor_pass(rows: list, nbrs: list, tour: list, pos: list, stats: SearchS
         queued[a] = False
         if clean[a] != applied:
             near = nbrs[a]
+            # each list scan below stops at the first city no nearer to a than
+            # its bound, so it finds nothing when nearest is not below that
+            nearest = near[0][2]
             ra = rows[a]
             while True:
                 scans += 1
                 i = pos[a]
                 changed = None
-                # 2-opt with b = a's successor: reverse b .. c
+                # 2-opt with b = a's successor: reverse b .. c. Every c with
+                # d[a, c] < d[a, b] differs from b, whose list distance is d[a, b]
                 b = tour[i + 1 - n]
-                rb = rows[b]
                 dab = ra[b]
-                for c, _, dac in near:
-                    if dac >= dab:
-                        break
-                    j = pos[c]
-                    e = tour[j + 1 - n]
-                    if c == b or e == a:
-                        continue
-                    delta = dac + rb[e] - dab - rows[c][e]
-                    if delta < -MIN_GAIN:
-                        _reverse(tour, pos, i + 1, j)
-                        changed = (a, b, c, e)
-                        break
-                if changed is None:
-                    # 2-opt with b = a's predecessor: reverse a .. e
-                    b = tour[i - 1]
+                if nearest < dab:
                     rb = rows[b]
-                    dab = ra[b]
                     for c, _, dac in near:
                         if dac >= dab:
                             break
                         j = pos[c]
-                        e = tour[j - 1]
-                        if c == b or e == a:
+                        e = tour[j + 1 - n]
+                        if e == a:
                             continue
                         delta = dac + rb[e] - dab - rows[c][e]
                         if delta < -MIN_GAIN:
-                            _reverse(tour, pos, i, j - 1)
+                            _reverse(tour, pos, i + 1, j)
                             changed = (a, b, c, e)
                             break
                 if changed is None:
-                    # Or-opt of the segment a .. s, with p = b before it
-                    p, rp, q = b, rb, a
+                    # 2-opt with b = p, a's predecessor: reverse a .. e
+                    p = tour[i - 1]
+                    dap = ra[p]
+                    rp = rows[p]
+                    if nearest < dap:
+                        for c, _, dac in near:
+                            if dac >= dap:
+                                break
+                            j = pos[c]
+                            e = tour[j - 1]
+                            if e == a:
+                                continue
+                            delta = dac + rp[e] - dap - rows[c][e]
+                            if delta < -MIN_GAIN:
+                                _reverse(tour, pos, i, j - 1)
+                                changed = (a, p, c, e)
+                                break
+                if changed is None:
+                    # Or-opt of the segment a .. s, which p precedes and q follows
+                    q = a
                     for size in sizes:
                         s = q
-                        q = tour[(i + size) % n]
+                        q = tour[i + size - n]
                         rs = rows[s]
-                        g = ra[p] + rs[q] - rp[q]
-                        if g <= MIN_GAIN:
+                        g = dap + rs[q] - rp[q]
+                        if g <= MIN_GAIN or nearest >= g:
                             continue
                         for c, _, dac in near:
                             if dac >= g:
