@@ -387,19 +387,20 @@ def _neighbor_pass(rows: list, nbrs: list, tour: list, pos: list, stats: SearchS
                 scans += 1
                 i = pos[a]
                 changed = None
-                # 2-opt with b = a's successor: reverse b .. c. Every c with
-                # d[a, c] < d[a, b] differs from b, whose list distance is d[a, b]
                 b = tour[i + 1 - n]
+                p = tour[i - 1]
+                # 2-opt with b = a's successor: reverse b .. c. Every c with
+                # d[a, c] < d[a, b] differs from b, and e == a when c == p
                 dab = ra[b]
                 if nearest < dab:
                     rb = rows[b]
                     for c, _, dac in near:
                         if dac >= dab:
                             break
+                        if c == p:
+                            continue
                         j = pos[c]
                         e = tour[j + 1 - n]
-                        if e == a:
-                            continue
                         delta = dac + rb[e] - dab - rows[c][e]
                         if delta < -MIN_GAIN:
                             _reverse(tour, pos, i + 1, j)
@@ -407,17 +408,16 @@ def _neighbor_pass(rows: list, nbrs: list, tour: list, pos: list, stats: SearchS
                             break
                 if changed is None:
                     # 2-opt with b = p, a's predecessor: reverse a .. e
-                    p = tour[i - 1]
                     dap = ra[p]
                     rp = rows[p]
                     if nearest < dap:
                         for c, _, dac in near:
                             if dac >= dap:
                                 break
+                            if c == b:
+                                continue
                             j = pos[c]
                             e = tour[j - 1]
-                            if e == a:
-                                continue
                             delta = dac + rp[e] - dap - rows[c][e]
                             if delta < -MIN_GAIN:
                                 _reverse(tour, pos, i, j - 1)
