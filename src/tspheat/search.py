@@ -8,11 +8,11 @@ double-bridge kicks, then a neighbour-list pass of 2-opt and Or-opt moves
 until no list-restricted move is left. Best-first node expansion follows,
 where each expansion tries a bounded number of sequential k-opt
 constructions and moves to the shortest improving result. Above 20 cities
-the round then kicks its best tour a preset number of times (_kick,
-iterated local search): a double bridge, a neighbour-list pass seeded with
-its end cities, and one-attempt expansions, kept when the result is
-shorter. There a stream (below) starts fresh once: each of its later
-rounds is that many kicks of its best tour alone. Constructions grow
+a stream (below) starts fresh once and then kicks: each of its rounds ends
+with a preset number of kicks of its best tour (_kick, iterated local
+search), each a double bridge, a neighbour-list pass seeded with its end
+cities, and one-attempt expansions, kept when the result is shorter; its
+later rounds are those kicks alone. Constructions grow
 a Hamiltonian path with one fixed endpoint; the next city is sampled from
 the moving endpoint's candidate list, its m nearest cities, with probability
 proportional to its pruned-heat value, floored so that zero-heat candidates
@@ -46,8 +46,9 @@ A stream that kicks has one fresh descent, so only streams without kicks
 A run of more than ONE_STREAM_MAX_CITIES cities with a round cap other than
 1 splits its rounds into two seeded streams: stream 0 in this process and
 stream 1 in one worker process (_Worker), forked on first need, reused by
-later runs of this process alone, told everything through its pipe, and
-stopped by a run that raises. The streams share nothing while they run, and
+later runs of this process alone, sent one job and read for one reply
+through its pipe, and stopped by a run that raises or that stream 0
+proves. The streams share nothing while they run, and
 the merged result (_merge) never depends on which ends first, so it is the
 same without the worker. The tour file format lives in instances.py.
 """
@@ -854,18 +855,17 @@ def _round(
 ) -> tuple[float, float, np.ndarray]:
     """One fresh search round; returns (the length its fresh descent ends
     at, its shortest length, the first tour of that length), all in the
-    frame's units. It is every round of a stream without kicks and the first
-    round of a stream with them (_stream).
+    frame's units. It is every round of a stream without kicks and the
+    start of round 1 of a stream with them (_stream).
 
     The round starts from _round_start and expands best-first on the
     frame's table until a whole expansion yields no improvement, raising the
     heat of each applied action's added edges in place, so later draws and
-    later rounds read the update. Then come params.kicks kicks of the
-    round's best tour (_kick). The round builds no list or table of its
+    later rounds read the update. The round builds no list or table of its
     own, and no move search of a round scans all city pairs.
     Lengths are exact (order_length), not the incremental sum of gains,
     which can sit an ulp below a tour that is not shorter. The expansions
-    and the kicks stop at the deadline; the start always runs.
+    stop at the deadline; the start always runs.
     """
     order = _round_start(frame, stats, rng)
     cur_len = length = best_len = order_length(frame.d, order)
@@ -881,9 +881,6 @@ def _round(
         length = order_length(frame.d, order)
         if length < best_len:
             best_len, best_order = length, order
-    if params.kicks and len(order) > 3:
-        best_len, best_order = _kick(frame, heat, stats, rng, params, deadline, best_len,
-                                     best_order)
     return length, best_len, best_order
 
 
@@ -992,18 +989,20 @@ def _stream(
 ) -> Optional[tuple[np.ndarray, SearchStats]]:
     """One stream of rounds on frame; returns (the first order of the
     shortest length any round reached, the stream's SearchStats), or None
-    when live (a callable, or None) returned False at a round boundary.
+    when live (a callable, or None) returned False at a round boundary: the
+    worker's check that its pipe has not ended (_serve).
 
     heat is the stream's own heat map: its rounds update it in place, and
     the updates survive into later rounds. The stream runs rounds until the
     deadline or `rounds` rounds (None: no cap), whichever comes first. Round
-    1 is a fresh round (_round) and always runs, so even a deadline that has
-    already passed gives a tour; its expansions and kicks stop at the
-    deadline. Without kicks (params.kicks = 0, or n = 3, where every order
-    is the same cycle) every round is a fresh round. With kicks every later
-    round is params.kicks kicks of the stream's best tour (_kick), with no
-    fresh start and no fresh descent, so a timed stream kicks until its
-    deadline.
+    1 starts with a fresh round (_round) and always runs, so even a deadline
+    that has already passed gives a tour; its expansions and kicks stop at
+    the deadline. Without kicks (params.kicks = 0, or n = 3, where every
+    order is the same cycle) every round is a fresh round. With kicks every
+    round ends with params.kicks kicks of the stream's best tour (_kick):
+    round 1 kicks the best tour of its fresh round, and every later round
+    is those kicks alone, with no fresh start and no fresh descent, so a
+    timed stream kicks until its deadline.
 
     It also stops after the first round whose best tour is proven optimal.
     The first round r >= 2 whose fresh descent (the round before its kicks)
@@ -1031,11 +1030,12 @@ def _stream(
         if kicking and best_order is not None:
             # a kick round: no fresh start and no fresh descent, so no length
             # that could trigger the bound
-            length = math.nan
-            round_len, round_order = _kick(frame, heat, stats, rng, params, deadline, best_len,
-                                           best_order)
+            length, round_len, round_order = math.nan, best_len, best_order
         else:
             length, round_len, round_order = _round(frame, heat, stats, rng, params, deadline)
+        if kicking:
+            round_len, round_order = _kick(frame, heat, stats, rng, params, deadline, round_len,
+                                           round_order)
         if round_len < best_len:
             best_len, best_order = round_len, round_order
         stats.round_best_lengths.append(math.ldexp(best_len, frame.e))
@@ -1124,8 +1124,9 @@ def run_search(
     stream 1, seeded with (seed, 1), for at most floor(R / 2). A time
     budget counts from this call: both share one deadline. Stream 1 runs in
     a worker process (_Worker) while this process runs stream 0. If stream
-    0's 1-tree bound proves its tour optimal, stream 0 is the run and stream
-    1 is dropped (_Worker.drop); otherwise the two are merged (_merge).
+    0's 1-tree bound proves its tour optimal, stream 0 is the run and the
+    worker is stopped (_stop_worker), so the next split run forks a new one;
+    otherwise the two are merged (_merge).
     Where no worker can run (no fork on the platform, a process with threads
     or a daemonic one, or a dead worker), stream 1 runs here after stream 0,
     with the same result, so a round-capped run's result never depends on
@@ -1151,19 +1152,19 @@ def run_search(
         return Tour.from_order(order), stats
     caps = (None, None) if cap is None else ((cap + 1) // 2, cap // 2)
     # submitted first, so that the worker builds its frame while this one does
-    number = _submit((inst, heat, params, seed, caps[1], deadline))
+    sent = _submit((inst, heat, params, seed, caps[1], deadline))
     try:
         frame = _Frame.build(inst, params.m)
         first = _stream(frame, heat.copy(), params, np.random.default_rng(seed), caps[0],
                         deadline)
         if first[1].proof_round:
-            if number is not None:
-                _worker.drop()
+            if sent:
+                _stop_worker()
             return Tour.from_order(first[0]), first[1]
-        second = (number is not None and _worker.collect(number)) or _stream(
+        second = (sent and _collect()) or _stream(
             frame, heat, params, np.random.default_rng((seed, 1)), caps[1], deadline)
     except BaseException:
-        if number is not None:
+        if sent:
             _stop_worker()
         raise
     order, stats = _merge(first, second, frame.e)
@@ -1177,9 +1178,9 @@ def run_search(
 class _Worker:
     """A process that runs stream 1 of split runs (run_search) for the
     process that forked it and no other (_forget_worker): forked on first
-    need, a daemon, reused by every later run. Its pipe is its only channel.
-    Stream 1 stops at its next round boundary, with no reply, once anything
-    waits on the pipe: a drop, the next job, or the pipe's end (_serve)."""
+    need, a daemon, reused by every later run. Its pipe is its only channel:
+    one job in, one reply out (_serve, _collect). The worker ends at its
+    next round boundary once the pipe ends."""
 
     def __init__(self):
         # imported here: importing the package loads no process machinery
@@ -1189,7 +1190,6 @@ class _Worker:
             # a daemonic process, such as a Pool worker, may not have children
             raise ValueError("this process cannot fork a worker")
         ctx = multiprocessing.get_context("fork")  # ValueError where fork does not exist
-        self.number = 0
         self.conn, child = ctx.Pipe()
         self.proc = ctx.Process(target=_serve, args=(child, self.conn),
                                 name="tspheat-stream", daemon=True)
@@ -1198,28 +1198,6 @@ class _Worker:
         finally:
             child.close()
 
-    def collect(self, number: int) -> Optional[tuple]:
-        """Stream 1's (order, stats) for job number, past earlier jobs' replies
-        (sent before their drop arrived); None, the worker stopped, if it failed."""
-        try:
-            while True:
-                got, result = self.conn.recv()
-                if got == number:
-                    break
-        except (EOFError, OSError):
-            result = None
-        if result is None:
-            _stop_worker()
-        return result
-
-    def drop(self) -> None:
-        """Stop the current job at its next round boundary; a worker that
-        cannot be told (it died) is stopped, so the next split run forks one."""
-        try:
-            self.conn.send(None)
-        except OSError:
-            _stop_worker()
-
 
 _worker: Optional[_Worker] = None
 
@@ -1227,8 +1205,9 @@ _worker: Optional[_Worker] = None
 def _serve(conn, parent_end) -> None:
     """The worker's loop: run stream 1 of each job on its own frame and send
     back (order, stats), until the pipe ends; only the parent holds its end
-    (_forget_worker). A job that finds the pipe waiting at a round boundary
-    sends nothing; a drop read between jobs came after its reply: skipped."""
+    (_forget_worker). The parent sends no job before it has read the last
+    reply, so at a round boundary only the pipe's end can wait there: the
+    worker then exits with no reply."""
     import signal
 
     parent_end.close()
@@ -1236,44 +1215,51 @@ def _serve(conn, parent_end) -> None:
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     while True:
         try:
-            message = conn.recv()
+            inst, heat, params, seed, rounds, deadline = conn.recv()
         except (EOFError, OSError):
             return
-        if message is None:
-            continue
-        number, (inst, heat, params, seed, rounds, deadline) = message
         try:
             result = _stream(_Frame.build(inst, params.m), heat, params,
                              np.random.default_rng((seed, 1)), rounds, deadline,
                              lambda: not conn.poll())
-            if result is None:  # dropped: nobody reads it
-                continue
+            if result is None:  # the pipe ended: nobody reads it
+                return
         except Exception:  # the parent runs the stream itself, and raises there
             result = None
         try:
-            conn.send((number, result))
+            conn.send(result)
         except OSError:
             return
 
 
-def _submit(job: tuple) -> Optional[int]:
+def _submit(job: tuple) -> bool:
     """Send stream 1 of a split run to the worker, forking it if none is
-    running; returns the job's number, or None when no worker can take it,
-    as while other threads run: a fork copies only the calling thread (a
-    lock another holds stays held in the child), and two threads' runs would
-    share one pipe."""
+    running; returns whether a worker took the job. None does while other
+    threads run: a fork copies only the calling thread (a lock another holds
+    stays held in the child), and two threads' runs would share one pipe."""
     global _worker
     if threading.active_count() > 1:
-        return None
+        return False
     try:
         if _worker is None:
             _worker = _Worker()
-        _worker.number += 1
-        _worker.conn.send((_worker.number, job))
-        return _worker.number
+        _worker.conn.send(job)
+        return True
     except (ValueError, OSError):
         _stop_worker()
-        return None
+        return False
+
+
+def _collect() -> Optional[tuple]:
+    """Stream 1's (order, stats), the worker's one reply to the job it
+    took; None, the worker stopped, if it failed."""
+    try:
+        result = _worker.conn.recv()
+    except (EOFError, OSError):
+        result = None
+    if result is None:
+        _stop_worker()
+    return result
 
 
 def _stop_worker() -> None:

@@ -1,11 +1,14 @@
 """Fixtures for the search's worker process.
 
 A run_search call that splits its rounds into two streams runs stream 1 in
-a worker process, forked on first need and reused by later calls. A forked
-worker keeps the module as it stood when it forked, monkeypatches included,
-so every test stops the worker it started, and a test that spies on a run's
-rounds from this process asks for one_stream or in_process. After the stop,
-no test may leave a child process running: multiprocessing lists none.
+a worker process: the worker takes one job and sends one reply. It is
+forked on first need and reused by later calls, and a call that raises or
+whose stream 0 proves its tour stops it, so the next split call forks a
+new one. A forked worker keeps the module as it stood when it forked,
+monkeypatches included, so every test stops the worker it started, and a
+test that spies on a run's rounds from this process asks for one_stream or
+in_process. After the stop, no test may leave a child process running:
+multiprocessing lists none.
 """
 
 import multiprocessing
@@ -33,4 +36,4 @@ def one_stream(monkeypatch):
 def in_process(monkeypatch):
     """No worker takes a job, as where fork does not exist: split runs run
     stream 1 in this process after stream 0."""
-    monkeypatch.setattr(search_mod, "_submit", lambda job: None)
+    monkeypatch.setattr(search_mod, "_submit", lambda job: False)

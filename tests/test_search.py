@@ -9,7 +9,7 @@ import subprocess
 import sys
 import time
 from collections import Counter, defaultdict
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -1992,7 +1992,7 @@ GOLDEN_SEARCHES = {
 # proof_round).
 GOLDEN_SPLIT_RUNS = {
     # no kicks (SPLIT_RUNS_WITHOUT_KICKS): stream 0 proves its tour, so
-    # stream 1 is dropped
+    # stream 1 is never read and its worker is stopped
     (24, 0, 8): ("b90345384a8dbb02f3a8e5bc6581ee764d6337278faf6ae56acbbf810b595af3",
                  "4.393248478994652", "4.393248478994651", (2, 2, 0, 0, 0, 18, 5, 26, 124, 2)),
     (24, 2, 8): ("36bda4c86fe547ecc048883d8b8fd9ce1bd2939c82eb8ef02a76f77bae5d4071",
@@ -2013,8 +2013,8 @@ GOLDEN_SPLIT_RUNS = {
 
 
 # the proofs above 20 cities need fresh descents after round 1, so these
-# cases run their preset without kicks, and the worker's drop path stays
-# pinned
+# cases run their preset without kicks, and the worker's stop at a stream-0
+# proof stays pinned
 SPLIT_RUNS_WITHOUT_KICKS = {(24, 0, 8), (24, 2, 8)}
 
 
@@ -2061,11 +2061,14 @@ class TestGoldenSearch:
     @pytest.mark.parametrize("route", ["worker", "in_process"])
     @pytest.mark.parametrize("case", sorted(GOLDEN_SPLIT_RUNS),
                              ids=lambda c: "n{}-seed{}-rounds{}".format(*c))
-    def test_split_run_matches_recording(self, case, route, request):
+    def test_split_run_matches_recording(self, case, route, request, monkeypatch):
         import tspheat.search as search_mod
 
         if route == "in_process":
             request.getfixturevalue("in_process")
+        submit, taken = search_mod._submit, []
+        monkeypatch.setattr(search_mod, "_submit",
+                            lambda job: taken.append(submit(job)) or taken[-1])
         n, seed, rounds = case
         inst = generate_random(n, seed)
         params = preset_for(n).with_budget(max_rounds=rounds)
@@ -2074,7 +2077,10 @@ class TestGoldenSearch:
         d = distance_matrix(inst)
         _, pruned = top_m_filter(1.0 / (1.0 + d / coordinate_span(inst)), min(params.m, n - 1))
         tour, stats = run_search(inst, pruned, params, seed)
-        assert (search_mod._worker is not None) == (route == "worker")
+        assert taken == [route == "worker"]
+        # stream 0 proves the runs without kicks, and its proof stops the
+        # worker
+        assert (search_mod._worker is not None) == (route == "worker" and not stats.proof_round)
         assert (hashlib.sha256(tour.order.astype(np.int64).tobytes()).hexdigest(),
                 repr(stats.best_length), repr(stats.lower_bound),
                 (stats.rounds, stats.starts, stats.kicks, stats.kicks_kept, stats.improving,
@@ -2271,7 +2277,7 @@ class TestStreams:
         assert ("'kicks': 0," in want[1]) == ("'proof_round': 0" not in want[1]) == (n == 30)
         # the worker ran stream 1: a failed worker is stopped
         assert search_mod._worker is not None and search_mod._worker.proc.is_alive()
-        monkeypatch.setattr(search_mod, "_submit", lambda job: None)
+        monkeypatch.setattr(search_mod, "_submit", lambda job: False)
         assert self.run(n, n, rounds, 1, kicks) == want
         # the same run, round for round: stream 0 then stream 1, as one
         # stream each
@@ -2304,17 +2310,22 @@ class TestStreams:
     @pytest.mark.parametrize("instance_seed", [0, 3])
     def test_a_proof_in_stream_0_is_the_run(self, instance_seed, monkeypatch):
         # n = 21, R = 8, no kicks: stream 0's bound proves its tour in round
-        # 2, so the run is stream 0 alone, and the dropped stream 1 leaves
-        # the worker ready for the next run
+        # 2, so the run is stream 0 alone, and the proof stops the worker
+        # that ran stream 1: the next split run forks a new one, with the
+        # bytes of the same run made in this process
         import tspheat.search as search_mod
 
+        warm = self.run(30, 1, 4, 1)
+        old = search_mod._worker.proc.pid
         want = self.run(21, instance_seed, 8, instance_seed, kicks=0)
         assert "'proof_round': 2" in want[1]
+        assert search_mod._worker is None
         follow = self.run(30, 1, 4, 1)
+        assert follow == warm and search_mod._worker.proc.pid != old
         monkeypatch.setattr(search_mod, "ONE_STREAM_MAX_CITIES", 10**9)
         assert self.run(21, instance_seed, 4, instance_seed, kicks=0) == want
         monkeypatch.setattr(search_mod, "ONE_STREAM_MAX_CITIES", 20)
-        monkeypatch.setattr(search_mod, "_submit", lambda job: None)
+        monkeypatch.setattr(search_mod, "_submit", lambda job: False)
         assert self.run(30, 1, 4, 1) == follow
 
     def test_a_proof_after_the_merge_ends_at_the_last_round(self):
@@ -2330,57 +2341,67 @@ class TestStreams:
         assert stats.best_length <= stats.lower_bound + MIN_GAIN
         assert stats.round_best_lengths[3] > stats.round_best_lengths[-1]
 
-    def test_dropped_and_collected_jobs_interleave(self, monkeypatch):
-        # runs whose stream 0 proves its tour drop stream 1 mid-job or leave
-        # its late reply in the pipe; every later run still reads its own
-        # job's result, as the same runs do with no worker
+    def test_merge_sums_every_counter(self):
+        # every SearchStats field but these four is a counter of the run,
+        # which _merge sums over both streams: a counter added without its
+        # line in _merge fails here instead of reading 0
+        import tspheat.search as search_mod
+
+        not_summed = {"best_length", "round_best_lengths", "lower_bound", "proof_round"}
+        names = [f.name for f in fields(SearchStats)]
+        assert not_summed < set(names)
+        counters = [name for name in names if name not in not_summed]
+        streams = [
+            SearchStats(**{name: type(getattr(SearchStats(), name))(base + i)
+                           for i, name in enumerate(counters)},
+                        best_length=float(base), round_best_lengths=[float(base)],
+                        lower_bound=base / 2, proof_round=base)
+            for base in (10, 1000)
+        ]
+        order = np.arange(4)
+        _, merged = search_mod._merge((order, streams[0]), (order[::-1], streams[1]), 0)
+        for name in counters:
+            assert getattr(merged, name) == getattr(streams[0], name) + getattr(streams[1], name), \
+                name
+
+    def test_proven_and_merged_runs_interleave(self, monkeypatch):
+        # runs whose stream 0 proves its tour stop the worker, mid-job or
+        # after its reply; every later run still reads its own job's result,
+        # as the same runs do with no worker
         import tspheat.search as search_mod
 
         cases = [(21, 3, 8, 3, 0), (30, 1, 4, 1), (21, 0, 8, 0, 0), (100, 1, 2, 2)] * 5
         got = [self.run(*case) for case in cases]
         assert search_mod._worker is not None and search_mod._worker.proc.is_alive()
         assert "'proof_round': 0" not in got[0][1] and "'proof_round': 0" in got[1][1]
-        monkeypatch.setattr(search_mod, "_submit", lambda job: None)
+        monkeypatch.setattr(search_mod, "_submit", lambda job: False)
         assert [self.run(*case) for case in cases[:4]] * 5 == got
 
-    def test_a_dropped_job_stops_at_a_round_boundary(self, monkeypatch):
+    def test_a_proof_in_stream_0_stops_the_worker_at_once(self, monkeypatch):
         # a bound that proves only in this process: stream 0 ends proven,
-        # and stream 1, which would run 200 rounds and never prove, is
-        # dropped at a round boundary, so the worker sends no reply
+        # and the worker running stream 1, which would run 200 rounds and
+        # never prove, is gone by the time the run returns
         import tspheat.search as search_mod
 
+        self.run(30, 1, 2, 1)
+        old = search_mod._worker.proc.pid
         # (no kicks, so that stream 0's bound fires)
         here = os.getpid()
         monkeypatch.setattr(search_mod, "one_tree_bound",
                             lambda d, upper: upper if os.getpid() == here else -math.inf)
         _, stats = self.run(30, 1, 400, 1, kicks=0)
         assert "'proof_round': 0" not in stats
-        assert not search_mod._worker.conn.poll(2.0)
+        assert search_mod._worker is None
+        with pytest.raises(ProcessLookupError):
+            os.kill(old, 0)
 
-    def test_a_drop_after_the_reply_is_skipped(self, monkeypatch):
-        # the worker replies to a job, then reads its drop before the next
-        # job: it skips the drop, and the next run reads its own reply
-        import tspheat.search as search_mod
-
-        inst = generate_random(30, 1)
-        params = preset_for(30).with_budget(max_rounds=2)
-        _, pruned = top_m_filter(soft_heat(distance_matrix(inst)), params.m)
-        assert search_mod._submit((inst, _run_heat(pruned), params, 1, 2, None)) is not None
-        worker = search_mod._worker
-        assert worker.conn.poll(10)
-        worker.drop()
-        got = self.run(30, 1, 4, 1)
-        assert search_mod._worker is worker and worker.proc.is_alive()
-        monkeypatch.setattr(search_mod, "_submit", lambda job: None)
-        assert self.run(30, 1, 4, 1) == got
-
-    def test_a_worker_dead_before_the_drop_leaves_the_run_unchanged(self, monkeypatch):
-        # the worker dies between the submit and stream 0's proof, so the
-        # drop cannot be sent: the run is stream 0's as without a worker,
+    def test_a_worker_dead_before_the_proof_leaves_the_run_unchanged(self, monkeypatch):
+        # the worker dies between the submit and stream 0's proof, which
+        # stops the dead worker: the run is stream 0's as without a worker,
         # and a later split run forks a new worker
         import tspheat.search as search_mod
 
-        monkeypatch.setattr(search_mod, "_submit", lambda job: None)
+        monkeypatch.setattr(search_mod, "_submit", lambda job: False)
         want = self.run(21, 3, 8, 3, kicks=0)
         follow = self.run(30, 1, 4, 1)
         monkeypatch.undo()
@@ -2587,14 +2608,14 @@ class TestStreams:
 
     @pytest.mark.parametrize("where", ["build", "collect"])
     def test_an_interrupted_run_stops_its_worker(self, where, monkeypatch):
-        # an exception between the submit and the end of collect stops the
+        # an exception between the submit and the end of _collect stops the
         # worker, which would otherwise run stream 1 on to its deadline, and
         # the next split run forks a new one with the same result
         import tspheat.search as search_mod
 
         self.run(100, 1, 2, 2)
         proc = search_mod._worker.proc
-        here, build, collect = os.getpid(), _Frame.build, search_mod._Worker.collect
+        here, build, collect = os.getpid(), _Frame.build, search_mod._collect
 
         def interrupt(real):
             def interrupted(*args):
@@ -2607,7 +2628,7 @@ class TestStreams:
             monkeypatch.setattr(_Frame, "build", interrupt(build))
             params = preset_for(100).with_budget(time_budget=20)
         else:
-            monkeypatch.setattr(search_mod._Worker, "collect", interrupt(collect))
+            monkeypatch.setattr(search_mod, "_collect", interrupt(collect))
             params = preset_for(100).with_budget(time_budget=20, max_rounds=2)
         inst = generate_random(100, 1)
         _, pruned = top_m_filter(soft_heat(distance_matrix(inst)), params.m)
@@ -2619,7 +2640,7 @@ class TestStreams:
         monkeypatch.undo()
         got = self.run(100, 1, 2, 2)
         assert search_mod._worker.proc.pid != proc.pid
-        monkeypatch.setattr(search_mod, "_submit", lambda job: None)
+        monkeypatch.setattr(search_mod, "_submit", lambda job: False)
         assert self.run(100, 1, 2, 2) == got
 
 
