@@ -45,25 +45,28 @@ A stream that kicks has one fresh descent, so only streams without kicks
 
 A run of more than ONE_STREAM_MAX_CITIES cities with a round cap other than
 1 splits its rounds into two seeded streams: stream 0 in this process and
-stream 1 in one worker process (_Worker), forked on first need, reused by
-later runs of this process alone, sent one job and read for one reply
-through its pipe, and stopped by a run that raises or that stream 0
-proves. The streams share nothing while they run, and
+stream 1 in one worker process (_Worker), forked with os.fork on first
+need, reused by later runs of this process alone, sent one job and read
+for one reply through two pipes, and stopped by a run that raises or that
+stream 0 proves, or at exit. The streams share nothing while they run, and
 the merged result (_merge) never depends on which ends first, so it is the
 same without the worker. The tour file format lives in instances.py.
 """
 
 from __future__ import annotations
 
+import atexit
 import math
 import operator
 import os
+import pickle
 import sys
 import threading
 import time
 from bisect import bisect_right
 from collections import defaultdict, deque
-from dataclasses import dataclass, field, replace
+from contextlib import suppress
+from dataclasses import dataclass, field, fields, replace
 from operator import itemgetter
 from typing import Optional
 
@@ -990,7 +993,7 @@ def _stream(
     """One stream of rounds on frame; returns (the first order of the
     shortest length any round reached, the stream's SearchStats), or None
     when live (a callable, or None) returned False at a round boundary: the
-    worker's check that its pipe has not ended (_serve).
+    worker's check that its job pipe has not ended (_serve).
 
     heat is the stream's own heat map: its rounds update it in place, and
     the updates survive into later rounds. The stream runs rounds until the
@@ -1068,16 +1071,8 @@ def _merge(first: tuple, second: tuple, e: int) -> tuple[np.ndarray, SearchStats
     if s1.best_length < best:
         order, best = other, s1.best_length
     stats = SearchStats(
-        improving=s0.improving + s1.improving,
-        dead_ends=s0.dead_ends + s1.dead_ends,
-        rounds=s0.rounds + s1.rounds,
-        starts=s0.starts + s1.starts,
-        or_moves=s0.or_moves + s1.or_moves,
-        two_opt_moves=s0.two_opt_moves + s1.two_opt_moves,
-        scans=s0.scans + s1.scans,
-        kicks=s0.kicks + s1.kicks,
-        kicks_kept=s0.kicks_kept + s1.kicks_kept,
-        two_opt_seconds=s0.two_opt_seconds + s1.two_opt_seconds,
+        **{f.name: getattr(s0, f.name) + getattr(s1, f.name) for f in fields(SearchStats)
+           if f.name not in ("best_length", "round_best_lengths", "lower_bound", "proof_round")},
         best_length=best,
         round_best_lengths=s0.round_best_lengths
         + [min(x, s0.best_length) for x in s1.round_best_lengths],
@@ -1127,9 +1122,9 @@ def run_search(
     0's 1-tree bound proves its tour optimal, stream 0 is the run and the
     worker is stopped (_stop_worker), so the next split run forks a new one;
     otherwise the two are merged (_merge).
-    Where no worker can run (no fork on the platform, a process with threads
-    or a daemonic one, or a dead worker), stream 1 runs here after stream 0,
-    with the same result, so a round-capped run's result never depends on
+    Where no worker can run (no fork on the platform, a failed fork, a
+    process with threads, or a dead worker), stream 1 runs here after stream
+    0, with the same result, so a round-capped run's result never depends on
     timing or on the worker. Any exception once the job is sent, such as a
     KeyboardInterrupt, stops the worker (_stop_worker) and is re-raised.
     """
@@ -1177,75 +1172,79 @@ def run_search(
 
 class _Worker:
     """A process that runs stream 1 of split runs (run_search) for the
-    process that forked it and no other (_forget_worker): forked on first
-    need, a daemon, reused by every later run. Its pipe is its only channel:
-    one job in, one reply out (_serve, _collect). The worker ends at its
-    next round boundary once the pipe ends."""
+    process that forked it with os.fork and no other (_forget_worker),
+    reused by every later run and stopped when that process exits (atexit).
+    Its pipes are its only channel: one job in, one reply out (_serve,
+    _collect). It ends at its next round boundary once the job pipe ends."""
 
     def __init__(self):
-        # imported here: importing the package loads no process machinery
-        import multiprocessing
-
-        if multiprocessing.current_process().daemon:
-            # a daemonic process, such as a Pool worker, may not have children
-            raise ValueError("this process cannot fork a worker")
-        ctx = multiprocessing.get_context("fork")  # ValueError where fork does not exist
-        self.conn, child = ctx.Pipe()
-        self.proc = ctx.Process(target=_serve, args=(child, self.conn),
-                                name="tspheat-stream", daemon=True)
+        jobs, replies = os.pipe(), os.pipe()
         try:
-            self.proc.start()
-        finally:
-            child.close()
+            self.pid = os.fork()
+        except OSError:
+            for end in jobs + replies:
+                os.close(end)
+            raise
+        if self.pid == 0:
+            try:  # never back into the caller's stack, nor its atexit handlers
+                os.close(jobs[1])
+                os.close(replies[0])
+                _serve(jobs[0], replies[1])
+            finally:
+                os._exit(0)
+        os.close(jobs[0])
+        os.close(replies[1])
+        self.jobs, self.replies = os.fdopen(jobs[1], "wb"), os.fdopen(replies[0], "rb")
 
 
 _worker: Optional[_Worker] = None
 
 
-def _serve(conn, parent_end) -> None:
+def _serve(jobs_fd: int, replies_fd: int) -> None:
     """The worker's loop: run stream 1 of each job on its own frame and send
-    back (order, stats), until the pipe ends; only the parent holds its end
-    (_forget_worker). The parent sends no job before it has read the last
-    reply, so at a round boundary only the pipe's end can wait there: the
-    worker then exits with no reply."""
+    back (order, stats) until the job pipe ends. No job comes before the
+    last reply is read, so at a round boundary the job pipe is readable only
+    once it has ended: the worker then exits with no reply."""
+    import select
     import signal
 
-    parent_end.close()
     # an interrupt is the parent's to handle; this process ends with its pipe
     signal.signal(signal.SIGINT, signal.SIG_IGN)
+    jobs, replies = os.fdopen(jobs_fd, "rb"), os.fdopen(replies_fd, "wb")
     while True:
         try:
-            inst, heat, params, seed, rounds, deadline = conn.recv()
-        except (EOFError, OSError):
+            inst, heat, params, seed, rounds, deadline = pickle.load(jobs)
+        except (EOFError, OSError, pickle.UnpicklingError):
             return
         try:
             result = _stream(_Frame.build(inst, params.m), heat, params,
                              np.random.default_rng((seed, 1)), rounds, deadline,
-                             lambda: not conn.poll())
-            if result is None:  # the pipe ended: nobody reads it
+                             lambda: not select.select([jobs_fd], [], [], 0)[0])
+            if result is None:  # the job pipe ended: nobody reads a reply
                 return
         except Exception:  # the parent runs the stream itself, and raises there
             result = None
-        try:
-            conn.send(result)
-        except OSError:
-            return
+        with suppress(OSError):  # the parent is gone, and with it the job pipe
+            pickle.dump(result, replies)
+            replies.flush()
 
 
 def _submit(job: tuple) -> bool:
-    """Send stream 1 of a split run to the worker, forking it if none is
-    running; returns whether a worker took the job. None does while other
-    threads run: a fork copies only the calling thread (a lock another holds
-    stays held in the child), and two threads' runs would share one pipe."""
+    """Send stream 1 of a split run to the worker, forking one if none runs;
+    returns whether a worker took the job. None does where os.fork is
+    missing or fails, nor while other threads run: a fork copies only this
+    thread (a lock another holds stays held in the child), and two threads'
+    runs would share one pipe."""
     global _worker
-    if threading.active_count() > 1:
+    if threading.active_count() > 1 or not hasattr(os, "fork"):
         return False
     try:
         if _worker is None:
             _worker = _Worker()
-        _worker.conn.send(job)
+        pickle.dump(job, _worker.jobs)
+        _worker.jobs.flush()
         return True
-    except (ValueError, OSError):
+    except OSError:
         _stop_worker()
         return False
 
@@ -1253,36 +1252,37 @@ def _submit(job: tuple) -> bool:
 def _collect() -> Optional[tuple]:
     """Stream 1's (order, stats), the worker's one reply to the job it
     took; None, the worker stopped, if it failed."""
-    try:
-        result = _worker.conn.recv()
-    except (EOFError, OSError):
-        result = None
+    result = None
+    with suppress(EOFError, OSError, pickle.UnpicklingError):
+        result = pickle.load(_worker.replies)
     if result is None:
         _stop_worker()
     return result
 
 
 def _stop_worker() -> None:
-    """End the worker, if one runs: close the pipe, kill the worker, join
-    it. The next split run forks a new one."""
+    """End the worker, if one runs: close its pipes, kill it, reap it."""
+    import signal
+
+    pid = _forget_worker()
+    if pid is not None:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+
+
+def _forget_worker() -> Optional[int]:
+    """Drop the worker and close this process's ends of its pipes; returns
+    its pid, or None. Runs in every forked child too, where an inherited
+    write end of the job pipe would hide the parent's exit from its worker."""
     global _worker
     worker, _worker = _worker, None
     if worker is not None:
-        worker.conn.close()
-        worker.proc.kill()
-        worker.proc.join()
-
-
-def _forget_worker() -> None:
-    """In a forked child, drop the parent's worker: close the copy of its
-    pipe end, which would hide the parent's exit from it, and remove it from
-    the children that a plain os.fork child's exit would kill and join."""
-    global _worker
-    worker, _worker = _worker, None
-    if worker is not None:
-        worker.conn.close()
-        sys.modules["multiprocessing.process"]._children.discard(worker.proc)
+        worker.replies.close()
+        with suppress(OSError):  # a flush that a dead worker broke raises again
+            worker.jobs.close()
+        return worker.pid
 
 
 if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_worker)
+atexit.register(_stop_worker)

@@ -33,15 +33,23 @@ def test_import_adds_only_numpy_and_stdlib_modules():
 
 
 def test_import_loads_no_process_machinery():
-    # the search imports multiprocessing when a run first splits, so that
-    # importing the package and the CLI costs no more than it did
+    # the search forks its worker with os.fork and talks to it through two
+    # os.pipe()s: neither importing the package and the CLI nor a split run,
+    # which forks the worker, loads multiprocessing
     env = {**os.environ, "PYTHONPATH": str(SRC)}
-    probe = "import sys, tspheat, tspheat.cli; print('multiprocessing' in sys.modules)"
+    probe = (
+        "import sys, tspheat, tspheat.cli, tspheat.search as s\n"
+        "print('multiprocessing' in sys.modules)\n"
+        "inst = tspheat.generate_random(30, 1)\n"
+        "params = tspheat.preset_for(30).with_budget(max_rounds=2)\n"
+        "tspheat.run_search(inst, tspheat.distance_matrix(inst), params, 1)\n"
+        "print(s._worker is not None, 'multiprocessing' in sys.modules)\n"
+    )
     out = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True,
         check=True, timeout=120,
     )
-    assert out.stdout.strip() == "False"
+    assert out.stdout.split() == ["False", "True", "False"]
 
 
 def _names_read(node):
