@@ -10,9 +10,10 @@ where each expansion tries a bounded number of sequential k-opt
 constructions and moves to the shortest improving result. Above 20 cities
 a stream (below) starts fresh once and then kicks: each of its rounds ends
 with a preset number of kicks of its best tour (_kick, iterated local
-search), each a double bridge, a neighbour-list pass seeded with its end
-cities, and one-attempt expansions, kept when the result is shorter; its
-later rounds are those kicks alone. Constructions grow
+search), each a double bridge repaired by a neighbour-list pass seeded with
+its end cities alone, kept when the result is shorter; its later rounds are
+those kicks alone, so the k-opt constructions and the heat act only in
+fresh descents. Constructions grow
 a Hamiltonian path with one fixed endpoint; the next city is sampled from
 the moving endpoint's candidate list, its m nearest cities, with probability
 proportional to its pruned-heat value, floored so that zero-heat candidates
@@ -108,9 +109,9 @@ class SearchParams:
     beta scales the heat update, m is the candidate-list size and
     expand_budget is the number of construction attempts per node expansion
     of a round's fresh descent. kicks is the number of double-bridge kicks
-    per round (_kick), each repaired and then descended with one attempt per
-    expansion: in a stream's first round they kick the best tour of its
-    fresh descent, and every later round is kicks kicks of the stream's
+    per round (_kick), each repaired by the neighbour-list pass alone, with
+    no k-opt attempt: in a stream's first round they kick the best tour of
+    its fresh descent, and every later round is kicks kicks of the stream's
     best tour, with no fresh start. With kicks = 0 every round starts fresh.
     At least one of time_budget (seconds) / max_rounds must be set. Both
     are caps: a run ends sooner once a 1-tree bound proves its best tour
@@ -151,11 +152,13 @@ class SearchParams:
 # per round). Above 20 cities the budget is 1/16 of the one rounds had
 # before kicks, and K is the smallest whose round-capped pool runs, with
 # only round 1 of each stream starting fresh, end no longer on average than
-# runs with a fresh start in every round did (CHANGES.md)
+# runs with a fresh start in every round did; tsp100's K was raised from 7
+# to 8 when kicks stopped making k-opt attempts, so that its pool runs end
+# no longer on average than they did with them (CHANGES.md)
 PRESETS: dict[str, SearchParams] = {
     "tsp20": SearchParams(beta=10.0, m=8, expand_budget=60),
     "tsp50": SearchParams(beta=10.0, m=8, expand_budget=9, kicks=7),
-    "tsp100": SearchParams(beta=10.0, m=8, expand_budget=18, kicks=7),
+    "tsp100": SearchParams(beta=10.0, m=8, expand_budget=18, kicks=8),
     "tsp200": SearchParams(beta=10.0, m=8, expand_budget=37, kicks=18),
     "tsp500": SearchParams(beta=50.0, m=5, expand_budget=62, kicks=41),
     "tsp1000": SearchParams(beta=50.0, m=5, expand_budget=125, kicks=95),
@@ -176,7 +179,8 @@ class SearchStats:
     """Counters accumulated over a run.
 
     Each construction attempt ends once: with an improving action
-    (improving) or at a dead end (no feasible candidate; dead_ends).
+    (improving) or at a dead end (no feasible candidate; dead_ends). Only
+    fresh descents (_round) make attempts, so a kick round adds to neither.
     total_expansions, every attempt made, is their sum. starts counts the
     fresh starts (_round_start): one per round without kicks, one per
     stream with them. two_opt_moves and or_moves count the 2-opt and Or-opt
@@ -362,8 +366,8 @@ def _neighbor_pass(rows: list, nbrs: list, tour: list, pos: list, stats: SearchS
     check for a dry queue follows every pop, skipped or not. The pass ends
     after a sweep of those cities that applied no move, with no
     list-restricted move left at any of them. Every move shortens the tour,
-    so the pass ends; moves the short lists cannot see are left to the
-    k-opt expansions.
+    so the pass ends; moves the short lists cannot see are left to a fresh
+    descent's k-opt expansions.
     """
     t0 = time.perf_counter()
     n = len(tour)
@@ -887,17 +891,6 @@ def _round(
     return length, best_len, best_order
 
 
-def _apply(tour: list, pos: list, action: KOptAction) -> None:
-    """Apply a k-opt action to the cycle held in tour, as the k - 1 2-opt
-    moves (_flip) its construction made: each step's suffix reversal of the
-    path swaps (u_i, v_i) and the path's closing edge (v_{i-1}, u_1) for
-    (v_{i-1}, u_i) and (v_i, u_1). It gives action.new_order's cycle, at the
-    cost of the spans reversed rather than the tour."""
-    seq = action.sequence
-    for t in range(2, len(seq) - 1, 2):
-        _flip(tour, pos, seq[t], seq[t + 1], seq[t - 1])
-
-
 def _double_bridge(tour: list, pos: list, rows: list, i: int, l1: int, l2: int) -> tuple:
     """Swap the l1 cities from index i and the l2 cities after them (indices
     mod n; l1 + l2 < n), the double bridge A B C D -> A C B D with D A the
@@ -919,7 +912,6 @@ def _double_bridge(tour: list, pos: list, rows: list, i: int, l1: int, l2: int) 
 
 def _kick(
     frame: _Frame,
-    heat: np.ndarray,
     stats: SearchStats,
     rng: np.random.Generator,
     params: SearchParams,
@@ -934,22 +926,20 @@ def _kick(
 
     Each iteration applies a double bridge (_double_bridge) whose two
     segments hold 1 .. KICK_SEGMENT cities each, at a uniformly drawn place,
-    repairs it with _neighbor_pass seeded with the bridge's six end cities,
-    and then descends with one-attempt expansions on the frame's table
-    until an attempt fails, raising the heat as the round's expansions do.
-    The kicked tour replaces the best only when it is shorter by more than
-    MIN_GAIN by the sum of its gains and strictly shorter by order_length.
-    The working tour and pos lists live across iterations: a kick, its
-    repair and its moves change only the spans they touch, and the lists
-    return to the best tour by a slice copy, which moves no Python object
-    one by one. No kick starts at or past the deadline."""
-    rows, nbrs, table = frame.rows, frame.nbrs, frame.dist_table
+    and repairs it with _neighbor_pass seeded with the bridge's six end
+    cities. It makes no k-opt attempt and reads no heat. The kicked tour
+    replaces the best only when it is shorter by more than MIN_GAIN by the
+    sum of its gains and strictly shorter by order_length. The working tour
+    and pos lists live across iterations: a kick and its repair change only
+    the spans they touch, and the lists return to the best tour by a slice
+    copy, which moves no Python object one by one. No kick starts at or
+    past the deadline."""
+    rows, nbrs = frame.rows, frame.nbrs
     best_tour = best_order.tolist()
     best_pos = _positions(best_tour)
     tour, pos = best_tour[:], best_pos[:]
     n = len(tour)
     widest = min(KICK_SEGMENT, (n - 1) // 2)
-    heat_at = heat.item
     rand = rng.random
     for _ in range(params.kicks):
         if deadline is not None and time.perf_counter() >= deadline:
@@ -958,16 +948,7 @@ def _kick(
         i, l1, l2 = int(rand() * n), 1 + int(rand() * widest), 1 + int(rand() * widest)
         ends, added = _double_bridge(tour, pos, rows, i, l1, l2)
         gain = _neighbor_pass(rows, nbrs, tour, pos, stats, ends)
-        length = best_len + added - gain
-        while True:
-            u1 = int(rand() * n)
-            action = _construct(rows, tour, pos, table, heat_at, [None] * n, u1, stats, rand)
-            if action is None:
-                break
-            update_heatmap(heat, action, length, length - action.gain, params.beta)
-            length -= action.gain
-            _apply(tour, pos, action)
-        if length < best_len - MIN_GAIN:
+        if best_len + added - gain < best_len - MIN_GAIN:
             order = np.array(tour, dtype=np.int64)
             exact = order_length(frame.d, order)
             if exact < best_len:
@@ -995,8 +976,9 @@ def _stream(
     when live (a callable, or None) returned False at a round boundary: the
     worker's check that its job pipe has not ended (_serve).
 
-    heat is the stream's own heat map: its rounds update it in place, and
-    the updates survive into later rounds. The stream runs rounds until the
+    heat is the stream's own heat map, read and updated in place by its
+    fresh rounds (_round) alone, and the updates survive into later fresh
+    rounds; kicks read no heat. The stream runs rounds until the
     deadline or `rounds` rounds (None: no cap), whichever comes first. Round
     1 starts with a fresh round (_round) and always runs, so even a deadline
     that has already passed gives a tour; its expansions and kicks stop at
@@ -1004,8 +986,8 @@ def _stream(
     order is the same cycle) every round is a fresh round. With kicks every
     round ends with params.kicks kicks of the stream's best tour (_kick):
     round 1 kicks the best tour of its fresh round, and every later round
-    is those kicks alone, with no fresh start and no fresh descent, so a
-    timed stream kicks until its deadline.
+    is those kicks alone, with no fresh start, no fresh descent and no
+    k-opt attempt, so a timed stream kicks until its deadline.
 
     It also stops after the first round whose best tour is proven optimal.
     The first round r >= 2 whose fresh descent (the round before its kicks)
@@ -1037,7 +1019,7 @@ def _stream(
         else:
             length, round_len, round_order = _round(frame, heat, stats, rng, params, deadline)
         if kicking:
-            round_len, round_order = _kick(frame, heat, stats, rng, params, deadline, round_len,
+            round_len, round_order = _kick(frame, stats, rng, params, deadline, round_len,
                                            round_order)
         if round_len < best_len:
             best_len, best_order = round_len, round_order
@@ -1108,8 +1090,9 @@ def run_search(
     """Full multi-round search; returns (best Tour, SearchStats).
 
     The run builds its _Frame and a copy of the pruned heat map (_run_heat),
-    then runs its rounds as streams (_stream). Every entry of pruned must be
-    finite and >= 0, the rules a heat-map file obeys
+    then runs its rounds as streams (_stream). The heat steers the k-opt
+    constructions of the fresh descents alone; kicks read none. Every entry
+    of pruned must be finite and >= 0, the rules a heat-map file obeys
     (instances.parse_heatmap); ValueError otherwise.
 
     A run of at most ONE_STREAM_MAX_CITIES cities, or with max_rounds = 1,

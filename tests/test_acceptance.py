@@ -309,7 +309,7 @@ def test_c10_preset_fidelity():
     expect = {
         "tsp20": (10.0, 8, 60, 0),
         "tsp50": (10.0, 8, 150, 7),
-        "tsp100": (10.0, 8, 300, 7),
+        "tsp100": (10.0, 8, 300, 8),
         "tsp200": (10.0, 8, 600, 18),
         "tsp500": (50.0, 5, 1000, 41),
         "tsp1000": (50.0, 5, 2000, 95),

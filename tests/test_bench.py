@@ -378,10 +378,10 @@ GOLDEN_PIPELINES = {
     # tsp50 kicks: each stream starts fresh once, so no bound fires and the
     # run ends at its round cap
     (50, "tsp50", 3, 0): (
-        [34, 29, 1, 10, 9, 37, 12, 15, 40, 14, 11, 3, 41, 28, 42, 32, 23, 31, 16, 44, 24, 46, 48,
-         33, 22, 36, 18, 4, 38, 35, 43, 2, 45, 13, 47, 49, 8, 39, 19, 25, 26, 6, 5, 7, 0, 21, 20,
-         17, 30, 27],
-        "5.790652383268142", 3, 0,
+        [46, 24, 44, 16, 31, 23, 32, 42, 28, 41, 3, 11, 14, 40, 15, 12, 21, 20, 17, 37, 9, 10, 1,
+         29, 34, 27, 30, 0, 7, 5, 6, 26, 25, 19, 39, 8, 49, 47, 13, 45, 2, 43, 35, 38, 4, 18, 36,
+         22, 33, 48],
+        "5.834240391542353", 3, 0,
     ),
 }
 

@@ -49,7 +49,6 @@ from tspheat.search import (
     two_opt_improve,
     update_heatmap,
     KICK_SEGMENT,
-    _apply,
     _candidate_table,
     _construct,
     _double_bridge,
@@ -63,6 +62,7 @@ from tspheat.search import (
     _round,
     _round_start,
     _run_heat,
+    _stream,
 )
 
 from oracles import parse_tour, reference_pass
@@ -1456,7 +1456,9 @@ class TestRunSearch:
         # one stream or two (split in two, the 50-city 6-round run has no
         # improving round, so that case runs one stream). The n = 50 cases
         # run tsp50 as it was before its kicks, whose rounds made improving
-        # moves and updated the heat; the n = 120 case kicks
+        # moves and updated the heat; the n = 120 case kicks, and only its
+        # streams' fresh descents make attempts, so it runs them at tsp200's
+        # published budget of 600 attempts, under which they improve
         import tspheat.search as search_mod
 
         if streams == 1:
@@ -1466,6 +1468,8 @@ class TestRunSearch:
         params = preset_for(n).with_budget(max_rounds=rounds)
         if n == 50:
             params = replace(params, expand_budget=150, kicks=0)
+        elif n == 120:
+            params = replace(params, expand_budget=600)
         assert (params.kicks > 0) == (n == 120)
         _, pruned = top_m_filter(soft_heat(d), params.m)
         outside = np.ones((n, n), dtype=bool)
@@ -1544,8 +1548,8 @@ class TestRunSearch:
 class TestKicks:
     """Above 20 cities a stream's first round ends with params.kicks kicks of
     its best tour (_kick), and every later round is params.kicks kicks of the
-    stream's best tour: a double bridge, a neighbour-list pass seeded with
-    its six end cities, and one-attempt descents; a kick is kept only if it
+    stream's best tour: a double bridge and a neighbour-list pass seeded with
+    its six end cities, with no k-opt attempt; a kick is kept only if it
     ends shorter."""
 
     @staticmethod
@@ -1553,22 +1557,21 @@ class TestKicks:
         inst = generate_random(n, seed)
         params = replace(preset_for(n), kicks=kicks)
         frame = _Frame.build(inst, params.m)
-        _, pruned = top_m_filter(soft_heat(frame.d), min(params.m, n - 1))
         rng = np.random.default_rng(seed)
         start = _round_start(frame, SearchStats(), rng)
-        return frame, _run_heat(pruned), params, rng, start
+        return frame, params, rng, start
 
     @pytest.mark.parametrize("n, seed", [(30, 2), (60, 3), (150, 2)])
     def test_a_kept_kick_shortens_and_a_rejected_one_changes_nothing(self, n, seed):
         # one kick per call, each from the best so far; on these starts
         # some kicks are kept and most are not
-        frame, heat, params, rng, order = self.setting(n, seed)
+        frame, params, rng, order = self.setting(n, seed)
         length = order_length(frame.d, order)
         kept = rejected = 0
         for _ in range(60):
             before = order.tobytes()
             stats = SearchStats()
-            new_len, new_order = _kick(frame, heat, stats, rng, params, None, length, order)
+            new_len, new_order = _kick(frame, stats, rng, params, None, length, order)
             assert stats.kicks == 1
             assert order.tobytes() == before
             if stats.kicks_kept:
@@ -1585,13 +1588,41 @@ class TestKicks:
     def test_kicks_keep_the_best_of_a_round(self):
         # many kicks in one call: the best only shortens, and the tour
         # returned is the first of the length returned
-        frame, heat, params, rng, order = self.setting(100, 3, kicks=40)
+        frame, params, rng, order = self.setting(100, 3, kicks=40)
         length = order_length(frame.d, order)
         stats = SearchStats()
-        new_len, new_order = _kick(frame, heat, stats, rng, params, None, length, order)
+        new_len, new_order = _kick(frame, stats, rng, params, None, length, order)
         assert stats.kicks == 40 and 0 < stats.kicks_kept < 40
         assert new_len < length and new_len == order_length(frame.d, new_order)
-        assert stats.total_expansions >= 40
+        # the seeded repairs are the kicks' only moves
+        assert stats.total_expansions == 0
+        assert stats.two_opt_moves + stats.or_moves > 0
+
+    def test_a_kick_makes_no_k_opt_attempt(self, monkeypatch):
+        import tspheat.search as search_mod
+
+        calls = []
+        monkeypatch.setattr(search_mod, "_construct", lambda *args: calls.append(args))
+        frame, params, rng, order = self.setting(100, 3, kicks=40)
+        stats = SearchStats()
+        _kick(frame, stats, rng, params, None, order_length(frame.d, order), order)
+        assert stats.kicks == 40 and stats.kicks_kept
+        assert calls == []
+
+    @pytest.mark.parametrize("n, seed", [(30, 1), (100, 4), (200, 2)])
+    def test_kick_rounds_make_no_attempt(self, n, seed):
+        # a kicked stream's attempts are its round 1 fresh descent's, so a
+        # round cap of 3 makes as many as a cap of 1, from the same seed
+        params = preset_for(n)
+        frame = _Frame.build(generate_random(n, seed), params.m)
+        _, pruned = top_m_filter(soft_heat(frame.d), params.m)
+        counts = []
+        for rounds in (1, 3):
+            _, stats = _stream(frame, _run_heat(pruned), params, np.random.default_rng(seed),
+                               rounds, None)
+            assert (stats.rounds, stats.starts, stats.kicks) == (rounds, 1, rounds * params.kicks)
+            counts.append((stats.improving, stats.dead_ends))
+        assert counts[0] == counts[1] and sum(counts[0]) > 0
 
     @pytest.mark.parametrize("n", [8, 30, 200])
     def test_the_seeded_repair_leaves_no_move_at_the_cities_it_queued(self, n):
@@ -1644,24 +1675,6 @@ class TestKicks:
                             rotated[l1 + l2 - 1], rotated[(l1 + l2) % n])
             assert order_length(d, np.array(tour)) - before == pytest.approx(added, abs=1e-12)
             assert len(edges(tour) - edges(rotated)) <= 3
-
-    def test_apply_gives_the_actions_cycle(self):
-        # a k-opt action applied as its construction's 2-opt moves gives the
-        # cycle of its new_order
-        n = 60
-        frame, heat, params, rng, order = self.setting(n, 7)
-        applied = 0
-        for _ in range(4000):
-            tour = rng.permutation(n).tolist()
-            pos = _positions(tour)
-            action = _construct(frame.rows, tour, pos, frame.dist_table, heat.item, [None] * n,
-                                int(rng.integers(n)), SearchStats(), rng.random)
-            if action is not None:
-                _apply(tour, pos, action)
-                assert edges(tour) == edges(action.new_order.tolist())
-                assert all(tour[pos[c]] == c for c in range(n))
-                applied += 1
-        assert applied > 100
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
     def test_kicked_runs_on_the_smallest_instances(self, n):
@@ -1911,18 +1924,18 @@ GOLDEN_SEARCHES = {
         lower_bound="3.7710487245594857", proof_round=2,
     ),
     # tsp100 kicks: two streams of one round each, whose fresh descent runs
-    # 18 attempts per expansion, then 7 kicks of its best tour
+    # 18 attempts per expansion, then 8 kicks of its best tour
     "tsp100-n100": dict(
         n=100, instance_seed=4, seed=6,
         params=PRESETS["tsp100"].with_budget(max_rounds=2),
-        order=[96, 11, 25, 77, 95, 3, 97, 90, 1, 91, 7, 29, 89, 0, 5, 81, 31, 24, 66, 61, 92, 27,
-               76, 51, 2, 47, 52, 62, 80, 36, 57, 4, 26, 16, 49, 86, 78, 56, 8, 34, 65, 72, 10, 84,
-               73, 20, 67, 85, 98, 59, 30, 13, 75, 17, 70, 23, 69, 68, 94, 88, 38, 40, 87, 9, 71,
-               37, 21, 83, 41, 60, 42, 79, 32, 53, 74, 6, 18, 39, 99, 15, 63, 43, 48, 12, 28, 82,
-               55, 54, 33, 45, 58, 44, 50, 35, 14, 22, 93, 46, 64, 19],
-        best_length="7.7251317047456505", expansions=86, rounds=2, dead_ends=84,
-        or_moves=67, two_opt_moves=232, scans=1390, kicks=(14, 5),
-        round_best_lengths=["7.7251317047456505"] * 2,
+        order=[64, 11, 25, 77, 95, 3, 97, 90, 1, 91, 7, 29, 89, 0, 5, 81, 31, 24, 66, 61, 92, 27,
+               76, 51, 96, 2, 47, 52, 62, 80, 36, 57, 4, 26, 16, 49, 86, 78, 56, 8, 34, 65, 72, 10,
+               84, 73, 20, 67, 85, 98, 59, 30, 13, 75, 17, 70, 23, 69, 68, 94, 88, 38, 40, 87, 9,
+               71, 37, 21, 83, 41, 60, 42, 79, 32, 53, 74, 6, 18, 39, 99, 15, 63, 43, 48, 12, 28,
+               82, 55, 54, 33, 45, 58, 44, 50, 35, 93, 22, 14, 19, 46],
+        best_length="7.757283698692335", expansions=72, rounds=2, dead_ends=70,
+        or_moves=57, two_opt_moves=215, scans=1319, kicks=(16, 4),
+        round_best_lengths=["7.757283698692335"] * 2,
         lower_bound="nan", proof_round=0,
     ),
     # the same run with tsp100 as it was before kicks: 300 attempts per
@@ -1958,26 +1971,26 @@ GOLDEN_SEARCHES = {
     "tsp500-n300": dict(
         n=300, instance_seed=2, seed=7,
         params=PRESETS["tsp500"].with_budget(max_rounds=2),
-        order=[83, 106, 182, 79, 156, 88, 153, 56, 13, 155, 143, 226, 6, 7, 121, 86, 4, 178, 128,
-               268, 213, 277, 224, 103, 176, 217, 299, 272, 229, 102, 210, 99, 209, 139, 85, 127,
-               174, 47, 150, 144, 298, 10, 238, 110, 243, 78, 34, 18, 37, 39, 36, 151, 200, 190,
+        order=[185, 15, 140, 122, 141, 12, 189, 27, 137, 170, 62, 73, 223, 89, 35, 157, 202, 195,
+               82, 120, 250, 266, 187, 159, 108, 52, 111, 152, 292, 236, 57, 26, 274, 41, 286, 11,
+               163, 218, 136, 183, 90, 265, 16, 164, 230, 216, 54, 28, 234, 287, 290, 83, 106, 182,
+               79, 2, 88, 156, 18, 34, 78, 243, 110, 7, 6, 56, 153, 13, 155, 143, 226, 121, 86, 4,
+               178, 128, 268, 213, 277, 224, 103, 176, 217, 299, 272, 229, 102, 210, 99, 209, 139,
+               85, 127, 174, 47, 150, 144, 298, 10, 238, 119, 258, 113, 37, 39, 36, 151, 200, 190,
                181, 269, 297, 94, 149, 263, 271, 71, 295, 8, 283, 59, 65, 241, 253, 20, 240, 67,
-               242, 45, 197, 207, 19, 288, 126, 260, 21, 188, 63, 247, 270, 25, 177, 219, 64, 133,
-               280, 166, 228, 160, 167, 105, 199, 84, 112, 38, 75, 184, 95, 100, 80, 196, 180, 87,
-               256, 66, 225, 93, 261, 1, 289, 58, 205, 233, 146, 158, 131, 68, 96, 227, 296, 22,
-               76, 61, 17, 113, 258, 119, 262, 101, 239, 50, 179, 198, 154, 69, 232, 267, 51, 104,
-               208, 252, 165, 134, 273, 123, 173, 175, 172, 201, 285, 77, 231, 212, 31, 48, 278,
-               282, 264, 5, 194, 203, 23, 118, 147, 29, 9, 284, 259, 222, 46, 132, 107, 114, 3,
-               291, 109, 148, 44, 24, 70, 235, 221, 14, 116, 254, 55, 53, 191, 42, 135, 204, 145,
-               40, 129, 60, 91, 275, 49, 257, 30, 294, 186, 193, 124, 130, 161, 214, 249, 0, 279,
-               72, 125, 115, 81, 255, 142, 251, 33, 162, 138, 171, 293, 117, 220, 206, 215, 98,
-               246, 168, 97, 244, 43, 32, 92, 248, 169, 192, 276, 74, 281, 245, 211, 237, 185, 15,
-               140, 122, 141, 12, 189, 27, 137, 170, 62, 73, 223, 89, 35, 157, 202, 195, 82, 120,
-               250, 266, 187, 159, 108, 52, 111, 152, 292, 236, 57, 26, 274, 41, 286, 11, 163, 218,
-               136, 183, 90, 265, 16, 164, 230, 216, 54, 28, 2, 234, 287, 290],
-        best_length="13.253759035906366", expansions=206, rounds=2, dead_ends=206,
-        or_moves=269, two_opt_moves=1080, scans=6029, kicks=(82, 12),
-        round_best_lengths=["13.372550304384136", "13.253759035906366"],
+               242, 45, 197, 207, 19, 288, 126, 260, 21, 188, 63, 247, 270, 219, 177, 25, 17, 61,
+               76, 22, 133, 280, 64, 228, 166, 160, 196, 180, 80, 100, 184, 95, 167, 105, 199, 84,
+               112, 75, 38, 87, 256, 66, 225, 93, 261, 1, 289, 58, 205, 233, 48, 278, 282, 284, 259,
+               222, 46, 132, 107, 114, 3, 291, 109, 148, 44, 24, 70, 235, 221, 14, 116, 254, 55, 53,
+               191, 42, 135, 204, 145, 40, 129, 60, 91, 275, 49, 257, 30, 294, 186, 193, 124, 130,
+               9, 29, 147, 118, 23, 264, 5, 203, 194, 123, 173, 175, 31, 212, 231, 172, 201, 285,
+               77, 146, 158, 131, 68, 96, 296, 227, 252, 165, 134, 273, 208, 104, 51, 267, 232, 69,
+               154, 198, 101, 262, 239, 179, 50, 214, 161, 249, 0, 279, 72, 125, 115, 81, 255, 142,
+               251, 33, 162, 138, 171, 293, 117, 220, 206, 215, 98, 246, 168, 97, 244, 43, 32, 92,
+               248, 169, 192, 276, 74, 281, 245, 211, 237],
+        best_length="13.331420583657566", expansions=124, rounds=2, dead_ends=124,
+        or_moves=288, two_opt_moves=1129, scans=6303, kicks=(82, 5),
+        round_best_lengths=["13.500504701824514", "13.331420583657566"],
         lower_bound="nan", proof_round=0,
     ),
 }
@@ -2000,15 +2013,15 @@ GOLDEN_SPLIT_RUNS = {
     # two streams merged; each starts fresh once and then kicks its best
     # tour, so neither computes a 1-tree bound
     (24, 1, 8): ("60751172cdb38f06efff604dffa5d0525e1fd4a0fb19acd135f7a4979a6fe38a",
-                 "3.831985622040362", "nan", (8, 2, 56, 1, 0, 74, 116, 366, 1774, 0)),
+                 "3.831985622040362", "nan", (8, 2, 56, 1, 0, 18, 140, 375, 1803, 0)),
     (60, 1, 6): ("b740c7a101c5443b12f37a95dd738dde9dc5ce5ffb43940a1d6244908bffdace",
-                 "5.947973045778653", "nan", (6, 2, 42, 4, 0, 78, 95, 381, 1929, 0)),
-    (100, 1, 10): ("862c71e6f8487476ca0b253fba46a0dd543f49485ef8a0aa163b96208c32ad67",
-                   "7.574704864105881", "nan", (10, 2, 70, 11, 0, 106, 192, 714, 3818, 0)),
+                 "5.947973045778653", "nan", (6, 2, 48, 3, 0, 36, 99, 414, 2073, 0)),
+    (100, 1, 10): ("b3c0d43214057eea5de11ea105d23df489f80d7d542c4737b40cf1b992493946",
+                   "7.585432073784078", "nan", (10, 2, 80, 10, 0, 36, 236, 867, 4725, 0)),
     # tsp500: the pass lists (8 cities) and the k-opt lists (5) are slices of
     # one table
-    (210, 2, 4): ("0a1e2cad66a80c2c41af376c187d47a73e6945f9954408496be136ae0ef2c929",
-                  "10.836173677610384", "nan", (4, 2, 164, 9, 0, 288, 408, 1720, 9023, 0)),
+    (210, 2, 4): ("988aa1590744348fee7da03a07e3a529fa4ee564a0f360e00dca89440c788782",
+                  "10.857218512260067", "nan", (4, 2, 164, 7, 0, 124, 472, 1754, 9066, 0)),
 }
 
 
@@ -2673,7 +2686,7 @@ class TestPresets:
         expect = {
             "tsp20": (10.0, 8, 60, 0),
             "tsp50": (10.0, 8, 9, 7),
-            "tsp100": (10.0, 8, 18, 7),
+            "tsp100": (10.0, 8, 18, 8),
             "tsp200": (10.0, 8, 37, 18),
             "tsp500": (50.0, 5, 62, 41),
             "tsp1000": (50.0, 5, 125, 95),
