@@ -152,9 +152,8 @@ class SearchParams:
 # per round). Above 20 cities the budget is 1/16 of the one rounds had
 # before kicks, and K is the smallest whose round-capped pool runs, with
 # only round 1 of each stream starting fresh, end no longer on average than
-# runs with a fresh start in every round did; tsp100's K was raised from 7
-# to 8 when kicks stopped making k-opt attempts, so that its pool runs end
-# no longer on average than they did with them (CHANGES.md)
+# runs with a fresh start in every round did, and for tsp100 no longer than
+# runs whose kicks also made k-opt attempts did (CHANGES.md)
 PRESETS: dict[str, SearchParams] = {
     "tsp20": SearchParams(beta=10.0, m=8, expand_budget=60),
     "tsp50": SearchParams(beta=10.0, m=8, expand_budget=9, kicks=7),
