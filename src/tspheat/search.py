@@ -42,16 +42,17 @@ early once its best tour is proven optimal by the 1-tree lower bound
 (bounds.one_tree_bound), which it computes at most once, when a round's
 fresh descent ends at the length of the best tour of the rounds before it.
 A stream that kicks has one fresh descent, so only streams without kicks
-(20 cities or fewer with the presets) compute the bound.
+(20 cities or fewer with the presets), each the whole of its run, compute
+the bound.
 
-A run of more than ONE_STREAM_MAX_CITIES cities with a round cap other than
-1 splits its rounds into two seeded streams: stream 0 in this process and
-stream 1 in one worker process (_Worker), forked with os.fork on first
-need, reused by later runs of this process alone, sent one job and read
-for one reply through two pipes, and stopped by a run that raises or that
-stream 0 proves, or at exit. The streams share nothing while they run, and
-the merged result (_merge) never depends on which ends first, so it is the
-same without the worker. The tour file format lives in instances.py.
+A run of more than ONE_STREAM_MAX_CITIES cities that kicks, with a round
+cap other than 1, splits its rounds into two seeded streams: stream 0 in
+this process and stream 1 in one worker process (_Worker), forked with
+os.fork on first need, reused by later runs of this process alone, sent one
+job and read for one reply through two pipes, and stopped by a run that
+raises, or at exit. The streams share nothing while they run, and the
+merged result (_merge) never depends on which ends first, so it is the same
+without the worker. The tour file format lives in instances.py.
 """
 
 from __future__ import annotations
@@ -95,10 +96,11 @@ ROUND_START_KICKS = 2
 # longest segment of a kick's double bridge (_kick), so a kick moves at most
 # 2 * KICK_SEGMENT cities and its repair starts next to them
 KICK_SEGMENT = 50
-# runs of at most this many cities keep one stream (run_search): the 1-tree
-# bound ends most of them within 2-4 rounds, and a 10-round search took 4.4
-# ms in one stream against 4.7 ms in two at n = 20, but 17.9 against 13.5 ms
-# at n = 30 (medians of 48 runs, 2-core VM)
+# runs of at most this many cities keep one stream, kicked or not
+# (run_search). No preset kicks at these sizes, so with the presets the
+# kicks = 0 rule alone keeps them whole; the constant stays as the one place
+# to move the size above which a kicked run splits, should the split not pay
+# at some size, and as the seam tests raise to run every size as one stream
 ONE_STREAM_MAX_CITIES = 20
 
 
@@ -112,7 +114,8 @@ class SearchParams:
     per round (_kick), each repaired by the neighbour-list pass alone, with
     no k-opt attempt: in a stream's first round they kick the best tour of
     its fresh descent, and every later round is kicks kicks of the stream's
-    best tour, with no fresh start. With kicks = 0 every round starts fresh.
+    best tour, with no fresh start. With kicks = 0 every round starts fresh
+    and the run keeps one stream, at every size.
     At least one of time_budget (seconds) / max_rounds must be set. Both
     are caps: a run ends sooner once a 1-tree bound proves its best tour
     optimal (run_search). max_rounds is a total over the run's streams: a run split
@@ -197,15 +200,13 @@ class SearchStats:
     proof_round the round after which that bound proved the best tour
     optimal and the run ended (0 when it never did).
 
-    A run split into two streams (run_search) reports stream 0 alone when
-    stream 0 proves its tour optimal, and otherwise both merged (_merge):
+    A run split into two streams (run_search) reports both merged (_merge):
     the counters, rounds and two_opt_seconds are sums over both
     streams, so two_opt_seconds counts both processes' time and can exceed
     its share of the run's wall clock; round_best_lengths holds stream 0's
     rounds, then the run's best length after each of stream 1's, and ends at
-    best_length; lower_bound is the larger of the streams' bounds; and
-    proof_round is rounds when the run's best length is within MIN_GAIN of
-    that bound, else 0. A proven run has rounds == proof_round either way.
+    best_length. Its streams kick, so it computes no bound: lower_bound is
+    nan and proof_round 0.
     """
 
     improving: int = 0
@@ -320,8 +321,9 @@ def _move_segment(tour: list, pos: list, p: int, a: int, s: int, q: int, c: int,
 
 
 def pass_neighbors(n: int) -> int:
-    """List length of the round-start pass on n cities: TWO_OPT_NEIGHBORS up
-    to n = 256, then ceil(sqrt(n) / 2), at most n - 1. Past a few hundred
+    """List length of the round-start pass on n cities, and of the kick
+    repairs (_kick), which use the same lists: TWO_OPT_NEIGHBORS up to
+    n = 256, then ceil(sqrt(n) / 2), at most n - 1. Past a few hundred
     cities, lists of 8 leave random starts measurably above where a full
     2-opt scan would take them, while lists of 12 or 16 close that gap for
     about the same time (figures in README and CHANGES.md)."""
@@ -821,19 +823,21 @@ def _round_start(frame: _Frame, stats: SearchStats, rng: np.random.Generator,
     _neighbor_pass, so the tour has no list-restricted 2-opt or Or-opt move
     left. Each double bridge draws three distinct cut points
     1 <= a < b < c <= n - 1 and reorders the tour as
-    order[:a] + order[b:c] + order[a:b] + order[c:]; at n = 3 every order
-    is the same cycle, so no kick is drawn. Every draw comes from rng. A
-    round makes ROUND_START_KICKS kicks, which keep starts diverse while
-    leaving the pass far less to undo than a random permutation would;
-    nn_two_opt_baseline makes none. The pass adds its seconds, moves and
-    scans to stats, and the start is counted in stats.starts."""
+    order[:a] + order[b:c] + order[a:b] + order[c:] (_double_bridge); at
+    n = 3 every order is the same cycle, so no kick is drawn. Every draw
+    comes from rng. A round makes ROUND_START_KICKS kicks, which keep
+    starts diverse while leaving the pass far less to undo than a random
+    permutation would; nn_two_opt_baseline makes none. The pass adds its
+    seconds, moves and scans to stats, and the start is counted in
+    stats.starts."""
     n = len(frame.rows)
     tour = _nearest_neighbor(frame.rows, frame.nbrs, int(rng.integers(n)))
+    pos = _positions(tour)
     if n > 3:
         for _ in range(kicks):
             a, b, c = sorted(x + 1 for x in rng.choice(n - 1, size=3, replace=False).tolist())
-            tour = tour[:a] + tour[b:c] + tour[a:b] + tour[c:]
-    _neighbor_pass(frame.rows, frame.nbrs, tour, _positions(tour), stats)
+            _double_bridge(tour, pos, frame.rows, a, b - a, c - b)
+    _neighbor_pass(frame.rows, frame.nbrs, tour, pos, stats)
     stats.starts += 1
     return np.array(tour, dtype=np.int64)
 
@@ -1036,16 +1040,15 @@ def _stream(
     return best_order, stats
 
 
-def _merge(first: tuple, second: tuple, e: int) -> tuple[np.ndarray, SearchStats]:
+def _merge(first: tuple, second: tuple) -> tuple[np.ndarray, SearchStats]:
     """One run's (order, SearchStats) from its two streams' (_stream), as if
     stream 1's rounds had run after stream 0's.
 
     The shorter best tour wins, a tie goes to stream 0, and the counters
     and two_opt_seconds are summed. round_best_lengths is stream 0's list
-    followed by the best length of the run after each of stream 1's rounds,
-    lower_bound the larger of the bounds the streams computed, and the run
-    is proven, with proof_round = rounds, when its best length is within
-    MIN_GAIN of that bound in the frame (e is its exponent)."""
+    followed by the best length of the run after each of stream 1's rounds.
+    Split runs kick, so neither stream computes a bound, and lower_bound
+    and proof_round keep their defaults."""
     order, s0 = first
     other, s1 = second
     best = s0.best_length
@@ -1057,11 +1060,7 @@ def _merge(first: tuple, second: tuple, e: int) -> tuple[np.ndarray, SearchStats
         best_length=best,
         round_best_lengths=s0.round_best_lengths
         + [min(x, s0.best_length) for x in s1.round_best_lengths],
-        lower_bound=max((b for b in (s0.lower_bound, s1.lower_bound) if not math.isnan(b)),
-                        default=math.nan),
     )
-    if math.ldexp(best, -e) <= math.ldexp(stats.lower_bound, -e) + MIN_GAIN:
-        stats.proof_round = stats.rounds
     return order, stats
 
 
@@ -1094,16 +1093,14 @@ def run_search(
     of pruned must be finite and >= 0, the rules a heat-map file obeys
     (instances.parse_heatmap); ValueError otherwise.
 
-    A run of at most ONE_STREAM_MAX_CITIES cities, or with max_rounds = 1,
-    is one stream seeded with seed. Any other run splits its round cap R
-    into two streams, each with its own copy of the heat: stream 0, the
-    same stream seeded with seed, for at most ceil(R / 2) rounds, and
-    stream 1, seeded with (seed, 1), for at most floor(R / 2). A time
-    budget counts from this call: both share one deadline. Stream 1 runs in
-    a worker process (_Worker) while this process runs stream 0. If stream
-    0's 1-tree bound proves its tour optimal, stream 0 is the run and the
-    worker is stopped (_stop_worker), so the next split run forks a new one;
-    otherwise the two are merged (_merge).
+    A run of at most ONE_STREAM_MAX_CITIES cities, with max_rounds = 1 or
+    with kicks = 0 is one stream seeded with seed. Any other run, one that
+    kicks, splits its round cap R into two streams, each with its own copy
+    of the heat: stream 0, the same stream seeded with seed, for at most
+    ceil(R / 2) rounds, and stream 1, seeded with (seed, 1), for at most
+    floor(R / 2). A time budget counts from this call: both share one
+    deadline. Stream 1 runs in a worker process (_Worker) while this
+    process runs stream 0, and the two are merged (_merge).
     Where no worker can run (no fork on the platform, a failed fork, a
     process with threads, or a dead worker), stream 1 runs here after stream
     0, with the same result, so a round-capped run's result never depends on
@@ -1123,7 +1120,7 @@ def run_search(
     deadline = None if params.time_budget is None else time.perf_counter() + params.time_budget
     heat = _run_heat(pruned)
     cap = params.max_rounds
-    if n <= ONE_STREAM_MAX_CITIES or cap == 1:
+    if n <= ONE_STREAM_MAX_CITIES or cap == 1 or params.kicks == 0:
         frame = _Frame.build(inst, params.m)
         order, stats = _stream(frame, heat, params, np.random.default_rng(seed), cap, deadline)
         return Tour.from_order(order), stats
@@ -1134,17 +1131,13 @@ def run_search(
         frame = _Frame.build(inst, params.m)
         first = _stream(frame, heat.copy(), params, np.random.default_rng(seed), caps[0],
                         deadline)
-        if first[1].proof_round:
-            if sent:
-                _stop_worker()
-            return Tour.from_order(first[0]), first[1]
         second = (sent and _collect()) or _stream(
             frame, heat, params, np.random.default_rng((seed, 1)), caps[1], deadline)
     except BaseException:
         if sent:
             _stop_worker()
         raise
-    order, stats = _merge(first, second, frame.e)
+    order, stats = _merge(first, second)
     return Tour.from_order(order), stats
 
 

@@ -3,12 +3,12 @@
 A run_search call that splits its rounds into two streams runs stream 1 in
 a worker process, forked with os.fork: the worker takes one job and sends
 one reply. It is forked on first need and reused by later calls, and a
-call that raises or whose stream 0 proves its tour stops it, so the next
-split call forks a new one. A forked worker keeps the module as it stood
-when it forked, monkeypatches included, so every test stops the worker it
-started, and a test that spies on a run's rounds from this process asks
-for one_stream or in_process. After the stop, no test may leave a child
-process of any kind, running or unreaped: os.waitpid finds none.
+call that raises stops it, so the next split call forks a new one. A
+forked worker keeps the module as it stood when it forked, monkeypatches
+included, so every test stops the worker it started, and a test that spies
+on a run's rounds from this process asks for one_stream or in_process.
+After the stop, no test may leave a child process of any kind, running or
+unreaped: os.waitpid finds none.
 """
 
 import os

@@ -1283,9 +1283,8 @@ class TestRunSearch:
     def test_round_start_is_the_neighbor_pass_alone(self):
         # on this n=100 start the full 2-opt scan still finds moves after
         # the pass; a round does not run the scan, so round 1's tour is the
-        # pass's fixpoint as it stands. Each of the run's two streams runs
-        # its round 1 (stream 1's rng seeded with (seed, 1)), and the run
-        # returns the shorter start, stream 0's on a tie
+        # pass's fixpoint as it stands. The run makes no kick, so it keeps
+        # one stream, whose deadline passes before round 1's first expansion
         inst = generate_random(100, 1)
         d = distance_matrix(inst)
         _, pruned = top_m_filter(soft_heat(d), 8)
@@ -1294,12 +1293,10 @@ class TestRunSearch:
         assert list_moves_left(d, first.order.tolist()) == []
         assert brute_force_two_opt_scan(d, first.order.tolist()) < -MIN_GAIN
         assert not np.array_equal(reference_two_opt_order(d, first.order.copy()), first.order)
-        second = first_round_start(d, (2, 1))
         tour, stats = run_search(inst, pruned, params, 2)
-        assert stats.rounds == 2
+        assert stats.rounds == 1
         assert stats.total_expansions == 0
-        want = min((first, second), key=lambda t: tour_length(d, t))
-        assert np.array_equal(tour.order, want.order)
+        assert np.array_equal(tour.order, first.order)
         assert stats.best_length == tour_length(d, tour)
 
     def test_round_start_lists_grow_with_n(self):
@@ -1442,27 +1439,21 @@ class TestRunSearch:
         assert any(checks) and not all(checks)
         assert not np.array_equal(run_heat[0], pruned)
 
-    @pytest.mark.parametrize("n, instance_seed, rounds, streams", [
-        pytest.param(16, 14, 12, 1, id="16-14-12"),
-        pytest.param(50, 50, 6, 1, id="50-50-6"),
-        pytest.param(50, 50, 10, 2, id="50-50-10"),
-        pytest.param(120, 120, 3, 2, id="120-120-3"),
+    @pytest.mark.parametrize("n, instance_seed, rounds", [
+        pytest.param(16, 14, 12, id="16-14-12"),
+        pytest.param(50, 50, 6, id="50-50-6"),
+        pytest.param(50, 50, 10, id="50-50-10"),
+        pytest.param(120, 120, 3, id="120-120-3"),
     ])
-    def test_heat_outside_the_lists_is_never_read(self, n, instance_seed, rounds, streams,
-                                                  monkeypatch):
+    def test_heat_outside_the_lists_is_never_read(self, n, instance_seed, rounds):
         # a draw reads the heat only at (u, c) for c in u's list of its m
         # nearest cities, and a heat update only adds to entries, so a heat
         # map that differs only outside those lists gives the same run, with
-        # one stream or two (split in two, the 50-city 6-round run has no
-        # improving round, so that case runs one stream). The n = 50 cases
-        # run tsp50 as it was before its kicks, whose rounds made improving
-        # moves and updated the heat; the n = 120 case kicks, and only its
+        # one stream or two. The n = 50 cases run tsp50 as it was before its
+        # kicks, whose rounds made improving moves and updated the heat, as
+        # one stream; the n = 120 case kicks and splits, and only its
         # streams' fresh descents make attempts, so it runs them at tsp200's
         # published budget of 600 attempts, under which they improve
-        import tspheat.search as search_mod
-
-        if streams == 1:
-            monkeypatch.setattr(search_mod, "ONE_STREAM_MAX_CITIES", 10**9)
         inst = generate_random(n, instance_seed)
         d = distance_matrix(inst)
         params = preset_for(n).with_budget(max_rounds=rounds)
@@ -1693,29 +1684,31 @@ class TestKicks:
     def test_no_kick_starts_at_the_deadline(self, monkeypatch, one_stream):
         # a fake clock passes the deadline during round 1's third kick: that
         # kick ends, no later kick or round starts, and the run returns its
-        # best tour with its exact length
+        # best tour with its exact length. Each kick's repair is one seeded
+        # pass, so the spy counts those
         import types
 
         import tspheat.search as search_mod
 
         now = [0.0]
-        bridges = []
-        real = search_mod._double_bridge
+        repairs = []
+        real = search_mod._neighbor_pass
 
-        def bridge_spy(*args):
-            bridges.append(args[3])
-            if len(bridges) == 3:
-                now[0] = 2.0  # the deadline is at 1.0
+        def pass_spy(*args):
+            if len(args) > 5:
+                repairs.append(args[5])
+                if len(repairs) == 3:
+                    now[0] = 2.0  # the deadline is at 1.0
             return real(*args)
 
         monkeypatch.setattr(search_mod, "time", types.SimpleNamespace(perf_counter=lambda: now[0]))
-        monkeypatch.setattr(search_mod, "_double_bridge", bridge_spy)
+        monkeypatch.setattr(search_mod, "_neighbor_pass", pass_spy)
         inst = generate_random(60, 5)
         d = distance_matrix(inst)
         _, pruned = top_m_filter(soft_heat(d), 8)
         params = replace(preset_for(60), kicks=10).with_budget(time_budget=1.0)
         tour, stats = run_search(inst, pruned, params, 5)
-        assert (stats.rounds, stats.kicks, len(bridges)) == (1, 3, 3)
+        assert (stats.rounds, stats.kicks, len(repairs)) == (1, 3, 3)
         assert stats.best_length == tour_length(d, tour)
 
     def test_the_bound_fires_on_the_fresh_descent(self, monkeypatch, one_stream):
@@ -1780,13 +1773,13 @@ class TestKicks:
         # during round 1's start). The stream starts fresh once and kicks
         # round after round until then; the kick under way ends, and no
         # later kick or round starts. With no kick made, the run returns
-        # round 1's start
+        # round 1's start. The spy counts kicks by their seeded repairs
         import types
 
         import tspheat.search as search_mod
 
-        now, starts, bridges = [0.0], [], []
-        real_start, real_bridge = search_mod._round_start, search_mod._double_bridge
+        now, starts, repairs = [0.0], [], []
+        real_start, real_pass = search_mod._round_start, search_mod._neighbor_pass
 
         def start_spy(*args):
             starts.append(real_start(*args))
@@ -1794,15 +1787,16 @@ class TestKicks:
                 now[0] = 2.0  # the deadline is at 1.0
             return starts[-1]
 
-        def bridge_spy(*args):
-            bridges.append(args[3])
-            if len(bridges) == last:
-                now[0] = 2.0
-            return real_bridge(*args)
+        def pass_spy(*args):
+            if len(args) > 5:
+                repairs.append(args[5])
+                if len(repairs) == last:
+                    now[0] = 2.0
+            return real_pass(*args)
 
         monkeypatch.setattr(search_mod, "time", types.SimpleNamespace(perf_counter=lambda: now[0]))
         monkeypatch.setattr(search_mod, "_round_start", start_spy)
-        monkeypatch.setattr(search_mod, "_double_bridge", bridge_spy)
+        monkeypatch.setattr(search_mod, "_neighbor_pass", pass_spy)
         inst = generate_random(60, 5)
         d = distance_matrix(inst)
         _, pruned = top_m_filter(soft_heat(d), 8)
@@ -1939,30 +1933,31 @@ GOLDEN_SEARCHES = {
         lower_bound="nan", proof_round=0,
     ),
     # the same run with tsp100 as it was before kicks: 300 attempts per
-    # expansion and no kick, recorded before kicks existed
+    # expansion and no kick, so one stream of two fresh rounds
     "tsp100-n100-no-kicks": dict(
         n=100, instance_seed=4, seed=6,
         params=replace(PRESETS["tsp100"], expand_budget=300, kicks=0).with_budget(max_rounds=2),
-        order=[9, 87, 40, 38, 88, 94, 68, 69, 23, 70, 17, 75, 13, 30, 59, 98, 85, 67, 20, 73, 84,
-               10, 72, 65, 34, 8, 56, 78, 86, 49, 16, 26, 4, 57, 36, 80, 62, 52, 47, 2, 96, 51, 76,
-               5, 0, 89, 29, 7, 31, 81, 24, 66, 61, 92, 27, 91, 1, 90, 97, 3, 95, 77, 25, 11, 19,
-               64, 46, 93, 22, 14, 35, 50, 44, 58, 45, 33, 54, 21, 71, 37, 83, 55, 82, 28, 12, 48,
-               43, 63, 15, 99, 39, 18, 6, 74, 53, 32, 79, 42, 60, 41],
-        best_length="7.909439112714774", expansions=1200, rounds=2, dead_ends=1197,
-        or_moves=32, two_opt_moves=75, scans=679,
-        round_best_lengths=["8.094062159828809", "7.909439112714774"],
+        order=[18, 39, 99, 15, 63, 43, 48, 12, 41, 60, 42, 79, 53, 74, 32, 17, 70, 23, 69, 68, 94,
+               88, 38, 40, 87, 9, 71, 37, 83, 21, 33, 45, 58, 44, 50, 35, 54, 55, 82, 28, 14, 22,
+               93, 46, 64, 19, 96, 11, 95, 25, 77, 90, 1, 91, 97, 3, 27, 92, 61, 66, 76, 51, 2, 47,
+               52, 62, 80, 36, 57, 4, 5, 81, 24, 31, 7, 29, 89, 0, 26, 16, 49, 86, 78, 56, 8, 34,
+               65, 72, 10, 84, 73, 20, 67, 85, 98, 59, 30, 13, 75, 6],
+        best_length="7.654298698409481", expansions=3300, rounds=2, dead_ends=3250,
+        or_moves=36, two_opt_moves=86, scans=698,
+        round_best_lengths=["8.094062159828809", "7.654298698409481"],
         lower_bound="nan", proof_round=0,
     ),
-    # a non-preset m
+    # a non-preset m, and no kick: one stream of six fresh rounds, whose
+    # bound fires but proves nothing
     "custom-n30": dict(
         n=30, instance_seed=8, seed=9,
         params=SearchParams(beta=10.0, m=6, expand_budget=60, max_rounds=6),
-        order=[5, 11, 29, 24, 3, 13, 22, 25, 14, 15, 19, 21, 10, 23, 7, 2, 20, 9, 26, 18, 0, 1, 27,
-               8, 28, 4, 17, 16, 12, 6],
-        best_length="4.642606630107934", expansions=420, rounds=6, dead_ends=419,
-        or_moves=59, two_opt_moves=101, scans=745,
-        round_best_lengths=["4.748536330606426", "4.748536330606425"]
-        + ["4.642606630107935"] * 3 + ["4.642606630107934"],
+        order=[2, 7, 23, 10, 21, 19, 15, 14, 25, 22, 13, 3, 24, 29, 11, 5, 6, 12, 16, 17, 4, 28, 8,
+               27, 1, 0, 18, 26, 9, 20],
+        best_length="4.6426066301079345", expansions=360, rounds=6, dead_ends=360,
+        or_moves=42, two_opt_moves=101, scans=730,
+        round_best_lengths=["4.748536330606426", "4.748536330606425", "4.642606630107935"]
+        + ["4.6426066301079345"] * 3,
         lower_bound="4.546576924920412", proof_round=0,
     ),
     # preset_for(300) is tsp500: the distance rounds' lists hold m = 5 cities
@@ -1995,17 +1990,17 @@ GOLDEN_SEARCHES = {
     ),
 }
 
-# Pinned split runs: above ONE_STREAM_MAX_CITIES cities stream 0 runs here
-# and stream 1 in the worker. Each (n, seed, max_rounds) runs preset_for(n)
-# with search seed = instance seed on the heat 1 / (1 + d / span), made of
-# correctly rounded operations only, so its bytes depend neither on the
-# CPU's exp nor on the BLAS thread count. Recorded: the sha256 of the tour's
-# int64 order, best_length, lower_bound and (rounds, starts, kicks,
-# kicks_kept, improving, dead_ends, or_moves, two_opt_moves, scans,
-# proof_round).
+# Pinned split runs: above ONE_STREAM_MAX_CITIES cities a kicked run's
+# stream 0 runs here and stream 1 in the worker. Each (n, seed, max_rounds)
+# runs preset_for(n) with search seed = instance seed on the heat
+# 1 / (1 + d / span), made of correctly rounded operations only, so its
+# bytes depend neither on the CPU's exp nor on the BLAS thread count.
+# Recorded: the sha256 of the tour's int64 order, best_length, lower_bound
+# and (rounds, starts, kicks, kicks_kept, improving, dead_ends, or_moves,
+# two_opt_moves, scans, proof_round).
 GOLDEN_SPLIT_RUNS = {
-    # no kicks (SPLIT_RUNS_WITHOUT_KICKS): stream 0 proves its tour, so
-    # stream 1 is never read and its worker is stopped
+    # no kicks (RUNS_WITHOUT_KICKS): one stream, which the 1-tree bound
+    # proves in round 2
     (24, 0, 8): ("b90345384a8dbb02f3a8e5bc6581ee764d6337278faf6ae56acbbf810b595af3",
                  "4.393248478994652", "4.393248478994651", (2, 2, 0, 0, 0, 18, 5, 26, 124, 2)),
     (24, 2, 8): ("36bda4c86fe547ecc048883d8b8fd9ce1bd2939c82eb8ef02a76f77bae5d4071",
@@ -2025,10 +2020,10 @@ GOLDEN_SPLIT_RUNS = {
 }
 
 
-# the proofs above 20 cities need fresh descents after round 1, so these
-# cases run their preset without kicks, and the worker's stop at a stream-0
-# proof stays pinned
-SPLIT_RUNS_WITHOUT_KICKS = {(24, 0, 8), (24, 2, 8)}
+# these cases run their preset without kicks, so they keep one stream and
+# submit no job on either route: a run without kicks is proven or not as one
+# stream, at every size
+RUNS_WITHOUT_KICKS = {(24, 0, 8), (24, 2, 8)}
 
 
 class TestGoldenSearch:
@@ -2085,15 +2080,17 @@ class TestGoldenSearch:
         n, seed, rounds = case
         inst = generate_random(n, seed)
         params = preset_for(n).with_budget(max_rounds=rounds)
-        if case in SPLIT_RUNS_WITHOUT_KICKS:
+        split = case not in RUNS_WITHOUT_KICKS
+        if not split:
             params = replace(params, kicks=0)
         d = distance_matrix(inst)
         _, pruned = top_m_filter(1.0 / (1.0 + d / coordinate_span(inst)), min(params.m, n - 1))
         tour, stats = run_search(inst, pruned, params, seed)
-        assert taken == [route == "worker"]
-        # stream 0 proves the runs without kicks, and its proof stops the
-        # worker
-        assert (search_mod._worker is not None) == (route == "worker" and not stats.proof_round)
+        assert taken == ([route == "worker"] if split else [])
+        assert (search_mod._worker is not None) == (route == "worker" and split)
+        # a kicked stream computes no 1-tree bound, so no split run is proven
+        if split:
+            assert (repr(stats.lower_bound), stats.proof_round) == ("nan", 0)
         assert (hashlib.sha256(tour.order.astype(np.int64).tobytes()).hexdigest(),
                 repr(stats.best_length), repr(stats.lower_bound),
                 (stats.rounds, stats.starts, stats.kicks, stats.kicks_kept, stats.improving,
@@ -2176,8 +2173,7 @@ class TestProofStop:
         monkeypatch.setattr(search_mod, "one_tree_bound", counted)
         # with no kicks, a fresh descent ends at an earlier round's length,
         # but the bound (4.1129) is below the best tour (4.1233), and no
-        # later round proves it; the spy counts the calls of stream 0, which
-        # runs in this process
+        # later round proves it; the run keeps one stream, in this process
         params = replace(preset_for(30), kicks=0).with_budget(max_rounds=6)
         _, stats = self.search(generate_random(30, 1), params, 1)
         assert len(calls) == 1
@@ -2260,16 +2256,16 @@ def kill_all(pids):
 
 
 class TestStreams:
-    """A run of more than ONE_STREAM_MAX_CITIES cities with a round cap R >= 2
-    runs stream 0 (seed, ceil(R / 2) rounds) here and stream 1 ((seed, 1),
-    floor(R / 2) rounds) in a worker process; where no worker can take it,
-    stream 1 runs here after stream 0, with the same result."""
+    """A run of more than ONE_STREAM_MAX_CITIES cities that kicks, with a
+    round cap R >= 2, runs stream 0 (seed, ceil(R / 2) rounds) here and
+    stream 1 ((seed, 1), floor(R / 2) rounds) in a worker process; where no
+    worker can take it, stream 1 runs here after stream 0, with the same
+    result. A run without kicks keeps one stream."""
 
     @staticmethod
     def params(n, rounds, kicks=None):
         """preset_for(n) capped at rounds, with kicks in place of the
-        preset's when given: a run that should end by proof above 20 cities
-        makes no kick, since its bound fires only on fresh descents."""
+        preset's when given."""
         params = preset_for(n).with_budget(max_rounds=rounds)
         return params if kicks is None else replace(params, kicks=kicks)
 
@@ -2284,24 +2280,20 @@ class TestStreams:
 
     @pytest.mark.parametrize("n, rounds", [(30, 6), (100, 4), (300, 2)])
     def test_worker_and_in_process_runs_agree(self, n, rounds, monkeypatch):
-        # every preset above 20 cities kicks, so kicks, their repairs and
-        # their one-attempt descents give the same bytes on both routes; at
-        # n = 30 the run makes no kick, so that its bound fires and proves
-        # the merged run's tour
+        # every preset above 20 cities kicks, so its runs split, and kicks
+        # and their repairs give the same bytes on both routes
         import tspheat.search as search_mod
 
-        kicks = 0 if n == 30 else None
-        want = self.run(n, n, rounds, 1, kicks)
-        assert ("'kicks': 0," in want[1]) == ("'proof_round': 0" not in want[1]) == (n == 30)
+        want = self.run(n, n, rounds, 1)
         # the worker ran stream 1: a failed worker is stopped
         assert search_mod._worker is not None and alive(search_mod._worker.pid)
         monkeypatch.setattr(search_mod, "_submit", lambda job: False)
-        assert self.run(n, n, rounds, 1, kicks) == want
+        assert self.run(n, n, rounds, 1) == want
         # the same run, round for round: stream 0 then stream 1, as one
         # stream each
         monkeypatch.setattr(search_mod, "ONE_STREAM_MAX_CITIES", 10**9)
         inst = generate_random(n, n)
-        params = self.params(n, rounds, kicks)
+        params = self.params(n, rounds)
         _, pruned = top_m_filter(soft_heat(distance_matrix(inst)), params.m)
         frame = _Frame.build(inst, params.m)
         first = search_mod._stream(frame, pruned.copy(), params, np.random.default_rng(1),
@@ -2311,13 +2303,13 @@ class TestStreams:
         tour, stats = run_search(inst, pruned, params.with_budget(max_rounds=(rounds + 1) // 2), 1)
         assert (tour.order.tolist(), stats.round_best_lengths) == (
             first[0].tolist(), first[1].round_best_lengths)
-        assert first[1].proof_round == 0
-        order, merged = search_mod._merge(first, second, frame.e)
+        order, merged = search_mod._merge(first, second)
         assert (order.tolist(), merged.rounds) == (want[0], rounds)
-        assert merged.proof_round == (rounds if n == 30 else 0)
+        # a kicked stream computes no bound, so the merged run is unproven
+        assert (repr(merged.lower_bound), merged.proof_round) == ("nan", 0)
         assert merged.total_expansions == first[1].total_expansions + second[1].total_expansions
-        # a kicked stream starts fresh once, a stream without kicks every round
-        assert merged.starts == first[1].starts + second[1].starts == (rounds if n == 30 else 2)
+        # a kicked stream starts fresh once
+        assert merged.starts == first[1].starts + second[1].starts == 2
         for name in ("or_moves", "two_opt_moves", "scans"):
             assert getattr(merged, name) == getattr(first[1], name) + getattr(second[1], name) > 0
         best = min(first[1].best_length, second[1].best_length)
@@ -2325,44 +2317,11 @@ class TestStreams:
         assert merged.round_best_lengths[:len(first[1].round_best_lengths)] == \
             first[1].round_best_lengths
 
-    @pytest.mark.parametrize("instance_seed", [0, 3])
-    def test_a_proof_in_stream_0_is_the_run(self, instance_seed, monkeypatch):
-        # n = 21, R = 8, no kicks: stream 0's bound proves its tour in round
-        # 2, so the run is stream 0 alone, and the proof stops the worker
-        # that ran stream 1: the next split run forks a new one, with the
-        # bytes of the same run made in this process
-        import tspheat.search as search_mod
-
-        warm = self.run(30, 1, 4, 1)
-        old = search_mod._worker.pid
-        want = self.run(21, instance_seed, 8, instance_seed, kicks=0)
-        assert "'proof_round': 2" in want[1]
-        assert search_mod._worker is None
-        follow = self.run(30, 1, 4, 1)
-        assert follow == warm and search_mod._worker.pid != old
-        monkeypatch.setattr(search_mod, "ONE_STREAM_MAX_CITIES", 10**9)
-        assert self.run(21, instance_seed, 4, instance_seed, kicks=0) == want
-        monkeypatch.setattr(search_mod, "ONE_STREAM_MAX_CITIES", 20)
-        monkeypatch.setattr(search_mod, "_submit", lambda job: False)
-        assert self.run(30, 1, 4, 1) == follow
-
-    def test_a_proof_after_the_merge_ends_at_the_last_round(self):
-        # n = 21, R = 8, no kicks: stream 0's 4 rounds end unproven, and
-        # stream 1's bound proves its tour, an ulp shorter than stream 0's,
-        # in its third round
-        inst = generate_random(21, 11)
-        params = self.params(21, 8, kicks=0)
-        _, pruned = top_m_filter(soft_heat(distance_matrix(inst)), params.m)
-        tour, stats = run_search(inst, pruned, params, 11)
-        assert stats.rounds == stats.proof_round == 7
-        assert stats.best_length == tour_length(distance_matrix(inst), tour)
-        assert stats.best_length <= stats.lower_bound + MIN_GAIN
-        assert stats.round_best_lengths[3] > stats.round_best_lengths[-1]
-
     def test_merge_sums_every_counter(self):
         # every SearchStats field but these four is a counter of the run,
         # which _merge sums over both streams: a counter added without its
-        # line in _merge fails here instead of reading 0
+        # line in _merge fails here instead of reading 0. The streams of a
+        # split run kick, so the merged run has no bound and no proof
         import tspheat.search as search_mod
 
         not_summed = {"best_length", "round_best_lengths", "lower_bound", "proof_round"}
@@ -2372,72 +2331,53 @@ class TestStreams:
         streams = [
             SearchStats(**{name: type(getattr(SearchStats(), name))(base + i)
                            for i, name in enumerate(counters)},
-                        best_length=float(base), round_best_lengths=[float(base)],
-                        lower_bound=base / 2, proof_round=base)
+                        best_length=float(base), round_best_lengths=[float(base)])
             for base in (10, 1000)
         ]
         order = np.arange(4)
-        _, merged = search_mod._merge((order, streams[0]), (order[::-1], streams[1]), 0)
+        _, merged = search_mod._merge((order, streams[0]), (order[::-1], streams[1]))
         for name in counters:
             assert getattr(merged, name) == getattr(streams[0], name) + getattr(streams[1], name), \
                 name
+        assert (repr(merged.lower_bound), merged.proof_round) == ("nan", 0)
 
     def test_proven_and_merged_runs_interleave(self, monkeypatch):
-        # runs whose stream 0 proves its tour stop the worker, mid-job or
-        # after its reply; every later run still reads its own job's result,
-        # as the same runs do with no worker
+        # runs without kicks keep one stream, proven or not, and leave the
+        # worker alone: every split run between them uses the one worker the
+        # first split run forked and reads its own job's result, as the same
+        # runs do with no worker
         import tspheat.search as search_mod
 
         cases = [(21, 3, 8, 3, 0), (30, 1, 4, 1), (21, 0, 8, 0, 0), (100, 1, 2, 2)] * 5
-        got = [self.run(*case) for case in cases]
-        assert search_mod._worker is not None and alive(search_mod._worker.pid)
+        got, pids = [], []
+        for case in cases:
+            got.append(self.run(*case))
+            pids.append(search_mod._worker and search_mod._worker.pid)
+        assert pids[0] is None and alive(pids[1]) and pids[1:] == [pids[1]] * 19
         assert "'proof_round': 0" not in got[0][1] and "'proof_round': 0" in got[1][1]
         monkeypatch.setattr(search_mod, "_submit", lambda job: False)
         assert [self.run(*case) for case in cases[:4]] * 5 == got
 
-    def test_a_proof_in_stream_0_stops_the_worker_at_once(self, monkeypatch):
-        # a bound that proves only in this process: stream 0 ends proven,
-        # and the worker running stream 1, which would run 200 rounds and
-        # never prove, is gone by the time the run returns
+    @pytest.mark.parametrize("n", [21, 100])
+    def test_a_run_without_kicks_keeps_one_stream(self, n, monkeypatch):
+        # R = 8 and kicks = 0: the run submits no job, forks no worker and
+        # is _stream on its frame at cap R, bit for bit
         import tspheat.search as search_mod
 
-        self.run(30, 1, 2, 1)
-        old = search_mod._worker.pid
-        # (no kicks, so that stream 0's bound fires)
-        here = os.getpid()
-        monkeypatch.setattr(search_mod, "one_tree_bound",
-                            lambda d, upper: upper if os.getpid() == here else -math.inf)
-        _, stats = self.run(30, 1, 400, 1, kicks=0)
-        assert "'proof_round': 0" not in stats
-        assert search_mod._worker is None
-        with pytest.raises(ProcessLookupError):
-            os.kill(old, 0)
-
-    def test_a_worker_dead_before_the_proof_leaves_the_run_unchanged(self, monkeypatch):
-        # the worker dies between the submit and stream 0's proof, which
-        # stops the dead worker: the run is stream 0's as without a worker,
-        # and a later split run forks a new worker
-        import tspheat.search as search_mod
-
-        monkeypatch.setattr(search_mod, "_submit", lambda job: False)
-        want = self.run(21, 3, 8, 3, kicks=0)
-        follow = self.run(30, 1, 4, 1)
-        monkeypatch.undo()
-        here, build, killed = os.getpid(), _Frame.build, []
-
-        def build_after_killing_the_worker(inst, m):
-            if os.getpid() == here and not killed:
-                pid = search_mod._worker.pid
-                os.kill(pid, signal.SIGKILL)
-                assert state_within(pid, 10) == "Z"
-                killed.append(pid)
-            return build(inst, m)
-
-        monkeypatch.setattr(_Frame, "build", build_after_killing_the_worker)
-        assert self.run(21, 3, 8, 3, kicks=0) == want
-        assert killed
-        assert [self.run(30, 1, 4, 1) for _ in range(2)] == [follow] * 2
-        assert search_mod._worker is not None and search_mod._worker.pid != killed[0]
+        submitted = []
+        monkeypatch.setattr(search_mod, "_submit", lambda job: submitted.append(job))
+        inst = generate_random(n, 3)
+        params = self.params(n, 8, kicks=0)
+        _, pruned = top_m_filter(soft_heat(distance_matrix(inst)), params.m)
+        tour, stats = run_search(inst, pruned, params, 3)
+        assert submitted == [] and search_mod._worker is None
+        order, want = search_mod._stream(_Frame.build(inst, params.m),
+                                         search_mod._run_heat(pruned), params,
+                                         np.random.default_rng(3), 8, None)
+        assert tour.order.tolist() == order.tolist()
+        assert repr(vars(stats) | {"two_opt_seconds": None}) == \
+            repr(vars(want) | {"two_opt_seconds": None})
+        assert stats.starts == stats.rounds
 
     def test_a_killed_worker_leaves_the_next_run_unchanged(self):
         import tspheat.search as search_mod
