@@ -122,6 +122,30 @@ def tour_edges(tour: Tour) -> set[tuple[int, int]]:
     }
 
 
+def search_heatmap(inst: Instance, heat: np.ndarray, search_params: SearchParams, seed: int):
+    """The heat-to-tour step: prune heat to its min(m, n - 1) largest
+    entries per row, then search. Returns (Tour, SearchStats, prune
+    seconds, search seconds), the search seconds timing run_search alone.
+
+    A heat map of another size than the instance raises ValueError.
+    """
+    if heat.shape[0] != inst.n:
+        raise ValueError(
+            f"heat map is {heat.shape[0]}x{heat.shape[0]} but instance has {inst.n} cities"
+        )
+    t0 = time.perf_counter()
+    m = min(search_params.m, inst.n - 1)
+    _, pruned = top_m_filter(heat, m)
+    if not np.isfinite(pruned).all():
+        # two entries past half the largest float sum to inf, which
+        # run_search refuses; halving keeps the ranking, and two halves sum
+        # to at most the largest float
+        _, pruned = top_m_filter(np.ldexp(heat, -1), m)
+    t1 = time.perf_counter()
+    tour, stats = run_search(inst, pruned, search_params, seed)
+    return tour, stats, t1 - t0, time.perf_counter() - t1
+
+
 def solve_pipeline(
     inst: Instance,
     train_cfg: TrainConfig,
@@ -149,18 +173,15 @@ def run_pipeline(
     TrainTrace."""
     t0 = time.perf_counter()
     heat, _, trace = optimize_heatmap(inst, train_cfg)
-    _, pruned = top_m_filter(heat, min(search_params.m, inst.n - 1))
-    t1 = time.perf_counter()
-    t_heat = t1 - t0
-    tour, stats = run_search(inst, pruned, search_params, seed)
-    t_search = time.perf_counter() - t1
+    t_fit = time.perf_counter() - t0
+    tour, stats, t_prune, t_search = search_heatmap(inst, heat, search_params, seed)
     gap = gap_percent(stats.best_length, ref_length) if ref_length is not None else None
     result = BenchResult(
         instance=inst.name or f"n{inst.n}",
         method="pipeline",
         length=stats.best_length,
         gap_percent=gap,
-        heatmap_seconds=t_heat,
+        heatmap_seconds=t_fit + t_prune,
         search_seconds=t_search,
         seed=seed,
     )

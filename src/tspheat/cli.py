@@ -15,14 +15,11 @@ import sys
 import time
 from dataclasses import asdict
 
-import numpy as np
-
 from . import bench as bench_mod
-from .candidates import top_m_filter
 from .generator import NumericError, TrainConfig, optimize_heatmap
 from .instances import (format_heatmap, format_instance, format_tour, generate_random,
                         parse_heatmap, read_instance_file, read_text)
-from .search import SearchParams, nn_two_opt_baseline, preset_for, run_search
+from .search import SearchParams, nn_two_opt_baseline, preset_for
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -88,21 +85,8 @@ def cmd_search(args) -> int:
     _search_params(args, 0)  # checks the budget before any file is read
     inst = read_instance_file(args.instance)
     heat = parse_heatmap(read_text(args.heatmap))
-    if heat.shape[0] != inst.n:
-        raise ValueError(
-            f"heat map is {heat.shape[0]}x{heat.shape[0]} but instance has {inst.n} cities"
-        )
     params = _search_params(args, inst.n)
-    m = min(params.m, inst.n - 1)
-    _, pruned = top_m_filter(heat, m)
-    if not np.isfinite(pruned).all():
-        # two entries past half the largest float sum to inf, which
-        # run_search refuses; halving keeps the ranking, and two halves sum
-        # to at most the largest float
-        _, pruned = top_m_filter(np.ldexp(heat, -1), m)
-    t0 = time.perf_counter()
-    tour, stats = run_search(inst, pruned, params, args.seed)
-    search_s = time.perf_counter() - t0
+    tour, stats, _, search_s = bench_mod.search_heatmap(inst, heat, params, args.seed)
     _write_out(format_tour(tour, stats.best_length), args.out)
     sys.stderr.write(f"length={stats.best_length!r} search_s={search_s:.3f} "
                      f"{_search_fields(stats)}\n")

@@ -17,11 +17,12 @@ from tspheat.bench import (
     gap_percent,
     held_karp_exact,
     run_pipeline,
+    search_heatmap,
     solve_pipeline,
     tour_edges,
 )
 from tspheat.candidates import top_m_filter
-from tspheat.generator import TrainConfig
+from tspheat.generator import TrainConfig, optimize_heatmap
 from tspheat.instances import (
     Instance,
     Tour,
@@ -358,6 +359,27 @@ class TestSolvePipeline:
         params = PRESETS["tsp20"].with_budget(max_rounds=1)
         result, _ = solve_pipeline(generate_random(8, 1), TrainConfig(steps=1), params, 1)
         assert result.heatmap_seconds >= 0.05
+
+
+class TestSearchHeatmap:
+    def test_refuses_a_heat_map_of_another_size(self):
+        params = PRESETS["tsp20"].with_budget(max_rounds=1)
+        with pytest.raises(ValueError, match=r"^heat map is 6x6 but instance has 5 cities$"):
+            search_heatmap(generate_random(5, 0), np.full((6, 6), 0.1), params, 0)
+
+    def test_is_the_pipeline_after_its_fit(self):
+        # run_pipeline is the fit followed by this step: the same tour and
+        # stats from the fitted heat map, and only run_search in the search
+        # seconds
+        inst = generate_random(30, 4)
+        cfg, params = TrainConfig(steps=20, seed=4), PRESETS["tsp50"].with_budget(max_rounds=2)
+        result, tour, stats, _ = run_pipeline(inst, cfg, params, 4, None)
+        heat, _, _ = optimize_heatmap(inst, cfg)
+        got, got_stats, prune_s, search_s = search_heatmap(inst, heat, params, 4)
+        assert got.order.tolist() == tour.order.tolist()
+        assert repr(vars(got_stats) | {"two_opt_seconds": None}) == \
+            repr(vars(stats) | {"two_opt_seconds": None})
+        assert 0 <= prune_s and got_stats.two_opt_seconds <= search_s
 
 
 # Default pipelines recorded at a fixed commit: the default fit (TrainConfig

@@ -472,6 +472,35 @@ class TestNativeFileText:
         )
 
 
+@pytest.mark.parametrize("command", ["solve", "search"])
+@pytest.mark.parametrize("old, new, message", [
+    ("DIMENSION: 4\n", "", "missing DIMENSION header"),
+    ("EDGE_WEIGHT_TYPE: EUC_2D\n", "", "missing EDGE_WEIGHT_TYPE header"),
+    ("NODE_COORD_SECTION\n", "", "missing NODE_COORD_SECTION"),
+    # index 1 twice: as many rows as DIMENSION, but none for city 2
+    ("2 10 0", "1 10 0", "no coordinate row for city 2"),
+], ids=["dimension", "weight-type", "coord-section", "city-2"])
+def test_tsplib_missing_part_exits_2(tmp_path, capsys, command, old, new, message):
+    inst, heat = tmp_path / "inst.tsp", tmp_path / "heat.txt"
+    inst.write_text(TSPLIB_DIMENSION_FIRST.replace(old, new))
+    heat.write_text(format_heatmap(np.full((4, 4), 0.1)))
+    heat_args = ["--heatmap", str(heat)] if command == "search" else []
+    code = main([command, "--instance", str(inst), *heat_args, "--rounds", "1",
+                 "--out", str(tmp_path / "t.txt")])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_search_refuses_a_heat_map_of_another_size(tmp_path, capsys):
+    inst, heat = tmp_path / "inst.txt", tmp_path / "heat.txt"
+    inst.write_text(format_instance(generate_random(5, 0)))
+    heat.write_text(format_heatmap(np.full((6, 6), 0.1)))
+    code = main(["search", "--instance", str(inst), "--heatmap", str(heat), "--rounds", "1",
+                 "--out", str(tmp_path / "t.txt")])
+    assert code == 2
+    assert capsys.readouterr().err == "error: heat map is 6x6 but instance has 5 cities\n"
+
+
 @pytest.mark.parametrize("command, count", [
     ("coverage", "-3"), ("coverage", "0"), ("bench", "0"), ("bench", "-1"),
 ])

@@ -227,8 +227,14 @@ class TestTsplib:
         ("3 10.0 10.0", "3 1_5 10.0", "line 8: expected a number, found '1_5'"),
         ("3 10.0 10.0", "3 10.0 0x10", "line 8: expected a number, found '0x10'"),
         ("4 0.0 10.0", "5 0.0 10.0", "line 9: city index 5 outside 1..4"),
+        ("DIMENSION: 4\n", "", "missing DIMENSION header"),
+        ("EDGE_WEIGHT_TYPE: EUC_2D\n", "", "missing EDGE_WEIGHT_TYPE header"),
+        ("NODE_COORD_SECTION\n", "", "missing NODE_COORD_SECTION"),
+        # index 1 twice: as many rows as DIMENSION, but none for city 2
+        ("2 10.0 0.0", "1 10.0 0.0", "no coordinate row for city 2"),
     ], ids=["dimension-arabic-indic", "index-underscore", "index-plus", "coordinate-underscore",
-            "coordinate-hex", "index-outside"])
+            "coordinate-hex", "index-outside", "no-dimension", "no-weight-type",
+            "no-coord-section", "no-row-for-city-2"])
     def test_token_rules_named(self, old, new, message):
         with pytest.raises(TsplibParseError, match=f"^{re.escape(message)}$"):
             parse_tsplib(MINIMAL_TSPLIB.replace(old, new))

@@ -2391,6 +2391,73 @@ class TestStreams:
         assert self.run(100, 1, 4, 2) == want
         assert search_mod._worker is not None and search_mod._worker.pid != pid
 
+    def test_a_worker_killed_mid_run_leaves_its_run_unchanged(self, monkeypatch):
+        # the worker dies after it took the job: _collect reads no reply,
+        # stops and reaps the worker, and this process runs stream 1 itself,
+        # with the bytes of the run made without a worker
+        import tspheat.search as search_mod
+
+        monkeypatch.setattr(search_mod, "_submit", lambda job: False)
+        want = self.run(100, 1, 4, 2)
+        monkeypatch.undo()
+        here, build, killed = os.getpid(), _Frame.build, []
+
+        def kill_then_build(*args):
+            if os.getpid() == here and not killed:
+                killed.append(search_mod._worker.pid)
+                os.kill(killed[0], signal.SIGKILL)
+                assert state_within(killed[0], 10) == "Z"
+            return build(*args)
+
+        monkeypatch.setattr(_Frame, "build", kill_then_build)
+        assert self.run(100, 1, 4, 2) == want
+        assert killed and search_mod._worker is None
+        with pytest.raises(ChildProcessError):  # reaped
+            os.waitpid(killed[0], os.WNOHANG)
+        monkeypatch.undo()
+        assert self.run(100, 1, 4, 2) == want
+        assert search_mod._worker is not None and search_mod._worker.pid != killed[0]
+
+    def test_a_stream_that_raises_in_the_worker_runs_here(self, monkeypatch):
+        # the worker's stream raises: the worker replies None and waits for
+        # its next job, and this process stops it and runs stream 1 itself,
+        # with the bytes of the run made without a worker
+        import tspheat.search as search_mod
+
+        monkeypatch.setattr(search_mod, "_submit", lambda job: False)
+        want = self.run(100, 1, 4, 2)
+        monkeypatch.undo()
+        search_mod._stop_worker()  # the worker to come forks with the patch
+        here = os.getpid()
+        stream, collect, stop = search_mod._stream, search_mod._collect, search_mod._stop_worker
+        ran_here, replies, stopped = [], [], []
+
+        def stream_here_only(*args):
+            if os.getpid() != here:
+                raise RuntimeError("stream 1 failed in the worker")
+            ran_here.append(args[4])  # the stream's round cap
+            return stream(*args)
+
+        def collect_spy():
+            replies.append(collect())
+            return replies[-1]
+
+        def stop_spy():
+            stopped.append((search_mod._worker.pid, alive(search_mod._worker.pid)))
+            stop()
+
+        monkeypatch.setattr(search_mod, "_stream", stream_here_only)
+        monkeypatch.setattr(search_mod, "_collect", collect_spy)
+        monkeypatch.setattr(search_mod, "_stop_worker", stop_spy)
+        assert self.run(100, 1, 4, 2) == want
+        # the worker replied None, still alive, and was stopped and reaped;
+        # both streams ran here
+        assert replies == [None] and ran_here == [2, 2]
+        [(pid, was_alive)] = stopped
+        assert was_alive and search_mod._worker is None
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
     def test_runs_from_threads_leave_the_worker_alone(self):
         # while other threads are alive a run neither uses nor stops the
         # worker: it runs stream 1 itself, with the result of the same run
